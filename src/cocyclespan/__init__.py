@@ -9,8 +9,7 @@ from .systems import GeneratorSystem
 from .fixtures import E1, E2, E3, E4, E5
 from .linalg import (PrincipalPair, SubspaceBasis, principal_pair, span_basis,
                      wedge_power)
-from .wordspace import (ScaledProduct, enumerate_words, fold_words, parse_word,
-                        product, word_str)
+from .wordspace import ScaledProduct, enumerate_words, parse_word, product, word_str
 from .hypotheses import (HypothesisReport, IrreducibilityVerdict,
                          algebra_dimension, check_hypotheses,
                          irreducibility_verdict, orbit_span, power_system,

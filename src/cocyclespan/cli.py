@@ -3,11 +3,11 @@
 Matrix entries arrive as decimal strings so binary-exactness detection is
 well-defined: a system is flagged exact when every entry round-trips through
 float without loss, which switches the 2x2 decision paths to rational
-arithmetic. Reports reproduce bit-for-bit under a fixed seed and thread
-count; wall time lives in the `meta` section, excluded from that guarantee.
+arithmetic. Reports reproduce bit-for-bit under a fixed seed; wall time
+lives in the `meta` section, excluded from that guarantee.
 
-Exit codes: 0 success, 1 hypothesis failed, 2 inconclusive, 3 input error,
-4 resource cap exceeded.
+Exit codes: 0 success, 1 hypothesis failed, 2 inconclusive, 3 input error
+(including command-line usage errors), 4 resource cap exceeded.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -29,7 +28,6 @@ from . import __version__
 from .errors import InputError, ResourceLimitError
 from .gibbs import cylinder_weights, kappa_floor, psi_mixing_stat
 from .hypotheses import check_hypotheses
-from .kernels import active_backend
 from .quasimult import empirical_qm
 from .spannability import diagnose_failure, minimal_spannable_k
 from .systems import GeneratorSystem
@@ -56,7 +54,6 @@ class RunConfig:
     generator_strings: list[list[str]]
     translation_strings: list[list[str]] | None
     seed: int = 42
-    threads: int = os.cpu_count() or 1
     budget: int = DEFAULT_BUDGET
     out: str | None = None
     csv_dir: str | None = None
@@ -77,6 +74,16 @@ def _is_exact_decimal(text: str) -> bool:
         return Fraction(text) == Fraction(float(text))
     except (ValueError, ZeroDivisionError, OverflowError):
         return False
+
+
+def _opt(options: dict, key, cast, default=None, *, where: str = "options"):
+    """`options[key]` (or `default`) as `int` or `float`; a bad value is an input error."""
+    value = options.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{where}.{key} must be {'an integer' if cast is int else 'a number'}, "
+                         f"got {value!r}") from exc
 
 
 def _parse_matrix_strings(entries, d: int, where: str) -> tuple[np.ndarray, bool, list[str]]:
@@ -149,9 +156,9 @@ def parse_config(text: str) -> RunConfig:
         raise InputError("options must be an object")
     cfg = RunConfig(system=system, command=command, options=options,
                     generator_strings=gen_strings, translation_strings=tr_strings)
-    for key in ("seed", "threads", "budget"):
+    for key in ("seed", "budget"):
         if key in options:
-            setattr(cfg, key, int(options[key]))
+            setattr(cfg, key, _opt(options, key, int))
     # early validation of word-typed options against the alphabet
     if "targets" in options and isinstance(options["targets"], dict):
         for w in options["targets"].get("words", []):
@@ -183,9 +190,9 @@ def _targets_from_options(options: dict, ell: int) -> TargetSequence:
     spec = options.get("targets")
     if spec is None:
         raise InputError("this command needs an 'options.targets' block")
-    tail = int(spec.get("tail_start", 1))
+    tail = _opt(spec, "tail_start", int, 1, where="options.targets")
     if "all_ones" in spec:
-        count = int(spec["all_ones"])
+        count = _opt(spec, "all_ones", int, where="options.targets")
         words = tuple(tuple([1] * k) for k in range(1, count + 1))
         return TargetSequence(words=words, tail_start=tail)
     words = tuple(parse_word(str(w), ell) for w in spec.get("words", []))
@@ -198,11 +205,12 @@ def _qm_source(cfg: RunConfig):
     if mode is None:
         return lambda s, kind: None
     if mode == "auto":
-        provider = QMInputProvider(cfg.system, int(cfg.options.get("k_qm", 1)),
+        provider = QMInputProvider(cfg.system, _opt(cfg.options, "k_qm", int, 1),
                                    seed=cfg.seed, budget=cfg.budget)
         return provider.qm_input
     if isinstance(mode, dict):
-        fixed = QMInput(k=int(mode["k"]), C=float(mode["C"]))
+        fixed = QMInput(k=_opt(mode, "k", int, where="options.qm"),
+                        C=_opt(mode, "C", float, where="options.qm"))
         return lambda s, kind: fixed
     raise InputError("options.qm must be 'auto', null, or {'k':, 'C':}")
 
@@ -239,7 +247,7 @@ def _run_check_hypotheses(cfg: RunConfig):
 
 
 def _run_spannability(cfg: RunConfig):
-    k_max = int(cfg.options.get("k_max", 8))
+    k_max = _opt(cfg.options, "k_max", int, 8)
     search = minimal_spannable_k(cfg.system, k_max, seed=cfg.seed, budget=cfg.budget)
     result = _jsonable(search)
     warnings = []
@@ -255,8 +263,8 @@ def _run_spannability(cfg: RunConfig):
 
 
 def _run_qm(cfg: RunConfig):
-    k = int(cfg.options.get("k", 1))
-    n_max = int(cfg.options.get("n_max", 4))
+    k = _opt(cfg.options, "k", int, 1)
+    n_max = _opt(cfg.options, "n_max", int, 4)
     rep = empirical_qm(cfg.system, k, n_max, seed=cfg.seed, budget=cfg.budget)
     out = _jsonable(rep)
     out["empirical_c"] = {str(n): v for n, v in rep.empirical_c.items()}
@@ -269,20 +277,25 @@ def _run_qm(cfg: RunConfig):
 
 def _run_pressure(cfg: RunConfig):
     kind = cfg.options.get("potential", "sv_s")
-    n = int(cfg.options.get("n", 8))
-    svals = cfg.options.get("s_grid", [cfg.options.get("s", 1.0)])
+    n = _opt(cfg.options, "n", int, 8)
+    grid = cfg.options.get("s_grid")
+    if grid is None:
+        svals = [_opt(cfg.options, "s", float, 1.0)]
+    elif isinstance(grid, list):
+        svals = [_opt(dict(enumerate(grid)), i, float, where="options.s_grid")
+                 for i in range(len(grid))]
+    else:
+        raise InputError("options.s_grid must be a list of numbers")
     qm_for = _qm_source(cfg)
     out = {"potential": kind, "n": n, "brackets": []}
     warnings = []
     for s in svals:
-        s = float(s)
         qm = qm_for(s, "norm_s" if kind == "norm_s" else "sv_s")
         if kind == "sv_s_squared":
-            br = square_pressure(cfg.system, s, n, qm, threads=cfg.threads,
-                                 budget=cfg.budget)
+            br = square_pressure(cfg.system, s, n, qm, budget=cfg.budget)
         else:
             br = pressure_bracket(cfg.system, PotentialSpec(kind, s), n, qm,
-                                  threads=cfg.threads, budget=cfg.budget)
+                                  budget=cfg.budget)
         if not br.lower_valid:
             warnings.append(f"s={s}: no positive QM constant, upper bound only")
         out["brackets"].append(_jsonable(br))
@@ -295,63 +308,57 @@ def _dimension_result(rep: DimensionReport):
 
 def _run_s0(cfg: RunConfig):
     targets = _targets_from_options(cfg.options, cfg.system.ell)
-    n = int(cfg.options.get("n", 10))
-    k_qm = int(cfg.options.get("k_qm", 1))
-    rep = s0_interval(cfg.system, targets, n, k_qm, seed=cfg.seed,
-                      threads=cfg.threads, budget=cfg.budget)
+    n = _opt(cfg.options, "n", int, 10)
+    k_qm = _opt(cfg.options, "k_qm", int, 1)
+    rep = s0_interval(cfg.system, targets, n, k_qm, seed=cfg.seed, budget=cfg.budget)
     return _dimension_result(rep)
 
 
 def _run_r0(cfg: RunConfig):
-    n = int(cfg.options.get("n", 10))
-    k_qm = int(cfg.options.get("k_qm", 1))
+    n = _opt(cfg.options, "n", int, 10)
+    k_qm = _opt(cfg.options, "k_qm", int, 1)
     if "beta" in cfg.options:
-        beta = beta_hat(beta=float(cfg.options["beta"]))
+        beta = beta_hat(beta=_opt(cfg.options, "beta", float))
     else:
         table = cfg.options.get("psi_table")
         beta = beta_hat(psi_table=table, tail_start=cfg.options.get("tail_start"))
     if beta.value >= 1:
         raise InputError("recurrence dimension needs beta < 1")
-    rep = r0_interval(cfg.system, beta.value, n, k_qm, seed=cfg.seed,
-                      threads=cfg.threads, budget=cfg.budget)
+    rep = r0_interval(cfg.system, beta.value, n, k_qm, seed=cfg.seed, budget=cfg.budget)
     out, code, warnings = _dimension_result(rep)
     out["beta"] = _jsonable(beta)
     return out, code, warnings + list(beta.warnings)
 
 
 def _run_affinity(cfg: RunConfig):
-    n = int(cfg.options.get("n", 10))
-    k_qm = int(cfg.options.get("k_qm", 1))
-    rep = affinity_dimension(cfg.system, n, k_qm, seed=cfg.seed,
-                             threads=cfg.threads, budget=cfg.budget)
+    n = _opt(cfg.options, "n", int, 10)
+    k_qm = _opt(cfg.options, "k_qm", int, 1)
+    rep = affinity_dimension(cfg.system, n, k_qm, seed=cfg.seed, budget=cfg.budget)
     return _dimension_result(rep)
 
 
 def _run_mixing(cfg: RunConfig):
-    s = float(cfg.options.get("s", 1.0))
-    L = int(cfg.options.get("L", 3))
-    gap = int(cfg.options.get("gap", 4))
-    k = int(cfg.options.get("connector_k", 1))
-    rep = psi_mixing_stat(cfg.system, s, L, gap, connector_k=k,
-                          threads=cfg.threads, budget=cfg.budget)
+    s = _opt(cfg.options, "s", float, 1.0)
+    L = _opt(cfg.options, "L", int, 3)
+    gap = _opt(cfg.options, "gap", int, 4)
+    k = _opt(cfg.options, "connector_k", int, 1)
+    rep = psi_mixing_stat(cfg.system, s, L, gap, connector_k=k, budget=cfg.budget)
     out = _jsonable(rep)
     warnings = list(rep.warnings)
     code = EXIT_OK
     if cfg.system.dim == 2:
-        kf = kappa_floor(cfg.system, s, k, L, seed=cfg.seed, threads=cfg.threads,
-                         budget=cfg.budget)
+        kf = kappa_floor(cfg.system, s, k, L, seed=cfg.seed, budget=cfg.budget)
         out["kappa_certificate"] = _jsonable(kf)
         if not kf.certified:
             warnings.append("no kappa certificate: gamma lower bound is zero")
             code = EXIT_INCONCLUSIVE
-    weights = cylinder_weights(cfg.system, s, min(L, 4), threads=cfg.threads,
-                               budget=cfg.budget)
+    weights = cylinder_weights(cfg.system, s, min(L, 4), budget=cfg.budget)
     out["level_weights_sum"] = float(weights.probs.sum())
     return out, code, warnings
 
 
 def _run_export(cfg: RunConfig):
-    depth = int(cfg.options.get("depth", 6))
+    depth = _opt(cfg.options, "depth", int, 6)
     csv_dir = Path(cfg.csv_dir) if cfg.csv_dir else Path(".")
     csv_dir.mkdir(parents=True, exist_ok=True)
     out_path = csv_dir / cfg.options.get("csv_name", "attractor.csv")
@@ -379,12 +386,10 @@ def run_command(cfg: RunConfig) -> tuple[dict, int]:
     start = time.perf_counter()
     result, code, warnings = _RUNNERS[cfg.command](cfg)
     report = {
-        "artifact": {"name": "cocyclespan", "version": __version__,
-                     "backend": active_backend()},
+        "artifact": {"name": "cocyclespan", "version": __version__},
         "command": cfg.command,
         "config": cfg.echo(),
         "seed": cfg.seed,
-        "threads": cfg.threads,
         "budget": cfg.budget,
         "result": result,
         "warnings": warnings,
@@ -407,7 +412,6 @@ def main(argv=None) -> int:
     ap.add_argument("--out", help="write the JSON report here (default stdout)")
     ap.add_argument("--csv-dir", help="directory for CSV outputs")
     ap.add_argument("--seed", type=int, help="random seed (default 42)")
-    ap.add_argument("--threads", type=int, help="worker threads (default 1)")
     ap.add_argument("--budget", type=int, help="word enumeration cap (default 2e7)")
     ap.add_argument("--k-max", type=int, dest="k_max")
     ap.add_argument("--k", type=int)
@@ -420,7 +424,10 @@ def main(argv=None) -> int:
     ap.add_argument("--depth", type=int)
     ap.add_argument("--beta", type=float)
     ap.add_argument("--mode", choices=("theorem_1_1", "corollary_4_3"))
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_INPUT_ERROR if exc.code else EXIT_OK
     try:
         cfg = parse_config(Path(args.config).read_text())
         for key in ("k_max", "k", "k_qm", "n", "n_max", "s", "L", "gap", "depth",
@@ -432,8 +439,6 @@ def main(argv=None) -> int:
             cfg.command = args.command
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.threads is not None:
-            cfg.threads = args.threads
         if args.budget is not None:
             cfg.budget = args.budget
         if args.csv_dir:

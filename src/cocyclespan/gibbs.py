@@ -34,18 +34,16 @@ def _lse(arr: np.ndarray, axis=None):
 class _Levels:
     """Per-level arrays of s-weighted log norms, lexicographic rank order."""
 
-    def __init__(self, system: GeneratorSystem, s: float, *, threads: int = 1,
-                 budget: int = DEFAULT_BUDGET):
+    def __init__(self, system: GeneratorSystem, s: float, *, budget: int = DEFAULT_BUDGET):
         self.system = system
         self.s = s
-        self.threads = threads
         self.budget = budget
         self._cache: dict[int, tuple[np.ndarray, float]] = {}
 
     def get(self, n: int) -> tuple[np.ndarray, float]:
         if n not in self._cache:
             check_budget(self.system.ell**n, self.budget)
-            logs1, _ = word_singvals(self.system.stacked(), n, threads=self.threads)
+            logs1, _ = word_singvals(self.system.stacked(), n)
             w = self.s * logs1
             self._cache[n] = (w, _lse(w))
         return self._cache[n]
@@ -76,13 +74,13 @@ class CylinderWeights:
             yield w, float(p)
 
 
-def cylinder_weights(system: GeneratorSystem, s: float, n: int, *, threads: int = 1,
+def cylinder_weights(system: GeneratorSystem, s: float, n: int, *,
                      budget: int = DEFAULT_BUDGET) -> CylinderWeights:
     if n < 1:
         raise InputError("level n must be >= 1")
     if s < 0:
         raise InputError("s must be nonnegative")
-    lev = _Levels(system, s, threads=threads, budget=budget)
+    lev = _Levels(system, s, budget=budget)
     w, z = lev.get(n)
     probs = np.exp(w - z)
     probs /= probs.sum()
@@ -109,7 +107,7 @@ class KappaFloorReport:
 
 
 def kappa_floor(system: GeneratorSystem, s: float, k: int, L: int, *,
-                c_of_s: QMConstant | None = None, seed: int = 42, threads: int = 1,
+                c_of_s: QMConstant | None = None, seed: int = 42,
                 budget: int = DEFAULT_BUDGET) -> KappaFloorReport:
     if k < 1 or L < 1:
         raise InputError("need k >= 1 and L >= 1")
@@ -118,7 +116,7 @@ def kappa_floor(system: GeneratorSystem, s: float, k: int, L: int, *,
             if system.dim == 2 else None
     if c_of_s is None:
         raise InputError("supply c_of_s for d > 2 systems")
-    lev = _Levels(system, s, threads=threads, budget=budget)
+    lev = _Levels(system, s, budget=budget)
     ell = system.ell
     best = math.inf
     witness = None
@@ -192,11 +190,11 @@ def _psi_sup(lev: _Levels, ell: int, L: int, gap: int, absolute: bool = True):
 
 
 def psi_mixing_stat(system: GeneratorSystem, s: float, L: int, gap: int, *,
-                    connector_k: int = 1, threads: int = 1,
+                    connector_k: int = 1,
                     budget: int = DEFAULT_BUDGET) -> MixingReport:
     if L < 1 or gap < 1:
         raise InputError("need L >= 1 and gap >= 1")
-    lev = _Levels(system, s, threads=threads, budget=budget)
+    lev = _Levels(system, s, budget=budget)
     ell = system.ell
     psi, worst = _psi_sup(lev, ell, L, gap, absolute=True)
     neg_floor, _ = _psi_sup(lev, ell, L, connector_k, absolute=False)

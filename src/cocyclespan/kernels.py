@@ -1,10 +1,7 @@
-"""Hot enumeration kernels with a numba fast path and a pure-numpy fallback.
+"""Hot enumeration and grid kernels, vectorised with numpy.
 
-Backend selection: COCYCLESPAN_BACKEND = auto | numba | numpy (default auto:
-numba when importable). Within a backend all outputs are bit-reproducible and
-independent of the thread count: output arrays are indexed by lexicographic
-word rank and assembled from fixed prefix blocks, and every reduction runs
-over fully assembled arrays.
+Outputs are bit-reproducible: arrays are indexed by lexicographic word rank
+and every reduction runs over fully assembled arrays in a fixed order.
 
 Products are carried as (unit, log2-scale) pairs rescaled by exact powers of
 two on the Frobenius norm, which brackets the operator norm within sqrt(d).
@@ -12,46 +9,10 @@ two on the Frobenius norm, which brackets the operator norm within sqrt(d).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import InputError
-
 _LN2 = math.log(2.0)
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_ENV = os.environ.get("COCYCLESPAN_BACKEND", "auto").strip().lower()
-if _ENV not in ("auto", "numba", "numpy"):
-    raise InputError(f"COCYCLESPAN_BACKEND must be auto|numba|numpy, got {_ENV!r}")
-if _ENV == "numba" and not HAVE_NUMBA:
-    raise ImportError("COCYCLESPAN_BACKEND=numba but numba is not installed")
-BACKEND = "numba" if (_ENV in ("auto", "numba") and HAVE_NUMBA) else "numpy"
-
-
-def active_backend() -> str:
-    return BACKEND
-
-
-def _block_prefix_depth(ell: int, n: int) -> int:
-    # fixed, thread-independent block structure: at most ell^2 blocks
-    return min(n, 2) if ell > 1 else min(n, 1)
 
 
 def _rescale_batch(units: np.ndarray, logs: np.ndarray) -> None:
@@ -63,7 +24,7 @@ def _rescale_batch(units: np.ndarray, logs: np.ndarray) -> None:
         logs += e * _LN2
 
 
-def _extend_level_numpy(gens: np.ndarray, units: np.ndarray, logs: np.ndarray):
+def _extend_level(gens: np.ndarray, units: np.ndarray, logs: np.ndarray):
     ell, d, _ = gens.shape
     new_units = np.einsum("jab,rbc->rjac", gens, units).reshape(-1, d, d)
     new_logs = np.repeat(logs, ell)
@@ -77,8 +38,14 @@ def products_level_numpy(gens: np.ndarray, n: int):
     units = np.eye(d)[None, :, :].copy()
     logs = np.zeros(1)
     for _ in range(n):
-        units, logs = _extend_level_numpy(gens, units, logs)
+        units, logs = _extend_level(gens, units, logs)
     return np.ascontiguousarray(units), logs
+
+
+def dense_products(gens: np.ndarray, n: int) -> np.ndarray:
+    """Unscaled products for all of Lambda(n), lexicographic."""
+    units, logs = products_level_numpy(gens, n)
+    return units * np.exp(logs)[:, None, None]
 
 
 def sigma12_2x2(units: np.ndarray):
@@ -99,7 +66,12 @@ def opnorm_batch(units: np.ndarray) -> np.ndarray:
     return np.linalg.svd(units, compute_uv=False)[..., 0]
 
 
-def word_singvals_numpy(gens: np.ndarray, n: int):
+def word_singvals(gens: np.ndarray, n: int):
+    """Per-word (log sigma_1, log sigma_2) over Lambda(n), lexicographic rank order.
+
+    The second array is None for d > 2 (only the norm is needed there).
+    """
+    gens = np.ascontiguousarray(gens, dtype=float)
     units, logs = products_level_numpy(gens, n)
     if gens.shape[1] == 2:
         s1, s2 = sigma12_2x2(units)
@@ -108,142 +80,17 @@ def word_singvals_numpy(gens: np.ndarray, n: int):
     return logs + np.log(sv[..., 0]), None
 
 
-@njit(cache=True, nogil=True)
-def _nb_singvals_block_d2(gens, n, unit0, log0, out1, out2):  # pragma: no cover - jitted
-    ell = gens.shape[0]
-    units = np.empty((n + 1, 2, 2))
-    logs = np.empty(n + 1)
-    digits = np.zeros(n, dtype=np.int64)
-    units[0] = unit0
-    logs[0] = log0
-    idx = 0
-    pos = 0
-    while True:
-        while pos < n:
-            j = digits[pos]
-            u = units[pos]
-            m00 = gens[j, 0, 0] * u[0, 0] + gens[j, 0, 1] * u[1, 0]
-            m01 = gens[j, 0, 0] * u[0, 1] + gens[j, 0, 1] * u[1, 1]
-            m10 = gens[j, 1, 0] * u[0, 0] + gens[j, 1, 1] * u[1, 0]
-            m11 = gens[j, 1, 0] * u[0, 1] + gens[j, 1, 1] * u[1, 1]
-            fro2 = m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11
-            e = 0.0
-            if fro2 < 0.25 or fro2 > 4.0:
-                e = math.floor(0.5 * math.log2(fro2))
-                sc = 2.0 ** (-e)
-                m00 *= sc
-                m01 *= sc
-                m10 *= sc
-                m11 *= sc
-            units[pos + 1, 0, 0] = m00
-            units[pos + 1, 0, 1] = m01
-            units[pos + 1, 1, 0] = m10
-            units[pos + 1, 1, 1] = m11
-            logs[pos + 1] = logs[pos] + e * _LN2
-            pos += 1
-        u = units[n]
-        fro2 = u[0, 0] ** 2 + u[0, 1] ** 2 + u[1, 0] ** 2 + u[1, 1] ** 2
-        det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-        disc = fro2 * fro2 - 4.0 * det * det
-        if disc < 0.0:
-            disc = 0.0
-        s1 = math.sqrt(0.5 * (fro2 + math.sqrt(disc)))
-        out1[idx] = logs[n] + math.log(s1)
-        ad = abs(det)
-        out2[idx] = logs[n] + math.log(ad / s1) if ad > 0.0 and s1 > 0.0 else -np.inf
-        idx += 1
-        if n == 0:
-            break
-        pos = n - 1
-        while pos >= 0 and digits[pos] == ell - 1:
-            digits[pos] = 0
-            pos -= 1
-        if pos < 0:
-            break
-        digits[pos] += 1
-    return idx
+def qm_scan(units, logs, kunits, klogs_scale):
+    """Worst pair ratio log min_{I,J} max_K |A_IKJ| / (|A_I| |A_J|) and witnesses.
 
-
-def word_singvals_numba(gens: np.ndarray, n: int, threads: int = 1):
-    ell, d = gens.shape[0], gens.shape[1]
-    if d != 2:
-        return word_singvals_numpy(gens, n)
-    N = ell**n
-    out1 = np.empty(N)
-    out2 = np.empty(N)
-    p = _block_prefix_depth(ell, n)
-    pre_units, pre_logs = products_level_numpy(gens, p)
-    width = ell ** (n - p)
-
-    def run(b: int) -> None:
-        _nb_singvals_block_d2(
-            gens, n - p, pre_units[b], pre_logs[b],
-            out1[b * width:(b + 1) * width], out2[b * width:(b + 1) * width],
-        )
-
-    blocks = range(pre_units.shape[0])
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, blocks))
-    else:
-        for b in blocks:
-            run(b)
-    return out1, out2
-
-
-def word_singvals(gens: np.ndarray, n: int, *, threads: int = 1, backend: str | None = None):
-    """Per-word (log sigma_1, log sigma_2) over Lambda(n), lexicographic rank order.
-
-    The second array is None for d > 2 (only the norm is needed there).
+    `units`/`logs` are the scaled Lambda(n) products, `kunits`/`klogs_scale`
+    the scaled Lambda(k) products; d = 2 takes the vectorised closed form.
     """
-    gens = np.ascontiguousarray(gens, dtype=float)
-    be = backend or BACKEND
-    if be == "numba" and HAVE_NUMBA:
-        return word_singvals_numba(gens, n, threads=threads)
-    return word_singvals_numpy(gens, n)
-
-
-@njit(cache=True, nogil=True)
-def _nb_qm_scan(units, log_su, scales, kunits, klogs):  # pragma: no cover - jitted
-    # min over pairs (i, j) of max over m of the connector log-ratio
-    N = units.shape[0]
-    M = kunits.shape[0]
-    best = np.inf
-    bi = bj = bm = 0
-    for i in range(N):
-        ui = units[i]
-        for j in range(N):
-            uj = units[j]
-            inner = -np.inf
-            marg = 0
-            for m in range(M):
-                km = kunits[m]
-                t00 = km[0, 0] * ui[0, 0] + km[0, 1] * ui[1, 0]
-                t01 = km[0, 0] * ui[0, 1] + km[0, 1] * ui[1, 1]
-                t10 = km[1, 0] * ui[0, 0] + km[1, 1] * ui[1, 0]
-                t11 = km[1, 0] * ui[0, 1] + km[1, 1] * ui[1, 1]
-                w00 = uj[0, 0] * t00 + uj[0, 1] * t10
-                w01 = uj[0, 0] * t01 + uj[0, 1] * t11
-                w10 = uj[1, 0] * t00 + uj[1, 1] * t10
-                w11 = uj[1, 0] * t01 + uj[1, 1] * t11
-                fro2 = w00 * w00 + w01 * w01 + w10 * w10 + w11 * w11
-                det = w00 * w11 - w01 * w10
-                disc = fro2 * fro2 - 4.0 * det * det
-                if disc < 0.0:
-                    disc = 0.0
-                s1 = math.sqrt(0.5 * (fro2 + math.sqrt(disc)))
-                v = klogs[m] + math.log(s1)
-                if v > inner:
-                    inner = v
-                    marg = m
-            ratio = inner - log_su[i] - log_su[j]
-            if ratio < best:
-                best = ratio
-                bi, bj, bm = i, j, marg
-    return best, bi, bj, bm
-
-
-def qm_scan_numpy(units, log_su, kunits, klogs):
+    units = np.ascontiguousarray(units)
+    kunits = np.ascontiguousarray(kunits)
+    if units.shape[-1] != 2:
+        return _qm_scan_general(units, logs, kunits, klogs_scale)
+    log_su = np.log(sigma12_2x2(units)[0])  # unit-part norms; scales cancel
     N = units.shape[0]
     KI = np.einsum("mab,ibc->imac", kunits, units)  # (N, M, 2, 2)
     best = np.inf
@@ -251,7 +98,7 @@ def qm_scan_numpy(units, log_su, kunits, klogs):
     for j in range(N):
         W = np.einsum("ab,imbc->imac", units[j], KI)
         s1 = sigma12_2x2(W)[0]
-        vals = klogs[None, :] + np.log(s1)  # (N, M)
+        vals = klogs_scale[None, :] + np.log(s1)  # (N, M)
         marg = np.argmax(vals, axis=1)
         inner = vals[np.arange(N), marg]
         ratio = inner - log_su - log_su[j]
@@ -260,24 +107,6 @@ def qm_scan_numpy(units, log_su, kunits, klogs):
             best = float(ratio[i])
             bi, bj, bm = i, j, int(marg[i])
     return best, bi, bj, bm
-
-
-def qm_scan(units, logs, kunits, klogs_scale, *, backend: str | None = None):
-    """Worst pair ratio log min_{I,J} max_K |A_IKJ| / (|A_I| |A_J|) and witnesses.
-
-    `units`/`logs` are the scaled Lambda(n) products, `kunits`/`klogs_scale`
-    the scaled Lambda(k) products; d must be 2 for the fast paths.
-    """
-    units = np.ascontiguousarray(units)
-    kunits = np.ascontiguousarray(kunits)
-    if units.shape[-1] != 2:
-        return _qm_scan_general(units, logs, kunits, klogs_scale)
-    log_su = np.log(sigma12_2x2(units)[0])  # unit-part norms; scales cancel
-    be = backend or BACKEND
-    if be == "numba" and HAVE_NUMBA:
-        best, bi, bj, bm = _nb_qm_scan(units, log_su, logs, kunits, klogs_scale)
-        return float(best), int(bi), int(bj), int(bm)
-    return qm_scan_numpy(units, log_su, kunits, klogs_scale)
 
 
 def _qm_scan_general(units, logs, kunits, klogs):
@@ -297,31 +126,9 @@ def _qm_scan_general(units, logs, kunits, klogs):
     return best, bi, bj, bm
 
 
-@njit(cache=True, nogil=True)
-def _nb_minimax_grid2(kmats, G):  # pragma: no cover - jitted
-    M = kmats.shape[0]
-    best = np.inf
-    b_iw = b_iu = 0
-    for iw in range(G):
-        tw = 2.0 * np.pi * iw / G
-        wx, wy = math.cos(tw), math.sin(tw)
-        for iu in range(G):
-            tu = 2.0 * np.pi * iu / G
-            ux, uy = math.cos(tu), math.sin(tu)
-            mx = 0.0
-            for m in range(M):
-                kx = kmats[m, 0, 0] * ux + kmats[m, 0, 1] * uy
-                ky = kmats[m, 1, 0] * ux + kmats[m, 1, 1] * uy
-                v = abs(wx * kx + wy * ky)
-                if v > mx:
-                    mx = v
-            if mx < best:
-                best = mx
-                b_iw, b_iu = iw, iu
-    return best, b_iw, b_iu
-
-
-def minimax_grid2_numpy(kmats: np.ndarray, G: int):
+def minimax_grid2(kmats: np.ndarray, G: int = 2000):
+    """Raw grid minimum over (w, u) angle pairs of max_K |w^T A_K u|."""
+    kmats = np.ascontiguousarray(kmats, dtype=float)
     th = 2.0 * np.pi * np.arange(G) / G
     U = np.stack([np.cos(th), np.sin(th)])
     acc = np.full((G, G), -np.inf)
@@ -331,124 +138,32 @@ def minimax_grid2_numpy(kmats: np.ndarray, G: int):
     return float(acc[iw, iu]), int(iw), int(iu)
 
 
-def minimax_grid2(kmats: np.ndarray, G: int = 2000, *, backend: str | None = None):
-    """Raw grid minimum over (w, u) angle pairs of max_K |w^T A_K u|."""
-    kmats = np.ascontiguousarray(kmats, dtype=float)
-    be = backend or BACKEND
-    if be == "numba" and HAVE_NUMBA:
-        best, iw, iu = _nb_minimax_grid2(kmats, G)
-        return float(best), int(iw), int(iu)
-    return minimax_grid2_numpy(kmats, G)
-
-
-@njit(cache=True, nogil=True)
-def _nb_stack_min_grid2(B, G):  # pragma: no cover - jitted
-    r = B.shape[0]
-    best = np.inf
-    bidx = 0
-    for i in range(G):
-        t = np.pi * i / G
-        ux, uy = math.cos(t), math.sin(t)
-        g00 = 0.0
-        g01 = 0.0
-        g11 = 0.0
-        for j in range(r):
-            x = B[j, 0, 0] * ux + B[j, 0, 1] * uy
-            y = B[j, 1, 0] * ux + B[j, 1, 1] * uy
-            g00 += x * x
-            g01 += x * y
-            g11 += y * y
-        tr = g00 + g11
-        disc = (g00 - g11) ** 2 + 4.0 * g01 * g01
-        lam = 0.5 * (tr - math.sqrt(disc))
-        if lam < best:
-            best = lam
-            bidx = i
-    return best, bidx
-
-
-def stack_min_grid2_numpy(B: np.ndarray, G: int):
-    th = np.pi * np.arange(G) / G
-    U = np.stack([np.cos(th), np.sin(th)])          # (2, G)
+def stack_f_circle(B: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """sigma_2(stack of B_j u)^2 at u = (cos theta, sin theta), per angle."""
+    U = np.stack([np.cos(thetas), np.sin(thetas)])  # (2, G)
     img = np.einsum("rab,bG->raG", B, U)            # (r, 2, G)
     g00 = np.einsum("rG,rG->G", img[:, 0], img[:, 0])
     g01 = np.einsum("rG,rG->G", img[:, 0], img[:, 1])
     g11 = np.einsum("rG,rG->G", img[:, 1], img[:, 1])
-    lam = 0.5 * ((g00 + g11) - np.sqrt((g00 - g11) ** 2 + 4.0 * g01**2))
-    i = int(np.argmin(lam))
-    return float(lam[i]), i
+    return 0.5 * ((g00 + g11) - np.sqrt((g00 - g11) ** 2 + 4.0 * g01**2))
 
 
-def stack_min_grid2(B: np.ndarray, G: int, *, backend: str | None = None):
+def stack_min_grid2(B: np.ndarray, G: int):
     """Grid minimum over the projective circle of sigma_2(stack of B_j u)^2."""
     B = np.ascontiguousarray(B, dtype=float)
-    be = backend or BACKEND
-    if be == "numba" and HAVE_NUMBA:
-        best, i = _nb_stack_min_grid2(B, G)
-    else:
-        best, i = stack_min_grid2_numpy(B, G)
+    lam = stack_f_circle(B, np.pi * np.arange(G) / G)
+    i = int(np.argmin(lam))
     t = np.pi * i / G
-    return float(best), np.array([math.cos(t), math.sin(t)])
+    return float(lam[i]), np.array([math.cos(t), math.sin(t)])
 
 
-@njit(cache=True, nogil=True)
-def _sym3_eig_min(a00, a01, a02, a11, a12, a22):  # pragma: no cover - jitted
-    p1 = a01 * a01 + a02 * a02 + a12 * a12
-    q = (a00 + a11 + a22) / 3.0
-    if p1 == 0.0:
-        lo = a00
-        if a11 < lo:
-            lo = a11
-        if a22 < lo:
-            lo = a22
-        return lo
-    p2 = (a00 - q) ** 2 + (a11 - q) ** 2 + (a22 - q) ** 2 + 2.0 * p1
-    p = math.sqrt(p2 / 6.0)
-    b00, b11, b22 = (a00 - q) / p, (a11 - q) / p, (a22 - q) / p
-    b01, b02, b12 = a01 / p, a02 / p, a12 / p
-    detb = (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02)
-            + b02 * (b01 * b12 - b11 * b02))
-    r = detb / 2.0
-    if r < -1.0:
-        r = -1.0
-    elif r > 1.0:
-        r = 1.0
-    phi = math.acos(r) / 3.0
-    return q + 2.0 * p * math.cos(phi + 2.0 * np.pi / 3.0)
-
-
-@njit(cache=True, nogil=True)
-def _nb_stack_min_grid3(B, n_th, n_ph):  # pragma: no cover - jitted
-    r = B.shape[0]
+def stack_min_grid3(B: np.ndarray, resolution: float = 1e-3):
+    """Grid minimum over projective S^2 of sigma_3(stack of B_j u)^2."""
+    B = np.ascontiguousarray(B, dtype=float)
+    n_th = max(8, int(np.ceil(np.pi / resolution)))
+    n_ph = max(8, int(np.ceil(np.pi / resolution)))
     best = np.inf
     b_it = b_ip = 0
-    for it in range(n_th + 1):
-        th = np.pi * it / n_th
-        st, ct = math.sin(th), math.cos(th)
-        for ip in range(n_ph):
-            ph = np.pi * ip / n_ph
-            ux, uy, uz = st * math.cos(ph), st * math.sin(ph), ct
-            a00 = a01 = a02 = a11 = a12 = a22 = 0.0
-            for j in range(r):
-                x = B[j, 0, 0] * ux + B[j, 0, 1] * uy + B[j, 0, 2] * uz
-                y = B[j, 1, 0] * ux + B[j, 1, 1] * uy + B[j, 1, 2] * uz
-                z = B[j, 2, 0] * ux + B[j, 2, 1] * uy + B[j, 2, 2] * uz
-                a00 += x * x
-                a01 += x * y
-                a02 += x * z
-                a11 += y * y
-                a12 += y * z
-                a22 += z * z
-            lam = _sym3_eig_min(a00, a01, a02, a11, a12, a22)
-            if lam < best:
-                best = lam
-                b_it, b_ip = it, ip
-    return best, b_it, b_ip
-
-
-def stack_min_grid3_numpy(B: np.ndarray, n_th: int, n_ph: int):
-    best = np.inf
-    arg = (0, 0)
     ph = np.pi * np.arange(n_ph) / n_ph
     for it in range(n_th + 1):
         th = np.pi * it / n_th
@@ -460,20 +175,7 @@ def stack_min_grid3_numpy(B: np.ndarray, n_th: int, n_ph: int):
         i = int(np.argmin(lam))
         if lam[i] < best:
             best = float(lam[i])
-            arg = (it, i)
-    return best, arg[0], arg[1]
-
-
-def stack_min_grid3(B: np.ndarray, resolution: float = 1e-3, *, backend: str | None = None):
-    """Grid minimum over projective S^2 of sigma_3(stack of B_j u)^2."""
-    B = np.ascontiguousarray(B, dtype=float)
-    n_th = max(8, int(np.ceil(np.pi / resolution)))
-    n_ph = max(8, int(np.ceil(np.pi / resolution)))
-    be = backend or BACKEND
-    if be == "numba" and HAVE_NUMBA:
-        best, it, ip = _nb_stack_min_grid3(B, n_th, n_ph)
-    else:
-        best, it, ip = stack_min_grid3_numpy(B, n_th, n_ph)
-    th, ph = np.pi * it / n_th, np.pi * ip / n_ph
+            b_it, b_ip = it, i
+    th, ph = np.pi * b_it / n_th, np.pi * b_ip / n_ph
     u = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
     return float(best), u

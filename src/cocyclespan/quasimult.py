@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .kernels import minimax_grid2, opnorm_batch, products_level_numpy, qm_scan
+from .kernels import (dense_products, minimax_grid2, opnorm_batch, products_level_numpy,
+                      qm_scan)
 from .systems import GeneratorSystem
 from .wordspace import DEFAULT_BUDGET, Word, check_budget, enumerate_words
 
@@ -37,18 +38,13 @@ class GammaResult:
         return self.value
 
 
-def _dense_connectors(system: GeneratorSystem, k: int, budget: int) -> np.ndarray:
-    check_budget(system.ell**k, budget)
-    units, logs = products_level_numpy(system.stacked(), k)
-    return units * np.exp(logs)[:, None, None]
-
-
 def gamma_minimax(system: GeneratorSystem, k: int, *, seed: int = 42,
                   budget: int = DEFAULT_BUDGET) -> GammaResult:
     """min over unit (u, w) of max over |K| = k of |w^T A_K u|, with certificate."""
     if k < 1:
         raise InputError("connector length k must be >= 1")
-    kmats = _dense_connectors(system, k, budget)
+    check_budget(system.ell**k, budget)
+    kmats = dense_products(system.stacked(), k)
     d = system.dim
     if d == 2:
         raw, iw, iu = minimax_grid2(kmats, GRID_ANGLES)
@@ -166,7 +162,8 @@ def qm_constant_phi(system: GeneratorSystem, k: int, s: float, *,
     if gamma is None:
         gamma = gamma_minimax(system, k, seed=seed, budget=budget)
     g = float(gamma)
-    kmats = _dense_connectors(system, k, budget)
+    check_budget(system.ell**k, budget)
+    kmats = dense_products(system.stacked(), k)
     min_det = float(np.min(np.abs(np.linalg.det(kmats))))
     if g <= 0.0:
         return QMConstant(s=s, value=0.0, gamma=g, min_det=min_det, has_bound=False)

@@ -29,19 +29,6 @@ def line_quadratic_exact(A) -> Quad:
     return (c, d - a, -b)
 
 
-def pair_quadratic_exact(A, B) -> Quad:
-    """det(A u | B u) as an exact quadratic form in u = (x, y)."""
-    a0, b0 = Fraction(float(A[0, 0])), Fraction(float(A[0, 1]))
-    c0, d0 = Fraction(float(A[1, 0])), Fraction(float(A[1, 1]))
-    a1, b1 = Fraction(float(B[0, 0])), Fraction(float(B[0, 1]))
-    c1, d1 = Fraction(float(B[1, 0])), Fraction(float(B[1, 1]))
-    # det([[a0 x + b0 y, a1 x + b1 y], [c0 x + d0 y, c1 x + d1 y]])
-    q20 = a0 * c1 - c0 * a1
-    q11 = a0 * d1 + b0 * c1 - c0 * b1 - d0 * a1
-    q02 = b0 * d1 - d0 * b1
-    return (q20, q11, q02)
-
-
 def is_zero_quad(q: Quad) -> bool:
     return q[0] == 0 and q[1] == 0 and q[2] == 0
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ContractViolation, InputError
-from .kernels import products_level_numpy, stack_min_grid2, stack_min_grid3
+from .kernels import dense_products, stack_f_circle, stack_min_grid2, stack_min_grid3
 from .linalg import (SubspaceBasis, operator_norm, span_basis, subspace_distance,
                      wedge_index_sets, wedge_power)
 from .rational2 import ProjPoint, common_projective_root, common_projective_root_float
@@ -154,11 +154,6 @@ def _quad_circle_min_abs(q) -> float:
     return float(min(abs(lam[0]), abs(lam[-1])))
 
 
-def _products_dense(system: GeneratorSystem, k: int) -> np.ndarray:
-    units, logs = products_level_numpy(system.stacked(), k)
-    return units * np.exp(logs)[:, None, None]
-
-
 def _stack_f(B: np.ndarray, u: np.ndarray) -> float:
     img = np.einsum("rab,b->ra", B, u)
     g = img.T @ img
@@ -183,15 +178,6 @@ def _golden_polish(f, lo: float, hi: float, iters: int = 70) -> tuple[float, flo
     return x, min(fc, fd)
 
 
-def _stack_f_circle(B: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    U = np.stack([np.cos(thetas), np.sin(thetas)])
-    img = np.einsum("rab,bG->raG", B, U)
-    g00 = np.einsum("rG,rG->G", img[:, 0], img[:, 0])
-    g01 = np.einsum("rG,rG->G", img[:, 0], img[:, 1])
-    g11 = np.einsum("rG,rG->G", img[:, 1], img[:, 1])
-    return 0.5 * ((g00 + g11) - np.sqrt((g00 - g11) ** 2 + 4.0 * g01**2))
-
-
 def _bnb_certify_circle(B: np.ndarray, tau: float, G: int):
     """Branch-and-bound floor for min f over the projective circle.
 
@@ -201,7 +187,7 @@ def _bnb_certify_circle(B: np.ndarray, tau: float, G: int):
     """
     lip = 2.0 * B.shape[0]
     th = np.pi * np.arange(G + 1) / G
-    fs = _stack_f_circle(B, th)
+    fs = stack_f_circle(B, th)
     work = [(th[i], th[i + 1], fs[i], fs[i + 1]) for i in range(G)]
     floor = math.inf
     evals = 0
@@ -373,7 +359,7 @@ def _exact_margin(system: GeneratorSystem, mk: MkBasis) -> tuple[float, bool, st
     full max takes over.
     """
     if system.ell**mk.k <= EXACT_PRODUCT_CAP:
-        mats = list(_products_dense(system, mk.k))
+        mats = list(dense_products(system.stacked(), mk.k))
         note = None
     else:
         mats = [mk.basis[j] for j in range(mk.dim)]

@@ -134,13 +134,12 @@ class PressureBracket:
 class _LevelData:
     """Cached per-word log singular values at one level, reusable across s."""
 
-    def __init__(self, system: GeneratorSystem, n: int, *, threads: int = 1,
-                 budget: int = DEFAULT_BUDGET):
+    def __init__(self, system: GeneratorSystem, n: int, *, budget: int = DEFAULT_BUDGET):
         if n < 1:
             raise InputError("level n must be >= 1")
         check_budget(system.ell**n, budget)
         self.n = n
-        self.logs1, self.logs2 = word_singvals(system.stacked(), n, threads=threads)
+        self.logs1, self.logs2 = word_singvals(system.stacked(), n)
 
     def log_z(self, spec: PotentialSpec) -> float:
         w = log_potential(self.logs1, self.logs2, spec)
@@ -160,17 +159,17 @@ def _bracket_from_logz(spec: PotentialSpec, n: int, log_zn: float,
 
 
 def pressure_bracket(system: GeneratorSystem, spec: PotentialSpec, n: int,
-                     qm_input: QMInput | None = None, *, threads: int = 1,
+                     qm_input: QMInput | None = None, *,
                      budget: int = DEFAULT_BUDGET) -> PressureBracket:
     """Two-sided bracket for the subadditive pressure of the chosen potential."""
     if spec.requires_d2() and system.dim != 2:
         raise InputError(f"{spec.kind} needs a 2x2 system")
-    data = _LevelData(system, n, threads=threads, budget=budget)
+    data = _LevelData(system, n, budget=budget)
     return _bracket_from_logz(spec, n, data.log_z(spec), qm_input)
 
 
 def square_pressure(system: GeneratorSystem, s: float, n: int,
-                    qm_input: QMInput | None = None, *, threads: int = 1,
+                    qm_input: QMInput | None = None, *,
                     budget: int = DEFAULT_BUDGET) -> PressureBracket:
     """Square-pressure bracket: P2 = -lim (1/n) log sum (phi^s)^2.
 
@@ -181,7 +180,7 @@ def square_pressure(system: GeneratorSystem, s: float, n: int,
     if system.dim != 2:
         raise InputError("square pressure needs d = 2")
     spec = PotentialSpec("sv_s_squared", s)
-    data = _LevelData(system, n, threads=threads, budget=budget)
+    data = _LevelData(system, n, budget=budget)
     log_q = data.log_z(spec)
     qm2 = QMInput(k=qm_input.k, C=qm_input.C**2) if qm_input is not None else None
     raw = _bracket_from_logz(spec, n, log_q, qm2)
@@ -379,120 +378,105 @@ def _monotone_warnings(samples: list[tuple[float, float]], label: str,
     return []
 
 
+def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, upper, lower, *,
+                    seed: int, budget: int, details: dict, warnings=(),
+                    late_warnings=lambda: []) -> DimensionReport:
+    """Bracket a root between the upper and lower pressure ends, clamped at 2.
+
+    `upper(data, s)` and `lower(data, s, qm)` are decreasing in s; the lower
+    end needs a positive QM input and is -inf (root 0) without one.
+    `late_warnings()` runs after both bisections.
+    """
+    hyp = check_hypotheses(system, "corollary_4_3", seed=seed, budget=budget)
+    data = _LevelData(system, n, budget=budget)
+    prov = QMInputProvider(system, k_qm, seed=seed, budget=budget)
+
+    def g_lo(s: float) -> float:
+        qm = prov.qm_input(s)
+        return -math.inf if qm is None else lower(data, s, qm)
+
+    s_hi, b_hi = _bisect_decreasing(lambda s: upper(data, s), 0.0, S_MAX)
+    s_lo, b_lo = _bisect_decreasing(g_lo, 0.0, S_MAX)
+    warnings = list(warnings) + late_warnings()
+    if not prov.conformal and prov.gamma.value <= 0:
+        warnings.append("no positive QM constant: lower root defaulted to 0")
+    interval = (min(s_lo, s_hi), s_hi)
+    dim = (min(2.0, interval[0]), min(2.0, interval[1]))
+    return DimensionReport(
+        kind=kind, interval=interval, dimension=dim,
+        clamped=interval[1] > 2.0, boundary=b_hi or b_lo, hypothesis_report=hyp,
+        warnings=tuple(warnings), details={"n": n, "qm": prov.describe(), **details})
+
+
 def s0_interval(system: GeneratorSystem, targets: TargetSequence, n: int, k_qm: int,
-                *, seed: int = 42, threads: int = 1,
-                budget: int = DEFAULT_BUDGET) -> DimensionReport:
+                *, seed: int = 42, budget: int = DEFAULT_BUDGET) -> DimensionReport:
     """Interval for s0 = inf{s > 0 : P(s) <= alpha(s)}, clamped at 2."""
     if system.dim != 2:
         raise InputError("shrinking-target dimension needs d = 2")
-    warnings = list(targets.validate(system.ell))
-    hyp = check_hypotheses(system, "corollary_4_3", seed=seed, budget=budget)
-    data = _LevelData(system, n, threads=threads, budget=budget)
+    warnings = targets.validate(system.ell)
     tdata = _TargetData(system, targets)
-    prov = QMInputProvider(system, k_qm, seed=seed, budget=budget)
     p_samples: list[tuple[float, float]] = []
     a_samples: list[tuple[float, float]] = []
 
-    def g_up(s: float) -> float:
+    def upper(data: _LevelData, s: float) -> float:
         up = data.log_z(PotentialSpec("sv_s", s)) / n
         al = tdata.alpha(s)
         p_samples.append((s, up))
         a_samples.append((s, al))
         return up - al
 
-    def g_lo(s: float) -> float:
-        qm = prov.qm_input(s)
-        if qm is None:
-            return -math.inf
+    def lower(data: _LevelData, s: float, qm: QMInput) -> float:
         lz = data.log_z(PotentialSpec("sv_s", s))
         return (lz + math.log(qm.C)) / (n + qm.k) - tdata.alpha(s)
 
-    s_hi, b_hi = _bisect_decreasing(g_up, 0.0, S_MAX)
-    s_lo, b_lo = _bisect_decreasing(g_lo, 0.0, S_MAX)
-    warnings += _monotone_warnings(p_samples, "upper pressure", decreasing=True)
-    warnings += _monotone_warnings(a_samples, "alpha proxy", decreasing=False)
-    if not prov.conformal and prov.gamma.value <= 0:
-        warnings.append("no positive QM constant: lower root defaulted to 0")
-    boundary = b_hi or b_lo
-    interval = (min(s_lo, s_hi), s_hi)
-    dim = (min(2.0, interval[0]), min(2.0, interval[1]))
-    return DimensionReport(
-        kind="shrinking_target", interval=interval, dimension=dim,
-        clamped=interval[1] > 2.0, boundary=boundary, hypothesis_report=hyp,
-        warnings=tuple(warnings),
-        details={"n": n, "qm": prov.describe(), "tail_start": targets.tail_start,
+    def monotone_warnings() -> list[str]:
+        return (_monotone_warnings(p_samples, "upper pressure", decreasing=True)
+                + _monotone_warnings(a_samples, "alpha proxy", decreasing=False))
+
+    return _dimension_root(
+        "shrinking_target", system, n, k_qm, upper, lower, seed=seed, budget=budget,
+        warnings=warnings, late_warnings=monotone_warnings,
+        details={"tail_start": targets.tail_start,
                  "targets": [word_str(w, system.ell) for w in targets.words],
                  "proxy": "tail minimum of -(1/|J_k|) log phi^s(A_{J_k})"})
 
 
 def r0_interval(system: GeneratorSystem, beta: float, n: int, k_qm: int, *,
-                seed: int = 42, threads: int = 1,
-                budget: int = DEFAULT_BUDGET) -> DimensionReport:
+                seed: int = 42, budget: int = DEFAULT_BUDGET) -> DimensionReport:
     """Interval for the root of (1 - beta) P(r) = beta P2(r), clamped at 2."""
     if system.dim != 2:
         raise InputError("recurrence dimension needs d = 2")
     if not 0.0 <= beta < 1.0:
         raise InputError("beta must lie in [0, 1)")
-    hyp = check_hypotheses(system, "corollary_4_3", seed=seed, budget=budget)
-    data = _LevelData(system, n, threads=threads, budget=budget)
-    prov = QMInputProvider(system, k_qm, seed=seed, budget=budget)
 
-    def h_up(r: float) -> float:
+    def upper(data: _LevelData, r: float) -> float:
         # max of h: upper P, lower P2 (the always-valid subadditive end)
         up_p = data.log_z(PotentialSpec("sv_s", r)) / n
         p2_lo = -data.log_z(PotentialSpec("sv_s_squared", r)) / n
         return (1.0 - beta) * up_p - beta * p2_lo
 
-    def h_lo(r: float) -> float:
-        qm = prov.qm_input(r)
-        if qm is None:
-            return -math.inf
+    def lower(data: _LevelData, r: float, qm: QMInput) -> float:
         lz = data.log_z(PotentialSpec("sv_s", r))
         lo_p = (lz + math.log(qm.C)) / (n + qm.k)
         lq = data.log_z(PotentialSpec("sv_s_squared", r))
         p2_up = -(lq + 2.0 * math.log(qm.C)) / (n + qm.k)
         return (1.0 - beta) * lo_p - beta * p2_up
 
-    r_hi, b_hi = _bisect_decreasing(h_up, 0.0, S_MAX)
-    r_lo, b_lo = _bisect_decreasing(h_lo, 0.0, S_MAX)
-    warnings = []
-    if not prov.conformal and prov.gamma.value <= 0:
-        warnings.append("no positive QM constant: lower root defaulted to 0")
-    interval = (min(r_lo, r_hi), r_hi)
-    dim = (min(2.0, interval[0]), min(2.0, interval[1]))
-    return DimensionReport(
-        kind="recurrence", interval=interval, dimension=dim,
-        clamped=interval[1] > 2.0, boundary=b_hi or b_lo, hypothesis_report=hyp,
-        warnings=tuple(warnings),
-        details={"n": n, "beta": beta, "qm": prov.describe()})
+    return _dimension_root("recurrence", system, n, k_qm, upper, lower, seed=seed,
+                           budget=budget, details={"beta": beta})
 
 
 def affinity_dimension(system: GeneratorSystem, n: int, k_qm: int, *, seed: int = 42,
-                       threads: int = 1, budget: int = DEFAULT_BUDGET) -> DimensionReport:
+                       budget: int = DEFAULT_BUDGET) -> DimensionReport:
     """Interval for the root of P(s) = 0 (candidate attractor dimension)."""
     if system.dim != 2:
         raise InputError("affinity dimension needs d = 2")
-    hyp = check_hypotheses(system, "corollary_4_3", seed=seed, budget=budget)
-    data = _LevelData(system, n, threads=threads, budget=budget)
-    prov = QMInputProvider(system, k_qm, seed=seed, budget=budget)
 
-    def g_up(s: float) -> float:
+    def upper(data: _LevelData, s: float) -> float:
         return data.log_z(PotentialSpec("sv_s", s)) / n
 
-    def g_lo(s: float) -> float:
-        qm = prov.qm_input(s)
-        if qm is None:
-            return -math.inf
+    def lower(data: _LevelData, s: float, qm: QMInput) -> float:
         return (data.log_z(PotentialSpec("sv_s", s)) + math.log(qm.C)) / (n + qm.k)
 
-    s_hi, b_hi = _bisect_decreasing(g_up, 0.0, S_MAX)
-    s_lo, b_lo = _bisect_decreasing(g_lo, 0.0, S_MAX)
-    warnings = []
-    if not prov.conformal and prov.gamma.value <= 0:
-        warnings.append("no positive QM constant: lower root defaulted to 0")
-    interval = (min(s_lo, s_hi), s_hi)
-    dim = (min(2.0, interval[0]), min(2.0, interval[1]))
-    return DimensionReport(
-        kind="affinity", interval=interval, dimension=dim,
-        clamped=interval[1] > 2.0, boundary=b_hi or b_lo, hypothesis_report=hyp,
-        warnings=tuple(warnings), details={"n": n, "qm": prov.describe()})
+    return _dimension_root("affinity", system, n, k_qm, upper, lower, seed=seed,
+                           budget=budget, details={})

@@ -1,4 +1,4 @@
-"""Words over {1..ell}, scaled cocycle products, and deterministic folds.
+"""Words over {1..ell}, scaled cocycle products, and the enumeration budget.
 
 A word I = i_0 ... i_{n-1} indexes the product A_{i_{n-1}} ... A_{i_0}: later
 symbols multiply on the left. Products are carried as (unit, logscale) with
@@ -8,10 +8,9 @@ arbitrarily contracting or expanding systems never underflow.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product as _iproduct
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -115,102 +114,3 @@ def product(system: GeneratorSystem, word: Word) -> ScaledProduct:
     for s in word:
         acc = acc.left_multiply(system.generator(s))
     return acc
-
-
-class LogSumExp:
-    """Mergeable accumulator for log(sum of exponentials); merge order fixed by caller."""
-
-    __slots__ = ("m", "s")
-
-    def __init__(self, log_term: float | None = None):
-        if log_term is None:
-            self.m, self.s = -math.inf, 0.0
-        else:
-            self.m, self.s = float(log_term), 1.0
-
-    def merge(self, other: "LogSumExp") -> "LogSumExp":
-        out = LogSumExp()
-        if self.m >= other.m:
-            hi, lo = self, other
-        else:
-            hi, lo = other, self
-        if hi.m == -math.inf:
-            return out
-        out.m = hi.m
-        out.s = hi.s + (lo.s * math.exp(lo.m - hi.m) if lo.s else 0.0)
-        return out
-
-    def value(self) -> float:
-        if self.m == -math.inf:
-            return -math.inf
-        return self.m + math.log(self.s)
-
-
-def _fold_block(system: GeneratorSystem, first: int, n: int, map_fn, reduce_fn):
-    """Left fold in lexicographic order over the block of words starting with `first`."""
-    ell, d = system.ell, system.dim
-    acc = None
-    base = product(system, (first,))
-    stack_prod = [base] + [None] * (n - 1)
-    digits = [1] * (n - 1)
-    pos = 0
-    while True:
-        while pos < n - 1:
-            stack_prod[pos + 1] = stack_prod[pos].left_multiply(system.generator(digits[pos]))
-            pos += 1
-        word = (first, *digits)
-        val = map_fn(word, stack_prod[n - 1])
-        acc = val if acc is None else reduce_fn(acc, val)
-        pos = n - 2
-        while pos >= 0 and digits[pos] == ell:
-            digits[pos] = 1
-            pos -= 1
-        if pos < 0:
-            break
-        digits[pos] += 1
-    return acc
-
-
-def fold_words(
-    system: GeneratorSystem,
-    n: int,
-    map_fn: Callable[[Word, ScaledProduct], object],
-    reduce_fn: Callable[[object, object], object],
-    *,
-    threads: int = 1,
-    budget: int = DEFAULT_BUDGET,
-):
-    """Visit every word of Lambda(n) once, reusing prefix products.
-
-    The word space is split into the ell fixed first-symbol blocks; each block
-    is folded sequentially in lexicographic order and block results are merged
-    in block order, so the value does not depend on the thread schedule.
-    """
-    if n < 0:
-        raise InputError("n must be nonnegative")
-    check_budget(system.ell ** n, budget)
-    if n == 0:
-        return map_fn((), identity_product(system.dim))
-    firsts = range(1, system.ell + 1)
-    if threads > 1 and system.ell > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, system.ell)) as pool:
-            partials = list(pool.map(
-                lambda f: _fold_block(system, f, n, map_fn, reduce_fn), firsts))
-    else:
-        partials = [_fold_block(system, f, n, map_fn, reduce_fn) for f in firsts]
-    acc = partials[0]
-    for p in partials[1:]:
-        acc = reduce_fn(acc, p)
-    return acc
-
-
-def log_norm_sum(system: GeneratorSystem, n: int, scale: float = 1.0, *, threads: int = 1,
-                 budget: int = DEFAULT_BUDGET) -> float:
-    """log of sum over Lambda(n) of |A_I|^scale, via the stable fold."""
-    out = fold_words(
-        system, n,
-        lambda _w, p: LogSumExp(scale * p.log_norm),
-        lambda a, b: a.merge(b),
-        threads=threads, budget=budget,
-    )
-    return out.value()

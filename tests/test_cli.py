@@ -145,23 +145,6 @@ class TestExportAttractor:
 
 
 class TestReproducibility:
-    def _canonical_modulo_threads(self, report):
-        trimmed = json.loads(cli.report_canonical_json(report))
-        trimmed.pop("threads", None)
-        return json.dumps(trimmed, sort_keys=True)
-
-    def test_reports_bit_identical_across_threads(self):
-        base = dict(E3_CONFIG, command="pressure",
-                    options={"potential": "sv_s", "s_grid": [0.3, 1.0, 1.7], "n": 10,
-                             "k_qm": 1})
-        texts = []
-        for threads in (1, 4):
-            cfg = cfg_from(base)
-            cfg.threads = threads
-            report, _ = cli.run_command(cfg)
-            texts.append(self._canonical_modulo_threads(report))
-        assert texts[0] == texts[1]
-
     def test_rerun_reproduces_bitwise(self):
         for command, options in (
             ("qm", {"k": 1, "n_max": 3}),
@@ -187,3 +170,19 @@ class TestReproducibility:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{broken")
         assert cli.main(["--config", str(cfg_path)]) == cli.EXIT_INPUT_ERROR
+
+    def test_usage_error_exit_3(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(E1_CONFIG))
+        assert cli.main(["--config", str(cfg_path), "--bogus", "1"]) == cli.EXIT_INPUT_ERROR
+        assert cli.main(["--config", str(cfg_path), "--threads", "2"]) == cli.EXIT_INPUT_ERROR
+        assert cli.main(["--help"]) == cli.EXIT_OK
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key,value", [("n", "abc"), ("seed", "x")])
+    def test_bad_option_type_exit_3(self, tmp_path, capsys, key, value):
+        cfg = dict(E3_CONFIG, options=dict(E3_CONFIG["options"], **{key: value}))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["--config", str(cfg_path)]) == cli.EXIT_INPUT_ERROR
+        assert f"options.{key}" in capsys.readouterr().err

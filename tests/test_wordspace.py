@@ -1,13 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
 from cocyclespan import E1, E2, E3
-from cocyclespan.errors import InputError, ResourceLimitError
+from cocyclespan.errors import InputError
 from cocyclespan.linalg import singular_values
-from cocyclespan.wordspace import (LogSumExp, enumerate_words, fold_words,
-                                   log_norm_sum, parse_word, product, word_str)
+from cocyclespan.wordspace import enumerate_words, parse_word, product, word_str
 
 
 class TestWords:
@@ -76,30 +73,3 @@ class TestProduct:
         for w in enumerate_words(2, 6):
             nrm = product(sys, w).norm()
             assert sig_min**6 * (1 - 1e-9) <= nrm <= sig_max**6 * (1 + 1e-9)
-
-
-class TestFold:
-    def test_counts(self):
-        assert fold_words(E3(), 0, lambda w, p: 1, lambda a, b: a + b) == 1
-        assert fold_words(E3(), 5, lambda w, p: 1, lambda a, b: a + b) == 32
-
-    def test_rotation_max_log_norm(self):
-        out = fold_words(E1(), 3, lambda w, p: p.log_norm, max)
-        assert abs(out) <= 1e-12
-
-    def test_thread_schedule_independent_to_last_bit(self):
-        sys = E3()
-        serial = log_norm_sum(sys, 8, scale=1.0, threads=1)
-        threaded = log_norm_sum(sys, 8, scale=1.0, threads=4)
-        assert serial == threaded  # bitwise
-
-    def test_budget(self):
-        with pytest.raises(ResourceLimitError):
-            fold_words(E3(), 30, lambda w, p: 1, lambda a, b: a + b, budget=1000)
-
-    def test_logsumexp_accumulator(self):
-        terms = [-1.0, -2.0, -3.0]
-        acc = LogSumExp(terms[0])
-        for t in terms[1:]:
-            acc = acc.merge(LogSumExp(t))
-        assert abs(acc.value() - math.log(sum(math.exp(t) for t in terms))) <= 1e-14
