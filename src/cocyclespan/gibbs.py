@@ -20,7 +20,8 @@ from .errors import InputError
 from .kernels import word_singvals
 from .quasimult import QMConstant, qm_constant_phi
 from .systems import GeneratorSystem
-from .wordspace import DEFAULT_BUDGET, Word, check_budget, enumerate_words
+from .wordspace import (DEFAULT_BUDGET, Word, check_budget, enumerate_words, validate_word,
+                        word_rank, word_unrank)
 
 from typing import Iterable
 
@@ -62,12 +63,8 @@ class CylinderWeights:
     def weight(self, word: Word) -> float:
         if len(word) != self.n:
             raise InputError(f"word length {len(word)} != level {self.n}")
-        r = 0
-        for sym in word:
-            if not 1 <= sym <= self.ell:
-                raise InputError(f"symbol {sym} outside 1..{self.ell}")
-            r = r * self.ell + (sym - 1)
-        return float(self.probs[r])
+        validate_word(word, self.ell)
+        return float(self.probs[word_rank(word, self.ell)])
 
     def items(self) -> Iterable[tuple[Word, float]]:
         for w, p in zip(enumerate_words(self.ell, self.n), self.probs):
@@ -132,9 +129,7 @@ def kappa_floor(system: GeneratorSystem, s: float, k: int, L: int, *,
             if val < best:
                 best = val
                 bi, bj = divmod(idx, ell**lj)
-                words_i = list(enumerate_words(ell, li))
-                words_j = list(enumerate_words(ell, lj))
-                witness = (words_i[bi], words_j[bj])
+                witness = (word_unrank(bi, ell, li), word_unrank(bj, ell, lj))
     raw_min = math.exp(best)
     if c_of_s.has_bound and c_of_s.value > 0:
         floor = raw_min / c_of_s.value
@@ -182,10 +177,7 @@ def _psi_sup(lev: _Levels, ell: int, L: int, gap: int, absolute: bool = True):
             if float(vals.flat[idx]) > sup:
                 sup = float(vals.flat[idx])
                 bi, bj = divmod(idx, ell**lj)
-                worst = (
-                    tuple(list(enumerate_words(ell, li))[bi]),
-                    tuple(list(enumerate_words(ell, lj))[bj]),
-                )
+                worst = (word_unrank(bi, ell, li), word_unrank(bj, ell, lj))
     return sup, worst
 
 

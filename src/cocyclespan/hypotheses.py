@@ -18,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .kernels import dense_products
 from .linalg import (SubspaceBasis, invariance_residual, matrices_span_basis,
                      span_basis, wedge_power)
 from .rational2 import (ProjPoint, common_projective_root,
                         common_projective_root_float, line_quadratic_exact)
-from .systems import GeneratorSystem
-from .wordspace import DEFAULT_BUDGET, check_budget, enumerate_words, product
+from .systems import GeneratorSystem, _DerivedSystem
+from .wordspace import DEFAULT_BUDGET, check_budget, product
 
 IRREDUCIBLE = "IrreducibleCertified"
 REDUCIBLE = "ReducibleWitness"
@@ -50,18 +51,14 @@ def power_system(system: GeneratorSystem, t: int, *, budget: int = DEFAULT_BUDGE
     if t < 1:
         raise InputError("power exponent must be >= 1")
     check_budget(system.ell**t, budget)
-    gens = []
-    for word in enumerate_words(system.ell, t):
-        gens.append(product(system, word).matrix)
-    return GeneratorSystem(tuple(gens), exact=system.exact)
+    return _DerivedSystem(tuple(dense_products(system.stacked(), t)), exact=system.exact)
 
 
 def wedge_system(system: GeneratorSystem, m: int) -> GeneratorSystem:
     """Generators replaced by their m-th compound matrices."""
     if m == 1:
         return system
-    return GeneratorSystem(tuple(wedge_power(A, m) for A in system.generators),
-                           exact=False)
+    return _DerivedSystem(tuple(wedge_power(A, m) for A in system.generators), exact=False)
 
 
 def orbit_span(system: GeneratorSystem, v) -> SubspaceBasis:

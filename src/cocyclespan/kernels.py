@@ -3,8 +3,9 @@
 Outputs are bit-reproducible: arrays are indexed by lexicographic word rank
 and every reduction runs over fully assembled arrays in a fixed order.
 
-Products are carried as (unit, log2-scale) pairs rescaled by exact powers of
-two on the Frobenius norm, which brackets the operator norm within sqrt(d).
+The only word-product engine: A_I = 2^exponent * unit, with an integer exponent
+and the unit's Frobenius norm (within sqrt(d) of the operator norm) kept in
+[0.5, 2], so `dense_products` is exact; log scales are exponent * ln 2.
 """
 from __future__ import annotations
 
@@ -15,37 +16,37 @@ import numpy as np
 _LN2 = math.log(2.0)
 
 
-def _rescale_batch(units: np.ndarray, logs: np.ndarray) -> None:
+def _rescale_batch(units: np.ndarray, exps: np.ndarray) -> None:
     fro = np.sqrt(np.einsum("...ab,...ab->...", units, units))
     need = (fro < 0.5) | (fro > 2.0)
     if np.any(need):
         e = np.where(need, np.floor(np.log2(fro, where=fro > 0, out=np.zeros_like(fro))), 0.0)
         units *= 2.0 ** (-e)[..., None, None]
-        logs += e * _LN2
+        exps += e
 
 
-def _extend_level(gens: np.ndarray, units: np.ndarray, logs: np.ndarray):
+def _extend_level(gens: np.ndarray, units: np.ndarray, exps: np.ndarray):
     ell, d, _ = gens.shape
     new_units = np.einsum("jab,rbc->rjac", gens, units).reshape(-1, d, d)
-    new_logs = np.repeat(logs, ell)
-    _rescale_batch(new_units, new_logs)
-    return new_units, new_logs
+    new_exps = np.repeat(exps, ell)
+    _rescale_batch(new_units, new_exps)
+    return new_units, new_exps
 
 
 def products_level_numpy(gens: np.ndarray, n: int):
-    """Scaled products for all of Lambda(n), lexicographic: (units, logs)."""
+    """Scaled products for all of Lambda(n), lexicographic: (units, integer-valued exps)."""
     d = gens.shape[1]
     units = np.eye(d)[None, :, :].copy()
-    logs = np.zeros(1)
+    exps = np.zeros(1)
     for _ in range(n):
-        units, logs = _extend_level(gens, units, logs)
-    return np.ascontiguousarray(units), logs
+        units, exps = _extend_level(gens, units, exps)
+    return np.ascontiguousarray(units), exps
 
 
 def dense_products(gens: np.ndarray, n: int) -> np.ndarray:
-    """Unscaled products for all of Lambda(n), lexicographic."""
-    units, logs = products_level_numpy(gens, n)
-    return units * np.exp(logs)[:, None, None]
+    """Exact unscaled products for all of Lambda(n), lexicographic."""
+    units, exps = products_level_numpy(gens, n)
+    return np.ldexp(units, exps.astype(np.int64)[:, None, None])
 
 
 def sigma12_2x2(units: np.ndarray):
@@ -72,7 +73,8 @@ def word_singvals(gens: np.ndarray, n: int):
     The second array is None for d > 2 (only the norm is needed there).
     """
     gens = np.ascontiguousarray(gens, dtype=float)
-    units, logs = products_level_numpy(gens, n)
+    units, exps = products_level_numpy(gens, n)
+    logs = np.multiply(exps, _LN2, out=exps)
     if gens.shape[1] == 2:
         s1, s2 = sigma12_2x2(units)
         return logs + np.log(s1), logs + np.log(s2)

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .kernels import (dense_products, minimax_grid2, opnorm_batch, products_level_numpy,
+from .kernels import (_LN2, dense_products, minimax_grid2, opnorm_batch, products_level_numpy,
                       qm_scan)
 from .systems import GeneratorSystem
-from .wordspace import DEFAULT_BUDGET, Word, check_budget, enumerate_words
+from .wordspace import DEFAULT_BUDGET, Word, check_budget, word_unrank
 
 GRID_ANGLES = 2000  # angles per circle for the d = 2 certificate grid
 
@@ -119,17 +119,17 @@ def empirical_qm(system: GeneratorSystem, k: int, n_max: int, *, seed: int = 42,
         raise InputError("n_max must be >= 1")
     ell = system.ell
     gamma = gamma_minimax(system, k, seed=seed, budget=budget)
-    kunits, klogs = products_level_numpy(system.stacked(), k)
+    kunits, kexps = products_level_numpy(system.stacked(), k)
+    klogs = np.multiply(kexps, _LN2, out=kexps)
     empirical: dict[int, float] = {}
     witnesses: dict[int, tuple[Word, Word, Word]] = {}
-    words_k = list(enumerate_words(ell, k))
     for n in range(1, n_max + 1):
         check_budget(float(ell) ** (2 * n) * ell**k, budget)
-        units, logs = products_level_numpy(system.stacked(), n)
-        best, bi, bj, bm = qm_scan(units, logs, kunits, klogs)
-        words_n = list(enumerate_words(ell, n))
+        units, exps = products_level_numpy(system.stacked(), n)
+        best, bi, bj, bm = qm_scan(units, np.multiply(exps, _LN2, out=exps), kunits, klogs)
         empirical[n] = math.exp(best)
-        witnesses[n] = (words_n[bi], words_k[bm], words_n[bj])
+        witnesses[n] = (word_unrank(bi, ell, n), word_unrank(bm, ell, k),
+                        word_unrank(bj, ell, n))
         ratio = empirical[n]
         if ratio < gamma.value - 1e-9:
             raise AssertionError(
@@ -139,11 +139,7 @@ def empirical_qm(system: GeneratorSystem, k: int, n_max: int, *, seed: int = 42,
 
 @dataclass(frozen=True)
 class QMConstant:
-    """Piecewise constant C(s) for the singular value function (d = 2).
-
-    C(s) = gamma^s on [0, 1] and (min_K |det A_K|)^(s-1) gamma^(2-s) on (1, 2],
-    continuous at s = 1. `has_bound` is False when gamma vanished.
-    """
+    """C(s) = phi_constant(gamma, min_det, s) for d = 2; `has_bound` is False when gamma vanished."""
 
     s: float
     value: float
@@ -162,13 +158,22 @@ def qm_constant_phi(system: GeneratorSystem, k: int, s: float, *,
     if gamma is None:
         gamma = gamma_minimax(system, k, seed=seed, budget=budget)
     g = float(gamma)
-    check_budget(system.ell**k, budget)
-    kmats = dense_products(system.stacked(), k)
-    min_det = float(np.min(np.abs(np.linalg.det(kmats))))
+    min_det = connector_min_det(system, k, budget=budget)
     if g <= 0.0:
         return QMConstant(s=s, value=0.0, gamma=g, min_det=min_det, has_bound=False)
+    return QMConstant(s=s, value=phi_constant(g, min_det, s), gamma=g, min_det=min_det,
+                      has_bound=True)
+
+
+def connector_min_det(system: GeneratorSystem, k: int, *, budget: int = DEFAULT_BUDGET) -> float:
+    """min over |K| = k of |det A_K|."""
+    check_budget(system.ell**k, budget)
+    kmats = dense_products(system.stacked(), k)
+    return float(np.min(np.abs(np.linalg.det(kmats))))
+
+
+def phi_constant(g: float, min_det: float, s: float) -> float:
+    """C(s) for phi^s, d = 2: g^s on [0, 1], min_det^(s-1) g^(2-s) on (1, 2]; g = gamma."""
     if s <= 1.0:
-        value = g**s
-    else:
-        value = min_det ** (s - 1.0) * g ** (2.0 - s)
-    return QMConstant(s=s, value=value, gamma=g, min_det=min_det, has_bound=True)
+        return g**s
+    return min_det ** (s - 1.0) * g ** (2.0 - s)

@@ -23,6 +23,7 @@ class GeneratorSystem:
     generators: tuple[np.ndarray, ...]
     translations: tuple[np.ndarray, ...] | None = None
     exact: bool = True
+    _gate = True  # class attribute, not a field: re-test invertibility on construction
 
     def __post_init__(self):
         if not self.generators:
@@ -35,7 +36,7 @@ class GeneratorSystem:
                 d = M.shape[0]
             elif M.shape[0] != d:
                 raise InputError("generators have mixed dimensions")
-            if not is_invertible(M):
+            if self._gate and not is_invertible(M):
                 raise InputError(f"generator {i} not invertible")
             M = M.copy()
             M.flags.writeable = False
@@ -88,3 +89,14 @@ class GeneratorSystem:
 
     def entry_fractions(self) -> list[list[list[Fraction]]]:
         return [[[Fraction(float(x)) for x in row] for row in A] for A in self.generators]
+
+
+class _DerivedSystem(GeneratorSystem):
+    """Products or compounds of a gate-passing system's generators.
+
+    They are invertible by construction, so the conditioning re-test (which a
+    long product of well-conditioned generators can fail) is skipped; shape,
+    dimension-cap and finiteness checks still run.
+    """
+
+    _gate = False

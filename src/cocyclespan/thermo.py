@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InputError
 from .hypotheses import HypothesisReport, check_hypotheses
 from .kernels import word_singvals
-from .quasimult import GammaResult, gamma_minimax, qm_constant_phi
+from .quasimult import GammaResult, connector_min_det, gamma_minimax, phi_constant
 from .systems import GeneratorSystem
 from .wordspace import DEFAULT_BUDGET, Word, check_budget, product, validate_word, word_str
 
@@ -336,8 +336,7 @@ class QMInputProvider:
         if not self.conformal:
             self.gamma = gamma_minimax(system, k_qm, seed=seed, budget=budget)
             if system.dim == 2:
-                c0 = qm_constant_phi(system, k_qm, 1.0, gamma=self.gamma, budget=budget)
-                self.min_det = c0.min_det
+                self.min_det = connector_min_det(system, k_qm, budget=budget)
 
     def qm_input(self, s: float, kind: str = "sv_s") -> QMInput | None:
         if self.conformal:
@@ -349,10 +348,8 @@ class QMInputProvider:
             return QMInput(k=self.k, C=g**s)
         if self.min_det is None:
             return None
-        if s <= 1.0:
-            c = g**s
-        elif s <= 2.0:
-            c = self.min_det ** (s - 1.0) * g ** (2.0 - s)
+        if s <= 2.0:
+            c = phi_constant(g, self.min_det, s)
         else:
             # phi^s is a pure determinant power: exactly multiplicative up to
             # the connector determinant factor

@@ -1,9 +1,9 @@
 """Words over {1..ell}, scaled cocycle products, and the enumeration budget.
 
 A word I = i_0 ... i_{n-1} indexes the product A_{i_{n-1}} ... A_{i_0}: later
-symbols multiply on the left. Products are carried as (unit, logscale) with
-the unit's operator norm kept in [0.5, 2] by exact power-of-two rescaling, so
-arbitrarily contracting or expanding systems never underflow.
+symbols multiply on the left. `product` runs the `kernels` engine on one word:
+A_I = 2^exponent * unit with |unit|_F in [0.5, 2], so contracting or expanding
+systems never underflow and `ScaledProduct.matrix` is exact.
 """
 from __future__ import annotations
 
@@ -15,13 +15,13 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
+from .kernels import _LN2, _extend_level
 from .linalg import operator_norm
 from .systems import GeneratorSystem
 
 Word = tuple[int, ...]
 
 DEFAULT_BUDGET = 20_000_000
-_LN2 = math.log(2.0)
 
 
 def word_str(word: Word, ell: int | None = None) -> str:
@@ -71,16 +71,25 @@ def word_rank(word: Word, ell: int) -> int:
     return r
 
 
+def word_unrank(rank: int, ell: int, n: int) -> Word:
+    """The word of lexicographic rank `rank` among Lambda(n); inverts `word_rank`."""
+    return tuple(int(i) + 1 for i in np.unravel_index(rank, (ell,) * n))
+
+
 @dataclass(frozen=True)
 class ScaledProduct:
-    """A matrix carried as exp(logscale) * unit with |unit| in [0.5, 2]."""
+    """A matrix carried exactly as 2^exponent * unit, with |unit|_F in [0.5, 2]."""
 
     unit: np.ndarray
-    logscale: float
+    exponent: int
 
     @property
     def matrix(self) -> np.ndarray:
-        return math.exp(self.logscale) * self.unit
+        return np.ldexp(self.unit, self.exponent)
+
+    @property
+    def logscale(self) -> float:
+        return self.exponent * _LN2
 
     @property
     def log_norm(self) -> float:
@@ -89,28 +98,11 @@ class ScaledProduct:
     def norm(self) -> float:
         return math.exp(self.log_norm)
 
-    def left_multiply(self, A: np.ndarray) -> "ScaledProduct":
-        return _rescaled(A @ self.unit, self.logscale)
-
-
-def _rescaled(M: np.ndarray, logscale: float) -> ScaledProduct:
-    nrm = operator_norm(M)
-    if nrm == 0.0:
-        raise InputError("zero matrix in a scaled product")
-    if 0.5 <= nrm <= 2.0:
-        return ScaledProduct(unit=M, logscale=logscale)
-    e = math.floor(math.log2(nrm))
-    return ScaledProduct(unit=M * 2.0 ** (-e), logscale=logscale + e * _LN2)
-
-
-def identity_product(d: int) -> ScaledProduct:
-    return ScaledProduct(unit=np.eye(d), logscale=0.0)
-
 
 def product(system: GeneratorSystem, word: Word) -> ScaledProduct:
     """Scaled cocycle product along a word; empty word gives the identity."""
     validate_word(word, system.ell)
-    acc = identity_product(system.dim)
+    units, exps = np.eye(system.dim)[None], np.zeros(1)
     for s in word:
-        acc = acc.left_multiply(system.generator(s))
-    return acc
+        units, exps = _extend_level(system.generators[s - 1][None], units, exps)
+    return ScaledProduct(unit=units[0], exponent=int(exps[0]))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cocyclespan import E1, E2, E3, GeneratorSystem
 from cocyclespan.errors import InputError
@@ -9,10 +10,37 @@ from cocyclespan.hypotheses import (IRREDUCIBLE, REDUCIBLE,
                                     irreducibility_verdict, orbit_span,
                                     power_system, wedge_system)
 from cocyclespan.linalg import invariance_residual
+from cocyclespan.wordspace import enumerate_words, product
 
 from _helpers import random_2x2_system, random_reducible_system
 
 DIAG_PAIR = GeneratorSystem((np.diag([2.0, 3.0]), np.diag([1.0, 4.0])))
+
+# Each generator swaps the lines span(1, 3) and span(1, -1), so the square
+# fixes both: the cocycle is irreducible, its square is not.
+LINE_SWAP_PAIR = GeneratorSystem((
+    np.array([[0.07421875, -0.00390625], [0.16015625, -0.07421875]]),
+    np.array([[0.02734375, -0.00390625], [0.06640625, -0.02734375]]),
+))
+
+# Passes the input gate, but its length-4 product of rank 16 does not.
+GATE_EDGE_PAIR_4X4 = GeneratorSystem((
+    np.array([[0.125, -1.0, 0.75, 0.5], [0.75, 1.125, 0.625, -0.375],
+              [-0.125, 0.625, 0.25, -0.375], [-0.75, -0.125, 1.0, 0.25]]),
+    np.array([[0.75, -0.25, 0.875, -0.625], [0.0, 0.5, -1.0, 0.5],
+              [-0.875, -0.5, 1.0, 0.0], [-0.875, 1.0, 0.5, 2.0]]),
+))
+
+
+def _dyadic_systems():
+    """Tuples with entries k/64: every product up to length 3 is exact in float64."""
+    def tuples(dims):
+        ell, d = dims
+        entry = st.integers(-64, 64).map(lambda k: k / 64.0)
+        mat = st.lists(entry, min_size=d * d, max_size=d * d).map(
+            lambda xs: np.array(xs).reshape(d, d))
+        return st.lists(mat, min_size=ell, max_size=ell)
+    return st.tuples(st.integers(1, 3), st.integers(2, 3)).flatmap(tuples)
 
 
 class TestPowerAndWedge:
@@ -39,6 +67,27 @@ class TestPowerAndWedge:
         direct = sorted(power_system(E2(), 4).generators, key=lambda m: tuple(m.ravel()))
         for A, B in zip(via_two, direct):
             assert np.abs(A - B).max() <= 1e-10 * max(1.0, np.abs(B).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(mats=_dyadic_systems(), t=st.integers(1, 3))
+    def test_power_products_exact(self, mats, t):
+        try:
+            sys = GeneratorSystem(tuple(mats))
+        except InputError:
+            assume(False)
+        ps = power_system(sys, t)
+        for A, word in zip(ps.generators, enumerate_words(sys.ell, t), strict=True):
+            direct = np.eye(sys.dim)
+            for s in word:
+                direct = sys.generators[s - 1] @ direct
+            assert np.array_equal(A, direct)
+            assert np.array_equal(product(sys, word).matrix, direct)
+
+    def test_power_of_gate_passing_system_not_regated(self):
+        with pytest.raises(InputError, match="generator 16 not invertible"):
+            GeneratorSystem(power_system(GATE_EDGE_PAIR_4X4, 4).generators)
+        rep = check_hypotheses(GATE_EDGE_PAIR_4X4, "theorem_1_1")
+        assert [c.label for c in rep.checks][:3] == ["power t=1", "power t=2", "power t=4"]
 
     def test_wedge_system_d2(self):
         ws = wedge_system(E2(), 1)
@@ -152,6 +201,11 @@ class TestCheckHypotheses:
         rep = check_hypotheses(E3(), "corollary_4_3")
         assert rep.overall == "Pass"
         assert any("translations absent" in w for w in rep.warnings)
+
+    def test_line_swap_square_fails(self):
+        rep = check_hypotheses(LINE_SWAP_PAIR, "corollary_4_3")
+        assert rep.overall == "Fail"
+        assert rep.failed_at == "irreducible square"
 
     def test_corollary_norm_gate(self):
         rep = check_hypotheses(E2(), "corollary_4_3")

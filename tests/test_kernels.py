@@ -11,12 +11,16 @@ from cocyclespan.wordspace import enumerate_words, product
 
 class TestScaledProducts:
     def test_level_products_match_direct(self):
-        units, logs = products_level_numpy(E3().stacked(), 5)
+        units, exps = products_level_numpy(E3().stacked(), 5)
+        assert np.array_equal(exps, np.round(exps))
         for rank, word in enumerate(enumerate_words(2, 5)):
-            direct = product(E3(), word).matrix
-            reconstructed = units[rank] * np.exp(logs[rank])
+            direct = np.eye(2)
+            for s in word:
+                direct = E3().generators[s - 1] @ direct
+            reconstructed = np.ldexp(units[rank], int(exps[rank]))
             assert np.abs(direct - reconstructed).max() <= 1e-12 * max(
                 1.0, np.abs(direct).max())
+            assert np.array_equal(reconstructed, product(E3(), word).matrix)
 
     def test_sigma_closed_form(self):
         rng = np.random.default_rng(5)
@@ -54,8 +58,9 @@ class TestBackendAgreement:
         assert abs(ref[iw, iu] - ref.min()) <= 1e-12
 
     def test_qm_scan_cross_backend(self):
-        units, logs = products_level_numpy(E3().stacked(), 4)
-        ku, kl = products_level_numpy(E3().stacked(), 1)
+        units, exps = products_level_numpy(E3().stacked(), 4)
+        ku, kexps = products_level_numpy(E3().stacked(), 1)
+        logs, kl = exps * math.log(2.0), kexps * math.log(2.0)
         fast = qm_scan(units, logs, ku, kl)
         general = _qm_scan_general(units, logs, ku, kl)
         assert abs(fast[0] - general[0]) <= 1e-10

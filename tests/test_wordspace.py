@@ -44,7 +44,7 @@ class TestProduct:
         for w in enumerate_words(2, 9):
             if sum(w) % 5 == 0:  # sample
                 p = product(sys3, w)
-                nrm = float(np.linalg.norm(p.unit, 2))
+                nrm = float(np.linalg.norm(p.unit, "fro"))
                 assert 0.5 <= nrm <= 2.0
 
     def test_concatenation_law_500(self):
