@@ -29,7 +29,7 @@ from .errors import InputError, ResourceLimitError
 from .gibbs import cylinder_weights, kappa_floor, psi_mixing_stat
 from .hypotheses import check_hypotheses
 from .quasimult import empirical_qm
-from .spannability import diagnose_failure, minimal_spannable_k
+from .spannability import INCONCLUSIVE, diagnose_failure, minimal_spannable_k
 from .systems import GeneratorSystem
 from .thermo import (DimensionReport, PotentialSpec, QMInput, QMInputProvider,
                      TargetSequence, affinity_dimension, beta_hat,
@@ -160,9 +160,8 @@ def parse_config(text: str) -> RunConfig:
         if key in options:
             setattr(cfg, key, _opt(options, key, int))
     # early validation of word-typed options against the alphabet
-    if "targets" in options and isinstance(options["targets"], dict):
-        for w in options["targets"].get("words", []):
-            parse_word(str(w), system.ell)
+    if isinstance(options.get("targets"), dict):
+        _target_words(options["targets"], system.ell)
     return cfg
 
 
@@ -186,17 +185,37 @@ def _jsonable(obj):
     return repr(obj)
 
 
+def _target_words(spec: dict, ell: int):
+    words = spec.get("words", [])
+    if not isinstance(words, list):
+        raise InputError("options.targets.words must be a list of words")
+    return tuple(parse_word(str(w), ell) for w in words)
+
+
 def _targets_from_options(options: dict, ell: int) -> TargetSequence:
     spec = options.get("targets")
     if spec is None:
         raise InputError("this command needs an 'options.targets' block")
+    if not isinstance(spec, dict):
+        raise InputError("options.targets must be an object")
     tail = _opt(spec, "tail_start", int, 1, where="options.targets")
     if "all_ones" in spec:
         count = _opt(spec, "all_ones", int, where="options.targets")
         words = tuple(tuple([1] * k) for k in range(1, count + 1))
         return TargetSequence(words=words, tail_start=tail)
-    words = tuple(parse_word(str(w), ell) for w in spec.get("words", []))
-    return TargetSequence(words=words, tail_start=tail)
+    return TargetSequence(words=_target_words(spec, ell), tail_start=tail)
+
+
+def _psi_table(table) -> list[tuple[int, float]] | None:
+    """`options.psi_table` as (n, psi(n)) pairs; a malformed table is an input error."""
+    if table is None:
+        return None
+    if not isinstance(table, list) or not all(
+            isinstance(row, list) and len(row) == 2 for row in table):
+        raise InputError("options.psi_table must be a list of [n, psi(n)] pairs")
+    return [(_opt(dict(enumerate(row)), 0, int, where=f"options.psi_table.{i}"),
+             _opt(dict(enumerate(row)), 1, float, where=f"options.psi_table.{i}"))
+            for i, row in enumerate(table)]
 
 
 def _qm_source(cfg: RunConfig):
@@ -259,6 +278,10 @@ def _run_spannability(cfg: RunConfig):
         else:
             diag = diagnose_failure(cfg.system, k_max, seed=cfg.seed, budget=cfg.budget)
             result["diagnosis"] = _jsonable(diag)
+    # an Inconclusive certificate's notes say how it was computed and why it is
+    # Inconclusive, a fired evaluation cap included
+    warnings += [f"k = {c.k}: {note}" for c in search.certificates
+                 if c.status == INCONCLUSIVE for note in c.notes]
     return result, code, warnings
 
 
@@ -320,8 +343,9 @@ def _run_r0(cfg: RunConfig):
     if "beta" in cfg.options:
         beta = beta_hat(beta=_opt(cfg.options, "beta", float))
     else:
-        table = cfg.options.get("psi_table")
-        beta = beta_hat(psi_table=table, tail_start=cfg.options.get("tail_start"))
+        tail = None if cfg.options.get("tail_start") is None \
+            else _opt(cfg.options, "tail_start", int)
+        beta = beta_hat(psi_table=_psi_table(cfg.options.get("psi_table")), tail_start=tail)
     if beta.value >= 1:
         raise InputError("recurrence dimension needs beta < 1")
     rep = r0_interval(cfg.system, beta.value, n, k_qm, seed=cfg.seed, budget=cfg.budget)

@@ -1,7 +1,11 @@
-"""Hot enumeration and grid kernels, vectorised with numpy.
+"""Hot enumeration kernels and the certified minimizer, vectorised with numpy.
 
 Outputs are bit-reproducible: arrays are indexed by lexicographic word rank
 and every reduction runs over fully assembled arrays in a fixed order.
+
+One certified minimizer, `lipschitz_bnb`: a batched Lipschitz branch and bound
+over an angle box. It certifies the spannability circle and sphere and the
+pair-quadratic margin. The gamma torus keeps its dense grid (`minimax_grid2`).
 
 The only word-product engine: A_I = 2^exponent * unit, with an integer exponent
 and the unit's Frobenius norm (within sqrt(d) of the operator norm) kept in
@@ -14,6 +18,9 @@ import math
 import numpy as np
 
 _LN2 = math.log(2.0)
+BNB_MAX_EVALS = 2_000_000  # evaluation cap of `lipschitz_bnb`
+_BNB_CELLS = 64           # coarse grid cells per axis
+_BNB_BATCH = 4096         # open cells split per round; f sees at most 2^m times as many
 
 
 def _rescale_batch(units: np.ndarray, exps: np.ndarray) -> None:
@@ -140,44 +147,54 @@ def minimax_grid2(kmats: np.ndarray, G: int = 2000):
     return float(acc[iw, iu]), int(iw), int(iu)
 
 
-def stack_f_circle(B: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """sigma_2(stack of B_j u)^2 at u = (cos theta, sin theta), per angle."""
-    U = np.stack([np.cos(thetas), np.sin(thetas)])  # (2, G)
-    img = np.einsum("rab,bG->raG", B, U)            # (r, 2, G)
-    g00 = np.einsum("rG,rG->G", img[:, 0], img[:, 0])
-    g01 = np.einsum("rG,rG->G", img[:, 0], img[:, 1])
-    g11 = np.einsum("rG,rG->G", img[:, 1], img[:, 1])
-    return 0.5 * ((g00 + g11) - np.sqrt((g00 - g11) ** 2 + 4.0 * g01**2))
+def lipschitz_bnb(f, lip: float, lo, hi, tau: float, eps: float):
+    """Certified floor of min f over the box [lo, hi] by Lipschitz branch and bound.
 
+    `f` maps an (N, m) array of points to N values with
+    |f(x) - f(y)| <= lip * |x - y|_1, so a cell with centre c and half-widths h
+    satisfies f >= f(c) - lip * sum(h). The search evaluates the centres of a
+    uniform grid of `_BNB_CELLS` cells per axis. A cell is kept once its bound
+    is above `tau` and within `eps` of the best value found so far; of the
+    other (open) cells, the `_BNB_BATCH` with the lowest centre values split
+    into 2^m halves each round, so the search reaches the minimum early. It
+    stops early once a centre value is <= tau, since the floor can then never
+    clear tau, and before a round that would take it past `BNB_MAX_EVALS`.
 
-def stack_min_grid2(B: np.ndarray, G: int):
-    """Grid minimum over the projective circle of sigma_2(stack of B_j u)^2."""
-    B = np.ascontiguousarray(B, dtype=float)
-    lam = stack_f_circle(B, np.pi * np.arange(G) / G)
-    i = int(np.argmin(lam))
-    t = np.pi * i / G
-    return float(lam[i]), np.array([math.cos(t), math.sin(t)])
-
-
-def stack_min_grid3(B: np.ndarray, resolution: float = 1e-3):
-    """Grid minimum over projective S^2 of sigma_3(stack of B_j u)^2."""
-    B = np.ascontiguousarray(B, dtype=float)
-    n_th = max(8, int(np.ceil(np.pi / resolution)))
-    n_ph = max(8, int(np.ceil(np.pi / resolution)))
-    best = np.inf
-    b_it = b_ip = 0
-    ph = np.pi * np.arange(n_ph) / n_ph
-    for it in range(n_th + 1):
-        th = np.pi * it / n_th
-        U = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
-                      np.full_like(ph, np.cos(th))])
-        img = np.einsum("rab,bG->raG", B, U)
-        G3 = np.einsum("raG,rbG->Gab", img, img)
-        lam = np.linalg.eigvalsh(G3)[:, 0]
-        i = int(np.argmin(lam))
-        if lam[i] < best:
-            best = float(lam[i])
-            b_it, b_ip = it, i
-    th, ph = np.pi * b_it / n_th, np.pi * b_ip / n_ph
-    u = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
-    return float(best), u
+    Returns (floor, best point, evaluations, capped). The floor bounds min f
+    below in exact arithmetic; when no open cell is left it is above tau and
+    at least the best value minus eps.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    m = lo.size
+    h0 = (hi - lo) / (2 * _BNB_CELLS)
+    grid = np.meshgrid(*[np.arange(_BNB_CELLS)] * m, indexing="ij")
+    new_c = lo + (2 * np.stack(grid, axis=-1).reshape(-1, m) + 1) * h0
+    new_d = np.zeros(len(new_c), dtype=np.int64)
+    signs = np.array(np.meshgrid(*[(-1.0, 1.0)] * m, indexing="ij")).reshape(m, -1).T
+    cen, val, dep = np.empty((0, m)), np.empty(0), np.empty(0, dtype=np.int64)  # open cells
+    floor, best, best_x, evals = math.inf, math.inf, new_c[0], 0
+    while True:
+        new_v = f(new_c)
+        evals += len(new_v)
+        i = int(np.argmin(new_v))
+        if new_v[i] < best:
+            best, best_x = float(new_v[i]), new_c[i]
+        cen, val, dep = (np.concatenate(p) for p in ((cen, new_c), (val, new_v), (dep, new_d)))
+        bounds = val - lip * float(h0.sum()) * 0.5**dep
+        if best <= tau:
+            return min(floor, float(bounds.min())), best_x, evals, False
+        keep = (bounds > tau) & (bounds >= best - eps)
+        if keep.any():
+            floor = min(floor, float(bounds[keep].min()))
+            cen, val, dep, bounds = cen[~keep], val[~keep], dep[~keep], bounds[~keep]
+        if not len(val):
+            return floor, best_x, evals, False
+        take = np.argsort(val, kind="stable")[:_BNB_BATCH]
+        if evals + len(signs) * len(take) > BNB_MAX_EVALS:
+            return min(floor, float(bounds.min())), best_x, evals, True
+        new_d = np.repeat(dep[take] + 1, len(signs))
+        half = h0 * 0.5**(dep[take] + 1)[:, None]
+        new_c = (cen[take][:, None, :] + signs * half[:, None, :]).reshape(-1, m)
+        rest = np.ones(len(val), dtype=bool)
+        rest[take] = False
+        cen, val, dep = cen[rest], val[rest], dep[rest]

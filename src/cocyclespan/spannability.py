@@ -7,14 +7,14 @@ d^2 basis elements and turns "for all u" into a minimax over one sphere.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from . import kernels
 from .errors import ContractViolation, InputError
-from .kernels import dense_products, stack_f_circle, stack_min_grid2, stack_min_grid3
+from .kernels import dense_products, lipschitz_bnb
 from .linalg import (SubspaceBasis, operator_norm, span_basis, subspace_distance,
                      wedge_index_sets, wedge_power)
 from .rational2 import ProjPoint, common_projective_root, common_projective_root_float
@@ -25,6 +25,10 @@ from .hypotheses import IrreducibilityVerdict, irreducibility_verdict, power_sys
 
 TAU_SPAN = 1e-8          # threshold on the squared smallest stack singular value
 EXACT_PRODUCT_CAP = 4096  # pair quadratics use raw products up to this many words
+# Minimizer slack eps = Lipschitz constant * resolution. The sphere keeps the
+# slack of the uniform 1e-3 grid it replaced; one angle is cheap enough to
+# search ten times finer, which keeps circle margins above the old grid's.
+RESOLUTION = {1: 1e-4, 2: 1e-3}  # by number of angles
 
 SPANNABLE = "Spannable"
 NOT_SPANNABLE = "NotSpannable"
@@ -154,57 +158,28 @@ def _quad_circle_min_abs(q) -> float:
     return float(min(abs(lam[0]), abs(lam[-1])))
 
 
-def _stack_f(B: np.ndarray, u: np.ndarray) -> float:
-    img = np.einsum("rab,b->ra", B, u)
-    g = img.T @ img
-    return float(np.linalg.eigvalsh(g)[0])
+def _stack_f(B: np.ndarray, u: np.ndarray):
+    """sigma_d(stack of B_j u)^2, for one unit u or for each row of an (N, d) array."""
+    img = np.einsum("rab,...b->...ra", B, u)
+    return np.linalg.eigvalsh(np.swapaxes(img, -1, -2) @ img)[..., 0]
 
 
-def _golden_polish(f, lo: float, hi: float, iters: int = 70) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = c if fc < fd else d
-    return x, min(fc, fd)
+def _angles_to_unit(x: np.ndarray) -> np.ndarray:
+    """Unit vectors from circle angles theta (m = 1) or sphere angles (theta, phi) (m = 2)."""
+    th = x[..., 0]
+    if x.shape[-1] == 1:
+        return np.stack([np.cos(th), np.sin(th)], axis=-1)
+    ph = x[..., 1]
+    return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
 
 
-def _bnb_certify_circle(B: np.ndarray, tau: float, G: int):
-    """Branch-and-bound floor for min f over the projective circle.
-
-    Starts from the uniform grid and splits only cells whose Lipschitz lower
-    bound cannot clear tau. Returns (floor, None) when every cell is certified
-    above tau, else (None, theta of an unresolved cell).
-    """
-    lip = 2.0 * B.shape[0]
-    th = np.pi * np.arange(G + 1) / G
-    fs = stack_f_circle(B, th)
-    work = [(th[i], th[i + 1], fs[i], fs[i + 1]) for i in range(G)]
-    floor = math.inf
-    evals = 0
-    while work:
-        a, b, fa, fb = work.pop()
-        bound = 0.5 * (fa + fb) - 0.5 * lip * (b - a)
-        if bound > tau:
-            floor = min(floor, bound)
-            continue
-        if b - a < 1e-11 or evals > 200_000:
-            return None, 0.5 * (a + b)
-        m = 0.5 * (a + b)
-        fm = _stack_f(B, np.array([math.cos(m), math.sin(m)]))
-        evals += 1
-        work.append((a, m, fa, fm))
-        work.append((m, b, fm, fb))
-    return floor, None
+def _bnb_notes(what: str, lip: float, eps: float, evals: int, capped: bool) -> list[str]:
+    notes = [f"{what}: Lipschitz branch and bound, L = {lip:.6g}, eps = {eps:.6g}, "
+             f"{evals} evaluations"]
+    if capped:
+        notes.append(f"branch and bound stopped at its cap of {kernels.BNB_MAX_EVALS} "
+                     f"evaluations (kernels.BNB_MAX_EVALS) after {evals}")
+    return notes
 
 
 def _numeric_certificate(system: GeneratorSystem, mk: MkBasis, *, seed: int = 42) -> SpannabilityCertificate:
@@ -212,62 +187,35 @@ def _numeric_certificate(system: GeneratorSystem, mk: MkBasis, *, seed: int = 42
     if mk.dim == 0:
         raise InputError("empty M_k")
     B = np.stack([M / operator_norm(M) for M in mk.basis])
-    r = B.shape[0]
-    notes: list[str] = []
-    if d == 2:
-        G = int(np.ceil(np.pi / 1e-3))
-        raw, u0 = stack_min_grid2(B, G)
-        th0 = math.atan2(u0[1], u0[0])
-        h = np.pi / G
-        fn = lambda t: _stack_f(B, np.array([math.cos(t), math.sin(t)]))
-        t_star, f_star = _golden_polish(fn, th0 - h, th0 + h)
-        u_star = np.array([math.cos(t_star), math.sin(t_star)])
-        if f_star > TAU_SPAN:
-            floor, unresolved = _bnb_certify_circle(B, TAU_SPAN, G)
-            if floor is not None:
-                cert = floor
-            else:
-                t2, f2 = _golden_polish(fn, unresolved - h, unresolved + h)
-                if f2 < f_star:
-                    f_star = f2
-                    u_star = np.array([math.cos(t2), math.sin(t2)])
-                cert = -math.inf
-        else:
-            cert = -math.inf
-    elif d == 3:
-        raw, u0 = stack_min_grid3(B, 1e-3)
-        lip = 2.0 * r
-        cert = raw - lip * 1e-3
-        th0, ph0 = math.acos(np.clip(u0[2], -1, 1)), math.atan2(u0[1], u0[0])
-
-        def sph(th, ph):
-            return np.array([math.sin(th) * math.cos(ph),
-                             math.sin(th) * math.sin(ph), math.cos(th)])
-
-        th_c, ph_c, f_star = th0, ph0, raw
-        for _ in range(6):
-            th_c, f_star = _golden_polish(lambda t: _stack_f(B, sph(t, ph_c)),
-                                          th_c - 2e-3, th_c + 2e-3, iters=40)
-            ph_c, f_star = _golden_polish(lambda p: _stack_f(B, sph(th_c, p)),
-                                          ph_c - 2e-3, ph_c + 2e-3, iters=40)
-        u_star = sph(th_c, ph_c)
+    if d <= 3:
+        # the projective circle is theta in [0, pi]; the projective sphere is
+        # theta, phi in [0, pi], where |du| <= |dtheta| + |dphi|
+        lip = 2.0 * B.shape[0]
+        eps = lip * RESOLUTION[d - 1]
+        cert, x, evals, capped = lipschitz_bnb(
+            lambda X: _stack_f(B, _angles_to_unit(X)), lip, np.zeros(d - 1),
+            np.full(d - 1, np.pi), TAU_SPAN, eps)
+        notes = _bnb_notes("sphere minimum" if d == 3 else "circle minimum",
+                           lip, eps, evals, capped)
+        f_star, u_star = _project_descend(B, _angles_to_unit(x))
     else:
         rng = np.random.default_rng(seed)
-        best_f, best_u = np.inf, None
+        f_star, u_star = np.inf, None
         for _ in range(64):
             u = rng.standard_normal(d)
             u /= np.linalg.norm(u)
             f, u = _project_descend(B, u)
-            if f < best_f:
-                best_f, best_u = f, u
-        raw, u_star, f_star = best_f, best_u, best_f
-        cert = -np.inf
-        notes.append("d >= 4: multistart search only, no grid certificate")
+            if f < f_star:
+                f_star, u_star = f, u
+        cert, capped = -np.inf, False
+        notes = ["d >= 4: multistart search only, no certificate"]
 
-    if cert > TAU_SPAN:
+    # a capped search may still hold a floor above tau, but not one within eps
+    # of the minimum it was asked for, so it certifies nothing
+    if cert > TAU_SPAN and not capped:
         return SpannabilityCertificate(
             k=mk.k, status=SPANNABLE, margin=float(cert), exact=False,
-            method="grid_certified", margin_certified=True, notes=tuple(notes))
+            method="bnb_certified", margin_certified=True, notes=tuple(notes))
     if f_star <= TAU_SPAN:
         u_star = _canonical_sign(u_star)
         return SpannabilityCertificate(
@@ -277,7 +225,7 @@ def _numeric_certificate(system: GeneratorSystem, mk: MkBasis, *, seed: int = 42
     return SpannabilityCertificate(
         k=mk.k, status=INCONCLUSIVE, margin=max(float(cert), 0.0), exact=False,
         method="numeric", notes=tuple(notes) + (
-            f"minimum {f_star:.3e} above tau but certificate {cert:.3e} below",))
+            f"minimum {f_star:.3e} above tau but no certificate (floor {cert:.3e})",))
 
 
 def _project_descend(B: np.ndarray, u: np.ndarray, iters: int = 120) -> tuple[float, np.ndarray]:
@@ -345,25 +293,25 @@ def _exact_certificate(system: GeneratorSystem, mk: MkBasis) -> SpannabilityCert
         return SpannabilityCertificate(
             k=mk.k, status=NOT_SPANNABLE, margin=0.0, exact=True, method=method,
             witness=u, witness_residual=_witness_residual(mk, u))
-    margin, certified, note = _exact_margin(system, mk)
+    margin, certified, notes = _exact_margin(system, mk)
     return SpannabilityCertificate(
         k=mk.k, status=SPANNABLE, margin=margin, exact=True, method=method,
-        margin_certified=certified, notes=(note,) if note else ())
+        margin_certified=certified, notes=notes)
 
 
-def _exact_margin(system: GeneratorSystem, mk: MkBasis) -> tuple[float, bool, str | None]:
+def _exact_margin(system: GeneratorSystem, mk: MkBasis) -> tuple[float, bool, tuple[str, ...]]:
     """Analytic lower bound for min_u max over pairs |det(B_i u | B_j u)|.
 
     The best single pair already bounds the minimax from below; when every
-    single pair is indefinite the bound degenerates and a Lipschitz grid on the
-    full max takes over.
+    single pair is indefinite the bound degenerates and the Lipschitz branch
+    and bound on the full max takes over.
     """
     if system.ell**mk.k <= EXACT_PRODUCT_CAP:
         mats = list(dense_products(system.stacked(), mk.k))
-        note = None
+        notes = []
     else:
         mats = [mk.basis[j] for j in range(mk.dim)]
-        note = "margin quadratics use the reduced basis (word count above cap)"
+        notes = ["margin quadratics use the reduced basis (word count above cap)"]
     best = 0.0
     quads = []
     for i in range(len(mats)):
@@ -372,25 +320,28 @@ def _exact_margin(system: GeneratorSystem, mk: MkBasis) -> tuple[float, bool, st
             quads.append(q)
             best = max(best, _quad_circle_min_abs(q))
     if best > 0.0:
-        return best, True, note
+        return best, True, tuple(notes)
     fq = [tuple(float(x) for x in q) for q in quads]
-    G = int(np.ceil(np.pi / 1e-3))
-    th = np.pi * np.arange(G) / G
-    x, y = np.cos(th), np.sin(th)
-    acc = np.full(G, -np.inf)
-    lip = 0.0
-    for a, b, c in fq:
-        acc = np.maximum(acc, np.abs(a * x * x + b * x * y + c * y * y))
-        lip = max(lip, 2.0 * operator_norm(np.array([[a, b / 2], [b / 2, c]])))
-    cert = float(acc.min() - lip * (np.pi / G) / 2.0)
-    return max(cert, 0.0), cert > 0.0, note or "margin from Lipschitz grid over pair quadratics"
+    lip = max(2.0 * operator_norm(np.array([[a, b / 2], [b / 2, c]])) for a, b, c in fq)
+
+    def pair_max(X):
+        x, y = np.cos(X[:, 0]), np.sin(X[:, 0])
+        acc = np.zeros(len(X))
+        for a, b, c in fq:
+            acc = np.maximum(acc, np.abs(a * x * x + b * x * y + c * y * y))
+        return acc
+
+    eps = lip * RESOLUTION[1]
+    cert, _x, evals, capped = lipschitz_bnb(pair_max, lip, [0.0], [np.pi], 0.0, eps)
+    notes += _bnb_notes("margin over pair quadratics", lip, eps, evals, capped)
+    return max(cert, 0.0), cert > 0.0 and not capped, tuple(notes)
 
 
 def _witness_residual(mk: MkBasis, u: np.ndarray) -> float:
     if mk.dim == 0:
         return 0.0
     B = np.stack([M / operator_norm(M) for M in mk.basis])
-    return _stack_f(B, u)
+    return float(_stack_f(B, u))
 
 
 def spannable_at(system: GeneratorSystem, k: int, *, method: str = "auto",
@@ -398,8 +349,9 @@ def spannable_at(system: GeneratorSystem, k: int, *, method: str = "auto",
     """Certificate for k-uniform spannability.
 
     auto: saturated M_k (dim d^2) is immediately spannable; otherwise the d=2
-    polynomial path decides exactly, and the certified sphere minimization
-    handles d >= 3. `method` can force 'exact' (d=2 only) or 'numeric'.
+    polynomial path decides exactly, the certified sphere minimization handles
+    d = 3 and a multistart search d >= 4. `method` can force 'exact' (d=2
+    only) or 'numeric'.
     """
     if method not in ("auto", "exact", "numeric"):
         raise InputError(f"unknown method {method!r}")

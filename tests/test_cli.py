@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cocyclespan.cli as cli
+from cocyclespan import kernels
 from cocyclespan.errors import InputError
 
 E1_CONFIG = {
@@ -23,6 +24,24 @@ E3_CONFIG = {
                "generators": [["0.4", "0", "0", "0.1"], ["0", "-0.3", "0.3", "0"]]},
     "command": "s0",
     "options": {"targets": {"all_ones": 10}, "n": 10, "k_qm": 1},
+}
+R0_CONFIG = dict(E3_CONFIG, command="r0",
+                 options={"psi_table": [[2, 1.0], [4, 2.0]], "n": 6, "k_qm": 1})
+# five 3x3 generators spannable at k = 1; the sphere minimizer needs about 7e5 evaluations
+D3_SPANNABLE_CONFIG = {
+    "system": {"dimension": 3, "generators": [
+        ["1.21875", "0.78125", "0.28125", "-0.8125", "1.3125", "0.40625", "-0.4375",
+         "-0.46875", "1.21875"],
+        ["1.15625", "0.71875", "-0.46875", "-0.65625", "1.1875", "-0.59375", "0.5",
+         "0.4375", "1.15625"],
+        ["1.1875", "0.78125", "-0.125", "-0.8125", "1.1875", "0.4375", "0.28125",
+         "-0.28125", "1.25"],
+        ["1.1875", "-0.53125", "0.78125", "0.40625", "1.1875", "0.03125", "-0.96875",
+         "-0.1875", "1.0625"],
+        ["0.875", "-0.09375", "-0.3125", "0.0", "0.78125", "0.75", "0.25", "-0.8125",
+         "0.625"]]},
+    "command": "spannability",
+    "options": {"k_max": 1},
 }
 E4_CONFIG = {
     "system": {"dimension": 2,
@@ -94,6 +113,14 @@ class TestRunCommand:
         assert report["result"]["found"] is None
         assert report["result"]["diagnosis"]["case"] == "PeriodicSubspaces"
         assert report["result"]["diagnosis"]["period"] == 2
+
+    def test_spannability_cap_warning(self, monkeypatch):
+        monkeypatch.setattr(kernels, "BNB_MAX_EVALS", 5000)
+        report, code = cli.run_command(cfg_from(D3_SPANNABLE_CONFIG))
+        assert code == cli.EXIT_INCONCLUSIVE
+        assert report["warnings"][0] == "inconclusive at k in [1]"
+        assert any(w.startswith("k = 1: branch and bound stopped at its cap of 5000")
+                   for w in report["warnings"])
 
     def test_mixing_no_certificate_exit_2(self):
         cfg = cfg_from(dict(E1_CONFIG, command="mixing",
@@ -179,9 +206,13 @@ class TestReproducibility:
         assert cli.main(["--help"]) == cli.EXIT_OK
         assert "usage:" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("key,value", [("n", "abc"), ("seed", "x")])
+    @pytest.mark.parametrize("key,value", [
+        ("n", "abc"), ("seed", "x"), ("targets", [1, 2]), ("targets", "abc"),
+        ("psi_table", [[4, "a"]]), ("psi_table", [5, 6]), ("psi_table", "abc"),
+        ("tail_start", "x")])
     def test_bad_option_type_exit_3(self, tmp_path, capsys, key, value):
-        cfg = dict(E3_CONFIG, options=dict(E3_CONFIG["options"], **{key: value}))
+        base = R0_CONFIG if key in ("psi_table", "tail_start") else E3_CONFIG
+        cfg = dict(base, options=dict(base["options"], **{key: value}))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert cli.main(["--config", str(cfg_path)]) == cli.EXIT_INPUT_ERROR

@@ -3,9 +3,9 @@ import math
 import numpy as np
 
 from cocyclespan import E2, E3
-from cocyclespan.kernels import (_qm_scan_general, minimax_grid2, products_level_numpy,
-                                 qm_scan, sigma12_2x2, stack_min_grid2, stack_min_grid3,
-                                 word_singvals)
+from cocyclespan.kernels import (_qm_scan_general, lipschitz_bnb, minimax_grid2,
+                                 products_level_numpy, qm_scan, sigma12_2x2, word_singvals)
+from cocyclespan.spannability import TAU_SPAN, _angles_to_unit, _pair_quadratic, _stack_f
 from cocyclespan.wordspace import enumerate_words, product
 
 
@@ -66,24 +66,72 @@ class TestBackendAgreement:
         assert abs(fast[0] - general[0]) <= 1e-10
         assert fast[1:] == general[1:]
 
-    def test_stack_grids_cross_backend(self):
-        B = np.stack([M / np.linalg.norm(M, 2) for M in E2().generators])
-        G = 1000
-        lam = []
-        for i in range(G):
-            t = math.pi * i / G
-            img = np.einsum("rab,b->ra", B, np.array([math.cos(t), math.sin(t)]))
-            lam.append(np.linalg.eigvalsh(img.T @ img)[0])
-        val, u = stack_min_grid2(B, G)
-        i = round(math.atan2(u[1], u[0]) % math.pi * G / math.pi) % G
-        assert abs(val - min(lam)) <= 1e-12
-        assert abs(lam[i] - min(lam)) <= 1e-12
 
-    def test_stack_grid3_matches_eigh(self):
-        rng = np.random.default_rng(9)
-        B = rng.standard_normal((4, 3, 3))
-        B /= np.linalg.norm(B, 2, axis=(1, 2))[:, None, None]
-        val, u = stack_min_grid3(B, 2e-2)
-        img = np.einsum("rab,b->ra", B, u)
-        lam = np.linalg.eigvalsh(img.T @ img)[0]
-        assert abs(val - lam) <= 1e-9
+def _skew(w):
+    return np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+
+
+def _random_b(rng, r, d):
+    """Normalised stack of r seeded d x d matrices: Gaussian for d = 2; for d = 3,
+    I plus a random rotation generator plus noise, whose images span with room."""
+    if d == 2:
+        B = rng.standard_normal((r, 2, 2))
+    else:
+        B = np.stack([(1.0 + rng.uniform(-0.3, 0.3)) * np.eye(3)
+                      + _skew(rng.uniform(-1.0, 1.0, 3))
+                      + 0.15 * rng.uniform(-1.0, 1.0, (3, 3)) for _ in range(r)])
+    return B / np.linalg.norm(B, 2, axis=(1, 2))[:, None, None]
+
+
+class TestLipschitzBnb:
+    """The certified floor against a brute-force grid dense enough that it is
+    within eps of the true minimum: brute_min - 2 eps <= floor <= brute_min."""
+
+    def _check(self, f, lip, m, eps, tau, brute_points):
+        floor, x, evals, capped = lipschitz_bnb(f, lip, np.zeros(m), np.full(m, np.pi),
+                                                tau, eps)
+        brute_min = float(f(brute_points).min())
+        assert not capped and evals > 0
+        assert brute_min > tau
+        assert brute_min - 2.0 * eps <= floor <= brute_min
+        assert floor > tau and f(x[None])[0] - eps <= floor
+
+    def test_circle_matches_brute_grid(self):
+        rng = np.random.default_rng(21)
+        th = np.linspace(0.0, np.pi, 20_001)[:, None]  # spacing 1.6e-4 <= eps / lip
+        for _ in range(5):
+            B = _random_b(rng, 3, 2)
+            lip = 2.0 * len(B)
+            self._check(lambda X: _stack_f(B, _angles_to_unit(X)), lip, 1, lip * 1e-3,
+                        TAU_SPAN, th)
+
+    def test_sphere_matches_brute_grid(self):
+        rng = np.random.default_rng(22)
+        g = np.linspace(0.0, np.pi, 630)  # spacing 5e-3 per axis: |du| <= 5e-3 <= eps / lip
+        pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+        for _ in range(3):
+            B = _random_b(rng, 5, 3)  # four images would share a plane at some u
+            lip = 2.0 * len(B)
+            self._check(lambda X: _stack_f(B, _angles_to_unit(X)), lip, 2, lip * 1e-2,
+                        TAU_SPAN, pts)
+
+    def test_pair_quadratic_max_matches_brute_grid(self):
+        rng = np.random.default_rng(23)
+        th = np.linspace(0.0, np.pi, 20_001)[:, None]
+        for _ in range(5):
+            B = rng.standard_normal((4, 2, 2))
+            Q = np.array([[float(x) for x in _pair_quadratic(B[i], B[j])]
+                          for i in range(4) for j in range(i + 1, 4)])
+            lip = max(2.0 * np.linalg.norm([[a, b / 2], [b / 2, c]], 2) for a, b, c in Q)
+
+            def f(X):
+                x, y = np.cos(X[:, 0]), np.sin(X[:, 0])
+                return np.abs(Q @ np.stack([x * x, x * y, y * y])).max(axis=0)
+
+            self._check(f, lip, 1, lip * 1e-3, 0.0, th)
+
+    def test_stops_at_value_below_tau(self):
+        # f vanishes at theta = 1: the search returns a point there and a floor <= tau
+        f = lambda X: np.abs(np.sin(X[:, 0] - 1.0))
+        floor, x, _evals, capped = lipschitz_bnb(f, 1.0, [0.0], [np.pi], 1e-8, 1e-3)
+        assert not capped and floor <= 1e-8 and abs(x[0] - 1.0) <= 1e-8

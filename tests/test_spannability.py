@@ -4,12 +4,49 @@ import pytest
 from cocyclespan import E1, E2, E3, GeneratorSystem
 from cocyclespan.errors import ContractViolation
 from cocyclespan.fixtures import ROT90
-from cocyclespan.spannability import (NOT_SPANNABLE, diagnose_failure,
+from cocyclespan import kernels
+from cocyclespan.spannability import (INCONCLUSIVE, NOT_SPANNABLE, TAU_SPAN, diagnose_failure,
                                       minimal_spannable_k, mk_basis, spannable_at)
 
 from _helpers import random_2x2_system, random_reducible_system
 
 DIAG_PAIR = GeneratorSystem((np.diag([2.0, 3.0]), np.diag([1.0, 4.0])))
+# every pair quadratic det(A_i u | A_j u) is indefinite, yet they share no root
+INDEFINITE_PAIRS = GeneratorSystem((np.array([[-1.0, 2.0], [0.0, -2.0]]),
+                                    np.array([[1.0, 1.0], [2.0, -2.0]]),
+                                    np.array([[-2.0, 2.0], [-2.0, 0.0]])))
+
+
+def d3_block_triangular(rng):
+    """Four integer 3x3 generators sharing the invariant line spanned by q = P e1.
+
+    P is a product of integer shears, so P^-1 is integer too and every product
+    stays exact: the shared line survives in the rational M_k.
+    """
+    P = np.eye(3)
+    for _ in range(3):
+        i, j = rng.choice(3, size=2, replace=False)
+        E = np.eye(3)
+        E[i, j] = float(rng.integers(-2, 3))
+        P = P @ E
+    Pinv = np.round(np.linalg.inv(P))
+    mats = []
+    for _ in range(4):
+        M = rng.integers(-2, 3, (3, 3)).astype(float) + 4.0 * np.eye(3)
+        M[1:, 0] = 0.0
+        mats.append(P @ M @ Pinv)
+    return GeneratorSystem(tuple(mats)), P[:, 0] / np.linalg.norm(P[:, 0])
+
+
+def d3_five_generators(rng):
+    """Five 3x3 generators: I, a rotation generator and noise; images span with room."""
+    mats = []
+    for _ in range(5):
+        w = rng.uniform(-1.0, 1.0, 3)
+        skew = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+        mats.append((1.0 + rng.uniform(-0.3, 0.3)) * np.eye(3) + skew
+                    + 0.15 * rng.uniform(-1.0, 1.0, (3, 3)))
+    return GeneratorSystem(tuple(mats))
 
 
 class TestMkBasis:
@@ -69,6 +106,48 @@ class TestSpannableAt:
             numeric = spannable_at(sys, 1, method="numeric")
             assert exact.status == numeric.status, \
                 f"case {i}: exact {exact.status} vs numeric {numeric.status}"
+
+    def test_indefinite_pairs_margin_from_minimizer(self):
+        cert = spannable_at(INDEFINITE_PAIRS, 1)
+        assert cert.spannable and cert.exact and cert.margin_certified
+        th = np.linspace(0.0, np.pi, 20_001)
+        U = np.stack([np.cos(th), np.sin(th)])
+        mats = INDEFINITE_PAIRS.generators
+        brute = np.max([np.abs(np.linalg.det(np.stack([A @ U, B @ U], axis=1).T))
+                        for i, A in enumerate(mats) for B in mats[i + 1:]], axis=0).min()
+        assert 0.0 < cert.margin <= brute
+        (note,) = cert.notes
+        assert "pair quadratics" in note and "L = " in note and "eps = " in note
+        assert "evaluations" in note
+
+
+class TestSphereCertificate:
+    def test_block_triangular_not_spannable(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(3):
+            system, q = d3_block_triangular(rng)
+            for k in (1, 2):
+                cert = spannable_at(system, k)
+                assert cert.status == NOT_SPANNABLE
+                assert cert.witness_residual <= TAU_SPAN
+            # four images at k = 1 can share a plane off the line, seven at k = 2 cannot
+            assert mk_basis(system, 2).dim == 7
+            assert abs(abs(cert.witness @ q) - 1.0) <= 1e-6
+
+    def test_five_generators_spannable(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(3):
+            cert = spannable_at(d3_five_generators(rng), 1)
+            assert cert.spannable and cert.margin_certified and cert.margin > TAU_SPAN
+            (note,) = cert.notes
+            assert note.startswith("sphere minimum") and "L = 10, eps = 0.01," in note
+            assert "evaluations" in note
+
+    def test_cap_makes_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(kernels, "BNB_MAX_EVALS", 5000)  # the 64 x 64 start grid fits
+        cert = spannable_at(d3_five_generators(np.random.default_rng(2025)), 1)
+        assert cert.status == INCONCLUSIVE and not cert.margin_certified
+        assert any("cap of 5000 evaluations" in n and "after 4096" in n for n in cert.notes)
 
 
 class TestMinimalK:
