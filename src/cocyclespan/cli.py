@@ -7,7 +7,9 @@ arithmetic. Reports reproduce bit-for-bit under a fixed seed; wall time
 lives in the `meta` section, excluded from that guarantee.
 
 Exit codes: 0 success, 1 hypothesis failed, 2 inconclusive, 3 input error
-(including command-line usage errors), 4 resource cap exceeded.
+(including command-line usage errors and a supplied `options.qm` constant that
+inverts a pressure bracket), 4 resource cap exceeded, 5 internal error (a failed
+self-check or any other unexpected exception, reported on stderr).
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -31,9 +34,9 @@ from .hypotheses import check_hypotheses
 from .quasimult import empirical_qm
 from .spannability import INCONCLUSIVE, diagnose_failure, minimal_spannable_k
 from .systems import GeneratorSystem
-from .thermo import (DimensionReport, PotentialSpec, QMInput, QMInputProvider,
+from .thermo import (DimensionReport, QMInput, QMInputProvider,
                      TargetSequence, affinity_dimension, beta_hat,
-                     pressure_bracket, r0_interval, s0_interval, square_pressure)
+                     pressure_brackets, r0_interval, s0_interval)
 from .wordspace import DEFAULT_BUDGET, parse_word, word_str
 
 COMMANDS = ("check-hypotheses", "spannability", "qm", "pressure", "s0", "r0",
@@ -44,6 +47,7 @@ EXIT_HYPOTHESIS_FAILED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT_ERROR = 3
 EXIT_RESOURCE = 4
+EXIT_INTERNAL = 5
 
 
 @dataclass
@@ -310,19 +314,17 @@ def _run_pressure(cfg: RunConfig):
     else:
         raise InputError("options.s_grid must be a list of numbers")
     qm_for = _qm_source(cfg)
-    out = {"potential": kind, "n": n, "brackets": []}
-    warnings = []
-    for s in svals:
-        qm = qm_for(s, "norm_s" if kind == "norm_s" else "sv_s")
-        if kind == "sv_s_squared":
-            br = square_pressure(cfg.system, s, n, qm, budget=cfg.budget)
-        else:
-            br = pressure_bracket(cfg.system, PotentialSpec(kind, s), n, qm,
-                                  budget=cfg.budget)
-        if not br.lower_valid:
-            warnings.append(f"s={s}: no positive QM constant, upper bound only")
-        out["brackets"].append(_jsonable(br))
-    return out, EXIT_OK, warnings
+    qms = [qm_for(s, "norm_s" if kind == "norm_s" else "sv_s") for s in svals]
+    try:
+        brackets = pressure_brackets(cfg.system, kind, n, svals, qms, budget=cfg.budget)
+    except AssertionError as exc:  # an inverted bracket
+        if not isinstance(cfg.options.get("qm"), dict):
+            raise
+        raise InputError(f"options.qm: the supplied constant is not a valid lower "
+                         f"bound ({exc})") from exc
+    warnings = [f"s={s}: no positive QM constant, upper bound only"
+                for s, br in zip(svals, brackets) if not br.lower_valid]
+    return {"potential": kind, "n": n, "brackets": _jsonable(brackets)}, EXIT_OK, warnings
 
 
 def _dimension_result(rep: DimensionReport):
@@ -453,7 +455,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_INPUT_ERROR if exc.code else EXIT_OK
     try:
-        cfg = parse_config(Path(args.config).read_text())
+        try:
+            text = Path(args.config).read_text()
+        except OSError as exc:
+            raise InputError(f"cannot read --config: {exc}") from exc
+        cfg = parse_config(text)
         for key in ("k_max", "k", "k_qm", "n", "n_max", "s", "L", "gap", "depth",
                     "beta", "mode"):
             val = getattr(args, key, None)
@@ -468,17 +474,24 @@ def main(argv=None) -> int:
         if args.csv_dir:
             cfg.csv_dir = args.csv_dir
         report, code = run_command(cfg)
+        text = report_canonical_json(report)
+        if args.out:
+            try:
+                Path(args.out).write_text(text + "\n")
+            except OSError as exc:
+                raise InputError(f"cannot write --out: {exc}") from exc
+        else:
+            print(text)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    text = report_canonical_json(report)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    except Exception as exc:  # a failed self-check or a bug must not pass for exit 1
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return code
 
 

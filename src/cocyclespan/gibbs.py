@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .kernels import word_singvals
+from .kernels import level_singvals, word_singvals
 from .quasimult import QMConstant, qm_constant_phi
 from .systems import GeneratorSystem
 from .wordspace import (DEFAULT_BUDGET, Word, check_budget, enumerate_words, validate_word,
@@ -32,22 +32,14 @@ def _lse(arr: np.ndarray, axis=None):
     return np.squeeze(out, axis=axis) if axis is not None else float(np.squeeze(out))
 
 
-class _Levels:
-    """Per-level arrays of s-weighted log norms, lexicographic rank order."""
-
-    def __init__(self, system: GeneratorSystem, s: float, *, budget: int = DEFAULT_BUDGET):
-        self.system = system
-        self.s = s
-        self.budget = budget
-        self._cache: dict[int, tuple[np.ndarray, float]] = {}
-
-    def get(self, n: int) -> tuple[np.ndarray, float]:
-        if n not in self._cache:
-            check_budget(self.system.ell**n, self.budget)
-            logs1, _ = word_singvals(self.system.stacked(), n)
-            w = self.s * logs1
-            self._cache[n] = (w, _lse(w))
-        return self._cache[n]
+def _levels(system: GeneratorSystem, s: float, n: int, budget: int):
+    """(s log |A_I| in rank order, log Z_m) of every level m = 0..n, from one sweep."""
+    check_budget(system.ell**n, budget)
+    out = []
+    for logs1, _ in level_singvals(system.stacked(), n):
+        w = s * logs1
+        out.append((w, _lse(w)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -77,9 +69,9 @@ def cylinder_weights(system: GeneratorSystem, s: float, n: int, *,
         raise InputError("level n must be >= 1")
     if s < 0:
         raise InputError("s must be nonnegative")
-    lev = _Levels(system, s, budget=budget)
-    w, z = lev.get(n)
-    probs = np.exp(w - z)
+    check_budget(system.ell**n, budget)
+    w = s * word_singvals(system.stacked(), n)[0]
+    probs = np.exp(w - _lse(w))
     probs /= probs.sum()
     return CylinderWeights(s=s, n=n, ell=system.ell, probs=probs)
 
@@ -113,15 +105,15 @@ def kappa_floor(system: GeneratorSystem, s: float, k: int, L: int, *,
             if system.dim == 2 else None
     if c_of_s is None:
         raise InputError("supply c_of_s for d > 2 systems")
-    lev = _Levels(system, s, budget=budget)
+    lev = _levels(system, s, 2 * L + k, budget)
     ell = system.ell
     best = math.inf
     witness = None
     for li in range(1, L + 1):
-        wi, _ = lev.get(li)
+        wi, _ = lev[li]
         for lj in range(1, L + 1):
-            wj, _ = lev.get(lj)
-            big, _ = lev.get(li + k + lj)
+            wj, _ = lev[lj]
+            big, _ = lev[li + k + lj]
             num = _lse(big.reshape(ell**li, ell**k, ell**lj), axis=1)  # (NI, NJ)
             ratios = num - wi[:, None] - wj[None, :]
             idx = int(np.argmin(ratios))
@@ -160,13 +152,13 @@ class MixingReport:
     warnings: tuple[str, ...] = ()
 
 
-def _psi_sup(lev: _Levels, ell: int, L: int, gap: int, absolute: bool = True):
+def _psi_sup(lev: list, ell: int, L: int, gap: int, absolute: bool = True):
     sup = -math.inf
     worst = None
     for li in range(1, L + 1):
         for lj in range(1, L + 1):
             N = li + gap + lj
-            big, z = lev.get(N)
+            big, z = lev[N]
             cube = big.reshape(ell**li, ell**gap, ell**lj)
             num = _lse(cube, axis=1)                       # (NI, NJ)
             mu_i = _lse(big.reshape(ell**li, -1), axis=1)  # prefix-I masses
@@ -186,7 +178,7 @@ def psi_mixing_stat(system: GeneratorSystem, s: float, L: int, gap: int, *,
                     budget: int = DEFAULT_BUDGET) -> MixingReport:
     if L < 1 or gap < 1:
         raise InputError("need L >= 1 and gap >= 1")
-    lev = _Levels(system, s, budget=budget)
+    lev = _levels(system, s, 2 * L + max(gap, connector_k), budget)
     ell = system.ell
     psi, worst = _psi_sup(lev, ell, L, gap, absolute=True)
     neg_floor, _ = _psi_sup(lev, ell, L, connector_k, absolute=False)
@@ -194,12 +186,8 @@ def psi_mixing_stat(system: GeneratorSystem, s: float, L: int, gap: int, *,
     warnings = ("finite-level statistic: monotone evidence for the limit, not the limit",)
     # diagnostic distortion estimate: e^{n P_hat} w(I) / |A_I|^s = e^{n P_hat} / Z_n
     deepest = 2 * L + gap
-    _, z_deep = lev.get(deepest)
-    p_hat = z_deep / deepest
-    ratios = []
-    for n in range(1, deepest + 1):
-        _, zn = lev.get(n)
-        ratios.append(math.exp(n * p_hat - zn))
+    p_hat = lev[deepest][1] / deepest
+    ratios = [math.exp(n * p_hat - lev[n][1]) for n in range(1, deepest + 1)]
     c0_est = max(max(ratios), 1.0 / min(ratios))
     verdict = "Pass" if floor > 0 else "NoCertificate"
     return MixingReport(s=s, L=L, gap=gap, psi_hat=psi, kappa_floor=floor,

@@ -10,6 +10,12 @@ pair-quadratic margin. The gamma torus keeps its dense grid (`minimax_grid2`).
 The only word-product engine: A_I = 2^exponent * unit, with an integer exponent
 and the unit's Frobenius norm (within sqrt(d) of the operator norm) kept in
 [0.5, 2], so `dense_products` is exact; log scales are exponent * ln 2.
+
+Levels are built by one sweep: Lambda(m + 1) extends Lambda(m), starting from
+the identity. `products_level_numpy` and `word_singvals` keep only the last
+level; `level_products` yields and `level_singvals` lists every level
+m = 0..n of one sweep, for callers that read several levels. Every level of a
+sweep is bitwise equal to the one-level call at that m.
 """
 from __future__ import annotations
 
@@ -40,13 +46,19 @@ def _extend_level(gens: np.ndarray, units: np.ndarray, exps: np.ndarray):
     return new_units, new_exps
 
 
-def products_level_numpy(gens: np.ndarray, n: int):
-    """Scaled products for all of Lambda(n), lexicographic: (units, integer-valued exps)."""
-    d = gens.shape[1]
-    units = np.eye(d)[None, :, :].copy()
-    exps = np.zeros(1)
+def level_products(gens: np.ndarray, n: int):
+    """Yield the scaled products of Lambda(0), ..., Lambda(n), each extended from the last."""
+    units, exps = np.eye(gens.shape[1])[None, :, :].copy(), np.zeros(1)
+    yield units, exps
     for _ in range(n):
         units, exps = _extend_level(gens, units, exps)
+        yield units, exps
+
+
+def products_level_numpy(gens: np.ndarray, n: int):
+    """Scaled products for all of Lambda(n), lexicographic: (units, integer-valued exps)."""
+    for units, exps in level_products(gens, n):
+        pass
     return np.ascontiguousarray(units), exps
 
 
@@ -74,19 +86,28 @@ def opnorm_batch(units: np.ndarray) -> np.ndarray:
     return np.linalg.svd(units, compute_uv=False)[..., 0]
 
 
+def _log_singvals(units: np.ndarray, logs: np.ndarray):
+    """Per-word (log sigma_1, log sigma_2) from unit parts and their log scales."""
+    if units.shape[-1] == 2:
+        s1, s2 = sigma12_2x2(units)
+        return logs + np.log(s1), logs + np.log(s2)
+    sv = np.linalg.svd(units, compute_uv=False)
+    return logs + np.log(sv[..., 0]), None
+
+
 def word_singvals(gens: np.ndarray, n: int):
     """Per-word (log sigma_1, log sigma_2) over Lambda(n), lexicographic rank order.
 
     The second array is None for d > 2 (only the norm is needed there).
     """
-    gens = np.ascontiguousarray(gens, dtype=float)
-    units, exps = products_level_numpy(gens, n)
-    logs = np.multiply(exps, _LN2, out=exps)
-    if gens.shape[1] == 2:
-        s1, s2 = sigma12_2x2(units)
-        return logs + np.log(s1), logs + np.log(s2)
-    sv = np.linalg.svd(units, compute_uv=False)
-    return logs + np.log(sv[..., 0]), None
+    units, exps = products_level_numpy(np.ascontiguousarray(gens, dtype=float), n)
+    return _log_singvals(units, np.multiply(exps, _LN2, out=exps))
+
+
+def level_singvals(gens: np.ndarray, n: int):
+    """`word_singvals(gens, m)` for every m = 0..n, as a list, from one sweep."""
+    return [_log_singvals(units, exps * _LN2)
+            for units, exps in level_products(np.ascontiguousarray(gens, dtype=float), n)]
 
 
 def qm_scan(units, logs, kunits, klogs_scale):

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .kernels import (_LN2, dense_products, minimax_grid2, opnorm_batch, products_level_numpy,
-                      qm_scan)
+from .kernels import _LN2, dense_products, level_products, minimax_grid2, opnorm_batch, qm_scan
 from .systems import GeneratorSystem
 from .wordspace import DEFAULT_BUDGET, Word, check_budget, word_unrank
 
@@ -113,20 +112,22 @@ def empirical_qm(system: GeneratorSystem, k: int, n_max: int, *, seed: int = 42,
     """Exact minimum over I, J in Lambda(n) of the best length-k connector ratio.
 
     Per word length n <= n_max; the min over lengths <= n follows by taking the
-    table minimum. Witnesses record the worst pair and its best connector.
+    table minimum. Witnesses record the worst pair and its best connector. The
+    levels Lambda(k) and Lambda(1..n_max) come from one sweep.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
     ell = system.ell
     gamma = gamma_minimax(system, k, seed=seed, budget=budget)
-    kunits, kexps = products_level_numpy(system.stacked(), k)
-    klogs = np.multiply(kexps, _LN2, out=kexps)
+    check_budget(float(ell) ** (2 * n_max) * ell**k, budget)
+    levels = list(level_products(system.stacked(), max(k, n_max)))
+    kunits, kexps = levels[k]
+    klogs = kexps * _LN2
     empirical: dict[int, float] = {}
     witnesses: dict[int, tuple[Word, Word, Word]] = {}
     for n in range(1, n_max + 1):
-        check_budget(float(ell) ** (2 * n) * ell**k, budget)
-        units, exps = products_level_numpy(system.stacked(), n)
-        best, bi, bj, bm = qm_scan(units, np.multiply(exps, _LN2, out=exps), kunits, klogs)
+        units, exps = levels[n]
+        best, bi, bj, bm = qm_scan(units, exps * _LN2, kunits, klogs)
         empirical[n] = math.exp(best)
         witnesses[n] = (word_unrank(bi, ell, n), word_unrank(bm, ell, k),
                         word_unrank(bj, ell, n))

@@ -113,13 +113,31 @@ def mk_basis(system: GeneratorSystem, k: int, *, budget: int = DEFAULT_BUDGET) -
         mats = [np.array([[float(x) for x in row] for row in M]) for M in rat.matrices(d)]
         floats = span_basis([M.ravel() for M in mats], ambient=full)
     if floats.dim != rat.rank:
-        # trust the exact rank; rebuild the float basis from the rational rows
-        mats = [np.array([[float(x) for x in row] for row in M]) for M in rat.matrices(d)]
-        floats = span_basis([M.ravel() for M in mats], tol=1e-13, ambient=full)
+        # trust the exact rank: orthogonalise the rational rows over Q, then
+        # normalise in float, so every one of the rat.rank directions survives
+        floats = SubspaceBasis(ambient=full, dim=rat.rank,
+                               basis=_orthonormal_float([row for _, row in rat.rows]))
     basis = np.stack([floats.basis[:, j].reshape(d, d) for j in range(floats.dim)]) \
         if floats.dim else np.zeros((0, d, d))
     return MkBasis(k=k, dim=floats.dim, basis=basis,
                    rational=tuple(rat.rows) if system.exact else None)
+
+
+def _orthonormal_float(rows: list[list[Fraction]]) -> np.ndarray:
+    """Orthonormal columns spanning the independent rational `rows`: exact
+    Gram-Schmidt over Q, each result scaled exactly to max entry 1 before the
+    float normalisation."""
+    ortho: list[tuple[list[Fraction], Fraction]] = []  # (q, <q, q>)
+    cols = []
+    for v in rows:
+        for q, qq in ortho:
+            c = sum(vi * qi for vi, qi in zip(v, q)) / qq
+            v = [vi - c * qi for vi, qi in zip(v, q)]
+        ortho.append((v, sum(vi * vi for vi in v)))
+        top = max(abs(vi) for vi in v)
+        col = np.array([float(vi / top) for vi in v])
+        cols.append(col / np.linalg.norm(col))
+    return np.stack(cols, axis=1)
 
 
 @dataclass(frozen=True)

@@ -147,25 +147,38 @@ class _LevelData:
         return m + math.log(float(np.sum(np.exp(w - m))))
 
 
-def _bracket_from_logz(spec: PotentialSpec, n: int, log_zn: float,
-                       qm: QMInput | None) -> PressureBracket:
+def _bracket(spec: PotentialSpec, n: int, log_zn: float, qm: QMInput | None) -> PressureBracket:
+    """Bracket from log Z_n; the square-pressure bracket of `square_pressure` for `sv_s_squared`."""
+    square = spec.kind == "sv_s_squared"
+    if square and qm is not None:
+        qm = QMInput(k=qm.k, C=qm.C**2)
     upper = log_zn / n
-    if qm is not None:
-        lower = (log_zn + math.log(qm.C)) / (n + qm.k)
-        return PressureBracket(spec=spec, n=n, lower=lower, upper=upper,
-                               lower_valid=True, log_zn=log_zn, qm=qm)
-    return PressureBracket(spec=spec, n=n, lower=-math.inf, upper=upper,
-                           lower_valid=False, log_zn=log_zn, qm=None)
+    lower = -math.inf if qm is None else (log_zn + math.log(qm.C)) / (n + qm.k)
+    if square:
+        return PressureBracket(spec=spec, n=n, lower=-upper, upper=-lower, lower_valid=True,
+                               log_zn=log_zn, qm=qm, negated=True)
+    return PressureBracket(spec=spec, n=n, lower=lower, upper=upper,
+                           lower_valid=qm is not None, log_zn=log_zn, qm=qm)
+
+
+def pressure_brackets(system: GeneratorSystem, potential: str, n: int, s_values,
+                      qm_inputs, *, budget: int = DEFAULT_BUDGET) -> list[PressureBracket]:
+    """Brackets at every s of `s_values`, all from one enumeration of Lambda(n).
+
+    `qm_inputs[i]` is the QM input at `s_values[i]` (None: no lower constant).
+    """
+    specs = [PotentialSpec(potential, s) for s in s_values]
+    if potential != "norm_s" and system.dim != 2:
+        raise InputError(f"{potential} needs a 2x2 system")
+    data = _LevelData(system, n, budget=budget)
+    return [_bracket(spec, n, data.log_z(spec), qm) for spec, qm in zip(specs, qm_inputs)]
 
 
 def pressure_bracket(system: GeneratorSystem, spec: PotentialSpec, n: int,
                      qm_input: QMInput | None = None, *,
                      budget: int = DEFAULT_BUDGET) -> PressureBracket:
-    """Two-sided bracket for the subadditive pressure of the chosen potential."""
-    if spec.requires_d2() and system.dim != 2:
-        raise InputError(f"{spec.kind} needs a 2x2 system")
-    data = _LevelData(system, n, budget=budget)
-    return _bracket_from_logz(spec, n, data.log_z(spec), qm_input)
+    """Two-sided pressure bracket of one potential; `sv_s_squared` gives the square pressure."""
+    return pressure_brackets(system, spec.kind, n, [spec.s], [qm_input], budget=budget)[0]
 
 
 def square_pressure(system: GeneratorSystem, s: float, n: int,
@@ -177,18 +190,7 @@ def square_pressure(system: GeneratorSystem, s: float, n: int,
     The raw bracket ends are negated and swapped, so `lower` is always valid
     (it comes from plain submultiplicativity) and `upper` needs the constant.
     """
-    if system.dim != 2:
-        raise InputError("square pressure needs d = 2")
-    spec = PotentialSpec("sv_s_squared", s)
-    data = _LevelData(system, n, budget=budget)
-    log_q = data.log_z(spec)
-    qm2 = QMInput(k=qm_input.k, C=qm_input.C**2) if qm_input is not None else None
-    raw = _bracket_from_logz(spec, n, log_q, qm2)
-    if qm2 is not None:
-        return PressureBracket(spec=spec, n=n, lower=-raw.upper, upper=-raw.lower,
-                               lower_valid=True, log_zn=log_q, qm=qm2, negated=True)
-    return PressureBracket(spec=spec, n=n, lower=-raw.upper, upper=math.inf,
-                           lower_valid=True, log_zn=log_q, qm=None, negated=True)
+    return pressure_brackets(system, "sv_s_squared", n, [s], [qm_input], budget=budget)[0]
 
 
 @dataclass(frozen=True)

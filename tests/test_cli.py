@@ -43,6 +43,7 @@ D3_SPANNABLE_CONFIG = {
     "command": "spannability",
     "options": {"k_max": 1},
 }
+PRESSURE_CONFIG = dict(E3_CONFIG, command="pressure", options={"n": 6})
 E4_CONFIG = {
     "system": {"dimension": 2,
                "generators": [["0.4", "0", "0", "0.4"], ["0.4", "0", "0", "0.4"]],
@@ -128,6 +129,17 @@ class TestRunCommand:
         report, code = cli.run_command(cfg)
         assert code == cli.EXIT_INCONCLUSIVE
 
+    def test_pressure_grid_sweeps_once(self, monkeypatch):
+        calls = []
+        extend = kernels._extend_level
+        monkeypatch.setattr(kernels, "_extend_level",
+                            lambda *args: calls.append(1) or extend(*args))
+        cfg = cfg_from(dict(E3_CONFIG, command="pressure",
+                            options={"n": 7, "s_grid": [0.3, 0.8, 1.2, 1.7], "qm": None}))
+        report, code = cli.run_command(cfg)
+        assert code == cli.EXIT_OK and len(report["result"]["brackets"]) == 4
+        assert len(calls) == 7
+
     def test_budget_cap(self):
         cfg = cfg_from(dict(E3_CONFIG, options={"targets": {"all_ones": 4},
                                                 "n": 24, "k_qm": 1, "budget": 1000}))
@@ -197,6 +209,19 @@ class TestReproducibility:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{broken")
         assert cli.main(["--config", str(cfg_path)]) == cli.EXIT_INPUT_ERROR
+        assert cli.main(["--config", str(tmp_path / "missing.json")]) == cli.EXIT_INPUT_ERROR
+        cfg_path.write_text(json.dumps(E2_CONFIG))
+        assert cli.main(["--config", str(cfg_path), "--out",
+                         str(tmp_path / "no-dir" / "r.json")]) == cli.EXIT_INPUT_ERROR
+
+    def test_internal_error_exit_5(self, tmp_path, capsys, monkeypatch):
+        def failing_runner(cfg):
+            raise AssertionError("self-check failed")
+        monkeypatch.setitem(cli._RUNNERS, "spannability", failing_runner)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(E2_CONFIG))
+        assert cli.main(["--config", str(cfg_path)]) == cli.EXIT_INTERNAL
+        assert "internal error: AssertionError: self-check failed" in capsys.readouterr().err
 
     def test_usage_error_exit_3(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -209,9 +234,11 @@ class TestReproducibility:
     @pytest.mark.parametrize("key,value", [
         ("n", "abc"), ("seed", "x"), ("targets", [1, 2]), ("targets", "abc"),
         ("psi_table", [[4, "a"]]), ("psi_table", [5, 6]), ("psi_table", "abc"),
-        ("tail_start", "x")])
+        ("tail_start", "x"), ("qm", {"k": 1, "C": 1e9})])
     def test_bad_option_type_exit_3(self, tmp_path, capsys, key, value):
-        base = R0_CONFIG if key in ("psi_table", "tail_start") else E3_CONFIG
+        # a qm constant this large inverts the n = 6 pressure bracket
+        base = {"psi_table": R0_CONFIG, "tail_start": R0_CONFIG,
+                "qm": PRESSURE_CONFIG}.get(key, E3_CONFIG)
         cfg = dict(base, options=dict(base["options"], **{key: value}))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))

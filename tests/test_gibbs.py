@@ -1,6 +1,6 @@
 import numpy as np
 
-from cocyclespan import E1, E3, E5
+from cocyclespan import E1, E3, E5, kernels
 from cocyclespan.gibbs import cylinder_weights, kappa_floor, psi_mixing_stat
 from cocyclespan.linalg import singular_values
 
@@ -89,6 +89,14 @@ class TestPsiMixing:
         vals = [psi_mixing_stat(E3(), 1.0, 3, gap).psi_hat for gap in (2, 4, 6)]
         assert vals[0] >= vals[1] - 1e-9
         assert vals[1] >= vals[2] - 1e-9
+
+    def test_one_sweep_of_levels(self, monkeypatch):
+        calls = []
+        extend = kernels._extend_level
+        monkeypatch.setattr(kernels, "_extend_level",
+                            lambda *args: calls.append(1) or extend(*args))
+        psi_mixing_stat(E3(), 1.0, 3, 4)
+        assert len(calls) == 2 * 3 + 4
 
     def test_kappa_floor_positive(self):
         rep = psi_mixing_stat(E3(), 1.0, 2, 3)

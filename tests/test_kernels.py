@@ -1,10 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 
 from cocyclespan import E2, E3
-from cocyclespan.kernels import (_qm_scan_general, lipschitz_bnb, minimax_grid2,
-                                 products_level_numpy, qm_scan, sigma12_2x2, word_singvals)
+from cocyclespan.kernels import (_qm_scan_general, level_singvals, lipschitz_bnb,
+                                 minimax_grid2, products_level_numpy, qm_scan, sigma12_2x2,
+                                 word_singvals)
 from cocyclespan.spannability import TAU_SPAN, _angles_to_unit, _pair_quadratic, _stack_f
 from cocyclespan.wordspace import enumerate_words, product
 
@@ -21,6 +23,16 @@ class TestScaledProducts:
             assert np.abs(direct - reconstructed).max() <= 1e-12 * max(
                 1.0, np.abs(direct).max())
             assert np.array_equal(reconstructed, product(E3(), word).matrix)
+
+    @pytest.mark.parametrize("ell,d", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_level_sweep_matches_one_level_calls(self, ell, d):
+        gens = np.random.default_rng(10 * ell + d).standard_normal((ell, d, d))
+        levels = level_singvals(gens, 6)
+        assert len(levels) == 7
+        for m, (logs1, logs2) in enumerate(levels):
+            ref1, ref2 = word_singvals(gens, m)
+            assert np.array_equal(logs1, ref1)
+            assert (logs2 is None and ref2 is None) or np.array_equal(logs2, ref2)
 
     def test_sigma_closed_form(self):
         rng = np.random.default_rng(5)

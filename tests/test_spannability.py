@@ -121,6 +121,34 @@ class TestSpannableAt:
         assert "evaluations" in note
 
 
+def d3_rotated_triangular(rng):
+    """Four 2I + Gaussian 3x3 generators fixing e1, conjugated by an orthogonal Q.
+
+    Rounding breaks the shared line Q e1 by about 1e-16: over Q the rows of
+    M_2 have rank 9, while an SVD sees about 7.
+    """
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    mats = []
+    for _ in range(4):
+        M = 2.0 * np.eye(3) + rng.standard_normal((3, 3))
+        M[1:, 0] = 0.0
+        mats.append(Q @ M @ Q.T)
+    return GeneratorSystem(tuple(mats))
+
+
+class TestMkBasisExactRank:
+    def test_float_basis_keeps_the_rational_rank(self):
+        system = d3_rotated_triangular(np.random.default_rng(2024))
+        mk = mk_basis(system, 2)
+        assert mk.dim == len(mk.rational) == 9
+        B = mk.basis.reshape(mk.dim, -1)
+        assert np.abs(B @ B.T - np.eye(mk.dim)).max() <= 1e-12
+        for _, row in mk.rational:
+            v = np.array([float(x) for x in row])
+            assert np.linalg.norm(v - B.T @ (B @ v)) <= 1e-12 * np.linalg.norm(v)
+        assert spannable_at(system, 2).method != "rank_deficit"
+
+
 class TestSphereCertificate:
     def test_block_triangular_not_spannable(self):
         rng = np.random.default_rng(2024)

@@ -129,8 +129,9 @@ class TestPressure:
         for sys in (E3(), E5()):
             for spec in (PotentialSpec("norm_s", 1.0), PotentialSpec("sv_s", 0.7),
                          PotentialSpec("sv_s_squared", 0.7)):
-                up_n = pressure_bracket(sys, spec, 4).upper
-                up_2n = pressure_bracket(sys, spec, 8).upper
+                # the subadditive end (1/n) log Z_n; square brackets carry it negated
+                up_n, up_2n = (-br.lower if br.negated else br.upper
+                               for br in (pressure_bracket(sys, spec, m) for m in (4, 8)))
                 assert up_2n <= up_n + 1e-12
 
 
