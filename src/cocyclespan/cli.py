@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InputError, ResourceLimitError
-from .gibbs import cylinder_weights, kappa_floor, psi_mixing_stat
+from .gibbs import cylinder_weights, kappa_floor, mixing_levels, psi_mixing_stat
 from .hypotheses import check_hypotheses
 from .quasimult import empirical_qm
 from .spannability import INCONCLUSIVE, diagnose_failure, minimal_spannable_k
@@ -368,17 +368,18 @@ def _run_mixing(cfg: RunConfig):
     L = _opt(cfg.options, "L", int, 3)
     gap = _opt(cfg.options, "gap", int, 4)
     k = _opt(cfg.options, "connector_k", int, 1)
-    rep = psi_mixing_stat(cfg.system, s, L, gap, connector_k=k, budget=cfg.budget)
+    levels = mixing_levels(cfg.system, s, L, gap, k, budget=cfg.budget)
+    rep = psi_mixing_stat(cfg.system, s, L, gap, connector_k=k, budget=cfg.budget, levels=levels)
     out = _jsonable(rep)
     warnings = list(rep.warnings)
     code = EXIT_OK
     if cfg.system.dim == 2:
-        kf = kappa_floor(cfg.system, s, k, L, seed=cfg.seed, budget=cfg.budget)
+        kf = kappa_floor(cfg.system, s, k, L, seed=cfg.seed, budget=cfg.budget, levels=levels)
         out["kappa_certificate"] = _jsonable(kf)
         if not kf.certified:
             warnings.append("no kappa certificate: gamma lower bound is zero")
             code = EXIT_INCONCLUSIVE
-    weights = cylinder_weights(cfg.system, s, min(L, 4), budget=cfg.budget)
+    weights = cylinder_weights(cfg.system, s, min(L, 4), budget=cfg.budget, levels=levels)
     out["level_weights_sum"] = float(weights.probs.sum())
     return out, code, warnings
 

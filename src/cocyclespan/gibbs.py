@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .kernels import level_singvals, word_singvals
+from .kernels import level_singvals
 from .quasimult import QMConstant, qm_constant_phi
 from .systems import GeneratorSystem
 from .wordspace import (DEFAULT_BUDGET, Word, check_budget, enumerate_words, validate_word,
@@ -64,14 +64,13 @@ class CylinderWeights:
 
 
 def cylinder_weights(system: GeneratorSystem, s: float, n: int, *,
-                     budget: int = DEFAULT_BUDGET) -> CylinderWeights:
+                     budget: int = DEFAULT_BUDGET, levels: list | None = None) -> CylinderWeights:
     if n < 1:
         raise InputError("level n must be >= 1")
     if s < 0:
         raise InputError("s must be nonnegative")
-    check_budget(system.ell**n, budget)
-    w = s * word_singvals(system.stacked(), n)[0]
-    probs = np.exp(w - _lse(w))
+    w, log_z = (_levels(system, s, n, budget) if levels is None else levels)[n]
+    probs = np.exp(w - log_z)
     probs /= probs.sum()
     return CylinderWeights(s=s, n=n, ell=system.ell, probs=probs)
 
@@ -97,7 +96,7 @@ class KappaFloorReport:
 
 def kappa_floor(system: GeneratorSystem, s: float, k: int, L: int, *,
                 c_of_s: QMConstant | None = None, seed: int = 42,
-                budget: int = DEFAULT_BUDGET) -> KappaFloorReport:
+                budget: int = DEFAULT_BUDGET, levels: list | None = None) -> KappaFloorReport:
     if k < 1 or L < 1:
         raise InputError("need k >= 1 and L >= 1")
     if c_of_s is None:
@@ -105,7 +104,7 @@ def kappa_floor(system: GeneratorSystem, s: float, k: int, L: int, *,
             if system.dim == 2 else None
     if c_of_s is None:
         raise InputError("supply c_of_s for d > 2 systems")
-    lev = _levels(system, s, 2 * L + k, budget)
+    lev = _levels(system, s, 2 * L + k, budget) if levels is None else levels
     ell = system.ell
     best = math.inf
     witness = None
@@ -152,6 +151,19 @@ class MixingReport:
     warnings: tuple[str, ...] = ()
 
 
+def mixing_levels(system: GeneratorSystem, s: float, L: int, gap: int, connector_k: int = 1,
+                  *, budget: int = DEFAULT_BUDGET) -> list:
+    """The one sweep the mixing statistics read: `_levels` to depth 2L + max(gap, k).
+
+    Pass it as `levels` (same system and s): `psi_mixing_stat` reads all of it;
+    `kappa_floor` (depth 2L + k) and `cylinder_weights` (depth n <= 2L) read
+    prefixes of it.
+    """
+    if L < 1 or gap < 1:
+        raise InputError("need L >= 1 and gap >= 1")
+    return _levels(system, s, 2 * L + max(gap, connector_k), budget)
+
+
 def _psi_sup(lev: list, ell: int, L: int, gap: int, absolute: bool = True):
     sup = -math.inf
     worst = None
@@ -174,11 +186,9 @@ def _psi_sup(lev: list, ell: int, L: int, gap: int, absolute: bool = True):
 
 
 def psi_mixing_stat(system: GeneratorSystem, s: float, L: int, gap: int, *,
-                    connector_k: int = 1,
-                    budget: int = DEFAULT_BUDGET) -> MixingReport:
-    if L < 1 or gap < 1:
-        raise InputError("need L >= 1 and gap >= 1")
-    lev = _levels(system, s, 2 * L + max(gap, connector_k), budget)
+                    connector_k: int = 1, budget: int = DEFAULT_BUDGET,
+                    levels: list | None = None) -> MixingReport:
+    lev = mixing_levels(system, s, L, gap, connector_k, budget=budget) if levels is None else levels
     ell = system.ell
     psi, worst = _psi_sup(lev, ell, L, gap, absolute=True)
     neg_floor, _ = _psi_sup(lev, ell, L, connector_k, absolute=False)

@@ -16,6 +16,13 @@ the identity. `products_level_numpy` and `word_singvals` keep only the last
 level; `level_products` yields and `level_singvals` lists every level
 m = 0..n of one sweep, for callers that read several levels. Every level of a
 sweep is bitwise equal to the one-level call at that m.
+
+`_extend_level` is the closed form of the product, with no einsum and no BLAS:
+unit(A_j A_I)[a, c] = 0.0 + sum over b = 0..d-1 of A_j[a, b] * unit(A_I)[b, c],
+one product per term and in-place adds in that order, with no fused
+multiply-add, so the bits do not depend on a library's kernel choice. The
+words run in blocks of `_BLOCK`, transposed so that each product and add runs
+over a contiguous block.
 """
 from __future__ import annotations
 
@@ -27,6 +34,7 @@ _LN2 = math.log(2.0)
 BNB_MAX_EVALS = 2_000_000  # evaluation cap of `lipschitz_bnb`
 _BNB_CELLS = 64           # coarse grid cells per axis
 _BNB_BATCH = 4096         # open cells split per round; f sees at most 2^m times as many
+_BLOCK = 4096             # words per block of `_extend_level`
 
 
 def _rescale_batch(units: np.ndarray, exps: np.ndarray) -> None:
@@ -39,8 +47,28 @@ def _rescale_batch(units: np.ndarray, exps: np.ndarray) -> None:
 
 
 def _extend_level(gens: np.ndarray, units: np.ndarray, exps: np.ndarray):
+    """Unit parts and exponents of A_j A_I for every word I of `units` and generator j.
+
+    The closed form of the module docstring, into one preallocated (R, ell, d, d)
+    array: new[:, j, a, c] = 0.0 + sum over b = 0..d-1 of gens[j, a, b] * units[:, b, c].
+    """
     ell, d, _ = gens.shape
-    new_units = np.einsum("jab,rbc->rjac", gens, units).reshape(-1, d, d)
+    R = units.shape[0]
+    new = np.empty((R, ell * d, d))
+    g = gens.reshape(ell * d, d)[:, :, None, None]  # g[:, b] is column b of every generator
+    block = min(R, _BLOCK)
+    ut = np.empty((d, d, block))         # ut[b, c, r] = units[r, b, c] over a block of words
+    acc = np.empty((ell * d, d, block))  # acc[(j, a), c, r] = new[r, (j, a), c]
+    term = np.empty_like(acc)
+    for start in range(0, R, block):
+        m = min(block, R - start)
+        u, out, t = ut[..., :m], acc[..., :m], term[..., :m]
+        u[...] = units[start:start + m].transpose(1, 2, 0)
+        out[...] = 0.0
+        for b in range(d):
+            out += np.multiply(g[:, b], u[b], out=t)
+        new[start:start + m] = out.transpose(2, 0, 1)
+    new_units = new.reshape(-1, d, d)
     new_exps = np.repeat(exps, ell)
     _rescale_batch(new_units, new_exps)
     return new_units, new_exps
@@ -110,16 +138,17 @@ def level_singvals(gens: np.ndarray, n: int):
             for units, exps in level_products(np.ascontiguousarray(gens, dtype=float), n)]
 
 
-def qm_scan(units, logs, kunits, klogs_scale):
+def qm_scan(units, kunits, klogs_scale):
     """Worst pair ratio log min_{I,J} max_K |A_IKJ| / (|A_I| |A_J|) and witnesses.
 
-    `units`/`logs` are the scaled Lambda(n) products, `kunits`/`klogs_scale`
-    the scaled Lambda(k) products; d = 2 takes the vectorised closed form.
+    `units` are the unit parts of the Lambda(n) products (their scales cancel
+    in the ratio), `kunits`/`klogs_scale` the scaled Lambda(k) products; d = 2
+    takes the vectorised closed form.
     """
     units = np.ascontiguousarray(units)
     kunits = np.ascontiguousarray(kunits)
     if units.shape[-1] != 2:
-        return _qm_scan_general(units, logs, kunits, klogs_scale)
+        return _qm_scan_general(units, kunits, klogs_scale)
     log_su = np.log(sigma12_2x2(units)[0])  # unit-part norms; scales cancel
     N = units.shape[0]
     KI = np.einsum("mab,ibc->imac", kunits, units)  # (N, M, 2, 2)
@@ -139,7 +168,7 @@ def qm_scan(units, logs, kunits, klogs_scale):
     return best, bi, bj, bm
 
 
-def _qm_scan_general(units, logs, kunits, klogs):
+def _qm_scan_general(units, kunits, klogs):
     norms = opnorm_batch(units)
     best = np.inf
     bi = bj = bm = 0
@@ -161,9 +190,10 @@ def minimax_grid2(kmats: np.ndarray, G: int = 2000):
     kmats = np.ascontiguousarray(kmats, dtype=float)
     th = 2.0 * np.pi * np.arange(G) / G
     U = np.stack([np.cos(th), np.sin(th)])
-    acc = np.full((G, G), -np.inf)
-    for K in kmats:
-        acc = np.maximum(acc, np.abs(U.T @ (K @ U)))
+    acc = np.abs(U.T @ (kmats[0] @ U))
+    v = np.empty_like(acc)
+    for K in kmats[1:]:
+        np.maximum(acc, np.abs(np.matmul(U.T, K @ U, out=v), out=v), out=acc)
     iw, iu = np.unravel_index(np.argmin(acc), acc.shape)
     return float(acc[iw, iu]), int(iw), int(iu)
 

@@ -140,14 +140,6 @@ class SubspaceBasis:
             return np.zeros((self.ambient, self.ambient))
         return self.basis @ self.basis.T
 
-    def contains(self, v: np.ndarray, tol: float = 1e-8) -> bool:
-        v = np.asarray(v, dtype=float)
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            return True
-        r = v - self.projector() @ v
-        return np.linalg.norm(r) <= tol * nrm
-
 
 def span_basis(vectors, tol: float = RANK_TOL, ambient: int | None = None) -> SubspaceBasis:
     """Orthonormal basis of span(vectors); rank cut at tol * largest singular value."""

@@ -126,8 +126,7 @@ def empirical_qm(system: GeneratorSystem, k: int, n_max: int, *, seed: int = 42,
     empirical: dict[int, float] = {}
     witnesses: dict[int, tuple[Word, Word, Word]] = {}
     for n in range(1, n_max + 1):
-        units, exps = levels[n]
-        best, bi, bj, bm = qm_scan(units, exps * _LN2, kunits, klogs)
+        best, bi, bj, bm = qm_scan(levels[n][0], kunits, klogs)
         empirical[n] = math.exp(best)
         witnesses[n] = (word_unrank(bi, ell, n), word_unrank(bm, ell, k),
                         word_unrank(bj, ell, n))

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -86,9 +85,6 @@ class GeneratorSystem:
             if np.abs(G - scale * np.eye(self.dim)).max() > tol * max(scale, 1.0):
                 return False
         return True
-
-    def entry_fractions(self) -> list[list[list[Fraction]]]:
-        return [[[Fraction(float(x)) for x in row] for row in A] for A in self.generators]
 
 
 class _DerivedSystem(GeneratorSystem):

@@ -44,22 +44,30 @@ class PotentialSpec:
         return self.kind != "norm_s"
 
 
-def _log_phi(logs1: np.ndarray, logs2: np.ndarray | None, s: float) -> np.ndarray:
-    """log of the singular value function phi^s from per-word log singular values."""
+def _log_phi(logs1: np.ndarray, logs2: np.ndarray | None, s: float,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """log of the singular value function phi^s from per-word log singular values.
+
+    Written into `out` when given; `logs1` and `logs2` are only read.
+    """
     if s < 1.0:
-        return s * logs1
+        return np.multiply(logs1, s, out=out)
     if s < 2.0:
-        return logs1 + (s - 1.0) * logs2
-    return (s / 2.0) * (logs1 + logs2)
+        w = np.multiply(logs2, s - 1.0, out=out)
+        return np.add(logs1, w, out=w)
+    w = np.add(logs1, logs2, out=out)
+    return np.multiply(w, s / 2.0, out=w)
 
 
-def log_potential(logs1: np.ndarray, logs2: np.ndarray | None, spec: PotentialSpec) -> np.ndarray:
+def log_potential(logs1: np.ndarray, logs2: np.ndarray | None, spec: PotentialSpec,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Per-word log potential, written into `out` when given; the inputs are only read."""
     if spec.kind == "norm_s":
-        return spec.s * logs1
+        return np.multiply(logs1, spec.s, out=out)
     if logs2 is None:
         raise InputError("singular value potentials need d = 2 data")
-    base = _log_phi(logs1, logs2, spec.s)
-    return 2.0 * base if spec.kind == "sv_s_squared" else base
+    base = _log_phi(logs1, logs2, spec.s, out)
+    return np.multiply(base, 2.0, out=base) if spec.kind == "sv_s_squared" else base
 
 
 def _phi_piece(l1: float, l2: float, s: float, piece: str) -> float:
@@ -140,11 +148,14 @@ class _LevelData:
         check_budget(system.ell**n, budget)
         self.n = n
         self.logs1, self.logs2 = word_singvals(system.stacked(), n)
+        self._scratch = np.empty_like(self.logs1)
 
     def log_z(self, spec: PotentialSpec) -> float:
-        w = log_potential(self.logs1, self.logs2, spec)
+        """log Z_n = m + log sum exp(w - m), m = max w, reduced in one scratch buffer."""
+        w = log_potential(self.logs1, self.logs2, spec, out=self._scratch)
         m = float(np.max(w))
-        return m + math.log(float(np.sum(np.exp(w - m))))
+        w -= m
+        return m + math.log(float(np.sum(np.exp(w, out=w))))
 
 
 def _bracket(spec: PotentialSpec, n: int, log_zn: float, qm: QMInput | None) -> PressureBracket:

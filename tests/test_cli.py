@@ -140,6 +140,19 @@ class TestRunCommand:
         assert code == cli.EXIT_OK and len(report["result"]["brackets"]) == 4
         assert len(calls) == 7
 
+    def test_mixing_sweeps_once(self, monkeypatch):
+        calls = []
+        extend = kernels._extend_level
+        monkeypatch.setattr(kernels, "_extend_level",
+                            lambda *args: calls.append(1) or extend(*args))
+        cfg = cfg_from(dict(E3_CONFIG, command="mixing",
+                            options={"s": 1.0, "L": 6, "gap": 6, "connector_k": 1}))
+        report, code = cli.run_command(cfg)
+        assert code == cli.EXIT_OK and report["result"]["kappa_certificate"]["certified"]
+        # psi, kappa and the level weights read one sweep of 2L + gap = 18 levels;
+        # gamma and the connector determinant each build Lambda(1)
+        assert len(calls) == 18 + 2
+
     def test_budget_cap(self):
         cfg = cfg_from(dict(E3_CONFIG, options={"targets": {"all_ones": 4},
                                                 "n": 24, "k_qm": 1, "budget": 1000}))

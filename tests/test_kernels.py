@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cocyclespan import E2, E3
-from cocyclespan.kernels import (_qm_scan_general, level_singvals, lipschitz_bnb,
-                                 minimax_grid2, products_level_numpy, qm_scan, sigma12_2x2,
-                                 word_singvals)
+from cocyclespan.kernels import (_BLOCK, _extend_level, _qm_scan_general, _rescale_batch,
+                                 level_singvals, lipschitz_bnb, minimax_grid2,
+                                 products_level_numpy, qm_scan, sigma12_2x2, word_singvals)
 from cocyclespan.spannability import TAU_SPAN, _angles_to_unit, _pair_quadratic, _stack_f
 from cocyclespan.wordspace import enumerate_words, product
 
@@ -43,6 +43,39 @@ class TestScaledProducts:
         assert np.abs(s2 - sv[:, 1]).max() <= 1e-10
 
 
+class TestBitwiseOracles:
+    """The einsum-free kernels against the expressions they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4])
+    def test_extend_level_equals_einsum(self, d, ell):
+        rng = np.random.default_rng(100 * d + ell)
+        R = _BLOCK + 7  # one full block and a partial one
+        gens = rng.standard_normal((ell, d, d))
+        units = rng.standard_normal((R, d, d))
+        gens[rng.random(gens.shape) < 0.3] = 0.0  # signed zeros: -0.0 products
+        units[rng.random(units.shape) < 0.3] = -0.0
+        exps = rng.integers(-40, 40, R).astype(float)
+        ref = np.einsum("jab,rbc->rjac", gens, units).reshape(-1, d, d)
+        ref_exps = np.repeat(exps, ell)
+        _rescale_batch(ref, ref_exps)
+        new, new_exps = _extend_level(gens, units, exps.copy())
+        assert new.tobytes() == ref.tobytes()
+        assert new_exps.tobytes() == ref_exps.tobytes()
+
+    @pytest.mark.parametrize("ell", [1, 2, 4, 8])
+    def test_minimax_grid_equals_full_fold(self, ell):
+        K = np.random.default_rng(ell).standard_normal((ell, 2, 2))
+        G = 300
+        th = 2.0 * np.pi * np.arange(G) / G
+        U = np.stack([np.cos(th), np.sin(th)])
+        acc = np.full((G, G), -np.inf)
+        for A in K:
+            acc = np.maximum(acc, np.abs(U.T @ (A @ U)))
+        iw, iu = np.unravel_index(np.argmin(acc), acc.shape)
+        assert minimax_grid2(K, G) == (float(acc[iw, iu]), int(iw), int(iu))
+
+
 class TestBackendAgreement:
     """Each vectorised kernel against an independent reference implementation."""
 
@@ -70,11 +103,11 @@ class TestBackendAgreement:
         assert abs(ref[iw, iu] - ref.min()) <= 1e-12
 
     def test_qm_scan_cross_backend(self):
-        units, exps = products_level_numpy(E3().stacked(), 4)
+        units, _ = products_level_numpy(E3().stacked(), 4)
         ku, kexps = products_level_numpy(E3().stacked(), 1)
-        logs, kl = exps * math.log(2.0), kexps * math.log(2.0)
-        fast = qm_scan(units, logs, ku, kl)
-        general = _qm_scan_general(units, logs, ku, kl)
+        kl = kexps * math.log(2.0)
+        fast = qm_scan(units, ku, kl)
+        general = _qm_scan_general(units, ku, kl)
         assert abs(fast[0] - general[0]) <= 1e-10
         assert fast[1:] == general[1:]
 

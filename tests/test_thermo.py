@@ -237,3 +237,43 @@ class TestDimensionReports:
         r10 = s0_interval(E3(), targets, 10, 1)
         assert r8.interval[0] - 1e-12 <= r10.interval[0]
         assert r10.interval[1] <= r8.interval[1] + 1e-12
+
+
+def _out_of_place_log_potential(logs1, logs2, kind, s):
+    """The log potential as plain array expressions, each step a new array."""
+    if kind == "norm_s":
+        return s * logs1
+    if s < 1.0:
+        base = s * logs1
+    elif s < 2.0:
+        base = logs1 + (s - 1.0) * logs2
+    else:
+        base = (s / 2.0) * (logs1 + logs2)
+    return 2.0 * base if kind == "sv_s_squared" else base
+
+
+class TestLogZInPlace:
+    """`_LevelData.log_z` reduces in one scratch buffer; the bits must not move."""
+
+    S_VALUES = (0.0, 0.4, 1.0, 1.3, 1.9, 2.0, 2.7)  # both sides of 1 and 2
+
+    @pytest.mark.parametrize("system", [E3(), E4()], ids=["e3", "e4"])
+    def test_matches_out_of_place_formula(self, system):
+        from cocyclespan.thermo import KINDS, _LevelData
+        data = _LevelData(system, 9)
+        for kind in KINDS:
+            for s in self.S_VALUES:
+                w = _out_of_place_log_potential(data.logs1, data.logs2, kind, s)
+                m = float(np.max(w))
+                ref = m + math.log(float(np.sum(np.exp(w - m))))
+                assert data.log_z(PotentialSpec(kind, s)) == ref, (kind, s)
+
+    def test_cached_logs_are_never_written(self):
+        from cocyclespan.thermo import KINDS, _LevelData
+        data = _LevelData(E3(), 9)
+        logs1, logs2 = data.logs1.copy(), data.logs2.copy()
+        first = [data.log_z(PotentialSpec(kind, s)) for kind in KINDS for s in self.S_VALUES]
+        again = [data.log_z(PotentialSpec(kind, s)) for kind in KINDS for s in self.S_VALUES]
+        assert first == again
+        assert data.logs1.tobytes() == logs1.tobytes()
+        assert data.logs2.tobytes() == logs2.tobytes()
