@@ -229,7 +229,7 @@ def _qm_source(cfg: RunConfig):
         return lambda s, kind: None
     if mode == "auto":
         provider = QMInputProvider(cfg.system, _opt(cfg.options, "k_qm", int, 1),
-                                   seed=cfg.seed, budget=cfg.budget)
+                                   budget=cfg.budget)
         return provider.qm_input
     if isinstance(mode, dict):
         fixed = QMInput(k=_opt(mode, "k", int, where="options.qm"),
@@ -292,13 +292,14 @@ def _run_spannability(cfg: RunConfig):
 def _run_qm(cfg: RunConfig):
     k = _opt(cfg.options, "k", int, 1)
     n_max = _opt(cfg.options, "n_max", int, 4)
-    rep = empirical_qm(cfg.system, k, n_max, seed=cfg.seed, budget=cfg.budget)
+    rep = empirical_qm(cfg.system, k, n_max, budget=cfg.budget)
     out = _jsonable(rep)
     out["empirical_c"] = {str(n): v for n, v in rep.empirical_c.items()}
     out["witnesses"] = {
         str(n): [word_str(w, cfg.system.ell) for w in ws]
         for n, ws in rep.witnesses.items()}
-    warnings = [] if rep.gamma.certified else ["gamma bound is uncertified (d >= 3)"]
+    warnings = [] if rep.gamma.certified else [
+        "no gamma certificate for d >= 3: gamma is reported as 0"]
     return out, EXIT_OK, warnings
 
 
@@ -374,11 +375,16 @@ def _run_mixing(cfg: RunConfig):
     warnings = list(rep.warnings)
     code = EXIT_OK
     if cfg.system.dim == 2:
-        kf = kappa_floor(cfg.system, s, k, L, seed=cfg.seed, budget=cfg.budget, levels=levels)
+        kf = kappa_floor(cfg.system, s, k, L, budget=cfg.budget, levels=levels)
         out["kappa_certificate"] = _jsonable(kf)
         if not kf.certified:
             warnings.append("no kappa certificate: gamma lower bound is zero")
             code = EXIT_INCONCLUSIVE
+        elif s > 1.0:
+            # the floor sums the norm potential, for which only C = gamma^s is
+            # proven; for s > 1 it divides by the phi^s constant instead
+            warnings.append("s > 1: the kappa floor divides by the phi^s constant; "
+                            "only gamma^s is proven for the norm potential")
     weights = cylinder_weights(cfg.system, s, min(L, 4), budget=cfg.budget, levels=levels)
     out["level_weights_sum"] = float(weights.probs.sum())
     return out, code, warnings

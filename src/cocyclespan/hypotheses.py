@@ -21,8 +21,7 @@ from .errors import InputError
 from .kernels import dense_products
 from .linalg import (SubspaceBasis, invariance_residual, matrices_span_basis,
                      span_basis, wedge_power)
-from .rational2 import (ProjPoint, common_projective_root,
-                        common_projective_root_float, line_quadratic_exact)
+from .rational2 import common_root_line, line_quadratic_exact
 from .systems import GeneratorSystem, _DerivedSystem
 from .wordspace import DEFAULT_BUDGET, check_budget, product
 
@@ -122,17 +121,9 @@ def _witness_from_line(system: GeneratorSystem, u: np.ndarray, method: str) -> I
 
 def _verdict_d2(system: GeneratorSystem) -> IrreducibilityVerdict:
     quads = [line_quadratic_exact(A) for A in system.generators]
-    if system.exact:
-        root = common_projective_root(quads)
-        method = "d2_exact"
-    else:
-        root = common_projective_root_float(quads)
-        method = "d2_float"
-    if root is None:
+    u, method = common_root_line(quads, system.exact)
+    if u is None:
         return IrreducibilityVerdict(status=IRREDUCIBLE, method=method)
-    if isinstance(root, str):  # 'all': every line invariant (scalar family)
-        return _witness_from_line(system, np.array([1.0, 0.0]), method)
-    u = root.vector() if isinstance(root, ProjPoint) else np.asarray(root)
     return _witness_from_line(system, u, method)
 
 

@@ -142,22 +142,19 @@ def qm_scan(units, kunits, klogs_scale):
     """Worst pair ratio log min_{I,J} max_K |A_IKJ| / (|A_I| |A_J|) and witnesses.
 
     `units` are the unit parts of the Lambda(n) products (their scales cancel
-    in the ratio), `kunits`/`klogs_scale` the scaled Lambda(k) products; d = 2
-    takes the vectorised closed form.
+    in the ratio), `kunits`/`klogs_scale` the scaled Lambda(k) products. Every
+    pair (I, J) for one J is one vectorised step.
     """
     units = np.ascontiguousarray(units)
     kunits = np.ascontiguousarray(kunits)
-    if units.shape[-1] != 2:
-        return _qm_scan_general(units, kunits, klogs_scale)
-    log_su = np.log(sigma12_2x2(units)[0])  # unit-part norms; scales cancel
+    log_su = np.log(opnorm_batch(units))  # unit-part norms; scales cancel
     N = units.shape[0]
-    KI = np.einsum("mab,ibc->imac", kunits, units)  # (N, M, 2, 2)
+    KI = np.einsum("mab,ibc->imac", kunits, units)  # (N, M, d, d)
     best = np.inf
     bi = bj = bm = 0
     for j in range(N):
         W = np.einsum("ab,imbc->imac", units[j], KI)
-        s1 = sigma12_2x2(W)[0]
-        vals = klogs_scale[None, :] + np.log(s1)  # (N, M)
+        vals = klogs_scale[None, :] + np.log(opnorm_batch(W))  # (N, M)
         marg = np.argmax(vals, axis=1)
         inner = vals[np.arange(N), marg]
         ratio = inner - log_su - log_su[j]
@@ -165,23 +162,6 @@ def qm_scan(units, kunits, klogs_scale):
         if ratio[i] < best:
             best = float(ratio[i])
             bi, bj, bm = i, j, int(marg[i])
-    return best, bi, bj, bm
-
-
-def _qm_scan_general(units, kunits, klogs):
-    norms = opnorm_batch(units)
-    best = np.inf
-    bi = bj = bm = 0
-    N, M = units.shape[0], kunits.shape[0]
-    for i in range(N):
-        KI = np.einsum("mab,bc->mac", kunits, units[i])
-        for j in range(N):
-            W = np.einsum("ab,mbc->mac", units[j], KI)
-            vals = klogs + np.log(opnorm_batch(W))
-            m = int(np.argmax(vals))
-            ratio = float(vals[m] - math.log(norms[i]) - math.log(norms[j]))
-            if ratio < best:
-                best, bi, bj, bm = ratio, i, j, m
     return best, bi, bj, bm
 
 

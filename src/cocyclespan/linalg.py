@@ -87,7 +87,8 @@ class PrincipalPair:
     sigma: np.ndarray
 
 
-def _sign_fix(v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def canonical_sign(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """v or -v, so that the first coordinate above `tol` in size is positive."""
     for x in v:
         if abs(x) > tol:
             return v if x > 0 else -v
@@ -105,7 +106,7 @@ def principal_pair(A) -> PrincipalPair:
     _, s, Vt = np.linalg.svd(M)
     q = int(np.sum(s >= s[0] * (1.0 - _TIE_REL)))
     if q <= 1:
-        v1 = _sign_fix(Vt[0])
+        v1 = canonical_sign(Vt[0], 1e-9)
     else:
         top = Vt[:q].T  # columns span the top singular subspace
         v1 = None
@@ -113,11 +114,11 @@ def principal_pair(A) -> PrincipalPair:
             proj = top @ top.T[:, j]
             nrm = np.linalg.norm(proj)
             if nrm > 1e-9:
-                v1 = _sign_fix(proj / nrm)
+                v1 = canonical_sign(proj / nrm, 1e-9)
                 break
         assert v1 is not None
     img = M @ v1
-    v2 = _sign_fix(img / np.linalg.norm(img))
+    v2 = canonical_sign(img / np.linalg.norm(img), 1e-9)
     return PrincipalPair(v1=v1, v2=v2, sigma=s)
 
 

@@ -7,8 +7,9 @@ u = v_{A_I,2} and w = v_{A_J,1},
 
 so gamma = min over unit (u, w) of max over |K| = k of |w^T A_K u| is a true
 uniform lower bound for every connector ratio. For d = 2 the (u, w) torus is
-swept by a product grid with a Lipschitz certificate; d >= 3 falls back to
-seeded multistarts and is reported uncertified.
+swept by a product grid with a Lipschitz certificate. For d >= 3 there is no
+certificate yet, so gamma abstains: it is the trivial lower bound 0, reported
+uncertified, and no lower pressure constant is built from it.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ GRID_ANGLES = 2000  # angles per circle for the d = 2 certificate grid
 
 @dataclass(frozen=True)
 class GammaResult:
-    value: float          # certified lower bound (d = 2) or best found value
+    value: float          # certified lower bound (d = 2); 0.0, uncertified, for d >= 3
     certified: bool
     k: int
     raw_grid_min: float | None = None
@@ -37,62 +38,27 @@ class GammaResult:
         return self.value
 
 
-def gamma_minimax(system: GeneratorSystem, k: int, *, seed: int = 42,
+def gamma_minimax(system: GeneratorSystem, k: int, *,
                   budget: int = DEFAULT_BUDGET) -> GammaResult:
-    """min over unit (u, w) of max over |K| = k of |w^T A_K u|, with certificate."""
+    """min over unit (u, w) of max over |K| = k of |w^T A_K u|, with certificate.
+
+    d = 2 gets the certified grid bound; d >= 3 abstains with the trivial
+    lower bound 0, uncertified.
+    """
     if k < 1:
         raise InputError("connector length k must be >= 1")
     check_budget(system.ell**k, budget)
+    if system.dim != 2:
+        return GammaResult(value=0.0, certified=False, k=k)
     kmats = dense_products(system.stacked(), k)
-    d = system.dim
-    if d == 2:
-        raw, iw, iu = minimax_grid2(kmats, GRID_ANGLES)
-        lip = float(sum(opnorm_batch(kmats)))  # per-variable Lipschitz constant
-        h = 2.0 * np.pi / GRID_ANGLES
-        value = max(0.0, raw - lip * h)
-        tw, tu = 2.0 * np.pi * iw / GRID_ANGLES, 2.0 * np.pi * iu / GRID_ANGLES
-        arg = (np.array([math.cos(tw), math.sin(tw)]),
-               np.array([math.cos(tu), math.sin(tu)]))
-        return GammaResult(value=value, certified=True, k=k, raw_grid_min=raw, argmin=arg)
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    arg = None
-    for _ in range(128):
-        u = rng.standard_normal(d)
-        w = rng.standard_normal(d)
-        u /= np.linalg.norm(u)
-        w /= np.linalg.norm(w)
-        val, u, w = _descend_pair(kmats, u, w)
-        if val < best:
-            best, arg = val, (w, u)
-    return GammaResult(value=float(max(best, 0.0)), certified=False, k=k, argmin=arg)
-
-
-def _descend_pair(kmats: np.ndarray, u: np.ndarray, w: np.ndarray, iters: int = 100):
-    step = 0.2
-    def val_grad(u, w):
-        scores = np.einsum("a,mab,b->m", w, kmats, u)
-        m = int(np.argmax(np.abs(scores)))
-        s = math.copysign(1.0, scores[m])
-        return abs(scores[m]), s * (kmats[m].T @ w), s * (kmats[m] @ u)
-    f, gu, gw = val_grad(u, w)
-    for _ in range(iters):
-        cu = u - step * gu
-        cw = w - step * gw
-        nu, nw = np.linalg.norm(cu), np.linalg.norm(cw)
-        if nu == 0 or nw == 0:
-            break
-        cu /= nu
-        cw /= nw
-        fc, cgu, cgw = val_grad(cu, cw)
-        if fc < f:
-            u, w, f, gu, gw = cu, cw, fc, cgu, cgw
-            step *= 1.1
-        else:
-            step *= 0.5
-            if step < 1e-10:
-                break
-    return f, u, w
+    raw, iw, iu = minimax_grid2(kmats, GRID_ANGLES)
+    lip = float(sum(opnorm_batch(kmats)))  # per-variable Lipschitz constant
+    h = 2.0 * np.pi / GRID_ANGLES
+    value = max(0.0, raw - lip * h)
+    tw, tu = 2.0 * np.pi * iw / GRID_ANGLES, 2.0 * np.pi * iu / GRID_ANGLES
+    arg = (np.array([math.cos(tw), math.sin(tw)]),
+           np.array([math.cos(tu), math.sin(tu)]))
+    return GammaResult(value=value, certified=True, k=k, raw_grid_min=raw, argmin=arg)
 
 
 @dataclass(frozen=True)
@@ -107,7 +73,7 @@ class QMReport:
         return min(self.empirical_c.values())
 
 
-def empirical_qm(system: GeneratorSystem, k: int, n_max: int, *, seed: int = 42,
+def empirical_qm(system: GeneratorSystem, k: int, n_max: int, *,
                  budget: int = DEFAULT_BUDGET) -> QMReport:
     """Exact minimum over I, J in Lambda(n) of the best length-k connector ratio.
 
@@ -118,7 +84,7 @@ def empirical_qm(system: GeneratorSystem, k: int, n_max: int, *, seed: int = 42,
     if n_max < 1:
         raise InputError("n_max must be >= 1")
     ell = system.ell
-    gamma = gamma_minimax(system, k, seed=seed, budget=budget)
+    gamma = gamma_minimax(system, k, budget=budget)
     check_budget(float(ell) ** (2 * n_max) * ell**k, budget)
     levels = list(level_products(system.stacked(), max(k, n_max)))
     kunits, kexps = levels[k]
@@ -149,14 +115,14 @@ class QMConstant:
 
 
 def qm_constant_phi(system: GeneratorSystem, k: int, s: float, *,
-                    gamma: GammaResult | float | None = None, seed: int = 42,
+                    gamma: GammaResult | float | None = None,
                     budget: int = DEFAULT_BUDGET) -> QMConstant:
     if system.dim != 2:
         raise InputError("the singular value constant is defined for d = 2")
     if not 0.0 <= s <= 2.0:
         raise InputError("s must lie in [0, 2]")
     if gamma is None:
-        gamma = gamma_minimax(system, k, seed=seed, budget=budget)
+        gamma = gamma_minimax(system, k, budget=budget)
     g = float(gamma)
     min_det = connector_min_det(system, k, budget=budget)
     if g <= 0.0:

@@ -18,6 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .linalg import canonical_sign
+
 Quad = tuple[Fraction, Fraction, Fraction]  # coefficients of x^2, xy, y^2
 
 FLOAT_ROOT_TOL = 1e-9
@@ -65,11 +67,7 @@ class ProjPoint:
             disc = B * B - 4 * A * C
             t = (-float(B) + math.sqrt(float(disc))) / (2.0 * float(A))
             v = np.array([t, 1.0])
-        v = v / np.linalg.norm(v)
-        for x in v:
-            if abs(x) > 1e-12:
-                return v if x > 0 else -v
-        return v
+        return canonical_sign(v / np.linalg.norm(v))
 
 
 def projective_roots(q: Quad) -> list[ProjPoint]:
@@ -157,8 +155,22 @@ def common_projective_root_float(quads: list[Quad], tol: float = FLOAT_ROOT_TOL)
                 ok = False
                 break
         if ok:
-            for x in u:
-                if abs(x) > 1e-12:
-                    return u if x > 0 else -u
-            return u
+            return canonical_sign(u)
     return None
+
+
+def common_root_line(quads: list[Quad], exact: bool) -> tuple[np.ndarray | None, str]:
+    """(unit vector of a common real root line of `quads` or None, method name).
+
+    Exact arithmetic when `exact`, else the float twin. When every quadratic
+    vanishes, every line is a root and e1 stands for them.
+    """
+    if exact:
+        root, method = common_projective_root(quads), "d2_exact"
+    else:
+        root, method = common_projective_root_float(quads), "d2_float"
+    if root is None:
+        return None, method
+    if isinstance(root, str):
+        return np.array([1.0, 0.0]), method
+    return (root.vector() if isinstance(root, ProjPoint) else root), method

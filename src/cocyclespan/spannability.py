@@ -15,9 +15,9 @@ import numpy as np
 from . import kernels
 from .errors import ContractViolation, InputError
 from .kernels import dense_products, lipschitz_bnb
-from .linalg import (SubspaceBasis, operator_norm, span_basis, subspace_distance,
-                     wedge_index_sets, wedge_power)
-from .rational2 import ProjPoint, common_projective_root, common_projective_root_float
+from .linalg import (SubspaceBasis, canonical_sign, operator_norm, span_basis,
+                     subspace_distance, wedge_index_sets, wedge_power)
+from .rational2 import common_root_line
 from .systems import GeneratorSystem
 from .wordspace import DEFAULT_BUDGET, check_budget
 
@@ -235,7 +235,7 @@ def _numeric_certificate(system: GeneratorSystem, mk: MkBasis, *, seed: int = 42
             k=mk.k, status=SPANNABLE, margin=float(cert), exact=False,
             method="bnb_certified", margin_certified=True, notes=tuple(notes))
     if f_star <= TAU_SPAN:
-        u_star = _canonical_sign(u_star)
+        u_star = canonical_sign(u_star)
         return SpannabilityCertificate(
             k=mk.k, status=NOT_SPANNABLE, margin=0.0, exact=False,
             method="numeric_minimizer", witness=u_star, witness_residual=float(f_star),
@@ -272,17 +272,10 @@ def _project_descend(B: np.ndarray, u: np.ndarray, iters: int = 120) -> tuple[fl
     return f, u
 
 
-def _canonical_sign(u: np.ndarray) -> np.ndarray:
-    for x in u:
-        if abs(x) > 1e-12:
-            return u if x > 0 else -u
-    return u
-
-
 def _exact_certificate(system: GeneratorSystem, mk: MkBasis) -> SpannabilityCertificate:
     d = system.dim
     if mk.dim < d:
-        w = _canonical_sign(np.eye(d)[:, 0])
+        w = np.eye(d)[:, 0]
         return SpannabilityCertificate(
             k=mk.k, status=NOT_SPANNABLE, margin=0.0, exact=True, method="d2_exact",
             witness=w, witness_residual=_witness_residual(mk, w),
@@ -294,20 +287,8 @@ def _exact_certificate(system: GeneratorSystem, mk: MkBasis) -> SpannabilityCert
         mats = [mk.basis[j] for j in range(mk.dim)]
     quads = [_pair_quadratic(mats[i], mats[j])
              for i in range(len(mats)) for j in range(i + 1, len(mats))]
-    if system.exact and mk.rational is not None:
-        root = common_projective_root(quads)
-        method = "d2_exact"
-    else:
-        root = common_projective_root_float(quads)
-        method = "d2_float"
-    if root is not None:
-        if isinstance(root, str):
-            u = np.eye(d)[:, 0]
-        elif isinstance(root, ProjPoint):
-            u = root.vector()
-        else:
-            u = np.asarray(root)
-        u = _canonical_sign(u)
+    u, method = common_root_line(quads, system.exact and mk.rational is not None)
+    if u is not None:
         return SpannabilityCertificate(
             k=mk.k, status=NOT_SPANNABLE, margin=0.0, exact=True, method=method,
             witness=u, witness_residual=_witness_residual(mk, u))
@@ -385,7 +366,7 @@ def spannable_at(system: GeneratorSystem, k: int, *, method: str = "auto",
     if method in ("auto", "exact") and d == 2:
         return _exact_certificate(system, mk)
     if mk.dim < d:
-        w = _canonical_sign(np.eye(d)[:, 0])
+        w = np.eye(d)[:, 0]
         return SpannabilityCertificate(
             k=k, status=NOT_SPANNABLE, margin=0.0, exact=False, method="rank_deficit",
             witness=w, witness_residual=_witness_residual(mk, w),

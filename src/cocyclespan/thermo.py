@@ -140,7 +140,11 @@ class PressureBracket:
 
 
 class _LevelData:
-    """Cached per-word log singular values at one level, reusable across s."""
+    """Cached per-word log singular values at one level, reusable across s.
+
+    `log_z` is memoised per potential: the two bisections of a root search
+    share their end points and first midpoints.
+    """
 
     def __init__(self, system: GeneratorSystem, n: int, *, budget: int = DEFAULT_BUDGET):
         if n < 1:
@@ -149,13 +153,16 @@ class _LevelData:
         self.n = n
         self.logs1, self.logs2 = word_singvals(system.stacked(), n)
         self._scratch = np.empty_like(self.logs1)
+        self._log_z: dict[PotentialSpec, float] = {}
 
     def log_z(self, spec: PotentialSpec) -> float:
         """log Z_n = m + log sum exp(w - m), m = max w, reduced in one scratch buffer."""
-        w = log_potential(self.logs1, self.logs2, spec, out=self._scratch)
-        m = float(np.max(w))
-        w -= m
-        return m + math.log(float(np.sum(np.exp(w, out=w))))
+        if spec not in self._log_z:
+            w = log_potential(self.logs1, self.logs2, spec, out=self._scratch)
+            m = float(np.max(w))
+            w -= m
+            self._log_z[spec] = m + math.log(float(np.sum(np.exp(w, out=w))))
+        return self._log_z[spec]
 
 
 def _bracket(spec: PotentialSpec, n: int, log_zn: float, qm: QMInput | None) -> PressureBracket:
@@ -340,14 +347,13 @@ class QMInputProvider:
     potential uses gamma^s at every s.
     """
 
-    def __init__(self, system: GeneratorSystem, k_qm: int, seed: int = 42,
-                 budget: int = DEFAULT_BUDGET):
+    def __init__(self, system: GeneratorSystem, k_qm: int, budget: int = DEFAULT_BUDGET):
         self.conformal = system.is_conformal()
         self.k = 0 if self.conformal else k_qm
         self.gamma: GammaResult | None = None
         self.min_det = None
         if not self.conformal:
-            self.gamma = gamma_minimax(system, k_qm, seed=seed, budget=budget)
+            self.gamma = gamma_minimax(system, k_qm, budget=budget)
             if system.dim == 2:
                 self.min_det = connector_min_det(system, k_qm, budget=budget)
 
@@ -399,7 +405,7 @@ def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, upper
     """
     hyp = check_hypotheses(system, "corollary_4_3", seed=seed, budget=budget)
     data = _LevelData(system, n, budget=budget)
-    prov = QMInputProvider(system, k_qm, seed=seed, budget=budget)
+    prov = QMInputProvider(system, k_qm, budget=budget)
 
     def g_lo(s: float) -> float:
         qm = prov.qm_input(s)

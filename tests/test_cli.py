@@ -44,6 +44,10 @@ D3_SPANNABLE_CONFIG = {
     "options": {"k_max": 1},
 }
 PRESSURE_CONFIG = dict(E3_CONFIG, command="pressure", options={"n": 6})
+# two 0.5 * Gaussian 3x3 generators; at k = 2 the true gamma is about 1e-16
+D3_GAUSSIAN_SYSTEM = {"dimension": 3, "generators": [
+    [repr(float(x)) for x in A.ravel()]
+    for A in 0.5 * np.random.default_rng(5).standard_normal((2, 3, 3))]}
 E4_CONFIG = {
     "system": {"dimension": 2,
                "generators": [["0.4", "0", "0", "0.4"], ["0.4", "0", "0", "0.4"]],
@@ -128,6 +132,30 @@ class TestRunCommand:
                             options={"s": 1.0, "L": 2, "gap": 2}))
         report, code = cli.run_command(cfg)
         assert code == cli.EXIT_INCONCLUSIVE
+
+    def test_d3_pressure_has_no_lower_end(self):
+        cfg = cfg_from({"system": D3_GAUSSIAN_SYSTEM, "command": "pressure", "options": {
+            "potential": "norm_s", "qm": "auto", "k_qm": 2, "n": 8}})
+        report, code = cli.run_command(cfg)
+        assert code == cli.EXIT_OK
+        assert report["result"]["brackets"][0]["lower_valid"] is False
+        assert report["warnings"] == ["s=1.0: no positive QM constant, upper bound only"]
+
+    def test_d3_qm_gamma_abstains(self):
+        cfg = cfg_from({"system": D3_GAUSSIAN_SYSTEM, "command": "qm",
+                        "options": {"k": 2, "n_max": 2}})
+        report, code = cli.run_command(cfg)
+        assert code == cli.EXIT_OK
+        assert report["result"]["gamma"]["value"] == 0.0
+        assert report["warnings"] == ["no gamma certificate for d >= 3: gamma is reported as 0"]
+
+    @pytest.mark.parametrize("s", [1.0, 1.2])
+    def test_mixing_kappa_warning_above_s_one(self, s):
+        cfg = cfg_from(dict(E3_CONFIG, command="mixing", options={"s": s, "L": 3, "gap": 3}))
+        report, code = cli.run_command(cfg)
+        assert code == cli.EXIT_OK and report["result"]["kappa_certificate"]["certified"]
+        flagged = any(w.startswith("s > 1: the kappa floor") for w in report["warnings"])
+        assert flagged == (s > 1.0)
 
     def test_pressure_grid_sweeps_once(self, monkeypatch):
         calls = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cocyclespan import E2, E3
-from cocyclespan.kernels import (_BLOCK, _extend_level, _qm_scan_general, _rescale_batch,
+from cocyclespan.kernels import (_BLOCK, _extend_level, _rescale_batch,
                                  level_singvals, lipschitz_bnb, minimax_grid2,
                                  products_level_numpy, qm_scan, sigma12_2x2, word_singvals)
 from cocyclespan.spannability import TAU_SPAN, _angles_to_unit, _pair_quadratic, _stack_f
@@ -103,13 +103,32 @@ class TestBackendAgreement:
         assert abs(ref[iw, iu] - ref.min()) <= 1e-12
 
     def test_qm_scan_cross_backend(self):
-        units, _ = products_level_numpy(E3().stacked(), 4)
-        ku, kexps = products_level_numpy(E3().stacked(), 1)
-        kl = kexps * math.log(2.0)
-        fast = qm_scan(units, ku, kl)
-        general = _qm_scan_general(units, ku, kl)
-        assert abs(fast[0] - general[0]) <= 1e-10
-        assert fast[1:] == general[1:]
+        gens3 = 0.5 * np.random.default_rng(5).standard_normal((2, 3, 3))
+        for gens, n, k in ((E3().stacked(), 4, 1), (gens3, 3, 2)):
+            units, _ = products_level_numpy(gens, n)
+            ku, kexps = products_level_numpy(gens, k)
+            kl = kexps * math.log(2.0)
+            ref = _qm_scan_reference(units, ku, kl)
+            worst = ref.max(axis=2).min()
+            best, i, j, m = qm_scan(units, ku, kl)
+            assert abs(best - worst) <= 1e-10
+            # the witness pair attains the minimum, through its best connector
+            assert abs(ref[i, j].max() - worst) <= 1e-10
+            assert abs(ref[i, j, m] - ref[i, j].max()) <= 1e-10
+
+
+def _qm_scan_reference(units, kunits, klogs):
+    """ratio[i, j, m] = log |U_j K_m U_i| + klogs[m] - log |U_i| - log |U_j|, pair by pair."""
+    N, M = units.shape[0], kunits.shape[0]
+    norm = [np.linalg.norm(U, 2) for U in units]
+    ratio = np.empty((N, N, M))
+    for i in range(N):
+        for j in range(N):
+            for m in range(M):
+                W = units[j] @ kunits[m] @ units[i]
+                ratio[i, j, m] = (klogs[m] + math.log(np.linalg.norm(W, 2))
+                                  - math.log(norm[i]) - math.log(norm[j]))
+    return ratio
 
 
 def _skew(w):

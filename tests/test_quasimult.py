@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from cocyclespan import E1, E2, E3, E5
+from cocyclespan import E1, E2, E3, E5, GeneratorSystem
 from cocyclespan.quasimult import empirical_qm, gamma_minimax, qm_constant_phi
 from cocyclespan.spannability import spannable_at
 from cocyclespan.thermo import PotentialSpec, potential_value
@@ -35,6 +35,11 @@ class TestGammaMinimax:
         g = gamma_minimax(E3(), 1)
         assert abs(g.raw_grid_min - E3_K1_RAW_GRID) <= 1e-12
         assert abs(g.value - E3_K1_CERTIFIED) <= 1e-12
+
+    def test_d3_abstains(self):
+        gens = 0.5 * np.random.default_rng(5).standard_normal((2, 3, 3))
+        g = gamma_minimax(GeneratorSystem(list(gens)), 2)
+        assert g.value == 0.0 and not g.certified and g.argmin is None
 
     def test_spannable_implies_positive_gamma(self):
         for sys in (E2(), E3()):

@@ -277,3 +277,17 @@ class TestLogZInPlace:
         assert first == again
         assert data.logs1.tobytes() == logs1.tobytes()
         assert data.logs2.tobytes() == logs2.tobytes()
+
+    def test_potential_pass_memoised_per_spec(self, monkeypatch):
+        # the upper and lower bisections share s = 0, s = 4 and their first
+        # midpoints; each distinct potential costs one pass over Lambda(n)
+        from cocyclespan import thermo
+        passes = []
+        orig = thermo.log_potential
+        monkeypatch.setattr(thermo, "log_potential",
+                            lambda *a, **kw: passes.append(a[2]) or orig(*a, **kw))
+        affinity_dimension(E3(), 12, 1)
+        assert len(passes) == len(set(passes)) == 43  # 48 unmemoised
+        passes.clear()
+        r0_interval(E3(), 0.3, 12, 1)
+        assert len(passes) == len(set(passes)) == 80  # 96 unmemoised
