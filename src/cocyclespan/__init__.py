@@ -15,8 +15,8 @@ from .hypotheses import (HypothesisReport, IrreducibilityVerdict,
                          irreducibility_verdict, orbit_span, power_system,
                          wedge_system)
 from .spannability import (FailureDiagnosis, MkBasis, SpannabilityCertificate,
-                           diagnose_failure, minimal_spannable_k, mk_basis,
-                           spannable_at)
+                           diagnose_failure, minimal_spannable_k, mk_bases,
+                           mk_basis, spannable_at)
 from .quasimult import (GammaResult, QMConstant, QMReport, empirical_qm,
                         gamma_minimax, qm_constant_phi)
 from .thermo import (BetaEstimate, DimensionReport, PotentialSpec,

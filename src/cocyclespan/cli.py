@@ -59,7 +59,6 @@ class RunConfig:
     translation_strings: list[list[str]] | None
     seed: int = 42
     budget: int = DEFAULT_BUDGET
-    out: str | None = None
     csv_dir: str | None = None
 
     def echo(self) -> dict:
@@ -145,13 +144,9 @@ def parse_config(text: str) -> RunConfig:
             except (TypeError, ValueError) as exc:
                 raise InputError(f"system.translations[{i}]: bad entry") from exc
             tr_strings.append([str(x) for x in vec])
-    try:
-        system = GeneratorSystem(tuple(mats),
-                                 translations=None if translations is None
-                                 else tuple(translations),
-                                 exact=all_exact)
-    except InputError:
-        raise
+    system = GeneratorSystem(tuple(mats),
+                             translations=None if translations is None else tuple(translations),
+                             exact=all_exact)
     command = raw.get("command")
     if command is not None and command not in COMMANDS:
         raise InputError(f"unknown command {command!r}; choose from {COMMANDS}")
@@ -280,7 +275,7 @@ def _run_spannability(cfg: RunConfig):
             warnings.append(f"inconclusive at k in {list(search.inconclusive_ks)}")
             code = EXIT_INCONCLUSIVE
         else:
-            diag = diagnose_failure(cfg.system, k_max, seed=cfg.seed, budget=cfg.budget)
+            diag = diagnose_failure(cfg.system, search, seed=cfg.seed, budget=cfg.budget)
             result["diagnosis"] = _jsonable(diag)
     # an Inconclusive certificate's notes say how it was computed and why it is
     # Inconclusive, a fired evaluation cap included

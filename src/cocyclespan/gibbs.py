@@ -95,14 +95,10 @@ class KappaFloorReport:
 
 
 def kappa_floor(system: GeneratorSystem, s: float, k: int, L: int, *,
-                c_of_s: QMConstant | None = None,
                 budget: int = DEFAULT_BUDGET, levels: list | None = None) -> KappaFloorReport:
     if k < 1 or L < 1:
         raise InputError("need k >= 1 and L >= 1")
-    if c_of_s is None:
-        if system.dim != 2:
-            raise InputError("supply c_of_s for d > 2 systems")
-        c_of_s = qm_constant_phi(system, k, s, budget=budget)
+    c_of_s = qm_constant_phi(system, k, s, budget=budget)
     lev = _levels(system, s, 2 * L + k, budget) if levels is None else levels
     ell = system.ell
     best = math.inf

@@ -201,67 +201,59 @@ def _divisors(d: int) -> list[int]:
     return [t for t in range(1, d + 1) if d % t == 0]
 
 
+def _verdict_checks(cocycles: list[tuple[str, GeneratorSystem]], seed: int) -> list[SubCheck]:
+    """One irreducibility check per (label, cocycle); a cocycle listed twice is decided once."""
+    verdicts: dict[int, IrreducibilityVerdict] = {}
+    checks = []
+    for label, sub in cocycles:
+        if id(sub) not in verdicts:
+            verdicts[id(sub)] = irreducibility_verdict(sub, seed=seed)
+        v = verdicts[id(sub)]
+        checks.append(SubCheck(label=label, verdict=v, passed=not v.reducible))
+    return checks
+
+
 def check_hypotheses(system: GeneratorSystem, mode: str, *, seed: int = 42,
                      budget: int = DEFAULT_BUDGET) -> HypothesisReport:
     """Hypothesis checkers for the spannability theorem and the dimension corollaries.
 
     theorem_1_1: the power cocycle for every divisor t of d and every wedge
     cocycle (m = 1..d-1) must be irreducible. corollary_4_3: d = 2, the tuple
-    and its square irreducible, every generator norm < 1/2.
+    and its square irreducible, every generator norm < 1/2. The first failed
+    check names the failure; otherwise any Inconclusive verdict makes the
+    report Inconclusive.
     """
+    warnings = []
     if mode == "theorem_1_1":
-        checks = []
-        witness = None
-        failed_at = None
-        for t in _divisors(system.dim):
-            sub = power_system(system, t, budget=budget)
-            v = irreducibility_verdict(sub, seed=seed)
-            checks.append(SubCheck(label=f"power t={t}", verdict=v, passed=not v.reducible))
-            if v.reducible and failed_at is None:
-                failed_at, witness = f"power t={t}", v.witness
-        for m in range(1, system.dim):
-            sub = wedge_system(system, m)
-            v = irreducibility_verdict(sub, seed=seed)
-            checks.append(SubCheck(label=f"wedge m={m}", verdict=v, passed=not v.reducible))
-            if v.reducible and failed_at is None:
-                failed_at, witness = f"wedge m={m}", v.witness
-        if failed_at is not None:
-            overall = "Fail"
-        elif any(c.verdict.status == INCONCLUSIVE for c in checks):
-            overall = "Inconclusive"
-        else:
-            overall = "Pass"
-        return HypothesisReport(mode=mode, overall=overall, checks=tuple(checks),
-                                witness=witness, failed_at=failed_at)
-
-    if mode == "corollary_4_3":
+        powers = {t: power_system(system, t, budget=budget) for t in _divisors(system.dim)}
+        # wedge m=1 is the cocycle itself, the same cocycle as power t=1
+        cocycles = [(f"power t={t}", sub) for t, sub in powers.items()]
+        cocycles += [(f"wedge m={m}", powers[1] if m == 1 else wedge_system(system, m))
+                     for m in range(1, system.dim)]
+        checks = _verdict_checks(cocycles, seed)
+    elif mode == "corollary_4_3":
         if system.dim != 2:
             raise InputError("corollary_4_3 mode needs d = 2")
-        warnings = []
         if system.translations is None:
             warnings.append("translations absent: the dimension statement concerns "
                             "Lebesgue-a.e. translation vectors, matrix hypotheses only")
-        checks = []
-        witness = None
-        failed_at = None
-        for label, sub in (("cocycle", system), ("square", power_system(system, 2, budget=budget))):
-            v = irreducibility_verdict(sub, seed=seed)
-            checks.append(SubCheck(label=f"irreducible {label}", verdict=v, passed=not v.reducible))
-            if v.reducible and failed_at is None:
-                failed_at, witness = f"irreducible {label}", v.witness
+        checks = _verdict_checks([("irreducible cocycle", system),
+                                  ("irreducible square", power_system(system, 2, budget=budget))],
+                                 seed)
         norms = system.norms()
-        ok = all(nv < 0.5 for nv in norms)
-        checks.append(SubCheck(label="norms < 1/2", passed=ok,
+        checks.append(SubCheck(label="norms < 1/2", passed=all(nv < 0.5 for nv in norms),
                                detail=", ".join(f"{nv:.6g}" for nv in norms)))
-        if not ok and failed_at is None:
-            failed_at = "norms < 1/2"
-        if failed_at is not None:
-            overall = "Fail"
-        elif any(c.verdict is not None and c.verdict.status == INCONCLUSIVE for c in checks):
-            overall = "Inconclusive"
-        else:
-            overall = "Pass"
-        return HypothesisReport(mode=mode, overall=overall, checks=tuple(checks),
-                                warnings=tuple(warnings), witness=witness, failed_at=failed_at)
+    else:
+        raise InputError(f"unknown hypothesis mode {mode!r}")
 
-    raise InputError(f"unknown hypothesis mode {mode!r}")
+    failed = next((c for c in checks if not c.passed), None)
+    if failed is not None:
+        overall = "Fail"
+    elif any(c.verdict is not None and c.verdict.status == INCONCLUSIVE for c in checks):
+        overall = "Inconclusive"
+    else:
+        overall = "Pass"
+    return HypothesisReport(mode=mode, overall=overall, checks=tuple(checks),
+                            warnings=tuple(warnings),
+                            witness=failed.verdict.witness if failed and failed.verdict else None,
+                            failed_at=failed.label if failed else None)

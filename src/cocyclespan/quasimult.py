@@ -115,15 +115,12 @@ class QMConstant:
 
 
 def qm_constant_phi(system: GeneratorSystem, k: int, s: float, *,
-                    gamma: GammaResult | float | None = None,
                     budget: int = DEFAULT_BUDGET) -> QMConstant:
     if system.dim != 2:
         raise InputError("the singular value constant is defined for d = 2")
     if not 0.0 <= s <= 2.0:
         raise InputError("s must lie in [0, 2]")
-    if gamma is None:
-        gamma = gamma_minimax(system, k, budget=budget)
-    g = float(gamma)
+    g = float(gamma_minimax(system, k, budget=budget))
     min_det = connector_min_det(system, k, budget=budget)
     if g <= 0.0:
         return QMConstant(s=s, value=0.0, gamma=g, min_det=min_det, has_bound=False)

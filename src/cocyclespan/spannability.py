@@ -7,8 +7,10 @@ d^2 basis elements and turns "for all u" into a minimax over one sphere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -42,8 +44,7 @@ def _fr(x) -> Fraction:
 class _RationalSpan:
     """Echelon basis over Q for membership tests and exact M_k bases."""
 
-    def __init__(self, length: int):
-        self.length = length
+    def __init__(self):
         self.rows: list[tuple[int, list[Fraction]]] = []  # (pivot, row) sorted by pivot
 
     def _reduce(self, v: list[Fraction]) -> list[Fraction]:
@@ -79,48 +80,64 @@ class MkBasis:
     k: int
     dim: int
     basis: np.ndarray  # (dim, d, d)
-    rational: tuple | None = None  # echelon rows over Q, same span
+    rational: tuple | None = None  # the echelon basis over Q as d x d matrices, same span
 
     @property
     def d(self) -> int:
         return self.basis.shape[1]
 
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The basis matrices, each scaled to operator norm 1."""
+        return np.stack([M / operator_norm(M) for M in self.basis])
 
-def mk_basis(system: GeneratorSystem, k: int, *, budget: int = DEFAULT_BUDGET) -> MkBasis:
-    """Incremental M_k: M_1 = span generators, M_{j+1} = span{A_i B}; exits at dim d^2."""
-    if k < 1:
-        raise InputError("k must be >= 1")
-    check_budget(system.ell * system.dim**2 * k, budget)
+
+def mk_bases(system: GeneratorSystem, k_max: int, *,
+             budget: int = DEFAULT_BUDGET) -> Iterator[MkBasis]:
+    """M_1..M_{k_max} from one pass: M_1 = span generators, M_{j+1} = span{A_i B : B in M_j}.
+
+    Each level extends the rational echelon rows of the last and is checked
+    against the budget before it is built; once M_j is the whole matrix space
+    the later levels repeat it.
+    """
     d = system.dim
     full = d * d
-
-    rat = _RationalSpan(full)
-    for A in system.generators:
-        rat.add(A.ravel())
-    floats = span_basis([A.ravel() for A in system.generators], ambient=full)
-    for _ in range(k - 1):
-        if rat.rank == full:
-            break
-        nxt = _RationalSpan(full)
+    gens_q = [[[_fr(x) for x in row] for row in A] for A in system.generators]
+    mk = None
+    for k in range(1, k_max + 1):
+        check_budget(system.ell * full * k, budget)
+        if mk is not None and rat.rank == full:
+            mk = replace(mk, k=k)
+            yield mk
+            continue
+        if mk is None:
+            vecs = [A.ravel() for A in system.generators]
+        else:
+            vecs = [[sum(A[i][c] * B[c][j] for c in range(d)) for i in range(d) for j in range(d)]
+                    for A in gens_q for B in frs]
+        rat = _RationalSpan()
+        for v in vecs:
+            rat.add(v)
         frs = rat.matrices(d)
-        for A in system.generators:
-            Af = [[_fr(x) for x in row] for row in A]
-            for B in frs:
-                prod = [[sum(Af[i][c] * B[c][j] for c in range(d)) for j in range(d)]
-                        for i in range(d)]
-                nxt.add([prod[i][j] for i in range(d) for j in range(d)])
-        rat = nxt
-        mats = [np.array([[float(x) for x in row] for row in M]) for M in rat.matrices(d)]
-        floats = span_basis([M.ravel() for M in mats], ambient=full)
-    if floats.dim != rat.rank:
-        # trust the exact rank: orthogonalise the rational rows over Q, then
-        # normalise in float, so every one of the rat.rank directions survives
-        floats = SubspaceBasis(ambient=full, dim=rat.rank,
-                               basis=_orthonormal_float([row for _, row in rat.rows]))
-    basis = np.stack([floats.basis[:, j].reshape(d, d) for j in range(floats.dim)]) \
-        if floats.dim else np.zeros((0, d, d))
-    return MkBasis(k=k, dim=floats.dim, basis=basis,
-                   rational=tuple(rat.rows) if system.exact else None)
+        floats = span_basis(vecs if mk is None else
+                            [np.array([float(x) for x in row]) for _, row in rat.rows], ambient=full)
+        if floats.dim != rat.rank:
+            # trust the exact rank: orthogonalise the rational rows over Q, then
+            # normalise in float, so every one of the rat.rank directions survives
+            floats = SubspaceBasis(ambient=full, dim=rat.rank,
+                                   basis=_orthonormal_float([row for _, row in rat.rows]))
+        basis = np.stack([floats.basis[:, j].reshape(d, d) for j in range(floats.dim)])
+        mk = MkBasis(k=k, dim=floats.dim, basis=basis,
+                     rational=tuple(frs) if system.exact else None)
+        yield mk
+
+
+def mk_basis(system: GeneratorSystem, k: int, *, budget: int = DEFAULT_BUDGET) -> MkBasis:
+    """M_k, the last level of `mk_bases`."""
+    if k < 1:
+        raise InputError("k must be >= 1")
+    *_, mk = mk_bases(system, k, budget=budget)
+    return mk
 
 
 def _orthonormal_float(rows: list[list[Fraction]]) -> np.ndarray:
@@ -202,9 +219,7 @@ def _bnb_notes(what: str, lip: float, eps: float, evals: int, capped: bool) -> l
 
 def _numeric_certificate(system: GeneratorSystem, mk: MkBasis, *, seed: int = 42) -> SpannabilityCertificate:
     d = system.dim
-    if mk.dim == 0:
-        raise InputError("empty M_k")
-    B = np.stack([M / operator_norm(M) for M in mk.basis])
+    B = mk.stack
     if d <= 3:
         # the projective circle is theta in [0, pi]; the projective sphere is
         # theta, phi in [0, pi], where |du| <= |dtheta| + |dphi|
@@ -272,26 +287,27 @@ def _project_descend(B: np.ndarray, u: np.ndarray, iters: int = 120) -> tuple[fl
     return f, u
 
 
+def _deficit_certificate(mk: MkBasis, exact: bool) -> SpannabilityCertificate:
+    """dim M_k < d: every M_k u lies in a subspace of dimension < d, so any u witnesses."""
+    w = np.eye(mk.d)[:, 0]
+    return SpannabilityCertificate(
+        k=mk.k, status=NOT_SPANNABLE, margin=0.0, exact=exact,
+        method="d2_exact" if exact else "rank_deficit",
+        witness=w, witness_residual=float(_stack_f(mk.stack, w)),
+        notes=(f"dim M_k = {mk.dim} < d",))
+
+
 def _exact_certificate(system: GeneratorSystem, mk: MkBasis) -> SpannabilityCertificate:
-    d = system.dim
-    if mk.dim < d:
-        w = np.eye(d)[:, 0]
-        return SpannabilityCertificate(
-            k=mk.k, status=NOT_SPANNABLE, margin=0.0, exact=True, method="d2_exact",
-            witness=w, witness_residual=_witness_residual(mk, w),
-            notes=(f"dim M_k = {mk.dim} < d",))
-    if mk.rational is not None:
-        rows = [row for _p, row in mk.rational]
-        mats = [[row[i * d:(i + 1) * d] for i in range(d)] for row in rows]
-    else:
-        mats = [mk.basis[j] for j in range(mk.dim)]
+    if mk.dim < system.dim:
+        return _deficit_certificate(mk, exact=True)
+    mats = mk.rational if mk.rational is not None else list(mk.basis)
     quads = [_pair_quadratic(mats[i], mats[j])
              for i in range(len(mats)) for j in range(i + 1, len(mats))]
-    u, method = common_root_line(quads, system.exact and mk.rational is not None)
+    u, method = common_root_line(quads, mk.rational is not None)
     if u is not None:
         return SpannabilityCertificate(
             k=mk.k, status=NOT_SPANNABLE, margin=0.0, exact=True, method=method,
-            witness=u, witness_residual=_witness_residual(mk, u))
+            witness=u, witness_residual=float(_stack_f(mk.stack, u)))
     margin, certified, notes = _exact_margin(system, mk)
     return SpannabilityCertificate(
         k=mk.k, status=SPANNABLE, margin=margin, exact=True, method=method,
@@ -336,11 +352,23 @@ def _exact_margin(system: GeneratorSystem, mk: MkBasis) -> tuple[float, bool, tu
     return max(cert, 0.0), cert > 0.0 and not capped, tuple(notes)
 
 
-def _witness_residual(mk: MkBasis, u: np.ndarray) -> float:
-    if mk.dim == 0:
-        return 0.0
-    B = np.stack([M / operator_norm(M) for M in mk.basis])
-    return float(_stack_f(B, u))
+def _certify(system: GeneratorSystem, mk: MkBasis, method: str, seed: int) -> SpannabilityCertificate:
+    """The certificate for one level M_k; `method` is as in `spannable_at`."""
+    d = system.dim
+    if method not in ("auto", "exact", "numeric"):
+        raise InputError(f"unknown method {method!r}")
+    if method == "exact" and d != 2:
+        raise InputError("exact method needs d = 2")
+    if method == "auto" and mk.dim == d * d:
+        return SpannabilityCertificate(
+            k=mk.k, status=SPANNABLE, margin=_coarse_sample_margin(mk), exact=False,
+            method="full_algebra", margin_certified=False,
+            notes=("M_k saturates the matrix space",))
+    if method != "numeric" and d == 2:
+        return _exact_certificate(system, mk)
+    if mk.dim < d:
+        return _deficit_certificate(mk, exact=False)
+    return _numeric_certificate(system, mk, seed=seed)
 
 
 def spannable_at(system: GeneratorSystem, k: int, *, method: str = "auto",
@@ -352,31 +380,11 @@ def spannable_at(system: GeneratorSystem, k: int, *, method: str = "auto",
     d = 3 and a multistart search d >= 4. `method` can force 'exact' (d=2
     only) or 'numeric'.
     """
-    if method not in ("auto", "exact", "numeric"):
-        raise InputError(f"unknown method {method!r}")
-    mk = mk_basis(system, k, budget=budget)
-    d = system.dim
-    if method == "auto" and mk.dim == d * d:
-        sample = _coarse_sample_margin(mk)
-        return SpannabilityCertificate(
-            k=k, status=SPANNABLE, margin=sample, exact=False, method="full_algebra",
-            margin_certified=False, notes=("M_k saturates the matrix space",))
-    if method == "exact" and d != 2:
-        raise InputError("exact method needs d = 2")
-    if method in ("auto", "exact") and d == 2:
-        return _exact_certificate(system, mk)
-    if mk.dim < d:
-        w = np.eye(d)[:, 0]
-        return SpannabilityCertificate(
-            k=k, status=NOT_SPANNABLE, margin=0.0, exact=False, method="rank_deficit",
-            witness=w, witness_residual=_witness_residual(mk, w),
-            notes=(f"dim M_k = {mk.dim} < d",))
-    return _numeric_certificate(system, mk, seed=seed)
+    return _certify(system, mk_basis(system, k, budget=budget), method, seed)
 
 
 def _coarse_sample_margin(mk: MkBasis, count: int = 256) -> float:
     d = mk.d
-    B = np.stack([M / operator_norm(M) for M in mk.basis])
     if d == 2:
         th = np.pi * np.arange(count) / count
         us = np.stack([np.cos(th), np.sin(th)], axis=1)
@@ -384,7 +392,7 @@ def _coarse_sample_margin(mk: MkBasis, count: int = 256) -> float:
         rng = np.random.default_rng(0)  # fixed sample, not run-seed dependent
         us = rng.standard_normal((count, d))
         us /= np.linalg.norm(us, axis=1, keepdims=True)
-    return float(min(_stack_f(B, u) for u in us))
+    return float(np.min(_stack_f(mk.stack, us)))
 
 
 @dataclass(frozen=True)
@@ -404,15 +412,15 @@ class SpannabilitySearch:
 
 def minimal_spannable_k(system: GeneratorSystem, k_max: int, *, method: str = "auto",
                         seed: int = 42, budget: int = DEFAULT_BUDGET) -> SpannabilitySearch:
-    """Least spannable k <= k_max; monotone, so the first success wins."""
+    """Least spannable k <= k_max over one `mk_bases` sweep; monotone, so the first success wins."""
     if k_max < 1:
         raise InputError("k_max must be >= 1")
     certs = []
-    for k in range(1, k_max + 1):
-        cert = spannable_at(system, k, method=method, seed=seed, budget=budget)
+    for mk in mk_bases(system, k_max, budget=budget):
+        cert = _certify(system, mk, method, seed)
         certs.append(cert)
         if cert.spannable:
-            return SpannabilitySearch(found=k, k_max=k_max, certificates=tuple(certs))
+            return SpannabilitySearch(found=mk.k, k_max=k_max, certificates=tuple(certs))
     return SpannabilitySearch(found=None, k_max=k_max, certificates=tuple(certs))
 
 
@@ -443,16 +451,17 @@ def _plucker(W: SubspaceBasis) -> np.ndarray:
     return out / nrm if nrm > 0 else out
 
 
-def diagnose_failure(system: GeneratorSystem, k_max: int, *, seed: int = 42,
+def diagnose_failure(system: GeneratorSystem, search: SpannabilitySearch, *, seed: int = 42,
                      budget: int = DEFAULT_BUDGET) -> FailureDiagnosis:
     """Classify a persistent spannability failure along the two proof cases.
 
-    Case 1 detects a periodic chain of image subspaces V_k = M_k u and
+    `search` is the `minimal_spannable_k` result for `system`; its last
+    NotSpannable witness u gives the chain V_k = M_k u, k = 1..search.k_max,
+    read from one `mk_bases` sweep. Case 1 detects a periodic chain and
     cross-checks that the matching power cocycle is reducible; Case 2 exhibits
     the eigen-structure of a non-scalar wedge quotient acting on the chain.
     The classification is heuristic evidence, certified only where stated.
     """
-    search = minimal_spannable_k(system, k_max, seed=seed, budget=budget)
     if not search.not_found:
         raise ContractViolation(f"system is spannable at k = {search.found}")
     witness = None
@@ -460,19 +469,15 @@ def diagnose_failure(system: GeneratorSystem, k_max: int, *, seed: int = 42,
         if cert.status == NOT_SPANNABLE and cert.witness is not None:
             witness = np.asarray(cert.witness, dtype=float)
             break
-    notes: list[str] = []
     if witness is None:
         return FailureDiagnosis(
             witness=np.zeros(system.dim), dims=(), chain=(), case="Undetermined",
             notes=("no NotSpannable witness available (all checks inconclusive)",))
 
-    chain = []
-    dims = []
-    for k in range(1, k_max + 1):
-        mk = mk_basis(system, k, budget=budget)
-        V = span_basis([mk.basis[j] @ witness for j in range(mk.dim)], ambient=system.dim)
-        chain.append(V)
-        dims.append(V.dim)
+    k_max = search.k_max
+    chain = [span_basis([M @ witness for M in mk.basis], ambient=system.dim)
+             for mk in mk_bases(system, k_max, budget=budget)]
+    dims = [V.dim for V in chain]
 
     # Case 1: V_{k+t} = V_k along the whole chain
     for t in range(1, k_max):
@@ -489,15 +494,14 @@ def diagnose_failure(system: GeneratorSystem, k_max: int, *, seed: int = 42,
             return FailureDiagnosis(
                 witness=witness, dims=tuple(dims), chain=tuple(chain),
                 case="PeriodicSubspaces", period=t, span_w=W, cross_check=cross,
-                cross_check_consistent=cross.reducible,
-                notes=tuple(notes))
+                cross_check_consistent=cross.reducible)
 
     # Case 2: stabilized dimension, eigen-structure of a non-scalar wedge quotient
     gamma = dims[-1]
     if len(dims) < 3 or dims[-2] != gamma or dims[-3] != gamma or not 0 < gamma < system.dim:
         return FailureDiagnosis(
             witness=witness, dims=tuple(dims), chain=tuple(chain), case="Undetermined",
-            notes=tuple(notes) + ("chain dimension did not stabilize below d",))
+            notes=("chain dimension did not stabilize below d",))
     stabilized = [V for V, dim in zip(chain, dims) if dim == gamma]
     wv = [_plucker(V) for V in stabilized]
     N = wv[0].size
@@ -519,7 +523,7 @@ def diagnose_failure(system: GeneratorSystem, k_max: int, *, seed: int = 42,
     if pair is None:
         return FailureDiagnosis(
             witness=witness, dims=tuple(dims), chain=tuple(chain), case="Undetermined",
-            notes=tuple(notes) + ("every wedge quotient is scalar",))
+            notes=("every wedge quotient is scalar",))
     vals = np.linalg.eigvals(B)
     resid = 0.0
     for w in wv:
@@ -528,5 +532,4 @@ def diagnose_failure(system: GeneratorSystem, k_max: int, *, seed: int = 42,
     return FailureDiagnosis(
         witness=witness, dims=tuple(dims), chain=tuple(chain),
         case="WedgeEigenStructure", wedge_order=gamma, wedge_pair=pair,
-        eigenvalues=tuple(complex(v) for v in vals), eigen_residual=float(resid),
-        notes=tuple(notes))
+        eigenvalues=tuple(complex(v) for v in vals), eigen_residual=float(resid))

@@ -11,7 +11,7 @@ from cocyclespan import E1, E2, E3, E4, E5, GeneratorSystem
 from cocyclespan.gibbs import kappa_floor, psi_mixing_stat
 from cocyclespan.hypotheses import check_hypotheses
 from cocyclespan.linalg import singular_values, wedge_power
-from cocyclespan.quasimult import empirical_qm, gamma_minimax, qm_constant_phi
+from cocyclespan.quasimult import empirical_qm, qm_constant_phi
 from cocyclespan.spannability import diagnose_failure, minimal_spannable_k, spannable_at
 from cocyclespan.thermo import (PotentialSpec, QMInput, affinity_dimension,
                                 all_ones_targets, conformal_qm_input,
@@ -59,7 +59,7 @@ def test_criterion_2_theorem_embodiment():
         assert search.found is not None, "hypotheses passed but no spannable k <= 8"
         ks.append(search.found)
     search1 = minimal_spannable_k(E1(), 8)
-    diag = diagnose_failure(E1(), 8)
+    diag = diagnose_failure(E1(), search1)
     ok = (search1.not_found and diag.case == "PeriodicSubspaces" and diag.period == 2
           and diag.cross_check.reducible and diag.cross_check_consistent)
     _line(2, ok, f"25 passing systems spannable (k range {min(ks)}..{max(ks)}); "
@@ -113,9 +113,8 @@ def test_criterion_5_pressure_correctness():
         ok = ok and br.width <= 1e-2
         widths.append(br.width)
     # lower <= upper wherever a constant exists; Fekete monotonicity
-    g = gamma_minimax(E3(), 1)
     for s in (0.3, 1.0, 1.7):
-        c = qm_constant_phi(E3(), 1, s, gamma=g)
+        c = qm_constant_phi(E3(), 1, s)
         br = pressure_bracket(E3(), PotentialSpec("sv_s", s), 8, QMInput(k=1, C=c.value))
         ok = ok and br.lower <= br.upper
     for spec in (PotentialSpec("norm_s", 1.0), PotentialSpec("sv_s", 0.5)):

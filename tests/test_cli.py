@@ -119,6 +119,27 @@ class TestRunCommand:
         assert report["result"]["diagnosis"]["case"] == "PeriodicSubspaces"
         assert report["result"]["diagnosis"]["period"] == 2
 
+    def test_spannability_sweeps_once(self, monkeypatch):
+        from cocyclespan import spannability
+        built = []
+
+        class CountingSpan(spannability._RationalSpan):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        def no_second_search(*args, **kwargs):
+            raise AssertionError("diagnose_failure ran the search again")
+
+        monkeypatch.setattr(spannability, "_RationalSpan", CountingSpan)
+        monkeypatch.setattr(spannability, "minimal_spannable_k", no_second_search)
+        cfg = cfg_from(dict(E1_CONFIG, command="spannability", options={"k_max": 6}))
+        report, code = cli.run_command(cfg)
+        assert code == cli.EXIT_OK
+        assert report["result"]["diagnosis"]["case"] == "PeriodicSubspaces"
+        # one M_1..M_6 sweep for the search and one for the diagnosis chain
+        assert len(built) <= 2 * 6
+
     def test_spannability_cap_warning(self, monkeypatch):
         monkeypatch.setattr(kernels, "BNB_MAX_EVALS", 5000)
         report, code = cli.run_command(cfg_from(D3_SPANNABLE_CONFIG))

@@ -6,10 +6,12 @@ from cocyclespan.errors import ContractViolation
 from cocyclespan.fixtures import ROT90
 from cocyclespan import kernels
 from cocyclespan.spannability import (INCONCLUSIVE, NOT_SPANNABLE, TAU_SPAN, diagnose_failure,
-                                      minimal_spannable_k, mk_basis, spannable_at)
+                                      minimal_spannable_k, mk_bases, mk_basis, spannable_at)
 
 from _helpers import random_2x2_system, random_reducible_system
 
+# a quarter turn in the (e1, e2) plane and a stretch along e3: M_k u never spans R^3
+ROT3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
 DIAG_PAIR = GeneratorSystem((np.diag([2.0, 3.0]), np.diag([1.0, 4.0])))
 # every pair quadratic det(A_i u | A_j u) is indefinite, yet they share no root
 INDEFINITE_PAIRS = GeneratorSystem((np.array([[-1.0, 2.0], [0.0, -2.0]]),
@@ -61,6 +63,18 @@ class TestMkBasis:
         for sys in (E1(), E2(), E3(), DIAG_PAIR):
             dims = [mk_basis(sys, k).dim for k in range(1, 7)]
             assert dims == sorted(dims)
+
+    def test_sweep_levels_equal_single_builds(self):
+        rng = np.random.default_rng(2024)
+        systems = [E1(), E2(), E3(), DIAG_PAIR, INDEFINITE_PAIRS, d3_block_triangular(rng)[0],
+                   d3_rotated_triangular(rng), GeneratorSystem((ROT3,))]
+        for sys in systems:
+            levels = list(mk_bases(sys, 4))
+            assert [mk.k for mk in levels] == [1, 2, 3, 4]
+            for mk in levels:
+                one = mk_basis(sys, mk.k)
+                assert mk.dim == one.dim and mk.rational == one.rational
+                assert mk.basis.tobytes() == one.basis.tobytes()
 
 
 class TestSpannableAt:
@@ -143,8 +157,8 @@ class TestMkBasisExactRank:
         assert mk.dim == len(mk.rational) == 9
         B = mk.basis.reshape(mk.dim, -1)
         assert np.abs(B @ B.T - np.eye(mk.dim)).max() <= 1e-12
-        for _, row in mk.rational:
-            v = np.array([float(x) for x in row])
+        for M in mk.rational:
+            v = np.array([float(x) for row in M for x in row])
             assert np.linalg.norm(v - B.T @ (B @ v)) <= 1e-12 * np.linalg.norm(v)
         assert spannable_at(system, 2).method != "rank_deficit"
 
@@ -178,6 +192,26 @@ class TestSphereCertificate:
         assert any("cap of 5000 evaluations" in n and "after 4096" in n for n in cert.notes)
 
 
+class TestDeficitAndMultistart:
+    def test_d3_rank_deficit(self):
+        system = GeneratorSystem((ROT3,))
+        cert = spannable_at(system, 2)
+        assert cert.status == NOT_SPANNABLE and cert.method == "rank_deficit"
+        assert not cert.exact and cert.witness_residual <= TAU_SPAN
+        diag = diagnose_failure(system, minimal_spannable_k(system, 4))
+        assert diag.case == "PeriodicSubspaces" and diag.period == 2
+        assert diag.cross_check_consistent
+
+    def test_d4_diagonal_multistart(self):
+        rng = np.random.default_rng(4)
+        system = GeneratorSystem(tuple(np.diag(rng.uniform(0.5, 2.0, 4)) for _ in range(4)))
+        cert = spannable_at(system, 1)
+        # M_1 is the diagonal matrices, so every coordinate axis is a witness
+        assert cert.status == NOT_SPANNABLE and cert.method == "numeric_minimizer"
+        assert cert.witness_residual <= TAU_SPAN
+        assert cert.notes == ("d >= 4: multistart search only, no certificate",)
+
+
 class TestMinimalK:
     def test_fixtures(self):
         assert minimal_spannable_k(E2(), 4).found == 1
@@ -192,24 +226,24 @@ class TestMinimalK:
 class TestDiagnosis:
     def test_contract_violation_when_spannable(self):
         with pytest.raises(ContractViolation):
-            diagnose_failure(E2(), 4)
+            diagnose_failure(E2(), minimal_spannable_k(E2(), 4))
 
     def test_e1_periodic(self):
-        diag = diagnose_failure(E1(), 8)
+        diag = diagnose_failure(E1(), minimal_spannable_k(E1(), 8))
         assert diag.case == "PeriodicSubspaces"
         assert diag.period == 2
         assert diag.span_w.dim == 2
         assert diag.cross_check.reducible and diag.cross_check_consistent
 
     def test_e1_chain_alternates(self):
-        diag = diagnose_failure(E1(), 6)
+        diag = diagnose_failure(E1(), minimal_spannable_k(E1(), 6))
         # u = e1: V_1 = span{e2}, V_2 = span{e1}, alternating
         assert np.allclose(np.abs(diag.chain[0].basis.ravel()), [0, 1])
         assert np.allclose(np.abs(diag.chain[1].basis.ravel()), [1, 0])
         assert all(d == 1 for d in diag.dims)
 
     def test_e1_chain_maps_forward(self):
-        diag = diagnose_failure(E1(), 6)
+        diag = diagnose_failure(E1(), minimal_spannable_k(E1(), 6))
         R = E1().generators[0]
         for k in range(len(diag.chain) - 1):
             mapped = diag.chain[k].basis[:, 0]
@@ -219,12 +253,13 @@ class TestDiagnosis:
             assert min(np.linalg.norm(img - target), np.linalg.norm(img + target)) <= 1e-8
 
     def test_diag_pair_period_one(self):
-        diag = diagnose_failure(DIAG_PAIR, 6)
+        diag = diagnose_failure(DIAG_PAIR, minimal_spannable_k(DIAG_PAIR, 6))
         assert diag.case == "PeriodicSubspaces" and diag.period == 1
         assert diag.span_w.dim == 1
         assert np.allclose(np.abs(diag.span_w.basis.ravel()), [1, 0])
         assert diag.cross_check_consistent
 
     def test_scaled_rotation_period_two(self):
-        diag = diagnose_failure(GeneratorSystem((0.3 * ROT90,)), 6)
+        system = GeneratorSystem((0.3 * ROT90,))
+        diag = diagnose_failure(system, minimal_spannable_k(system, 6))
         assert diag.case == "PeriodicSubspaces" and diag.period == 2

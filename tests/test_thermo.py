@@ -97,12 +97,10 @@ class TestPressure:
         assert abs(br.upper - target) <= 1e-9
 
     def test_e3_bracket_narrows(self):
-        gamma = None
-        from cocyclespan.quasimult import gamma_minimax, qm_constant_phi
-        g = gamma_minimax(E3(), 1)
+        from cocyclespan.quasimult import qm_constant_phi
+        c = qm_constant_phi(E3(), 1, 1.0)
         checks = {}
         for n in (5, 10):
-            c = qm_constant_phi(E3(), 1, 1.0, gamma=g)
             br = pressure_bracket(E3(), PotentialSpec("sv_s", 1.0), n,
                                   QMInput(k=1, C=c.value))
             checks[n] = br
