@@ -7,8 +7,7 @@ __version__ = "0.1.0"
 from .errors import ContractViolation, InputError, ResourceLimitError
 from .systems import GeneratorSystem
 from .fixtures import E1, E2, E3, E4, E5
-from .linalg import (PrincipalPair, SubspaceBasis, principal_pair, span_basis,
-                     wedge_power)
+from .linalg import SubspaceBasis, span_basis, wedge_power
 from .wordspace import ScaledProduct, enumerate_words, parse_word, product, word_str
 from .hypotheses import (HypothesisReport, IrreducibilityVerdict,
                          algebra_dimension, check_hypotheses,

@@ -6,10 +6,10 @@ float without loss, which switches the 2x2 decision paths to rational
 arithmetic. Reports reproduce bit-for-bit under a fixed seed; wall time
 lives in the `meta` section, excluded from that guarantee.
 
-Exit codes: 0 success, 1 hypothesis failed, 2 inconclusive, 3 input error
-(including command-line usage errors and a supplied `options.qm` constant that
-inverts a pressure bracket), 4 resource cap exceeded, 5 internal error (a failed
-self-check or any other unexpected exception, reported on stderr).
+Exit codes: 0 success, 1 hypothesis failed, 2 inconclusive, 3 input error (a
+usage error, an option key no command reads, a bad value, or an `options.qm`
+constant that inverts a pressure bracket), 4 more words than the budget, 5
+internal error (a failed self-check or any other exception, on stderr).
 """
 from __future__ import annotations
 
@@ -24,6 +24,8 @@ import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,13 +36,48 @@ from .hypotheses import check_hypotheses
 from .quasimult import empirical_qm
 from .spannability import INCONCLUSIVE, diagnose_failure, minimal_spannable_k
 from .systems import GeneratorSystem
-from .thermo import (DimensionReport, QMInput, QMInputProvider,
-                     TargetSequence, affinity_dimension, beta_hat,
+from .thermo import (QMInput, QMInputProvider,
+                     TargetSequence, affinity_dimension, all_ones_targets, beta_hat,
                      pressure_brackets, r0_interval, s0_interval)
-from .wordspace import DEFAULT_BUDGET, parse_word, word_str
+from .wordspace import DEFAULT_BUDGET, check_sweep, enumerate_words, parse_word, word_str
 
-COMMANDS = ("check-hypotheses", "spannability", "qm", "pressure", "s0", "r0",
-            "affinity-dim", "mixing", "export-attractor")
+
+class Opt(NamedTuple):
+    """One option. int and float cast as Python does (floats must be finite), a
+    tuple lists the allowed values, str/list/dict need that JSON type, object
+    takes any value. A default of None means absent, so null is allowed."""
+
+    type: object
+    default: object = None
+    flag: bool = False  # `main` exposes it as --name (underscores as dashes)
+
+
+# Every option of every command, declared once; `seed` and `budget` belong to
+# every command. A key no command declares is an input error, one that another
+# command declares is not (`--command` switches a config to another command).
+COMMON = {"seed": Opt(int, 42, flag=True), "budget": Opt(int, DEFAULT_BUDGET, flag=True)}
+OPTIONS = {
+    "check-hypotheses": {"mode": Opt(("theorem_1_1", "corollary_4_3"), "theorem_1_1", flag=True)},
+    "spannability": {"k_max": Opt(int, 8, flag=True)},
+    "qm": {"k": Opt(int, 1, flag=True), "n_max": Opt(int, 4, flag=True)},
+    "pressure": {"potential": Opt(str, "sv_s"), "n": Opt(int, 8, flag=True),
+                 "s": Opt(float, 1.0, flag=True), "s_grid": Opt(list),
+                 "qm": Opt(object, "auto"), "k_qm": Opt(int, 1, flag=True)},
+    "s0": {"targets": Opt(dict), "n": Opt(int, 10, flag=True), "k_qm": Opt(int, 1, flag=True)},
+    "r0": {"n": Opt(int, 10, flag=True), "k_qm": Opt(int, 1, flag=True),
+           "beta": Opt(float, flag=True), "psi_table": Opt(list), "tail_start": Opt(int)},
+    "affinity-dim": {"n": Opt(int, 10, flag=True), "k_qm": Opt(int, 1, flag=True)},
+    "mixing": {"s": Opt(float, 1.0, flag=True), "L": Opt(int, 3, flag=True),
+               "gap": Opt(int, 4, flag=True), "connector_k": Opt(int, 1)},
+    "export-attractor": {"depth": Opt(int, 6, flag=True), "csv_name": Opt(str, "attractor.csv")},
+}
+# keys of the object-valued options; null or absent takes the default
+NESTED = {
+    "targets": {"words": Opt(list, []), "all_ones": Opt(int), "tail_start": Opt(int, 1)},
+    "qm": {"k": Opt(int), "C": Opt(float)},
+}
+COMMANDS = tuple(OPTIONS)
+_KNOWN = {name: opt for table in (COMMON, *OPTIONS.values()) for name, opt in table.items()}
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS_FAILED = 1
@@ -57,8 +94,8 @@ class RunConfig:
     options: dict
     generator_strings: list[list[str]]
     translation_strings: list[list[str]] | None
-    seed: int = 42
-    budget: int = DEFAULT_BUDGET
+    seed: int = COMMON["seed"].default
+    budget: int = COMMON["budget"].default
     csv_dir: str | None = None
 
     def echo(self) -> dict:
@@ -79,14 +116,43 @@ def _is_exact_decimal(text: str) -> bool:
         return False
 
 
-def _opt(options: dict, key, cast, default=None, *, where: str = "options"):
-    """`options[key]` (or `default`) as `int` or `float`; a bad value is an input error."""
-    value = options.get(key, default)
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{where}.{key} must be {'an integer' if cast is int else 'a number'}, "
-                         f"got {value!r}") from exc
+def _cast(value, typ, where: str):
+    """`value` as an option of type `typ` (see `Opt`); a bad value is an input error."""
+    if typ in (int, float):
+        try:
+            out = typ(value)
+            if typ is int or math.isfinite(out):
+                return out
+        except (TypeError, ValueError, OverflowError):
+            pass
+    elif value in typ if isinstance(typ, tuple) else typ is object or isinstance(value, typ):
+        return value
+    want = f"one of {', '.join(typ)}" if isinstance(typ, tuple) else {
+        int: "an integer", float: "a finite number", str: "a string", list: "a list",
+        dict: "an object"}[typ]
+    raise InputError(f"{where} must be {want}, got {value!r}")
+
+
+def _check(options: dict, table: dict, where: str) -> dict:
+    """Typed values of the keys given in `options`, each declared in `table`."""
+    out = {}
+    for key, value in options.items():
+        if key not in table:
+            raise InputError(f"{where}.{key} is not a known option")
+        if value is not None or table[key].default is not None:
+            value = _cast(value, table[key].type, f"{where}.{key}")
+        if isinstance(value, dict) and key in NESTED:
+            given = _check(value, NESTED[key], f"{where}.{key}")
+            value = {name: given.get(name, sub.default) for name, sub in NESTED[key].items()}
+        out[key] = value
+    return out
+
+
+def _values(cfg: RunConfig) -> SimpleNamespace:
+    """The command's options, typed, with the table's defaults for absent keys."""
+    given = _check(cfg.options, _KNOWN, "options")
+    return SimpleNamespace(**{name: given.get(name, opt.default)
+                              for name, opt in OPTIONS[cfg.command].items()})
 
 
 def _parse_matrix_strings(entries, d: int, where: str) -> tuple[np.ndarray, bool, list[str]]:
@@ -109,7 +175,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse a UTF-8 JSON run configuration with field-level diagnostics."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise InputError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "system" not in raw:
         raise InputError("config must be an object with a 'system' block")
@@ -141,7 +207,7 @@ def parse_config(text: str) -> RunConfig:
                 raise InputError(f"system.translations[{i}]: expected {d} entries")
             try:
                 translations.append(np.array([float(x) for x in vec]))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"system.translations[{i}]: bad entry") from exc
             tr_strings.append([str(x) for x in vec])
     system = GeneratorSystem(tuple(mats),
@@ -153,18 +219,16 @@ def parse_config(text: str) -> RunConfig:
     options = raw.get("options", {})
     if not isinstance(options, dict):
         raise InputError("options must be an object")
-    cfg = RunConfig(system=system, command=command, options=options,
-                    generator_strings=gen_strings, translation_strings=tr_strings)
-    for key in ("seed", "budget"):
-        if key in options:
-            setattr(cfg, key, _opt(options, key, int))
-    # early validation of word-typed options against the alphabet
-    if isinstance(options.get("targets"), dict):
-        _target_words(options["targets"], system.ell)
-    return cfg
+    values = _check(options, _KNOWN, "options")
+    if values.get("targets") is not None:  # words checked against the alphabet up front
+        _target_words(values["targets"]["words"], system.ell)
+    return RunConfig(system=system, command=command, options=options,
+                     generator_strings=gen_strings, translation_strings=tr_strings,
+                     **{key: values.get(key, opt.default) for key, opt in COMMON.items()})
 
 
 def _jsonable(obj):
+    """JSON form of a result; dataclass fields declared with repr=False are internal and left out."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
@@ -176,7 +240,7 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(x) for x in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.repr}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -184,63 +248,48 @@ def _jsonable(obj):
     return repr(obj)
 
 
-def _target_words(spec: dict, ell: int):
-    words = spec.get("words", [])
-    if not isinstance(words, list):
-        raise InputError("options.targets.words must be a list of words")
+def _target_words(words: list, ell: int):
     return tuple(parse_word(str(w), ell) for w in words)
 
 
-def _targets_from_options(options: dict, ell: int) -> TargetSequence:
-    spec = options.get("targets")
+def _targets_from_options(spec: dict | None, ell: int, budget: int) -> TargetSequence:
     if spec is None:
         raise InputError("this command needs an 'options.targets' block")
-    if not isinstance(spec, dict):
-        raise InputError("options.targets must be an object")
-    tail = _opt(spec, "tail_start", int, 1, where="options.targets")
-    if "all_ones" in spec:
-        count = _opt(spec, "all_ones", int, where="options.targets")
-        words = tuple(tuple([1] * k) for k in range(1, count + 1))
-        return TargetSequence(words=words, tail_start=tail)
-    return TargetSequence(words=_target_words(spec, ell), tail_start=tail)
+    if spec["all_ones"] is not None:
+        return all_ones_targets(spec["all_ones"], spec["tail_start"], budget=budget)
+    return TargetSequence(words=_target_words(spec["words"], ell), tail_start=spec["tail_start"])
 
 
-def _psi_table(table) -> list[tuple[int, float]] | None:
+def _psi_table(table: list | None) -> list[tuple[int, float]] | None:
     """`options.psi_table` as (n, psi(n)) pairs; a malformed table is an input error."""
     if table is None:
         return None
-    if not isinstance(table, list) or not all(
-            isinstance(row, list) and len(row) == 2 for row in table):
+    if not all(isinstance(row, list) and len(row) == 2 for row in table):
         raise InputError("options.psi_table must be a list of [n, psi(n)] pairs")
-    return [(_opt(dict(enumerate(row)), 0, int, where=f"options.psi_table.{i}"),
-             _opt(dict(enumerate(row)), 1, float, where=f"options.psi_table.{i}"))
-            for i, row in enumerate(table)]
+    return [(_cast(n, int, f"options.psi_table.{i}.0"), _cast(v, float, f"options.psi_table.{i}.1"))
+            for i, (n, v) in enumerate(table)]
 
 
-def _qm_source(cfg: RunConfig):
+def _qm_source(cfg: RunConfig, mode, k_qm: int):
     """Per-s QM input for the pressure command: auto, explicit, or absent."""
-    mode = cfg.options.get("qm", "auto")
     if mode is None:
         return lambda s, kind: None
     if mode == "auto":
-        provider = QMInputProvider(cfg.system, _opt(cfg.options, "k_qm", int, 1),
-                                   budget=cfg.budget)
-        return provider.qm_input
-    if isinstance(mode, dict):
-        fixed = QMInput(k=_opt(mode, "k", int, where="options.qm"),
-                        C=_opt(mode, "C", float, where="options.qm"))
+        return QMInputProvider(cfg.system, k_qm, budget=cfg.budget).qm_input
+    if isinstance(mode, dict) and None not in mode.values():
+        fixed = QMInput(**mode)
         return lambda s, kind: fixed
     raise InputError("options.qm must be 'auto', null, or {'k':, 'C':}")
 
 
-def export_attractor(system: GeneratorSystem, depth: int, out_path) -> int:
+def export_attractor(system: GeneratorSystem, depth: int, out_path, *,
+                     budget: int = DEFAULT_BUDGET) -> int:
     """Truncated natural-projection point per word of Lambda(depth), as CSV."""
     if system.translations is None:
         raise InputError("export-attractor needs translations")
     if depth < 0:
         raise InputError("depth must be >= 0")
-    from .wordspace import check_budget, enumerate_words
-    check_budget(system.ell**depth, DEFAULT_BUDGET)
+    check_sweep(system.ell, depth, budget)
     d = system.dim
     pts = np.zeros((1, d))
     for _ in range(depth):
@@ -257,19 +306,16 @@ def export_attractor(system: GeneratorSystem, depth: int, out_path) -> int:
 
 
 def _run_check_hypotheses(cfg: RunConfig):
-    mode = cfg.options.get("mode", "theorem_1_1")
-    rep = check_hypotheses(cfg.system, mode, seed=cfg.seed, budget=cfg.budget)
+    rep = check_hypotheses(cfg.system, _values(cfg).mode, seed=cfg.seed, budget=cfg.budget)
     code = {"Pass": EXIT_OK, "Fail": EXIT_HYPOTHESIS_FAILED,
             "Inconclusive": EXIT_INCONCLUSIVE}[rep.overall]
     return _jsonable(rep), code, list(rep.warnings)
 
 
 def _run_spannability(cfg: RunConfig):
-    k_max = _opt(cfg.options, "k_max", int, 8)
-    search = minimal_spannable_k(cfg.system, k_max, seed=cfg.seed, budget=cfg.budget)
-    result = _jsonable(search)
-    warnings = []
-    code = EXIT_OK
+    search = minimal_spannable_k(cfg.system, _values(cfg).k_max, seed=cfg.seed,
+                                 budget=cfg.budget)
+    result, warnings, code = _jsonable(search), [], EXIT_OK
     if search.not_found:
         if search.inconclusive_ks:
             warnings.append(f"inconclusive at k in {list(search.inconclusive_ks)}")
@@ -285,90 +331,69 @@ def _run_spannability(cfg: RunConfig):
 
 
 def _run_qm(cfg: RunConfig):
-    k = _opt(cfg.options, "k", int, 1)
-    n_max = _opt(cfg.options, "n_max", int, 4)
-    rep = empirical_qm(cfg.system, k, n_max, budget=cfg.budget)
+    o = _values(cfg)
+    rep = empirical_qm(cfg.system, o.k, o.n_max, budget=cfg.budget)
     out = _jsonable(rep)
     out["empirical_c"] = {str(n): v for n, v in rep.empirical_c.items()}
-    out["witnesses"] = {
-        str(n): [word_str(w, cfg.system.ell) for w in ws]
-        for n, ws in rep.witnesses.items()}
+    out["witnesses"] = {str(n): [word_str(w, cfg.system.ell) for w in ws]
+                        for n, ws in rep.witnesses.items()}
     warnings = [] if rep.gamma.certified else [
         "no gamma certificate for d >= 3: gamma is reported as 0"]
     return out, EXIT_OK, warnings
 
 
 def _run_pressure(cfg: RunConfig):
-    kind = cfg.options.get("potential", "sv_s")
-    n = _opt(cfg.options, "n", int, 8)
-    grid = cfg.options.get("s_grid")
-    if grid is None:
-        svals = [_opt(cfg.options, "s", float, 1.0)]
-    elif isinstance(grid, list):
-        svals = [_opt(dict(enumerate(grid)), i, float, where="options.s_grid")
-                 for i in range(len(grid))]
-    else:
-        raise InputError("options.s_grid must be a list of numbers")
-    qm_for = _qm_source(cfg)
-    qms = [qm_for(s, "norm_s" if kind == "norm_s" else "sv_s") for s in svals]
+    o = _values(cfg)
+    svals = [o.s] if o.s_grid is None else [
+        _cast(x, float, f"options.s_grid.{i}") for i, x in enumerate(o.s_grid)]
+    qm_for = _qm_source(cfg, o.qm, o.k_qm)
+    qms = [qm_for(s, "norm_s" if o.potential == "norm_s" else "sv_s") for s in svals]
     try:
-        brackets = pressure_brackets(cfg.system, kind, n, svals, qms, budget=cfg.budget)
+        brackets = pressure_brackets(cfg.system, o.potential, o.n, svals, qms, budget=cfg.budget)
     except AssertionError as exc:  # an inverted bracket
-        if not isinstance(cfg.options.get("qm"), dict):
+        if not isinstance(o.qm, dict):
             raise
         raise InputError(f"options.qm: the supplied constant is not a valid lower "
                          f"bound ({exc})") from exc
     warnings = [f"s={s}: no positive QM constant, upper bound only"
                 for s, br in zip(svals, brackets) if not br.lower_valid]
-    return {"potential": kind, "n": n, "brackets": _jsonable(brackets)}, EXIT_OK, warnings
-
-
-def _dimension_result(rep: DimensionReport):
-    return _jsonable(rep), EXIT_OK, list(rep.warnings)
+    return {"potential": o.potential, "n": o.n, "brackets": _jsonable(brackets)}, EXIT_OK, warnings
 
 
 def _run_s0(cfg: RunConfig):
-    targets = _targets_from_options(cfg.options, cfg.system.ell)
-    n = _opt(cfg.options, "n", int, 10)
-    k_qm = _opt(cfg.options, "k_qm", int, 1)
-    rep = s0_interval(cfg.system, targets, n, k_qm, seed=cfg.seed, budget=cfg.budget)
-    return _dimension_result(rep)
+    o = _values(cfg)
+    targets = _targets_from_options(o.targets, cfg.system.ell, cfg.budget)
+    rep = s0_interval(cfg.system, targets, o.n, o.k_qm, seed=cfg.seed, budget=cfg.budget)
+    return _jsonable(rep), EXIT_OK, list(rep.warnings)
 
 
 def _run_r0(cfg: RunConfig):
-    n = _opt(cfg.options, "n", int, 10)
-    k_qm = _opt(cfg.options, "k_qm", int, 1)
-    if "beta" in cfg.options:
-        beta = beta_hat(beta=_opt(cfg.options, "beta", float))
+    o = _values(cfg)
+    if o.beta is not None:
+        beta = beta_hat(beta=o.beta)
     else:
-        tail = None if cfg.options.get("tail_start") is None \
-            else _opt(cfg.options, "tail_start", int)
-        beta = beta_hat(psi_table=_psi_table(cfg.options.get("psi_table")), tail_start=tail)
+        beta = beta_hat(psi_table=_psi_table(o.psi_table), tail_start=o.tail_start)
     if beta.value >= 1:
         raise InputError("recurrence dimension needs beta < 1")
-    rep = r0_interval(cfg.system, beta.value, n, k_qm, seed=cfg.seed, budget=cfg.budget)
-    out, code, warnings = _dimension_result(rep)
+    rep = r0_interval(cfg.system, beta.value, o.n, o.k_qm, seed=cfg.seed, budget=cfg.budget)
+    out = _jsonable(rep)
     out["beta"] = _jsonable(beta)
-    return out, code, warnings + list(beta.warnings)
+    return out, EXIT_OK, list(rep.warnings) + list(beta.warnings)
 
 
 def _run_affinity(cfg: RunConfig):
-    n = _opt(cfg.options, "n", int, 10)
-    k_qm = _opt(cfg.options, "k_qm", int, 1)
-    rep = affinity_dimension(cfg.system, n, k_qm, seed=cfg.seed, budget=cfg.budget)
-    return _dimension_result(rep)
+    o = _values(cfg)
+    rep = affinity_dimension(cfg.system, o.n, o.k_qm, seed=cfg.seed, budget=cfg.budget)
+    return _jsonable(rep), EXIT_OK, list(rep.warnings)
 
 
 def _run_mixing(cfg: RunConfig):
-    s = _opt(cfg.options, "s", float, 1.0)
-    L = _opt(cfg.options, "L", int, 3)
-    gap = _opt(cfg.options, "gap", int, 4)
-    k = _opt(cfg.options, "connector_k", int, 1)
-    levels = mixing_levels(cfg.system, s, L, gap, k, budget=cfg.budget)
-    rep = psi_mixing_stat(cfg.system, s, L, gap, connector_k=k, budget=cfg.budget, levels=levels)
-    out = _jsonable(rep)
-    warnings = list(rep.warnings)
-    code = EXIT_OK
+    o = _values(cfg)
+    s, L, k = o.s, o.L, o.connector_k
+    levels = mixing_levels(cfg.system, s, L, o.gap, k, budget=cfg.budget)
+    rep = psi_mixing_stat(cfg.system, s, L, o.gap, connector_k=k, budget=cfg.budget,
+                          levels=levels)
+    out, warnings, code = _jsonable(rep), list(rep.warnings), EXIT_OK
     if cfg.system.dim == 2:
         kf = kappa_floor(cfg.system, s, k, L, budget=cfg.budget, levels=levels)
         out["kappa_certificate"] = _jsonable(kf)
@@ -386,44 +411,32 @@ def _run_mixing(cfg: RunConfig):
 
 
 def _run_export(cfg: RunConfig):
-    depth = _opt(cfg.options, "depth", int, 6)
-    csv_dir = Path(cfg.csv_dir) if cfg.csv_dir else Path(".")
-    csv_dir.mkdir(parents=True, exist_ok=True)
-    out_path = csv_dir / cfg.options.get("csv_name", "attractor.csv")
-    count = export_attractor(cfg.system, depth, out_path)
-    return {"points": count, "path": str(out_path), "depth": depth}, EXIT_OK, []
+    o = _values(cfg)
+    out_path = Path(cfg.csv_dir or ".") / o.csv_name
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        count = export_attractor(cfg.system, o.depth, out_path, budget=cfg.budget)
+    except OSError as exc:
+        raise InputError(f"cannot write the attractor CSV: {exc}") from exc
+    return {"points": count, "path": str(out_path), "depth": o.depth}, EXIT_OK, []
 
 
-_RUNNERS = {
-    "check-hypotheses": _run_check_hypotheses,
-    "spannability": _run_spannability,
-    "qm": _run_qm,
-    "pressure": _run_pressure,
-    "s0": _run_s0,
-    "r0": _run_r0,
-    "affinity-dim": _run_affinity,
-    "mixing": _run_mixing,
-    "export-attractor": _run_export,
-}
+_RUNNERS = dict(zip(COMMANDS, (_run_check_hypotheses, _run_spannability, _run_qm, _run_pressure,
+                                _run_s0, _run_r0, _run_affinity, _run_mixing, _run_export)))
 
 
 def run_command(cfg: RunConfig) -> tuple[dict, int]:
     """Dispatch a parsed config; returns (report, exit code)."""
     if cfg.command not in _RUNNERS:
         raise InputError(f"no command selected; choose from {COMMANDS}")
+    if cfg.seed < 0:
+        raise InputError(f"seed must be >= 0, got {cfg.seed}")
     start = time.perf_counter()
     result, code, warnings = _RUNNERS[cfg.command](cfg)
-    report = {
-        "artifact": {"name": "cocyclespan", "version": __version__},
-        "command": cfg.command,
-        "config": cfg.echo(),
-        "seed": cfg.seed,
-        "budget": cfg.budget,
-        "result": result,
-        "warnings": warnings,
-        "exit_code": code,
-        "meta": {"wall_time_s": time.perf_counter() - start},
-    }
+    report = {"artifact": {"name": "cocyclespan", "version": __version__},
+              "command": cfg.command, "config": cfg.echo(), "seed": cfg.seed,
+              "budget": cfg.budget, "result": result, "warnings": warnings, "exit_code": code,
+              "meta": {"wall_time_s": time.perf_counter() - start}}
     return report, code
 
 
@@ -439,19 +452,10 @@ def main(argv=None) -> int:
     ap.add_argument("--command", choices=COMMANDS, help="override the config command")
     ap.add_argument("--out", help="write the JSON report here (default stdout)")
     ap.add_argument("--csv-dir", help="directory for CSV outputs")
-    ap.add_argument("--seed", type=int, help="random seed (default 42)")
-    ap.add_argument("--budget", type=int, help="word enumeration cap (default 2e7)")
-    ap.add_argument("--k-max", type=int, dest="k_max")
-    ap.add_argument("--k", type=int)
-    ap.add_argument("--k-qm", type=int, dest="k_qm")
-    ap.add_argument("--n", type=int)
-    ap.add_argument("--n-max", type=int, dest="n_max")
-    ap.add_argument("--s", type=float)
-    ap.add_argument("--L", type=int)
-    ap.add_argument("--gap", type=int)
-    ap.add_argument("--depth", type=int)
-    ap.add_argument("--beta", type=float)
-    ap.add_argument("--mode", choices=("theorem_1_1", "corollary_4_3"))
+    flags = {name: opt.type for name, opt in _KNOWN.items() if opt.flag}
+    for name, typ in flags.items():
+        ap.add_argument(f"--{name.replace('_', '-')}", dest=name, help=f"options.{name}",
+                        **{"choices": typ} if isinstance(typ, tuple) else {"type": typ})
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
@@ -462,19 +466,14 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise InputError(f"cannot read --config: {exc}") from exc
         cfg = parse_config(text)
-        for key in ("k_max", "k", "k_qm", "n", "n_max", "s", "L", "gap", "depth",
-                    "beta", "mode"):
-            val = getattr(args, key, None)
-            if val is not None:
-                cfg.options[key] = val
-        if args.command:
-            cfg.command = args.command
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.budget is not None:
-            cfg.budget = args.budget
-        if args.csv_dir:
-            cfg.csv_dir = args.csv_dir
+        for name in flags:  # seed and budget go to cfg, the others into options
+            val = getattr(args, name)
+            if val is not None and name in COMMON:
+                setattr(cfg, name, val)
+            elif val is not None:
+                cfg.options[name] = val
+        cfg.command = args.command or cfg.command
+        cfg.csv_dir = args.csv_dir or cfg.csv_dir
         report, code = run_command(cfg)
         text = report_canonical_json(report)
         if args.out:

@@ -20,7 +20,7 @@ from .errors import InputError
 from .kernels import level_singvals
 from .quasimult import QMConstant, qm_constant_phi
 from .systems import GeneratorSystem
-from .wordspace import (DEFAULT_BUDGET, Word, check_budget, enumerate_words, validate_word,
+from .wordspace import (DEFAULT_BUDGET, Word, check_sweep, enumerate_words, validate_word,
                         word_rank, word_unrank)
 
 from typing import Iterable
@@ -34,7 +34,7 @@ def _lse(arr: np.ndarray, axis=None):
 
 def _levels(system: GeneratorSystem, s: float, n: int, budget: int):
     """(s log |A_I| in rank order, log Z_m) of every level m = 0..n, from one sweep."""
-    check_budget(system.ell**n, budget)
+    check_sweep(system.ell, n, budget)
     out = []
     for logs1, _ in level_singvals(system.stacked(), n):
         w = s * logs1
@@ -154,8 +154,8 @@ def mixing_levels(system: GeneratorSystem, s: float, L: int, gap: int, connector
     `kappa_floor` (depth 2L + k) and `cylinder_weights` (depth n <= 2L) read
     prefixes of it.
     """
-    if L < 1 or gap < 1:
-        raise InputError("need L >= 1 and gap >= 1")
+    if L < 1 or gap < 1 or connector_k < 1:
+        raise InputError("need L >= 1, gap >= 1 and connector_k >= 1")
     return _levels(system, s, 2 * L + max(gap, connector_k), budget)
 
 
@@ -193,7 +193,7 @@ def psi_mixing_stat(system: GeneratorSystem, s: float, L: int, gap: int, *,
     deepest = 2 * L + gap
     p_hat = lev[deepest][1] / deepest
     ratios = [math.exp(n * p_hat - lev[n][1]) for n in range(1, deepest + 1)]
-    c0_est = max(max(ratios), 1.0 / min(ratios))
+    c0_est = max(max(ratios), 1.0 / min(ratios)) if min(ratios) > 0 else math.inf
     verdict = "Pass" if floor > 0 else "NoCertificate"
     return MixingReport(s=s, L=L, gap=gap, psi_hat=psi, kappa_floor=floor,
                         connector_k=connector_k, verdict=verdict, worst_pair=worst,

@@ -21,9 +21,9 @@ from .errors import InputError
 from .kernels import dense_products
 from .linalg import (SubspaceBasis, invariance_residual, matrices_span_basis,
                      span_basis, wedge_power)
-from .rational2 import common_root_line, line_quadratic_exact
+from .rational2 import common_root_line, pair_quadratic
 from .systems import GeneratorSystem, _DerivedSystem
-from .wordspace import DEFAULT_BUDGET, check_budget, product
+from .wordspace import DEFAULT_BUDGET, check_sweep, product
 
 IRREDUCIBLE = "IrreducibleCertified"
 REDUCIBLE = "ReducibleWitness"
@@ -49,7 +49,7 @@ def power_system(system: GeneratorSystem, t: int, *, budget: int = DEFAULT_BUDGE
     """The cocycle generated by all length-t products, in lexicographic word order."""
     if t < 1:
         raise InputError("power exponent must be >= 1")
-    check_budget(system.ell**t, budget)
+    check_sweep(system.ell, t, budget)
     return _DerivedSystem(tuple(dense_products(system.stacked(), t)), exact=system.exact)
 
 
@@ -120,7 +120,7 @@ def _witness_from_line(system: GeneratorSystem, u: np.ndarray, method: str) -> I
 
 
 def _verdict_d2(system: GeneratorSystem) -> IrreducibilityVerdict:
-    quads = [line_quadratic_exact(A) for A in system.generators]
+    quads = [pair_quadratic(np.eye(2), A) for A in system.generators]
     u, method = common_root_line(quads, system.exact)
     if u is None:
         return IrreducibilityVerdict(status=IRREDUCIBLE, method=method)

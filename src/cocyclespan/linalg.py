@@ -15,7 +15,6 @@ from .errors import InputError
 TAU_DET = 1e-12     # invertible means |det| > TAU_DET * sigma_1^d
 RANK_TOL = 1e-9     # default relative rank cutoff for spans
 MAX_DIM = 8
-_TIE_REL = 1e-12    # relative tolerance for singular value ties
 
 
 def as_matrix(A) -> np.ndarray:
@@ -45,13 +44,6 @@ def is_invertible(A) -> bool:
     return s[0] > 0 and abs(np.linalg.det(A)) > TAU_DET * s[0] ** A.shape[0]
 
 
-def require_invertible(A, name: str = "matrix") -> np.ndarray:
-    M = as_matrix(A)
-    if not is_invertible(M):
-        raise InputError(f"{name} not invertible")
-    return M
-
-
 def wedge_index_sets(d: int, m: int) -> list[tuple[int, ...]]:
     """m-element index subsets of range(d) in lexicographic order."""
     return list(combinations(range(d), m))
@@ -78,48 +70,12 @@ def wedge_power(A, m: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PrincipalPair:
-    """Top right-singular direction v1, image direction v2 = A v1 / |A v1|."""
-
-    v1: np.ndarray
-    v2: np.ndarray
-    sigma: np.ndarray
-
-
 def canonical_sign(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """v or -v, so that the first coordinate above `tol` in size is positive."""
     for x in v:
         if abs(x) > tol:
             return v if x > 0 else -v
     return v
-
-
-def principal_pair(A) -> PrincipalPair:
-    """Singular data of an invertible matrix with a deterministic tie-break.
-
-    If sigma_1 is degenerate the representative v1 is the normalized projection
-    of the first standard basis vector that meets the top singular subspace;
-    signs are fixed so the first non-negligible coordinate is positive.
-    """
-    M = require_invertible(A)
-    _, s, Vt = np.linalg.svd(M)
-    q = int(np.sum(s >= s[0] * (1.0 - _TIE_REL)))
-    if q <= 1:
-        v1 = canonical_sign(Vt[0], 1e-9)
-    else:
-        top = Vt[:q].T  # columns span the top singular subspace
-        v1 = None
-        for j in range(M.shape[0]):
-            proj = top @ top.T[:, j]
-            nrm = np.linalg.norm(proj)
-            if nrm > 1e-9:
-                v1 = canonical_sign(proj / nrm, 1e-9)
-                break
-        assert v1 is not None
-    img = M @ v1
-    v2 = canonical_sign(img / np.linalg.norm(img), 1e-9)
-    return PrincipalPair(v1=v1, v2=v2, sigma=s)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InputError
 from .kernels import _LN2, dense_products, level_products, minimax_grid2, opnorm_batch, qm_scan
 from .systems import GeneratorSystem
-from .wordspace import DEFAULT_BUDGET, Word, check_budget, word_unrank
+from .wordspace import DEFAULT_BUDGET, Word, check_sweep, word_unrank
 
 GRID_ANGLES = 2000  # angles per circle for the d = 2 certificate grid
 
@@ -47,7 +47,7 @@ def gamma_minimax(system: GeneratorSystem, k: int, *,
     """
     if k < 1:
         raise InputError("connector length k must be >= 1")
-    check_budget(system.ell**k, budget)
+    check_sweep(system.ell, k, budget)
     if system.dim != 2:
         return GammaResult(value=0.0, certified=False, k=k)
     kmats = dense_products(system.stacked(), k)
@@ -85,7 +85,7 @@ def empirical_qm(system: GeneratorSystem, k: int, n_max: int, *,
         raise InputError("n_max must be >= 1")
     ell = system.ell
     gamma = gamma_minimax(system, k, budget=budget)
-    check_budget(float(ell) ** (2 * n_max) * ell**k, budget)
+    check_sweep(ell, 2 * n_max + k, budget)
     levels = list(level_products(system.stacked(), max(k, n_max)))
     kunits, kexps = levels[k]
     klogs = kexps * _LN2
@@ -130,7 +130,7 @@ def qm_constant_phi(system: GeneratorSystem, k: int, s: float, *,
 
 def connector_min_det(system: GeneratorSystem, k: int, *, budget: int = DEFAULT_BUDGET) -> float:
     """min over |K| = k of |det A_K|."""
-    check_budget(system.ell**k, budget)
+    check_sweep(system.ell, k, budget)
     kmats = dense_products(system.stacked(), k)
     return float(np.min(np.abs(np.linalg.det(kmats))))
 

@@ -25,10 +25,15 @@ Quad = tuple[Fraction, Fraction, Fraction]  # coefficients of x^2, xy, y^2
 FLOAT_ROOT_TOL = 1e-9
 
 
-def line_quadratic_exact(A) -> Quad:
-    a, b = Fraction(float(A[0, 0])), Fraction(float(A[0, 1]))
-    c, d = Fraction(float(A[1, 0])), Fraction(float(A[1, 1]))
-    return (c, d - a, -b)
+def as_fraction(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(float(x))
+
+
+def pair_quadratic(A, B) -> Quad:
+    """det(A u | B u) as a quadratic form in u = (x, y); A = I gives B's line quadratic."""
+    a0, b0, c0, d0 = (as_fraction(A[i][j]) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    a1, b1, c1, d1 = (as_fraction(B[i][j]) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    return (a0 * c1 - c0 * a1, a0 * d1 + b0 * c1 - c0 * b1 - d0 * a1, b0 * d1 - d0 * b1)
 
 
 def is_zero_quad(q: Quad) -> bool:

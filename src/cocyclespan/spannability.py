@@ -8,7 +8,7 @@ d^2 basis elements and turns "for all u" into a minimax over one sphere.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -19,7 +19,7 @@ from .errors import ContractViolation, InputError
 from .kernels import dense_products, lipschitz_bnb
 from .linalg import (SubspaceBasis, canonical_sign, operator_norm, span_basis,
                      subspace_distance, wedge_index_sets, wedge_power)
-from .rational2 import common_root_line
+from .rational2 import as_fraction, common_root_line, pair_quadratic
 from .systems import GeneratorSystem
 from .wordspace import DEFAULT_BUDGET, check_budget
 
@@ -37,10 +37,6 @@ NOT_SPANNABLE = "NotSpannable"
 INCONCLUSIVE = "Inconclusive"
 
 
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(float(x))
-
-
 class _RationalSpan:
     """Echelon basis over Q for membership tests and exact M_k bases."""
 
@@ -55,7 +51,7 @@ class _RationalSpan:
         return v
 
     def add(self, vec) -> bool:
-        v = self._reduce([_fr(x) for x in vec])
+        v = self._reduce([as_fraction(x) for x in vec])
         for i, x in enumerate(v):
             if x != 0:
                 inv = 1 / x
@@ -96,16 +92,16 @@ def mk_bases(system: GeneratorSystem, k_max: int, *,
              budget: int = DEFAULT_BUDGET) -> Iterator[MkBasis]:
     """M_1..M_{k_max} from one pass: M_1 = span generators, M_{j+1} = span{A_i B : B in M_j}.
 
-    Each level extends the rational echelon rows of the last and is checked
-    against the budget before it is built; once M_j is the whole matrix space
-    the later levels repeat it.
+    Each level extends the rational echelon rows of the last; once M_j is the
+    whole matrix space the later levels repeat it. The whole sweep, ell d^2
+    products per level, is checked against the budget before the first level.
     """
     d = system.dim
     full = d * d
-    gens_q = [[[_fr(x) for x in row] for row in A] for A in system.generators]
+    gens_q = [[[as_fraction(x) for x in row] for row in A] for A in system.generators]
+    check_budget(system.ell * full * k_max, budget)
     mk = None
     for k in range(1, k_max + 1):
-        check_budget(system.ell * full * k, budget)
         if mk is not None and rat.rank == full:
             mk = replace(mk, k=k)
             yield mk
@@ -172,15 +168,6 @@ class SpannabilityCertificate:
     @property
     def spannable(self) -> bool:
         return self.status == SPANNABLE
-
-
-def _pair_quadratic(A, B):
-    a0, b0, c0, d0 = _fr(A[0][0]), _fr(A[0][1]), _fr(A[1][0]), _fr(A[1][1])
-    a1, b1, c1, d1 = _fr(B[0][0]), _fr(B[0][1]), _fr(B[1][0]), _fr(B[1][1])
-    q20 = a0 * c1 - c0 * a1
-    q11 = a0 * d1 + b0 * c1 - c0 * b1 - d0 * a1
-    q02 = b0 * d1 - d0 * b1
-    return (q20, q11, q02)
 
 
 def _quad_circle_min_abs(q) -> float:
@@ -301,7 +288,7 @@ def _exact_certificate(system: GeneratorSystem, mk: MkBasis) -> SpannabilityCert
     if mk.dim < system.dim:
         return _deficit_certificate(mk, exact=True)
     mats = mk.rational if mk.rational is not None else list(mk.basis)
-    quads = [_pair_quadratic(mats[i], mats[j])
+    quads = [pair_quadratic(mats[i], mats[j])
              for i in range(len(mats)) for j in range(i + 1, len(mats))]
     u, method = common_root_line(quads, mk.rational is not None)
     if u is not None:
@@ -331,7 +318,7 @@ def _exact_margin(system: GeneratorSystem, mk: MkBasis) -> tuple[float, bool, tu
     quads = []
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            q = _pair_quadratic(mats[i], mats[j])
+            q = pair_quadratic(mats[i], mats[j])
             quads.append(q)
             best = max(best, _quad_circle_min_abs(q))
     if best > 0.0:
@@ -400,6 +387,7 @@ class SpannabilitySearch:
     found: int | None
     k_max: int
     certificates: tuple[SpannabilityCertificate, ...]
+    levels: tuple[MkBasis, ...] = field(repr=False)  # M_1.. of the sweep, left out of reports
 
     @property
     def not_found(self) -> bool:
@@ -415,13 +403,15 @@ def minimal_spannable_k(system: GeneratorSystem, k_max: int, *, method: str = "a
     """Least spannable k <= k_max over one `mk_bases` sweep; monotone, so the first success wins."""
     if k_max < 1:
         raise InputError("k_max must be >= 1")
-    certs = []
+    certs, levels = [], []
     for mk in mk_bases(system, k_max, budget=budget):
         cert = _certify(system, mk, method, seed)
         certs.append(cert)
+        levels.append(mk)
         if cert.spannable:
-            return SpannabilitySearch(found=mk.k, k_max=k_max, certificates=tuple(certs))
-    return SpannabilitySearch(found=None, k_max=k_max, certificates=tuple(certs))
+            break
+    return SpannabilitySearch(found=mk.k if cert.spannable else None, k_max=k_max,
+                              certificates=tuple(certs), levels=tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -457,7 +447,7 @@ def diagnose_failure(system: GeneratorSystem, search: SpannabilitySearch, *, see
 
     `search` is the `minimal_spannable_k` result for `system`; its last
     NotSpannable witness u gives the chain V_k = M_k u, k = 1..search.k_max,
-    read from one `mk_bases` sweep. Case 1 detects a periodic chain and
+    read from the search's own M_k levels. Case 1 detects a periodic chain and
     cross-checks that the matching power cocycle is reducible; Case 2 exhibits
     the eigen-structure of a non-scalar wedge quotient acting on the chain.
     The classification is heuristic evidence, certified only where stated.
@@ -476,7 +466,7 @@ def diagnose_failure(system: GeneratorSystem, search: SpannabilitySearch, *, see
 
     k_max = search.k_max
     chain = [span_basis([M @ witness for M in mk.basis], ambient=system.dim)
-             for mk in mk_bases(system, k_max, budget=budget)]
+             for mk in search.levels]
     dims = [V.dim for V in chain]
 
     # Case 1: V_{k+t} = V_k along the whole chain

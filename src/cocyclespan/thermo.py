@@ -21,7 +21,7 @@ from .hypotheses import HypothesisReport, check_hypotheses
 from .kernels import word_singvals
 from .quasimult import GammaResult, connector_min_det, gamma_minimax, phi_constant
 from .systems import GeneratorSystem
-from .wordspace import DEFAULT_BUDGET, Word, check_budget, product, validate_word, word_str
+from .wordspace import DEFAULT_BUDGET, Word, check_budget, check_sweep, product, validate_word, word_str
 
 S_MAX = 4.0          # root searches live on [0, S_MAX]
 ROOT_TOL = 1e-6
@@ -149,7 +149,7 @@ class _LevelData:
     def __init__(self, system: GeneratorSystem, n: int, *, budget: int = DEFAULT_BUDGET):
         if n < 1:
             raise InputError("level n must be >= 1")
-        check_budget(system.ell**n, budget)
+        check_sweep(system.ell, n, budget)
         self.n = n
         self.logs1, self.logs2 = word_singvals(system.stacked(), n)
         self._scratch = np.empty_like(self.logs1)
@@ -236,7 +236,10 @@ class TargetSequence:
         return warnings
 
 
-def all_ones_targets(count: int, tail_start: int = 1) -> TargetSequence:
+def all_ones_targets(count: int, tail_start: int = 1, *,
+                     budget: int = DEFAULT_BUDGET) -> TargetSequence:
+    """Targets 1, 11, 111, ... of lengths 1..count; their total length must fit the budget."""
+    check_budget(count * (count + 1) // 2, budget)
     return TargetSequence(words=tuple(tuple([1] * k) for k in range(1, count + 1)),
                           tail_start=tail_start)
 
@@ -245,9 +248,12 @@ class _TargetData:
     def __init__(self, system: GeneratorSystem, targets: TargetSequence):
         self.lengths = np.array([len(w) for w in targets.words], dtype=float)
         l1, l2 = [], []
-        for w in targets.words:
+        for i, w in enumerate(targets.words, start=1):
             sp = product(system, w)
             sv = np.linalg.svd(sp.unit, compute_uv=False)
+            if sv[-1] == 0.0:
+                raise InputError(f"target word {i} (length {len(w)}): the smaller singular "
+                                 f"value of its product underflows to 0")
             l1.append(sp.logscale + math.log(sv[0]))
             l2.append(sp.logscale + math.log(sv[-1]))
         self.logs1 = np.array(l1)

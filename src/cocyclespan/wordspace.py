@@ -51,9 +51,22 @@ def validate_word(word: Word, ell: int) -> None:
             raise InputError(f"symbol {s} outside 1..{ell} in word {word_str(word)!r}")
 
 
-def check_budget(count: float, budget: int = DEFAULT_BUDGET) -> None:
+def check_budget(count: int, budget: int = DEFAULT_BUDGET) -> None:
     if count > budget:
-        raise ResourceLimitError(f"{count:.3g} words exceed the budget of {budget}")
+        shown = f"{count:.3g}" if count < 1e300 else f"about 2^{count.bit_length()}"
+        raise ResourceLimitError(f"{shown} words exceed the budget of {budget}")
+
+
+def check_sweep(ell: int, n: int, budget: int = DEFAULT_BUDGET) -> None:
+    """Check a sweep of n levels over ell symbols, counted as max(ell**n, n) words.
+
+    A lower bound on the bit length of ell**n decides first, so a count beyond
+    both a float's range and the budget is refused without being built.
+    """
+    bits = n * (ell.bit_length() - 1)  # ell**n >= 2**bits
+    if bits > max(1023, budget.bit_length()):
+        raise ResourceLimitError(f"{ell}^{n} words exceed the budget of {budget}")
+    check_budget(max(ell**n, n), budget)
 
 
 def enumerate_words(ell: int, n: int) -> Iterator[Word]:
@@ -73,7 +86,11 @@ def word_rank(word: Word, ell: int) -> int:
 
 def word_unrank(rank: int, ell: int, n: int) -> Word:
     """The word of lexicographic rank `rank` among Lambda(n); inverts `word_rank`."""
-    return tuple(int(i) + 1 for i in np.unravel_index(rank, (ell,) * n))
+    word = []
+    for _ in range(n):
+        rank, s = divmod(int(rank), ell)
+        word.append(s + 1)
+    return tuple(reversed(word))
 
 
 @dataclass(frozen=True)

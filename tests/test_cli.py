@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -137,8 +140,27 @@ class TestRunCommand:
         report, code = cli.run_command(cfg)
         assert code == cli.EXIT_OK
         assert report["result"]["diagnosis"]["case"] == "PeriodicSubspaces"
-        # one M_1..M_6 sweep for the search and one for the diagnosis chain
-        assert len(built) <= 2 * 6
+        # one M_1..M_6 sweep serves the search and the diagnosis chain
+        assert len(built) == 6
+
+    def test_diagnosis_reuses_the_search_levels(self, monkeypatch):
+        from cocyclespan import spannability
+        built = []
+
+        class CountingSpan(spannability._RationalSpan):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(spannability, "_RationalSpan", CountingSpan)
+        # three upper-triangular generators: M_k is the triangular algebra at every k
+        cfg = cfg_from({"system": {"dimension": 2, "generators": [
+            ["2", "1", "0", "1"], ["1", "0.5", "0", "3"], ["0.5", "-1", "0", "2"]]},
+            "command": "spannability", "options": {"k_max": 4}})
+        report, code = cli.run_command(cfg)
+        assert code == cli.EXIT_OK and report["result"]["found"] is None
+        assert "diagnosis" in report["result"] and "levels" not in report["result"]
+        assert len(built) == 4
 
     def test_spannability_cap_warning(self, monkeypatch):
         monkeypatch.setattr(kernels, "BNB_MAX_EVALS", 5000)
@@ -296,13 +318,100 @@ class TestReproducibility:
     @pytest.mark.parametrize("key,value", [
         ("n", "abc"), ("seed", "x"), ("targets", [1, 2]), ("targets", "abc"),
         ("psi_table", [[4, "a"]]), ("psi_table", [5, 6]), ("psi_table", "abc"),
-        ("tail_start", "x"), ("qm", {"k": 1, "C": 1e9})])
+        ("tail_start", "x"), ("qm", {"k": 1, "C": 1e9}),
+        # keys no command reads, at the top and in the nested objects
+        ("kmax", 2), ("seeed", 1), ("targets", {"all_ones": 4, "tail_strat": 2}),
+        ("qm", {"k": 1, "C": 0.1, "c": 0.1}),
+        # non-finite numbers
+        ("s", math.nan), ("s", math.inf), ("s_grid", [0.5, -math.inf]),
+        ("qm", {"k": 1, "C": math.nan})])
     def test_bad_option_type_exit_3(self, tmp_path, capsys, key, value):
         # a qm constant this large inverts the n = 6 pressure bracket
-        base = {"psi_table": R0_CONFIG, "tail_start": R0_CONFIG,
-                "qm": PRESSURE_CONFIG}.get(key, E3_CONFIG)
+        base = {"psi_table": R0_CONFIG, "tail_start": R0_CONFIG, "qm": PRESSURE_CONFIG,
+                "s_grid": PRESSURE_CONFIG, "kmax": E2_CONFIG}.get(key, E3_CONFIG)
         cfg = dict(base, options=dict(base["options"], **{key: value}))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert cli.main(["--config", str(cfg_path)]) == cli.EXIT_INPUT_ERROR
         assert f"options.{key}" in capsys.readouterr().err
+
+
+def run_main(tmp_path, config: dict, *args) -> tuple[int, str]:
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["--config", str(cfg_path), "--csv-dir", str(tmp_path), *args])
+    return code, err.getvalue()
+
+
+E3_SYSTEM = E3_CONFIG["system"]
+
+
+class TestOptionTable:
+    def test_flags_are_the_option_flags(self):
+        flags = {name for name, opt in cli._KNOWN.items() if opt.flag}
+        assert flags == {"seed", "budget", "k_max", "k", "k_qm", "n", "n_max", "s", "L",
+                         "gap", "depth", "beta", "mode"}
+
+    def test_one_type_per_name(self):
+        for table in cli.OPTIONS.values():
+            for name, opt in table.items():
+                assert opt.type == cli._KNOWN[name].type
+                assert (opt.default is None) == (cli._KNOWN[name].default is None)
+
+    def test_another_commands_key_stays_legal(self, tmp_path):
+        config = str(Path(__file__).resolve().parent.parent / "configs" / "e3.json")
+        assert cli.main(["--config", config, "--command", "affinity-dim", "--n", "10",
+                         "--out", str(tmp_path / "r.json")]) == cli.EXIT_OK
+
+    def test_flag_values_are_checked(self, tmp_path):
+        code, err = run_main(tmp_path, dict(E3_CONFIG, command="mixing", options={}),
+                             "--s", "nan")
+        assert code == cli.EXIT_INPUT_ERROR and "options.s must be a finite number" in err
+
+
+class TestDocumentedExits:
+    @pytest.mark.parametrize("system,command,options", [
+        (E3_SYSTEM, "qm", {"k": 2000}),
+        (E3_SYSTEM, "qm", {"n_max": 10**6}),
+        (E3_SYSTEM, "affinity-dim", {"k_qm": 100000}),
+        (E3_SYSTEM, "affinity-dim", {"n": 10**6}),
+        (E3_SYSTEM, "affinity-dim", {"n": 10**8}),
+        (E3_SYSTEM, "s0", {"targets": {"all_ones": 10**6}}),
+        # one generator: a sweep of n levels counts n words, not 1**n
+        (E1_CONFIG["system"], "s0", {"targets": {"all_ones": 3}, "n": 10**6, "budget": 10**5}),
+        (E4_CONFIG["system"], "export-attractor", {"depth": 10, "budget": 100}),
+        (E1_CONFIG["system"], "spannability", {"k_max": 10**9}),
+    ])
+    def test_over_budget_exit_4(self, tmp_path, system, command, options):
+        code, err = run_main(tmp_path, {"system": system, "command": command,
+                                        "options": options})
+        assert code == cli.EXIT_RESOURCE, err
+        assert "words exceed the budget" in err
+
+    @pytest.mark.parametrize("command,options,message", [
+        ("mixing", {"connector_k": -3}, "connector_k >= 1"),
+        ("s0", {"targets": {"all_ones": 3000}}, "target word 537 (length 537)"),
+        ("check-hypotheses", {"seed": -1}, "seed must be >= 0"),
+        # the distortion estimate of the psi statistic underflows before s is checked
+        ("mixing", {"s": 1.92901336644459e+171, "L": 2, "gap": 2}, "s must lie in [0, 2]"),
+        ("export-attractor", {"csv_name": ""}, "cannot write the attractor CSV"),
+    ])
+    def test_bad_input_exit_3(self, tmp_path, command, options, message):
+        system = E4_CONFIG["system"] if command == "export-attractor" else E3_SYSTEM
+        code, err = run_main(tmp_path, {"system": system, "command": command,
+                                        "options": options})
+        assert code == cli.EXIT_INPUT_ERROR, err
+        assert message in err
+
+    def test_witness_longer_than_64_symbols(self, tmp_path):
+        # one generator passes any budget at k = 100; numpy arrays stop at 64 axes
+        code, err = run_main(tmp_path, {"system": E1_CONFIG["system"], "command": "qm",
+                                        "options": {"k": 100, "n_max": 2}})
+        assert code == cli.EXIT_OK, err
+
+    def test_overlong_integer_exit_3(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(E2_CONFIG).replace('"k_max": 4', '"k_max": 1' + "0" * 5000))
+        assert cli.main(["--config", str(cfg_path)]) == cli.EXIT_INPUT_ERROR

@@ -7,7 +7,8 @@ from cocyclespan import E2, E3
 from cocyclespan.kernels import (_BLOCK, _extend_level, _rescale_batch,
                                  level_singvals, lipschitz_bnb, minimax_grid2,
                                  products_level_numpy, qm_scan, sigma12_2x2, word_singvals)
-from cocyclespan.spannability import TAU_SPAN, _angles_to_unit, _pair_quadratic, _stack_f
+from cocyclespan.rational2 import pair_quadratic
+from cocyclespan.spannability import TAU_SPAN, _angles_to_unit, _stack_f
 from cocyclespan.wordspace import enumerate_words, product
 
 
@@ -184,7 +185,7 @@ class TestLipschitzBnb:
         th = np.linspace(0.0, np.pi, 20_001)[:, None]
         for _ in range(5):
             B = rng.standard_normal((4, 2, 2))
-            Q = np.array([[float(x) for x in _pair_quadratic(B[i], B[j])]
+            Q = np.array([[float(x) for x in pair_quadratic(B[i], B[j])]
                           for i in range(4) for j in range(i + 1, 4)])
             lip = max(2.0 * np.linalg.norm([[a, b / 2], [b / 2, c]], 2) for a, b, c in Q)
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from cocyclespan.errors import InputError
-from cocyclespan.linalg import (SubspaceBasis, operator_norm, principal_pair,
-                                singular_values, span_basis, subspace_distance,
-                                wedge_power)
+from cocyclespan.linalg import (SubspaceBasis, operator_norm, singular_values, span_basis,
+                                subspace_distance, wedge_power)
 
 
 def random_invertible(rng, d):
@@ -57,43 +56,6 @@ class TestWedgePower:
             wedge_power(np.eye(3), 3)
         with pytest.raises(InputError):
             wedge_power(np.eye(3), 0)
-
-
-class TestPrincipalPair:
-    def test_diagonal(self):
-        pp = principal_pair(np.diag([2.0, 0.5]))
-        assert np.allclose(pp.v1, [1, 0])
-        assert np.allclose(pp.v2, [1, 0])
-        assert np.allclose(pp.sigma, [2.0, 0.5])
-
-    def test_rotation_tie_break(self):
-        pp = principal_pair(np.array([[0.0, -1.0], [1.0, 0.0]]))
-        assert np.allclose(pp.sigma, [1.0, 1.0])
-        assert np.allclose(pp.v1, [1, 0])
-        assert np.allclose(pp.v2, [0, 1])
-
-    def test_hand_svd(self):
-        pp = principal_pair(np.array([[0.0, -0.5], [2.0, 0.0]]))
-        assert np.allclose(pp.sigma, [2.0, 0.5])
-        assert np.allclose(pp.v1, [1, 0])
-        assert np.allclose(pp.v2, [0, 1])
-
-    def test_v1_maximizes_norm(self):
-        rng = np.random.default_rng(11)
-        A = random_invertible(rng, 3)
-        pp = principal_pair(A)
-        base = np.linalg.norm(A @ pp.v1)
-        for _ in range(1000):
-            u = rng.standard_normal(3)
-            u /= np.linalg.norm(u)
-            assert base >= np.linalg.norm(A @ u) - 1e-10
-
-    def test_image_norm_matches_sigma(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            A = random_invertible(rng, 4)
-            pp = principal_pair(A)
-            assert abs(np.linalg.norm(A @ pp.v1) - pp.sigma[0]) <= 1e-10 * pp.sigma[0]
 
 
 class TestSpanBasis:
