@@ -1,21 +1,28 @@
 """Hot enumeration kernels and the certified minimizer, vectorised with numpy.
 
-Outputs are bit-reproducible: arrays are indexed by lexicographic word rank
-and every reduction runs over fully assembled arrays in a fixed order.
+Outputs are bit-reproducible: arrays are indexed by lexicographic word rank,
+every per-word value is independent of the block it is computed in, and every
+sum runs over fully assembled arrays in a fixed order (a minimum, exact in any
+order, may run block by block).
 
 One certified minimizer, `lipschitz_bnb`: a batched Lipschitz branch and bound
 over an angle box. It certifies the spannability circle and sphere and the
-pair-quadratic margin. The gamma torus keeps its dense grid (`minimax_grid2`).
+pair-quadratic margin. The gamma torus keeps its dense grid (`minimax_grid2`),
+folded in blocks of at most `_GRID_ROWS` rows, so it holds two such blocks,
+not three G x G arrays.
 
 The only word-product engine: A_I = 2^exponent * unit, with an integer exponent
 and the unit's Frobenius norm (within sqrt(d) of the operator norm) kept in
 [0.5, 2], so `dense_products` is exact; log scales are exponent * ln 2.
 
 Levels are built by one sweep: Lambda(m + 1) extends Lambda(m), starting from
-the identity. `products_level_numpy` and `word_singvals` keep only the last
-level; `level_products` yields and `level_singvals` lists every level
-m = 0..n of one sweep, for callers that read several levels. Every level of a
-sweep is bitwise equal to the one-level call at that m.
+the identity. `products_level_numpy` keeps only the last level; `level_products`
+yields and `level_singvals` lists every level m = 0..n of one sweep, for
+callers that read several levels. Every level of a sweep is bitwise equal to
+the one-level call at that m. `word_singvals` streams its level in prefix
+blocks of at most `_STREAM` words, each extended from one chunk of a head
+level, so it holds 16 bytes per word of output (8 for d > 2) plus one block
+of products; every word gets the bits of the whole-level sweep.
 
 `_extend_level` is the closed form of the product, with no einsum and no BLAS:
 unit(A_j A_I)[a, c] = 0.0 + sum over b = 0..d-1 of A_j[a, b] * unit(A_I)[b, c],
@@ -35,6 +42,8 @@ BNB_MAX_EVALS = 2_000_000  # evaluation cap of `lipschitz_bnb`
 _BNB_CELLS = 64           # coarse grid cells per axis
 _BNB_BATCH = 4096         # open cells split per round; f sees at most 2^m times as many
 _BLOCK = 4096             # words per block of `_extend_level`
+_STREAM = 1 << 16         # most words `word_singvals` extends at once
+_GRID_ROWS = 250          # most grid rows `minimax_grid2` folds at once
 
 
 def _rescale_batch(units: np.ndarray, exps: np.ndarray) -> None:
@@ -126,10 +135,32 @@ def _log_singvals(units: np.ndarray, logs: np.ndarray):
 def word_singvals(gens: np.ndarray, n: int):
     """Per-word (log sigma_1, log sigma_2) over Lambda(n), lexicographic rank order.
 
-    The second array is None for d > 2 (only the norm is needed there).
+    The second array is None for d > 2 (only the norm is needed there). The
+    level is streamed: the head level Lambda(n - b), with ell^b at most
+    `_STREAM`, is built whole, and each chunk of head rows is extended b
+    levels and written at its rank offset, since the words grown from head
+    row r have ranks r * ell^b .. (r + 1) * ell^b - 1.
     """
-    units, exps = products_level_numpy(np.ascontiguousarray(gens, dtype=float), n)
-    return _log_singvals(units, np.multiply(exps, _LN2, out=exps))
+    gens = np.ascontiguousarray(gens, dtype=float)
+    ell, d = gens.shape[:2]
+    b = 0
+    while b < n and ell ** (b + 1) <= _STREAM:
+        b += 1
+    span = ell ** b
+    head_units, head_exps = products_level_numpy(gens, n - b)
+    logs1 = np.empty(len(head_exps) * span)
+    logs2 = np.empty_like(logs1) if d == 2 else None
+    rows = _STREAM // span
+    for r0 in range(0, len(head_exps), rows):
+        units, exps = head_units[r0:r0 + rows], head_exps[r0:r0 + rows]
+        for _ in range(b):
+            units, exps = _extend_level(gens, units, exps)
+        l1, l2 = _log_singvals(units, np.multiply(exps, _LN2, out=exps))
+        at = slice(r0 * span, r0 * span + len(l1))
+        logs1[at] = l1
+        if logs2 is not None:
+            logs2[at] = l2
+    return logs1, logs2
 
 
 def level_singvals(gens: np.ndarray, n: int):
@@ -166,16 +197,32 @@ def qm_scan(units, kunits, klogs_scale):
 
 
 def minimax_grid2(kmats: np.ndarray, G: int = 2000):
-    """Raw grid minimum over (w, u) angle pairs of max_K |w^T A_K u|."""
+    """Raw grid minimum over (w, u) angle pairs of max_K |w^T A_K u|.
+
+    The w rows fold in near-equal blocks of at most `_GRID_ROWS`, never of one
+    row unless G = 1: a one-row matmul may take a matrix-vector path with
+    other bits. The first minimum of the first block holding the least block
+    minimum is the row-major argmin of the whole grid.
+    """
     kmats = np.ascontiguousarray(kmats, dtype=float)
     th = 2.0 * np.pi * np.arange(G) / G
     U = np.stack([np.cos(th), np.sin(th)])
-    acc = np.abs(U.T @ (kmats[0] @ U))
+    nb = -(-G // _GRID_ROWS)
+    edges = [G * i // nb for i in range(nb + 1)]  # blocks of floor or ceil of G / nb rows
+    acc = np.empty((-(-G // nb), G))
     v = np.empty_like(acc)
-    for K in kmats[1:]:
-        np.maximum(acc, np.abs(np.matmul(U.T, K @ U, out=v), out=v), out=acc)
-    iw, iu = np.unravel_index(np.argmin(acc), acc.shape)
-    return float(acc[iw, iu]), int(iw), int(iu)
+    mins, where = [], []
+    for r0, r1 in zip(edges, edges[1:]):
+        W, a, t = U.T[r0:r1], acc[:r1 - r0], v[:r1 - r0]
+        np.abs(np.matmul(W, kmats[0] @ U, out=a), out=a)
+        for K in kmats[1:]:
+            np.maximum(a, np.abs(np.matmul(W, K @ U, out=t), out=t), out=a)
+        i = int(np.argmin(a))
+        mins.append(a.flat[i])
+        where.append(r0 * G + i)
+    j = int(np.argmin(mins))
+    iw, iu = divmod(where[j], G)
+    return float(mins[j]), iw, iu
 
 
 def lipschitz_bnb(f, lip: float, lo, hi, tau: float, eps: float):

@@ -248,8 +248,12 @@ class _TargetData:
     def __init__(self, system: GeneratorSystem, targets: TargetSequence):
         self.lengths = np.array([len(w) for w in targets.words], dtype=float)
         l1, l2 = [], []
+        prev, sp = (), None
         for i, w in enumerate(targets.words, start=1):
-            sp = product(system, w)
+            if w[:len(prev)] != prev:  # not an extension of the last target
+                prev, sp = (), None
+            sp = product(system, w[len(prev):], sp)
+            prev = w
             sv = np.linalg.svd(sp.unit, compute_uv=False)
             if sv[-1] == 0.0:
                 raise InputError(f"target word {i} (length {len(w)}): the smaller singular "

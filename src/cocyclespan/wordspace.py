@@ -116,10 +116,18 @@ class ScaledProduct:
         return math.exp(self.log_norm)
 
 
-def product(system: GeneratorSystem, word: Word) -> ScaledProduct:
-    """Scaled cocycle product along a word; empty word gives the identity."""
+def product(system: GeneratorSystem, word: Word,
+            start: ScaledProduct | None = None) -> ScaledProduct:
+    """Scaled cocycle product along a word; empty word gives the identity.
+
+    With `start` = A_J, the product along J followed by `word`, continued
+    from J's unit and exponent with the same bits as `product` of the whole.
+    """
     validate_word(word, system.ell)
-    units, exps = np.eye(system.dim)[None], np.zeros(1)
+    if start is None:
+        units, exps = np.eye(system.dim)[None], np.zeros(1)
+    else:
+        units, exps = start.unit[None], np.array([float(start.exponent)])
     for s in word:
         units, exps = _extend_level(system.generators[s - 1][None], units, exps)
     return ScaledProduct(unit=units[0], exponent=int(exps[0]))

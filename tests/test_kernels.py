@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cocyclespan import E2, E3
-from cocyclespan.kernels import (_BLOCK, _extend_level, _rescale_batch,
+from cocyclespan import kernels
+from cocyclespan.kernels import (_BLOCK, _LN2, _extend_level, _log_singvals, _rescale_batch,
                                  level_singvals, lipschitz_bnb, minimax_grid2,
                                  products_level_numpy, qm_scan, sigma12_2x2, word_singvals)
 from cocyclespan.rational2 import pair_quadratic
@@ -67,14 +68,59 @@ class TestBitwiseOracles:
     @pytest.mark.parametrize("ell", [1, 2, 4, 8])
     def test_minimax_grid_equals_full_fold(self, ell):
         K = np.random.default_rng(ell).standard_normal((ell, 2, 2))
-        G = 300
-        th = 2.0 * np.pi * np.arange(G) / G
-        U = np.stack([np.cos(th), np.sin(th)])
-        acc = np.full((G, G), -np.inf)
-        for A in K:
-            acc = np.maximum(acc, np.abs(U.T @ (A @ U)))
-        iw, iu = np.unravel_index(np.argmin(acc), acc.shape)
-        assert minimax_grid2(K, G) == (float(acc[iw, iu]), int(iw), int(iu))
+        assert minimax_grid2(K, 300) == _full_fold(K, 300)
+
+    @pytest.mark.parametrize("G,ell,seed", [(251, 1, 4), (251, 2, 909), (2000, 4, 0)])
+    def test_minimax_grid_row_blocks_have_no_one_row_tail(self, G, ell, seed):
+        # blocks of 250 rows would leave a one-row tail at G = 251, and a
+        # one-row matmul may take another BLAS path: with these seeds the
+        # grid minimum lies in that row and its bits would change
+        K = np.random.default_rng(seed).standard_normal((ell, 2, 2))
+        assert minimax_grid2(K, G) == _full_fold(K, G)
+
+
+def _full_fold(K, G):
+    """(min, iw, iu) of max_K |w^T A_K u| over the whole G x G grid at once."""
+    th = 2.0 * np.pi * np.arange(G) / G
+    U = np.stack([np.cos(th), np.sin(th)])
+    acc = np.full((G, G), -np.inf)
+    for A in K:
+        acc = np.maximum(acc, np.abs(U.T @ (A @ U)))
+    iw, iu = np.unravel_index(np.argmin(acc), acc.shape)
+    return float(acc[iw, iu]), int(iw), int(iu)
+
+
+class TestStreamedLevel:
+    """`word_singvals` streams Lambda(n) in prefix blocks with the whole level's bits."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_stream_equals_whole_level(self, monkeypatch, ell, d):
+        # block 7: ell = 3 streams chunks of 2 head rows of 3 words each, and
+        # its head levels have odd size, so the last chunk is ragged; n below
+        # the block depth (ell = 2: 2, ell = 1: every n) streams from Lambda(0)
+        monkeypatch.setattr(kernels, "_STREAM", 7)
+        gens = np.random.default_rng(10 * ell + d).standard_normal((ell, d, d))
+        for n in range(8):
+            units, exps = products_level_numpy(gens, n)
+            ref1, ref2 = _log_singvals(units, exps * _LN2)
+            logs1, logs2 = word_singvals(gens, n)
+            assert logs1.tobytes() == ref1.tobytes()
+            assert (logs2 is None and ref2 is None) or logs2.tobytes() == ref2.tobytes()
+
+    @pytest.mark.parametrize("block,n", [(128, 14), (kernels._STREAM, 20)])
+    def test_extend_level_never_sees_more_than_a_block(self, monkeypatch, block, n):
+        monkeypatch.setattr(kernels, "_STREAM", block)
+        rows = []
+
+        def counted(gens, units, exps):
+            rows.append(len(units) * len(gens))
+            return _extend_level(gens, units, exps)
+
+        monkeypatch.setattr(kernels, "_extend_level", counted)
+        logs1, _ = word_singvals(E3().stacked(), n)
+        assert len(logs1) == 2**n and rows
+        assert max(rows) <= block
 
 
 class TestBackendAgreement:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +152,25 @@ class TestAlphaBeta:
         expect = min(-math.log(product(E3(), w).norm()) / len(w) for w in words[1:])
         assert abs(alpha_hat(E3(), targets, 1.0) - expect) <= 1e-12
 
+    @pytest.mark.parametrize("words,calls", [
+        (tuple((1,) * k for k in range(1, 41)), 40),  # 820 when each starts afresh
+        (((1,), (1, 2), (2,), (2, 2, 1), (1, 2)), 7),
+    ])
+    def test_targets_continue_the_last_product(self, monkeypatch, words, calls):
+        # a target extending the last continues from its product, with its bits
+        from cocyclespan import wordspace
+        from cocyclespan.thermo import _TargetData
+        expect = [wordspace.product(E3(), w) for w in words]
+        seen = []
+        orig = wordspace._extend_level
+        monkeypatch.setattr(wordspace, "_extend_level",
+                            lambda *a: seen.append(1) or orig(*a))
+        data = _TargetData(E3(), TargetSequence(words=words))
+        assert len(seen) == calls
+        for sp, l1, l2 in zip(expect, data.logs1, data.logs2):
+            sv = np.linalg.svd(sp.unit, compute_uv=False)
+            assert (l1, l2) == (sp.logscale + math.log(sv[0]), sp.logscale + math.log(sv[1]))
+
     def test_empty_targets_rejected(self):
         with pytest.raises(InputError):
             TargetSequence(words=())
@@ -289,3 +312,18 @@ class TestLogZInPlace:
         passes.clear()
         r0_interval(E3(), 0.3, 12, 1)
         assert len(passes) == len(set(passes)) == 80  # 96 unmemoised
+
+
+def test_streamed_level_memory():
+    # the level is streamed and the gamma grid folded in row blocks; holding
+    # Lambda(20) and three 2000 x 2000 grids whole grew the peak by about 98 MB
+    code = ("import resource\n"
+            "from cocyclespan import E3\n"
+            "from cocyclespan.thermo import affinity_dimension\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "affinity_dimension(E3(), 20, 1)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert int(out.stdout) < 60 * 1024  # ru_maxrss is in KiB on Linux
