@@ -3,8 +3,9 @@
 Matrix entries arrive as decimal strings so binary-exactness detection is
 well-defined: a system is flagged exact when every entry round-trips through
 float without loss, which switches the 2x2 decision paths to rational
-arithmetic. Reports reproduce bit-for-bit under a fixed seed; wall time
-lives in the `meta` section, excluded from that guarantee.
+arithmetic. Reports reproduce bit-for-bit under a fixed seed; wall time and
+the root searches' step counts live in the `meta` section, excluded from that
+guarantee.
 
 Exit codes: 0 success, 1 hypothesis failed, 2 inconclusive, 3 input error (a
 usage error, an option key no command reads, a bad value, or an `options.qm`
@@ -309,7 +310,7 @@ def _run_check_hypotheses(cfg: RunConfig):
     rep = check_hypotheses(cfg.system, _values(cfg).mode, seed=cfg.seed, budget=cfg.budget)
     code = {"Pass": EXIT_OK, "Fail": EXIT_HYPOTHESIS_FAILED,
             "Inconclusive": EXIT_INCONCLUSIVE}[rep.overall]
-    return _jsonable(rep), code, list(rep.warnings)
+    return _jsonable(rep), code, list(rep.warnings), {}
 
 
 def _run_spannability(cfg: RunConfig):
@@ -327,7 +328,7 @@ def _run_spannability(cfg: RunConfig):
     # Inconclusive, a fired evaluation cap included
     warnings += [f"k = {c.k}: {note}" for c in search.certificates
                  if c.status == INCONCLUSIVE for note in c.notes]
-    return result, code, warnings
+    return result, code, warnings, {}
 
 
 def _run_qm(cfg: RunConfig):
@@ -339,7 +340,7 @@ def _run_qm(cfg: RunConfig):
                         for n, ws in rep.witnesses.items()}
     warnings = [] if rep.gamma.certified else [
         "no gamma certificate for d >= 3: gamma is reported as 0"]
-    return out, EXIT_OK, warnings
+    return out, EXIT_OK, warnings, {}
 
 
 def _run_pressure(cfg: RunConfig):
@@ -357,14 +358,15 @@ def _run_pressure(cfg: RunConfig):
                          f"bound ({exc})") from exc
     warnings = [f"s={s}: no positive QM constant, upper bound only"
                 for s, br in zip(svals, brackets) if not br.lower_valid]
-    return {"potential": o.potential, "n": o.n, "brackets": _jsonable(brackets)}, EXIT_OK, warnings
+    return ({"potential": o.potential, "n": o.n, "brackets": _jsonable(brackets)}, EXIT_OK,
+            warnings, {})
 
 
 def _run_s0(cfg: RunConfig):
     o = _values(cfg)
     targets = _targets_from_options(o.targets, cfg.system.ell, cfg.budget)
     rep = s0_interval(cfg.system, targets, o.n, o.k_qm, seed=cfg.seed, budget=cfg.budget)
-    return _jsonable(rep), EXIT_OK, list(rep.warnings)
+    return _jsonable(rep), EXIT_OK, list(rep.warnings), {"root_search": rep.root_search}
 
 
 def _run_r0(cfg: RunConfig):
@@ -378,13 +380,14 @@ def _run_r0(cfg: RunConfig):
     rep = r0_interval(cfg.system, beta.value, o.n, o.k_qm, seed=cfg.seed, budget=cfg.budget)
     out = _jsonable(rep)
     out["beta"] = _jsonable(beta)
-    return out, EXIT_OK, list(rep.warnings) + list(beta.warnings)
+    return (out, EXIT_OK, list(rep.warnings) + list(beta.warnings),
+            {"root_search": rep.root_search})
 
 
 def _run_affinity(cfg: RunConfig):
     o = _values(cfg)
     rep = affinity_dimension(cfg.system, o.n, o.k_qm, seed=cfg.seed, budget=cfg.budget)
-    return _jsonable(rep), EXIT_OK, list(rep.warnings)
+    return _jsonable(rep), EXIT_OK, list(rep.warnings), {"root_search": rep.root_search}
 
 
 def _run_mixing(cfg: RunConfig):
@@ -407,7 +410,7 @@ def _run_mixing(cfg: RunConfig):
                             "only gamma^s is proven for the norm potential")
     weights = cylinder_weights(cfg.system, s, min(L, 4), budget=cfg.budget, levels=levels)
     out["level_weights_sum"] = float(weights.probs.sum())
-    return out, code, warnings
+    return out, code, warnings, {}
 
 
 def _run_export(cfg: RunConfig):
@@ -418,9 +421,10 @@ def _run_export(cfg: RunConfig):
         count = export_attractor(cfg.system, o.depth, out_path, budget=cfg.budget)
     except OSError as exc:
         raise InputError(f"cannot write the attractor CSV: {exc}") from exc
-    return {"points": count, "path": str(out_path), "depth": o.depth}, EXIT_OK, []
+    return {"points": count, "path": str(out_path), "depth": o.depth}, EXIT_OK, [], {}
 
 
+# each runner returns (result, exit code, warnings, extra `meta` entries)
 _RUNNERS = dict(zip(COMMANDS, (_run_check_hypotheses, _run_spannability, _run_qm, _run_pressure,
                                 _run_s0, _run_r0, _run_affinity, _run_mixing, _run_export)))
 
@@ -432,16 +436,16 @@ def run_command(cfg: RunConfig) -> tuple[dict, int]:
     if cfg.seed < 0:
         raise InputError(f"seed must be >= 0, got {cfg.seed}")
     start = time.perf_counter()
-    result, code, warnings = _RUNNERS[cfg.command](cfg)
+    result, code, warnings, meta = _RUNNERS[cfg.command](cfg)
     report = {"artifact": {"name": "cocyclespan", "version": __version__},
               "command": cfg.command, "config": cfg.echo(), "seed": cfg.seed,
               "budget": cfg.budget, "result": result, "warnings": warnings, "exit_code": code,
-              "meta": {"wall_time_s": time.perf_counter() - start}}
+              "meta": {"wall_time_s": time.perf_counter() - start, **meta}}
     return report, code
 
 
 def report_canonical_json(report: dict) -> str:
-    """Deterministic serialization; `meta` (wall time) is excluded."""
+    """Deterministic serialization; `meta` (wall time, counts) is excluded."""
     trimmed = {k: v for k, v in report.items() if k != "meta"}
     return json.dumps(trimmed, sort_keys=True, indent=2)
 

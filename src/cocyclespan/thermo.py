@@ -5,9 +5,12 @@ bounds iterate the connector supermultiplicativity Z_{n+k+m} >= C Z_n Z_m
 (each pair (I, J) contributes the distinct word IKJ), which telescopes to
 P >= (log Z_n + log C)/(n + k) whenever a positive constant C is available.
 Root searches therefore return intervals, not point estimates: uncertainty
-is structural. Conformal systems (all generators scalar multiples of
-orthogonal matrices) have exactly multiplicative partition sums, so they get
-the exact input k = 0, C = 1 and zero-width brackets.
+is structural. One bracketing solver (`_root_bracket`, regula falsi with the
+Illinois step and a bisection fallback) finds the root of each end function
+to 1e-6, and the interval takes the outer end of each bracket, so it contains
+both roots as computed in floats. Conformal systems (all generators scalar
+multiples of orthogonal matrices) have exactly multiplicative partition sums,
+so they get the exact input k = 0, C = 1 and zero-width brackets.
 """
 from __future__ import annotations
 
@@ -142,8 +145,8 @@ class PressureBracket:
 class _LevelData:
     """Cached per-word log singular values at one level, reusable across s.
 
-    `log_z` is memoised per potential: the two bisections of a root search
-    share their end points and first midpoints.
+    `log_z` is memoised per potential: the two searches of a root share their
+    end points s = 0 and S_MAX. `passes` counts the passes over Lambda(n) made.
     """
 
     def __init__(self, system: GeneratorSystem, n: int, *, budget: int = DEFAULT_BUDGET):
@@ -163,6 +166,10 @@ class _LevelData:
             w -= m
             self._log_z[spec] = m + math.log(float(np.sum(np.exp(w, out=w))))
         return self._log_z[spec]
+
+    @property
+    def passes(self) -> int:
+        return len(self._log_z)
 
 
 def _bracket(spec: PotentialSpec, n: int, log_zn: float, qm: QMInput | None) -> PressureBracket:
@@ -327,26 +334,63 @@ class DimensionReport:
     hypothesis_report: HypothesisReport | None = None
     warnings: tuple[str, ...] = ()
     details: dict = field(default_factory=dict)
+    # per-end counts of the root searches; reported in `meta`, not in the result
+    root_search: dict = field(default_factory=dict, repr=False)
 
     @property
     def width(self) -> float:
         return self.interval[1] - self.interval[0]
 
 
-def _bisect_decreasing(g, lo: float, hi: float, tol: float = ROOT_TOL):
-    """Root of a decreasing function on [lo, hi]; boundary tag when no sign change."""
-    if g(lo) <= 0:
-        return lo, "at_lower"
-    if g(hi) > 0:
-        return hi, "at_upper"
+def _root_bracket(g, lo: float, hi: float, tol: float = ROOT_TOL):
+    """Bracket (a, b) of the root of a decreasing g on [lo, hi]: g(a) > 0 >= g(b), b - a <= tol.
+
+    Regula falsi with the Illinois step: when one end is kept twice in a row,
+    its stored g value is halved. Each secant point lies at least tol/4 inside
+    the bracket, so the bracket closes around an accurate estimate. A step
+    bisects instead when an end value is not finite, when the bracket did not
+    halve over the last two steps (the first step, from [lo, hi], aside), or
+    when a secant step that left the bracket as it is could no longer be
+    finished by bisection within B = 2 ceil(log2((hi - lo)/tol)) steps. So g
+    is evaluated at most B + 2 times: at worst about twice as often as plain
+    bisection.
+    Returns (a, b, tag, counts). Without a sign change the tag is "at_lower"
+    (g(lo) <= 0, a = b = lo) or "at_upper" (g(hi) > 0, a = b = hi), else None;
+    `counts` holds the steps taken and how many of them bisected.
+    """
+    fa = g(lo)
+    if fa <= 0:
+        return lo, lo, "at_lower", {"steps": 0, "bisection_fallbacks": 0}
+    fb = g(hi)
+    if fb > 0:
+        return hi, hi, "at_upper", {"steps": 0, "bisection_fallbacks": 0}
     a, b = lo, hi
+    fallbacks = 0
+    budget = 2 * math.ceil(math.log2((hi - lo) / tol))
+    widths = []  # the bracket width after each step
+    kept = None  # the end the last step kept
     while b - a > tol:
-        mid = 0.5 * (a + b)
-        if g(mid) > 0:
-            a = mid
+        w = b - a
+        if (not (math.isfinite(fa) and math.isfinite(fb))
+                or (len(widths) > 2 and w > widths[-3] / 2)
+                or len(widths) + 1 + math.ceil(math.log2(w / tol)) > budget):
+            x = 0.5 * (a + b)
+            fallbacks += 1
         else:
-            b = mid
-    return 0.5 * (a + b), None
+            x = min(max(a + w * (fa / (fa - fb)), a + tol / 4), b - tol / 4)
+        fx = g(x)
+        if fx > 0:
+            a, fa = x, fx
+            if kept == "b":
+                fb *= 0.5
+            kept = "b"
+        else:
+            b, fb = x, fx
+            if kept == "a":
+                fa *= 0.5
+            kept = "a"
+        widths.append(b - a)
+    return a, b, None, {"steps": len(widths), "bisection_fallbacks": fallbacks}
 
 
 class QMInputProvider:
@@ -398,9 +442,9 @@ def _monotone_warnings(samples: list[tuple[float, float]], label: str,
     vals = [v for _s, v in samples]
     for a, b in zip(vals, vals[1:]):
         if decreasing and b > a + 1e-9:
-            return [f"{label} not monotone along the bisection samples"]
+            return [f"{label} not monotone along the root-search samples"]
         if not decreasing and b < a - 1e-9:
-            return [f"{label} not monotone along the bisection samples"]
+            return [f"{label} not monotone along the root-search samples"]
     return []
 
 
@@ -410,8 +454,9 @@ def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, upper
     """Bracket a root between the upper and lower pressure ends, clamped at 2.
 
     `upper(data, s)` and `lower(data, s, qm)` are decreasing in s; the lower
-    end needs a positive QM input and is -inf (root 0) without one.
-    `late_warnings()` runs after both bisections.
+    end needs a positive QM input and is -inf (root 0) without one. The
+    interval is outward: the left end of the lower curve's bracket and the
+    right end of the upper curve's. `late_warnings()` runs after both searches.
     """
     hyp = check_hypotheses(system, "corollary_4_3", seed=seed, budget=budget)
     data = _LevelData(system, n, budget=budget)
@@ -421,8 +466,13 @@ def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, upper
         qm = prov.qm_input(s)
         return -math.inf if qm is None else lower(data, s, qm)
 
-    s_hi, b_hi = _bisect_decreasing(lambda s: upper(data, s), 0.0, S_MAX)
-    s_lo, b_lo = _bisect_decreasing(g_lo, 0.0, S_MAX)
+    def search(g):
+        passes = data.passes
+        a, b, tag, counts = _root_bracket(g, 0.0, S_MAX)
+        return a, b, tag, {"passes": data.passes - passes, **counts}
+
+    _, s_hi, b_hi, up_counts = search(lambda s: upper(data, s))
+    s_lo, _, b_lo, lo_counts = search(g_lo)
     warnings = list(warnings) + late_warnings()
     if not prov.conformal and prov.gamma.value <= 0:
         warnings.append("no positive QM constant: lower root defaulted to 0")
@@ -431,7 +481,8 @@ def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, upper
     return DimensionReport(
         kind=kind, interval=interval, dimension=dim,
         clamped=interval[1] > 2.0, boundary=b_hi or b_lo, hypothesis_report=hyp,
-        warnings=tuple(warnings), details={"n": n, "qm": prov.describe(), **details})
+        warnings=tuple(warnings), details={"n": n, "qm": prov.describe(), **details},
+        root_search={"upper": up_counts, "lower": lo_counts})
 
 
 def s0_interval(system: GeneratorSystem, targets: TargetSequence, n: int, k_qm: int,

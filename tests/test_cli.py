@@ -114,6 +114,18 @@ class TestRunCommand:
         lo, hi = report["result"]["interval"]
         assert 0 < lo < hi < 1
 
+    def test_affinity_dim_meta_reports_root_search_counts(self):
+        cfg = cfg_from(dict(E3_CONFIG, command="affinity-dim", options={"n": 8, "k_qm": 1}))
+        report, code = cli.run_command(cfg)
+        assert code == cli.EXIT_OK
+        counts = json.loads(json.dumps(report["meta"]["root_search"]))
+        assert set(counts) == {"upper", "lower"}
+        for end in counts.values():
+            assert set(end) == {"passes", "steps", "bisection_fallbacks"}
+            assert end["steps"] > 0
+        assert counts["upper"]["passes"] == counts["upper"]["steps"] + 2
+        assert "root_search" not in cli.report_canonical_json(report)
+
     def test_e1_spannability_reports_diagnosis(self):
         cfg = cfg_from(dict(E1_CONFIG, command="spannability", options={"k_max": 6}))
         report, code = cli.run_command(cfg)

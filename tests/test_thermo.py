@@ -6,10 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocyclespan import E3, E4, E5, GeneratorSystem
 from cocyclespan.errors import InputError
-from cocyclespan.thermo import (PotentialSpec, QMInput, TargetSequence,
+from cocyclespan.thermo import (S_MAX, PotentialSpec, QMInput, TargetSequence, _root_bracket,
                                 affinity_dimension, all_ones_targets, alpha_hat,
                                 beta_hat, conformal_qm_input, potential_value,
                                 pressure_bracket, r0_interval, s0_interval,
@@ -260,6 +262,95 @@ class TestDimensionReports:
         assert r10.interval[1] <= r8.interval[1] + 1e-12
 
 
+def _phi_like(slopes, s):
+    """Decreasing and piecewise linear with kinks at s = 1 and 2, like log phi^s."""
+    return -(slopes[0] * min(s, 1.0) + slopes[1] * min(max(s - 1.0, 0.0), 1.0)
+             + slopes[2] * max(s - 2.0, 0.0))
+
+
+@st.composite
+def decreasing_functions(draw):
+    """A decreasing g on [0, 4] with its root inside, of one of four kinds."""
+    r = draw(st.floats(0.001, 3.999))
+    kind = draw(st.sampled_from(["convex", "kinked", "flat", "minus_inf"]))
+    if kind == "convex":
+        c = 10 ** draw(st.floats(-2, 1.5))
+        return lambda s: math.exp(-c * s) - math.exp(-c * r)
+    if kind == "kinked":
+        slopes = [10 ** draw(st.floats(-3, 1)) for _ in range(3)]
+        return lambda s: _phi_like(slopes, s) - _phi_like(slopes, r)
+    if kind == "flat":  # a cubic with a nearly flat stretch through its root
+        eps = 10 ** draw(st.floats(-9, -1))
+        return lambda s: (r - s) ** 3 + eps * (r - s)
+    cut = draw(st.floats(r, 3.999))
+    c = 10 ** draw(st.floats(-2, 1))
+    return lambda s: -math.inf if s > cut else c * (r - s)
+
+
+class TestRootBracket:
+    """`_root_bracket`: g(a) > 0 >= g(b), b - a <= tol, at most 2 log2(4/tol) + 2 calls."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(decreasing_functions(), st.sampled_from([1e-3, 1e-6, 1e-9]))
+    def test_contract(self, g, tol):
+        calls = []
+        a, b, tag, counts = _root_bracket(lambda s: calls.append(s) or g(s), 0.0, 4.0, tol)
+        assert tag is None
+        assert g(a) > 0 >= g(b)
+        assert 0.0 <= a < b <= 4.0 and b - a <= tol
+        assert len(calls) == counts["steps"] + 2 <= 2 * math.ceil(math.log2(4 / tol)) + 2
+        assert counts["bisection_fallbacks"] <= counts["steps"]
+
+    @pytest.mark.parametrize("c", [10.0, 20.0, 30.0])
+    @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
+    def test_stalled_secant_falls_back_to_bisection(self, c, r):
+        # regula falsi stalls on a steep convex curve: 44 steps here without the
+        # bisection that follows two steps which did not halve the bracket
+        a, b, _, counts = _root_bracket(lambda s: math.exp(-c * s) - math.exp(-c * r), 0.0, 4.0)
+        assert a < r <= b
+        assert counts["bisection_fallbacks"] >= 1 and counts["steps"] <= 12
+
+    @pytest.mark.parametrize("g,expect", [
+        (lambda s: -1.0 - s, (0.0, 0.0, "at_lower")),
+        (lambda s: -math.inf, (0.0, 0.0, "at_lower")),  # a lower curve without a constant
+        (lambda s: 0.0, (0.0, 0.0, "at_lower")),
+        (lambda s: 5.0 - s, (4.0, 4.0, "at_upper")),
+    ])
+    def test_boundary_tags(self, g, expect):
+        a, b, tag, counts = _root_bracket(g, 0.0, 4.0)
+        assert (a, b, tag) == expect
+        assert counts == {"steps": 0, "bisection_fallbacks": 0}
+
+    def test_e4_affinity_contains_the_exact_root(self):
+        # the midpoint of the last bisection bracket gave (0.75647116, 0.75647116)
+        rep = affinity_dimension(E4(), 12, 1)
+        assert rep.interval[0] <= LOG2 / LOG25 <= rep.interval[1]
+        assert rep.width <= 1e-6
+
+    def test_e3_ends_bound_their_curves_roots(self):
+        from cocyclespan.thermo import QMInputProvider, _LevelData
+        n = 12
+        rep = affinity_dimension(E3(), n, 1)
+        data = _LevelData(E3(), n)
+        qm = QMInputProvider(E3(), 1).qm_input
+
+        def upper(s):
+            return data.log_z(PotentialSpec("sv_s", s)) / n
+
+        def lower(s):
+            return (data.log_z(PotentialSpec("sv_s", s)) + math.log(qm(s).C)) / (n + qm(s).k)
+
+        def bisect(g):
+            a, b = 0.0, S_MAX
+            for _ in range(60):
+                mid = 0.5 * (a + b)
+                a, b = (mid, b) if g(mid) > 0 else (a, mid)
+            return a, b
+
+        assert rep.interval[1] >= bisect(upper)[1]
+        assert rep.interval[0] <= bisect(lower)[0]
+
+
 def _out_of_place_log_potential(logs1, logs2, kind, s):
     """The log potential as plain array expressions, each step a new array."""
     if kind == "norm_s":
@@ -300,18 +391,18 @@ class TestLogZInPlace:
         assert data.logs2.tobytes() == logs2.tobytes()
 
     def test_potential_pass_memoised_per_spec(self, monkeypatch):
-        # the upper and lower bisections share s = 0, s = 4 and their first
-        # midpoints; each distinct potential costs one pass over Lambda(n)
+        # the upper and lower root searches share s = 0 and s = 4; each distinct
+        # potential costs one pass over Lambda(n)
         from cocyclespan import thermo
         passes = []
         orig = thermo.log_potential
         monkeypatch.setattr(thermo, "log_potential",
                             lambda *a, **kw: passes.append(a[2]) or orig(*a, **kw))
         affinity_dimension(E3(), 12, 1)
-        assert len(passes) == len(set(passes)) == 43  # 48 unmemoised
+        assert len(passes) == len(set(passes)) == 14
         passes.clear()
         r0_interval(E3(), 0.3, 12, 1)
-        assert len(passes) == len(set(passes)) == 80  # 96 unmemoised
+        assert len(passes) == len(set(passes)) == 28
 
 
 def test_streamed_level_memory():
