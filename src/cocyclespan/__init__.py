@@ -16,8 +16,8 @@ from .hypotheses import (HypothesisReport, IrreducibilityVerdict,
 from .spannability import (FailureDiagnosis, MkBasis, SpannabilityCertificate,
                            diagnose_failure, minimal_spannable_k, mk_bases,
                            mk_basis, spannable_at)
-from .quasimult import (GammaResult, QMConstant, QMReport, empirical_qm,
-                        gamma_minimax, qm_constant_phi)
+from .quasimult import (ConnectorConstant, GammaResult, QMReport, connector_constant,
+                        empirical_qm, gamma_minimax)
 from .thermo import (BetaEstimate, DimensionReport, PotentialSpec,
                      PressureBracket, QMInput, TargetSequence,
                      affinity_dimension, alpha_hat, all_ones_targets, beta_hat,

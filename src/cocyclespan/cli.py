@@ -37,9 +37,8 @@ from .hypotheses import check_hypotheses
 from .quasimult import empirical_qm
 from .spannability import INCONCLUSIVE, diagnose_failure, minimal_spannable_k
 from .systems import GeneratorSystem
-from .thermo import (QMInput, QMInputProvider,
-                     TargetSequence, affinity_dimension, all_ones_targets, beta_hat,
-                     pressure_brackets, r0_interval, s0_interval)
+from .thermo import (QMInput, TargetSequence, affinity_dimension, all_ones_targets, beta_hat,
+                     pressure_brackets, qm_source, r0_interval, s0_interval)
 from .wordspace import DEFAULT_BUDGET, check_sweep, enumerate_words, parse_word, word_str
 
 
@@ -276,7 +275,7 @@ def _qm_source(cfg: RunConfig, mode, k_qm: int):
     if mode is None:
         return lambda s, kind: None
     if mode == "auto":
-        return QMInputProvider(cfg.system, k_qm, budget=cfg.budget).qm_input
+        return qm_source(cfg.system, k_qm, budget=cfg.budget)[0]
     if isinstance(mode, dict) and None not in mode.values():
         fixed = QMInput(**mode)
         return lambda s, kind: fixed
@@ -393,6 +392,8 @@ def _run_affinity(cfg: RunConfig):
 def _run_mixing(cfg: RunConfig):
     o = _values(cfg)
     s, L, k = o.s, o.L, o.connector_k
+    if cfg.system.dim == 2 and not 0.0 <= s <= 2.0:  # kappa_floor's range, before the sweep
+        raise InputError("s must lie in [0, 2]")
     levels = mixing_levels(cfg.system, s, L, o.gap, k, budget=cfg.budget)
     rep = psi_mixing_stat(cfg.system, s, L, o.gap, connector_k=k, budget=cfg.budget,
                           levels=levels)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .kernels import level_singvals
-from .quasimult import QMConstant, qm_constant_phi
+from .quasimult import connector_constant, connector_minimum
 from .systems import GeneratorSystem
 from .wordspace import (DEFAULT_BUDGET, Word, check_sweep, enumerate_words, validate_word,
                         word_rank, word_unrank)
@@ -88,7 +88,7 @@ class KappaFloorReport:
     k: int
     L: int
     raw_min: float
-    c_of_s: QMConstant
+    c_of_s: dict  # s, value, gamma, min_det, has_bound
     floor: float | None
     certified: bool
     witness: tuple[Word, Word] | None = None
@@ -98,31 +98,30 @@ def kappa_floor(system: GeneratorSystem, s: float, k: int, L: int, *,
                 budget: int = DEFAULT_BUDGET, levels: list | None = None) -> KappaFloorReport:
     if k < 1 or L < 1:
         raise InputError("need k >= 1 and L >= 1")
-    c_of_s = qm_constant_phi(system, k, s, budget=budget)
+    if system.dim != 2:
+        raise InputError("the singular value constant is defined for d = 2")
+    if not 0.0 <= s <= 2.0:
+        raise InputError("s must lie in [0, 2]")
+    const = connector_constant(system, k, budget=budget)
+    # the phi^s constant; for s > 1 only gamma^s ("norm_s") is proven for this sum
+    c = const.value(s, "sv_s")
+    c_of_s = {"s": s, "value": c, "gamma": const.gamma.value, "min_det": const.min_det,
+              "has_bound": const.gamma.value > 0.0}
     lev = _levels(system, s, 2 * L + k, budget) if levels is None else levels
     ell = system.ell
     best = math.inf
     witness = None
     for li in range(1, L + 1):
-        wi, _ = lev[li]
         for lj in range(1, L + 1):
-            wj, _ = lev[lj]
-            big, _ = lev[li + k + lj]
-            num = _lse(big.reshape(ell**li, ell**k, ell**lj), axis=1)  # (NI, NJ)
-            ratios = num - wi[:, None] - wj[None, :]
-            idx = int(np.argmin(ratios))
-            val = float(ratios.flat[idx])
+            val, bi, bj = connector_minimum(lev[li + k + lj][0], lev[li][0], lev[lj][0],
+                                            lambda cube: _lse(cube, axis=1))
             if val < best:
                 best = val
-                bi, bj = divmod(idx, ell**lj)
                 witness = (word_unrank(bi, ell, li), word_unrank(bj, ell, lj))
     raw_min = math.exp(best)
-    if c_of_s.has_bound and c_of_s.value > 0:
-        floor = raw_min / c_of_s.value
-        return KappaFloorReport(s=s, k=k, L=L, raw_min=raw_min, c_of_s=c_of_s,
-                                floor=floor, certified=True, witness=witness)
-    return KappaFloorReport(s=s, k=k, L=L, raw_min=raw_min, c_of_s=c_of_s,
-                            floor=None, certified=False, witness=witness)
+    floor = raw_min / c if c > 0 else None
+    return KappaFloorReport(s=s, k=k, L=L, raw_min=raw_min, c_of_s=c_of_s, floor=floor,
+                            certified=floor is not None, witness=witness)
 
 
 @dataclass(frozen=True)

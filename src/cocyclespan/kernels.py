@@ -13,7 +13,9 @@ not three G x G arrays.
 
 The only word-product engine: A_I = 2^exponent * unit, with an integer exponent
 and the unit's Frobenius norm (within sqrt(d) of the operator norm) kept in
-[0.5, 2], so `dense_products` is exact; log scales are exponent * ln 2.
+[0.5, 2], so `dense_products` is exact; log scales are exponent * ln 2. Every
+word product the library reads comes from it, the connector ratios of the QM
+table and of the kappa floor included (`quasimult.connector_minimum`).
 
 Levels are built by one sweep: Lambda(m + 1) extends Lambda(m), starting from
 the identity. `products_level_numpy` keeps only the last level; `level_products`
@@ -167,33 +169,6 @@ def level_singvals(gens: np.ndarray, n: int):
     """`word_singvals(gens, m)` for every m = 0..n, as a list, from one sweep."""
     return [_log_singvals(units, exps * _LN2)
             for units, exps in level_products(np.ascontiguousarray(gens, dtype=float), n)]
-
-
-def qm_scan(units, kunits, klogs_scale):
-    """Worst pair ratio log min_{I,J} max_K |A_IKJ| / (|A_I| |A_J|) and witnesses.
-
-    `units` are the unit parts of the Lambda(n) products (their scales cancel
-    in the ratio), `kunits`/`klogs_scale` the scaled Lambda(k) products. Every
-    pair (I, J) for one J is one vectorised step.
-    """
-    units = np.ascontiguousarray(units)
-    kunits = np.ascontiguousarray(kunits)
-    log_su = np.log(opnorm_batch(units))  # unit-part norms; scales cancel
-    N = units.shape[0]
-    KI = np.einsum("mab,ibc->imac", kunits, units)  # (N, M, d, d)
-    best = np.inf
-    bi = bj = bm = 0
-    for j in range(N):
-        W = np.einsum("ab,imbc->imac", units[j], KI)
-        vals = klogs_scale[None, :] + np.log(opnorm_batch(W))  # (N, M)
-        marg = np.argmax(vals, axis=1)
-        inner = vals[np.arange(N), marg]
-        ratio = inner - log_su - log_su[j]
-        i = int(np.argmin(ratio))
-        if ratio[i] < best:
-            best = float(ratio[i])
-            bi, bj, bm = i, j, int(marg[i])
-    return best, bi, bj, bm
 
 
 def minimax_grid2(kmats: np.ndarray, G: int = 2000):

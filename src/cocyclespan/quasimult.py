@@ -1,4 +1,4 @@
-"""Quantified k-quasi-multiplicativity.
+"""Quantified k-quasi-multiplicativity: every connector quantity, in one place.
 
 The connector bound rests on an exact singular-value inequality: with
 u = v_{A_I,2} and w = v_{A_J,1},
@@ -10,6 +10,12 @@ uniform lower bound for every connector ratio. For d = 2 the (u, w) torus is
 swept by a product grid with a Lipschitz certificate. For d >= 3 there is no
 certificate yet, so gamma abstains: it is the trivial lower bound 0, reported
 uncertified, and no lower pressure constant is built from it.
+
+`ConnectorConstant.value` is the only place the constant C(s) is computed; the
+pressure lower ends and the kappa floor both read it. `connector_minimum` is
+the one pair reduction: it reads a per-word array of the word engine over
+Lambda(|I| + k + |J|) as an (I, K, J) cube. The empirical QM table reduces
+log norms with a max over K, the kappa floor with a log-sum-exp.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .kernels import _LN2, dense_products, level_products, minimax_grid2, opnorm_batch, qm_scan
+from .kernels import dense_products, minimax_grid2, opnorm_batch, word_singvals
 from .systems import GeneratorSystem
 from .wordspace import DEFAULT_BUDGET, Word, check_sweep, word_unrank
 
@@ -33,9 +39,6 @@ class GammaResult:
     k: int
     raw_grid_min: float | None = None
     argmin: tuple[np.ndarray, np.ndarray] | None = None  # (w, u)
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def gamma_minimax(system: GeneratorSystem, k: int, *,
@@ -62,15 +65,54 @@ def gamma_minimax(system: GeneratorSystem, k: int, *,
 
 
 @dataclass(frozen=True)
+class ConnectorConstant:
+    """C(s) of Z_{n+k+m} >= C(s) Z_n Z_m; `min_det` = min over |K| = k of |det A_K| (d = 2)."""
+
+    k: int
+    gamma: GammaResult
+    min_det: float | None
+
+    def value(self, s: float, kind: str) -> float:
+        """C(s) for the potential `kind`: gamma^s for `norm_s`; for phi^s, gamma^s on
+        [0, 1], min_det^(s-1) gamma^(2-s) on (1, 2] and min_det^(s/2) beyond (phi^s
+        is a determinant power there). 0.0 when there is no constant."""
+        g = self.gamma.value
+        if g <= 0.0 or (kind != "norm_s" and self.min_det is None):
+            return 0.0
+        if kind == "norm_s" or s <= 1.0:
+            return g**s
+        if s <= 2.0:
+            return self.min_det ** (s - 1.0) * g ** (2.0 - s)
+        return self.min_det ** (s / 2.0)
+
+
+def connector_constant(system: GeneratorSystem, k: int, *,
+                       budget: int = DEFAULT_BUDGET) -> ConnectorConstant:
+    gamma = gamma_minimax(system, k, budget=budget)
+    min_det = None
+    if system.dim == 2:
+        min_det = float(np.min(np.abs(np.linalg.det(dense_products(system.stacked(), k)))))
+    return ConnectorConstant(k=k, gamma=gamma, min_det=min_det)
+
+
+def connector_minimum(top: np.ndarray, wi: np.ndarray, wj: np.ndarray, reduce):
+    """(min over (I, J) of reduce(top)[I, J] - wi[I] - wj[J], rank of I, rank of J).
+
+    `top` is a per-word array over Lambda(|I| + k + |J|) in rank order, so it
+    reshapes to (I, K, J); `reduce` maps that cube to an (I, J) array over K.
+    Ties go to the first pair in row-major order.
+    """
+    vals = reduce(top.reshape(len(wi), -1, len(wj))) - wi[:, None] - wj[None, :]
+    i, j = divmod(int(np.argmin(vals)), len(wj))
+    return float(vals[i, j]), i, j
+
+
+@dataclass(frozen=True)
 class QMReport:
     k: int
     gamma: GammaResult
     empirical_c: dict[int, float] = field(default_factory=dict)
     witnesses: dict[int, tuple[Word, Word, Word]] = field(default_factory=dict)
-
-    @property
-    def min_ratio(self) -> float:
-        return min(self.empirical_c.values())
 
 
 def empirical_qm(system: GeneratorSystem, k: int, n_max: int, *,
@@ -78,65 +120,26 @@ def empirical_qm(system: GeneratorSystem, k: int, n_max: int, *,
     """Exact minimum over I, J in Lambda(n) of the best length-k connector ratio.
 
     Per word length n <= n_max; the min over lengths <= n follows by taking the
-    table minimum. Witnesses record the worst pair and its best connector. The
-    levels Lambda(k) and Lambda(1..n_max) come from one sweep.
+    table minimum. Witnesses record the worst pair and its first best
+    connector. Each ratio reads the engine's log norms of Lambda(n) and
+    Lambda(2n + k).
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
     ell = system.ell
     gamma = gamma_minimax(system, k, budget=budget)
     check_sweep(ell, 2 * n_max + k, budget)
-    levels = list(level_products(system.stacked(), max(k, n_max)))
-    kunits, kexps = levels[k]
-    klogs = kexps * _LN2
+    gens = system.stacked()
     empirical: dict[int, float] = {}
     witnesses: dict[int, tuple[Word, Word, Word]] = {}
     for n in range(1, n_max + 1):
-        best, bi, bj, bm = qm_scan(levels[n][0], kunits, klogs)
+        logs = word_singvals(gens, n)[0]
+        top = word_singvals(gens, 2 * n + k)[0]
+        best, i, j = connector_minimum(top, logs, logs, lambda cube: np.max(cube, axis=1))
+        m = int(np.argmax(top.reshape(len(logs), -1, len(logs))[i, :, j]))
         empirical[n] = math.exp(best)
-        witnesses[n] = (word_unrank(bi, ell, n), word_unrank(bm, ell, k),
-                        word_unrank(bj, ell, n))
-        ratio = empirical[n]
-        if ratio < gamma.value - 1e-9:
+        witnesses[n] = (word_unrank(i, ell, n), word_unrank(m, ell, k), word_unrank(j, ell, n))
+        if empirical[n] < gamma.value - 1e-9:
             raise AssertionError(
-                f"empirical ratio {ratio} fell below the certified bound {gamma.value}")
+                f"empirical ratio {empirical[n]} fell below the certified bound {gamma.value}")
     return QMReport(k=k, gamma=gamma, empirical_c=empirical, witnesses=witnesses)
-
-
-@dataclass(frozen=True)
-class QMConstant:
-    """C(s) = phi_constant(gamma, min_det, s) for d = 2; `has_bound` is False when gamma vanished."""
-
-    s: float
-    value: float
-    gamma: float
-    min_det: float
-    has_bound: bool
-
-
-def qm_constant_phi(system: GeneratorSystem, k: int, s: float, *,
-                    budget: int = DEFAULT_BUDGET) -> QMConstant:
-    if system.dim != 2:
-        raise InputError("the singular value constant is defined for d = 2")
-    if not 0.0 <= s <= 2.0:
-        raise InputError("s must lie in [0, 2]")
-    g = float(gamma_minimax(system, k, budget=budget))
-    min_det = connector_min_det(system, k, budget=budget)
-    if g <= 0.0:
-        return QMConstant(s=s, value=0.0, gamma=g, min_det=min_det, has_bound=False)
-    return QMConstant(s=s, value=phi_constant(g, min_det, s), gamma=g, min_det=min_det,
-                      has_bound=True)
-
-
-def connector_min_det(system: GeneratorSystem, k: int, *, budget: int = DEFAULT_BUDGET) -> float:
-    """min over |K| = k of |det A_K|."""
-    check_sweep(system.ell, k, budget)
-    kmats = dense_products(system.stacked(), k)
-    return float(np.min(np.abs(np.linalg.det(kmats))))
-
-
-def phi_constant(g: float, min_det: float, s: float) -> float:
-    """C(s) for phi^s, d = 2: g^s on [0, 1], min_det^(s-1) g^(2-s) on (1, 2]; g = gamma."""
-    if s <= 1.0:
-        return g**s
-    return min_det ** (s - 1.0) * g ** (2.0 - s)

@@ -8,9 +8,12 @@ Root searches therefore return intervals, not point estimates: uncertainty
 is structural. One bracketing solver (`_root_bracket`, regula falsi with the
 Illinois step and a bisection fallback) finds the root of each end function
 to 1e-6, and the interval takes the outer end of each bracket, so it contains
-both roots as computed in floats. Conformal systems (all generators scalar
-multiples of orthogonal matrices) have exactly multiplicative partition sums,
-so they get the exact input k = 0, C = 1 and zero-width brackets.
+both roots as computed in floats.
+
+`qm_source` supplies C: the connector constant `quasimult.ConnectorConstant`
+at k = k_qm, or for conformal systems (all generators scalar multiples of
+orthogonal matrices, so partition sums are exactly multiplicative) the exact
+input k = 0, C = 1, which gives zero-width brackets.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ import numpy as np
 from .errors import InputError
 from .hypotheses import HypothesisReport, check_hypotheses
 from .kernels import word_singvals
-from .quasimult import GammaResult, connector_min_det, gamma_minimax, phi_constant
+from .quasimult import connector_constant
 from .systems import GeneratorSystem
 from .wordspace import DEFAULT_BUDGET, Word, check_budget, check_sweep, product, validate_word, word_str
 
@@ -393,47 +396,23 @@ def _root_bracket(g, lo: float, hi: float, tol: float = ROOT_TOL):
     return a, b, None, {"steps": len(widths), "bisection_fallbacks": fallbacks}
 
 
-class QMInputProvider:
-    """C(s) source for lower pressure bounds: conformal exactness or gamma-based.
+def qm_source(system: GeneratorSystem, k_qm: int, *, budget: int = DEFAULT_BUDGET):
+    """(qm_input(s, kind), description) of the lower pressure ends.
 
-    For the singular value function the constant follows the piecewise Lemma
-    4.2 formulas on [0, 2] and the exact determinant power beyond; the norm
-    potential uses gamma^s at every s.
+    Conformal systems get the exact k = 0, C = 1; any other system gets
+    `ConnectorConstant.value` at k = k_qm, and no input where that is 0.
     """
+    exact = conformal_qm_input(system)
+    if exact is not None:
+        return (lambda s, kind: exact), {"mode": "conformal", "k": 0, "C": 1.0}
+    const = connector_constant(system, k_qm, budget=budget)
 
-    def __init__(self, system: GeneratorSystem, k_qm: int, budget: int = DEFAULT_BUDGET):
-        self.conformal = system.is_conformal()
-        self.k = 0 if self.conformal else k_qm
-        self.gamma: GammaResult | None = None
-        self.min_det = None
-        if not self.conformal:
-            self.gamma = gamma_minimax(system, k_qm, budget=budget)
-            if system.dim == 2:
-                self.min_det = connector_min_det(system, k_qm, budget=budget)
+    def qm_input(s: float, kind: str) -> QMInput | None:
+        c = const.value(s, kind)
+        return QMInput(k=k_qm, C=c) if c > 0 else None
 
-    def qm_input(self, s: float, kind: str = "sv_s") -> QMInput | None:
-        if self.conformal:
-            return QMInput(k=0, C=1.0)
-        g = self.gamma.value
-        if g <= 0.0:
-            return None
-        if kind == "norm_s":
-            return QMInput(k=self.k, C=g**s)
-        if self.min_det is None:
-            return None
-        if s <= 2.0:
-            c = phi_constant(g, self.min_det, s)
-        else:
-            # phi^s is a pure determinant power: exactly multiplicative up to
-            # the connector determinant factor
-            c = self.min_det ** (s / 2.0)
-        return QMInput(k=self.k, C=c)
-
-    def describe(self) -> dict:
-        if self.conformal:
-            return {"mode": "conformal", "k": 0, "C": 1.0}
-        return {"mode": "gamma_minimax", "k": self.k, "gamma": self.gamma.value,
-                "gamma_certified": self.gamma.certified, "min_det": self.min_det}
+    return qm_input, {"mode": "gamma_minimax", "k": k_qm, "gamma": const.gamma.value,
+                      "gamma_certified": const.gamma.certified, "min_det": const.min_det}
 
 
 def _monotone_warnings(samples: list[tuple[float, float]], label: str,
@@ -460,10 +439,10 @@ def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, upper
     """
     hyp = check_hypotheses(system, "corollary_4_3", seed=seed, budget=budget)
     data = _LevelData(system, n, budget=budget)
-    prov = QMInputProvider(system, k_qm, budget=budget)
+    qm_input, qm_desc = qm_source(system, k_qm, budget=budget)
 
     def g_lo(s: float) -> float:
-        qm = prov.qm_input(s)
+        qm = qm_input(s, "sv_s")
         return -math.inf if qm is None else lower(data, s, qm)
 
     def search(g):
@@ -474,14 +453,14 @@ def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, upper
     _, s_hi, b_hi, up_counts = search(lambda s: upper(data, s))
     s_lo, _, b_lo, lo_counts = search(g_lo)
     warnings = list(warnings) + late_warnings()
-    if not prov.conformal and prov.gamma.value <= 0:
+    if qm_desc["mode"] != "conformal" and qm_desc["gamma"] <= 0:
         warnings.append("no positive QM constant: lower root defaulted to 0")
     interval = (min(s_lo, s_hi), s_hi)
     dim = (min(2.0, interval[0]), min(2.0, interval[1]))
     return DimensionReport(
         kind=kind, interval=interval, dimension=dim,
         clamped=interval[1] > 2.0, boundary=b_hi or b_lo, hypothesis_report=hyp,
-        warnings=tuple(warnings), details={"n": n, "qm": prov.describe(), **details},
+        warnings=tuple(warnings), details={"n": n, "qm": qm_desc, **details},
         root_search={"upper": up_counts, "lower": lo_counts})
 
 

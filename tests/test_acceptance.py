@@ -11,7 +11,7 @@ from cocyclespan import E1, E2, E3, E4, E5, GeneratorSystem
 from cocyclespan.gibbs import kappa_floor, psi_mixing_stat
 from cocyclespan.hypotheses import check_hypotheses
 from cocyclespan.linalg import singular_values, wedge_power
-from cocyclespan.quasimult import empirical_qm, qm_constant_phi
+from cocyclespan.quasimult import connector_constant, empirical_qm
 from cocyclespan.spannability import diagnose_failure, minimal_spannable_k, spannable_at
 from cocyclespan.thermo import (PotentialSpec, QMInput, affinity_dimension,
                                 all_ones_targets, conformal_qm_input,
@@ -113,9 +113,10 @@ def test_criterion_5_pressure_correctness():
         ok = ok and br.width <= 1e-2
         widths.append(br.width)
     # lower <= upper wherever a constant exists; Fekete monotonicity
+    const = connector_constant(E3(), 1)
     for s in (0.3, 1.0, 1.7):
-        c = qm_constant_phi(E3(), 1, s)
-        br = pressure_bracket(E3(), PotentialSpec("sv_s", s), 8, QMInput(k=1, C=c.value))
+        br = pressure_bracket(E3(), PotentialSpec("sv_s", s), 8,
+                              QMInput(k=1, C=const.value(s, "sv_s")))
         ok = ok and br.lower <= br.upper
     for spec in (PotentialSpec("norm_s", 1.0), PotentialSpec("sv_s", 0.5)):
         ok = ok and pressure_bracket(E3(), spec, 8).upper <= \
@@ -143,7 +144,8 @@ def test_criterion_6_dimension_formulas():
 
 def test_criterion_7_lemma_42_inequality():
     sys = E3()
-    consts = {s: qm_constant_phi(sys, 1, s) for s in (0.3, 1.0, 1.7)}
+    const = connector_constant(sys, 1)
+    consts = {s: const.value(s, "sv_s") for s in (0.3, 1.0, 1.7)}
     rng = np.random.default_rng(4242)
     worst = math.inf
     for _ in range(500):
@@ -160,11 +162,11 @@ def test_criterion_7_lemma_42_inequality():
         for s, c in consts.items():
             spec = PotentialSpec("sv_s", s)
             lhs = potential_value(mIKJ, spec)
-            rhs = c.value * potential_value(pI.matrix, spec) * potential_value(pJ.matrix, spec)
+            rhs = c * potential_value(pI.matrix, spec) * potential_value(pJ.matrix, spec)
             worst = min(worst, lhs - rhs)
             assert lhs >= rhs - 1e-12
-    c_left = consts[1.0].gamma ** 1.0
-    c_right = consts[1.0].min_det ** 0.0 * consts[1.0].gamma ** 1.0
+    c_left = const.gamma.value ** 1.0
+    c_right = const.min_det ** 0.0 * const.gamma.value ** 1.0
     ok = worst >= -1e-12 and abs(c_left - c_right) <= 1e-12
     _line(7, ok, f"500 triples, worst slack {worst:.3e}; C continuous at s=1")
 

@@ -406,7 +406,7 @@ class TestDocumentedExits:
         ("mixing", {"connector_k": -3}, "connector_k >= 1"),
         ("s0", {"targets": {"all_ones": 3000}}, "target word 537 (length 537)"),
         ("check-hypotheses", {"seed": -1}, "seed must be >= 0"),
-        # the distortion estimate of the psi statistic underflows before s is checked
+        # checked before the sweep: the psi statistic would overflow at this s
         ("mixing", {"s": 1.92901336644459e+171, "L": 2, "gap": 2}, "s must lie in [0, 2]"),
         ("export-attractor", {"csv_name": ""}, "cannot write the attractor CSV"),
     ])

@@ -103,27 +103,26 @@ class TestPressure:
         assert abs(br.upper - target) <= 1e-9
 
     def test_e3_bracket_narrows(self):
-        from cocyclespan.quasimult import qm_constant_phi
-        c = qm_constant_phi(E3(), 1, 1.0)
+        from cocyclespan.quasimult import connector_constant
+        c = connector_constant(E3(), 1).value(1.0, "sv_s")
         checks = {}
         for n in (5, 10):
-            br = pressure_bracket(E3(), PotentialSpec("sv_s", 1.0), n,
-                                  QMInput(k=1, C=c.value))
+            br = pressure_bracket(E3(), PotentialSpec("sv_s", 1.0), n, QMInput(k=1, C=c))
             checks[n] = br
             assert br.lower <= br.upper
         assert checks[10].width < checks[5].width
 
     def test_qm_provider_valid_beyond_two(self):
-        # for s > 2 the sv potential is a pure determinant power; the provider's
+        # for s > 2 the sv potential is a pure determinant power; the source's
         # constant must stay a true lower bound (cross-check vs a deeper level)
-        from cocyclespan.thermo import QMInputProvider
-        prov = QMInputProvider(E3(), 1)
+        from cocyclespan.thermo import qm_source
+        qm_input, _ = qm_source(E3(), 1)
         for s in (2.5, 3.0):
-            br = pressure_bracket(E3(), PotentialSpec("sv_s", s), 8, prov.qm_input(s))
+            br = pressure_bracket(E3(), PotentialSpec("sv_s", s), 8, qm_input(s, "sv_s"))
             deeper = pressure_bracket(E3(), PotentialSpec("sv_s", s), 14)
             assert br.lower <= deeper.upper
         for s in (0.5, 2.5):
-            qm = prov.qm_input(s, "norm_s")
+            qm = qm_input(s, "norm_s")
             br = pressure_bracket(E3(), PotentialSpec("norm_s", s), 8, qm)
             deeper = pressure_bracket(E3(), PotentialSpec("norm_s", s), 14)
             assert br.lower <= deeper.upper
@@ -328,17 +327,18 @@ class TestRootBracket:
         assert rep.width <= 1e-6
 
     def test_e3_ends_bound_their_curves_roots(self):
-        from cocyclespan.thermo import QMInputProvider, _LevelData
+        from cocyclespan.thermo import _LevelData, qm_source
         n = 12
         rep = affinity_dimension(E3(), n, 1)
         data = _LevelData(E3(), n)
-        qm = QMInputProvider(E3(), 1).qm_input
+        qm_input, _ = qm_source(E3(), 1)
 
         def upper(s):
             return data.log_z(PotentialSpec("sv_s", s)) / n
 
         def lower(s):
-            return (data.log_z(PotentialSpec("sv_s", s)) + math.log(qm(s).C)) / (n + qm(s).k)
+            qm = qm_input(s, "sv_s")
+            return (data.log_z(PotentialSpec("sv_s", s)) + math.log(qm.C)) / (n + qm.k)
 
         def bisect(g):
             a, b = 0.0, S_MAX
