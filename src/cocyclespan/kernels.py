@@ -1,9 +1,9 @@
 """Hot enumeration kernels and the certified minimizer, vectorised with numpy.
 
 Outputs are bit-reproducible: arrays are indexed by lexicographic word rank,
-every per-word value is independent of the block it is computed in, and every
-sum runs over fully assembled arrays in a fixed order (a minimum, exact in any
-order, may run block by block).
+every per-word value is a function of its word alone, whatever block or
+chunk it is computed in, and every sum runs over fully assembled arrays in a
+fixed order (a minimum, exact in any order, may run block by block).
 
 One certified minimizer, `lipschitz_bnb`: a batched Lipschitz branch and bound
 over an angle box. It certifies the spannability circle and sphere and the
@@ -11,27 +11,45 @@ pair-quadratic margin. The gamma torus keeps its dense grid (`minimax_grid2`),
 folded in blocks of at most `_GRID_ROWS` rows, so it holds two such blocks,
 not three G x G arrays.
 
-The only word-product engine: A_I = 2^exponent * unit, with an integer exponent
-and the unit's Frobenius norm (within sqrt(d) of the operator norm) kept in
-[0.5, 2], so `dense_products` is exact; log scales are exponent * ln 2. Every
-word product the library reads comes from it, the connector ratios of the QM
-table and of the kappa floor included (`quasimult.connector_minimum`).
+The only word-product engine: A_I = 2^exponent * unit, with an integer
+exponent. Every word product the library reads comes from it, the connector
+ratios of the QM table and of the kappa floor included
+(`quasimult.connector_minimum`). Products are carried structure-of-arrays, as
+(d, d, R) units with R exponents, and rescaled by exact powers of two only
+every L = `_cadence(gens)` levels: L = max(1, floor(60 / c)), where
+c = max(log2 max_j |A_j|_inf, -log2(min_j sigma_min(A_j) / d)) (at least 1)
+bounds how far one level moves the exponent of a unit's largest |entry|, so
+entries stay within about 2^+-60 between rescales. Every read first
+normalises canonically (`_normalise`): it scales the unit by 2^-k, k the least
+integer with largest |entry| <= 2^k, which puts that entry in (0.5, 1]. A max
+is exact in any order, and scaling by a power of two commutes exactly with the
+product (no entry of a unit is subnormal), so a read unit and exponent, and
+every log singular value, depend on the word alone: not on the cadence, the
+chunk size or when a rescale happened. `dense_products` is exact; log scales
+are exponent * ln 2.
 
-Levels are built by one sweep: Lambda(m + 1) extends Lambda(m), starting from
-the identity. `products_level_numpy` keeps only the last level; `level_products`
-yields and `level_singvals` lists every level m = 0..n of one sweep, for
-callers that read several levels. Every level of a sweep is bitwise equal to
-the one-level call at that m. `word_singvals` streams its level in prefix
-blocks of at most `_STREAM` words, each extended from one chunk of a head
-level, so it holds 16 bytes per word of output (8 for d > 2) plus one block
-of products; every word gets the bits of the whole-level sweep.
+For d = 2 a readout takes log sigma_1 from the unit and
+log sigma_2 = log |det A_I| - log sigma_1, where log |det A_I| =
+sum over letters j of (count of j in I) * log |det A_j|, folded in letter order
+(`_log_det`): a function of the word's letter counts, so no cancelling
+determinant of a unit is ever read.
 
 `_extend_level` is the closed form of the product, with no einsum and no BLAS:
 unit(A_j A_I)[a, c] = 0.0 + sum over b = 0..d-1 of A_j[a, b] * unit(A_I)[b, c],
 one product per term and in-place adds in that order, with no fused
-multiply-add, so the bits do not depend on a library's kernel choice. The
-words run in blocks of `_BLOCK`, transposed so that each product and add runs
-over a contiguous block.
+multiply-add, so the bits do not depend on a library's kernel choice. It is
+generator-major: the words of each generator fill one contiguous run, so
+every product, add, rescale and closed-form sigma_1 runs over contiguous rows
+with no transposition. A level grown t levels from R rows this way holds word
+(r, j_1, ..., j_t) at r + R * (j_1 + ell j_2 + ... + ell^(t-1) j_t);
+`_rank_order` reads it out in rank order once per level or chunk.
+
+Levels are built by one sweep from the identity. `products_level_numpy` keeps
+only the last level; `level_singvals` lists every level m = 0..n of one sweep,
+for callers that read several levels. `word_singvals` streams its level in
+prefix blocks of at most `_STREAM` words, each grown from one chunk of a head
+level, so it holds 16 bytes per word of output (8 for d > 2) plus three
+block-sized product buffers that every chunk reuses.
 """
 from __future__ import annotations
 
@@ -43,62 +61,99 @@ _LN2 = math.log(2.0)
 BNB_MAX_EVALS = 2_000_000  # evaluation cap of `lipschitz_bnb`
 _BNB_CELLS = 64           # coarse grid cells per axis
 _BNB_BATCH = 4096         # open cells split per round; f sees at most 2^m times as many
-_BLOCK = 4096             # words per block of `_extend_level`
+_DRIFT_BITS = 60          # a unit's largest entry stays within about 2^+-60 between rescales
 _STREAM = 1 << 16         # most words `word_singvals` extends at once
 _GRID_ROWS = 250          # most grid rows `minimax_grid2` folds at once
 
 
-def _rescale_batch(units: np.ndarray, exps: np.ndarray) -> None:
-    fro = np.sqrt(np.einsum("...ab,...ab->...", units, units))
-    need = (fro < 0.5) | (fro > 2.0)
-    if np.any(need):
-        e = np.where(need, np.floor(np.log2(fro, where=fro > 0, out=np.zeros_like(fro))), 0.0)
-        units *= 2.0 ** (-e)[..., None, None]
-        exps += e
+def _cadence(gens: np.ndarray) -> int:
+    """Levels between rescales of a sweep over `gens`, from the generators alone."""
+    d = gens.shape[1]
+    up = math.log2(float(np.abs(gens).sum(axis=2).max()))
+    down = -math.log2(float(np.linalg.svd(gens, compute_uv=False)[:, -1].min()) / d)
+    return max(1, int(_DRIFT_BITS // max(up, down, 1.0)))
 
 
-def _extend_level(gens: np.ndarray, units: np.ndarray, exps: np.ndarray):
-    """Unit parts and exponents of A_j A_I for every word I of `units` and generator j.
+def _identity(d: int):
+    return np.eye(d)[:, :, None].copy(), np.zeros(1)
 
-    The closed form of the module docstring, into one preallocated (R, ell, d, d)
-    array: new[:, j, a, c] = 0.0 + sum over b = 0..d-1 of gens[j, a, b] * units[:, b, c].
+
+def _normalise(units: np.ndarray, exps: np.ndarray) -> None:
+    """Canonical form in place: each unit of a (d, d, R) stack times 2^-k, exps + k,
+    with k the least integer such that the unit's largest |entry| is <= 2^k."""
+    flat = units.reshape(units.shape[0] ** 2, -1)
+    top, scale = np.abs(flat[0]), np.empty(flat.shape[1])
+    for entries in flat[1:]:
+        np.maximum(top, np.abs(entries, out=scale), out=top)
+    k = np.empty(len(top), dtype=np.int32)
+    np.frexp(top, out=(scale, k))
+    k -= scale == 0.5
+    exps += k
+    units *= np.ldexp(1.0, np.negative(k, out=k), out=scale)
+
+
+def _extend_level(gens: np.ndarray, units: np.ndarray, out=None, term=None) -> np.ndarray:
+    """A_j A_I for every unit I of a (d, d, R) stack and generator j, unscaled.
+
+    Generator-major (d, d, ell * R): column j * R + r holds A_j times unit r, by
+    the closed form of the module docstring,
+    new[a, c, j, r] = 0.0 + sum over b = 0..d-1 of gens[j, a, b] * units[b, c, r],
+    computed as (sum over b) + 0.0, which has the same bits. The result and
+    the products go into flat arrays `out` and `term` of at least d * d * ell * R
+    entries when given.
     """
     ell, d, _ = gens.shape
-    R = units.shape[0]
-    new = np.empty((R, ell * d, d))
-    g = gens.reshape(ell * d, d)[:, :, None, None]  # g[:, b] is column b of every generator
-    block = min(R, _BLOCK)
-    ut = np.empty((d, d, block))         # ut[b, c, r] = units[r, b, c] over a block of words
-    acc = np.empty((ell * d, d, block))  # acc[(j, a), c, r] = new[r, (j, a), c]
-    term = np.empty_like(acc)
-    for start in range(0, R, block):
-        m = min(block, R - start)
-        u, out, t = ut[..., :m], acc[..., :m], term[..., :m]
-        u[...] = units[start:start + m].transpose(1, 2, 0)
-        out[...] = 0.0
-        for b in range(d):
-            out += np.multiply(g[:, b], u[b], out=t)
-        new[start:start + m] = out.transpose(2, 0, 1)
-    new_units = new.reshape(-1, d, d)
-    new_exps = np.repeat(exps, ell)
-    _rescale_batch(new_units, new_exps)
-    return new_units, new_exps
+    shape = (d, d, ell, units.shape[-1])
+    size = d * d * ell * units.shape[-1]
+    new = np.empty(shape) if out is None else out[:size].reshape(shape)
+    term = np.empty(shape) if term is None else term[:size].reshape(shape)
+    g = gens.transpose(2, 1, 0)[:, :, None, :, None]  # g[b][a, 0, j, 0] = gens[j, a, b]
+    np.multiply(g[0], units[0, :, None, :], out=new)
+    for b in range(1, d):
+        new += np.multiply(g[b], units[b, :, None, :], out=term)
+    new += 0.0  # an all -0.0 sum becomes +0.0, as from a sum started at +0.0
+    return new.reshape(d, d, -1)
 
 
-def level_products(gens: np.ndarray, n: int):
-    """Yield the scaled products of Lambda(0), ..., Lambda(n), each extended from the last."""
-    units, exps = np.eye(gens.shape[1])[None, :, :].copy(), np.zeros(1)
-    yield units, exps
-    for _ in range(n):
-        units, exps = _extend_level(gens, units, exps)
-        yield units, exps
+def _grow(gens: np.ndarray, units: np.ndarray, exps: np.ndarray, levels: int, cadence: int,
+          bufs: list | None = None):
+    """Canonical (units, exps) grown `levels` levels generator-major from canonical
+    ones, rescaled every `cadence` levels and normalised at the last.
+
+    With `bufs`, three flat arrays of d * d * W, d * d * W / ell and d * d * W
+    entries, W the words of the last level: the last level goes into the first,
+    the one before it into the second, and so on alternating; the third holds
+    the products of `_extend_level`.
+    """
+    bufs = bufs or [None] * 3
+    for i in range(1, levels + 1):
+        units = _extend_level(gens, units, bufs[(levels - i) % 2], bufs[2])
+        if i % cadence == 0 or i == levels:
+            exps = exps[None].repeat(units.shape[-1] // len(exps), axis=0).ravel()
+            _normalise(units, exps)
+    return units, exps
+
+
+def _rank_order(ell: int, t: int, rows: int) -> np.ndarray:
+    """Positions, in rank order, of the words that `rows` rows grow over t levels."""
+    if ell == 1:  # one word per row: the orders agree (and t may exceed numpy's 64 axes)
+        return np.arange(rows)
+    grown = np.arange(ell**t * rows).reshape((ell,) * t + (rows,))  # axes (j_t, ..., j_1, r)
+    return grown.transpose((t,) + tuple(range(t - 1, -1, -1))).ravel()
+
+
+def _level(gens: np.ndarray, n: int, cadence: int):
+    """Canonical (units, exps) of Lambda(n) in rank order, units as a (d, d, ell^n) stack."""
+    units, exps = _grow(gens, *_identity(gens.shape[1]), n, cadence)
+    order = _rank_order(gens.shape[0], n, 1)
+    return units[..., order], exps[order]
 
 
 def products_level_numpy(gens: np.ndarray, n: int):
     """Scaled products for all of Lambda(n), lexicographic: (units, integer-valued exps)."""
-    for units, exps in level_products(gens, n):
-        pass
-    return np.ascontiguousarray(units), exps
+    gens = np.ascontiguousarray(gens, dtype=float)
+    units, exps = _level(gens, n, _cadence(gens) if n > 1 else 1)  # one level: no rescale
+    return np.ascontiguousarray(units.transpose(2, 0, 1)), exps
 
 
 def dense_products(gens: np.ndarray, n: int) -> np.ndarray:
@@ -107,31 +162,63 @@ def dense_products(gens: np.ndarray, n: int) -> np.ndarray:
     return np.ldexp(units, exps.astype(np.int64)[:, None, None])
 
 
-def sigma12_2x2(units: np.ndarray):
-    """(sigma1, sigma2) of a stacked (..., 2, 2) array, cancellation-safe."""
-    a, b = units[..., 0, 0], units[..., 0, 1]
-    c, dd = units[..., 1, 0], units[..., 1, 1]
-    fro2 = a * a + b * b + c * c + dd * dd
-    det = a * dd - b * c
-    disc = fro2 * fro2 - 4.0 * det * det
-    s1 = np.sqrt(0.5 * (fro2 + np.sqrt(np.maximum(disc, 0.0))))
-    s2 = np.abs(det) / np.where(s1 > 0, s1, 1.0)
-    return s1, s2
+def sigma1_2x2(units: np.ndarray) -> np.ndarray:
+    """sigma_1 of each matrix [[a, b], [c, d]] of a (2, 2, ...) stack, in closed form:
+    (|(a + d, c - b)| + |(a - d, c + b)|) / 2, which cancels nowhere."""
+    a, b, c, dd = units[0, 0], units[0, 1], units[1, 0], units[1, 1]
+    p, q = a + dd, c - b
+    p *= p
+    p += np.multiply(q, q, out=q)
+    np.sqrt(p, out=p)
+    r = np.subtract(a, dd, out=q)
+    r *= r
+    t = c + b
+    r += np.multiply(t, t, out=t)
+    p += np.sqrt(r, out=r)
+    p *= 0.5
+    return p
 
 
 def opnorm_batch(units: np.ndarray) -> np.ndarray:
+    """Operator norms of a stacked (R, d, d) array."""
     if units.shape[-1] == 2:
-        return sigma12_2x2(units)[0]
+        return sigma1_2x2(units.transpose(1, 2, 0))
     return np.linalg.svd(units, compute_uv=False)[..., 0]
 
 
-def _log_singvals(units: np.ndarray, logs: np.ndarray):
-    """Per-word (log sigma_1, log sigma_2) from unit parts and their log scales."""
-    if units.shape[-1] == 2:
-        s1, s2 = sigma12_2x2(units)
-        return logs + np.log(s1), logs + np.log(s2)
-    sv = np.linalg.svd(units, compute_uv=False)
-    return logs + np.log(sv[..., 0]), None
+def _log_sigma1(units: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """Per-word log sigma_1 of a canonical (d, d, R) stack and its exponents."""
+    if units.shape[0] == 2:
+        s1 = sigma1_2x2(units)
+    else:
+        s1 = np.linalg.svd(units.transpose(2, 0, 1), compute_uv=False)[:, 0]
+    return exps * _LN2 + np.log(s1)
+
+
+def _next_classes(classes: np.ndarray, index: np.ndarray):
+    """`_count_classes` of Lambda(m + 1) from that of Lambda(m)."""
+    ell = classes.shape[1]
+    ids = {}  # letter counts of each child (class, letter) -> its class, in order of appearance
+    step = [ids.setdefault(row, len(ids))
+            for row in map(tuple, (classes[:, None, :] + np.eye(ell)).reshape(-1, ell).tolist())]
+    return np.array(list(ids)), np.array(step).reshape(-1, ell)[index].ravel()
+
+
+def _count_classes(ell: int, n: int):
+    """(letter counts of each class, class of each word of Lambda(n) in rank order);
+    two words share a class when every letter occurs in them equally often."""
+    out = np.zeros((1, ell)), np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        out = _next_classes(*out)
+    return out
+
+
+def _log_det(gens: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """log |det A_I| from letter counts (..., ell): sum over j of counts[..., j] * log |det A_j|."""
+    acc = np.zeros(counts.shape[:-1])
+    for j, ld in enumerate(np.log(np.abs(np.linalg.det(gens)))):
+        acc += counts[..., j] * ld
+    return acc
 
 
 def word_singvals(gens: np.ndarray, n: int):
@@ -139,36 +226,55 @@ def word_singvals(gens: np.ndarray, n: int):
 
     The second array is None for d > 2 (only the norm is needed there). The
     level is streamed: the head level Lambda(n - b), with ell^b at most
-    `_STREAM`, is built whole, and each chunk of head rows is extended b
-    levels and written at its rank offset, since the words grown from head
-    row r have ranks r * ell^b .. (r + 1) * ell^b - 1.
+    `_STREAM`, is built whole, and each chunk of head rows is grown b levels
+    and written at its rank offset, since the words grown from head row r have
+    ranks r * ell^b .. (r + 1) * ell^b - 1.
     """
     gens = np.ascontiguousarray(gens, dtype=float)
     ell, d = gens.shape[:2]
     b = 0
     while b < n and ell ** (b + 1) <= _STREAM:
         b += 1
-    span = ell ** b
-    head_units, head_exps = products_level_numpy(gens, n - b)
+    span, cadence = ell ** b, _cadence(gens)
+    head_units, head_exps = _level(gens, n - b, cadence)
     logs1 = np.empty(len(head_exps) * span)
-    logs2 = np.empty_like(logs1) if d == 2 else None
-    rows = _STREAM // span
+    logs2 = None
+    if d == 2:
+        logs2 = np.empty_like(logs1)
+        head_classes, head_class = _count_classes(ell, n - b)
+        classes, tail_class = _count_classes(ell, b)
+        log_dets = _log_det(gens, head_classes[:, None, :] + classes)[head_class]
+    rows = min(_STREAM // span, len(head_exps))
+    order = _rank_order(ell, b, rows)
+    bufs = [np.empty(d * d * rows * span), np.empty(d * d * rows * span // ell),
+            np.empty(d * d * rows * span)]
     for r0 in range(0, len(head_exps), rows):
-        units, exps = head_units[r0:r0 + rows], head_exps[r0:r0 + rows]
-        for _ in range(b):
-            units, exps = _extend_level(gens, units, exps)
-        l1, l2 = _log_singvals(units, np.multiply(exps, _LN2, out=exps))
-        at = slice(r0 * span, r0 * span + len(l1))
-        logs1[at] = l1
+        r1 = min(r0 + rows, len(head_exps))
+        units, exps = _grow(gens, head_units[..., r0:r1], head_exps[r0:r1], b, cadence, bufs)
+        at = slice(r0 * span, r1 * span)
+        if r1 - r0 < rows:
+            order = _rank_order(ell, b, r1 - r0)
+        np.take(_log_sigma1(units, exps), order, out=logs1[at])
         if logs2 is not None:
-            logs2[at] = l2
+            np.subtract(log_dets[r0:r1][:, tail_class].ravel(), logs1[at], out=logs2[at])
     return logs1, logs2
 
 
 def level_singvals(gens: np.ndarray, n: int):
     """`word_singvals(gens, m)` for every m = 0..n, as a list, from one sweep."""
-    return [_log_singvals(units, exps * _LN2)
-            for units, exps in level_products(np.ascontiguousarray(gens, dtype=float), n)]
+    gens = np.ascontiguousarray(gens, dtype=float)
+    ell, d = gens.shape[:2]
+    units, exps = _identity(d)
+    (classes, index), order = _count_classes(ell, 0), np.zeros(1, dtype=np.int64)
+    out = []
+    for m in range(n + 1):
+        if m:
+            units, exps = _grow(gens, units, exps, 1, 1)
+            classes, index = _next_classes(classes, index)
+            order = (order[:, None] + np.arange(ell) * ell ** (m - 1)).ravel()
+        logs1 = _log_sigma1(units, exps)[order]
+        out.append((logs1, _log_det(gens, classes)[index] - logs1 if d == 2 else None))
+    return out
 
 
 def minimax_grid2(kmats: np.ndarray, G: int = 2000):

@@ -1,9 +1,11 @@
 """Words over {1..ell}, scaled cocycle products, and the enumeration budget.
 
 A word I = i_0 ... i_{n-1} indexes the product A_{i_{n-1}} ... A_{i_0}: later
-symbols multiply on the left. `product` runs the `kernels` engine on one word:
-A_I = 2^exponent * unit with |unit|_F in [0.5, 2], so contracting or expanding
-systems never underflow and `ScaledProduct.matrix` is exact.
+symbols multiply on the left. `product` runs the `kernels` engine on one word
+and reads it canonically after every symbol: A_I = 2^exponent * unit with the
+unit's largest |entry| in (0.5, 1], so contracting or expanding systems never
+underflow, `ScaledProduct.matrix` is exact, and a product continued from a
+prefix has the bits of the product of the whole word.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .kernels import _LN2, _extend_level
+from .kernels import _LN2, _extend_level, _identity, _normalise
 from .linalg import operator_norm
 from .systems import GeneratorSystem
 
@@ -95,7 +97,7 @@ def word_unrank(rank: int, ell: int, n: int) -> Word:
 
 @dataclass(frozen=True)
 class ScaledProduct:
-    """A matrix carried exactly as 2^exponent * unit, with |unit|_F in [0.5, 2]."""
+    """A matrix carried exactly as 2^exponent * unit, the unit's largest |entry| in (0.5, 1]."""
 
     unit: np.ndarray
     exponent: int
@@ -125,9 +127,10 @@ def product(system: GeneratorSystem, word: Word,
     """
     validate_word(word, system.ell)
     if start is None:
-        units, exps = np.eye(system.dim)[None], np.zeros(1)
+        units, exps = _identity(system.dim)
     else:
-        units, exps = start.unit[None], np.array([float(start.exponent)])
+        units, exps = start.unit[:, :, None].copy(), np.array([float(start.exponent)])
     for s in word:
-        units, exps = _extend_level(system.generators[s - 1][None], units, exps)
-    return ScaledProduct(unit=units[0], exponent=int(exps[0]))
+        units = _extend_level(system.generators[s - 1][None], units)
+        _normalise(units, exps)
+    return ScaledProduct(unit=units[:, :, 0], exponent=int(exps[0]))

@@ -1,16 +1,19 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
-from cocyclespan import E2, E3
+from cocyclespan import E2, E3, GeneratorSystem
 from cocyclespan import kernels
-from cocyclespan.kernels import (_BLOCK, _LN2, _extend_level, _log_singvals, _rescale_batch,
+from cocyclespan.kernels import (_LN2, _count_classes, _extend_level, _log_det, _normalise,
                                  level_singvals, lipschitz_bnb, minimax_grid2,
-                                 products_level_numpy, sigma12_2x2, word_singvals)
+                                 products_level_numpy, sigma1_2x2, word_singvals)
 from cocyclespan.rational2 import pair_quadratic
 from cocyclespan.spannability import TAU_SPAN, _angles_to_unit, _stack_f
-from cocyclespan.wordspace import enumerate_words, product
+from cocyclespan.thermo import pressure_brackets
+from cocyclespan.wordspace import enumerate_words, product, word_unrank
 
 
 class TestScaledProducts:
@@ -39,10 +42,9 @@ class TestScaledProducts:
     def test_sigma_closed_form(self):
         rng = np.random.default_rng(5)
         M = rng.standard_normal((64, 2, 2))
-        s1, s2 = sigma12_2x2(M)
+        s1 = sigma1_2x2(M.transpose(1, 2, 0))
         sv = np.linalg.svd(M, compute_uv=False)
         assert np.abs(s1 - sv[:, 0]).max() <= 1e-10
-        assert np.abs(s2 - sv[:, 1]).max() <= 1e-10
 
 
 class TestBitwiseOracles:
@@ -52,18 +54,27 @@ class TestBitwiseOracles:
     @pytest.mark.parametrize("ell", [1, 2, 3, 4])
     def test_extend_level_equals_einsum(self, d, ell):
         rng = np.random.default_rng(100 * d + ell)
-        R = _BLOCK + 7  # one full block and a partial one
+        R = 4103
         gens = rng.standard_normal((ell, d, d))
         units = rng.standard_normal((R, d, d))
         gens[rng.random(gens.shape) < 0.3] = 0.0  # signed zeros: -0.0 products
         units[rng.random(units.shape) < 0.3] = -0.0
         exps = rng.integers(-40, 40, R).astype(float)
-        ref = np.einsum("jab,rbc->rjac", gens, units).reshape(-1, d, d)
+        ref = np.einsum("jab,rbc->rjac", gens, units)  # word (r, j) in rank order
+        new = _extend_level(gens, units.transpose(1, 2, 0).copy())  # column j * R + r
+        assert new.shape == (d, d, ell * R)
+        assert new.reshape(d, d, ell, R).transpose(3, 2, 0, 1).tobytes() == ref.tobytes()
+        # the canonical readouts of both agree bit for bit as well
+        ref_units = ref.reshape(-1, d, d).transpose(1, 2, 0).copy()
         ref_exps = np.repeat(exps, ell)
-        _rescale_batch(ref, ref_exps)
-        new, new_exps = _extend_level(gens, units, exps.copy())
-        assert new.tobytes() == ref.tobytes()
-        assert new_exps.tobytes() == ref_exps.tobytes()
+        new_exps = np.tile(exps, ell)
+        _normalise(ref_units, ref_exps)
+        _normalise(new, new_exps)
+        top = np.abs(new).max(axis=(0, 1))
+        assert np.all(((top > 0.5) & (top <= 1.0)) | (top == 0.0))  # zeros: some products vanish
+        back = new.reshape(d, d, ell, R).transpose(0, 1, 3, 2).reshape(d, d, -1)
+        assert back.tobytes() == ref_units.tobytes()
+        assert new_exps.reshape(ell, R).T.tobytes() == ref_exps.tobytes()
 
     @pytest.mark.parametrize("ell", [1, 2, 4, 8])
     def test_minimax_grid_equals_full_fold(self, ell):
@@ -90,6 +101,16 @@ def _full_fold(K, G):
     return float(acc[iw, iu]), int(iw), int(iu)
 
 
+def _whole_level(gens, n):
+    """(log sigma_1, log sigma_2 or None) of Lambda(n) read from the whole level's products."""
+    units, exps = products_level_numpy(gens, n)
+    if gens.shape[1] == 2:
+        logs1 = exps * _LN2 + np.log(sigma1_2x2(units.transpose(1, 2, 0)))
+        classes, index = _count_classes(len(gens), n)
+        return logs1, _log_det(gens, classes)[index] - logs1
+    return exps * _LN2 + np.log(np.linalg.svd(units, compute_uv=False)[:, 0]), None
+
+
 class TestStreamedLevel:
     """`word_singvals` streams Lambda(n) in prefix blocks with the whole level's bits."""
 
@@ -98,29 +119,108 @@ class TestStreamedLevel:
     def test_stream_equals_whole_level(self, monkeypatch, ell, d):
         # block 7: ell = 3 streams chunks of 2 head rows of 3 words each, and
         # its head levels have odd size, so the last chunk is ragged; n below
-        # the block depth (ell = 2: 2, ell = 1: every n) streams from Lambda(0)
-        monkeypatch.setattr(kernels, "_STREAM", 7)
+        # the block depth (ell = 2: 2, ell = 1: every n) streams from Lambda(0).
+        # The reference rescales at the derived cadence; cadence 1 rescales
+        # every level, and neither moves a bit of the readout
         gens = np.random.default_rng(10 * ell + d).standard_normal((ell, d, d))
-        for n in range(8):
-            units, exps = products_level_numpy(gens, n)
-            ref1, ref2 = _log_singvals(units, exps * _LN2)
-            logs1, logs2 = word_singvals(gens, n)
-            assert logs1.tobytes() == ref1.tobytes()
-            assert (logs2 is None and ref2 is None) or logs2.tobytes() == ref2.tobytes()
+        refs = [_whole_level(gens, n) for n in range(8)]
+        for block in (7, 128, 1 << 16):
+            for cadence in (None, 1):
+                monkeypatch.setattr(kernels, "_STREAM", block)
+                if cadence is not None:
+                    monkeypatch.setattr(kernels, "_cadence", lambda gens: cadence)
+                for n, (ref1, ref2) in enumerate(refs):
+                    logs1, logs2 = word_singvals(gens, n)
+                    assert logs1.tobytes() == ref1.tobytes()
+                    assert (logs2 is None and ref2 is None) or logs2.tobytes() == ref2.tobytes()
+                monkeypatch.undo()
+
+    @pytest.mark.parametrize("cadence", [1, 2, 5])
+    def test_cadence_leaves_products_unchanged(self, monkeypatch, cadence):
+        for gens in (E3().stacked(), np.random.default_rng(7).standard_normal((3, 3, 3))):
+            ref = products_level_numpy(gens, 7)
+            levels = level_singvals(gens, 7)
+            monkeypatch.setattr(kernels, "_cadence", lambda gens: cadence)
+            units, exps = products_level_numpy(gens, 7)
+            assert units.tobytes() == ref[0].tobytes() and exps.tobytes() == ref[1].tobytes()
+            top = np.abs(units).max(axis=(1, 2))
+            assert np.all((top > 0.5) & (top <= 1.0))
+            for (l1, l2), (r1, r2) in zip(level_singvals(gens, 7), levels):
+                assert l1.tobytes() == r1.tobytes()
+                assert (l2 is None and r2 is None) or l2.tobytes() == r2.tobytes()
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("block,n", [(128, 14), (kernels._STREAM, 20)])
     def test_extend_level_never_sees_more_than_a_block(self, monkeypatch, block, n):
         monkeypatch.setattr(kernels, "_STREAM", block)
         rows = []
 
-        def counted(gens, units, exps):
-            rows.append(len(units) * len(gens))
-            return _extend_level(gens, units, exps)
+        def counted(gens, units, *bufs):
+            rows.append(units.shape[-1] * len(gens))
+            return _extend_level(gens, units, *bufs)
 
         monkeypatch.setattr(kernels, "_extend_level", counted)
         logs1, _ = word_singvals(E3().stacked(), n)
         assert len(logs1) == 2**n and rows
         assert max(rows) <= block
+
+
+# the unit determinant a*d - b*c of many of its products cancels to 0 or to noise
+CANCELLING = np.array([[[2.041, -2.556], [0.418, -0.568]],
+                       [[-0.453, -0.216], [-2.02, -0.232]]])
+
+
+class TestLogSigma2:
+    """log sigma_2 = log |det A_I| - log sigma_1, with log |det A_I| from letter counts."""
+
+    def test_cancelling_system_is_finite(self):
+        logs1, logs2 = word_singvals(CANCELLING, 16)
+        assert np.all(np.isfinite(logs2)) and np.all(logs2 <= logs1)
+
+    def test_sv_s_at_one_is_the_norm_potential(self):
+        system = GeneratorSystem(tuple(CANCELLING))
+        sv, norm = (pressure_brackets(system, kind, 16, [1.0], [None])[0]
+                    for kind in ("sv_s", "norm_s"))
+        assert math.isfinite(sv.log_zn) and sv.log_zn == norm.log_zn
+
+    def test_sampled_words_match_mpmath(self):
+        n = 16
+        logs1, logs2 = word_singvals(CANCELLING, n)
+        gap = logs1 - logs2
+        ranks = list(np.random.default_rng(3).integers(0, 2**n, 40))
+        ranks += [int(np.argmax(gap)), int(np.argmin(gap))]
+        with mpmath.workdps(50):
+            gens = [mpmath.matrix([[mpmath.mpf(float(x)) for x in row] for row in A])
+                    for A in CANCELLING]
+            for rank in ranks:
+                M = mpmath.eye(2)
+                for s in word_unrank(rank, 2, n):
+                    M = gens[s - 1] * M
+                det = abs(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
+                fro2 = sum(M[i, j] ** 2 for i in range(2) for j in range(2))
+                s1 = mpmath.sqrt((fro2 + mpmath.sqrt(fro2**2 - 4 * det**2)) / 2)
+                assert abs(logs1[rank] - float(mpmath.log(s1))) <= 1e-12
+                assert abs(logs2[rank] - float(mpmath.log(det / s1))) <= 1e-12
+
+
+class TestExtremeScale:
+    """Generators scaled by 2^+-200 shift every exponent by n * k and move no unit bit."""
+
+    @pytest.mark.parametrize("k", [200, -200])
+    def test_scaled_generators_shift_exponents(self, k):
+        n = 9
+        for gens in (E3().stacked(), np.random.default_rng(11).standard_normal((2, 3, 3))):
+            units, exps = products_level_numpy(gens, n)
+            logs1, _ = word_singvals(gens, n)
+            scaled = np.ldexp(gens, k)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                su, se = products_level_numpy(scaled, n)
+                sl1, sl2 = word_singvals(scaled, n)
+            assert su.tobytes() == units.tobytes()
+            assert se.tobytes() == (exps + n * k).tobytes()
+            assert np.all(np.isfinite(sl1)) and (sl2 is None or np.all(np.isfinite(sl2)))
+            assert np.abs(sl1 - (logs1 + n * k * _LN2)).max() <= 1e-9
 
 
 class TestBackendAgreement:

@@ -47,6 +47,16 @@ class TestProduct:
                 nrm = float(np.linalg.norm(p.unit, "fro"))
                 assert 0.5 <= nrm <= 2.0
 
+    def test_unit_max_entry_window(self):
+        # canonical readout: the largest |entry| of every unit lies in (0.5, 1],
+        # and a product continued from a prefix has the bits of the whole
+        for sys in (E1(), E2(), E3()):
+            for w in enumerate_words(sys.ell, 7):
+                p = product(sys, w)
+                assert 0.5 < np.abs(p.unit).max() <= 1.0
+                q = product(sys, w[3:], product(sys, w[:3]))
+                assert q.unit.tobytes() == p.unit.tobytes() and q.exponent == p.exponent
+
     def test_concatenation_law_500(self):
         rng = np.random.default_rng(29)
         for sys in (E2(), E3()):
