@@ -36,8 +36,8 @@ def _levels(system: GeneratorSystem, s: float, n: int, budget: int):
     """(s log |A_I| in rank order, log Z_m) of every level m = 0..n, from one sweep."""
     check_sweep(system.ell, n, budget)
     out = []
-    for logs1, _ in level_singvals(system.stacked(), n):
-        w = s * logs1
+    for w in level_singvals(system.stacked(), n):
+        w *= s
         out.append((w, _lse(w)))
     return out
 

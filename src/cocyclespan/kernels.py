@@ -2,8 +2,10 @@
 
 Outputs are bit-reproducible: arrays are indexed by lexicographic word rank,
 every per-word value is a function of its word alone, whatever block or
-chunk it is computed in, and every sum runs over fully assembled arrays in a
-fixed order (a minimum, exact in any order, may run block by block).
+chunk it is computed in, and every sum has the bits of one np.sum over the
+fully assembled array: `pairwise_sum` folds it block by block in numpy's own
+pairwise order (a minimum or maximum, exact in any order, may run in any
+blocks).
 
 One certified minimizer, `lipschitz_bnb`: a batched Lipschitz branch and bound
 over an angle box. It certifies the spannability circle and sphere and the
@@ -32,7 +34,9 @@ For d = 2 a readout takes log sigma_1 from the unit and
 log sigma_2 = log |det A_I| - log sigma_1, where log |det A_I| =
 sum over letters j of (count of j in I) * log |det A_j|, folded in letter order
 (`_log_det`): a function of the word's letter counts, so no cancelling
-determinant of a unit is ever read.
+determinant of a unit is ever read. A level keeps only log sigma_1 and the
+small `LogDets` table, from which log sigma_2 of any rank range is rebuilt
+with the same bits.
 
 `_extend_level` is the closed form of the product, with no einsum and no BLAS:
 unit(A_j A_I)[a, c] = 0.0 + sum over b = 0..d-1 of A_j[a, b] * unit(A_I)[b, c],
@@ -45,11 +49,13 @@ with no transposition. A level grown t levels from R rows this way holds word
 `_rank_order` reads it out in rank order once per level or chunk.
 
 Levels are built by one sweep from the identity. `products_level_numpy` keeps
-only the last level; `level_singvals` lists every level m = 0..n of one sweep,
-for callers that read several levels. `word_singvals` streams its level in
-prefix blocks of at most `_STREAM` words, each grown from one chunk of a head
-level, so it holds 16 bytes per word of output (8 for d > 2) plus three
-block-sized product buffers that every chunk reuses.
+only the last level; `level_singvals` yields log sigma_1 of every level
+m = 0..n of one sweep, one level at a time, for callers that read several
+levels. `word_singvals` streams its level in prefix blocks of at most
+`_STREAM` words, each grown from one chunk of a head level, so it holds
+8 bytes per word of output, a `LogDets` table of (head rows) x (tail letter
+classes) entries, and three block-sized product buffers that every chunk
+reuses.
 """
 from __future__ import annotations
 
@@ -195,22 +201,16 @@ def _log_sigma1(units: np.ndarray, exps: np.ndarray) -> np.ndarray:
     return exps * _LN2 + np.log(s1)
 
 
-def _next_classes(classes: np.ndarray, index: np.ndarray):
-    """`_count_classes` of Lambda(m + 1) from that of Lambda(m)."""
-    ell = classes.shape[1]
-    ids = {}  # letter counts of each child (class, letter) -> its class, in order of appearance
-    step = [ids.setdefault(row, len(ids))
-            for row in map(tuple, (classes[:, None, :] + np.eye(ell)).reshape(-1, ell).tolist())]
-    return np.array(list(ids)), np.array(step).reshape(-1, ell)[index].ravel()
-
-
 def _count_classes(ell: int, n: int):
     """(letter counts of each class, class of each word of Lambda(n) in rank order);
     two words share a class when every letter occurs in them equally often."""
-    out = np.zeros((1, ell)), np.zeros(1, dtype=np.int64)
+    classes, index = np.zeros((1, ell)), np.zeros(1, dtype=np.int64)
     for _ in range(n):
-        out = _next_classes(*out)
-    return out
+        ids = {}  # letter counts of each child (class, letter) -> its class, in order of appearance
+        step = [ids.setdefault(row, len(ids)) for row in
+                map(tuple, (classes[:, None, :] + np.eye(ell)).reshape(-1, ell).tolist())]
+        classes, index = np.array(list(ids)), np.array(step).reshape(-1, ell)[index].ravel()
+    return classes, index
 
 
 def _log_det(gens: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -221,10 +221,39 @@ def _log_det(gens: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return acc
 
 
-def word_singvals(gens: np.ndarray, n: int):
-    """Per-word (log sigma_1, log sigma_2) over Lambda(n), lexicographic rank order.
+class LogDets:
+    """log |det A_I| of every word of Lambda(n), read by rank range.
 
-    The second array is None for d > 2 (only the norm is needed there). The
+    Word rank q * span + t, with q a head row (a word of Lambda(n - b)) and t a
+    tail (a word of Lambda(b)), span = ell^b, has
+    log |det A_I| = rows[q, tail_class[t]]: `rows` holds one `_log_det` per
+    head row and tail letter class, so the table is small and every value a
+    pure gather. `log_sigma2` then subtracts log sigma_1 exactly as a whole
+    level array would.
+    """
+
+    def __init__(self, rows: np.ndarray, tail_class: np.ndarray):
+        self.rows, self.tail_class = rows, tail_class
+
+    def log_sigma2(self, logs1: np.ndarray, lo: int = 0, hi: int | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """log sigma_2 = log |det A_I| - log sigma_1 of ranks lo..hi-1, into `out[:hi - lo]`."""
+        hi = len(logs1) if hi is None else hi
+        out = np.empty(hi - lo) if out is None else out[:hi - lo]
+        span = len(self.tail_class)
+        at = lo
+        while at < hi:
+            q, t = divmod(at, span)
+            end = min(hi, (q + 1) * span)
+            np.take(self.rows[q], self.tail_class[t:t + end - at], out=out[at - lo:end - lo])
+            at = end
+        return np.subtract(out, logs1[lo:hi], out=out)
+
+
+def word_singvals(gens: np.ndarray, n: int):
+    """(log sigma_1 per word of Lambda(n) in lexicographic rank order, `LogDets`).
+
+    The `LogDets` table is None for d > 2 (only the norm is needed there). The
     level is streamed: the head level Lambda(n - b), with ell^b at most
     `_STREAM`, is built whole, and each chunk of head rows is grown b levels
     and written at its rank offset, since the words grown from head row r have
@@ -238,12 +267,12 @@ def word_singvals(gens: np.ndarray, n: int):
     span, cadence = ell ** b, _cadence(gens)
     head_units, head_exps = _level(gens, n - b, cadence)
     logs1 = np.empty(len(head_exps) * span)
-    logs2 = None
+    log_dets = None
     if d == 2:
-        logs2 = np.empty_like(logs1)
         head_classes, head_class = _count_classes(ell, n - b)
         classes, tail_class = _count_classes(ell, b)
-        log_dets = _log_det(gens, head_classes[:, None, :] + classes)[head_class]
+        log_dets = LogDets(_log_det(gens, head_classes[:, None, :] + classes)[head_class],
+                           tail_class)
     rows = min(_STREAM // span, len(head_exps))
     order = _rank_order(ell, b, rows)
     bufs = [np.empty(d * d * rows * span), np.empty(d * d * rows * span // ell),
@@ -251,30 +280,43 @@ def word_singvals(gens: np.ndarray, n: int):
     for r0 in range(0, len(head_exps), rows):
         r1 = min(r0 + rows, len(head_exps))
         units, exps = _grow(gens, head_units[..., r0:r1], head_exps[r0:r1], b, cadence, bufs)
-        at = slice(r0 * span, r1 * span)
         if r1 - r0 < rows:
             order = _rank_order(ell, b, r1 - r0)
-        np.take(_log_sigma1(units, exps), order, out=logs1[at])
-        if logs2 is not None:
-            np.subtract(log_dets[r0:r1][:, tail_class].ravel(), logs1[at], out=logs2[at])
-    return logs1, logs2
+        np.take(_log_sigma1(units, exps), order, out=logs1[r0 * span:r1 * span])
+    return logs1, log_dets
 
 
 def level_singvals(gens: np.ndarray, n: int):
-    """`word_singvals(gens, m)` for every m = 0..n, as a list, from one sweep."""
+    """Yield log sigma_1 of Lambda(m) in rank order for m = 0..n, from one sweep.
+
+    Each level is a new array, which the caller may overwrite.
+    """
     gens = np.ascontiguousarray(gens, dtype=float)
     ell, d = gens.shape[:2]
     units, exps = _identity(d)
-    (classes, index), order = _count_classes(ell, 0), np.zeros(1, dtype=np.int64)
-    out = []
+    order = np.zeros(1, dtype=np.int64)
     for m in range(n + 1):
         if m:
             units, exps = _grow(gens, units, exps, 1, 1)
-            classes, index = _next_classes(classes, index)
             order = (order[:, None] + np.arange(ell) * ell ** (m - 1)).ravel()
-        logs1 = _log_sigma1(units, exps)[order]
-        out.append((logs1, _log_det(gens, classes)[index] - logs1 if d == 2 else None))
-    return out
+        yield _log_sigma1(units, exps)[order]
+
+
+def pairwise_sum(leaf, lo: int, hi: int, block: int) -> float:
+    """np.sum's bits over the values of ranks lo..hi-1, never more than `block` at once.
+
+    `leaf(a, b)` returns np.sum of the values of ranks a..b-1. Above 128
+    values numpy's pairwise sum splits n values at n2 = n // 2 rounded down to
+    a multiple of 8; this recursion takes the same splits down to leaves of at
+    most `block` values (`block` >= 128), so it adds the same partial sums in
+    the same order.
+    """
+    n = hi - lo
+    if n <= block:
+        return leaf(lo, hi)
+    n2 = n // 2
+    n2 -= n2 % 8
+    return pairwise_sum(leaf, lo, lo + n2, block) + pairwise_sum(leaf, lo + n2, hi, block)
 
 
 def minimax_grid2(kmats: np.ndarray, G: int = 2000):

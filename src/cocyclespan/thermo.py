@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import InputError
 from .hypotheses import HypothesisReport, check_hypotheses
-from .kernels import word_singvals
+from . import kernels
+from .kernels import _log_det, pairwise_sum, word_singvals
 from .quasimult import connector_constant
 from .systems import GeneratorSystem
 from .wordspace import DEFAULT_BUDGET, Word, check_budget, check_sweep, product, validate_word, word_str
@@ -70,7 +71,7 @@ def log_potential(logs1: np.ndarray, logs2: np.ndarray | None, spec: PotentialSp
     """Per-word log potential, written into `out` when given; the inputs are only read."""
     if spec.kind == "norm_s":
         return np.multiply(logs1, spec.s, out=out)
-    if logs2 is None:
+    if logs2 is None and spec.s >= 1.0:
         raise InputError("singular value potentials need d = 2 data")
     base = _log_phi(logs1, logs2, spec.s, out)
     return np.multiply(base, 2.0, out=base) if spec.kind == "sv_s_squared" else base
@@ -146,10 +147,12 @@ class PressureBracket:
 
 
 class _LevelData:
-    """Cached per-word log singular values at one level, reusable across s.
+    """Per-word log sigma_1 at one level and its `LogDets` table, reusable across s.
 
-    `log_z` is memoised per potential: the two searches of a root share their
-    end points s = 0 and S_MAX. `passes` counts the passes over Lambda(n) made.
+    Lambda(n) costs 8 bytes per word: log sigma_2 of a block of ranks is
+    rebuilt from the table when a potential reads it. `log_z` is memoised per
+    potential: the two searches of a root share their end points s = 0 and
+    S_MAX. `passes` counts the potentials reduced over Lambda(n).
     """
 
     def __init__(self, system: GeneratorSystem, n: int, *, budget: int = DEFAULT_BUDGET):
@@ -157,17 +160,37 @@ class _LevelData:
             raise InputError("level n must be >= 1")
         check_sweep(system.ell, n, budget)
         self.n = n
-        self.logs1, self.logs2 = word_singvals(system.stacked(), n)
-        self._scratch = np.empty_like(self.logs1)
+        self.logs1, self.log_dets = word_singvals(system.stacked(), n)
+        size = min(len(self.logs1), kernels._STREAM)
+        self._w, self._logs2 = np.empty(size), np.empty(size)
         self._log_z: dict[PotentialSpec, float] = {}
 
+    def _potential(self, spec: PotentialSpec, lo: int, hi: int) -> np.ndarray:
+        """The log potential of ranks lo..hi-1, in the block buffer."""
+        logs2 = None
+        if spec.kind != "norm_s" and spec.s >= 1.0 and self.log_dets is not None:
+            # phi^s reads sigma_2 only from s = 1 on
+            logs2 = self.log_dets.log_sigma2(self.logs1, lo, hi, out=self._logs2)
+        return log_potential(self.logs1[lo:hi], logs2, spec, out=self._w[:hi - lo])
+
     def log_z(self, spec: PotentialSpec) -> float:
-        """log Z_n = m + log sum exp(w - m), m = max w, reduced in one scratch buffer."""
+        """log Z_n = m + log sum exp(w - m), m = max w, in two passes of block buffers.
+
+        The first pass takes the max, exact in any order; the second sums in
+        `pairwise_sum`'s leaves, so log Z_n has the bits of one np.sum over
+        the whole level.
+        """
         if spec not in self._log_z:
-            w = log_potential(self.logs1, self.logs2, spec, out=self._scratch)
-            m = float(np.max(w))
-            w -= m
-            self._log_z[spec] = m + math.log(float(np.sum(np.exp(w, out=w))))
+            size, block = len(self.logs1), len(self._w)
+            m = float(np.max([np.max(self._potential(spec, lo, min(lo + block, size)))
+                              for lo in range(0, size, block)]))
+
+            def leaf(lo: int, hi: int):
+                w = self._potential(spec, lo, hi)
+                w -= m
+                return np.sum(np.exp(w, out=w))
+
+            self._log_z[spec] = m + math.log(float(pairwise_sum(leaf, 0, size, block)))
         return self._log_z[spec]
 
     @property
@@ -255,23 +278,26 @@ def all_ones_targets(count: int, tail_start: int = 1, *,
 
 
 class _TargetData:
+    """log sigma_1 and log sigma_2 of each target word's product.
+
+    log sigma_2 = log |det A_J| - log sigma_1, with log |det A_J| from the
+    word's letter counts (`kernels._log_det`), as for a level: it stays finite
+    where sigma_2 of the product's unit underflows.
+    """
+
     def __init__(self, system: GeneratorSystem, targets: TargetSequence):
         self.lengths = np.array([len(w) for w in targets.words], dtype=float)
-        l1, l2 = [], []
+        l1 = []
         prev, sp = (), None
-        for i, w in enumerate(targets.words, start=1):
+        for w in targets.words:
             if w[:len(prev)] != prev:  # not an extension of the last target
                 prev, sp = (), None
             sp = product(system, w[len(prev):], sp)
             prev = w
-            sv = np.linalg.svd(sp.unit, compute_uv=False)
-            if sv[-1] == 0.0:
-                raise InputError(f"target word {i} (length {len(w)}): the smaller singular "
-                                 f"value of its product underflows to 0")
-            l1.append(sp.logscale + math.log(sv[0]))
-            l2.append(sp.logscale + math.log(sv[-1]))
+            l1.append(sp.logscale + math.log(np.linalg.svd(sp.unit, compute_uv=False)[0]))
+        counts = np.array([np.bincount(w, minlength=system.ell + 1)[1:] for w in targets.words])
         self.logs1 = np.array(l1)
-        self.logs2 = np.array(l2)
+        self.logs2 = _log_det(system.stacked(), counts) - self.logs1
         self.tail = targets.tail_start - 1
 
     def alpha(self, s: float) -> float:

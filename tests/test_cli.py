@@ -404,7 +404,7 @@ class TestDocumentedExits:
 
     @pytest.mark.parametrize("command,options,message", [
         ("mixing", {"connector_k": -3}, "connector_k >= 1"),
-        ("s0", {"targets": {"all_ones": 3000}}, "target word 537 (length 537)"),
+        ("s0", {"targets": {"all_ones": 3, "tail_start": 5}}, "tail_start outside the target list"),
         ("check-hypotheses", {"seed": -1}, "seed must be >= 0"),
         # checked before the sweep: the psi statistic would overflow at this s
         ("mixing", {"s": 1.92901336644459e+171, "L": 2, "gap": 2}, "s must lie in [0, 2]"),
@@ -416,6 +416,23 @@ class TestDocumentedExits:
                                         "options": options})
         assert code == cli.EXIT_INPUT_ERROR, err
         assert message in err
+
+    def test_long_target_list_reports(self, tmp_path):
+        # the SVD sigma_2 of the unit of A_1^537 underflows to 0; log sigma_2 from
+        # the letter counts, 537 log 0.1 = -1236.5, does not, so this is a report
+        out = tmp_path / "report.json"
+        code, err = run_main(tmp_path, {"system": E3_SYSTEM, "command": "s0",
+                                        "options": {"targets": {"all_ones": 3000}}},
+                             "--out", str(out))
+        assert code == cli.EXIT_OK, err
+        report = json.loads(out.read_text())
+        assert len(report["result"]["details"]["targets"]) == 3000
+        assert all(math.isfinite(x) for x in report["result"]["interval"])
+        from cocyclespan import E3
+        from cocyclespan.thermo import _TargetData, all_ones_targets
+        logs2 = _TargetData(E3(), all_ones_targets(3000)).logs2
+        assert np.all(np.isfinite(logs2))
+        assert abs(logs2[536] - 537 * math.log(0.1)) <= 1e-9
 
     def test_witness_longer_than_64_symbols(self, tmp_path):
         # one generator passes any budget at k = 100; numpy arrays stop at 64 axes

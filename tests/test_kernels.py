@@ -32,12 +32,10 @@ class TestScaledProducts:
     @pytest.mark.parametrize("ell,d", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_level_sweep_matches_one_level_calls(self, ell, d):
         gens = np.random.default_rng(10 * ell + d).standard_normal((ell, d, d))
-        levels = level_singvals(gens, 6)
+        levels = list(level_singvals(gens, 6))
         assert len(levels) == 7
-        for m, (logs1, logs2) in enumerate(levels):
-            ref1, ref2 = word_singvals(gens, m)
-            assert np.array_equal(logs1, ref1)
-            assert (logs2 is None and ref2 is None) or np.array_equal(logs2, ref2)
+        for m, logs1 in enumerate(levels):
+            assert np.array_equal(logs1, word_singvals(gens, m)[0])
 
     def test_sigma_closed_form(self):
         rng = np.random.default_rng(5)
@@ -130,24 +128,24 @@ class TestStreamedLevel:
                 if cadence is not None:
                     monkeypatch.setattr(kernels, "_cadence", lambda gens: cadence)
                 for n, (ref1, ref2) in enumerate(refs):
-                    logs1, logs2 = word_singvals(gens, n)
+                    logs1, log_dets = word_singvals(gens, n)
                     assert logs1.tobytes() == ref1.tobytes()
-                    assert (logs2 is None and ref2 is None) or logs2.tobytes() == ref2.tobytes()
+                    assert ((log_dets is None and ref2 is None)
+                            or log_dets.log_sigma2(logs1).tobytes() == ref2.tobytes())
                 monkeypatch.undo()
 
     @pytest.mark.parametrize("cadence", [1, 2, 5])
     def test_cadence_leaves_products_unchanged(self, monkeypatch, cadence):
         for gens in (E3().stacked(), np.random.default_rng(7).standard_normal((3, 3, 3))):
             ref = products_level_numpy(gens, 7)
-            levels = level_singvals(gens, 7)
+            levels = list(level_singvals(gens, 7))
             monkeypatch.setattr(kernels, "_cadence", lambda gens: cadence)
             units, exps = products_level_numpy(gens, 7)
             assert units.tobytes() == ref[0].tobytes() and exps.tobytes() == ref[1].tobytes()
             top = np.abs(units).max(axis=(1, 2))
             assert np.all((top > 0.5) & (top <= 1.0))
-            for (l1, l2), (r1, r2) in zip(level_singvals(gens, 7), levels):
+            for l1, r1 in zip(level_singvals(gens, 7), levels, strict=True):
                 assert l1.tobytes() == r1.tobytes()
-                assert (l2 is None and r2 is None) or l2.tobytes() == r2.tobytes()
             monkeypatch.undo()
 
     @pytest.mark.parametrize("block,n", [(128, 14), (kernels._STREAM, 20)])
@@ -164,6 +162,28 @@ class TestStreamedLevel:
         assert len(logs1) == 2**n and rows
         assert max(rows) <= block
 
+    @pytest.mark.parametrize("ell,n", [(2, 12), (3, 8)])
+    def test_log_sigma2_over_any_rank_range(self, monkeypatch, ell, n):
+        # blocks of 128 words: head rows of 128 (ell = 2) or 81 (ell = 3) words,
+        # so these ranges cross head rows, start and end inside them, or hold
+        # one word
+        gens = np.random.default_rng(ell + n).standard_normal((ell, 2, 2))
+        ref = _whole_level(gens, n)[1]
+        monkeypatch.setattr(kernels, "_STREAM", 128)
+        logs1, log_dets = word_singvals(gens, n)
+        span = len(log_dets.tail_class)
+        assert span < len(logs1)
+        assert log_dets.log_sigma2(logs1).tobytes() == ref.tobytes()
+        rng = np.random.default_rng(n)
+        ranges = [(0, 1), (span - 1, span + 1), (span, 3 * span), (5, 4 * span - 3),
+                  (len(logs1) - 1, len(logs1))]
+        ranges += [tuple(sorted(rng.integers(0, len(logs1) + 1, 2))) for _ in range(40)]
+        ranges += [(r, r + 1) for r in rng.integers(0, len(logs1), 40)]
+        out = np.empty(len(logs1))
+        for lo, hi in ranges:
+            got = log_dets.log_sigma2(logs1, lo, hi, out=out)
+            assert got.tobytes() == ref[lo:hi].tobytes(), (lo, hi)
+
 
 # the unit determinant a*d - b*c of many of its products cancels to 0 or to noise
 CANCELLING = np.array([[[2.041, -2.556], [0.418, -0.568]],
@@ -174,7 +194,8 @@ class TestLogSigma2:
     """log sigma_2 = log |det A_I| - log sigma_1, with log |det A_I| from letter counts."""
 
     def test_cancelling_system_is_finite(self):
-        logs1, logs2 = word_singvals(CANCELLING, 16)
+        logs1, log_dets = word_singvals(CANCELLING, 16)
+        logs2 = log_dets.log_sigma2(logs1)
         assert np.all(np.isfinite(logs2)) and np.all(logs2 <= logs1)
 
     def test_sv_s_at_one_is_the_norm_potential(self):
@@ -185,7 +206,8 @@ class TestLogSigma2:
 
     def test_sampled_words_match_mpmath(self):
         n = 16
-        logs1, logs2 = word_singvals(CANCELLING, n)
+        logs1, log_dets = word_singvals(CANCELLING, n)
+        logs2 = log_dets.log_sigma2(logs1)
         gap = logs1 - logs2
         ranks = list(np.random.default_rng(3).integers(0, 2**n, 40))
         ranks += [int(np.argmax(gap)), int(np.argmin(gap))]
@@ -216,7 +238,8 @@ class TestExtremeScale:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 su, se = products_level_numpy(scaled, n)
-                sl1, sl2 = word_singvals(scaled, n)
+                sl1, log_dets = word_singvals(scaled, n)
+                sl2 = None if log_dets is None else log_dets.log_sigma2(sl1)
             assert su.tobytes() == units.tobytes()
             assert se.tobytes() == (exps + n * k).tobytes()
             assert np.all(np.isfinite(sl1)) and (sl2 is None or np.all(np.isfinite(sl2)))
@@ -227,7 +250,8 @@ class TestBackendAgreement:
     """Each vectorised kernel against an independent reference implementation."""
 
     def test_word_singvals_cross_backend(self):
-        logs1, logs2 = word_singvals(E3().stacked(), 8)
+        logs1, log_dets = word_singvals(E3().stacked(), 8)
+        logs2 = log_dets.log_sigma2(logs1)
         for rank, word in enumerate(enumerate_words(2, 8)):
             sp = product(E3(), word)
             sv = np.linalg.svd(sp.unit, compute_uv=False)

@@ -16,6 +16,7 @@ from cocyclespan.thermo import (S_MAX, PotentialSpec, QMInput, TargetSequence, _
                                 beta_hat, conformal_qm_input, potential_value,
                                 pressure_bracket, r0_interval, s0_interval,
                                 square_pressure)
+from cocyclespan.kernels import _log_det
 
 LOG2 = math.log(2.0)
 LOG04 = math.log(0.4)
@@ -168,9 +169,11 @@ class TestAlphaBeta:
                             lambda *a: seen.append(1) or orig(*a))
         data = _TargetData(E3(), TargetSequence(words=words))
         assert len(seen) == calls
-        for sp, l1, l2 in zip(expect, data.logs1, data.logs2):
-            sv = np.linalg.svd(sp.unit, compute_uv=False)
-            assert (l1, l2) == (sp.logscale + math.log(sv[0]), sp.logscale + math.log(sv[1]))
+        # log sigma_2 is log |det| from the letter counts minus log sigma_1, as for a level
+        for w, sp, l1, l2 in zip(words, expect, data.logs1, data.logs2, strict=True):
+            l1_ref = sp.logscale + math.log(np.linalg.svd(sp.unit, compute_uv=False)[0])
+            counts = np.array([w.count(j) for j in range(1, E3().ell + 1)], dtype=float)
+            assert (l1, l2) == (l1_ref, float(_log_det(E3().stacked(), counts)) - l1_ref)
 
     def test_empty_targets_rejected(self):
         with pytest.raises(InputError):
@@ -365,7 +368,7 @@ def _out_of_place_log_potential(logs1, logs2, kind, s):
 
 
 class TestLogZInPlace:
-    """`_LevelData.log_z` reduces in one scratch buffer; the bits must not move."""
+    """`_LevelData.log_z` reduces in block buffers; the bits of one whole-level sum must not move."""
 
     S_VALUES = (0.0, 0.4, 1.0, 1.3, 1.9, 2.0, 2.7)  # both sides of 1 and 2
 
@@ -375,34 +378,78 @@ class TestLogZInPlace:
         data = _LevelData(system, 9)
         for kind in KINDS:
             for s in self.S_VALUES:
-                w = _out_of_place_log_potential(data.logs1, data.logs2, kind, s)
-                m = float(np.max(w))
-                ref = m + math.log(float(np.sum(np.exp(w - m))))
+                assert data.log_z(PotentialSpec(kind, s)) == _whole_level_log_z(data, kind, s), \
+                    (kind, s)
+
+    @pytest.mark.parametrize("block", [128, 1000, 4099])
+    def test_blocks_match_one_whole_level_sum(self, monkeypatch, block):
+        # 3^9 words in blocks that leave ragged leaves and a ragged last max block
+        from cocyclespan import kernels
+        from cocyclespan.thermo import KINDS, _LevelData
+        system = GeneratorSystem(tuple(np.random.default_rng(9).standard_normal((3, 2, 2))))
+        whole = _LevelData(system, 9)
+        monkeypatch.setattr(kernels, "_STREAM", block)
+        data = _LevelData(system, 9)
+        assert len(data._w) == block < len(data.logs1)
+        for kind in KINDS:
+            for s in self.S_VALUES:
+                ref = _whole_level_log_z(whole, kind, s)
                 assert data.log_z(PotentialSpec(kind, s)) == ref, (kind, s)
 
     def test_cached_logs_are_never_written(self):
         from cocyclespan.thermo import KINDS, _LevelData
         data = _LevelData(E3(), 9)
-        logs1, logs2 = data.logs1.copy(), data.logs2.copy()
+        held = (data.logs1, data.log_dets.rows, data.log_dets.tail_class)
+        before = [a.copy() for a in held]
         first = [data.log_z(PotentialSpec(kind, s)) for kind in KINDS for s in self.S_VALUES]
         again = [data.log_z(PotentialSpec(kind, s)) for kind in KINDS for s in self.S_VALUES]
         assert first == again
-        assert data.logs1.tobytes() == logs1.tobytes()
-        assert data.logs2.tobytes() == logs2.tobytes()
+        for a, b in zip(held, before, strict=True):
+            assert a.tobytes() == b.tobytes()
 
     def test_potential_pass_memoised_per_spec(self, monkeypatch):
         # the upper and lower root searches share s = 0 and s = 4; each distinct
-        # potential costs one pass over Lambda(n)
+        # potential costs one reduction, and Lambda(12) is one block, so a
+        # reduction evaluates the potential twice: once for the max, once for the sum
         from cocyclespan import thermo
-        passes = []
-        orig = thermo.log_potential
+        folds, blocks = [], []
+        fold, potential = thermo.pairwise_sum, thermo.log_potential
+        monkeypatch.setattr(thermo, "pairwise_sum", lambda *a: folds.append(1) or fold(*a))
         monkeypatch.setattr(thermo, "log_potential",
-                            lambda *a, **kw: passes.append(a[2]) or orig(*a, **kw))
-        affinity_dimension(E3(), 12, 1)
-        assert len(passes) == len(set(passes)) == 14
-        passes.clear()
-        r0_interval(E3(), 0.3, 12, 1)
-        assert len(passes) == len(set(passes)) == 28
+                            lambda *a, **kw: blocks.append(a[2]) or potential(*a, **kw))
+        for run, count in ((lambda: affinity_dimension(E3(), 12, 1), 14),
+                           (lambda: r0_interval(E3(), 0.3, 12, 1), 28)):
+            folds.clear()
+            blocks.clear()
+            run()
+            passes = blocks[::2]
+            assert len(folds) == len(passes) == len(set(passes)) == count
+            assert blocks == [spec for spec in passes for _ in range(2)]
+
+
+def _whole_level_log_z(data, kind, s):
+    """log Z_n from whole-level arrays: logs2 rebuilt from the table, one np.sum."""
+    logs2 = data.log_dets.log_sigma2(data.logs1)
+    w = _out_of_place_log_potential(data.logs1, logs2, kind, s)
+    m = float(np.max(w))
+    return m + math.log(float(np.sum(np.exp(w - m))))
+
+
+@pytest.mark.parametrize("size", [2**16, 2**16 + 1, 3**13, 2**20, 3**14 + 7, 5**9, 1000003])
+def test_pairwise_recursion_has_the_bits_of_np_sum(size):
+    # pins numpy's pairwise split (n // 2 rounded down to a multiple of 8);
+    # a numpy whose split differs fails here, not silently in log Z
+    from cocyclespan.kernels import _STREAM, pairwise_sum
+    values = np.exp(5.0 * np.random.default_rng(size).standard_normal(size))
+    leaves = []
+
+    def leaf(lo, hi):
+        leaves.append(hi - lo)
+        return np.sum(values[lo:hi])
+
+    assert pairwise_sum(leaf, 0, size, _STREAM).tobytes() == np.sum(values).tobytes()
+    assert sum(leaves) == size and max(leaves) <= _STREAM
+    assert len(leaves) == 1 if size <= _STREAM else len(leaves) > 1
 
 
 def test_streamed_level_memory():
@@ -417,4 +464,4 @@ def test_streamed_level_memory():
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert int(out.stdout) < 60 * 1024  # ru_maxrss is in KiB on Linux
+    assert int(out.stdout) < 24 * 1024  # ru_maxrss is in KiB on Linux
