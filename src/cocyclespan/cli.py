@@ -10,7 +10,9 @@ guarantee.
 Exit codes: 0 success, 1 hypothesis failed, 2 inconclusive, 3 input error (a
 usage error, an option key no command reads, a bad value, or an `options.qm`
 constant that inverts a pressure bracket), 4 more words than the budget, 5
-internal error (a failed self-check or any other exception, on stderr).
+internal error (a failed self-check or any other exception, on stderr). A
+reader that closes stdout before the report is written does not change the
+code: the rest of the report is discarded.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 import traceback
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InputError, ResourceLimitError
-from .gibbs import cylinder_weights, kappa_floor, mixing_levels, psi_mixing_stat
+from .gibbs import kappa_floor, mixing_levels, psi_mixing_stat
 from .hypotheses import check_hypotheses
 from .quasimult import empirical_qm
 from .spannability import INCONCLUSIVE, diagnose_failure, minimal_spannable_k
@@ -364,7 +367,7 @@ def _run_pressure(cfg: RunConfig):
 def _run_s0(cfg: RunConfig):
     o = _values(cfg)
     targets = _targets_from_options(o.targets, cfg.system.ell, cfg.budget)
-    rep = s0_interval(cfg.system, targets, o.n, o.k_qm, seed=cfg.seed, budget=cfg.budget)
+    rep = s0_interval(cfg.system, targets, o.n, o.k_qm, budget=cfg.budget)
     return _jsonable(rep), EXIT_OK, list(rep.warnings), {"root_search": rep.root_search}
 
 
@@ -376,7 +379,7 @@ def _run_r0(cfg: RunConfig):
         beta = beta_hat(psi_table=_psi_table(o.psi_table), tail_start=o.tail_start)
     if beta.value >= 1:
         raise InputError("recurrence dimension needs beta < 1")
-    rep = r0_interval(cfg.system, beta.value, o.n, o.k_qm, seed=cfg.seed, budget=cfg.budget)
+    rep = r0_interval(cfg.system, beta.value, o.n, o.k_qm, budget=cfg.budget)
     out = _jsonable(rep)
     out["beta"] = _jsonable(beta)
     return (out, EXIT_OK, list(rep.warnings) + list(beta.warnings),
@@ -385,7 +388,7 @@ def _run_r0(cfg: RunConfig):
 
 def _run_affinity(cfg: RunConfig):
     o = _values(cfg)
-    rep = affinity_dimension(cfg.system, o.n, o.k_qm, seed=cfg.seed, budget=cfg.budget)
+    rep = affinity_dimension(cfg.system, o.n, o.k_qm, budget=cfg.budget)
     return _jsonable(rep), EXIT_OK, list(rep.warnings), {"root_search": rep.root_search}
 
 
@@ -409,8 +412,6 @@ def _run_mixing(cfg: RunConfig):
             # proven; for s > 1 it divides by the phi^s constant instead
             warnings.append("s > 1: the kappa floor divides by the phi^s constant; "
                             "only gamma^s is proven for the norm potential")
-    weights = cylinder_weights(cfg.system, s, min(L, 4), budget=cfg.budget, levels=levels)
-    out["level_weights_sum"] = float(weights.probs.sum())
     return out, code, warnings, {}
 
 
@@ -487,7 +488,10 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise InputError(f"cannot write --out: {exc}") from exc
         else:
-            print(text)
+            try:
+                print(text, flush=True)
+            except BrokenPipeError:  # the reader is gone; the last flush goes nowhere
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

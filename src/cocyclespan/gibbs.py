@@ -64,12 +64,12 @@ class CylinderWeights:
 
 
 def cylinder_weights(system: GeneratorSystem, s: float, n: int, *,
-                     budget: int = DEFAULT_BUDGET, levels: list | None = None) -> CylinderWeights:
+                     budget: int = DEFAULT_BUDGET) -> CylinderWeights:
     if n < 1:
         raise InputError("level n must be >= 1")
     if s < 0:
         raise InputError("s must be nonnegative")
-    w, log_z = (_levels(system, s, n, budget) if levels is None else levels)[n]
+    w, log_z = _levels(system, s, n, budget)[n]
     probs = np.exp(w - log_z)
     probs /= probs.sum()
     return CylinderWeights(s=s, n=n, ell=system.ell, probs=probs)
@@ -149,9 +149,8 @@ def mixing_levels(system: GeneratorSystem, s: float, L: int, gap: int, connector
                   *, budget: int = DEFAULT_BUDGET) -> list:
     """The one sweep the mixing statistics read: `_levels` to depth 2L + max(gap, k).
 
-    Pass it as `levels` (same system and s): `psi_mixing_stat` reads all of it;
-    `kappa_floor` (depth 2L + k) and `cylinder_weights` (depth n <= 2L) read
-    prefixes of it.
+    Pass it as `levels` (same system and s): `psi_mixing_stat` reads all of it,
+    `kappa_floor` (depth 2L + k) a prefix of it.
     """
     if L < 1 or gap < 1 or connector_k < 1:
         raise InputError("need L >= 1, gap >= 1 and connector_k >= 1")

@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import InputError
 from .kernels import dense_products
-from .linalg import (SubspaceBasis, invariance_residual, matrices_span_basis,
-                     span_basis, wedge_power)
+from .linalg import SubspaceBasis, invariance_residual, span_basis, wedge_power
 from .rational2 import common_root_line, pair_quadratic
 from .systems import GeneratorSystem, _DerivedSystem
 from .wordspace import DEFAULT_BUDGET, check_sweep, product
@@ -96,8 +95,7 @@ def algebra_dimension(system: GeneratorSystem) -> AlgebraDimension:
     (at most d^2 growing levels).
     """
     d = system.dim
-    basis_mats = [np.eye(d)]
-    basis = matrices_span_basis(basis_mats)
+    basis = span_basis([np.eye(d).ravel()], ambient=d * d)
     while basis.dim < d * d:
         imgs = [A @ basis.basis[:, j].reshape(d, d)
                 for A in system.generators for j in range(basis.dim)]
@@ -139,10 +137,10 @@ def _real_eigenvectors(M: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _verdict_randomized(system: GeneratorSystem, seed: int, multistarts: int) -> IrreducibilityVerdict:
+def _verdict_randomized(system: GeneratorSystem, seed: int) -> IrreducibilityVerdict:
     rng = np.random.default_rng(seed)
     d = system.dim
-    for _ in range(multistarts):
+    for _ in range(64):
         length = int(rng.integers(1, d + 1))
         word = tuple(int(s) for s in rng.integers(1, system.ell + 1, size=length))
         seeds = _real_eigenvectors(product(system, word).unit)
@@ -161,7 +159,7 @@ def _verdict_randomized(system: GeneratorSystem, seed: int, multistarts: int) ->
 
 
 def irreducibility_verdict(system: GeneratorSystem, *, method: str = "auto",
-                           seed: int = 42, multistarts: int = 64) -> IrreducibilityVerdict:
+                           seed: int = 42) -> IrreducibilityVerdict:
     if method not in ("auto", "d2", "algebra_random"):
         raise InputError(f"unknown method {method!r}")
     if method in ("auto", "d2") and system.dim == 2:
@@ -172,7 +170,7 @@ def irreducibility_verdict(system: GeneratorSystem, *, method: str = "auto",
     if alg.certified:
         return IrreducibilityVerdict(status=IRREDUCIBLE, method="algebra_dimension",
                                      residual=float(alg.dim))
-    return _verdict_randomized(system, seed, multistarts)
+    return _verdict_randomized(system, seed)
 
 
 @dataclass(frozen=True)
@@ -191,10 +189,6 @@ class HypothesisReport:
     warnings: tuple[str, ...] = ()
     witness: SubspaceBasis | None = None
     failed_at: str | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.overall == "Pass"
 
 
 def _divisors(d: int) -> list[int]:

@@ -185,13 +185,6 @@ def sigma1_2x2(units: np.ndarray) -> np.ndarray:
     return p
 
 
-def opnorm_batch(units: np.ndarray) -> np.ndarray:
-    """Operator norms of a stacked (R, d, d) array."""
-    if units.shape[-1] == 2:
-        return sigma1_2x2(units.transpose(1, 2, 0))
-    return np.linalg.svd(units, compute_uv=False)[..., 0]
-
-
 def _log_sigma1(units: np.ndarray, exps: np.ndarray) -> np.ndarray:
     """Per-word log sigma_1 of a canonical (d, d, R) stack and its exponents."""
     if units.shape[0] == 2:

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import InputError
 
 TAU_DET = 1e-12     # invertible means |det| > TAU_DET * sigma_1^d
-RANK_TOL = 1e-9     # default relative rank cutoff for spans
+RANK_TOL = 1e-9     # relative rank cutoff for spans
 MAX_DIM = 8
 
 
@@ -70,10 +70,10 @@ def wedge_power(A, m: int) -> np.ndarray:
     return out
 
 
-def canonical_sign(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """v or -v, so that the first coordinate above `tol` in size is positive."""
+def canonical_sign(v: np.ndarray) -> np.ndarray:
+    """v or -v, so that the first coordinate above 1e-12 in size is positive."""
     for x in v:
-        if abs(x) > tol:
+        if abs(x) > 1e-12:
             return v if x > 0 else -v
     return v
 
@@ -98,8 +98,8 @@ class SubspaceBasis:
         return self.basis @ self.basis.T
 
 
-def span_basis(vectors, tol: float = RANK_TOL, ambient: int | None = None) -> SubspaceBasis:
-    """Orthonormal basis of span(vectors); rank cut at tol * largest singular value."""
+def span_basis(vectors, ambient: int | None = None) -> SubspaceBasis:
+    """Orthonormal basis of span(vectors); rank cut at RANK_TOL * largest singular value."""
     vecs = [np.asarray(v, dtype=float).ravel() for v in vectors]
     if not vecs:
         if ambient is None:
@@ -115,7 +115,7 @@ def span_basis(vectors, tol: float = RANK_TOL, ambient: int | None = None) -> Su
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:
-        rank = int(np.sum(s >= tol * s[0]))
+        rank = int(np.sum(s >= RANK_TOL * s[0]))
     return SubspaceBasis(ambient=n, dim=rank, basis=U[:, :rank].copy())
 
 
@@ -135,12 +135,3 @@ def invariance_residual(mats, W: SubspaceBasis) -> float:
     if W.dim == 0 or W.dim == W.ambient:
         return 0.0
     return max(subspace_distance(map_subspace(A, W), W) for A in mats)
-
-
-def matrices_span_basis(mats, tol: float = RANK_TOL) -> SubspaceBasis:
-    """Span of matrices viewed as d^2-vectors (row-major flattening)."""
-    mats = list(mats)
-    if not mats:
-        raise InputError("empty matrix family")
-    d = as_matrix(mats[0]).shape[0]
-    return span_basis([np.asarray(M, dtype=float).ravel() for M in mats], tol=tol, ambient=d * d)

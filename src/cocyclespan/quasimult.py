@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .kernels import dense_products, minimax_grid2, opnorm_batch, word_singvals
+from .kernels import dense_products, minimax_grid2, sigma1_2x2, word_singvals
 from .systems import GeneratorSystem
 from .wordspace import DEFAULT_BUDGET, Word, check_sweep, word_unrank
 
@@ -55,7 +55,7 @@ def gamma_minimax(system: GeneratorSystem, k: int, *,
         return GammaResult(value=0.0, certified=False, k=k)
     kmats = dense_products(system.stacked(), k)
     raw, iw, iu = minimax_grid2(kmats, GRID_ANGLES)
-    lip = float(sum(opnorm_batch(kmats)))  # per-variable Lipschitz constant
+    lip = float(sum(sigma1_2x2(kmats.transpose(1, 2, 0))))  # per-variable Lipschitz constant
     h = 2.0 * np.pi / GRID_ANGLES
     value = max(0.0, raw - lip * h)
     tw, tu = 2.0 * np.pi * iw / GRID_ANGLES, 2.0 * np.pi * iu / GRID_ANGLES

@@ -41,8 +41,7 @@ def is_zero_quad(q: Quad) -> bool:
 
 
 def _rational_sqrt(fr: Fraction) -> Fraction | None:
-    if fr < 0:
-        return None
+    """The square root of a nonnegative `fr` when it is rational, else None."""
     num, den = fr.numerator, fr.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn == num and rd * rd == den:
@@ -134,7 +133,8 @@ def _float_quads(quads: list[Quad]) -> list[tuple[float, float, float]]:
     return [(float(a), float(b), float(c)) for a, b, c in quads]
 
 
-def common_projective_root_float(quads: list[Quad], tol: float = FLOAT_ROOT_TOL):
+def common_projective_root_float(quads: list[Quad]):
+    tol = FLOAT_ROOT_TOL
     fq = _float_quads(quads)
     scales = [max(abs(a), abs(b), abs(c)) for a, b, c in fq]
     nonzero = [(q, s) for q, s in zip(fq, scales) if s > 0 and max(map(abs, q)) > tol * s]

@@ -248,10 +248,10 @@ def _numeric_certificate(system: GeneratorSystem, mk: MkBasis, *, seed: int = 42
             f"minimum {f_star:.3e} above tau but no certificate (floor {cert:.3e})",))
 
 
-def _project_descend(B: np.ndarray, u: np.ndarray, iters: int = 120) -> tuple[float, np.ndarray]:
+def _project_descend(B: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray]:
     step = 0.1
     f = _stack_f(B, u)
-    for _ in range(iters):
+    for _ in range(120):
         img = np.einsum("rab,b->ra", B, u)
         g = img.T @ img
         _, V = np.linalg.eigh(g)
@@ -370,8 +370,8 @@ def spannable_at(system: GeneratorSystem, k: int, *, method: str = "auto",
     return _certify(system, mk_basis(system, k, budget=budget), method, seed)
 
 
-def _coarse_sample_margin(mk: MkBasis, count: int = 256) -> float:
-    d = mk.d
+def _coarse_sample_margin(mk: MkBasis) -> float:
+    d, count = mk.d, 256
     if d == 2:
         th = np.pi * np.arange(count) / count
         us = np.stack([np.cos(th), np.sin(th)], axis=1)
@@ -432,11 +432,9 @@ class FailureDiagnosis:
 
 
 def _plucker(W: SubspaceBasis) -> np.ndarray:
-    m = W.dim
-    sets = wedge_index_sets(W.ambient, m) if 0 < m < W.ambient else None
-    if sets is None:
-        raise InputError("wedge coordinates need 0 < dim < ambient")
-    out = np.array([np.linalg.det(W.basis[list(rows), :]) for rows in sets])
+    """Unit Plucker coordinates of W, for 0 < dim W < ambient."""
+    out = np.array([np.linalg.det(W.basis[list(rows), :])
+                    for rows in wedge_index_sets(W.ambient, W.dim)])
     nrm = np.linalg.norm(out)
     return out / nrm if nrm > 0 else out
 

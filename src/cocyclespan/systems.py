@@ -62,18 +62,13 @@ class GeneratorSystem:
     def dim(self) -> int:
         return self.generators[0].shape[0]
 
-    def generator(self, symbol: int) -> np.ndarray:
-        if not 1 <= symbol <= self.ell:
-            raise InputError(f"symbol {symbol} outside 1..{self.ell}")
-        return self.generators[symbol - 1]
-
     def stacked(self) -> np.ndarray:
         return np.ascontiguousarray(np.stack(self.generators))
 
     def norms(self) -> list[float]:
         return [operator_norm(A) for A in self.generators]
 
-    def is_conformal(self, tol: float = 1e-12) -> bool:
+    def is_conformal(self) -> bool:
         """True when every generator is a scalar multiple of an orthogonal matrix.
 
         For such systems singular values multiply exactly along products, so
@@ -82,7 +77,7 @@ class GeneratorSystem:
         for A in self.generators:
             G = A.T @ A
             scale = np.trace(G) / self.dim
-            if np.abs(G - scale * np.eye(self.dim)).max() > tol * max(scale, 1.0):
+            if np.abs(G - scale * np.eye(self.dim)).max() > 1e-12 * max(scale, 1.0):
                 return False
         return True
 

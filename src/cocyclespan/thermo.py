@@ -28,7 +28,7 @@ from . import kernels
 from .kernels import _log_det, pairwise_sum, word_singvals
 from .quasimult import connector_constant
 from .systems import GeneratorSystem
-from .wordspace import DEFAULT_BUDGET, Word, check_budget, check_sweep, product, validate_word, word_str
+from .wordspace import DEFAULT_BUDGET, Word, check_budget, check_sweep, product, validate_word
 
 S_MAX = 4.0          # root searches live on [0, S_MAX]
 ROOT_TOL = 1e-6
@@ -46,9 +46,6 @@ class PotentialSpec:
             raise InputError(f"unknown potential kind {self.kind!r}")
         if self.s < 0:
             raise InputError("s must be nonnegative")
-
-    def requires_d2(self) -> bool:
-        return self.kind != "norm_s"
 
 
 def _log_phi(logs1: np.ndarray, logs2: np.ndarray | None, s: float,
@@ -77,29 +74,16 @@ def log_potential(logs1: np.ndarray, logs2: np.ndarray | None, spec: PotentialSp
     return np.multiply(base, 2.0, out=base) if spec.kind == "sv_s_squared" else base
 
 
-def _phi_piece(l1: float, l2: float, s: float, piece: str) -> float:
-    if piece == "low":
-        return s * l1
-    if piece == "mid":
-        return l1 + (s - 1.0) * l2
-    return (s / 2.0) * (l1 + l2)
-
-
 def potential_value(A, spec: PotentialSpec) -> float:
-    """phi-type potential of a single matrix; piece boundaries are cross-checked."""
+    """The potential of a single matrix: |A|^s, or phi^s (squared for `sv_s_squared`) of a 2x2 A."""
     A = np.asarray(A, dtype=float)
-    if spec.requires_d2() and A.shape != (2, 2):
+    if spec.kind != "norm_s" and A.shape != (2, 2):
         raise InputError(f"{spec.kind} is defined for 2x2 matrices only")
     sv = np.linalg.svd(A, compute_uv=False)
     l1 = math.log(sv[0])
     if spec.kind == "norm_s":
         return math.exp(spec.s * l1)
     l2 = math.log(sv[-1])
-    if spec.s in (1.0, 2.0):
-        below = _phi_piece(l1, l2, spec.s, "low" if spec.s == 1.0 else "mid")
-        here = _phi_piece(l1, l2, spec.s, "mid" if spec.s == 1.0 else "high")
-        if abs(below - here) > 1e-12 * max(1.0, abs(here)):
-            raise AssertionError("potential pieces disagree at a boundary")
     val = _log_phi(np.array([l1]), np.array([l2]), spec.s)[0]
     return math.exp(2.0 * val if spec.kind == "sv_s_squared" else val)
 
@@ -454,7 +438,7 @@ def _monotone_warnings(samples: list[tuple[float, float]], label: str,
 
 
 def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, upper, lower, *,
-                    seed: int, budget: int, details: dict, warnings=(),
+                    budget: int, details: dict, warnings=(),
                     late_warnings=lambda: []) -> DimensionReport:
     """Bracket a root between the upper and lower pressure ends, clamped at 2.
 
@@ -463,7 +447,7 @@ def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, upper
     interval is outward: the left end of the lower curve's bracket and the
     right end of the upper curve's. `late_warnings()` runs after both searches.
     """
-    hyp = check_hypotheses(system, "corollary_4_3", seed=seed, budget=budget)
+    hyp = check_hypotheses(system, "corollary_4_3", budget=budget)
     data = _LevelData(system, n, budget=budget)
     qm_input, qm_desc = qm_source(system, k_qm, budget=budget)
 
@@ -491,7 +475,7 @@ def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, upper
 
 
 def s0_interval(system: GeneratorSystem, targets: TargetSequence, n: int, k_qm: int,
-                *, seed: int = 42, budget: int = DEFAULT_BUDGET) -> DimensionReport:
+                *, budget: int = DEFAULT_BUDGET) -> DimensionReport:
     """Interval for s0 = inf{s > 0 : P(s) <= alpha(s)}, clamped at 2."""
     if system.dim != 2:
         raise InputError("shrinking-target dimension needs d = 2")
@@ -516,15 +500,14 @@ def s0_interval(system: GeneratorSystem, targets: TargetSequence, n: int, k_qm: 
                 + _monotone_warnings(a_samples, "alpha proxy", decreasing=False))
 
     return _dimension_root(
-        "shrinking_target", system, n, k_qm, upper, lower, seed=seed, budget=budget,
+        "shrinking_target", system, n, k_qm, upper, lower, budget=budget,
         warnings=warnings, late_warnings=monotone_warnings,
         details={"tail_start": targets.tail_start,
-                 "targets": [word_str(w, system.ell) for w in targets.words],
                  "proxy": "tail minimum of -(1/|J_k|) log phi^s(A_{J_k})"})
 
 
 def r0_interval(system: GeneratorSystem, beta: float, n: int, k_qm: int, *,
-                seed: int = 42, budget: int = DEFAULT_BUDGET) -> DimensionReport:
+                budget: int = DEFAULT_BUDGET) -> DimensionReport:
     """Interval for the root of (1 - beta) P(r) = beta P2(r), clamped at 2."""
     if system.dim != 2:
         raise InputError("recurrence dimension needs d = 2")
@@ -544,11 +527,11 @@ def r0_interval(system: GeneratorSystem, beta: float, n: int, k_qm: int, *,
         p2_up = -(lq + 2.0 * math.log(qm.C)) / (n + qm.k)
         return (1.0 - beta) * lo_p - beta * p2_up
 
-    return _dimension_root("recurrence", system, n, k_qm, upper, lower, seed=seed,
-                           budget=budget, details={"beta": beta})
+    return _dimension_root("recurrence", system, n, k_qm, upper, lower, budget=budget,
+                           details={"beta": beta})
 
 
-def affinity_dimension(system: GeneratorSystem, n: int, k_qm: int, *, seed: int = 42,
+def affinity_dimension(system: GeneratorSystem, n: int, k_qm: int, *,
                        budget: int = DEFAULT_BUDGET) -> DimensionReport:
     """Interval for the root of P(s) = 0 (candidate attractor dimension)."""
     if system.dim != 2:
@@ -560,5 +543,5 @@ def affinity_dimension(system: GeneratorSystem, n: int, k_qm: int, *, seed: int 
     def lower(data: _LevelData, s: float, qm: QMInput) -> float:
         return (data.log_z(PotentialSpec("sv_s", s)) + math.log(qm.C)) / (n + qm.k)
 
-    return _dimension_root("affinity", system, n, k_qm, upper, lower, seed=seed,
-                           budget=budget, details={})
+    return _dimension_root("affinity", system, n, k_qm, upper, lower, budget=budget,
+                           details={})

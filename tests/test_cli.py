@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -232,9 +233,47 @@ class TestRunCommand:
                             options={"s": 1.0, "L": 6, "gap": 6, "connector_k": 1}))
         report, code = cli.run_command(cfg)
         assert code == cli.EXIT_OK and report["result"]["kappa_certificate"]["certified"]
-        # psi, kappa and the level weights read one sweep of 2L + gap = 18 levels;
+        # psi and kappa read one sweep of 2L + gap = 18 levels;
         # gamma and the connector determinant each build Lambda(1)
         assert len(calls) == 18 + 2
+
+    def test_wedge_diagnosis_report(self):
+        # a WedgeEigenStructure diagnosis; its complex eigenvalues serialise as re/im pairs
+        c, s = math.cos(1.0), math.sin(1.0)
+        system = {"dimension": 3, "generators": [
+            [repr(x) for x in (c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 0.5)],
+            [repr(x) for x in (2 * c, -2 * s, 0.0, 2 * s, 2 * c, 0.0, 0.0, 0.0, 3.0)]]}
+        report, code = cli.run_command(cfg_from({"system": system, "command": "spannability",
+                                                 "options": {"k_max": 4}}))
+        assert code == cli.EXIT_OK
+        diag = json.loads(cli.report_canonical_json(report))["result"]["diagnosis"]
+        assert diag["case"] == "WedgeEigenStructure" and diag["wedge_pair"] == [1, 2]
+        assert diag["dims"] == [1, 1, 1, 1]
+        assert sorted(v["re"] for v in diag["eigenvalues"]) == pytest.approx([2.0, 2.0, 6.0])
+        assert all(v["im"] == 0.0 for v in diag["eigenvalues"])
+
+    @pytest.mark.parametrize("generators", [
+        [["0.1", "0.3", "0", "0.7"], ["0.2", "0.9", "0", "0.3"]],     # shared line e1
+        [["0.1", "0.3", "0.2", "0.7"], ["0.3", "0.9", "0.6", "2.1"]],  # shared line off the axes
+    ])
+    def test_inexact_reducible_pair(self, generators):
+        cfg = cfg_from({"system": {"dimension": 2, "generators": generators},
+                        "command": "check-hypotheses"})
+        assert not cfg.system.exact
+        report, code = cli.run_command(cfg)
+        assert code == cli.EXIT_HYPOTHESIS_FAILED
+        verdict = report["result"]["checks"][0]["verdict"]
+        assert verdict["status"] == "ReducibleWitness" and verdict["method"] == "d2_float"
+
+    def test_no_qm_constant_lower_root_zero(self):
+        # both generators fix the line e1, so gamma = 0 and no lower pressure end exists
+        system = {"dimension": 2, "generators": [["0.4", "0.1", "0", "0.2"],
+                                                 ["0.3", "-0.1", "0", "0.25"]]}
+        report, code = cli.run_command(cfg_from({"system": system, "command": "affinity-dim",
+                                                 "options": {"n": 8}}))
+        assert code == cli.EXIT_OK
+        assert "no positive QM constant: lower root defaulted to 0" in report["warnings"]
+        assert report["result"]["interval"][0] == 0.0
 
     def test_budget_cap(self):
         cfg = cfg_from(dict(E3_CONFIG, options={"targets": {"all_ones": 4},
@@ -426,13 +465,36 @@ class TestDocumentedExits:
                              "--out", str(out))
         assert code == cli.EXIT_OK, err
         report = json.loads(out.read_text())
-        assert len(report["result"]["details"]["targets"]) == 3000
+        assert report["config"]["options"]["targets"] == {"all_ones": 3000}
+        assert out.stat().st_size < 20_000  # the echo holds the spec, not 3000 words
         assert all(math.isfinite(x) for x in report["result"]["interval"])
         from cocyclespan import E3
         from cocyclespan.thermo import _TargetData, all_ones_targets
         logs2 = _TargetData(E3(), all_ones_targets(3000)).logs2
         assert np.all(np.isfinite(logs2))
         assert abs(logs2[536] - 537 * math.log(0.1)) <= 1e-9
+
+    def test_seed_and_budget_flags(self, tmp_path):
+        e3 = json.loads((Path(__file__).resolve().parent.parent / "configs" / "e3.json").read_text())
+        code, err = run_main(tmp_path, e3, "--budget", "100")
+        assert code == cli.EXIT_RESOURCE, err
+        out = tmp_path / "report.json"
+        code, err = run_main(tmp_path, e3, "--seed", "7", "--out", str(out))
+        assert code == cli.EXIT_OK, err
+        assert json.loads(out.read_text())["seed"] == 7
+
+    def test_closed_pipe_keeps_exit_code(self, tmp_path):
+        # the reader closed its end: writing the report raises BrokenPipeError
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(E1_CONFIG))
+        err = io.StringIO()
+        with open(write_end, "w") as closed, contextlib.redirect_stdout(closed), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(["--config", str(cfg_path)])
+        assert code == cli.EXIT_HYPOTHESIS_FAILED
+        assert "internal error" not in err.getvalue() and "Traceback" not in err.getvalue()
 
     def test_witness_longer_than_64_symbols(self, tmp_path):
         # one generator passes any budget at k = 100; numpy arrays stop at 64 axes

@@ -161,7 +161,7 @@ class TestVerdicts:
             assert invariance_residual(sys.generators, v.witness) <= 1e-8
 
     def test_algebra_certificate_not_contradicted(self):
-        v = irreducibility_verdict(E2(), method="algebra_random", multistarts=256 + 64)
+        v = irreducibility_verdict(E2(), method="algebra_random")
         assert v.status == IRREDUCIBLE and v.method == "algebra_dimension"
 
     def test_exact_vs_randomized_agreement_200(self):

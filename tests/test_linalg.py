@@ -68,7 +68,7 @@ class TestSpanBasis:
         assert b.dim == 2
 
     def test_rank_tolerance(self):
-        b = span_basis([np.array([1.0, 0.0]), np.array([1.0, 1e-12])], tol=1e-9)
+        b = span_basis([np.array([1.0, 0.0]), np.array([1.0, 1e-12])])
         assert b.dim == 1
 
     def test_empty_needs_ambient(self):

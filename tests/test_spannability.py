@@ -19,6 +19,18 @@ INDEFINITE_PAIRS = GeneratorSystem((np.array([[-1.0, 2.0], [0.0, -2.0]]),
                                     np.array([[-2.0, 2.0], [-2.0, 0.0]])))
 
 
+def rotation_block(scale: float, corner: float) -> np.ndarray:
+    """scale * (rotation by 1 radian) on span(e1, e2), `corner` on e3."""
+    c, s = np.cos(1.0), np.sin(1.0)
+    return np.array([[scale * c, -scale * s, 0.0], [scale * s, scale * c, 0.0], [0.0, 0.0, corner]])
+
+
+# both generators turn the (e1, e2) plane by one radian, so the chain from the
+# witness e1 is a turning line (dims 1, 1, ...) that never periodically repeats;
+# the wedge quotient A_1^-1 A_2 = diag(2, 2, 6) is not scalar
+ROTATION_BLOCKS = GeneratorSystem((rotation_block(1.0, 0.5), rotation_block(2.0, 3.0)))
+
+
 def d3_block_triangular(rng):
     """Four integer 3x3 generators sharing the invariant line spanned by q = P e1.
 
@@ -258,6 +270,15 @@ class TestDiagnosis:
         assert diag.span_w.dim == 1
         assert np.allclose(np.abs(diag.span_w.basis.ravel()), [1, 0])
         assert diag.cross_check_consistent
+
+    def test_wedge_eigen_structure(self):
+        diag = diagnose_failure(ROTATION_BLOCKS, minimal_spannable_k(ROTATION_BLOCKS, 4))
+        assert diag.case == "WedgeEigenStructure"
+        assert diag.dims == (1, 1, 1, 1)
+        assert diag.wedge_order == 1 and diag.wedge_pair == (1, 2)
+        assert np.allclose(sorted(v.real for v in diag.eigenvalues), [2.0, 2.0, 6.0], atol=1e-12)
+        assert all(v.imag == 0.0 for v in diag.eigenvalues)
+        assert diag.eigen_residual <= 1e-12
 
     def test_scaled_rotation_period_two(self):
         system = GeneratorSystem((0.3 * ROT90,))
