@@ -48,36 +48,44 @@ from .wordspace import DEFAULT_BUDGET, check_sweep, enumerate_words, parse_word,
 class Opt(NamedTuple):
     """One option. int and float cast as Python does (floats must be finite), a
     tuple lists the allowed values, str/list/dict need that JSON type, object
-    takes any value. A default of None means absent, so null is allowed."""
+    takes any value. A default of None means absent, so null is allowed. `low`
+    is the least value every command that reads the option accepts."""
 
     type: object
     default: object = None
     flag: bool = False  # `main` exposes it as --name (underscores as dashes)
+    low: int | None = None
 
 
 # Every option of every command, declared once; `seed` and `budget` belong to
 # every command. A key no command declares is an input error, one that another
 # command declares is not (`--command` switches a config to another command).
-COMMON = {"seed": Opt(int, 42, flag=True), "budget": Opt(int, DEFAULT_BUDGET, flag=True)}
+# `low` is declared where every command reading the name enforces that bound
+# (k_qm is read only for a non-conformal system, and mixing takes any s for
+# d >= 3); connector_k keeps the wording of `gibbs.mixing_levels`.
+COMMON = {"seed": Opt(int, 42, flag=True, low=0), "budget": Opt(int, DEFAULT_BUDGET, flag=True)}
 OPTIONS = {
     "check-hypotheses": {"mode": Opt(("theorem_1_1", "corollary_4_3"), "theorem_1_1", flag=True)},
-    "spannability": {"k_max": Opt(int, 8, flag=True)},
-    "qm": {"k": Opt(int, 1, flag=True), "n_max": Opt(int, 4, flag=True)},
-    "pressure": {"potential": Opt(str, "sv_s"), "n": Opt(int, 8, flag=True),
+    "spannability": {"k_max": Opt(int, 8, flag=True, low=1)},
+    "qm": {"k": Opt(int, 1, flag=True, low=1), "n_max": Opt(int, 4, flag=True, low=1)},
+    "pressure": {"potential": Opt(str, "sv_s"), "n": Opt(int, 8, flag=True, low=1),
                  "s": Opt(float, 1.0, flag=True), "s_grid": Opt(list),
                  "qm": Opt(object, "auto"), "k_qm": Opt(int, 1, flag=True)},
-    "s0": {"targets": Opt(dict), "n": Opt(int, 10, flag=True), "k_qm": Opt(int, 1, flag=True)},
-    "r0": {"n": Opt(int, 10, flag=True), "k_qm": Opt(int, 1, flag=True),
-           "beta": Opt(float, flag=True), "psi_table": Opt(list), "tail_start": Opt(int)},
-    "affinity-dim": {"n": Opt(int, 10, flag=True), "k_qm": Opt(int, 1, flag=True)},
-    "mixing": {"s": Opt(float, 1.0, flag=True), "L": Opt(int, 3, flag=True),
-               "gap": Opt(int, 4, flag=True), "connector_k": Opt(int, 1)},
-    "export-attractor": {"depth": Opt(int, 6, flag=True), "csv_name": Opt(str, "attractor.csv")},
+    "s0": {"targets": Opt(dict), "n": Opt(int, 10, flag=True, low=1),
+           "k_qm": Opt(int, 1, flag=True)},
+    "r0": {"n": Opt(int, 10, flag=True, low=1), "k_qm": Opt(int, 1, flag=True),
+           "beta": Opt(float, flag=True, low=0), "psi_table": Opt(list), "tail_start": Opt(int)},
+    "affinity-dim": {"n": Opt(int, 10, flag=True, low=1), "k_qm": Opt(int, 1, flag=True)},
+    "mixing": {"s": Opt(float, 1.0, flag=True), "L": Opt(int, 3, flag=True, low=1),
+               "gap": Opt(int, 4, flag=True, low=1), "connector_k": Opt(int, 1)},
+    "export-attractor": {"depth": Opt(int, 6, flag=True, low=0),
+                         "csv_name": Opt(str, "attractor.csv")},
 }
 # keys of the object-valued options; null or absent takes the default
 NESTED = {
-    "targets": {"words": Opt(list, []), "all_ones": Opt(int), "tail_start": Opt(int, 1)},
-    "qm": {"k": Opt(int), "C": Opt(float)},
+    "targets": {"words": Opt(list, []), "all_ones": Opt(int, low=1),
+                "tail_start": Opt(int, 1, low=1)},
+    "qm": {"k": Opt(int, low=0), "C": Opt(float)},
 }
 COMMANDS = tuple(OPTIONS)
 _KNOWN = {name: opt for table in (COMMON, *OPTIONS.values()) for name, opt in table.items()}
@@ -144,6 +152,9 @@ def _check(options: dict, table: dict, where: str) -> dict:
             raise InputError(f"{where}.{key} is not a known option")
         if value is not None or table[key].default is not None:
             value = _cast(value, table[key].type, f"{where}.{key}")
+            low = table[key].low
+            if low is not None and value < low:
+                raise InputError(f"{where}.{key} must be >= {low}, got {value!r}")
         if isinstance(value, dict) and key in NESTED:
             given = _check(value, NESTED[key], f"{where}.{key}")
             value = {name: given.get(name, sub.default) for name, sub in NESTED[key].items()}
@@ -435,8 +446,6 @@ def run_command(cfg: RunConfig) -> tuple[dict, int]:
     """Dispatch a parsed config; returns (report, exit code)."""
     if cfg.command not in _RUNNERS:
         raise InputError(f"no command selected; choose from {COMMANDS}")
-    if cfg.seed < 0:
-        raise InputError(f"seed must be >= 0, got {cfg.seed}")
     start = time.perf_counter()
     result, code, warnings, meta = _RUNNERS[cfg.command](cfg)
     report = {"artifact": {"name": "cocyclespan", "version": __version__},
@@ -475,7 +484,7 @@ def main(argv=None) -> int:
         for name in flags:  # seed and budget go to cfg, the others into options
             val = getattr(args, name)
             if val is not None and name in COMMON:
-                setattr(cfg, name, val)
+                setattr(cfg, name, _check({name: val}, COMMON, "options")[name])
             elif val is not None:
                 cfg.options[name] = val
         cfg.command = args.command or cfg.command

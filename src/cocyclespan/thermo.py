@@ -136,7 +136,8 @@ class _LevelData:
     Lambda(n) costs 8 bytes per word: log sigma_2 of a block of ranks is
     rebuilt from the table when a potential reads it. `log_z` is memoised per
     potential: the two searches of a root share their end points s = 0 and
-    S_MAX. `passes` counts the potentials reduced over Lambda(n).
+    S_MAX. `passes` counts the potentials reduced over Lambda(n), `sweeps`
+    the block passes over Lambda(n) they took.
     """
 
     def __init__(self, system: GeneratorSystem, n: int, *, budget: int = DEFAULT_BUDGET):
@@ -147,34 +148,59 @@ class _LevelData:
         self.logs1, self.log_dets = word_singvals(system.stacked(), n)
         size = min(len(self.logs1), kernels._STREAM)
         self._w, self._logs2 = np.empty(size), np.empty(size)
+        self._max_logs1 = np.max(self.logs1)
         self._log_z: dict[PotentialSpec, float] = {}
+        self.sweeps = 0
+
+    @staticmethod
+    def _reads_sigma2(spec: PotentialSpec) -> bool:
+        """phi^s reads log sigma_2 only from s = 1 on; the norm potential never does."""
+        return spec.kind != "norm_s" and spec.s >= 1.0
 
     def _potential(self, spec: PotentialSpec, lo: int, hi: int) -> np.ndarray:
         """The log potential of ranks lo..hi-1, in the block buffer."""
         logs2 = None
-        if spec.kind != "norm_s" and spec.s >= 1.0 and self.log_dets is not None:
-            # phi^s reads sigma_2 only from s = 1 on
+        if self._reads_sigma2(spec) and self.log_dets is not None:
             logs2 = self.log_dets.log_sigma2(self.logs1, lo, hi, out=self._logs2)
         return log_potential(self.logs1[lo:hi], logs2, spec, out=self._w[:hi - lo])
 
-    def log_z(self, spec: PotentialSpec) -> float:
-        """log Z_n = m + log sum exp(w - m), m = max w, in two passes of block buffers.
+    def _max_potential(self, spec: PotentialSpec) -> float:
+        """max over Lambda(n) of the log potential.
 
-        The first pass takes the max, exact in any order; the second sums in
+        A potential that reads only log sigma_1 is fl(c * log sigma_1) with
+        c = s or 2s, and c >= 0. Rounding to nearest is nondecreasing, so the
+        largest rounded product is the rounded product of the largest
+        log sigma_1 (up to the sign of a zero at s = 0, which no later step
+        can see: w - m and m + log sum are unchanged by it). So m is the
+        potential of the level's max log sigma_1, with no pass of its own.
+        """
+        if not self._reads_sigma2(spec):
+            return float(log_potential(np.array([self._max_logs1]), None, spec)[0])
+        size, block = len(self.logs1), len(self._w)
+        self.sweeps += 1
+        return float(np.max([np.max(self._potential(spec, lo, min(lo + block, size)))
+                             for lo in range(0, size, block)]))
+
+    def log_z(self, spec: PotentialSpec) -> float:
+        """log Z_n = m + log sum exp(w - m), m = max w, in one or two passes of block buffers.
+
+        m is exact in any order: for phi^s at s >= 1 it takes a pass of its
+        own; for a potential of log sigma_1 alone it is read from the level's
+        max of log sigma_1 (`_max_potential`). The sum pass adds in
         `pairwise_sum`'s leaves, so log Z_n has the bits of one np.sum over
         the whole level.
         """
         if spec not in self._log_z:
-            size, block = len(self.logs1), len(self._w)
-            m = float(np.max([np.max(self._potential(spec, lo, min(lo + block, size)))
-                              for lo in range(0, size, block)]))
+            m = self._max_potential(spec)
 
             def leaf(lo: int, hi: int):
                 w = self._potential(spec, lo, hi)
                 w -= m
                 return np.sum(np.exp(w, out=w))
 
-            self._log_z[spec] = m + math.log(float(pairwise_sum(leaf, 0, size, block)))
+            self.sweeps += 1
+            total = pairwise_sum(leaf, 0, len(self.logs1), len(self._w))
+            self._log_z[spec] = m + math.log(float(total))
         return self._log_z[spec]
 
     @property
@@ -456,9 +482,10 @@ def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, upper
         return -math.inf if qm is None else lower(data, s, qm)
 
     def search(g):
-        passes = data.passes
+        passes, sweeps = data.passes, data.sweeps
         a, b, tag, counts = _root_bracket(g, 0.0, S_MAX)
-        return a, b, tag, {"passes": data.passes - passes, **counts}
+        return a, b, tag, {"passes": data.passes - passes, "sweeps": data.sweeps - sweeps,
+                           **counts}
 
     _, s_hi, b_hi, up_counts = search(lambda s: upper(data, s))
     s_lo, _, b_lo, lo_counts = search(g_lo)

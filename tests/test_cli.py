@@ -122,9 +122,14 @@ class TestRunCommand:
         counts = json.loads(json.dumps(report["meta"]["root_search"]))
         assert set(counts) == {"upper", "lower"}
         for end in counts.values():
-            assert set(end) == {"passes", "steps", "bisection_fallbacks"}
+            assert set(end) == {"passes", "sweeps", "steps", "bisection_fallbacks"}
             assert end["steps"] > 0
         assert counts["upper"]["passes"] == counts["upper"]["steps"] + 2
+        # every step samples s < 1, where phi^s reads log sigma_1 alone: one sweep
+        # each; the upper end adds the max pass of phi^4, which reads log sigma_2
+        assert report["result"]["interval"][1] < 1
+        assert counts["upper"]["sweeps"] == counts["upper"]["passes"] + 1
+        assert counts["lower"]["sweeps"] == counts["lower"]["passes"]
         assert "root_search" not in cli.report_canonical_json(report)
 
     def test_e1_spannability_reports_diagnosis(self):
@@ -410,6 +415,45 @@ class TestOptionTable:
             for name, opt in table.items():
                 assert opt.type == cli._KNOWN[name].type
                 assert (opt.default is None) == (cli._KNOWN[name].default is None)
+                assert opt.low == cli._KNOWN[name].low
+
+    BELOW_BOUND = [
+        ("spannability", {"k_max": 0}, "k_max"),
+        ("qm", {"k": 0}, "k"), ("qm", {"n_max": 0}, "n_max"),
+        ("pressure", {"n": 0}, "n"), ("s0", {"targets": {"all_ones": 3}, "n": -2}, "n"),
+        ("r0", {"beta": 0.3, "n": 0}, "n"), ("r0", {"beta": -0.5}, "beta"),
+        ("affinity-dim", {"n": 0}, "n"), ("mixing", {"L": 0}, "L"), ("mixing", {"gap": 0}, "gap"),
+        ("export-attractor", {"depth": -1}, "depth"),
+        ("s0", {"targets": {"all_ones": 0}}, "targets.all_ones"),
+        ("s0", {"targets": {"all_ones": 3, "tail_start": 0}}, "targets.tail_start"),
+        ("pressure", {"qm": {"k": -1, "C": 0.5}}, "qm.k"),
+    ]
+
+    def test_every_bound_has_a_case(self):
+        bounded = {name for name, opt in cli._KNOWN.items() if opt.low is not None}
+        bounded |= {f"{outer}.{name}" for outer, table in cli.NESTED.items()
+                    for name, opt in table.items() if opt.low is not None}
+        assert bounded == {field for _, _, field in self.BELOW_BOUND} | {"seed"}
+
+    @pytest.mark.parametrize("command,options,field", BELOW_BOUND)
+    def test_lower_bounds_name_the_field(self, tmp_path, monkeypatch, command, options, field):
+        system = E4_CONFIG["system"] if command == "export-attractor" else E3_SYSTEM
+        config = {"system": system, "command": command, "options": options}
+        *outer, key = field.split(".")
+        table = cli.NESTED[outer[0]] if outer else cli._KNOWN
+        value = options[outer[0]][key] if outer else options[key]
+        code, err = run_main(tmp_path, config)
+        assert code == cli.EXIT_INPUT_ERROR
+        assert f"options.{field} must be >= {table[key].low}, got {value!r}" in err
+        # a bound in the table is one the library enforces: without it the value still exits 3
+        monkeypatch.setitem(table, key, table[key]._replace(low=None))
+        code, err = run_main(tmp_path, config)
+        assert code == cli.EXIT_INPUT_ERROR
+        assert f"options.{field} must be >=" not in err
+
+    def test_seed_flag_is_bounded(self, tmp_path):
+        code, err = run_main(tmp_path, E1_CONFIG, "--seed", "-1")
+        assert code == cli.EXIT_INPUT_ERROR and "options.seed must be >= 0, got -1" in err
 
     def test_another_commands_key_stays_legal(self, tmp_path):
         config = str(Path(__file__).resolve().parent.parent / "configs" / "e3.json")

@@ -79,13 +79,22 @@ class TestBitwiseOracles:
         K = np.random.default_rng(ell).standard_normal((ell, 2, 2))
         assert minimax_grid2(K, 300) == _full_fold(K, 300)
 
-    @pytest.mark.parametrize("G,ell,seed", [(251, 1, 4), (251, 2, 909), (2000, 4, 0)])
-    def test_minimax_grid_row_blocks_have_no_one_row_tail(self, G, ell, seed):
-        # blocks of 250 rows would leave a one-row tail at G = 251, and a
-        # one-row matmul may take another BLAS path: with these seeds the
-        # grid minimum lies in that row and its bits would change
+    @pytest.mark.parametrize("ell,seed", [(1, 6), (2, 126), (4, 311)])
+    def test_minimax_grid_row_blocks_have_no_one_row_tail(self, ell, seed):
+        # blocks of _GRID_ROWS rows would leave a one-row tail at this G, and a
+        # one-row matmul may take another BLAS path: with these seeds the grid
+        # minimum lies in that row, and a matrix-vector product moves its bits
+        G = 2 * kernels._GRID_ROWS + 1
         K = np.random.default_rng(seed).standard_normal((ell, 2, 2))
-        assert minimax_grid2(K, G) == _full_fold(K, G)
+        full = _full_fold(K, G)
+        assert full[1] == G - 1
+        assert minimax_grid2(K, G) == full
+
+    @pytest.mark.parametrize("count", [2, 3, 8])
+    def test_minimax_grid_at_the_shipped_size(self, count):
+        from cocyclespan.quasimult import GRID_ANGLES
+        K = np.random.default_rng(count).standard_normal((count, 2, 2))
+        assert minimax_grid2(K, GRID_ANGLES) == _full_fold(K, GRID_ANGLES)
 
 
 def _full_fold(K, G):

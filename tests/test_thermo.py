@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cocyclespan import E3, E4, E5, GeneratorSystem
+from cocyclespan import E2, E3, E4, E5, GeneratorSystem
 from cocyclespan.errors import InputError
 from cocyclespan.thermo import (S_MAX, PotentialSpec, QMInput, TargetSequence, _root_bracket,
                                 affinity_dimension, all_ones_targets, alpha_hat,
@@ -372,14 +372,21 @@ class TestLogZInPlace:
 
     S_VALUES = (0.0, 0.4, 1.0, 1.3, 1.9, 2.0, 2.7)  # both sides of 1 and 2
 
-    @pytest.mark.parametrize("system", [E3(), E4()], ids=["e3", "e4"])
+    @pytest.mark.parametrize("system", [
+        E2(), E3(), E4(),
+        GeneratorSystem(tuple(np.random.default_rng(9).standard_normal((3, 2, 2))))],
+        ids=["e2", "e3", "e4", "mixed-signs"])
     def test_matches_out_of_place_formula(self, system):
+        # at s = 0 a potential of log sigma_1 alone is +0.0 on E2 (log sigma_1 >= 0),
+        # -0.0 on E3 and E4 (log sigma_1 < 0) and both on the Gaussian system, so
+        # the max read from log sigma_1 and a max over the block can differ in the
+        # sign of a zero; log Z must keep its bits either way
         from cocyclespan.thermo import KINDS, _LevelData
         data = _LevelData(system, 9)
         for kind in KINDS:
             for s in self.S_VALUES:
-                assert data.log_z(PotentialSpec(kind, s)) == _whole_level_log_z(data, kind, s), \
-                    (kind, s)
+                got = data.log_z(PotentialSpec(kind, s))
+                assert got.hex() == _whole_level_log_z(data, kind, s).hex(), (kind, s)
 
     @pytest.mark.parametrize("block", [128, 1000, 4099])
     def test_blocks_match_one_whole_level_sum(self, monkeypatch, block):
@@ -410,21 +417,28 @@ class TestLogZInPlace:
     def test_potential_pass_memoised_per_spec(self, monkeypatch):
         # the upper and lower root searches share s = 0 and s = 4; each distinct
         # potential costs one reduction, and Lambda(12) is one block, so a
-        # reduction evaluates the potential twice: once for the max, once for the sum
+        # reduction evaluates the potential over the level once for the sum, and
+        # once more for the max only when it reads log sigma_2 (phi^s at s >= 1)
         from cocyclespan import thermo
         folds, blocks = [], []
-        fold, potential = thermo.pairwise_sum, thermo.log_potential
+        fold, potential = thermo.pairwise_sum, thermo._LevelData._potential
         monkeypatch.setattr(thermo, "pairwise_sum", lambda *a: folds.append(1) or fold(*a))
-        monkeypatch.setattr(thermo, "log_potential",
-                            lambda *a, **kw: blocks.append(a[2]) or potential(*a, **kw))
+        monkeypatch.setattr(thermo._LevelData, "_potential",
+                            lambda self, spec, lo, hi: blocks.append(spec)
+                            or potential(self, spec, lo, hi))
         for run, count in ((lambda: affinity_dimension(E3(), 12, 1), 14),
                            (lambda: r0_interval(E3(), 0.3, 12, 1), 28)):
             folds.clear()
             blocks.clear()
-            run()
-            passes = blocks[::2]
-            assert len(folds) == len(passes) == len(set(passes)) == count
-            assert blocks == [spec for spec in passes for _ in range(2)]
+            rep = run()
+            passes = list(dict.fromkeys(blocks))
+            assert len(folds) == len(passes) == count
+            sweeps = [1 + (spec.kind != "norm_s" and spec.s >= 1.0) for spec in passes]
+            assert 1 in sweeps and 2 in sweeps
+            assert blocks == [spec for spec, k in zip(passes, sweeps) for _ in range(k)]
+            ends = rep.root_search.values()
+            assert sum(end["passes"] for end in ends) == count
+            assert sum(end["sweeps"] for end in ends) == len(blocks)
 
 
 def _whole_level_log_z(data, kind, s):
