@@ -1,7 +1,7 @@
 """Golden canonical reports: the regression oracle for refactors.
 
-Each case runs a shipped config (optionally with another command and options)
-through `cli.parse_config` -> `cli.run_command` -> `cli.report_canonical_json`
+Each case runs a shipped config (optionally with another command and options),
+or a system written inline here, through `cli.parse_config` -> `cli.run_command` -> `cli.report_canonical_json`
 and compares the text byte for byte with `tests/golden/<name>.json`. The
 export path of `export-attractor` names a temporary file and is dropped.
 
@@ -19,7 +19,20 @@ import cocyclespan.cli as cli
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# name -> (config file, command override, options override)
+# d >= 3 systems for `check-hypotheses`, which no shipped config covers: an
+# irreducible 3x3 triple, and P [[B_i, X_i], [0, C_i]] P^-1 with 2x2 blocks
+# and a unipotent P, a 4x4 pair whose invariant plane is not a coordinate plane
+IRREDUCIBLE_3X3 = {"dimension": 3, "generators": [
+    ["0.5", "0.25", "0", "0", "0.5", "0.25", "0.125", "0", "0.5"],
+    ["0.375", "0", "-0.25", "0.25", "-0.5", "0", "0", "0.125", "0.625"],
+    ["0.75", "-0.125", "0", "0", "0.25", "0.5", "-0.25", "0", "0.5"]]}
+REDUCIBLE_4X4 = {"dimension": 4, "generators": [
+    ["0.25", "0.75", "0.25", "-0.5", "-0.25", "0.875", "0", "-0.125",
+     "-0.25", "-0.25", "0.75", "0.5", "-0.375", "1.25", "0.125", "-0.5"],
+    ["0.75", "0", "-0.5", "-0.5", "0.375", "0.25", "0.125", "0.125",
+     "0", "-0.875", "0.25", "0.375", "0.625", "0.25", "-0.125", "0.125"]]}
+
+# name -> (config file or inline system block, command override, options override)
 CASES = {
     "e1": ("e1", None, None),
     "e2": ("e2", None, None),
@@ -41,12 +54,17 @@ CASES = {
     "e4-s0": ("e4", "s0", {"targets": {"all_ones": 6}, "n": 8, "k_qm": 1}),
     "e4-r0": ("e4", "r0", {"n": 8, "k_qm": 1, "beta": 0.5}),
     "e4-affinity-dim": ("e4", "affinity-dim", {"n": 8, "k_qm": 1}),
+    "d3-irreducible-theorem": (IRREDUCIBLE_3X3, "check-hypotheses", {"mode": "theorem_1_1"}),
+    "d4-reducible-theorem": (REDUCIBLE_4X4, "check-hypotheses", {"mode": "theorem_1_1"}),
 }
 
 
 def canonical_report(name: str) -> str:
     config, command, options = CASES[name]
-    raw = json.loads((ROOT / "configs" / f"{config}.json").read_text())
+    if isinstance(config, dict):
+        raw = {"system": config}
+    else:
+        raw = json.loads((ROOT / "configs" / f"{config}.json").read_text())
     if command is not None:
         raw["command"] = command
     if options is not None:
