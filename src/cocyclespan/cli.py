@@ -3,9 +3,9 @@
 Matrix entries arrive as decimal strings so binary-exactness detection is
 well-defined: a system is flagged exact when every entry round-trips through
 float without loss, which switches the 2x2 decision paths to rational
-arithmetic. Reports reproduce bit-for-bit under a fixed seed; wall time and
-the root searches' step counts live in the `meta` section, excluded from that
-guarantee.
+arithmetic. Reports reproduce bit-for-bit under a fixed seed; wall time, the
+root searches' step counts and the hypothesis checks' time and effort live in
+the `meta` section, excluded from that guarantee.
 
 Exit codes: 0 success, 1 hypothesis failed, 2 inconclusive, 3 input error (a
 usage error, an option key no command reads, a bad value, or an `options.qm`
@@ -61,8 +61,10 @@ class Opt(NamedTuple):
 # every command. A key no command declares is an input error, one that another
 # command declares is not (`--command` switches a config to another command).
 # `low` is declared where every command reading the name enforces that bound
-# (k_qm is read only for a non-conformal system, and mixing takes any s for
-# d >= 3); connector_k keeps the wording of `gibbs.mixing_levels`.
+# (mixing takes any s for d >= 3). k_qm is read only for a non-conformal system
+# and by `pressure` only with qm "auto", but a connector length below 1 is never
+# valid, so it is bounded for every system. connector_k keeps the wording of
+# `gibbs.mixing_levels`.
 COMMON = {"seed": Opt(int, 42, flag=True, low=0), "budget": Opt(int, DEFAULT_BUDGET, flag=True)}
 OPTIONS = {
     "check-hypotheses": {"mode": Opt(("theorem_1_1", "corollary_4_3"), "theorem_1_1", flag=True)},
@@ -70,12 +72,13 @@ OPTIONS = {
     "qm": {"k": Opt(int, 1, flag=True, low=1), "n_max": Opt(int, 4, flag=True, low=1)},
     "pressure": {"potential": Opt(str, "sv_s"), "n": Opt(int, 8, flag=True, low=1),
                  "s": Opt(float, 1.0, flag=True), "s_grid": Opt(list),
-                 "qm": Opt(object, "auto"), "k_qm": Opt(int, 1, flag=True)},
+                 "qm": Opt(object, "auto"), "k_qm": Opt(int, 1, flag=True, low=1)},
     "s0": {"targets": Opt(dict), "n": Opt(int, 10, flag=True, low=1),
-           "k_qm": Opt(int, 1, flag=True)},
-    "r0": {"n": Opt(int, 10, flag=True, low=1), "k_qm": Opt(int, 1, flag=True),
+           "k_qm": Opt(int, 1, flag=True, low=1)},
+    "r0": {"n": Opt(int, 10, flag=True, low=1), "k_qm": Opt(int, 1, flag=True, low=1),
            "beta": Opt(float, flag=True, low=0), "psi_table": Opt(list), "tail_start": Opt(int)},
-    "affinity-dim": {"n": Opt(int, 10, flag=True, low=1), "k_qm": Opt(int, 1, flag=True)},
+    "affinity-dim": {"n": Opt(int, 10, flag=True, low=1),
+                     "k_qm": Opt(int, 1, flag=True, low=1)},
     "mixing": {"s": Opt(float, 1.0, flag=True), "L": Opt(int, 3, flag=True, low=1),
                "gap": Opt(int, 4, flag=True, low=1), "connector_k": Opt(int, 1)},
     "export-attractor": {"depth": Opt(int, 6, flag=True, low=0),
@@ -323,7 +326,10 @@ def _run_check_hypotheses(cfg: RunConfig):
     rep = check_hypotheses(cfg.system, _values(cfg).mode, seed=cfg.seed, budget=cfg.budget)
     code = {"Pass": EXIT_OK, "Fail": EXIT_HYPOTHESIS_FAILED,
             "Inconclusive": EXIT_INCONCLUSIVE}[rep.overall]
-    return _jsonable(rep), code, list(rep.warnings), {}
+    effort = [{"label": c.label, "seconds": c.seconds,
+               "algebra_levels": c.verdict.algebra_levels if c.verdict else 0,
+               "orbit_tries": c.verdict.orbit_tries if c.verdict else 0} for c in rep.checks]
+    return _jsonable(rep), code, list(rep.warnings), {"checks": effort}
 
 
 def _run_spannability(cfg: RunConfig):

@@ -13,14 +13,16 @@ The decision cascade for a verdict:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import InputError
 from .kernels import dense_products
-from .linalg import SubspaceBasis, invariance_residual, span_basis, wedge_power
-from .rational2 import common_root_line, pair_quadratic
+from .linalg import (SubspaceBasis, invariance_residual, span_basis, stack_images,
+                     wedge_power)
+from .rational2 import as_fraction, common_root_line
 from .systems import GeneratorSystem, _DerivedSystem
 from .wordspace import DEFAULT_BUDGET, check_sweep, product
 
@@ -38,6 +40,10 @@ class IrreducibilityVerdict:
     witness: SubspaceBasis | None = None
     residual: float = 0.0
     notes: tuple[str, ...] = ()
+    # effort, left out of reports: image levels of the algebra test and words
+    # drawn by the random-orbit search
+    algebra_levels: int = field(default=0, repr=False, compare=False)
+    orbit_tries: int = field(default=0, repr=False, compare=False)
 
     @property
     def reducible(self) -> bool:
@@ -69,10 +75,11 @@ def orbit_span(system: GeneratorSystem, v) -> SubspaceBasis:
     if np.linalg.norm(v) == 0:
         raise InputError("orbit span needs a nonzero vector")
     d = system.dim
+    G = system.stacked()
     basis = span_basis([v], ambient=d)
     for _ in range(d - 1):
-        imgs = [A @ basis.basis[:, j] for A in system.generators for j in range(basis.dim)]
-        new = span_basis([basis.basis[:, j] for j in range(basis.dim)] + imgs, ambient=d)
+        imgs = stack_images(G, basis.basis.T).reshape(-1, d)  # generator-major
+        new = span_basis(np.concatenate([basis.basis.T, imgs]), ambient=d)
         if new.dim == basis.dim:
             break
         basis = new
@@ -85,6 +92,7 @@ def orbit_span(system: GeneratorSystem, v) -> SubspaceBasis:
 class AlgebraDimension:
     dim: int
     certified: bool  # True iff dim == d^2, a sufficient irreducibility certificate
+    levels: int = field(default=0, repr=False, compare=False)  # image levels formed
 
 
 def algebra_dimension(system: GeneratorSystem) -> AlgebraDimension:
@@ -95,16 +103,17 @@ def algebra_dimension(system: GeneratorSystem) -> AlgebraDimension:
     (at most d^2 growing levels).
     """
     d = system.dim
+    G = system.stacked()
     basis = span_basis([np.eye(d).ravel()], ambient=d * d)
+    levels = 0
     while basis.dim < d * d:
-        imgs = [A @ basis.basis[:, j].reshape(d, d)
-                for A in system.generators for j in range(basis.dim)]
-        new = span_basis([basis.basis[:, j] for j in range(basis.dim)]
-                         + [M.ravel() for M in imgs], ambient=d * d)
+        levels += 1
+        imgs = stack_images(G, [c.reshape(d, d) for c in basis.basis.T]).reshape(-1, d * d)
+        new = span_basis(np.concatenate([basis.basis.T, imgs]), ambient=d * d)
         if new.dim == basis.dim:
             break
         basis = new
-    return AlgebraDimension(dim=basis.dim, certified=basis.dim == d * d)
+    return AlgebraDimension(dim=basis.dim, certified=basis.dim == d * d, levels=levels)
 
 
 def _witness_from_line(system: GeneratorSystem, u: np.ndarray, method: str) -> IrreducibilityVerdict:
@@ -118,7 +127,9 @@ def _witness_from_line(system: GeneratorSystem, u: np.ndarray, method: str) -> I
 
 
 def _verdict_d2(system: GeneratorSystem) -> IrreducibilityVerdict:
-    quads = [pair_quadratic(np.eye(2), A) for A in system.generators]
+    # det(u | A u) = c x^2 + (d - a) x y - b y^2 for u = (x, y)
+    quads = [(c, d - a, -b) for a, b, c, d in
+             ([as_fraction(x) for x in A.ravel()] for A in system.generators)]
     u, method = common_root_line(quads, system.exact)
     if u is None:
         return IrreducibilityVerdict(status=IRREDUCIBLE, method=method)
@@ -140,7 +151,7 @@ def _real_eigenvectors(M: np.ndarray) -> list[np.ndarray]:
 def _verdict_randomized(system: GeneratorSystem, seed: int) -> IrreducibilityVerdict:
     rng = np.random.default_rng(seed)
     d = system.dim
-    for _ in range(64):
+    for tries in range(1, 65):
         length = int(rng.integers(1, d + 1))
         word = tuple(int(s) for s in rng.integers(1, system.ell + 1, size=length))
         seeds = _real_eigenvectors(product(system, word).unit)
@@ -153,9 +164,9 @@ def _verdict_randomized(system: GeneratorSystem, seed: int) -> IrreducibilityVer
                 res = invariance_residual(system.generators, W)
                 if res <= WITNESS_TOL:
                     return IrreducibilityVerdict(status=REDUCIBLE, method="random_orbit",
-                                                 witness=W, residual=res)
+                                                 witness=W, residual=res, orbit_tries=tries)
     return IrreducibilityVerdict(status=INCONCLUSIVE, method="random_orbit",
-                                 notes=("no invariant subspace found",))
+                                 notes=("no invariant subspace found",), orbit_tries=tries)
 
 
 def irreducibility_verdict(system: GeneratorSystem, *, method: str = "auto",
@@ -169,8 +180,8 @@ def irreducibility_verdict(system: GeneratorSystem, *, method: str = "auto",
     alg = algebra_dimension(system)
     if alg.certified:
         return IrreducibilityVerdict(status=IRREDUCIBLE, method="algebra_dimension",
-                                     residual=float(alg.dim))
-    return _verdict_randomized(system, seed)
+                                     residual=float(alg.dim), algebra_levels=alg.levels)
+    return replace(_verdict_randomized(system, seed), algebra_levels=alg.levels)
 
 
 @dataclass(frozen=True)
@@ -179,6 +190,7 @@ class SubCheck:
     verdict: IrreducibilityVerdict | None = None
     passed: bool = True
     detail: str = ""
+    seconds: float = field(default=0.0, repr=False, compare=False)  # 0 for a repeated cocycle
 
 
 @dataclass(frozen=True)
@@ -200,10 +212,12 @@ def _verdict_checks(cocycles: list[tuple[str, GeneratorSystem]], seed: int) -> l
     verdicts: dict[int, IrreducibilityVerdict] = {}
     checks = []
     for label, sub in cocycles:
+        start = time.perf_counter()
         if id(sub) not in verdicts:
             verdicts[id(sub)] = irreducibility_verdict(sub, seed=seed)
         v = verdicts[id(sub)]
-        checks.append(SubCheck(label=label, verdict=v, passed=not v.reducible))
+        checks.append(SubCheck(label=label, verdict=v, passed=not v.reducible,
+                               seconds=time.perf_counter() - start))
     return checks
 
 
@@ -234,9 +248,11 @@ def check_hypotheses(system: GeneratorSystem, mode: str, *, seed: int = 42,
         checks = _verdict_checks([("irreducible cocycle", system),
                                   ("irreducible square", power_system(system, 2, budget=budget))],
                                  seed)
+        start = time.perf_counter()
         norms = system.norms()
         checks.append(SubCheck(label="norms < 1/2", passed=all(nv < 0.5 for nv in norms),
-                               detail=", ".join(f"{nv:.6g}" for nv in norms)))
+                               detail=", ".join(f"{nv:.6g}" for nv in norms),
+                               seconds=time.perf_counter() - start))
     else:
         raise InputError(f"unknown hypothesis mode {mode!r}")
 

@@ -2,6 +2,18 @@
 
 Everything here is pure and re-entrant; matrices are plain float64 ndarrays.
 Dimensions are capped at 8 so compound (wedge) sizes stay at most C(8,4) = 70.
+
+Stacked calls keep the bits of per-matrix calls. numpy's `svd`, `det` and
+`norm(., 2)` run the same LAPACK routine on each matrix of a stack, on a
+column-major copy that does not depend on the input's layout, and `matmul` runs
+the same BLAS kernel on each matrix of a stack; so the hypothesis cascade
+decides every generator of a level in one call and reports what one call per
+generator reported. A whole-matrix product does not keep them: `G @ W` runs a
+matrix-matrix kernel whose sums differ in the last bits from those of
+`G @ W[:, j]`, one matrix-vector product per column (most seeded cases of
+`tests/test_cascade_bits.py` show it), and it moved reported residuals of
+d = 3 and 4 systems. Images of a basis are therefore formed one column at a
+time, each column over the whole stack of generators (`stack_images`).
 """
 from __future__ import annotations
 
@@ -38,10 +50,10 @@ def singular_values(A) -> np.ndarray:
     return np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False)
 
 
-def is_invertible(A) -> bool:
-    A = np.asarray(A, dtype=float)
-    s = singular_values(A)
-    return s[0] > 0 and abs(np.linalg.det(A)) > TAU_DET * s[0] ** A.shape[0]
+def invertible(mats: np.ndarray) -> np.ndarray:
+    """Whether each matrix of an (ell, d, d) stack passes the invertibility gate."""
+    top = np.linalg.svd(mats, compute_uv=False)[:, 0]
+    return (top > 0) & (np.abs(np.linalg.det(mats)) > TAU_DET * top ** mats.shape[-1])
 
 
 def wedge_index_sets(d: int, m: int) -> list[tuple[int, ...]]:
@@ -60,14 +72,8 @@ def wedge_power(A, m: int) -> np.ndarray:
         raise InputError(f"wedge order m={m} outside 1..{d - 1}")
     if m == 1:
         return M.copy()
-    sets = wedge_index_sets(d, m)
-    N = len(sets)
-    out = np.empty((N, N))
-    for i, rows in enumerate(sets):
-        sub = M[list(rows), :]
-        for j, cols in enumerate(sets):
-            out[i, j] = np.linalg.det(sub[:, list(cols)])
-    return out
+    sets = np.array(wedge_index_sets(d, m))
+    return np.linalg.det(M[sets[:, None, :, None], sets[None, :, None, :]])
 
 
 def canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -98,24 +104,30 @@ class SubspaceBasis:
         return self.basis @ self.basis.T
 
 
+def _rank(s: np.ndarray) -> np.ndarray:
+    """Numerical rank from descending singular values (..., k): how many are at
+    least RANK_TOL times the largest; 0 when the largest is 0."""
+    top = s[..., :1]
+    return np.where(top[..., 0] > 0, np.sum(s >= RANK_TOL * top, axis=-1), 0)
+
+
 def span_basis(vectors, ambient: int | None = None) -> SubspaceBasis:
-    """Orthonormal basis of span(vectors); rank cut at RANK_TOL * largest singular value."""
-    vecs = [np.asarray(v, dtype=float).ravel() for v in vectors]
-    if not vecs:
+    """Orthonormal basis of the span of the vectors, given as a sequence or as the
+    rows of an array (each raveled); rank cut by `_rank`."""
+    try:
+        X = np.asarray(vectors, dtype=float)
+    except ValueError as exc:  # vectors of different sizes
+        raise InputError("vectors have mixed ambient dimensions") from exc
+    if len(X) == 0:
         if ambient is None:
             raise InputError("empty input needs an explicit ambient dimension")
         return SubspaceBasis(ambient=ambient, dim=0, basis=np.zeros((ambient, 0)))
-    n = vecs[0].size
-    if any(v.size != n for v in vecs):
-        raise InputError("vectors have mixed ambient dimensions")
+    X = X.reshape(len(X), -1)
+    n = X.shape[1]
     if ambient is not None and ambient != n:
         raise InputError("ambient mismatch")
-    X = np.stack(vecs, axis=1)
-    U, s, _ = np.linalg.svd(X, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s >= RANK_TOL * s[0]))
+    U, s, _ = np.linalg.svd(X.T, full_matrices=False)
+    rank = int(_rank(s))
     return SubspaceBasis(ambient=n, dim=rank, basis=U[:, :rank].copy())
 
 
@@ -126,12 +138,24 @@ def subspace_distance(U: SubspaceBasis, V: SubspaceBasis) -> float:
     return float(np.linalg.norm(U.projector() - V.projector(), 2))
 
 
-def map_subspace(A, W: SubspaceBasis) -> SubspaceBasis:
-    return span_basis([as_matrix(A) @ W.basis[:, j] for j in range(W.dim)], ambient=W.ambient)
+def stack_images(mats: np.ndarray, operands) -> np.ndarray:
+    """A @ X for every matrix A of an (ell, n, n) stack and every operand X (a
+    vector or a matrix), as an (ell, len(operands), ...) array: one stacked
+    product per operand."""
+    return np.stack([mats @ X for X in operands], axis=1)
 
 
 def invariance_residual(mats, W: SubspaceBasis) -> float:
     """max over the matrices of dist(A W, W); 0 for the trivial subspace."""
     if W.dim == 0 or W.dim == W.ambient:
         return 0.0
-    return max(subspace_distance(map_subspace(A, W), W) for A in mats)
+    mapped = stack_images(np.asarray(mats, dtype=float), W.basis.T)
+    U, s, _ = np.linalg.svd(mapped.transpose(0, 2, 1), full_matrices=False)
+    ranks = _rank(s)
+    target = W.projector()
+    worst = 0.0
+    for r in set(ranks.tolist()):  # one rank, W.dim, unless a matrix nearly collapses W
+        B = np.ascontiguousarray(U[ranks == r, :, :r])
+        gaps = np.linalg.norm(B @ B.transpose(0, 2, 1) - target, 2, axis=(1, 2))
+        worst = max(worst, float(gaps.max()))
+    return worst

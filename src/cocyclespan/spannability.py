@@ -85,7 +85,7 @@ class MkBasis:
     @cached_property
     def stack(self) -> np.ndarray:
         """The basis matrices, each scaled to operator norm 1."""
-        return np.stack([M / operator_norm(M) for M in self.basis])
+        return self.basis / np.linalg.norm(self.basis, 2, axis=(1, 2))[:, None, None]
 
 
 def mk_bases(system: GeneratorSystem, k_max: int, *,

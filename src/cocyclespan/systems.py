@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import as_matrix, is_invertible, operator_norm
+from .linalg import as_matrix, invertible, operator_norm
 
 
 @dataclass(frozen=True)
@@ -27,19 +27,16 @@ class GeneratorSystem:
     def __post_init__(self):
         if not self.generators:
             raise InputError("a system needs at least one generator")
-        gens = []
-        d = None
-        for i, A in enumerate(self.generators, start=1):
-            M = as_matrix(A)
-            if d is None:
-                d = M.shape[0]
-            elif M.shape[0] != d:
-                raise InputError("generators have mixed dimensions")
-            if self._gate and not is_invertible(M):
-                raise InputError(f"generator {i} not invertible")
-            M = M.copy()
+        gens = [as_matrix(A).copy() for A in self.generators]
+        d = gens[0].shape[0]
+        if any(M.shape[0] != d for M in gens):
+            raise InputError("generators have mixed dimensions")
+        if self._gate:
+            bad = np.flatnonzero(~invertible(np.stack(gens)))
+            if bad.size:
+                raise InputError(f"generator {bad[0] + 1} not invertible")
+        for M in gens:
             M.flags.writeable = False
-            gens.append(M)
         object.__setattr__(self, "generators", tuple(gens))
         if self.translations is not None:
             if len(self.translations) != len(gens):

@@ -132,6 +132,32 @@ class TestRunCommand:
         assert counts["lower"]["sweeps"] == counts["lower"]["passes"]
         assert "root_search" not in cli.report_canonical_json(report)
 
+    def test_check_hypotheses_meta_reports_effort(self):
+        from test_golden import GOLDEN, REDUCIBLE_4X4
+
+        cfg = cfg_from({"system": REDUCIBLE_4X4, "command": "check-hypotheses",
+                        "options": {"mode": "theorem_1_1"}})
+        report, code = cli.run_command(cfg)
+        assert code == cli.EXIT_HYPOTHESIS_FAILED
+        # the effort sits in meta: the canonical report is the golden one
+        assert cli.report_canonical_json(report) + "\n" == \
+            (GOLDEN / "d4-reducible-theorem.json").read_text()
+        effort = json.loads(json.dumps(report["meta"]["checks"]))
+        assert [e["label"] for e in effort] == [c["label"] for c in report["result"]["checks"]]
+        for e in effort:
+            assert set(e) == {"label", "seconds", "algebra_levels", "orbit_tries"}
+            assert e["seconds"] >= 0
+            # reducible everywhere: the algebra test stops short of d^2, then an orbit is found
+            assert e["algebra_levels"] >= 1 and 1 <= e["orbit_tries"] <= 64
+
+    def test_check_hypotheses_meta_d2_effort(self):
+        report, _ = cli.run_command(cfg_from(dict(E1_CONFIG, options={"mode": "corollary_4_3"})))
+        effort = report["meta"]["checks"]
+        # d = 2 is decided exactly, without the algebra test or the orbit search
+        assert [e["label"] for e in effort] == ["irreducible cocycle", "irreducible square",
+                                                "norms < 1/2"]
+        assert all(e["algebra_levels"] == 0 and e["orbit_tries"] == 0 for e in effort)
+
     def test_e1_spannability_reports_diagnosis(self):
         cfg = cfg_from(dict(E1_CONFIG, command="spannability", options={"k_max": 6}))
         report, code = cli.run_command(cfg)
@@ -427,6 +453,7 @@ class TestOptionTable:
         ("s0", {"targets": {"all_ones": 0}}, "targets.all_ones"),
         ("s0", {"targets": {"all_ones": 3, "tail_start": 0}}, "targets.tail_start"),
         ("pressure", {"qm": {"k": -1, "C": 0.5}}, "qm.k"),
+        ("affinity-dim", {"k_qm": -5}, "k_qm"),
     ]
 
     def test_every_bound_has_a_case(self):
@@ -450,6 +477,16 @@ class TestOptionTable:
         code, err = run_main(tmp_path, config)
         assert code == cli.EXIT_INPUT_ERROR
         assert f"options.{field} must be >=" not in err
+
+    @pytest.mark.parametrize("command,options", [
+        ("affinity-dim", {"n": 6}),  # conformal: the connector length is never read
+        ("pressure", {"n": 6, "qm": None}),  # no QM constant: never read either
+    ])
+    def test_k_qm_bound_holds_where_it_is_not_read(self, tmp_path, command, options):
+        config = {"system": E4_CONFIG["system"], "command": command, "options": options}
+        code, err = run_main(tmp_path, config, "--k-qm", "-5")
+        assert code == cli.EXIT_INPUT_ERROR
+        assert "options.k_qm must be >= 1, got -5" in err
 
     def test_seed_flag_is_bounded(self, tmp_path):
         code, err = run_main(tmp_path, E1_CONFIG, "--seed", "-1")
