@@ -118,7 +118,7 @@ def algebra_dimension(system: GeneratorSystem) -> AlgebraDimension:
 
 def _witness_from_line(system: GeneratorSystem, u: np.ndarray, method: str) -> IrreducibilityVerdict:
     W = span_basis([u], ambient=system.dim)
-    res = invariance_residual(system.generators, W)
+    res = invariance_residual(system.stacked(), W)
     if res > WITNESS_TOL:
         return IrreducibilityVerdict(
             status=INCONCLUSIVE, method=method, residual=res,
@@ -161,7 +161,7 @@ def _verdict_randomized(system: GeneratorSystem, seed: int) -> IrreducibilityVer
         for v in seeds:
             W = orbit_span(system, v)
             if 0 < W.dim < d:
-                res = invariance_residual(system.generators, W)
+                res = invariance_residual(system.stacked(), W)
                 if res <= WITNESS_TOL:
                     return IrreducibilityVerdict(status=REDUCIBLE, method="random_orbit",
                                                  witness=W, residual=res, orbit_tries=tries)
@@ -190,7 +190,9 @@ class SubCheck:
     verdict: IrreducibilityVerdict | None = None
     passed: bool = True
     detail: str = ""
-    seconds: float = field(default=0.0, repr=False, compare=False)  # 0 for a repeated cocycle
+    # time spent deciding, left out of reports; a cocycle already decided
+    # under another label (wedge m=1 is power t=1) spends next to none
+    seconds: float = field(default=0.0, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

@@ -31,13 +31,15 @@ class GeneratorSystem:
         d = gens[0].shape[0]
         if any(M.shape[0] != d for M in gens):
             raise InputError("generators have mixed dimensions")
+        stack = np.stack(gens)
         if self._gate:
-            bad = np.flatnonzero(~invertible(np.stack(gens)))
+            bad = np.flatnonzero(~invertible(stack))
             if bad.size:
                 raise InputError(f"generator {bad[0] + 1} not invertible")
-        for M in gens:
+        for M in (stack, *gens):
             M.flags.writeable = False
         object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "_stack", stack)  # not a field: `stacked` hands it out
         if self.translations is not None:
             if len(self.translations) != len(gens):
                 raise InputError("translations must match the generator count")
@@ -60,7 +62,8 @@ class GeneratorSystem:
         return self.generators[0].shape[0]
 
     def stacked(self) -> np.ndarray:
-        return np.ascontiguousarray(np.stack(self.generators))
+        """The generators as one read-only (ell, d, d) array, built once."""
+        return self._stack
 
     def norms(self) -> list[float]:
         return [operator_norm(A) for A in self.generators]

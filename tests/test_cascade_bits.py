@@ -13,7 +13,8 @@ import pytest
 from cocyclespan import GeneratorSystem
 from cocyclespan import hypotheses
 from cocyclespan.hypotheses import algebra_dimension, orbit_span
-from cocyclespan.linalg import RANK_TOL, SubspaceBasis, invariance_residual, wedge_power
+from cocyclespan.linalg import (RANK_TOL, SubspaceBasis, invariance_residual, span_basis,
+                                wedge_power)
 
 
 # ---- references: one LAPACK/BLAS call per generator and column ----
@@ -109,10 +110,9 @@ def cases():
 def captured_levels(monkeypatch):
     """Record the input rows and the basis of every `span_basis` call the cascade makes."""
     levels = []
-    inner = hypotheses.span_basis
 
     def recording(vectors, ambient=None):
-        out = inner(vectors, ambient)
+        out = span_basis(vectors, ambient)
         levels.append((np.asarray(vectors, dtype=float), out.basis))
         return out
 
