@@ -23,5 +23,4 @@ from .thermo import (BetaEstimate, DimensionReport, PotentialSpec,
                      affinity_dimension, alpha_hat, all_ones_targets, beta_hat,
                      conformal_qm_input, potential_value, pressure_bracket,
                      r0_interval, s0_interval, square_pressure)
-from .gibbs import (CylinderWeights, KappaFloorReport, MixingReport,
-                    cylinder_weights, kappa_floor, psi_mixing_stat)
+from .gibbs import KappaFloorReport, MixingReport, kappa_floor, psi_mixing_stat

@@ -26,7 +26,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass
-from fractions import Fraction
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -124,9 +124,11 @@ class RunConfig:
 
 
 def _is_exact_decimal(text: str) -> bool:
+    """Whether float(text) is the decimal `text` exactly; both Decimal conversions
+    are exact and, unlike Fraction(text), never build 10^|exponent|."""
     try:
-        return Fraction(text) == Fraction(float(text))
-    except (ValueError, ZeroDivisionError, OverflowError):
+        return Decimal(text) == Decimal(float(text))
+    except (ValueError, InvalidOperation):
         return False
 
 

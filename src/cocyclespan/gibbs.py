@@ -20,10 +20,7 @@ from .errors import InputError
 from .kernels import level_singvals
 from .quasimult import connector_constant, connector_minimum
 from .systems import GeneratorSystem
-from .wordspace import (DEFAULT_BUDGET, Word, check_sweep, enumerate_words, validate_word,
-                        word_rank, word_unrank)
-
-from typing import Iterable
+from .wordspace import DEFAULT_BUDGET, Word, check_sweep, word_unrank
 
 
 def _lse(arr: np.ndarray, axis=None):
@@ -40,39 +37,6 @@ def _levels(system: GeneratorSystem, s: float, n: int, budget: int):
         w *= s
         out.append((w, _lse(w)))
     return out
-
-
-@dataclass(frozen=True)
-class CylinderWeights:
-    """Normalized level-n weights w(I) = |A_I|^s / Z_n (a Gibbs proxy, exact
-    only up to the squared distortion constant of the Gibbs inequality)."""
-
-    s: float
-    n: int
-    ell: int
-    probs: np.ndarray  # lexicographic rank order, positive, sums to 1
-
-    def weight(self, word: Word) -> float:
-        if len(word) != self.n:
-            raise InputError(f"word length {len(word)} != level {self.n}")
-        validate_word(word, self.ell)
-        return float(self.probs[word_rank(word, self.ell)])
-
-    def items(self) -> Iterable[tuple[Word, float]]:
-        for w, p in zip(enumerate_words(self.ell, self.n), self.probs):
-            yield w, float(p)
-
-
-def cylinder_weights(system: GeneratorSystem, s: float, n: int, *,
-                     budget: int = DEFAULT_BUDGET) -> CylinderWeights:
-    if n < 1:
-        raise InputError("level n must be >= 1")
-    if s < 0:
-        raise InputError("s must be nonnegative")
-    w, log_z = _levels(system, s, n, budget)[n]
-    probs = np.exp(w - log_z)
-    probs /= probs.sum()
-    return CylinderWeights(s=s, n=n, ell=system.ell, probs=probs)
 
 
 @dataclass(frozen=True)

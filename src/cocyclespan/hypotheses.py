@@ -4,7 +4,8 @@ The decision cascade for a verdict:
 
 * d = 2: exact path. A 2x2 tuple is reducible iff the line quadratics
   det(u | A_i u) share a real projective root; decided in rational arithmetic
-  (tolerance-based float twin for systems flagged inexact).
+  (tolerance-based float twin, on float quadratics, for systems flagged
+  inexact).
 * any d: if the unital algebra generated by the tuple has dimension d^2 there
   is no invariant subspace even over C (Burnside), hence none over R.
 * any d: randomized falsification; orbit spans seeded at real eigenvectors of
@@ -127,9 +128,11 @@ def _witness_from_line(system: GeneratorSystem, u: np.ndarray, method: str) -> I
 
 
 def _verdict_d2(system: GeneratorSystem) -> IrreducibilityVerdict:
-    # det(u | A u) = c x^2 + (d - a) x y - b y^2 for u = (x, y)
+    # det(u | A u) = c x^2 + (d - a) x y - b y^2 for u = (x, y), in Fractions for
+    # an exact system; a float d - a is correctly rounded, as float(Fraction) was
+    num = as_fraction if system.exact else float
     quads = [(c, d - a, -b) for a, b, c, d in
-             ([as_fraction(x) for x in A.ravel()] for A in system.generators)]
+             ([num(x) for x in A.ravel()] for A in system.generators)]
     u, method = common_root_line(quads, system.exact)
     if u is None:
         return IrreducibilityVerdict(status=IRREDUCIBLE, method=method)

@@ -6,9 +6,10 @@ and A = [[a, b], [c, d]] this determinant is the quadratic form
     q(x, y) = c x^2 + (d - a) x y - b y^2.
 
 A 2x2 system is reducible iff its quadratics share a real projective root.
-Entries are lifted to Fractions (floats are exact binary rationals), so the
-decision is exact for the stored matrices; a float twin with relative
-tolerance serves inputs flagged as inexact decimal data.
+For exact systems the entries are lifted to Fractions (floats are exact
+binary rationals), so the decision is exact for the stored matrices; inputs
+flagged as inexact decimal data get a float twin with relative tolerance, on
+float quadratics. Other pair quadratics are floats (`kernels.pair_quadratics`).
 """
 from __future__ import annotations
 
@@ -129,13 +130,8 @@ def common_projective_root(quads: list[Quad]) -> str | ProjPoint | None:
 # Float twin for inputs whose decimal entries did not survive the binary
 # round-trip: same candidate scheme, tolerance-based vanishing test.
 
-def _float_quads(quads: list[Quad]) -> list[tuple[float, float, float]]:
-    return [(float(a), float(b), float(c)) for a, b, c in quads]
-
-
-def common_projective_root_float(quads: list[Quad]):
+def common_projective_root_float(fq: list[tuple[float, float, float]]):
     tol = FLOAT_ROOT_TOL
-    fq = _float_quads(quads)
     scales = [max(abs(a), abs(b), abs(c)) for a, b, c in fq]
     nonzero = [(q, s) for q, s in zip(fq, scales) if s > 0 and max(map(abs, q)) > tol * s]
     if not nonzero:
@@ -164,11 +160,12 @@ def common_projective_root_float(quads: list[Quad]):
     return None
 
 
-def common_root_line(quads: list[Quad], exact: bool) -> tuple[np.ndarray | None, str]:
+def common_root_line(quads: list, exact: bool) -> tuple[np.ndarray | None, str]:
     """(unit vector of a common real root line of `quads` or None, method name).
 
-    Exact arithmetic when `exact`, else the float twin. When every quadratic
-    vanishes, every line is a root and e1 stands for them.
+    Exact arithmetic on Fraction quadratics when `exact`, else the float twin
+    on float ones. When every quadratic vanishes, every line is a root and e1
+    stands for them.
     """
     if exact:
         root, method = common_projective_root(quads), "d2_exact"

@@ -4,6 +4,12 @@ Spannability of a word length k asks that the images {A_I u : |I| = k} span
 R^d for every nonzero u. Testing goes through M_k = span{A_I : |I| = k}: the
 image space V_{u,k} equals M_k u, which collapses ell^k images into at most
 d^2 basis elements and turns "for all u" into a minimax over one sphere.
+
+A d = 2 margin (method auto, `full_algebra` levels included) bounds min over
+unit u of the max over word pairs |det(A_I u | A_J u)| (`_exact_margin`), from
+float pair quadratics; Fractions decide only the common root on an exact
+system's rational basis. Numeric margins bound sigma_d(stack of B_j u)^2, and
+a saturated d >= 3 level reports an uncertified sample of it.
 """
 from __future__ import annotations
 
@@ -16,9 +22,9 @@ import numpy as np
 
 from . import kernels
 from .errors import ContractViolation, InputError
-from .kernels import dense_products, lipschitz_bnb
-from .linalg import (SubspaceBasis, canonical_sign, operator_norm, span_basis,
-                     subspace_distance, wedge_index_sets, wedge_power)
+from .kernels import dense_products, lipschitz_bnb, pair_abs_max, pair_quadratics
+from .linalg import (SubspaceBasis, canonical_sign, span_basis, subspace_distance,
+                     wedge_index_sets, wedge_power)
 from .rational2 import as_fraction, common_root_line, pair_quadratic
 from .systems import GeneratorSystem
 from .wordspace import DEFAULT_BUDGET, check_budget
@@ -170,16 +176,6 @@ class SpannabilityCertificate:
         return self.status == SPANNABLE
 
 
-def _quad_circle_min_abs(q) -> float:
-    """min over the unit circle of |q(u)| for one quadratic form, by eigenvalues."""
-    q20, q11, q02 = (float(x) for x in q)
-    M = np.array([[q20, 0.5 * q11], [0.5 * q11, q02]])
-    lam = np.linalg.eigvalsh(M)
-    if lam[0] * lam[-1] <= 0:
-        return 0.0
-    return float(min(abs(lam[0]), abs(lam[-1])))
-
-
 def _stack_f(B: np.ndarray, u: np.ndarray):
     """sigma_d(stack of B_j u)^2, for one unit u or for each row of an (N, d) array."""
     img = np.einsum("rab,...b->...ra", B, u)
@@ -287,9 +283,11 @@ def _deficit_certificate(mk: MkBasis, exact: bool) -> SpannabilityCertificate:
 def _exact_certificate(system: GeneratorSystem, mk: MkBasis) -> SpannabilityCertificate:
     if mk.dim < system.dim:
         return _deficit_certificate(mk, exact=True)
-    mats = mk.rational if mk.rational is not None else list(mk.basis)
-    quads = [pair_quadratic(mats[i], mats[j])
-             for i in range(len(mats)) for j in range(i + 1, len(mats))]
+    if mk.rational is not None:  # Fractions decide an exact system's root
+        quads = [pair_quadratic(A, B) for i, A in enumerate(mk.rational)
+                 for B in mk.rational[i + 1:]]
+    else:
+        quads = [q for block in pair_quadratics(mk.basis) for q in block.T.tolist()]
     u, method = common_root_line(quads, mk.rational is not None)
     if u is not None:
         return SpannabilityCertificate(
@@ -302,39 +300,30 @@ def _exact_certificate(system: GeneratorSystem, mk: MkBasis) -> SpannabilityCert
 
 
 def _exact_margin(system: GeneratorSystem, mk: MkBasis) -> tuple[float, bool, tuple[str, ...]]:
-    """Analytic lower bound for min_u max over pairs |det(B_i u | B_j u)|.
+    """Lower bound for min over unit u of the max over word pairs |det(A_I u | A_J u)|.
 
-    The best single pair already bounds the minimax from below; when every
-    single pair is indefinite the bound degenerates and the Lipschitz branch
-    and bound on the full max takes over.
+    A pair quadratic's eigenvalues m +- r, m = (q20 + q02)/2 and
+    r = |((q20 - q02)/2, q11/2)|, share a sign iff |m| > r; then |m| - r is its
+    min |q| on the circle, and the best such pair bounds the minimax. When
+    every pair is indefinite the Lipschitz branch and bound on the max over
+    pairs takes over, with L = 2 max(|m| + r).
     """
     if system.ell**mk.k <= EXACT_PRODUCT_CAP:
-        mats = list(dense_products(system.stacked(), mk.k))
+        mats = dense_products(system.stacked(), mk.k)
         notes = []
     else:
-        mats = [mk.basis[j] for j in range(mk.dim)]
+        mats = mk.basis
         notes = ["margin quadratics use the reduced basis (word count above cap)"]
-    best = 0.0
-    quads = []
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            q = pair_quadratic(mats[i], mats[j])
-            quads.append(q)
-            best = max(best, _quad_circle_min_abs(q))
+    best, lip = 0.0, 0.0
+    for q20, q11, q02 in pair_quadratics(mats):
+        m, r = np.abs(q20 + q02) / 2, np.hypot((q20 - q02) / 2, q11 / 2)
+        best = max(best, float((m - r).max()))
+        lip = max(lip, 2.0 * float((m + r).max()))
     if best > 0.0:
         return best, True, tuple(notes)
-    fq = [tuple(float(x) for x in q) for q in quads]
-    lip = max(2.0 * operator_norm(np.array([[a, b / 2], [b / 2, c]])) for a, b, c in fq)
-
-    def pair_max(X):
-        x, y = np.cos(X[:, 0]), np.sin(X[:, 0])
-        acc = np.zeros(len(X))
-        for a, b, c in fq:
-            acc = np.maximum(acc, np.abs(a * x * x + b * x * y + c * y * y))
-        return acc
-
     eps = lip * RESOLUTION[1]
-    cert, _x, evals, capped = lipschitz_bnb(pair_max, lip, [0.0], [np.pi], 0.0, eps)
+    cert, _x, evals, capped = lipschitz_bnb(lambda X: pair_abs_max(mats, X[:, 0]), lip,
+                                            [0.0], [np.pi], 0.0, eps)
     notes += _bnb_notes("margin over pair quadratics", lip, eps, evals, capped)
     return max(cert, 0.0), cert > 0.0 and not capped, tuple(notes)
 
@@ -347,10 +336,14 @@ def _certify(system: GeneratorSystem, mk: MkBasis, method: str, seed: int) -> Sp
     if method == "exact" and d != 2:
         raise InputError("exact method needs d = 2")
     if method == "auto" and mk.dim == d * d:
+        if d == 2:
+            margin, certified, notes = _exact_margin(system, mk)
+        else:
+            margin, certified, notes = _coarse_sample_margin(mk), False, (
+                "margin: min over a fixed sample of 256 directions, not certified",)
         return SpannabilityCertificate(
-            k=mk.k, status=SPANNABLE, margin=_coarse_sample_margin(mk), exact=False,
-            method="full_algebra", margin_certified=False,
-            notes=("M_k saturates the matrix space",))
+            k=mk.k, status=SPANNABLE, margin=margin, exact=False, method="full_algebra",
+            margin_certified=certified, notes=("M_k saturates the matrix space",) + notes)
     if method != "numeric" and d == 2:
         return _exact_certificate(system, mk)
     if mk.dim < d:
@@ -362,8 +355,9 @@ def spannable_at(system: GeneratorSystem, k: int, *, method: str = "auto",
                  seed: int = 42, budget: int = DEFAULT_BUDGET) -> SpannabilityCertificate:
     """Certificate for k-uniform spannability.
 
-    auto: saturated M_k (dim d^2) is immediately spannable; otherwise the d=2
-    polynomial path decides exactly, the certified sphere minimization handles
+    auto: saturated M_k (dim d^2) is immediately spannable, with the d = 2
+    word-pair margin of the module docstring; otherwise the d=2 polynomial
+    path decides exactly, the certified sphere minimization handles
     d = 3 and a multistart search d >= 4. `method` can force 'exact' (d=2
     only) or 'numeric'.
     """
@@ -371,14 +365,10 @@ def spannable_at(system: GeneratorSystem, k: int, *, method: str = "auto",
 
 
 def _coarse_sample_margin(mk: MkBasis) -> float:
-    d, count = mk.d, 256
-    if d == 2:
-        th = np.pi * np.arange(count) / count
-        us = np.stack([np.cos(th), np.sin(th)], axis=1)
-    else:
-        rng = np.random.default_rng(0)  # fixed sample, not run-seed dependent
-        us = rng.standard_normal((count, d))
-        us /= np.linalg.norm(us, axis=1, keepdims=True)
+    """sigma_d(stack of B_j u)^2, min over a fixed sample of 256 unit u (d >= 3)."""
+    rng = np.random.default_rng(0)  # fixed sample, not run-seed dependent
+    us = rng.standard_normal((256, mk.d))
+    us /= np.linalg.norm(us, axis=1, keepdims=True)
     return float(np.min(_stack_f(mk.stack, us)))
 
 

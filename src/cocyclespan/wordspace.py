@@ -78,16 +78,8 @@ def enumerate_words(ell: int, n: int) -> Iterator[Word]:
     return _iproduct(range(1, ell + 1), repeat=n)
 
 
-def word_rank(word: Word, ell: int) -> int:
-    """Lexicographic rank of a word among Lambda(len(word))."""
-    r = 0
-    for s in word:
-        r = r * ell + (s - 1)
-    return r
-
-
 def word_unrank(rank: int, ell: int, n: int) -> Word:
-    """The word of lexicographic rank `rank` among Lambda(n); inverts `word_rank`."""
+    """The word of lexicographic rank `rank` among Lambda(n)."""
     word = []
     for _ in range(n):
         rank, s = divmod(int(rank), ell)

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +73,17 @@ class TestParseConfig:
         assert cfg.system.exact  # entries 2, 0, 0.5 are exact binary decimals
         cfg3 = cfg_from(E3_CONFIG)
         assert not cfg3.system.exact  # 0.4 and 0.3 are not
+
+    @pytest.mark.parametrize("text", [
+        " 1.5 ", "\t0.25\n", "1_000", "1_0.2_5", "+0.5", "-0.75", ".5", "5.", "-0.0",
+        "1e-320", "1e300", "1e22", "1e23", "0.30000000000000004", "0.1", "0x10"])
+    def test_exact_decimal_flag_matches_fractions(self, text):
+        # the reference builds both Fractions in full, 10^|exponent| included
+        try:
+            expect = Fraction(text) == Fraction(float(text))
+        except (ValueError, ZeroDivisionError, OverflowError):
+            expect = False
+        assert cli._is_exact_decimal(text) == expect
 
     def test_singular_generator(self):
         bad = {"system": {"dimension": 2, "generators": [["1", "0", "0", "0"]]}}
@@ -536,6 +549,22 @@ class TestDocumentedExits:
                                         "options": options})
         assert code == cli.EXIT_INPUT_ERROR, err
         assert message in err
+
+    def test_huge_decimal_exponent_reports_at_once(self, tmp_path):
+        # float reads the entry as 0.0; a Fraction of the text would build 10^99999999
+        system = {"dimension": 2, "generators": [["1e-99999999", "-1", "1", "1"]]}
+        start = time.perf_counter()
+        code, err = run_main(tmp_path, {"system": system, "command": "check-hypotheses"})
+        assert code == cli.EXIT_OK, err
+        assert time.perf_counter() - start < 1.0
+        assert not cfg_from({"system": system}).system.exact
+
+    @pytest.mark.parametrize("entry", ["inf", "-inf", "nan", "Infinity", "1e999"])
+    def test_non_finite_entry_exit_3(self, tmp_path, entry):
+        system = {"dimension": 2, "generators": [[entry, "0", "0", "1"]]}
+        code, err = run_main(tmp_path, {"system": system, "command": "check-hypotheses"})
+        assert code == cli.EXIT_INPUT_ERROR
+        assert "matrix has non-finite entries" in err
 
     def test_long_target_list_reports(self, tmp_path):
         # the SVD sigma_2 of the unit of A_1^537 underflows to 0; log sigma_2 from

@@ -1,46 +1,23 @@
 import numpy as np
 
 from cocyclespan import E1, E3, E5, kernels
-from cocyclespan.gibbs import cylinder_weights, kappa_floor, psi_mixing_stat
+from cocyclespan.gibbs import kappa_floor, psi_mixing_stat
 from cocyclespan.linalg import singular_values
 
 from _helpers import random_2x2_system
 
 
-class TestCylinderWeights:
-    def test_e5_level_one(self):
-        w = cylinder_weights(E5(), 1.0, 1)
-        assert abs(w.weight((1,)) - 2.0 / 3.0) <= 1e-12
-        assert abs(w.weight((2,)) - 1.0 / 3.0) <= 1e-12
-
-    def test_e5_level_two_product(self):
-        w = cylinder_weights(E5(), 1.0, 2)
-        expect = {(1, 1): 4 / 9, (1, 2): 2 / 9, (2, 1): 2 / 9, (2, 2): 1 / 9}
-        for word, p in w.items():
-            assert abs(p - expect[word]) <= 1e-12
-
-    def test_uniform_at_s_zero(self):
-        w = cylinder_weights(E3(), 0.0, 4)
-        assert np.abs(w.probs - 1.0 / 16.0).max() <= 1e-15
-
-    def test_positivity_and_normalization(self):
-        for sys in (E3(), E5()):
-            for s in (0.5, 1.0, 2.0):
-                w = cylinder_weights(sys, s, 5)
-                assert (w.probs > 0).all()
-                assert abs(w.probs.sum() - 1.0) <= 1e-12
-
-    def test_one_step_mass_ratio_bounds(self):
-        sys = E3()
-        s = 1.0
-        lo = min(singular_values(A)[-1] for A in sys.generators) ** s
-        hi = sum(singular_values(A)[0] ** s for A in sys.generators)
-        from cocyclespan.wordspace import enumerate_words, product
-        for I in enumerate_words(2, 4):
-            nI = product(sys, I).norm()
-            total = sum(product(sys, I + (j,)).norm() ** s for j in (1, 2))
-            ratio = total / nI**s
-            assert lo * (1 - 1e-12) <= ratio <= hi * (1 + 1e-12)
+def test_one_step_mass_ratio_bounds():
+    sys = E3()
+    s = 1.0
+    lo = min(singular_values(A)[-1] for A in sys.generators) ** s
+    hi = sum(singular_values(A)[0] ** s for A in sys.generators)
+    from cocyclespan.wordspace import enumerate_words, product
+    for I in enumerate_words(2, 4):
+        nI = product(sys, I).norm()
+        total = sum(product(sys, I + (j,)).norm() ** s for j in (1, 2))
+        ratio = total / nI**s
+        assert lo * (1 - 1e-12) <= ratio <= hi * (1 + 1e-12)
 
 
 class TestKappaFloor:

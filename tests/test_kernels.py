@@ -8,9 +8,8 @@ import pytest
 from cocyclespan import E2, E3, GeneratorSystem
 from cocyclespan import kernels
 from cocyclespan.kernels import (_LN2, _count_classes, _extend_level, _log_det, _normalise,
-                                 level_singvals, lipschitz_bnb, minimax_grid2,
+                                 level_singvals, lipschitz_bnb, minimax_grid2, pair_quadratics,
                                  products_level_numpy, sigma1_2x2, word_singvals)
-from cocyclespan.rational2 import pair_quadratic
 from cocyclespan.spannability import TAU_SPAN, _angles_to_unit, _stack_f
 from cocyclespan.thermo import pressure_brackets
 from cocyclespan.wordspace import enumerate_words, product, word_unrank
@@ -336,8 +335,7 @@ class TestLipschitzBnb:
         th = np.linspace(0.0, np.pi, 20_001)[:, None]
         for _ in range(5):
             B = rng.standard_normal((4, 2, 2))
-            Q = np.array([[float(x) for x in pair_quadratic(B[i], B[j])]
-                          for i in range(4) for j in range(i + 1, 4)])
+            Q = np.concatenate(list(pair_quadratics(B)), axis=1).T
             lip = max(2.0 * np.linalg.norm([[a, b / 2], [b / 2, c]], 2) for a, b, c in Q)
 
             def f(X):

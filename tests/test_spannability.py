@@ -1,10 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from cocyclespan import E1, E2, E3, GeneratorSystem
-from cocyclespan.errors import ContractViolation
+from cocyclespan.errors import ContractViolation, InputError
 from cocyclespan.fixtures import ROT90
 from cocyclespan import kernels
+from cocyclespan.kernels import dense_products, pair_abs_max, pair_quadratics
+from cocyclespan.rational2 import pair_quadratic
 from cocyclespan.spannability import (INCONCLUSIVE, NOT_SPANNABLE, TAU_SPAN, diagnose_failure,
                                       minimal_spannable_k, mk_bases, mk_basis, spannable_at)
 
@@ -132,6 +136,19 @@ class TestSpannableAt:
             numeric = spannable_at(sys, 1, method="numeric")
             assert exact.status == numeric.status, \
                 f"case {i}: exact {exact.status} vs numeric {numeric.status}"
+
+    def test_saturated_d2_level_certifies_the_word_pairs(self):
+        # M_3 of E2 is the whole matrix space; the margin is still the word-pair minimax
+        cert = spannable_at(E2(), 3)
+        assert cert.method == "full_algebra" and cert.spannable and not cert.exact
+        assert cert.margin_certified and abs(cert.margin - 0.5) <= 1e-12
+        assert cert.notes == ("M_k saturates the matrix space",)
+
+    def test_saturated_d3_level_samples(self):
+        system = GeneratorSystem(tuple(np.random.default_rng(3).standard_normal((3, 3, 3))))
+        cert = spannable_at(system, 2)
+        assert cert.method == "full_algebra" and cert.spannable and not cert.margin_certified
+        assert cert.margin > 0.0 and "not certified" in cert.notes[-1]
 
     def test_indefinite_pairs_margin_from_minimizer(self):
         cert = spannable_at(INDEFINITE_PAIRS, 1)
@@ -284,3 +301,123 @@ class TestDiagnosis:
         system = GeneratorSystem((0.3 * ROT90,))
         diag = diagnose_failure(system, minimal_spannable_k(system, 6))
         assert diag.case == "PeriodicSubspaces" and diag.period == 2
+
+
+def random_d2_system(rng, ell: int, dyadic: bool) -> GeneratorSystem:
+    """ell 2x2 generators with dyadic entries k/16 (exact decimals) or 3-decimal
+    entries k/1000 (flagged inexact, as the CLI flags such input)."""
+    top, den = (32, 16.0) if dyadic else (999, 1000.0)
+    while True:
+        try:
+            return GeneratorSystem(tuple(rng.integers(-top, top + 1, (ell, 2, 2)) / den),
+                                   exact=dyadic)
+        except InputError:
+            continue
+
+
+def exact_pair_quadratics(mats) -> list:
+    """Fraction `pair_quadratic` of every pair i < j of the products read as exact rationals."""
+    fr = [[[Fraction(float(x)) for x in row] for row in M] for M in mats]
+    return [pair_quadratic(fr[i], fr[j]) for i in range(len(fr)) for j in range(i + 1, len(fr))]
+
+
+def fraction_best_pair(quads) -> float:
+    """The best single word pair's margin as computed before the pair quadratics
+    became floats: each Fraction pair quadratic rounded, then `eigvalsh`; 0.0
+    when every pair is indefinite."""
+    best = 0.0
+    for q in quads:
+        q20, q11, q02 = (float(x) for x in q)
+        lam = np.linalg.eigvalsh(np.array([[q20, 0.5 * q11], [0.5 * q11, q02]]))
+        if lam[0] * lam[-1] > 0:
+            best = max(best, float(min(abs(lam[0]), abs(lam[-1]))))
+    return best
+
+
+@pytest.fixture(scope="module")
+def circle_sample():
+    """10^4 exact unit vectors ((1 - t^2), 2 t) / (1 + t^2), t = tan(theta / 2) read
+    as a rational, theta = pi i / 10^4: a projective sample of the circle, in
+    Fractions, and its monomials (x^2, x y, y^2) rounded to floats."""
+    exact = []
+    for t in np.tan(np.pi * np.arange(10_000) / 20_000):
+        t = Fraction(float(t))
+        den = 1 + t * t
+        exact.append(((1 - t * t) / den, 2 * t / den))
+    x, y = (np.array([float(u[c]) for u in exact]) for c in (0, 1))
+    return exact, np.stack([x * x, x * y, y * y])
+
+
+def margin_below_oracle(quads, margin: float, sample) -> bool:
+    """margin <= min over the sample of max over the exact pair quadratics of |q(u)|.
+
+    A float screen passes each u whose float pair value, less a bound of
+    1e-13 (|q20| + |q11| + |q02|) on the rounding of the coefficients, u and
+    the sum, is at least the margin; every other u is decided in Fractions over
+    all pairs. The margin may exceed the exact value by a relative 1e-12: the
+    rounding of the library's float pair coefficients is not covered.
+    """
+    exact, monomials = sample
+    Q = np.array([[float(c) for c in q] for q in quads])
+    slack = 1e-13 * np.abs(Q).sum(axis=1)[:, None]
+    target = Fraction(margin) / (1 + Fraction(1, 10**12))
+    for lo in range(0, monomials.shape[1], 1000):
+        screen = (np.abs(Q @ monomials[:, lo:lo + 1000]) - slack).max(axis=0) >= margin
+        for i in lo + np.flatnonzero(~screen):
+            x, y = exact[i]
+            if max(abs(a * x * x + b * x * y + c * y * y) for a, b, c in quads) < target:
+                return False
+    return True
+
+
+class TestMarginOracle:
+    """Every d = 2 margin, `full_algebra` and the branch-and-bound fallback
+    included, against slow references on seeded random systems (ell 2-4,
+    k = 1..4 with at most 64 words)."""
+
+    def test_margins_against_references(self, circle_sample):
+        rng = np.random.default_rng(1801)
+        seen = set()
+        for ell in (2, 3, 4):
+            for dyadic in (True, False):
+                for _ in range(2):
+                    system = random_d2_system(rng, ell, dyadic)
+                    for k in range(1, 5):
+                        if ell**k > 64:
+                            break
+                        cert = spannable_at(system, k)
+                        if not cert.spannable:
+                            continue
+                        quads = exact_pair_quadratics(dense_products(system.stacked(), k))
+                        bnb = any("pair quadratics" in n for n in cert.notes)
+                        seen.add((cert.method, bnb))
+                        assert cert.margin_certified and cert.margin > 0.0
+                        ref = fraction_best_pair(quads)
+                        # (a) the best single pair, where one is definite
+                        assert bnb == (ref == 0.0)
+                        if ref > 0.0:
+                            assert abs(cert.margin - ref) <= 1e-12 * ref, (ell, k)
+                        # (b) below the sampled minimax, every path
+                        assert margin_below_oracle(quads, cert.margin, circle_sample), (ell, k)
+        assert {m for m, _ in seen} == {"d2_exact", "d2_float", "full_algebra"}
+        assert {b for _, b in seen} == {True, False}
+
+    @pytest.mark.parametrize("pairs", [1, 5, 12, 40, 1000])
+    def test_row_blocks_equal_the_full_triangle(self, monkeypatch, pairs):
+        # (c) 13 matrices: no block size here divides the 78 pairs or the 13 rows
+        rng = np.random.default_rng(5)
+        mats = rng.standard_normal((13, 2, 2))
+        i, j = np.triu_indices(13, 1)
+        a, b, c, d = (mats[:, r, s] for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        full = np.stack([a[i] * c[j] - c[i] * a[j],
+                         a[i] * d[j] + b[i] * c[j] - c[i] * b[j] - d[i] * a[j],
+                         b[i] * d[j] - d[i] * b[j]])
+        th = np.linspace(0.0, np.pi, 777)
+        x, y = np.cos(th), np.sin(th)
+        brute = np.abs(full[0][:, None] * x * x + full[1][:, None] * x * y
+                       + full[2][:, None] * y * y).max(axis=0)
+        monkeypatch.setattr(kernels, "_PAIRS", pairs)
+        blocks = list(pair_quadratics(mats))
+        assert len(blocks) == len(range(0, 12, max(1, pairs // 13)))
+        assert np.concatenate(blocks, axis=1).tobytes() == full.tobytes()
+        assert pair_abs_max(mats, th).tobytes() == brute.tobytes()
