@@ -463,10 +463,55 @@ def run_command(cfg: RunConfig) -> tuple[dict, int]:
     return report, code
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return _ESCAPE(key)
+    if key is None or isinstance(key, (int, float)):  # json quotes their text
+        return _ESCAPE(_encode(key, ""))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _encode(obj, pad: str) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)` byte for byte, for a value
+    whose first line is indented by `pad`. json's own encoder falls back to
+    pure Python whenever `indent` is set; this one joins whole levels."""
+    if isinstance(obj, str):
+        return _ESCAPE(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj in (math.inf, -math.inf):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = [_encode(x, inner) for x in obj]
+        return f"[\n{inner}" + f",\n{inner}".join(body) + f"\n{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = [f"{_key_text(k)}: {_encode(v, inner)}" for k, v in sorted(obj.items())]
+        return f"{{\n{inner}" + f",\n{inner}".join(body) + f"\n{pad}}}"
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
 def report_canonical_json(report: dict) -> str:
-    """Deterministic serialization; `meta` (wall time, counts) is excluded."""
-    trimmed = {k: v for k, v in report.items() if k != "meta"}
-    return json.dumps(trimmed, sort_keys=True, indent=2)
+    """Deterministic serialization, `json.dumps(..., sort_keys=True, indent=2)`;
+    `meta` (wall time, counts) is excluded."""
+    return _encode({k: v for k, v in report.items() if k != "meta"}, "")
 
 
 def main(argv=None) -> int:

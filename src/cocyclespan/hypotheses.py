@@ -3,9 +3,9 @@
 The decision cascade for a verdict:
 
 * d = 2: exact path. A 2x2 tuple is reducible iff the line quadratics
-  det(u | A_i u) share a real projective root; decided in rational arithmetic
-  (tolerance-based float twin, on float quadratics, for systems flagged
-  inexact).
+  det(u | A_i u) share a real projective root; decided in Python ints, on the
+  generators times one power of two (tolerance-based float twin, on float
+  quadratics, for systems flagged inexact).
 * any d: if the unital algebra generated by the tuple has dimension d^2 there
   is no invariant subspace even over C (Burnside), hence none over R.
 * any d: randomized falsification; orbit spans seeded at real eigenvectors of
@@ -23,7 +23,7 @@ from .errors import InputError
 from .kernels import dense_products
 from .linalg import (SubspaceBasis, invariance_residual, span_basis, stack_images,
                      wedge_power)
-from .rational2 import as_fraction, common_root_line
+from .rational2 import common_root_line, integer_matrices
 from .systems import GeneratorSystem, _DerivedSystem
 from .wordspace import DEFAULT_BUDGET, check_sweep, product
 
@@ -128,12 +128,16 @@ def _witness_from_line(system: GeneratorSystem, u: np.ndarray, method: str) -> I
 
 
 def _verdict_d2(system: GeneratorSystem) -> IrreducibilityVerdict:
-    # det(u | A u) = c x^2 + (d - a) x y - b y^2 for u = (x, y), in Fractions for
-    # an exact system; a float d - a is correctly rounded, as float(Fraction) was
-    num = as_fraction if system.exact else float
-    quads = [(c, d - a, -b) for a, b, c, d in
-             ([num(x) for x in A.ravel()] for A in system.generators)]
-    u, method = common_root_line(quads, system.exact)
+    # det(u | A u) = c x^2 + (d - a) x y - b y^2 for u = (x, y): for an exact
+    # system in integers, the entries times one power of two; else in floats,
+    # where d - a is correctly rounded, as float() of the exact value
+    if system.exact:
+        mats, scale = integer_matrices(system.stacked())
+        scales = [scale] * len(mats)
+    else:
+        mats, scales = system.stacked().reshape(-1, 4).tolist(), None
+    quads = [(c, d - a, -b) for a, b, c, d in mats]
+    u, method = common_root_line(quads, system.exact, scales)
     if u is None:
         return IrreducibilityVerdict(status=IRREDUCIBLE, method=method)
     return _witness_from_line(system, u, method)

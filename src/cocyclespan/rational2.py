@@ -1,4 +1,9 @@
-"""Exact decisions for 2x2 systems via homogeneous quadratics over the rationals.
+"""Exact arithmetic in Python ints, and exact decisions for 2x2 systems.
+
+Every stored double is a dyadic rational n / 2^m, so one power of two turns a
+stack of matrices into integer matrices (`integer_matrices`); the exact paths
+of `spannability` and `hypotheses` decide in those integers and build
+Fractions only at the `MkBasis.rational` boundary and for a rational root.
 
 A line span{u} is invariant under A iff det(u | A u) = 0. Writing u = (x, y)
 and A = [[a, b], [c, d]] this determinant is the quadratic form
@@ -6,10 +11,13 @@ and A = [[a, b], [c, d]] this determinant is the quadratic form
     q(x, y) = c x^2 + (d - a) x y - b y^2.
 
 A 2x2 system is reducible iff its quadratics share a real projective root.
-For exact systems the entries are lifted to Fractions (floats are exact
-binary rationals), so the decision is exact for the stored matrices; inputs
-flagged as inexact decimal data get a float twin with relative tolerance, on
-float quadratics. Other pair quadratics are floats (`kernels.pair_quadratics`).
+For exact systems the quadratics have integer coefficients, each the true
+(rational) quadratic times a known positive integer scale: positive scales
+move no root, so the decision is exact for the stored matrices, and the
+scale is divided back out, correctly rounded, where a root becomes floats.
+Inputs flagged as inexact decimal data get a float twin with relative
+tolerance, on float quadratics. Other pair quadratics are floats
+(`kernels.pair_quadratics`).
 """
 from __future__ import annotations
 
@@ -21,19 +29,26 @@ import numpy as np
 
 from .linalg import canonical_sign
 
-Quad = tuple[Fraction, Fraction, Fraction]  # coefficients of x^2, xy, y^2
+Quad = tuple[int, int, int]  # coefficients of x^2, xy, y^2
 
 FLOAT_ROOT_TOL = 1e-9
 
 
-def as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(float(x))
+def integer_matrices(mats: np.ndarray) -> tuple[list[list[int]], int]:
+    """(N, 2^E): each matrix of an (ell, d, d) stack as a flat row-major list
+    of the integers 2^E * entry, E the least exponent >= 0 that makes every
+    entry an integer."""
+    ratios = [x.as_integer_ratio() for x in mats.ravel().tolist()]
+    shift = max(den.bit_length() for _, den in ratios) - 1
+    ints = [n << (shift + 1 - den.bit_length()) for n, den in ratios]
+    size = mats.shape[1] * mats.shape[2]
+    return [ints[i:i + size] for i in range(0, len(ints), size)], 1 << shift
 
 
 def pair_quadratic(A, B) -> Quad:
     """det(A u | B u) as a quadratic form in u = (x, y); A = I gives B's line quadratic."""
-    a0, b0, c0, d0 = (as_fraction(A[i][j]) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    a1, b1, c1, d1 = (as_fraction(B[i][j]) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    (a0, b0), (c0, d0) = A
+    (a1, b1), (c1, d1) = B
     return (a0 * c1 - c0 * a1, a0 * d1 + b0 * c1 - c0 * b1 - d0 * a1, b0 * d1 - d0 * b1)
 
 
@@ -41,26 +56,19 @@ def is_zero_quad(q: Quad) -> bool:
     return q[0] == 0 and q[1] == 0 and q[2] == 0
 
 
-def _rational_sqrt(fr: Fraction) -> Fraction | None:
-    """The square root of a nonnegative `fr` when it is rational, else None."""
-    num, den = fr.numerator, fr.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
 @dataclass(frozen=True)
 class ProjPoint:
-    """Real projective root candidate of a rational quadratic.
+    """Real projective root candidate of an integer quadratic.
 
     kind 'inf' is (1:0); 'rat' is (t:1) with rational t; 'surd' stands for the
-    conjugate pair of irrational roots of A t^2 + B t + C = 0.
+    conjugate pair of irrational roots of A t^2 + B t + C = 0, where `poly` is
+    (A, B, C) times the positive integer `scale`.
     """
 
     kind: str
     t: Fraction | None = None
-    poly: tuple[Fraction, Fraction, Fraction] | None = None
+    poly: Quad | None = None
+    scale: int = 1
 
     def vector(self) -> np.ndarray:
         if self.kind == "inf":
@@ -68,36 +76,38 @@ class ProjPoint:
         if self.kind == "rat":
             v = np.array([float(self.t), 1.0])
         else:
+            # int true division is correctly rounded: each float is that of
+            # the unscaled rational coefficient
             A, B, C = self.poly
-            disc = B * B - 4 * A * C
-            t = (-float(B) + math.sqrt(float(disc))) / (2.0 * float(A))
+            s = self.scale
+            t = (-(B / s) + math.sqrt((B * B - 4 * A * C) / (s * s))) / (2.0 * (A / s))
             v = np.array([t, 1.0])
         return canonical_sign(v / np.linalg.norm(v))
 
 
-def projective_roots(q: Quad) -> list[ProjPoint]:
+def projective_roots(q: Quad, scale: int = 1) -> list[ProjPoint]:
     """Real projective roots; 'inf' listed first, rational roots ascending."""
     q20, q11, q02 = q
     roots: list[ProjPoint] = []
     if q20 == 0:
         roots.append(ProjPoint("inf"))
         if q11 != 0:
-            roots.append(ProjPoint("rat", t=-q02 / q11))
+            roots.append(ProjPoint("rat", t=Fraction(-q02, q11)))
         # q11 == 0: q = q02 y^2, only the (1:0) double root (q02 != 0 assumed)
         return roots
     disc = q11 * q11 - 4 * q20 * q02
     if disc < 0:
         return []
-    r = _rational_sqrt(disc)
-    if r is not None:
-        t1 = (-q11 - r) / (2 * q20)
-        t2 = (-q11 + r) / (2 * q20)
+    r = math.isqrt(disc)
+    if r * r == disc:
+        t1 = Fraction(-q11 - r, 2 * q20)
+        t2 = Fraction(-q11 + r, 2 * q20)
         roots.append(ProjPoint("rat", t=t1))
         if t2 != t1:
             roots.append(ProjPoint("rat", t=t2))
         roots.sort(key=lambda p: p.t)
         return roots
-    return [ProjPoint("surd", poly=(q20, q11, q02))]
+    return [ProjPoint("surd", poly=q, scale=scale)]
 
 
 def quad_vanishes_at(q: Quad, p: ProjPoint) -> bool:
@@ -105,24 +115,29 @@ def quad_vanishes_at(q: Quad, p: ProjPoint) -> bool:
     if p.kind == "inf":
         return q20 == 0
     if p.kind == "rat":
-        t = p.t
-        return q20 * t * t + q11 * t + q02 == 0
-    # surd: reduce q(t) modulo the minimal polynomial A t^2 + B t + C.
-    # The remainder alpha*t + beta vanishes at an irrational root iff both
+        n, m = p.t.numerator, p.t.denominator
+        return q20 * n * n + q11 * n * m + q02 * m * m == 0
+    # surd: reduce q(t) modulo the minimal polynomial A t^2 + B t + C. The
+    # remainder A (alpha t + beta) vanishes at an irrational root iff both
     # coefficients vanish, which also covers the conjugate branch.
     A, B, C = p.poly
-    alpha = q11 - q20 * B / A
-    beta = q02 - q20 * C / A
-    return alpha == 0 and beta == 0
+    return q11 * A == q20 * B and q02 * A == q20 * C
 
 
-def common_projective_root(quads: list[Quad]) -> str | ProjPoint | None:
-    """First shared real projective root; 'all' if every quadratic vanishes."""
-    nonzero = [q for q in quads if not is_zero_quad(q)]
+def common_projective_root(quads: list[Quad], scales: list[int] | None = None
+                           ) -> str | ProjPoint | None:
+    """First shared real projective root; 'all' if every quadratic vanishes.
+
+    `scales[i]` is the positive integer that quads[i] is its rational
+    quadratic times (1 when omitted); it only enters the root's floats.
+    """
+    if scales is None:
+        scales = [1] * len(quads)
+    nonzero = [(q, s) for q, s in zip(quads, scales) if not is_zero_quad(q)]
     if not nonzero:
         return "all"
-    for cand in projective_roots(nonzero[0]):
-        if all(quad_vanishes_at(q, cand) for q in nonzero[1:]):
+    for cand in projective_roots(*nonzero[0]):
+        if all(quad_vanishes_at(q, cand) for q, _ in nonzero[1:]):
             return cand
     return None
 
@@ -160,15 +175,16 @@ def common_projective_root_float(fq: list[tuple[float, float, float]]):
     return None
 
 
-def common_root_line(quads: list, exact: bool) -> tuple[np.ndarray | None, str]:
+def common_root_line(quads: list, exact: bool, scales: list[int] | None = None
+                     ) -> tuple[np.ndarray | None, str]:
     """(unit vector of a common real root line of `quads` or None, method name).
 
-    Exact arithmetic on Fraction quadratics when `exact`, else the float twin
-    on float ones. When every quadratic vanishes, every line is a root and e1
-    stands for them.
+    Exact arithmetic on integer quadratics (with `scales` as in
+    `common_projective_root`) when `exact`, else the float twin on float ones.
+    When every quadratic vanishes, every line is a root and e1 stands for them.
     """
     if exact:
-        root, method = common_projective_root(quads), "d2_exact"
+        root, method = common_projective_root(quads, scales), "d2_exact"
     else:
         root, method = common_projective_root_float(quads), "d2_float"
     if root is None:

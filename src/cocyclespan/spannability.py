@@ -7,9 +7,11 @@ d^2 basis elements and turns "for all u" into a minimax over one sphere.
 
 A d = 2 margin (method auto, `full_algebra` levels included) bounds min over
 unit u of the max over word pairs |det(A_I u | A_J u)| (`_exact_margin`), from
-float pair quadratics; Fractions decide only the common root on an exact
-system's rational basis. Numeric margins bound sigma_d(stack of B_j u)^2, and
-a saturated d >= 3 level reports an uncertified sample of it.
+float pair quadratics. Exact decisions run in Python ints, the M_k sweep and
+the common root on an exact system's rational basis included; Fractions
+appear only at the `MkBasis.rational` boundary. Numeric margins bound
+sigma_d(stack of B_j u)^2, and a saturated d >= 3 level reports an
+uncertified sample of it.
 """
 from __future__ import annotations
 
@@ -17,6 +19,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
+from operator import mul
 
 import numpy as np
 
@@ -25,7 +29,7 @@ from .errors import ContractViolation, InputError
 from .kernels import dense_products, lipschitz_bnb, pair_abs_max, pair_quadratics
 from .linalg import (SubspaceBasis, canonical_sign, span_basis, subspace_distance,
                      wedge_index_sets, wedge_power)
-from .rational2 import as_fraction, common_root_line, pair_quadratic
+from .rational2 import common_root_line, integer_matrices, pair_quadratic
 from .systems import GeneratorSystem
 from .wordspace import DEFAULT_BUDGET, check_budget
 
@@ -44,26 +48,29 @@ INCONCLUSIVE = "Inconclusive"
 
 
 class _RationalSpan:
-    """Echelon basis over Q for membership tests and exact M_k bases."""
+    """Echelon basis over Q for membership tests and exact M_k bases, in integers.
+
+    A row (pivot, nums, den) is the rational row nums / den, with den > 0,
+    nums[pivot] == den and gcd(nums) == 1, so each rational row has one form.
+    An added vector is a list of ints; a positive multiple of it has the same
+    span and the same row.
+    """
 
     def __init__(self):
-        self.rows: list[tuple[int, list[Fraction]]] = []  # (pivot, row) sorted by pivot
+        self.rows: list[tuple[int, list[int], int]] = []  # sorted by pivot
 
-    def _reduce(self, v: list[Fraction]) -> list[Fraction]:
-        for pivot, row in self.rows:
-            if v[pivot] != 0:
-                c = v[pivot]
-                v = [vi - c * ri for vi, ri in zip(v, row)]
-        return v
-
-    def add(self, vec) -> bool:
-        v = self._reduce([as_fraction(x) for x in vec])
+    def add(self, v: list[int]) -> bool:
+        for pivot, nums, den in self.rows:
+            c = v[pivot]
+            if c:  # v * den - c * row, divided by gcd(c, den) > 0
+                g = gcd(c, den)
+                a, c = den // g, c // g
+                v = [a * x - c * y for x, y in zip(v, nums)]
         for i, x in enumerate(v):
-            if x != 0:
-                inv = 1 / x
-                row = [xi * inv for xi in v]
-                self.rows.append((i, row))
-                self.rows.sort(key=lambda pr: pr[0])
+            if x:
+                g = gcd(*v) if x > 0 else -gcd(*v)
+                self.rows.append((i, [y // g for y in v], x // g))
+                self.rows.sort(key=lambda row: row[0])
                 return True
         return False
 
@@ -71,8 +78,11 @@ class _RationalSpan:
     def rank(self) -> int:
         return len(self.rows)
 
-    def matrices(self, d: int) -> list[list[list[Fraction]]]:
-        return [[row[i * d:(i + 1) * d] for i in range(d)] for _, row in self.rows]
+
+def _times(A: list[int], B: list[int], d: int) -> list[int]:
+    """A B for flat row-major d x d integer matrices."""
+    cols = [B[j::d] for j in range(d)]
+    return [sum(map(mul, A[i:i + d], col)) for i in range(0, d * d, d) for col in cols]
 
 
 @dataclass(frozen=True)
@@ -82,7 +92,8 @@ class MkBasis:
     k: int
     dim: int
     basis: np.ndarray  # (dim, d, d)
-    rational: tuple | None = None  # the echelon basis over Q as d x d matrices, same span
+    # an exact system's integer echelon rows of M_k, as kept by `_RationalSpan`
+    rows: tuple | None = field(default=None, repr=False)
 
     @property
     def d(self) -> int:
@@ -93,19 +104,31 @@ class MkBasis:
         """The basis matrices, each scaled to operator norm 1."""
         return self.basis / np.linalg.norm(self.basis, 2, axis=(1, 2))[:, None, None]
 
+    @cached_property
+    def rational(self) -> tuple | None:
+        """The echelon basis over Q as d x d Fraction matrices, same span; None
+        for an inexact system."""
+        if self.rows is None:
+            return None
+        d = self.d
+        return tuple([[Fraction(n, den) for n in nums[i:i + d]] for i in range(0, d * d, d)]
+                     for _, nums, den in self.rows)
+
 
 def mk_bases(system: GeneratorSystem, k_max: int, *,
              budget: int = DEFAULT_BUDGET) -> Iterator[MkBasis]:
     """M_1..M_{k_max} from one pass: M_1 = span generators, M_{j+1} = span{A_i B : B in M_j}.
 
-    Each level extends the rational echelon rows of the last; once M_j is the
-    whole matrix space the later levels repeat it. The whole sweep, ell d^2
-    products per level, is checked against the budget before the first level.
+    Each level extends the echelon rows of the last, in integers: the
+    generators scaled by one power of two (`integer_matrices`) span the same
+    levels with the same rational rows. Once M_j is the whole matrix space
+    the later levels repeat it. The whole sweep, ell d^2 products per level,
+    is checked against the budget before the first level.
     """
     d = system.dim
     full = d * d
-    gens_q = [[[as_fraction(x) for x in row] for row in A] for A in system.generators]
     check_budget(system.ell * full * k_max, budget)
+    gens, _ = integer_matrices(system.stacked())
     mk = None
     for k in range(1, k_max + 1):
         if mk is not None and rat.rank == full:
@@ -113,24 +136,23 @@ def mk_bases(system: GeneratorSystem, k_max: int, *,
             yield mk
             continue
         if mk is None:
-            vecs = [A.ravel() for A in system.generators]
+            vecs = gens
         else:
-            vecs = [[sum(A[i][c] * B[c][j] for c in range(d)) for i in range(d) for j in range(d)]
-                    for A in gens_q for B in frs]
+            vecs = [_times(A, nums, d) for A in gens for _, nums, _ in rat.rows]
         rat = _RationalSpan()
         for v in vecs:
             rat.add(v)
-        frs = rat.matrices(d)
-        floats = span_basis(vecs if mk is None else
-                            [np.array([float(x) for x in row]) for _, row in rat.rows], ambient=full)
+        floats = span_basis([A.ravel() for A in system.generators] if mk is None else
+                            [np.array([n / den for n in nums]) for _, nums, den in rat.rows],
+                            ambient=full)
         if floats.dim != rat.rank:
             # trust the exact rank: orthogonalise the rational rows over Q, then
             # normalise in float, so every one of the rat.rank directions survives
             floats = SubspaceBasis(ambient=full, dim=rat.rank,
-                                   basis=_orthonormal_float([row for _, row in rat.rows]))
+                                   basis=_orthonormal_float([nums for _, nums, _ in rat.rows]))
         basis = np.stack([floats.basis[:, j].reshape(d, d) for j in range(floats.dim)])
         mk = MkBasis(k=k, dim=floats.dim, basis=basis,
-                     rational=tuple(frs) if system.exact else None)
+                     rows=tuple(rat.rows) if system.exact else None)
         yield mk
 
 
@@ -142,19 +164,25 @@ def mk_basis(system: GeneratorSystem, k: int, *, budget: int = DEFAULT_BUDGET) -
     return mk
 
 
-def _orthonormal_float(rows: list[list[Fraction]]) -> np.ndarray:
-    """Orthonormal columns spanning the independent rational `rows`: exact
-    Gram-Schmidt over Q, each result scaled exactly to max entry 1 before the
-    float normalisation."""
-    ortho: list[tuple[list[Fraction], Fraction]] = []  # (q, <q, q>)
+def _orthonormal_float(rows: list[list[int]]) -> np.ndarray:
+    """Orthonormal columns spanning the independent integer `rows`: exact
+    Gram-Schmidt, each residual kept as a positive integer multiple, and each
+    result scaled exactly to max entry 1 (int true division is correctly
+    rounded) before the float normalisation."""
+    ortho: list[tuple[list[int], int]] = []  # (q, <q, q>)
     cols = []
     for v in rows:
         for q, qq in ortho:
-            c = sum(vi * qi for vi, qi in zip(v, q)) / qq
-            v = [vi - c * qi for vi, qi in zip(v, q)]
-        ortho.append((v, sum(vi * vi for vi in v)))
-        top = max(abs(vi) for vi in v)
-        col = np.array([float(vi / top) for vi in v])
+            c = sum(map(mul, v, q))
+            if c:  # (v - c / qq q) * qq, divided by gcd(c, qq) > 0
+                g = gcd(c, qq)
+                a, c = qq // g, c // g
+                v = [a * vi - c * qi for vi, qi in zip(v, q)]
+        g = gcd(*v)
+        v = [vi // g for vi in v]
+        ortho.append((v, sum(map(mul, v, v))))
+        top = max(map(abs, v))
+        col = np.array([vi / top for vi in v])
         cols.append(col / np.linalg.norm(col))
     return np.stack(cols, axis=1)
 
@@ -283,12 +311,17 @@ def _deficit_certificate(mk: MkBasis, exact: bool) -> SpannabilityCertificate:
 def _exact_certificate(system: GeneratorSystem, mk: MkBasis) -> SpannabilityCertificate:
     if mk.dim < system.dim:
         return _deficit_certificate(mk, exact=True)
-    if mk.rational is not None:  # Fractions decide an exact system's root
-        quads = [pair_quadratic(A, B) for i, A in enumerate(mk.rational)
-                 for B in mk.rational[i + 1:]]
+    scales = None
+    if mk.rows is not None:  # an exact system's root is decided in integers
+        # the pair quadratic of rows nums_i / den_i and nums_j / den_j, times den_i den_j
+        mats = [((nums[0], nums[1]), (nums[2], nums[3])) for _, nums, _ in mk.rows]
+        dens = [den for *_, den in mk.rows]
+        pairs = [(i, j) for i in range(len(mats)) for j in range(i + 1, len(mats))]
+        quads = [pair_quadratic(mats[i], mats[j]) for i, j in pairs]
+        scales = [dens[i] * dens[j] for i, j in pairs]
     else:
         quads = [q for block in pair_quadratics(mk.basis) for q in block.T.tolist()]
-    u, method = common_root_line(quads, mk.rational is not None)
+    u, method = common_root_line(quads, mk.rows is not None, scales)
     if u is not None:
         return SpannabilityCertificate(
             k=mk.k, status=NOT_SPANNABLE, margin=0.0, exact=True, method=method,
@@ -307,6 +340,11 @@ def _exact_margin(system: GeneratorSystem, mk: MkBasis) -> tuple[float, bool, tu
     min |q| on the circle, and the best such pair bounds the minimax. When
     every pair is indefinite the Lipschitz branch and bound on the max over
     pairs takes over, with L = 2 max(|m| + r).
+
+    Above `EXACT_PRODUCT_CAP` words the pairs are those of the orthonormal
+    basis of M_k, and the margin certifies positivity only: it bounds another
+    minimax, on another scale than the word pairs', so it must not be compared
+    across k (the conformal pair gives 1.11e-05 at k = 12 and 0.5 at k = 13).
     """
     if system.ell**mk.k <= EXACT_PRODUCT_CAP:
         mats = dense_products(system.stacked(), mk.k)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import as_matrix, invertible, operator_norm
+from .linalg import MAX_DIM, as_matrix, invertible, operator_norm
 
 
 @dataclass(frozen=True)
@@ -27,26 +27,31 @@ class GeneratorSystem:
     def __post_init__(self):
         if not self.generators:
             raise InputError("a system needs at least one generator")
-        gens = [as_matrix(A).copy() for A in self.generators]
-        d = gens[0].shape[0]
-        if any(M.shape[0] != d for M in gens):
-            raise InputError("generators have mixed dimensions")
-        stack = np.stack(gens)
+        try:
+            stack = np.array(self.generators, dtype=float)
+        except (TypeError, ValueError):  # ragged, or an entry that is no number
+            stack = None
+        if (stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]
+                or not 2 <= stack.shape[1] <= MAX_DIM or not np.isfinite(stack).all()):
+            # check generator by generator, to name what is wrong
+            gens = [as_matrix(A) for A in self.generators]
+            if any(M.shape[0] != gens[0].shape[0] for M in gens):
+                raise InputError("generators have mixed dimensions")
+            stack = np.stack(gens)
         if self._gate:
             bad = np.flatnonzero(~invertible(stack))
             if bad.size:
                 raise InputError(f"generator {bad[0] + 1} not invertible")
-        for M in (stack, *gens):
-            M.flags.writeable = False
-        object.__setattr__(self, "generators", tuple(gens))
+        stack.flags.writeable = False
+        object.__setattr__(self, "generators", tuple(stack))  # read-only views of the stack
         object.__setattr__(self, "_stack", stack)  # not a field: `stacked` hands it out
         if self.translations is not None:
-            if len(self.translations) != len(gens):
+            if len(self.translations) != len(stack):
                 raise InputError("translations must match the generator count")
             ts = []
             for t in self.translations:
                 v = np.asarray(t, dtype=float).ravel()
-                if v.size != d or not np.isfinite(v).all():
+                if v.size != stack.shape[1] or not np.isfinite(v).all():
                     raise InputError("translation has wrong size or non-finite entries")
                 v = v.copy()
                 v.flags.writeable = False

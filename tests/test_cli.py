@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cocyclespan.cli as cli
 from cocyclespan import kernels
@@ -429,6 +431,51 @@ class TestReproducibility:
         cfg_path.write_text(json.dumps(cfg))
         assert cli.main(["--config", str(cfg_path)]) == cli.EXIT_INPUT_ERROR
         assert f"options.{key}" in capsys.readouterr().err
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, 1e-308]
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200),
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL_FLOATS),
+    st.text(), st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u2028\ud800", "\U0001f600\"\\/"]))
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=30)
+
+
+class TestCanonicalWriter:
+    """`report_canonical_json` against json's own `sort_keys=True, indent=2` output."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(json_values)
+    def test_equals_json_dumps(self, value):
+        assert cli._encode(value, "") == json.dumps(value, sort_keys=True, indent=2)
+        report = {"result": value, "meta": {"wall_time_s": 0.1}}
+        assert cli.report_canonical_json(report) == json.dumps({"result": value},
+                                                               sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {2: "a", -1: "b", 10**30: "c"}, {0.5: 1, -math.inf: 2, math.nan: 3}, {True: 1},
+        {None: [1, {}]}, {"b": {"a": [[], {}, ()]}}, [[[1]]], "\u00e9", -0.0, 2**70])
+    def test_keys_and_scalars(self, value):
+        assert cli._encode(value, "") == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, np.int64(3), {(1, 2): 3}, [b"x"]])
+    def test_rejects_what_json_rejects(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            cli._encode(value, "")
+
+    def test_shipped_configs(self, tmp_path):
+        for path in sorted(Path(__file__).resolve().parent.parent.glob("configs/*.json")):
+            cfg = cli.parse_config(path.read_text())
+            cfg.csv_dir = str(tmp_path)
+            report, _ = cli.run_command(cfg)
+            text = cli.report_canonical_json(report)
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=2), path.name
 
 
 def run_main(tmp_path, config: dict, *args) -> tuple[int, str]:
