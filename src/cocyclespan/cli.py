@@ -247,13 +247,14 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _jsonable(obj):
-    """JSON form of a result; dataclass fields declared with repr=False are internal and left out."""
+    """JSON form of a result; dataclass fields declared with repr=False are internal and left out.
+
+    Results hold Python scalars (a float64 is a float): another scalar type,
+    such as a numpy integer, is a TypeError, not a quoted repr."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else repr(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return _jsonable(obj.item())
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, np.ndarray):
@@ -264,7 +265,7 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
-    return repr(obj)
+    raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
 def _target_words(words: list, ell: int):

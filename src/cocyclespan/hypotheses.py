@@ -66,27 +66,36 @@ def wedge_system(system: GeneratorSystem, m: int) -> GeneratorSystem:
     return _DerivedSystem(tuple(wedge_power(A, m) for A in system.generators), exact=False)
 
 
+def _span_closure(G: np.ndarray, start: np.ndarray) -> tuple[SubspaceBasis, int]:
+    """(span, levels): the smallest subspace containing `start` that every
+    generator of the stack G maps into itself, `start` a vector or a d x d
+    matrix (raveled in the span). Each level adds every generator's image of
+    each basis element and the loop stops when the span is full or stops
+    growing: a span that one level leaves unchanged is invariant.
+    """
+    n = start.size
+    basis = span_basis([start.ravel()], ambient=n)
+    levels = 0
+    while basis.dim < n:
+        levels += 1
+        imgs = stack_images(G, basis.basis.T.reshape(-1, *start.shape)).reshape(-1, n)
+        new = span_basis(np.concatenate([basis.basis.T, imgs]), ambient=n)
+        if new.dim == basis.dim:
+            break
+        basis = new
+    return basis, levels
+
+
 def orbit_span(system: GeneratorSystem, v) -> SubspaceBasis:
     """Smallest subspace containing v invariant under every generator.
 
-    Words of length <= d-1 suffice: the span dimension grows by at least one
-    per level until it stabilizes, and once stable it is invariant.
+    The dimension grows by at least one per level until it stabilizes, so
+    words of length <= d-1 suffice.
     """
     v = np.asarray(v, dtype=float).ravel()
     if np.linalg.norm(v) == 0:
         raise InputError("orbit span needs a nonzero vector")
-    d = system.dim
-    G = system.stacked()
-    basis = span_basis([v], ambient=d)
-    for _ in range(d - 1):
-        imgs = stack_images(G, basis.basis.T).reshape(-1, d)  # generator-major
-        new = span_basis(np.concatenate([basis.basis.T, imgs]), ambient=d)
-        if new.dim == basis.dim:
-            break
-        basis = new
-        if basis.dim == d:
-            break
-    return basis
+    return _span_closure(system.stacked(), v)[0]
 
 
 @dataclass(frozen=True)
@@ -99,21 +108,11 @@ class AlgebraDimension:
 def algebra_dimension(system: GeneratorSystem) -> AlgebraDimension:
     """Dimension of the span of {A_I} with the identity, by incremental rank growth.
 
-    The level-j span equals span of all words of length <= j plus the identity;
-    once a level adds nothing the span is invariant and the iteration stops
+    The level-j span equals span of all words of length <= j plus the identity
     (at most d^2 growing levels).
     """
     d = system.dim
-    G = system.stacked()
-    basis = span_basis([np.eye(d).ravel()], ambient=d * d)
-    levels = 0
-    while basis.dim < d * d:
-        levels += 1
-        imgs = stack_images(G, [c.reshape(d, d) for c in basis.basis.T]).reshape(-1, d * d)
-        new = span_basis(np.concatenate([basis.basis.T, imgs]), ambient=d * d)
-        if new.dim == basis.dim:
-            break
-        basis = new
+    basis, levels = _span_closure(system.stacked(), np.eye(d))
     return AlgebraDimension(dim=basis.dim, certified=basis.dim == d * d, levels=levels)
 
 

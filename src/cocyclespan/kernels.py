@@ -324,7 +324,7 @@ def pairwise_sum(leaf, lo: int, hi: int, block: int) -> float:
     return pairwise_sum(leaf, lo, lo + n2, block) + pairwise_sum(leaf, lo + n2, hi, block)
 
 
-def minimax_grid2(kmats: np.ndarray, G: int = 2000):
+def minimax_grid2(kmats: np.ndarray, G: int):
     """Raw grid minimum over (w, u) angle pairs of max_K |w^T A_K u|.
 
     The w rows fold in near-equal blocks of at most `_GRID_ROWS`, never of one

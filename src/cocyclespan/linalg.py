@@ -30,7 +30,10 @@ MAX_DIM = 8
 
 
 def as_matrix(A) -> np.ndarray:
-    M = np.asarray(A, dtype=float)
+    try:
+        M = np.asarray(A, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged, or an entry no float holds
+        raise InputError(f"expected a square matrix of numbers: {exc}") from exc
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError(f"expected a square matrix, got shape {M.shape}")
     d = M.shape[0]
@@ -77,11 +80,10 @@ def wedge_power(A, m: int) -> np.ndarray:
 
 
 def canonical_sign(v: np.ndarray) -> np.ndarray:
-    """v or -v, so that the first coordinate above 1e-12 in size is positive."""
-    for x in v:
-        if abs(x) > 1e-12:
-            return v if x > 0 else -v
-    return v
+    """v or -v, so that the first coordinate above 1e-12 in size is positive
+    (v has one: callers pass unit vectors)."""
+    first = v[np.abs(v) > 1e-12][0]
+    return v if first > 0 else -v
 
 
 @dataclass(frozen=True)
@@ -99,9 +101,7 @@ class SubspaceBasis:
                 raise InputError("basis columns not orthonormal")
 
     def projector(self) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros((self.ambient, self.ambient))
-        return self.basis @ self.basis.T
+        return self.basis @ self.basis.T  # all zeros for the trivial subspace
 
 
 def _rank(s: np.ndarray) -> np.ndarray:

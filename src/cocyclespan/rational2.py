@@ -124,15 +124,12 @@ def quad_vanishes_at(q: Quad, p: ProjPoint) -> bool:
     return q11 * A == q20 * B and q02 * A == q20 * C
 
 
-def common_projective_root(quads: list[Quad], scales: list[int] | None = None
-                           ) -> str | ProjPoint | None:
+def common_projective_root(quads: list[Quad], scales: list[int]) -> str | ProjPoint | None:
     """First shared real projective root; 'all' if every quadratic vanishes.
 
     `scales[i]` is the positive integer that quads[i] is its rational
-    quadratic times (1 when omitted); it only enters the root's floats.
+    quadratic times; it only enters the root's floats.
     """
-    if scales is None:
-        scales = [1] * len(quads)
     nonzero = [(q, s) for q, s in zip(quads, scales) if not is_zero_quad(q)]
     if not nonzero:
         return "all"
@@ -175,12 +172,13 @@ def common_projective_root_float(fq: list[tuple[float, float, float]]):
     return None
 
 
-def common_root_line(quads: list, exact: bool, scales: list[int] | None = None
+def common_root_line(quads: list, exact: bool, scales: list[int] | None
                      ) -> tuple[np.ndarray | None, str]:
     """(unit vector of a common real root line of `quads` or None, method name).
 
     Exact arithmetic on integer quadratics (with `scales` as in
-    `common_projective_root`) when `exact`, else the float twin on float ones.
+    `common_projective_root`) when `exact`, else the float twin on float ones,
+    which reads no `scales`.
     When every quadratic vanishes, every line is a root and e1 stands for them.
     """
     if exact:

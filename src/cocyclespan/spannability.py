@@ -228,7 +228,7 @@ def _bnb_notes(what: str, lip: float, eps: float, evals: int, capped: bool) -> l
     return notes
 
 
-def _numeric_certificate(system: GeneratorSystem, mk: MkBasis, *, seed: int = 42) -> SpannabilityCertificate:
+def _numeric_certificate(system: GeneratorSystem, mk: MkBasis, *, seed: int) -> SpannabilityCertificate:
     d = system.dim
     B = mk.stack
     if d <= 3:
@@ -311,8 +311,8 @@ def _deficit_certificate(mk: MkBasis, exact: bool) -> SpannabilityCertificate:
 def _exact_certificate(system: GeneratorSystem, mk: MkBasis) -> SpannabilityCertificate:
     if mk.dim < system.dim:
         return _deficit_certificate(mk, exact=True)
-    scales = None
-    if mk.rows is not None:  # an exact system's root is decided in integers
+    exact, scales = mk.rows is not None, None
+    if exact:  # an exact system's root is decided in integers
         # the pair quadratic of rows nums_i / den_i and nums_j / den_j, times den_i den_j
         mats = [((nums[0], nums[1]), (nums[2], nums[3])) for _, nums, _ in mk.rows]
         dens = [den for *_, den in mk.rows]
@@ -321,14 +321,14 @@ def _exact_certificate(system: GeneratorSystem, mk: MkBasis) -> SpannabilityCert
         scales = [dens[i] * dens[j] for i, j in pairs]
     else:
         quads = [q for block in pair_quadratics(mk.basis) for q in block.T.tolist()]
-    u, method = common_root_line(quads, mk.rows is not None, scales)
+    u, method = common_root_line(quads, exact, scales)
     if u is not None:
         return SpannabilityCertificate(
-            k=mk.k, status=NOT_SPANNABLE, margin=0.0, exact=True, method=method,
+            k=mk.k, status=NOT_SPANNABLE, margin=0.0, exact=exact, method=method,
             witness=u, witness_residual=float(_stack_f(mk.stack, u)))
     margin, certified, notes = _exact_margin(system, mk)
     return SpannabilityCertificate(
-        k=mk.k, status=SPANNABLE, margin=margin, exact=True, method=method,
+        k=mk.k, status=SPANNABLE, margin=margin, exact=exact, method=method,
         margin_certified=certified, notes=notes)
 
 
@@ -366,7 +366,8 @@ def _exact_margin(system: GeneratorSystem, mk: MkBasis) -> tuple[float, bool, tu
     return max(cert, 0.0), cert > 0.0 and not capped, tuple(notes)
 
 
-def _certify(system: GeneratorSystem, mk: MkBasis, method: str, seed: int) -> SpannabilityCertificate:
+def _certify(system: GeneratorSystem, mk: MkBasis, method: str,
+             seed: int = 42) -> SpannabilityCertificate:
     """The certificate for one level M_k; `method` is as in `spannable_at`."""
     d = system.dim
     if method not in ("auto", "exact", "numeric"):
@@ -390,7 +391,7 @@ def _certify(system: GeneratorSystem, mk: MkBasis, method: str, seed: int) -> Sp
 
 
 def spannable_at(system: GeneratorSystem, k: int, *, method: str = "auto",
-                 seed: int = 42, budget: int = DEFAULT_BUDGET) -> SpannabilityCertificate:
+                 budget: int = DEFAULT_BUDGET) -> SpannabilityCertificate:
     """Certificate for k-uniform spannability.
 
     auto: saturated M_k (dim d^2) is immediately spannable, with the d = 2
@@ -399,7 +400,7 @@ def spannable_at(system: GeneratorSystem, k: int, *, method: str = "auto",
     d = 3 and a multistart search d >= 4. `method` can force 'exact' (d=2
     only) or 'numeric'.
     """
-    return _certify(system, mk_basis(system, k, budget=budget), method, seed)
+    return _certify(system, mk_basis(system, k, budget=budget), method)
 
 
 def _coarse_sample_margin(mk: MkBasis) -> float:
@@ -426,14 +427,14 @@ class SpannabilitySearch:
         return tuple(c.k for c in self.certificates if c.status == INCONCLUSIVE)
 
 
-def minimal_spannable_k(system: GeneratorSystem, k_max: int, *, method: str = "auto",
-                        seed: int = 42, budget: int = DEFAULT_BUDGET) -> SpannabilitySearch:
+def minimal_spannable_k(system: GeneratorSystem, k_max: int, *, seed: int = 42,
+                        budget: int = DEFAULT_BUDGET) -> SpannabilitySearch:
     """Least spannable k <= k_max over one `mk_bases` sweep; monotone, so the first success wins."""
     if k_max < 1:
         raise InputError("k_max must be >= 1")
     certs, levels = [], []
     for mk in mk_bases(system, k_max, budget=budget):
-        cert = _certify(system, mk, method, seed)
+        cert = _certify(system, mk, "auto", seed)
         certs.append(cert)
         levels.append(mk)
         if cert.spannable:

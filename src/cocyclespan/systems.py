@@ -29,15 +29,15 @@ class GeneratorSystem:
             raise InputError("a system needs at least one generator")
         try:
             stack = np.array(self.generators, dtype=float)
-        except (TypeError, ValueError):  # ragged, or an entry that is no number
+        except (TypeError, ValueError, OverflowError):  # ragged, or an entry no float holds
             stack = None
         if (stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]
                 or not 2 <= stack.shape[1] <= MAX_DIM or not np.isfinite(stack).all()):
-            # check generator by generator, to name what is wrong
-            gens = [as_matrix(A) for A in self.generators]
-            if any(M.shape[0] != gens[0].shape[0] for M in gens):
-                raise InputError("generators have mixed dimensions")
-            stack = np.stack(gens)
+            # check generator by generator, to name what is wrong; once each
+            # generator passes alone, only mixed dimensions fail the stack
+            for A in self.generators:
+                as_matrix(A)
+            raise InputError("generators have mixed dimensions")
         if self._gate:
             bad = np.flatnonzero(~invertible(stack))
             if bad.size:

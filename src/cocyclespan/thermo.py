@@ -114,7 +114,11 @@ class PressureBracket:
     lower_valid: bool
     log_zn: float
     qm: QMInput | None = None
-    negated: bool = False  # True for the square-pressure sign convention
+    # True for `sv_s_squared`, the square pressure P2 = -lim (1/n) log sum (phi^s)^2:
+    # `qm.C` is then the squared phi-level constant, and the raw ends are negated
+    # and swapped, so `lower` is always valid (plain submultiplicativity) and
+    # `upper` needs the constant
+    negated: bool = False
 
     def __post_init__(self):
         if self.lower_valid and self.lower > self.upper + 1e-9:
@@ -124,10 +128,6 @@ class PressureBracket:
     @property
     def width(self) -> float:
         return self.upper - self.lower if self.lower_valid else math.inf
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper) if self.lower_valid else self.upper
 
 
 class _LevelData:
@@ -209,7 +209,8 @@ class _LevelData:
 
 
 def _bracket(spec: PotentialSpec, n: int, log_zn: float, qm: QMInput | None) -> PressureBracket:
-    """Bracket from log Z_n; the square-pressure bracket of `square_pressure` for `sv_s_squared`."""
+    """Bracket from log Z_n; for `sv_s_squared` the square-pressure bracket of
+    `PressureBracket.negated`, where `qm.C` is the phi-level constant."""
     square = spec.kind == "sv_s_squared"
     if square and qm is not None:
         qm = QMInput(k=qm.k, C=qm.C**2)
@@ -240,18 +241,6 @@ def pressure_bracket(system: GeneratorSystem, spec: PotentialSpec, n: int,
                      budget: int = DEFAULT_BUDGET) -> PressureBracket:
     """Two-sided pressure bracket of one potential; `sv_s_squared` gives the square pressure."""
     return pressure_brackets(system, spec.kind, n, [spec.s], [qm_input], budget=budget)[0]
-
-
-def square_pressure(system: GeneratorSystem, s: float, n: int,
-                    qm_input: QMInput | None = None, *,
-                    budget: int = DEFAULT_BUDGET) -> PressureBracket:
-    """Square-pressure bracket: P2 = -lim (1/n) log sum (phi^s)^2.
-
-    `qm_input.C` is the phi-level constant; the squared potential inherits C^2.
-    The raw bracket ends are negated and swapped, so `lower` is always valid
-    (it comes from plain submultiplicativity) and `upper` needs the constant.
-    """
-    return pressure_brackets(system, "sv_s_squared", n, [s], [qm_input], budget=budget)[0]
 
 
 @dataclass(frozen=True)
@@ -346,7 +335,7 @@ def beta_hat(psi_table=None, beta: float | None = None,
     if any(n <= 0 for n, _ in pairs):
         raise InputError("psi table needs positive n")
     if tail_start is None:
-        tail_start = pairs[max(0, len(pairs) // 2)][0]
+        tail_start = pairs[len(pairs) // 2][0]
     tail = [(n, v) for n, v in pairs if n >= tail_start]
     if not tail:
         raise InputError("tail_start leaves an empty tail")

@@ -102,12 +102,8 @@ class ScaledProduct:
     def logscale(self) -> float:
         return self.exponent * _LN2
 
-    @property
-    def log_norm(self) -> float:
-        return self.logscale + math.log(operator_norm(self.unit))
-
     def norm(self) -> float:
-        return math.exp(self.log_norm)
+        return math.exp(self.logscale + math.log(operator_norm(self.unit)))
 
 
 def product(system: GeneratorSystem, word: Word,

@@ -3,6 +3,9 @@ import numpy as np
 from cocyclespan import GeneratorSystem
 from cocyclespan.errors import InputError
 
+# a 3x3 system, for the checks that reject d != 2 before any work
+D3 = GeneratorSystem((np.diag([1.0, 2.0, 3.0]),))
+
 
 def random_2x2_system(rng, ell=2):
     """Generic invertible pair with standard normal entries."""

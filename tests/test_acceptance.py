@@ -16,7 +16,7 @@ from cocyclespan.spannability import diagnose_failure, minimal_spannable_k, span
 from cocyclespan.thermo import (PotentialSpec, QMInput, affinity_dimension,
                                 all_ones_targets, conformal_qm_input,
                                 potential_value, pressure_bracket, r0_interval,
-                                s0_interval, square_pressure)
+                                s0_interval)
 from cocyclespan.wordspace import product
 
 from _helpers import random_2x2_system
@@ -102,7 +102,7 @@ def test_criterion_5_pressure_correctness():
         qm = conformal_qm_input(sys)
         br = pressure_bracket(sys, PotentialSpec("norm_s", 0.0), 8, qm)
         ok = ok and abs(br.upper - math.log(2)) <= 1e-12
-        sq = square_pressure(sys, 0.0, 8, qm)
+        sq = pressure_bracket(sys, PotentialSpec("sv_s_squared", 0.0), 8, qm)
         ok = ok and abs(sq.lower + math.log(2)) <= 1e-12
     # conformal oracle on E4 at n = 8
     widths = []

@@ -104,6 +104,33 @@ class TestParseConfig:
         with pytest.raises(InputError, match="not valid JSON"):
             cli.parse_config("{nope")
 
+    @pytest.mark.parametrize("config,message", [
+        ([], "config must be an object with a 'system' block"),
+        ({"system": {"dimension": 2, "generators": [["1", "0", "0"]]}},
+         "system.generators[1]: expected 4 row-major decimal strings"),
+        ({"system": {"dimension": 2, "generators": [["1", "0", "0", "one"]]}},
+         "system.generators[1][3]: cannot parse 'one'"),
+        ({"system": {"dimension": 2}}, "system block needs 'dimension' and 'generators'"),
+        ({"system": {"dimension": "2", "generators": []}},
+         "system.dimension must be an integer >= 2"),
+        ({"system": {"dimension": 1, "generators": []}},
+         "system.dimension must be an integer >= 2"),
+        ({"system": {"dimension": 2, "generators": []}},
+         "system.generators must be a nonempty list"),
+        ({"system": dict(E2_CONFIG["system"], translations=[["0", "0"]])},
+         "system.translations must list one vector per generator"),
+        ({"system": dict(E2_CONFIG["system"], translations=[["0", "0"], ["0"]])},
+         "system.translations[2]: expected 2 entries"),
+        ({"system": dict(E2_CONFIG["system"], translations=[["0", "0"], ["x", "0"]])},
+         "system.translations[2]: bad entry"),
+        (dict(E2_CONFIG, command="span"), f"unknown command 'span'; choose from {cli.COMMANDS}"),
+        (dict(E2_CONFIG, options=[["k_max", 2]]), "options must be an object"),
+    ])
+    def test_schema_messages(self, config, message):
+        with pytest.raises(InputError) as err:
+            cfg_from(config)
+        assert str(err.value) == message
+
     def test_roundtrip_canonical(self):
         cfg = cfg_from(E2_CONFIG)
         echo = cfg.echo()
@@ -320,6 +347,32 @@ class TestRunCommand:
         assert code == cli.EXIT_OK
         assert "no positive QM constant: lower root defaulted to 0" in report["warnings"]
         assert report["result"]["interval"][0] == 0.0
+
+    @pytest.mark.parametrize("command,options,message", [
+        (None, {}, f"no command selected; choose from {cli.COMMANDS}"),
+        ("s0", {"n": 4}, "this command needs an 'options.targets' block"),
+        ("r0", {"n": 4}, "provide either a psi table or an explicit beta"),
+        ("r0", {"n": 4, "beta": 1.5}, "recurrence dimension needs beta < 1"),
+    ])
+    def test_command_messages(self, command, options, message):
+        cfg = cfg_from({"system": E3_CONFIG["system"], "command": command, "options": options})
+        with pytest.raises(InputError) as err:
+            cli.run_command(cfg)
+        assert str(err.value) == message
+
+    def test_r0_psi_table_tail_starts_at_the_middle_entry(self):
+        table = [[4, 1.0], [8, 2.2], [12, 3.1], [16, 4.2]]
+        report, code = cli.run_command(cfg_from(dict(
+            E3_CONFIG, command="r0", options={"psi_table": table, "n": 6})))
+        beta = report["result"]["beta"]
+        assert code == cli.EXIT_OK
+        assert (beta["tail_start"], beta["value"], beta["explicit"]) == (12, 3.1 / 12, False)
+
+    def test_a_result_holds_python_scalars_only(self):
+        assert cli._jsonable({"a": (1, 2.5, np.float64(0.5))}) == {"a": [1, 2.5, 0.5]}
+        for value in (np.int64(3), np.bool_(True), object()):
+            with pytest.raises(TypeError, match="no JSON form"):
+                cli._jsonable({"a": [value]})
 
     def test_budget_cap(self):
         cfg = cfg_from(dict(E3_CONFIG, options={"targets": {"all_ones": 4},

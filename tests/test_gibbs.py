@@ -1,10 +1,12 @@
 import numpy as np
+import pytest
 
 from cocyclespan import E1, E3, E5, kernels
+from cocyclespan.errors import InputError
 from cocyclespan.gibbs import kappa_floor, psi_mixing_stat
 from cocyclespan.linalg import singular_values
 
-from _helpers import random_2x2_system
+from _helpers import D3, random_2x2_system
 
 
 def test_one_step_mass_ratio_bounds():
@@ -79,3 +81,15 @@ class TestPsiMixing:
         rep = psi_mixing_stat(E3(), 1.0, 2, 3)
         assert rep.kappa_floor > 0
         assert rep.c0_estimate >= 1.0
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: kappa_floor(E3(), 1.0, 0, 3), "need k >= 1 and L >= 1"),
+    (lambda: kappa_floor(E3(), 1.0, 1, 0), "need k >= 1 and L >= 1"),
+    (lambda: kappa_floor(D3, 1.0, 1, 1), "the singular value constant is defined for d = 2"),
+    (lambda: kappa_floor(E3(), 2.5, 1, 1), "s must lie in [0, 2]"),
+])
+def test_kappa_floor_messages(call, message):
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message

@@ -12,7 +12,7 @@ from cocyclespan.hypotheses import (IRREDUCIBLE, REDUCIBLE,
 from cocyclespan.linalg import invariance_residual
 from cocyclespan.wordspace import enumerate_words, product
 
-from _helpers import random_2x2_system, random_reducible_system
+from _helpers import D3, random_2x2_system, random_reducible_system
 
 DIAG_PAIR = GeneratorSystem((np.diag([2.0, 3.0]), np.diag([1.0, 4.0])))
 
@@ -221,3 +221,40 @@ class TestCheckHypotheses:
         sys = GeneratorSystem((0.3 * ROT90,))
         rep = check_hypotheses(sys, "theorem_1_1")
         assert rep.overall == "Fail"  # square is a negative scalar: reducible
+
+
+# Both generators map the line u = (1/3, 1) to itself. A1 contracts it by about
+# 1e-6 and stretches the other eigenline by about 3e3, so the last-bit error of
+# the float vector u is amplified about 3e9 times by A1: the exact decision
+# finds the root, but the witness line's invariance residual is near 2e-7.
+ILL_CONDITIONED_LINE = GeneratorSystem((
+    np.array([[3072.0 + 2.0**-20, -1024.0], [3.0, -1.0 + 2.0**-20]]),
+    np.array([[8.0, -2.0], [3.0, 1.0]]),
+))
+
+
+def test_exact_root_whose_witness_fails_the_residual_check():
+    v = irreducibility_verdict(ILL_CONDITIONED_LINE)
+    assert (v.status, v.method, v.witness) == ("Inconclusive", "d2_exact", None)
+    assert 1e-7 < v.residual < 1e-6
+    assert v.notes == (f"candidate line failed invariance check ({v.residual:.2e})",)
+
+
+def test_inconclusive_check_without_a_failure_makes_the_report_inconclusive():
+    rep = check_hypotheses(ILL_CONDITIONED_LINE, "theorem_1_1")
+    assert [c.label for c in rep.checks] == ["power t=1", "power t=2", "wedge m=1"]
+    assert rep.checks[0].verdict.status == "Inconclusive" and all(c.passed for c in rep.checks)
+    assert (rep.overall, rep.failed_at, rep.witness) == ("Inconclusive", None, None)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: power_system(E2(), 0), "power exponent must be >= 1"),
+    (lambda: orbit_span(E2(), [0.0, 0.0]), "orbit span needs a nonzero vector"),
+    (lambda: irreducibility_verdict(E2(), method="exact"), "unknown method 'exact'"),
+    (lambda: irreducibility_verdict(D3, method="d2"), "d2 method needs a 2x2 system"),
+    (lambda: check_hypotheses(E2(), "theorem_4_3"), "unknown hypothesis mode 'theorem_4_3'"),
+])
+def test_messages(call, message):
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message

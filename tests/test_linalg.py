@@ -87,3 +87,15 @@ class TestSpanBasis:
     def test_orthonormality_enforced(self):
         with pytest.raises(InputError):
             SubspaceBasis(ambient=2, dim=2, basis=np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: span_basis([[1.0, 0.0], [1.0, 0.0, 0.0]]), "vectors have mixed ambient dimensions"),
+    (lambda: span_basis([[1.0, 0.0]], ambient=3), "ambient mismatch"),
+    (lambda: subspace_distance(span_basis([[1.0, 0.0]]), span_basis([[1.0, 0.0, 0.0]])),
+     "subspaces live in different ambient spaces"),
+])
+def test_messages(call, message):
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message

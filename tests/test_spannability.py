@@ -12,7 +12,7 @@ from cocyclespan.rational2 import pair_quadratic
 from cocyclespan.spannability import (INCONCLUSIVE, NOT_SPANNABLE, TAU_SPAN, diagnose_failure,
                                       minimal_spannable_k, mk_bases, mk_basis, spannable_at)
 
-from _helpers import random_2x2_system, random_reducible_system
+from _helpers import D3, random_2x2_system, random_reducible_system
 
 # a quarter turn in the (e1, e2) plane and a stretch along e3: M_k u never spans R^3
 ROT3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
@@ -143,6 +143,28 @@ class TestSpannableAt:
         assert cert.method == "full_algebra" and cert.spannable and not cert.exact
         assert cert.margin_certified and abs(cert.margin - 0.5) <= 1e-12
         assert cert.notes == ("M_k saturates the matrix space",)
+
+    def test_reduced_basis_margin_above_the_word_cap(self):
+        # 2^13 words exceed EXACT_PRODUCT_CAP: the pairs are those of M_13's basis
+        pair = GeneratorSystem((np.array([[0.5, -0.25], [0.25, 0.5]]),
+                                np.array([[0.375, 0.5], [-0.5, 0.375]])))
+        cert = spannable_at(pair, 13)
+        assert (cert.status, cert.method, cert.exact, cert.margin_certified) == (
+            "Spannable", "d2_exact", True, True)
+        assert cert.margin == 0.5
+        assert cert.notes == ("margin quadratics use the reduced basis (word count above cap)",)
+
+    def test_float_path_certificates_are_not_exact(self):
+        # upper triangular, so e1 is a common root line at every k; only the
+        # exact system's root is decided in exact arithmetic
+        A = np.array([[0.31, 0.2], [0.0, 0.47]])
+        B = np.array([[0.13, -0.4], [0.0, 0.29]])
+        for exact, method in ((False, "d2_float"), (True, "d2_exact")):
+            search = minimal_spannable_k(GeneratorSystem((A, B), exact=exact), 3)
+            assert [(c.status, c.method, c.exact) for c in search.certificates] == [
+                (NOT_SPANNABLE, method, exact)] * 3
+        cert = spannable_at(GeneratorSystem((A, ROT90), exact=False), 1)
+        assert (cert.status, cert.method, cert.exact) == ("Spannable", "d2_float", False)
 
     def test_saturated_d3_level_samples(self):
         system = GeneratorSystem(tuple(np.random.default_rng(3).standard_normal((3, 3, 3))))
@@ -301,6 +323,46 @@ class TestDiagnosis:
         system = GeneratorSystem((0.3 * ROT90,))
         diag = diagnose_failure(system, minimal_spannable_k(system, 6))
         assert diag.case == "PeriodicSubspaces" and diag.period == 2
+
+    @pytest.mark.parametrize("k_max,dims,note", [
+        (2, (1, 1), "chain dimension did not stabilize below d"),
+        (3, (1, 1, 1), "every wedge quotient is scalar"),
+    ])
+    def test_undetermined_irrational_rotation(self, k_max, dims, note):
+        # M_k is one line, so u = e1 witnesses; its chain turns by an angle that
+        # is no rational multiple of pi, so it has no period, and with one
+        # generator there is no wedge quotient to read
+        system = GeneratorSystem((np.array([[0.6, -0.8], [0.8, 0.6]]),))
+        diag = diagnose_failure(system, minimal_spannable_k(system, k_max))
+        assert (diag.case, diag.dims, diag.notes) == ("Undetermined", dims, (note,))
+
+    def test_undetermined_without_a_witness(self):
+        # 2x2 complex matrices acting on C^2 = R^4; M_1 u = C-span{u, E u, F u}
+        # is R^4 unless u is a common eigenvector of E and F, which these lack,
+        # but d = 4 has no certificate: the only certificate is Inconclusive
+        def real_form(z):
+            return np.block([[z.real, -z.imag], [z.imag, z.real]])
+        rng = np.random.default_rng(1)
+        E, F = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+        system = GeneratorSystem(tuple(real_form(z) for z in (
+            np.eye(2), 1j * np.eye(2), E, 1j * E, F, 1j * F)))
+        search = minimal_spannable_k(system, 1)
+        assert search.inconclusive_ks == (1,)
+        diag = diagnose_failure(system, search)
+        assert (diag.case, diag.dims, diag.notes) == (
+            "Undetermined", (), ("no NotSpannable witness available (all checks inconclusive)",))
+        assert not diag.witness.any()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: mk_basis(E2(), 0), "k must be >= 1"),
+    (lambda: spannable_at(E2(), 1, method="rational"), "unknown method 'rational'"),
+    (lambda: spannable_at(D3, 1, method="exact"), "exact method needs d = 2"),
+])
+def test_messages(call, message):
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def random_d2_system(rng, ell: int, dyadic: bool) -> GeneratorSystem:

@@ -30,6 +30,18 @@ def test_messages(gens, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("gens", [
+    ([[1, 0], [0]],),                  # ragged
+    (np.eye(2), [[1, 0], [0]]),
+    ([["a", "0"], ["0", "1"]],),       # an entry that is no number
+    ([[1 + 1j, 0], [0, 1]],),
+    ([[10**400, 0], [0, 1]],),         # beyond a float's range
+])
+def test_unreadable_matrices(gens):
+    with pytest.raises(InputError, match="^expected a square matrix of numbers: "):
+        GeneratorSystem(gens)
+
+
 @pytest.mark.parametrize("translations,message", [
     ((np.zeros(2),), "translations must match the generator count"),
     ((np.zeros(3), np.zeros(2)), "translation has wrong size or non-finite entries"),

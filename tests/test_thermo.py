@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from cocyclespan import E2, E3, E4, E5, GeneratorSystem
 from cocyclespan.errors import InputError
-from cocyclespan.thermo import (S_MAX, PotentialSpec, QMInput, TargetSequence, _root_bracket,
-                                affinity_dimension, all_ones_targets, alpha_hat,
-                                beta_hat, conformal_qm_input, potential_value,
-                                pressure_bracket, r0_interval, s0_interval,
-                                square_pressure)
+from cocyclespan.thermo import (S_MAX, PotentialSpec, QMInput, TargetSequence,
+                                _monotone_warnings, _root_bracket, affinity_dimension,
+                                all_ones_targets, alpha_hat, beta_hat, conformal_qm_input,
+                                log_potential, potential_value, pressure_bracket,
+                                pressure_brackets, r0_interval, s0_interval)
 from cocyclespan.kernels import _log_det
+
+from _helpers import D3
 
 LOG2 = math.log(2.0)
 LOG04 = math.log(0.4)
@@ -94,11 +96,12 @@ class TestPressure:
     def test_square_pressure_counting(self):
         for sys in (E3(), E4()):
             qm = conformal_qm_input(sys)
-            br = square_pressure(sys, 0.0, 8, qm)
+            br = pressure_bracket(sys, PotentialSpec("sv_s_squared", 0.0), 8, qm)
             assert abs(br.lower + LOG2) <= 1e-12
 
     def test_e4_square_pressure_conformal(self):
-        br = square_pressure(E4(), 0.5, 8, conformal_qm_input(E4()))
+        br = pressure_bracket(E4(), PotentialSpec("sv_s_squared", 0.5), 8,
+                              conformal_qm_input(E4()))
         target = -(LOG2 + 2 * 0.5 * LOG04)
         assert abs(br.lower - target) <= 1e-9
         assert abs(br.upper - target) <= 1e-9
@@ -192,6 +195,22 @@ class TestAlphaBeta:
         est = beta_hat(psi_table=[(n, n) for n in range(1, 50)], tail_start=10)
         assert est.value == 1.0
         assert any("beta < 1" in w for w in est.warnings)
+
+    def test_beta_unstable_last_quartile(self):
+        # n >= 17.5 is the last quartile of 10..20: ratios 0.5, 8/19 and 0.5
+        est = beta_hat(psi_table=[(10, 5.0), (18, 9.0), (19, 8.0), (20, 10.0)])
+        assert est.warnings == ("liminf proxy unstable: last-quartile spread above 0.01",)
+
+    def test_decreasing_target_lengths_warn(self):
+        targets = TargetSequence(words=((1, 2), (1,)))
+        assert targets.validate(2) == ["target lengths are not nondecreasing"]
+
+    @pytest.mark.parametrize("values,decreasing", [((1.0, 2.0), True), ((2.0, 1.0), False)])
+    def test_monotone_warnings_fire(self, values, decreasing):
+        samples = [(0.5, values[1]), (0.0, values[0])]  # sorted by s before the check
+        assert _monotone_warnings(samples, "curve", decreasing) == [
+            "curve not monotone along the root-search samples"]
+        assert _monotone_warnings(samples[:1], "curve", decreasing) == []
 
 
 class TestDimensionReports:
@@ -479,3 +498,24 @@ def test_streamed_level_memory():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert int(out.stdout) < 24 * 1024  # ru_maxrss is in KiB on Linux
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: PotentialSpec("phi", 1.0), "unknown potential kind 'phi'"),
+    (lambda: PotentialSpec("sv_s", -0.5), "s must be nonnegative"),
+    (lambda: log_potential(np.zeros(2), None, PotentialSpec("sv_s", 1.5)),
+     "singular value potentials need d = 2 data"),
+    (lambda: pressure_brackets(D3, "sv_s", 2, [1.0], [None]), "sv_s needs a 2x2 system"),
+    (lambda: alpha_hat(D3, all_ones_targets(2), 1.0), "alpha_hat needs d = 2"),
+    (lambda: beta_hat(), "provide either a psi table or an explicit beta"),
+    (lambda: beta_hat(psi_table=[(0, 1.0), (2, 1.0)]), "psi table needs positive n"),
+    (lambda: beta_hat(psi_table=[(1, 0.5), (2, 1.0)], tail_start=3),
+     "tail_start leaves an empty tail"),
+    (lambda: s0_interval(D3, all_ones_targets(2), 2, 1), "shrinking-target dimension needs d = 2"),
+    (lambda: r0_interval(D3, 0.5, 2, 1), "recurrence dimension needs d = 2"),
+    (lambda: affinity_dimension(D3, 2, 1), "affinity dimension needs d = 2"),
+])
+def test_messages(call, message):
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message

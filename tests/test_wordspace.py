@@ -83,3 +83,14 @@ class TestProduct:
         for w in enumerate_words(2, 6):
             nrm = product(sys, w).norm()
             assert sig_min**6 * (1 - 1e-9) <= nrm <= sig_max**6 * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: parse_word("1x", 2), "cannot parse word '1x'"),
+    (lambda: enumerate_words(0, 1), "need ell >= 1 and n >= 0"),
+    (lambda: enumerate_words(2, -1), "need ell >= 1 and n >= 0"),
+])
+def test_messages(call, message):
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message
