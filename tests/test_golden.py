@@ -21,7 +21,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # d >= 3 systems for `check-hypotheses`, which no shipped config covers: an
 # irreducible 3x3 triple, and P [[B_i, X_i], [0, C_i]] P^-1 with 2x2 blocks
-# and a unipotent P, a 4x4 pair whose invariant plane is not a coordinate plane
+# and a unipotent P, a 4x4 pair whose invariant plane is not a coordinate plane;
+# an irreducible 4x4 pair whose power and wedge algebras are all full, and a
+# 3x3 triple [[B_i, X_i], [0, c_i]] fixing the plane of the first two coordinates
 IRREDUCIBLE_3X3 = {"dimension": 3, "generators": [
     ["0.5", "0.25", "0", "0", "0.5", "0.25", "0.125", "0", "0.5"],
     ["0.375", "0", "-0.25", "0.25", "-0.5", "0", "0", "0.125", "0.625"],
@@ -31,6 +33,15 @@ REDUCIBLE_4X4 = {"dimension": 4, "generators": [
      "-0.25", "-0.25", "0.75", "0.5", "-0.375", "1.25", "0.125", "-0.5"],
     ["0.75", "0", "-0.5", "-0.5", "0.375", "0.25", "0.125", "0.125",
      "0", "-0.875", "0.25", "0.375", "0.625", "0.25", "-0.125", "0.125"]]}
+IRREDUCIBLE_4X4 = {"dimension": 4, "generators": [
+    ["0.75", "0.25", "0", "-0.5", "-0.5", "-1", "-1", "-1",
+     "-0.75", "0.75", "0.25", "1", "0", "0.25", "1", "0.5"],
+    ["0.25", "0", "0.25", "1", "-0.5", "0.75", "0.5", "-1",
+     "-0.25", "0.75", "0", "-1", "0.5", "0.5", "0.75", "-0.75"]]}
+REDUCIBLE_3X3 = {"dimension": 3, "generators": [
+    ["1", "-0.5", "0.75", "0.5", "-1", "-0.25", "0", "0", "-1"],
+    ["-0.5", "0", "-0.25", "-0.25", "-1", "-1", "0", "0", "0.5"],
+    ["0.75", "-0.75", "0.25", "0.5", "0.75", "0", "0", "0", "-0.25"]]}
 
 # name -> (config file or inline system block, command override, options override)
 CASES = {
@@ -56,6 +67,8 @@ CASES = {
     "e4-affinity-dim": ("e4", "affinity-dim", {"n": 8, "k_qm": 1}),
     "d3-irreducible-theorem": (IRREDUCIBLE_3X3, "check-hypotheses", {"mode": "theorem_1_1"}),
     "d4-reducible-theorem": (REDUCIBLE_4X4, "check-hypotheses", {"mode": "theorem_1_1"}),
+    "d4-irreducible-theorem": (IRREDUCIBLE_4X4, "check-hypotheses", {"mode": "theorem_1_1"}),
+    "d3-reducible-theorem": (REDUCIBLE_3X3, "check-hypotheses", {"mode": "theorem_1_1"}),
 }
 
 

@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import cocyclespan.cli as cli
 from cocyclespan import E1, E2, E3, GeneratorSystem
 from cocyclespan.errors import InputError
 from cocyclespan.fixtures import ROT90
-from cocyclespan.hypotheses import (IRREDUCIBLE, REDUCIBLE,
+from cocyclespan.hypotheses import (IRREDUCIBLE, REDUCIBLE, HypothesisReport, SubCheck,
                                     algebra_dimension, check_hypotheses,
                                     irreducibility_verdict, orbit_span,
                                     power_system, wedge_system)
@@ -258,3 +261,94 @@ def test_messages(call, message):
     with pytest.raises(InputError) as err:
         call()
     assert str(err.value) == message
+
+
+J4 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+
+
+@st.composite
+def _d34_systems(draw):
+    """Exact d = 3 and d = 4 tuples with entries k/4 (integers for the
+    symplectic kind), one of five kinds:
+    generic; block upper triangular, whose first p coordinates span an
+    invariant subspace; cyclic permutation times diagonal, whose length-d
+    products are diagonal; at d = 4, complex 2x2 matrices written over R,
+    irreducible while their algebra, M_2(C), is a proper one; and products of
+    symplectic transvections I + c v v^T J, whose second wedge fixes a line."""
+    d, ell = draw(st.sampled_from([3, 4])), draw(st.integers(1, 2))
+    kinds = ["generic", "block", "cyclic"] + (["complex", "symplectic"] if d == 4 else [])
+    kind = draw(st.sampled_from(kinds))
+    entry = st.integers(-4, 4).map(lambda k: k / 4.0)
+
+    def square(n):
+        return np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+
+    mats = []
+    for _ in range(ell):
+        if kind == "generic":
+            M = square(d)
+        elif kind == "block":
+            M, p = square(d), draw(st.integers(1, d - 1))
+            M[p:, :p] = 0.0
+        elif kind == "cyclic":
+            M = np.roll(np.eye(d), 1, axis=0) @ np.diag(draw(st.lists(entry, min_size=d, max_size=d)))
+        elif kind == "complex":
+            re, im = square(2), square(2)
+            M = np.block([[re, -im], [im, re]])
+        else:
+            M = np.eye(4)
+            for _ in range(2):
+                v = np.array(draw(st.lists(st.integers(-1, 1), min_size=4, max_size=4)), dtype=float)
+                M = M @ (np.eye(4) + draw(st.sampled_from([-1.0, 1.0])) * np.outer(v, v) @ J4)
+        mats.append(M)
+    return kind, mats
+
+
+def _report_text(rep):
+    return json.dumps(cli._jsonable(rep), sort_keys=True)
+
+
+def _assembled_theorem_report(system):
+    """The theorem_1_1 report made from `irreducibility_verdict` on each
+    cocycle alone, with check_hypotheses' rule for the overall result."""
+    d = system.dim
+    cocycles = [(f"power t={t}", power_system(system, t)) for t in range(1, d + 1) if d % t == 0]
+    cocycles += [(f"wedge m={m}", wedge_system(system, m)) for m in range(1, d)]
+    checks = []
+    for label, sub in cocycles:
+        v = irreducibility_verdict(sub)
+        checks.append(SubCheck(label=label, verdict=v, passed=not v.reducible))
+    failed = next((c for c in checks if not c.passed), None)
+    overall = ("Fail" if failed else
+               "Inconclusive" if any(c.verdict.status == "Inconclusive" for c in checks) else "Pass")
+    return HypothesisReport(mode="theorem_1_1", overall=overall, checks=tuple(checks),
+                            witness=failed.verdict.witness if failed else None,
+                            failed_at=failed.label if failed else None)
+
+
+class TestTheoremCascade:
+    """theorem_1_1 skips an algebra closure whose answer another one implies:
+    (a) s | t gives Alg(A^t) ⊆ Alg(A^s), (b) dim Alg(∧^{d-1} A) = dim Alg(A),
+    (c) a witness W for A gives every ∧^m A, 1 < m < d, an invariant subspace."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(drawn=_d34_systems())
+    def test_pruned_report_is_the_report_of_each_cocycle_alone(self, drawn):
+        kind, mats = drawn
+        try:
+            system = GeneratorSystem(tuple(mats))
+        except InputError:
+            assume(False)
+        rep = check_hypotheses(system, "theorem_1_1")
+        assert _report_text(rep) == _report_text(_assembled_theorem_report(system))
+        d = system.dim
+        dims = {t: algebra_dimension(power_system(system, t)).dim
+                for t in range(1, d + 1) if d % t == 0}
+        for t in dims:  # (a)
+            assert all(dims[t] <= dims[s] for s in dims if t % s == 0)
+        # (b)
+        assert algebra_dimension(wedge_system(system, d - 1)).dim == dims[1]
+        if rep.checks[0].verdict.reducible:  # (c)
+            for m in range(2, d - 1):
+                wedge = wedge_system(system, m)
+                assert not algebra_dimension(wedge).certified
