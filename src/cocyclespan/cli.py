@@ -331,7 +331,8 @@ def _run_check_hypotheses(cfg: RunConfig):
             "Inconclusive": EXIT_INCONCLUSIVE}[rep.overall]
     effort = [{"label": c.label, "seconds": c.seconds,
                "algebra_levels": c.verdict.algebra_levels if c.verdict else 0,
-               "orbit_tries": c.verdict.orbit_tries if c.verdict else 0} for c in rep.checks]
+               "orbit_tries": c.verdict.orbit_tries if c.verdict else 0,
+               "implied_by": c.implied_by} for c in rep.checks]
     return _jsonable(rep), code, list(rep.warnings), {"checks": effort}
 
 

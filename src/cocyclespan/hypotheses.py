@@ -11,6 +11,34 @@ The decision cascade for a verdict:
 * any d: randomized falsification; orbit spans seeded at real eigenvectors of
   short products. Finding a low-dimensional invariant orbit span certifies
   reducibility; not finding one leaves the verdict Inconclusive for d >= 3.
+
+theorem_1_1 asks this of every power cocycle A^t, t | d, and every wedge
+cocycle wedge^m A, 1 <= m < d. Its d >= 3 algebras are nested, so a closure
+whose answer is already known is skipped. "Full" means that the algebra of an
+n-dimensional cocycle is all of M_n. Rules (a)-(c) hold over any field:
+
+(a) s | t: a length-t product is a product of length-s products, so
+    Alg(A^t) ⊆ Alg(A^s). t = d is decided first; if full, every power is.
+    Else t = 1 is; if it is not full, no power is. Only then is another t
+    (t = 2 at d = 4) decided.
+(b) wedge^{d-1} A_i = det(A_i) P A_i^{-T} P^{-1} for one signed permutation P;
+    A_i^{-1} lies in Alg(A) (Cayley-Hamilton) and transposing keeps an
+    algebra's dimension, so wedge m = d - 1 takes t = 1's answer.
+(c) a witness W of dimension p for A gives every wedge^m A, 1 < m < d, the
+    invariant subspace wedge^m W (m <= p) or W ∧ wedge^{m-p} R^d (m > p), so
+    none of these is full.
+(d) `power_system(A, 1)` is A itself, as is `wedge_system(A, 1)`: wedge m = 1
+    is power t = 1's cocycle and takes its verdict.
+(e) the algebra closure reads only a rank, so each level's images are one
+    stacked product of every generator with every basis matrix.
+
+An implied full algebra gives what its closure would: IrreducibleCertified by
+`algebra_dimension`, residual n^2. An implied non-full one goes straight to
+the randomized search. Closures per theorem_1_1 op, against 3 at d = 3 and 5
+at d = 4 without the rules: 1 at d = 3 irreducible (t = 3), 2 at d = 3
+reducible (t = 3, t = 1), 2 at d = 4 irreducible (t = 4, m = 2) and 2 at
+d = 4 reducible (t = 4, t = 1). `SubCheck.implied_by` names the check whose
+closure decided an implied one.
 """
 from __future__ import annotations
 
@@ -52,10 +80,13 @@ class IrreducibilityVerdict:
 
 
 def power_system(system: GeneratorSystem, t: int, *, budget: int = DEFAULT_BUDGET) -> GeneratorSystem:
-    """The cocycle generated by all length-t products, in lexicographic word order."""
+    """The cocycle generated by all length-t products, in lexicographic word order;
+    t = 1 gives the system itself."""
     if t < 1:
         raise InputError("power exponent must be >= 1")
     check_sweep(system.ell, t, budget)
+    if t == 1:
+        return system
     return _DerivedSystem(tuple(dense_products(system.stacked(), t)), exact=system.exact)
 
 
@@ -66,19 +97,20 @@ def wedge_system(system: GeneratorSystem, m: int) -> GeneratorSystem:
     return _DerivedSystem(tuple(wedge_power(A, m) for A in system.generators), exact=False)
 
 
-def _span_closure(G: np.ndarray, start: np.ndarray) -> tuple[SubspaceBasis, int]:
+def _span_closure(G: np.ndarray, start: np.ndarray, images=stack_images) -> tuple[SubspaceBasis, int]:
     """(span, levels): the smallest subspace containing `start` that every
     generator of the stack G maps into itself, `start` a vector or a d x d
     matrix (raveled in the span). Each level adds every generator's image of
-    each basis element and the loop stops when the span is full or stops
-    growing: a span that one level leaves unchanged is invariant.
+    each basis element, `images(G, elements)` in generator-major order, and
+    the loop stops when the span is full or stops growing: a span that one
+    level leaves unchanged is invariant.
     """
     n = start.size
     basis = span_basis([start.ravel()], ambient=n)
     levels = 0
     while basis.dim < n:
         levels += 1
-        imgs = stack_images(G, basis.basis.T.reshape(-1, *start.shape)).reshape(-1, n)
+        imgs = images(G, basis.basis.T.reshape(-1, *start.shape)).reshape(-1, n)
         new = span_basis(np.concatenate([basis.basis.T, imgs]), ambient=n)
         if new.dim == basis.dim:
             break
@@ -109,10 +141,11 @@ def algebra_dimension(system: GeneratorSystem) -> AlgebraDimension:
     """Dimension of the span of {A_I} with the identity, by incremental rank growth.
 
     The level-j span equals span of all words of length <= j plus the identity
-    (at most d^2 growing levels).
+    (at most d^2 growing levels). Only the rank is read, so a level's images
+    are one stacked product of every generator with every basis matrix.
     """
     d = system.dim
-    basis, levels = _span_closure(system.stacked(), np.eye(d))
+    basis, levels = _span_closure(system.stacked(), np.eye(d), lambda G, B: G[:, None] @ B)
     return AlgebraDimension(dim=basis.dim, certified=basis.dim == d * d, levels=levels)
 
 
@@ -183,11 +216,21 @@ def irreducibility_verdict(system: GeneratorSystem, *, method: str = "auto",
         return _verdict_d2(system)
     if method == "d2":
         raise InputError("d2 method needs a 2x2 system")
-    alg = algebra_dimension(system)
-    if alg.certified:
+    return _algebra_verdict(system, seed)
+
+
+def _algebra_verdict(system: GeneratorSystem, seed: int, full: bool | None = None) -> IrreducibilityVerdict:
+    """Certified when the algebra of the system is all of M_n, else the
+    randomized search. `full` is that answer when another cocycle's closure
+    already implies it (`_theorem_rules`); None runs this system's closure."""
+    levels = 0
+    if full is None:
+        alg = algebra_dimension(system)
+        full, levels = alg.certified, alg.levels
+    if full:
         return IrreducibilityVerdict(status=IRREDUCIBLE, method="algebra_dimension",
-                                     residual=float(alg.dim), algebra_levels=alg.levels)
-    return replace(_verdict_randomized(system, seed), algebra_levels=alg.levels)
+                                     residual=float(system.dim ** 2), algebra_levels=levels)
+    return replace(_verdict_randomized(system, seed), algebra_levels=levels)
 
 
 @dataclass(frozen=True)
@@ -199,6 +242,9 @@ class SubCheck:
     # time spent deciding, left out of reports; a cocycle already decided
     # under another label (wedge m=1 is power t=1) spends next to none
     seconds: float = field(default=0.0, repr=False, compare=False)
+    # the check whose algebra closure decided this one's algebra test, when
+    # this one ran none (then its verdict's algebra_levels is 0); left out of reports
+    implied_by: str | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -215,17 +261,49 @@ def _divisors(d: int) -> list[int]:
     return [t for t in range(1, d + 1) if d % t == 0]
 
 
-def _verdict_checks(cocycles: list[tuple[str, GeneratorSystem]], seed: int) -> list[SubCheck]:
-    """One irreducibility check per (label, cocycle); a cocycle listed twice is decided once."""
-    verdicts: dict[int, IrreducibilityVerdict] = {}
-    checks = []
+def _theorem_rules(d: int) -> dict[str, list[tuple[str, tuple[str, ...], bool]]]:
+    """Rules (a)-(c) of the module docstring for theorem_1_1 at d >= 3, as
+    label -> [(source, statuses, full)]: once the check `source` is decided
+    with a status in `statuses`, whether the label's algebra is full is
+    `full`. At d >= 3 a verdict is IrreducibleCertified exactly when its
+    cocycle's algebra is full."""
+    divisors = _divisors(d)
+    full, not_full = (IRREDUCIBLE,), (REDUCIBLE, INCONCLUSIVE)
+    rules = {f"power t={t}": [(f"power t={s}", full, True) for s in divisors if s > t and s % t == 0]
+             + [(f"power t={s}", not_full, False) for s in divisors if s < t and t % s == 0]
+             for t in divisors}
+    rules[f"wedge m={d - 1}"] = [("power t=1", full, True), ("power t=1", not_full, False)]
+    rules.update({f"wedge m={m}": [("power t=1", (REDUCIBLE,), False)] for m in range(2, d - 1)})
+    return rules
+
+
+def _closure_label(check: SubCheck) -> str | None:
+    """The check whose closure decided this check's algebra test; None without one (d = 2)."""
+    return check.implied_by or (check.label if check.verdict.algebra_levels else None)
+
+
+def _verdict_checks(cocycles: list[tuple[str, GeneratorSystem]], seed: int,
+                    rules: dict | None = None) -> dict[str, SubCheck]:
+    """label -> irreducibility check of each (label, cocycle), decided in the
+    order given; a cocycle listed twice is decided once. A label whose
+    `rules` (see `_theorem_rules`) already fix its algebra skips the closure."""
+    checks: dict[str, SubCheck] = {}
+    first: dict[int, SubCheck] = {}
     for label, sub in cocycles:
         start = time.perf_counter()
-        if id(sub) not in verdicts:
-            verdicts[id(sub)] = irreducibility_verdict(sub, seed=seed)
-        v = verdicts[id(sub)]
-        checks.append(SubCheck(label=label, verdict=v, passed=not v.reducible,
-                               seconds=time.perf_counter() - start))
+        if id(sub) in first:
+            src = first[id(sub)]
+            v, by = replace(src.verdict, algebra_levels=0), _closure_label(src)
+        else:
+            hint = next(((checks[s], full) for s, statuses, full in (rules or {}).get(label, ())
+                         if s in checks and checks[s].verdict.status in statuses), None)
+            if hint is None:
+                v, by = irreducibility_verdict(sub, seed=seed), None
+            else:
+                v, by = _algebra_verdict(sub, seed, hint[1]), _closure_label(hint[0])
+        checks[label] = SubCheck(label=label, verdict=v, passed=not v.reducible, implied_by=by,
+                                 seconds=time.perf_counter() - start)
+        first.setdefault(id(sub), checks[label])
     return checks
 
 
@@ -234,28 +312,35 @@ def check_hypotheses(system: GeneratorSystem, mode: str, *, seed: int = 42,
     """Hypothesis checkers for the spannability theorem and the dimension corollaries.
 
     theorem_1_1: the power cocycle for every divisor t of d and every wedge
-    cocycle (m = 1..d-1) must be irreducible. corollary_4_3: d = 2, the tuple
+    cocycle (m = 1..d-1) must be irreducible; at d >= 3 they are decided in
+    the order t = d, t = 1, other t, then the wedges, and a closure whose
+    answer is known is skipped (module docstring). corollary_4_3: d = 2, the tuple
     and its square irreducible, every generator norm < 1/2. The first failed
     check names the failure; otherwise any Inconclusive verdict makes the
     report Inconclusive.
     """
     warnings = []
     if mode == "theorem_1_1":
-        powers = {t: power_system(system, t, budget=budget) for t in _divisors(system.dim)}
-        # wedge m=1 is the cocycle itself, the same cocycle as power t=1
-        cocycles = [(f"power t={t}", sub) for t, sub in powers.items()]
-        cocycles += [(f"wedge m={m}", powers[1] if m == 1 else wedge_system(system, m))
-                     for m in range(1, system.dim)]
-        checks = _verdict_checks(cocycles, seed)
+        d = system.dim
+        divisors = _divisors(d)
+        # every cocycle is built before any verdict, so the budget check and the
+        # InputError of a wedge past MAX_DIM come first; wedge m=1 is power t=1
+        powers = {t: power_system(system, t, budget=budget) for t in divisors}
+        wedges = {m: wedge_system(system, m) for m in range(1, d)}
+        cocycles = [(f"power t={t}", powers[t]) for t in [d, 1] + divisors[1:-1]]
+        cocycles += [(f"wedge m={m}", sub) for m, sub in wedges.items()]
+        decided = _verdict_checks(cocycles, seed, _theorem_rules(d) if d >= 3 else None)
+        checks = [decided[f"power t={t}"] for t in divisors]
+        checks += [decided[f"wedge m={m}"] for m in range(1, d)]
     elif mode == "corollary_4_3":
         if system.dim != 2:
             raise InputError("corollary_4_3 mode needs d = 2")
         if system.translations is None:
             warnings.append("translations absent: the dimension statement concerns "
                             "Lebesgue-a.e. translation vectors, matrix hypotheses only")
-        checks = _verdict_checks([("irreducible cocycle", system),
-                                  ("irreducible square", power_system(system, 2, budget=budget))],
-                                 seed)
+        checks = list(_verdict_checks([("irreducible cocycle", system),
+                                       ("irreducible square", power_system(system, 2, budget=budget))],
+                                      seed).values())
         start = time.perf_counter()
         norms = system.norms()
         checks.append(SubCheck(label="norms < 1/2", passed=all(nv < 0.5 for nv in norms),

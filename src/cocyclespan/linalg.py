@@ -12,8 +12,19 @@ generator reported. A whole-matrix product does not keep them: `G @ W` runs a
 matrix-matrix kernel whose sums differ in the last bits from those of
 `G @ W[:, j]`, one matrix-vector product per column (most seeded cases of
 `tests/test_cascade_bits.py` show it), and it moved reported residuals of
-d = 3 and 4 systems. Images of a basis are therefore formed one column at a
+d = 3 and 4 systems. The images of an orbit span's basis and of an invariance
+residual's, whose bases are reported, are therefore formed one column at a
 time, each column over the whole stack of generators (`stack_images`).
+
+The algebra test is not: its operands are d x d matrices, each image is a
+matrix-matrix product whichever way it is stacked, and only its rank is read,
+so a level is one product `G[:, None] @ B` of every generator with every basis
+matrix (rule (e) of `hypotheses`). The other rules there skip whole closures
+of theorem_1_1 at d >= 3: (a) s | t gives Alg(A^t) ⊆ Alg(A^s); (b) the
+(d-1)-th compound is det(A) P A^{-T} P^{-1}, whose algebra has the dimension of
+Alg(A); (c) a witness for A gives every wedge^m A, 1 < m < d, an invariant
+subspace; (d) the first power and the first wedge are the system itself. They
+leave 1 or 2 closures per op where there were 3 at d = 3 and 5 at d = 4.
 """
 from __future__ import annotations
 
@@ -54,9 +65,13 @@ def singular_values(A) -> np.ndarray:
 
 
 def invertible(mats: np.ndarray) -> np.ndarray:
-    """Whether each matrix of an (ell, d, d) stack passes the invertibility gate."""
+    """Whether each matrix of an (ell, d, d) stack passes the invertibility gate,
+    a conditioning test: |det| > TAU_DET * sigma_1^d. A det or a bound that
+    overflows to inf is left to compare as inf, silently: an infinite bound
+    fails the gate."""
     top = np.linalg.svd(mats, compute_uv=False)[:, 0]
-    return (top > 0) & (np.abs(np.linalg.det(mats)) > TAU_DET * top ** mats.shape[-1])
+    with np.errstate(over="ignore"):
+        return (top > 0) & (np.abs(np.linalg.det(mats)) > TAU_DET * top ** mats.shape[-1])
 
 
 def wedge_index_sets(d: int, m: int) -> list[tuple[int, ...]]:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import MAX_DIM, as_matrix, invertible, operator_norm
+from .linalg import MAX_DIM, TAU_DET, as_matrix, invertible, operator_norm
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class GeneratorSystem:
     _gate = True  # class attribute, not a field: re-test invertibility on construction
 
     def __post_init__(self):
-        if not self.generators:
+        if len(self.generators) == 0:  # a sequence, or an (ell, d, d) array read along its first axis
             raise InputError("a system needs at least one generator")
         try:
             stack = np.array(self.generators, dtype=float)
@@ -41,7 +41,8 @@ class GeneratorSystem:
         if self._gate:
             bad = np.flatnonzero(~invertible(stack))
             if bad.size:
-                raise InputError(f"generator {bad[0] + 1} not invertible")
+                raise InputError(f"generator {bad[0] + 1} not invertible "
+                                 f"(|det| <= {TAU_DET:g} sigma_1^d)")
         stack.flags.writeable = False
         object.__setattr__(self, "generators", tuple(stack))  # read-only views of the stack
         object.__setattr__(self, "_stack", stack)  # not a field: `stacked` hands it out

@@ -186,11 +186,35 @@ class TestRunCommand:
             (GOLDEN / "d4-reducible-theorem.json").read_text()
         effort = json.loads(json.dumps(report["meta"]["checks"]))
         assert [e["label"] for e in effort] == [c["label"] for c in report["result"]["checks"]]
+        decided = {e["label"] for e in effort if e["implied_by"] is None}
+        # t = 4 and t = 1 run their closures; t = 2 and m = 3 follow from them,
+        # m = 1 is the cocycle of t = 1, and t = 1's witness rules out a full m = 2
+        assert decided == {"power t=4", "power t=1"}
         for e in effort:
-            assert set(e) == {"label", "seconds", "algebra_levels", "orbit_tries"}
+            assert set(e) == {"label", "seconds", "algebra_levels", "orbit_tries", "implied_by"}
             assert e["seconds"] >= 0
-            # reducible everywhere: the algebra test stops short of d^2, then an orbit is found
-            assert e["algebra_levels"] >= 1 and 1 <= e["orbit_tries"] <= 64
+            if e["implied_by"] is None:
+                assert e["algebra_levels"] >= 1
+            else:
+                assert e["algebra_levels"] == 0 and e["implied_by"] in decided
+            # reducible everywhere: each algebra stops short of full, then an orbit is found
+            assert 1 <= e["orbit_tries"] <= 64
+
+    @pytest.mark.parametrize("name,decided", [
+        ("d3-irreducible-theorem", {"power t=3"}),
+        ("d3-reducible-theorem", {"power t=3", "power t=1"}),
+        ("d4-irreducible-theorem", {"power t=4", "wedge m=2"}),
+        ("d4-reducible-theorem", {"power t=4", "power t=1"}),
+    ])
+    def test_check_hypotheses_closures_per_golden(self, name, decided):
+        import test_golden
+
+        system = test_golden.CASES[name][0]
+        report, _ = cli.run_command(cfg_from({"system": system, "command": "check-hypotheses",
+                                              "options": {"mode": "theorem_1_1"}}))
+        effort = report["meta"]["checks"]
+        assert {e["label"] for e in effort if e["algebra_levels"]} == decided
+        assert {e["label"] for e in effort if e["implied_by"] is None} == decided
 
     def test_check_hypotheses_meta_d2_effort(self):
         report, _ = cli.run_command(cfg_from(dict(E1_CONFIG, options={"mode": "corollary_4_3"})))
@@ -198,7 +222,8 @@ class TestRunCommand:
         # d = 2 is decided exactly, without the algebra test or the orbit search
         assert [e["label"] for e in effort] == ["irreducible cocycle", "irreducible square",
                                                 "norms < 1/2"]
-        assert all(e["algebra_levels"] == 0 and e["orbit_tries"] == 0 for e in effort)
+        assert all(e["algebra_levels"] == 0 and e["orbit_tries"] == 0 and e["implied_by"] is None
+                   for e in effort)
 
     def test_e1_spannability_reports_diagnosis(self):
         cfg = cfg_from(dict(E1_CONFIG, command="spannability", options={"k_max": 6}))

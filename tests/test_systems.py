@@ -1,4 +1,6 @@
 """GeneratorSystem construction: one validated read-only stack, the same error messages."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,8 @@ from cocyclespan.linalg import as_matrix
     # the first generator that is wrong by itself is named before mixed dimensions
     ((np.eye(3), np.eye(2), np.full((2, 2), np.inf)), "matrix has non-finite entries"),
     ((np.eye(2), np.eye(3)), "generators have mixed dimensions"),
-    ((np.eye(2), np.zeros((2, 2))), "generator 2 not invertible"),
+    ((np.eye(2), np.zeros((2, 2))), "generator 2 not invertible (|det| <= 1e-12 sigma_1^d)"),
+    (np.zeros((0, 2, 2)), "a system needs at least one generator"),
 ])
 def test_messages(gens, message):
     with pytest.raises(InputError) as err:
@@ -64,6 +67,28 @@ def test_generators_are_read_only_views_of_the_stack():
         assert np.shares_memory(A, stack) and A.tobytes() == stack[i].tobytes()
         with pytest.raises(ValueError):
             A[0, 0] = 1.0
+
+
+def test_an_array_is_read_along_its_first_axis():
+    stack = np.stack([np.eye(2), 2 * np.eye(2)])
+    from_array, from_tuple = GeneratorSystem(stack), GeneratorSystem(tuple(stack))
+    assert from_array.ell == from_tuple.ell == 2
+    assert from_array.stacked().tobytes() == from_tuple.stacked().tobytes()
+    assert isinstance(from_array.generators, tuple)
+    assert [A.tobytes() for A in from_array.generators] == [A.tobytes() for A in stack]
+
+
+@pytest.mark.parametrize("gens", [
+    (np.diag([1e300, 1e-300]), np.eye(2)),  # the bound sigma_1^d overflows
+    (np.diag([1e300, 1e300]), np.eye(2)),   # and the determinant too
+])
+def test_gate_decides_an_overflowing_bound_silently(gens):
+    # an infinite bound fails the gate, as it always did, and numpy says nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError) as err:
+            GeneratorSystem(gens)
+    assert str(err.value) == "generator 1 not invertible (|det| <= 1e-12 sigma_1^d)"
 
 
 def test_nested_lists_and_integers_are_read_as_floats():
