@@ -262,11 +262,14 @@ def _divisors(d: int) -> list[int]:
 
 
 def _theorem_rules(d: int) -> dict[str, list[tuple[str, tuple[str, ...], bool]]]:
-    """Rules (a)-(c) of the module docstring for theorem_1_1 at d >= 3, as
+    """Rules (a)-(c) of the module docstring for theorem_1_1, as
     label -> [(source, statuses, full)]: once the check `source` is decided
     with a status in `statuses`, whether the label's algebra is full is
     `full`. At d >= 3 a verdict is IrreducibleCertified exactly when its
-    cocycle's algebra is full."""
+    cocycle's algebra is full; d = 2 verdicts come from the exact path, and
+    there are no rules."""
+    if d == 2:
+        return {}
     divisors = _divisors(d)
     full, not_full = (IRREDUCIBLE,), (REDUCIBLE, INCONCLUSIVE)
     rules = {f"power t={t}": [(f"power t={s}", full, True) for s in divisors if s > t and s % t == 0]
@@ -283,7 +286,7 @@ def _closure_label(check: SubCheck) -> str | None:
 
 
 def _verdict_checks(cocycles: list[tuple[str, GeneratorSystem]], seed: int,
-                    rules: dict | None = None) -> dict[str, SubCheck]:
+                    rules: dict) -> dict[str, SubCheck]:
     """label -> irreducibility check of each (label, cocycle), decided in the
     order given; a cocycle listed twice is decided once. A label whose
     `rules` (see `_theorem_rules`) already fix its algebra skips the closure."""
@@ -295,7 +298,7 @@ def _verdict_checks(cocycles: list[tuple[str, GeneratorSystem]], seed: int,
             src = first[id(sub)]
             v, by = replace(src.verdict, algebra_levels=0), _closure_label(src)
         else:
-            hint = next(((checks[s], full) for s, statuses, full in (rules or {}).get(label, ())
+            hint = next(((checks[s], full) for s, statuses, full in rules.get(label, ())
                          if s in checks and checks[s].verdict.status in statuses), None)
             if hint is None:
                 v, by = irreducibility_verdict(sub, seed=seed), None
@@ -326,10 +329,9 @@ def check_hypotheses(system: GeneratorSystem, mode: str, *, seed: int = 42,
         # every cocycle is built before any verdict, so the budget check and the
         # InputError of a wedge past MAX_DIM come first; wedge m=1 is power t=1
         powers = {t: power_system(system, t, budget=budget) for t in divisors}
-        wedges = {m: wedge_system(system, m) for m in range(1, d)}
         cocycles = [(f"power t={t}", powers[t]) for t in [d, 1] + divisors[1:-1]]
-        cocycles += [(f"wedge m={m}", sub) for m, sub in wedges.items()]
-        decided = _verdict_checks(cocycles, seed, _theorem_rules(d) if d >= 3 else None)
+        cocycles += [(f"wedge m={m}", wedge_system(system, m)) for m in range(1, d)]
+        decided = _verdict_checks(cocycles, seed, _theorem_rules(d))
         checks = [decided[f"power t={t}"] for t in divisors]
         checks += [decided[f"wedge m={m}"] for m in range(1, d)]
     elif mode == "corollary_4_3":
@@ -340,7 +342,7 @@ def check_hypotheses(system: GeneratorSystem, mode: str, *, seed: int = 42,
                             "Lebesgue-a.e. translation vectors, matrix hypotheses only")
         checks = list(_verdict_checks([("irreducible cocycle", system),
                                        ("irreducible square", power_system(system, 2, budget=budget))],
-                                      seed).values())
+                                      seed, {}).values())
         start = time.perf_counter()
         norms = system.norms()
         checks.append(SubCheck(label="norms < 1/2", passed=all(nv < 0.5 for nv in norms),
