@@ -22,7 +22,8 @@ systems at k = 1..3.
 `pair_quadratics` forms the float pair quadratics det(A_i u | A_j u) of the
 d = 2 margin a block of rows at a time, at most about `_PAIRS` pairs each, so
 memory stays linear in the word count (all C(4096, 2) index pairs at once
-take 134 MB); `pair_abs_max` folds those blocks at a batch of angles.
+take 134 MB); `pair_abs_max` folds given blocks at a batch of angles, so a
+caller that already holds the only block does not form it again.
 
 The only word-product engine: A_I = 2^exponent * unit, with an integer
 exponent. Every word product the library reads comes from it, the connector
@@ -375,15 +376,16 @@ def pair_quadratics(mats: np.ndarray):
         yield q[:, np.arange(i0 + 1, n) > i[:, None]]
 
 
-def pair_abs_max(mats: np.ndarray, th: np.ndarray) -> np.ndarray:
-    """max over pairs i < j of |det(A_i u | A_j u)| at u = (cos th, sin th), per angle.
+def pair_abs_max(blocks, th: np.ndarray) -> np.ndarray:
+    """max over pairs of |q20 x^2 + q11 x y + q02 y^2| at (x, y) = (cos th, sin th),
+    per angle, over the (3, P) blocks of `pair_quadratics`.
 
-    Each block of `pair_quadratics` is evaluated at as many angles at once as
-    keep the pair-by-angle array within about `_PAIRS` values.
+    Each block is evaluated at as many angles at once as keep the
+    pair-by-angle array within about `_PAIRS` values.
     """
     x, y = np.cos(th), np.sin(th)
     acc = np.zeros(len(th))
-    for q20, q11, q02 in pair_quadratics(mats):
+    for q20, q11, q02 in blocks:
         step = max(1, _PAIRS // len(q20))
         q20, q11, q02 = q20[:, None], q11[:, None], q02[:, None]
         for s in range(0, len(th), step):

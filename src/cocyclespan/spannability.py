@@ -352,15 +352,19 @@ def _exact_margin(system: GeneratorSystem, mk: MkBasis) -> tuple[float, bool, tu
     else:
         mats = mk.basis
         notes = ["margin quadratics use the reduced basis (word count above cap)"]
-    best, lip = 0.0, 0.0
-    for q20, q11, q02 in pair_quadratics(mats):
+    best, lip, blocks = 0.0, 0.0, 0
+    for block in pair_quadratics(mats):
+        q20, q11, q02 = block
         m, r = np.abs(q20 + q02) / 2, np.hypot((q20 - q02) / 2, q11 / 2)
         best = max(best, float((m - r).max()))
         lip = max(lip, 2.0 * float((m + r).max()))
+        blocks += 1
     if best > 0.0:
         return best, True, tuple(notes)
     eps = lip * RESOLUTION[1]
-    cert, _x, evals, capped = lipschitz_bnb(lambda X: pair_abs_max(mats, X[:, 0]), lip,
+    # a single block is kept for every round; more are formed again, one at a time
+    quads = (lambda: [block]) if blocks == 1 else (lambda: pair_quadratics(mats))
+    cert, _x, evals, capped = lipschitz_bnb(lambda X: pair_abs_max(quads(), X[:, 0]), lip,
                                             [0.0], [np.pi], 0.0, eps)
     notes += _bnb_notes("margin over pair quadratics", lip, eps, evals, capped)
     return max(cert, 0.0), cert > 0.0 and not capped, tuple(notes)

@@ -185,6 +185,19 @@ class TestSpannableAt:
         assert "pair quadratics" in note and "L = " in note and "eps = " in note
         assert "evaluations" in note
 
+    def test_minimizer_margin_is_the_same_over_many_blocks(self, monkeypatch):
+        # three generators, every pair quadratic indefinite: the branch and
+        # bound either keeps the single block or forms two each round
+        system = GeneratorSystem((np.array([[0.0, 0.5], [2.0, 1.0]]),
+                                  np.array([[0.5, 0.0], [0.5, 2.0]]),
+                                  np.array([[-1.0, 1.5], [1.0, -2.0]])))
+        one = spannable_at(system, 1)
+        monkeypatch.setattr(kernels, "_PAIRS", 1)
+        assert len(list(pair_quadratics(system.stacked()))) == 2
+        many = spannable_at(system, 1)
+        assert "branch and bound" in one.notes[0]
+        assert (many.margin, many.notes) == (one.margin, one.notes)
+
 
 def d3_rotated_triangular(rng):
     """Four 2I + Gaussian 3x3 generators fixing e1, conjugated by an orthogonal Q.
@@ -482,4 +495,5 @@ class TestMarginOracle:
         blocks = list(pair_quadratics(mats))
         assert len(blocks) == len(range(0, 12, max(1, pairs // 13)))
         assert np.concatenate(blocks, axis=1).tobytes() == full.tobytes()
-        assert pair_abs_max(mats, th).tobytes() == brute.tobytes()
+        assert pair_abs_max(blocks, th).tobytes() == brute.tobytes()
+        assert pair_abs_max(pair_quadratics(mats), th).tobytes() == brute.tobytes()
