@@ -81,13 +81,33 @@ class IrreducibilityVerdict:
 
 def power_system(system: GeneratorSystem, t: int, *, budget: int = DEFAULT_BUDGET) -> GeneratorSystem:
     """The cocycle generated by all length-t products, in lexicographic word order;
-    t = 1 gives the system itself."""
+    t = 1 gives the system itself.
+
+    Floats round a product wider than 53 bits, so a power of an exact d = 2
+    system also keeps its products in Python ints (`_integer_stack`), which
+    its exact verdict decides; the float products serve the witness residual.
+    """
     if t < 1:
         raise InputError("power exponent must be >= 1")
     check_sweep(system.ell, t, budget)
     if t == 1:
         return system
-    return _DerivedSystem(tuple(dense_products(system.stacked(), t)), exact=system.exact)
+    power = _DerivedSystem(tuple(dense_products(system.stacked(), t)), exact=system.exact)
+    if system.exact and system.dim == 2:
+        mats, scale = _integer_stack(system)
+        prods = mats
+        for _ in range(t - 1):  # words w + (j,) in lexicographic order: A_j times w's product
+            prods = [[a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h]
+                     for e, f, g, h in prods for a, b, c, d in mats]
+        object.__setattr__(power, "_integers", (prods, scale ** t))
+    return power
+
+
+def _integer_stack(system: GeneratorSystem) -> tuple[list[list[int]], int]:
+    """An exact d = 2 system's generators as integer matrices over one scale,
+    as `integer_matrices` gives them: a power's exact products, else those of
+    its stored doubles."""
+    return getattr(system, "_integers", None) or integer_matrices(system.stacked())
 
 
 def wedge_system(system: GeneratorSystem, m: int) -> GeneratorSystem:
@@ -164,7 +184,7 @@ def _verdict_d2(system: GeneratorSystem) -> IrreducibilityVerdict:
     # system in integers, the entries times one power of two; else in floats,
     # where d - a is correctly rounded, as float() of the exact value
     if system.exact:
-        mats, scale = integer_matrices(system.stacked())
+        mats, scale = _integer_stack(system)
         scales = [scale] * len(mats)
     else:
         mats, scales = system.stacked().reshape(-1, 4).tolist(), None

@@ -1,4 +1,6 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -247,7 +249,77 @@ def test_inconclusive_check_without_a_failure_makes_the_report_inconclusive():
     rep = check_hypotheses(ILL_CONDITIONED_LINE, "theorem_1_1")
     assert [c.label for c in rep.checks] == ["power t=1", "power t=2", "wedge m=1"]
     assert rep.checks[0].verdict.status == "Inconclusive" and all(c.passed for c in rep.checks)
+    # every A_i A_j fixes the line (1, 3): the exact products find it, and its
+    # residual on the rounded float products is far above WITNESS_TOL
+    square = rep.checks[1].verdict
+    assert (square.status, square.method, square.witness) == ("Inconclusive", "d2_exact", None)
+    assert square.residual > 0.5
     assert (rep.overall, rep.failed_at, rep.witness) == ("Inconclusive", None, None)
+
+
+def _fraction_power(system, t):
+    """Length-t products of the generators in Fractions, in lexicographic word order."""
+    gens = [[[Fraction(x) for x in row] for row in A.tolist()] for A in system.generators]
+    out = []
+    for word in enumerate_words(system.ell, t):
+        P = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+        for s in word:
+            A = gens[s - 1]
+            P = [[sum(A[i][k] * P[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+        out.append(P)
+    return out
+
+
+def _fraction_invariant_line(mats) -> bool:
+    """Whether the 2x2 Fraction matrices share a real invariant line, by brute
+    force: the rational roots of the first non-scalar matrix's line quadratic,
+    or its irrational pair through the proportional quadratics of the others."""
+    quads = [(A[1][0], A[1][1] - A[0][0], -A[0][1]) for A in mats]
+    nonzero = [q for q in quads if any(q)]
+    if not nonzero:
+        return True
+    a, b, c = nonzero[0]
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return False
+    if a == 0:
+        cands = [(Fraction(1), Fraction(0))] + ([(-c / b, Fraction(1))] if b else [])
+    else:
+        root = Fraction(math.isqrt(disc.numerator * disc.denominator), disc.denominator)
+        if root * root != disc:  # irrational pair: every other quadratic proportional
+            return all(q[0] * b == a * q[1] and q[0] * c == a * q[2] for q in nonzero[1:])
+        cands = [((-b + sgn * root) / (2 * a), Fraction(1)) for sgn in (1, -1)]
+    return any(all(q[0] * x * x + q[1] * x * y + q[2] * y * y == 0 for q in nonzero)
+               for x, y in cands)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_exact_d2_power_cocycles_against_fraction_products(data):
+    """For an exact d = 2 system, the power cocycle's integer products are its
+    Fraction products, and its verdict finds a common invariant line exactly
+    when those products share one, though entries up to 2^30 / 2^20 make the
+    float products round."""
+    ell, t = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 3))
+    entry = st.integers(-2**30, 2**30).map(lambda k: k / 2.0**20)
+    mats = [np.array(data.draw(st.lists(entry, min_size=4, max_size=4))).reshape(2, 2)
+            for _ in range(ell)]
+    if data.draw(st.booleans()):  # conjugate triangular matrices: a shared line
+        P = np.array([[1.0, data.draw(st.integers(-3, 3))], [0.0, 1.0]])
+        P = P @ np.array([[1.0, 0.0], [data.draw(st.integers(-3, 3)), 1.0]])
+        mats = [P @ np.triu(M) @ np.round(np.linalg.inv(P)) for M in mats]
+    try:
+        system = GeneratorSystem(tuple(mats))
+    except InputError:
+        assume(False)
+    power = power_system(system, t)
+    ints, scale = power._integers
+    exact = _fraction_power(system, t)
+    assert [[Fraction(x, scale) for x in M] for M in ints] == \
+        [[x for row in P for x in row] for P in exact]
+    v = irreducibility_verdict(power)
+    assert v.method == "d2_exact"
+    assert (v.status != IRREDUCIBLE) == _fraction_invariant_line(exact)
 
 
 @pytest.mark.parametrize("call,message", [
