@@ -332,7 +332,7 @@ def _run_check_hypotheses(cfg: RunConfig):
     effort = [{"label": c.label, "seconds": c.seconds,
                "algebra_levels": c.verdict.algebra_levels if c.verdict else 0,
                "orbit_tries": c.verdict.orbit_tries if c.verdict else 0,
-               "implied_by": c.implied_by} for c in rep.checks]
+               "implied_by": c.implied_by, "witness_from": c.witness_from} for c in rep.checks]
     return _jsonable(rep), code, list(rep.warnings), {"checks": effort}
 
 

@@ -50,7 +50,7 @@ import numpy as np
 from .errors import InputError
 from .kernels import dense_products
 from .linalg import (SubspaceBasis, invariance_residual, span_basis, stack_images,
-                     wedge_power)
+                     wedge_index_sets, wedge_power)
 from .rational2 import common_root_line, integer_matrices
 from .systems import GeneratorSystem, _DerivedSystem
 from .wordspace import DEFAULT_BUDGET, check_sweep, product
@@ -236,21 +236,48 @@ def irreducibility_verdict(system: GeneratorSystem, *, method: str = "auto",
         return _verdict_d2(system)
     if method == "d2":
         raise InputError("d2 method needs a 2x2 system")
-    return _algebra_verdict(system, seed)
+    alg = algebra_dimension(system)
+    if alg.certified:
+        return _full_verdict(system, alg.levels)
+    return replace(_verdict_randomized(system, seed), algebra_levels=alg.levels)
 
 
-def _algebra_verdict(system: GeneratorSystem, seed: int, full: bool | None = None) -> IrreducibilityVerdict:
-    """Certified when the algebra of the system is all of M_n, else the
-    randomized search. `full` is that answer when another cocycle's closure
-    already implies it (`_theorem_rules`); None runs this system's closure."""
-    levels = 0
-    if full is None:
-        alg = algebra_dimension(system)
-        full, levels = alg.certified, alg.levels
-    if full:
-        return IrreducibilityVerdict(status=IRREDUCIBLE, method="algebra_dimension",
-                                     residual=float(system.dim ** 2), algebra_levels=levels)
-    return replace(_verdict_randomized(system, seed), algebra_levels=levels)
+def _full_verdict(system: GeneratorSystem, levels: int) -> IrreducibilityVerdict:
+    """The verdict of an algebra that is all of M_n, found by a closure of
+    `levels` levels or, with 0, implied by another cocycle's (`_theorem_rules`)."""
+    return IrreducibilityVerdict(status=IRREDUCIBLE, method="algebra_dimension",
+                                 residual=float(system.dim ** 2), algebra_levels=levels)
+
+
+def _t1_witness(label: str, sub: GeneratorSystem, W: SubspaceBasis) -> IrreducibilityVerdict | None:
+    """The ReducibleWitness that power t=1's witness W gives the cocycle
+    `label`, built by rule (a) or (c) of the module docstring, or None when
+    its invariance residual on that cocycle's stack is above WITNESS_TOL.
+
+    A power keeps W. Wedge m takes the columns of the m-th compound of an
+    orthonormal Q = [W | W-perp] whose index sets lie in the first p = dim W
+    indices (wedge^m W, m <= p) or contain them (W ^ wedge^{m-p} R^d, m > p):
+    a compound of an orthogonal matrix is orthogonal (Cauchy-Binet), so they
+    are orthonormal as they stand.
+    """
+    d, p = W.ambient, W.dim
+    if label.startswith("power"):
+        note = f"rule (a): W, the dim-{p} witness of power t=1"
+    else:
+        m = int(label.rpartition("=")[2])
+        Q = np.linalg.svd(W.basis)[0]
+        Q[:, :p] = W.basis
+        sets = wedge_index_sets(d, m)
+        cols = [i for i, S in enumerate(sets) if (S[-1] < p if m <= p else S[:p] == tuple(range(p)))]
+        basis = wedge_power(Q, m)[:, cols]
+        W = SubspaceBasis(ambient=len(sets), dim=len(cols), basis=basis)
+        span = f"wedge^{m} W" if m <= p else f"W ^ wedge^{m - p} R^{d}"
+        note = f"rule (c): {span}, W the dim-{p} witness of power t=1"
+    res = invariance_residual(sub.stacked(), W)
+    if res > WITNESS_TOL:
+        return None
+    return IrreducibilityVerdict(status=REDUCIBLE, method="t1_witness", witness=W,
+                                 residual=res, notes=(note,))
 
 
 @dataclass(frozen=True)
@@ -265,6 +292,9 @@ class SubCheck:
     # the check whose algebra closure decided this one's algebra test, when
     # this one ran none (then its verdict's algebra_levels is 0); left out of reports
     implied_by: str | None = field(default=None, repr=False, compare=False)
+    # the check whose witness this one's was built from (then its verdict's
+    # orbit_tries is 0); left out of reports
+    witness_from: str | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -309,24 +339,56 @@ def _verdict_checks(cocycles: list[tuple[str, GeneratorSystem]], seed: int,
                     rules: dict) -> dict[str, SubCheck]:
     """label -> irreducibility check of each (label, cocycle), decided in the
     order given; a cocycle listed twice is decided once. A label whose
-    `rules` (see `_theorem_rules`) already fix its algebra skips the closure."""
+    `rules` (see `_theorem_rules`) already fix its algebra skips the closure.
+
+    With rules (theorem_1_1 at d >= 3), a label other than power t=1 whose
+    algebra is not full is decided last: by a witness built from power t=1's
+    (`_t1_witness`) when t = 1 has one, else, or when that witness fails its
+    residual, by the seeded orbit search.
+    """
     checks: dict[str, SubCheck] = {}
     first: dict[int, SubCheck] = {}
+    waiting = []  # (label, cocycle, algebra levels, implied_by, seconds so far)
+
+    def record(label, sub, v, by, seconds, witness_from=None):
+        checks[label] = SubCheck(label=label, verdict=v, passed=not v.reducible, implied_by=by,
+                                 witness_from=witness_from, seconds=seconds)
+        first.setdefault(id(sub), checks[label])
+
     for label, sub in cocycles:
         start = time.perf_counter()
         if id(sub) in first:
             src = first[id(sub)]
-            v, by = replace(src.verdict, algebra_levels=0), _closure_label(src)
+            record(label, sub, replace(src.verdict, algebra_levels=0, orbit_tries=0),
+                   _closure_label(src), time.perf_counter() - start)
+            continue
+        if not rules:
+            record(label, sub, irreducibility_verdict(sub, seed=seed), None,
+                   time.perf_counter() - start)
+            continue
+        hint = next(((checks[s], full) for s, statuses, full in rules.get(label, ())
+                     if s in checks and checks[s].verdict.status in statuses), None)
+        if hint is None:
+            alg = algebra_dimension(sub)
+            full, levels, by = alg.certified, alg.levels, None
         else:
-            hint = next(((checks[s], full) for s, statuses, full in rules.get(label, ())
-                         if s in checks and checks[s].verdict.status in statuses), None)
-            if hint is None:
-                v, by = irreducibility_verdict(sub, seed=seed), None
-            else:
-                v, by = _algebra_verdict(sub, seed, hint[1]), _closure_label(hint[0])
-        checks[label] = SubCheck(label=label, verdict=v, passed=not v.reducible, implied_by=by,
-                                 seconds=time.perf_counter() - start)
-        first.setdefault(id(sub), checks[label])
+            full, levels, by = hint[1], 0, _closure_label(hint[0])
+        if full:
+            v = _full_verdict(sub, levels)
+        elif label == "power t=1":
+            v = replace(_verdict_randomized(sub, seed), algebra_levels=levels)
+        else:
+            waiting.append((label, sub, levels, by, time.perf_counter() - start))
+            continue
+        record(label, sub, v, by, time.perf_counter() - start)
+
+    t1 = checks["power t=1"].verdict if waiting else None
+    for label, sub, levels, by, spent in waiting:
+        start = time.perf_counter()
+        v = _t1_witness(label, sub, t1.witness) if t1.reducible else None
+        source = "power t=1" if v else None
+        v = replace(v or _verdict_randomized(sub, seed), algebra_levels=levels)
+        record(label, sub, v, by, spent + time.perf_counter() - start, source)
     return checks
 
 

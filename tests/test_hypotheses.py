@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import combinations
 from fractions import Fraction
 
 import numpy as np
@@ -10,11 +11,11 @@ import cocyclespan.cli as cli
 from cocyclespan import E1, E2, E3, GeneratorSystem
 from cocyclespan.errors import InputError
 from cocyclespan.fixtures import ROT90
-from cocyclespan.hypotheses import (IRREDUCIBLE, REDUCIBLE, HypothesisReport, SubCheck,
-                                    algebra_dimension, check_hypotheses,
+from cocyclespan.hypotheses import (IRREDUCIBLE, REDUCIBLE, WITNESS_TOL, HypothesisReport,
+                                    SubCheck, algebra_dimension, check_hypotheses,
                                     irreducibility_verdict, orbit_span,
                                     power_system, wedge_system)
-from cocyclespan.linalg import invariance_residual
+from cocyclespan.linalg import invariance_residual, span_basis, subspace_distance
 from cocyclespan.wordspace import enumerate_words, product
 
 from _helpers import D3, random_2x2_system, random_reducible_system
@@ -376,18 +377,21 @@ def _d34_systems(draw):
     return kind, mats
 
 
-def _report_text(rep):
-    return json.dumps(cli._jsonable(rep), sort_keys=True)
+def _json_text(obj):
+    return json.dumps(cli._jsonable(obj), sort_keys=True)
+
+
+def _theorem_cocycles(system):
+    d = system.dim
+    cocycles = [(f"power t={t}", power_system(system, t)) for t in range(1, d + 1) if d % t == 0]
+    return cocycles + [(f"wedge m={m}", wedge_system(system, m)) for m in range(1, d)]
 
 
 def _assembled_theorem_report(system):
     """The theorem_1_1 report made from `irreducibility_verdict` on each
     cocycle alone, with check_hypotheses' rule for the overall result."""
-    d = system.dim
-    cocycles = [(f"power t={t}", power_system(system, t)) for t in range(1, d + 1) if d % t == 0]
-    cocycles += [(f"wedge m={m}", wedge_system(system, m)) for m in range(1, d)]
     checks = []
-    for label, sub in cocycles:
+    for label, sub in _theorem_cocycles(system):
         v = irreducibility_verdict(sub)
         checks.append(SubCheck(label=label, verdict=v, passed=not v.reducible))
     failed = next((c for c in checks if not c.passed), None)
@@ -398,10 +402,34 @@ def _assembled_theorem_report(system):
                             failed_at=failed.label if failed else None)
 
 
+def _plucker(M):
+    """The m x m minors of a d x m matrix, rows in lexicographic order: the
+    coordinates of the wedge of its columns."""
+    d, m = M.shape
+    return [np.linalg.det(M[list(rows)]) for rows in combinations(range(d), m)]
+
+
+def _rule_subspace(label, W):
+    """What rule (a) or (c) gives the cocycle `label` from t = 1's witness W:
+    W for a power; for wedge m, the span of the wedges of m of W's columns
+    (m <= p = dim W) or of all p with m - p standard basis vectors (m > p)."""
+    if label.startswith("power"):
+        return W
+    m, (d, p) = int(label.rpartition("=")[2]), W.basis.shape
+    if m <= p:
+        vecs = [_plucker(W.basis[:, list(cols)]) for cols in combinations(range(p), m)]
+    else:
+        vecs = [_plucker(np.column_stack([W.basis, np.eye(d)[:, list(cols)]]))
+                for cols in combinations(range(d), m - p)]
+    return span_basis(vecs)
+
+
 class TestTheoremCascade:
     """theorem_1_1 skips an algebra closure whose answer another one implies:
     (a) s | t gives Alg(A^t) ⊆ Alg(A^s), (b) dim Alg(∧^{d-1} A) = dim Alg(A),
-    (c) a witness W for A gives every ∧^m A, 1 < m < d, an invariant subspace."""
+    (c) a witness W for A gives every ∧^m A, 1 < m < d, an invariant subspace;
+    and it builds the witness of a cocycle that (a) or (c) makes reducible
+    from t = 1's instead of searching for one."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(drawn=_d34_systems())
@@ -412,7 +440,26 @@ class TestTheoremCascade:
         except InputError:
             assume(False)
         rep = check_hypotheses(system, "theorem_1_1")
-        assert _report_text(rep) == _report_text(_assembled_theorem_report(system))
+        alone = _assembled_theorem_report(system)
+        assert [(c.label, c.passed, c.verdict.status) for c in rep.checks] == \
+            [(c.label, c.passed, c.verdict.status) for c in alone.checks]
+        assert (rep.overall, rep.failed_at) == (alone.overall, alone.failed_at)
+        assert _json_text(rep.witness) == _json_text(alone.witness)
+        cocycles, t1 = dict(_theorem_cocycles(system)), rep.checks[0]
+        assert t1.label == "power t=1" and t1.witness_from is None
+        for check, other in zip(rep.checks, alone.checks):
+            v = check.verdict
+            if check.witness_from is None:
+                # a check without a derived witness is what its cocycle alone gives
+                assert v.method != "t1_witness"
+                assert _json_text(check) == _json_text(other)
+                continue
+            assert (check.witness_from, v.method, v.status) == ("power t=1", "t1_witness", REDUCIBLE)
+            assert v.orbit_tries == 0 and t1.verdict.reducible
+            expected = _rule_subspace(check.label, t1.verdict.witness)
+            assert 0 < v.witness.dim == expected.dim < v.witness.ambient
+            assert np.abs(v.witness.projector() - expected.projector()).max() <= 1e-12
+            assert invariance_residual(cocycles[check.label].stacked(), v.witness) <= WITNESS_TOL
         d = system.dim
         dims = {t: algebra_dimension(power_system(system, t)).dim
                 for t in range(1, d + 1) if d % t == 0}
@@ -424,3 +471,30 @@ class TestTheoremCascade:
             for m in range(2, d - 1):
                 wedge = wedge_system(system, m)
                 assert not algebra_dimension(wedge).certified
+
+    def test_a_derived_witness_past_the_tolerance_falls_back_to_the_search(self):
+        # P T_i P^-1 with upper triangular T_i and a unimodular P: both fix the
+        # plane P span(e1, e2). It is contracted 512 times more than the third
+        # direction, so t = 1's float witness, within 1e-10 of invariant under
+        # A_i, is far from invariant under the length-3 products
+        P = np.array([[10.0, 3.0, 0.0], [3.0, 1.0, 0.0], [7.0, 2.0, 1.0]])
+        system = GeneratorSystem((
+            np.array([[-340.375, 1081.125, 23.0], [-111.8125, 356.4375, 7.0],
+                      [-212.5625, 708.6875, 0.0]]),
+            np.array([[153.75, -557.25, 19.0], [50.625, -182.875, 6.0],
+                      [71.125, -342.375, 45.0]])))
+        rep = check_hypotheses(system, "theorem_1_1")
+        checks = {c.label: c for c in rep.checks}
+        W = checks["power t=1"].verdict.witness
+        assert checks["power t=1"].verdict.residual <= WITNESS_TOL
+        assert subspace_distance(W, span_basis(P[:, :2].T)) <= 1e-9
+        cube = power_system(system, 3)
+        assert invariance_residual(cube.stacked(), W) > 1e-3
+        # t = 3 runs today's seeded search; wedge m = 2 keeps its derived witness
+        assert checks["power t=3"].witness_from is None
+        assert _json_text(checks["power t=3"]) == _json_text(
+            SubCheck(label="power t=3", verdict=irreducibility_verdict(cube),
+                     passed=checks["power t=3"].passed))
+        assert checks["wedge m=2"].witness_from == "power t=1"
+        assert checks["wedge m=2"].verdict.notes == ("rule (c): wedge^2 W, W the dim-2 witness of power t=1",)
+        assert (rep.overall, rep.failed_at) == ("Fail", "power t=1")
