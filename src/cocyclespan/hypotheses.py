@@ -26,19 +26,26 @@ n-dimensional cocycle is all of M_n. Rules (a)-(c) hold over any field:
     algebra's dimension, so wedge m = d - 1 takes t = 1's answer.
 (c) a witness W of dimension p for A gives every wedge^m A, 1 < m < d, the
     invariant subspace wedge^m W (m <= p) or W ∧ wedge^{m-p} R^d (m > p), so
-    none of these is full.
+    none of these is full. A subspace invariant under every A_i is invariant
+    under every product, so W serves every power as well.
 (d) `power_system(A, 1)` is A itself, as is `wedge_system(A, 1)`: wedge m = 1
     is power t = 1's cocycle and takes its verdict.
 (e) the algebra closure reads only a rank, so each level's images are one
     stacked product of every generator with every basis matrix.
 
 An implied full algebra gives what its closure would: IrreducibleCertified by
-`algebra_dimension`, residual n^2. An implied non-full one goes straight to
-the randomized search. Closures per theorem_1_1 op, against 3 at d = 3 and 5
-at d = 4 without the rules: 1 at d = 3 irreducible (t = 3), 2 at d = 3
-reducible (t = 3, t = 1), 2 at d = 4 irreducible (t = 4, m = 2) and 2 at
-d = 4 reducible (t = 4, t = 1). `SubCheck.implied_by` names the check whose
-closure decided an implied one.
+`algebra_dimension`, residual n^2. Every other check whose algebra is not
+full, power t = d's included, is decided after t = 1: when t = 1 has a
+witness W, rules (a) and (c) build that check's witness from W, and it is
+reported (method `t1_witness`) if its invariance residual on the check's own
+cocycle is at most WITNESS_TOL; otherwise, and when t = 1 has no witness, the
+seeded orbit search runs as on the cocycle alone. Closures per theorem_1_1
+op, against 3 at d = 3 and 5 at d = 4 without the rules: 1 at d = 3
+irreducible (t = 3), 2 at d = 3 reducible (t = 3, t = 1), 2 at d = 4
+irreducible (t = 4, m = 2) and 2 at d = 4 reducible (t = 4, t = 1). Orbit
+searches per reducible op fall from 3 at d = 3 and 5 at d = 4 to 1, t = 1's.
+`SubCheck.implied_by` names the check whose closure decided an implied one,
+and `SubCheck.witness_from` the check whose witness a built one came from.
 """
 from __future__ import annotations
 

@@ -25,6 +25,10 @@ of theorem_1_1 at d >= 3: (a) s | t gives Alg(A^t) ⊆ Alg(A^s); (b) the
 Alg(A); (c) a witness for A gives every wedge^m A, 1 < m < d, an invariant
 subspace; (d) the first power and the first wedge are the system itself. They
 leave 1 or 2 closures per op where there were 3 at d = 3 and 5 at d = 4.
+Rules (a) and (c) also build the witness itself: W for a power, and for a
+wedge the columns of `wedge_power` of an orthonormal [W | W-perp] that span
+wedge^m W or W ∧ wedge^{m-p} R^d, so a reducible op runs 1 orbit search where
+it ran 3 at d = 3 and 5 at d = 4.
 """
 from __future__ import annotations
 
