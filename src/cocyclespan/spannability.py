@@ -363,9 +363,9 @@ def _exact_margin(system: GeneratorSystem, mk: MkBasis) -> tuple[float, bool, tu
         return best, True, tuple(notes)
     eps = lip * RESOLUTION[1]
     # a single block is kept for every round; more are formed again, one at a time
-    quads = (lambda: [block]) if blocks == 1 else (lambda: pair_quadratics(mats))
-    cert, _x, evals, capped = lipschitz_bnb(lambda X: pair_abs_max(quads(), X[:, 0]), lip,
-                                            [0.0], [np.pi], 0.0, eps)
+    held = [block] if blocks == 1 else None
+    cert, _x, evals, capped = lipschitz_bnb(
+        lambda X: pair_abs_max(held or pair_quadratics(mats), X[:, 0]), lip, [0.0], [np.pi], 0.0, eps)
     notes += _bnb_notes("margin over pair quadratics", lip, eps, evals, capped)
     return max(cert, 0.0), cert > 0.0 and not capped, tuple(notes)
 
