@@ -1,7 +1,7 @@
 import json
 import math
-from itertools import combinations
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
