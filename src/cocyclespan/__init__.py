@@ -20,7 +20,6 @@ from .quasimult import (ConnectorConstant, GammaResult, QMReport, connector_cons
                         empirical_qm, gamma_minimax)
 from .thermo import (BetaEstimate, DimensionReport, PotentialSpec,
                      PressureBracket, QMInput, TargetSequence,
-                     affinity_dimension, alpha_hat, all_ones_targets, beta_hat,
-                     conformal_qm_input, potential_value, pressure_bracket,
-                     r0_interval, s0_interval)
+                     affinity_dimension, all_ones_targets, beta_hat,
+                     conformal_qm_input, r0_interval, s0_interval)
 from .gibbs import KappaFloorReport, MixingReport, kappa_floor, psi_mixing_stat

@@ -58,7 +58,7 @@ from .errors import InputError
 from .kernels import dense_products
 from .linalg import (SubspaceBasis, invariance_residual, span_basis, stack_images,
                      wedge_index_sets, wedge_power)
-from .rational2 import common_root_line, integer_matrices
+from .rational2 import _times, common_root_line, integer_matrices
 from .systems import GeneratorSystem, _DerivedSystem
 from .wordspace import DEFAULT_BUDGET, check_sweep, product
 
@@ -104,8 +104,7 @@ def power_system(system: GeneratorSystem, t: int, *, budget: int = DEFAULT_BUDGE
         mats, scale = _integer_stack(system)
         prods = mats
         for _ in range(t - 1):  # words w + (j,) in lexicographic order: A_j times w's product
-            prods = [[a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h]
-                     for e, f, g, h in prods for a, b, c, d in mats]
+            prods = [_times(A, P, 2) for P in prods for A in mats]
         object.__setattr__(power, "_integers", (prods, scale ** t))
     return power
 
@@ -235,14 +234,11 @@ def _verdict_randomized(system: GeneratorSystem, seed: int) -> IrreducibilityVer
                                  notes=("no invariant subspace found",), orbit_tries=tries)
 
 
-def irreducibility_verdict(system: GeneratorSystem, *, method: str = "auto",
-                           seed: int = 42) -> IrreducibilityVerdict:
-    if method not in ("auto", "d2", "algebra_random"):
-        raise InputError(f"unknown method {method!r}")
-    if method in ("auto", "d2") and system.dim == 2:
+def irreducibility_verdict(system: GeneratorSystem, *, seed: int = 42) -> IrreducibilityVerdict:
+    """The verdict of the cascade in the module docstring: the exact path at
+    d = 2, else the algebra test and then the seeded orbit search."""
+    if system.dim == 2:
         return _verdict_d2(system)
-    if method == "d2":
-        raise InputError("d2 method needs a 2x2 system")
     alg = algebra_dimension(system)
     if alg.certified:
         return _full_verdict(system, alg.levels)

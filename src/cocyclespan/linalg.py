@@ -19,16 +19,8 @@ time, each column over the whole stack of generators (`stack_images`).
 The algebra test is not: its operands are d x d matrices, each image is a
 matrix-matrix product whichever way it is stacked, and only its rank is read,
 so a level is one product `G[:, None] @ B` of every generator with every basis
-matrix (rule (e) of `hypotheses`). The other rules there skip whole closures
-of theorem_1_1 at d >= 3: (a) s | t gives Alg(A^t) ⊆ Alg(A^s); (b) the
-(d-1)-th compound is det(A) P A^{-T} P^{-1}, whose algebra has the dimension of
-Alg(A); (c) a witness for A gives every wedge^m A, 1 < m < d, an invariant
-subspace; (d) the first power and the first wedge are the system itself. They
-leave 1 or 2 closures per op where there were 3 at d = 3 and 5 at d = 4.
-Rules (a) and (c) also build the witness itself: W for a power, and for a
-wedge the columns of `wedge_power` of an orthonormal [W | W-perp] that span
-wedge^m W or W ∧ wedge^{m-p} R^d, so a reducible op runs 1 orbit search where
-it ran 3 at d = 3 and 5 at d = 4.
+matrix (rule (e) of `hypotheses`, whose module docstring gives the other
+rules: those that skip whole closures and build witnesses).
 """
 from __future__ import annotations
 
@@ -61,11 +53,6 @@ def as_matrix(A) -> np.ndarray:
 
 def operator_norm(A) -> float:
     return float(np.linalg.norm(A, 2))
-
-
-def singular_values(A) -> np.ndarray:
-    """Singular values in descending order."""
-    return np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False)
 
 
 def invertible(mats: np.ndarray) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Exact arithmetic in Python ints, and exact decisions for 2x2 systems.
 
-Every stored double is a dyadic rational n / 2^m, so one power of two turns a
-stack of matrices into integer matrices (`integer_matrices`); the exact paths
-of `spannability` and `hypotheses` decide in those integers and build
-Fractions only at the `MkBasis.rational` boundary and for a rational root.
+This module owns the integer format. Every stored double is a dyadic rational
+n / 2^m, so one power of two turns a stack of matrices into integer matrices
+(`integer_matrices`), each a flat row-major list of ints. On that format it
+multiplies (`_times`), keeps echelon bases over Q (`_RationalSpan`) and
+orthonormalises independent rows exactly before their one rounding to floats
+(`_orthonormal_float`); the exact paths of `spannability` and `hypotheses`
+decide in these integers, and Fractions appear only for a rational root.
 
 A line span{u} is invariant under A iff det(u | A u) = 0. Writing u = (x, y)
 and A = [[a, b], [c, d]] this determinant is the quadratic form
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -43,6 +47,71 @@ def integer_matrices(mats: np.ndarray) -> tuple[list[list[int]], int]:
     ints = [n << (shift + 1 - den.bit_length()) for n, den in ratios]
     size = mats.shape[1] * mats.shape[2]
     return [ints[i:i + size] for i in range(0, len(ints), size)], 1 << shift
+
+
+def _times(A: list[int], B: list[int], d: int) -> list[int]:
+    """A B for flat row-major d x d integer matrices."""
+    cols = [B[j::d] for j in range(d)]
+    return [sum(map(mul, A[i:i + d], col)) for i in range(0, d * d, d) for col in cols]
+
+
+def _eliminate(v: list[int], row: list[int], c: int, den: int) -> list[int]:
+    """v * den - c * row, divided by gcd(c, den) > 0: for den > 0, a positive
+    multiple of v - (c / den) row."""
+    g = math.gcd(c, den)
+    a, c = den // g, c // g
+    return [a * x - c * y for x, y in zip(v, row)]
+
+
+class _RationalSpan:
+    """Echelon basis over Q for membership tests and exact M_k bases, in integers.
+
+    A row (pivot, nums, den) is the rational row nums / den, with den > 0,
+    nums[pivot] == den and gcd(nums) == 1, so each rational row has one form.
+    An added vector is a list of ints; a positive multiple of it has the same
+    span and the same row.
+    """
+
+    def __init__(self):
+        self.rows: list[tuple[int, list[int], int]] = []  # sorted by pivot
+
+    def add(self, v: list[int]) -> bool:
+        for pivot, nums, den in self.rows:
+            c = v[pivot]
+            if c:
+                v = _eliminate(v, nums, c, den)
+        for i, x in enumerate(v):
+            if x:
+                g = math.gcd(*v) if x > 0 else -math.gcd(*v)
+                self.rows.append((i, [y // g for y in v], x // g))
+                self.rows.sort(key=lambda row: row[0])
+                return True
+        return False
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
+def _orthonormal_float(rows: list[list[int]]) -> np.ndarray:
+    """Orthonormal columns spanning the independent integer `rows`: exact
+    Gram-Schmidt, each residual kept as a positive integer multiple, and each
+    result scaled exactly to max entry 1 (int true division is correctly
+    rounded) before the float normalisation."""
+    ortho: list[tuple[list[int], int]] = []  # (q, <q, q>)
+    cols = []
+    for v in rows:
+        for q, qq in ortho:
+            c = sum(map(mul, v, q))
+            if c:
+                v = _eliminate(v, q, c, qq)
+        g = math.gcd(*v)
+        v = [vi // g for vi in v]
+        ortho.append((v, sum(map(mul, v, v))))
+        top = max(map(abs, v))
+        col = np.array([vi / top for vi in v])
+        cols.append(col / np.linalg.norm(col))
+    return np.stack(cols, axis=1)
 
 
 def pair_quadratic(A, B) -> Quad:

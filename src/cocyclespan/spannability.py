@@ -5,22 +5,18 @@ R^d for every nonzero u. Testing goes through M_k = span{A_I : |I| = k}: the
 image space V_{u,k} equals M_k u, which collapses ell^k images into at most
 d^2 basis elements and turns "for all u" into a minimax over one sphere.
 
-A d = 2 margin (method auto, `full_algebra` levels included) bounds min over
-unit u of the max over word pairs |det(A_I u | A_J u)| (`_exact_margin`), from
-float pair quadratics. Exact decisions run in Python ints, the M_k sweep and
-the common root on an exact system's rational basis included; Fractions
-appear only at the `MkBasis.rational` boundary. Numeric margins bound
-sigma_d(stack of B_j u)^2, and a saturated d >= 3 level reports an
-uncertified sample of it.
+A d = 2 margin (`full_algebra` levels included) bounds min over unit u of
+the max over word pairs |det(A_I u | A_J u)| (`_exact_margin`), from float
+pair quadratics. Exact decisions run in the Python ints of `rational2`, the
+M_k sweep and the common root on an exact system's rational basis included.
+Numeric margins bound sigma_d(stack of B_j u)^2, and a saturated d >= 3 level
+reports an uncertified sample of it.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import cached_property
-from math import gcd
-from operator import mul
 
 import numpy as np
 
@@ -29,7 +25,8 @@ from .errors import ContractViolation, InputError
 from .kernels import dense_products, lipschitz_bnb, pair_abs_max, pair_quadratics
 from .linalg import (SubspaceBasis, canonical_sign, span_basis, subspace_distance,
                      wedge_index_sets, wedge_power)
-from .rational2 import common_root_line, integer_matrices, pair_quadratic
+from .rational2 import (_RationalSpan, _orthonormal_float, _times, common_root_line,
+                        integer_matrices, pair_quadratic)
 from .systems import GeneratorSystem
 from .wordspace import DEFAULT_BUDGET, check_budget
 
@@ -47,44 +44,6 @@ NOT_SPANNABLE = "NotSpannable"
 INCONCLUSIVE = "Inconclusive"
 
 
-class _RationalSpan:
-    """Echelon basis over Q for membership tests and exact M_k bases, in integers.
-
-    A row (pivot, nums, den) is the rational row nums / den, with den > 0,
-    nums[pivot] == den and gcd(nums) == 1, so each rational row has one form.
-    An added vector is a list of ints; a positive multiple of it has the same
-    span and the same row.
-    """
-
-    def __init__(self):
-        self.rows: list[tuple[int, list[int], int]] = []  # sorted by pivot
-
-    def add(self, v: list[int]) -> bool:
-        for pivot, nums, den in self.rows:
-            c = v[pivot]
-            if c:  # v * den - c * row, divided by gcd(c, den) > 0
-                g = gcd(c, den)
-                a, c = den // g, c // g
-                v = [a * x - c * y for x, y in zip(v, nums)]
-        for i, x in enumerate(v):
-            if x:
-                g = gcd(*v) if x > 0 else -gcd(*v)
-                self.rows.append((i, [y // g for y in v], x // g))
-                self.rows.sort(key=lambda row: row[0])
-                return True
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-def _times(A: list[int], B: list[int], d: int) -> list[int]:
-    """A B for flat row-major d x d integer matrices."""
-    cols = [B[j::d] for j in range(d)]
-    return [sum(map(mul, A[i:i + d], col)) for i in range(0, d * d, d) for col in cols]
-
-
 @dataclass(frozen=True)
 class MkBasis:
     """Orthonormal basis of M_k = span{A_I : |I| = k}, matrices as d^2-vectors."""
@@ -92,7 +51,7 @@ class MkBasis:
     k: int
     dim: int
     basis: np.ndarray  # (dim, d, d)
-    # an exact system's integer echelon rows of M_k, as kept by `_RationalSpan`
+    # an exact system's integer echelon rows of M_k, as `rational2._RationalSpan` keeps them
     rows: tuple | None = field(default=None, repr=False)
 
     @property
@@ -103,16 +62,6 @@ class MkBasis:
     def stack(self) -> np.ndarray:
         """The basis matrices, each scaled to operator norm 1."""
         return self.basis / np.linalg.norm(self.basis, 2, axis=(1, 2))[:, None, None]
-
-    @cached_property
-    def rational(self) -> tuple | None:
-        """The echelon basis over Q as d x d Fraction matrices, same span; None
-        for an inexact system."""
-        if self.rows is None:
-            return None
-        d = self.d
-        return tuple([[Fraction(n, den) for n in nums[i:i + d]] for i in range(0, d * d, d)]
-                     for _, nums, den in self.rows)
 
 
 def mk_bases(system: GeneratorSystem, k_max: int, *,
@@ -162,29 +111,6 @@ def mk_basis(system: GeneratorSystem, k: int, *, budget: int = DEFAULT_BUDGET) -
         raise InputError("k must be >= 1")
     *_, mk = mk_bases(system, k, budget=budget)
     return mk
-
-
-def _orthonormal_float(rows: list[list[int]]) -> np.ndarray:
-    """Orthonormal columns spanning the independent integer `rows`: exact
-    Gram-Schmidt, each residual kept as a positive integer multiple, and each
-    result scaled exactly to max entry 1 (int true division is correctly
-    rounded) before the float normalisation."""
-    ortho: list[tuple[list[int], int]] = []  # (q, <q, q>)
-    cols = []
-    for v in rows:
-        for q, qq in ortho:
-            c = sum(map(mul, v, q))
-            if c:  # (v - c / qq q) * qq, divided by gcd(c, qq) > 0
-                g = gcd(c, qq)
-                a, c = qq // g, c // g
-                v = [a * vi - c * qi for vi, qi in zip(v, q)]
-        g = gcd(*v)
-        v = [vi // g for vi in v]
-        ortho.append((v, sum(map(mul, v, v))))
-        top = max(map(abs, v))
-        col = np.array([vi / top for vi in v])
-        cols.append(col / np.linalg.norm(col))
-    return np.stack(cols, axis=1)
 
 
 @dataclass(frozen=True)
@@ -370,15 +296,10 @@ def _exact_margin(system: GeneratorSystem, mk: MkBasis) -> tuple[float, bool, tu
     return max(cert, 0.0), cert > 0.0 and not capped, tuple(notes)
 
 
-def _certify(system: GeneratorSystem, mk: MkBasis, method: str,
-             seed: int = 42) -> SpannabilityCertificate:
-    """The certificate for one level M_k; `method` is as in `spannable_at`."""
+def _certify(system: GeneratorSystem, mk: MkBasis, seed: int = 42) -> SpannabilityCertificate:
+    """The certificate for one level M_k, as `spannable_at` describes it."""
     d = system.dim
-    if method not in ("auto", "exact", "numeric"):
-        raise InputError(f"unknown method {method!r}")
-    if method == "exact" and d != 2:
-        raise InputError("exact method needs d = 2")
-    if method == "auto" and mk.dim == d * d:
+    if mk.dim == d * d:
         if d == 2:
             margin, certified, notes = _exact_margin(system, mk)
         else:
@@ -387,24 +308,23 @@ def _certify(system: GeneratorSystem, mk: MkBasis, method: str,
         return SpannabilityCertificate(
             k=mk.k, status=SPANNABLE, margin=margin, exact=False, method="full_algebra",
             margin_certified=certified, notes=("M_k saturates the matrix space",) + notes)
-    if method != "numeric" and d == 2:
+    if d == 2:
         return _exact_certificate(system, mk)
     if mk.dim < d:
         return _deficit_certificate(mk, exact=False)
     return _numeric_certificate(system, mk, seed=seed)
 
 
-def spannable_at(system: GeneratorSystem, k: int, *, method: str = "auto",
+def spannable_at(system: GeneratorSystem, k: int, *,
                  budget: int = DEFAULT_BUDGET) -> SpannabilityCertificate:
     """Certificate for k-uniform spannability.
 
-    auto: saturated M_k (dim d^2) is immediately spannable, with the d = 2
-    word-pair margin of the module docstring; otherwise the d=2 polynomial
-    path decides exactly, the certified sphere minimization handles
-    d = 3 and a multistart search d >= 4. `method` can force 'exact' (d=2
-    only) or 'numeric'.
+    A saturated M_k (dim d^2) is immediately spannable, with the d = 2
+    word-pair margin of the module docstring; otherwise the d = 2 polynomial
+    path decides exactly, the certified sphere minimization handles d = 3
+    and a multistart search d >= 4.
     """
-    return _certify(system, mk_basis(system, k, budget=budget), method)
+    return _certify(system, mk_basis(system, k, budget=budget))
 
 
 def _coarse_sample_margin(mk: MkBasis) -> float:
@@ -438,7 +358,7 @@ def minimal_spannable_k(system: GeneratorSystem, k_max: int, *, seed: int = 42,
         raise InputError("k_max must be >= 1")
     certs, levels = [], []
     for mk in mk_bases(system, k_max, budget=budget):
-        cert = _certify(system, mk, "auto", seed)
+        cert = _certify(system, mk, seed)
         certs.append(cert)
         levels.append(mk)
         if cert.spannable:
@@ -526,15 +446,14 @@ def diagnose_failure(system: GeneratorSystem, search: SpannabilitySearch, *, see
     stabilized = [V for V, dim in zip(chain, dims) if dim == gamma]
     wv = [_plucker(V) for V in stabilized]
     N = wv[0].size
+    wedges = [wedge_power(A, gamma) for A in system.generators]
     pair = None
     B = None
     for i in range(system.ell):
         for j in range(system.ell):
             if i == j:
                 continue
-            Wi = wedge_power(system.generators[i], gamma) if gamma > 1 else system.generators[i]
-            Wj = wedge_power(system.generators[j], gamma) if gamma > 1 else system.generators[j]
-            cand = np.linalg.solve(Wi, Wj)
+            cand = np.linalg.solve(wedges[i], wedges[j])
             dev = np.abs(cand - (np.trace(cand) / N) * np.eye(N)).max()
             if dev > 1e-9 * max(1.0, np.abs(cand).max()):
                 pair, B = (i + 1, j + 1), cand

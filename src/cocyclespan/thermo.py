@@ -74,20 +74,6 @@ def log_potential(logs1: np.ndarray, logs2: np.ndarray | None, spec: PotentialSp
     return np.multiply(base, 2.0, out=base) if spec.kind == "sv_s_squared" else base
 
 
-def potential_value(A, spec: PotentialSpec) -> float:
-    """The potential of a single matrix: |A|^s, or phi^s (squared for `sv_s_squared`) of a 2x2 A."""
-    A = np.asarray(A, dtype=float)
-    if spec.kind != "norm_s" and A.shape != (2, 2):
-        raise InputError(f"{spec.kind} is defined for 2x2 matrices only")
-    sv = np.linalg.svd(A, compute_uv=False)
-    l1 = math.log(sv[0])
-    if spec.kind == "norm_s":
-        return math.exp(spec.s * l1)
-    l2 = math.log(sv[-1])
-    val = _log_phi(np.array([l1]), np.array([l2]), spec.s)[0]
-    return math.exp(2.0 * val if spec.kind == "sv_s_squared" else val)
-
-
 @dataclass(frozen=True)
 class QMInput:
     """Supermultiplicativity input: Z_{n+k+m} >= C Z_n Z_m for the summed potential."""
@@ -236,13 +222,6 @@ def pressure_brackets(system: GeneratorSystem, potential: str, n: int, s_values,
     return [_bracket(spec, n, data.log_z(spec), qm) for spec, qm in zip(specs, qm_inputs)]
 
 
-def pressure_bracket(system: GeneratorSystem, spec: PotentialSpec, n: int,
-                     qm_input: QMInput | None = None, *,
-                     budget: int = DEFAULT_BUDGET) -> PressureBracket:
-    """Two-sided pressure bracket of one potential; `sv_s_squared` gives the square pressure."""
-    return pressure_brackets(system, spec.kind, n, [spec.s], [qm_input], budget=budget)[0]
-
-
 @dataclass(frozen=True)
 class TargetSequence:
     """Finite prefix (J_1, ..., J_T) of a target cylinder sequence."""
@@ -303,14 +282,6 @@ class _TargetData:
         logphi = _log_phi(self.logs1, self.logs2, s)
         vals = -logphi / self.lengths
         return float(np.min(vals[self.tail:]))
-
-
-def alpha_hat(system: GeneratorSystem, targets: TargetSequence, s: float) -> float:
-    """Tail-minimum proxy of the inverse lower pressure of the target sequence."""
-    if system.dim != 2:
-        raise InputError("alpha_hat needs d = 2")
-    targets.validate(system.ell)
-    return _TargetData(system, targets).alpha(s)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,13 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from cocyclespan import GeneratorSystem
 from cocyclespan.errors import InputError
+from cocyclespan.hypotheses import _full_verdict, _verdict_randomized, algebra_dimension
+from cocyclespan.spannability import _numeric_certificate, mk_basis
+from cocyclespan.thermo import _TargetData, _log_phi
 
 # a 3x3 system, for the checks that reject d != 2 before any work
 D3 = GeneratorSystem((np.diag([1.0, 2.0, 3.0]),))
@@ -39,3 +45,51 @@ def random_reducible_system(rng, ell=2):
         upper = np.array([[diag[0], float(rng.integers(-3, 4))], [0.0, diag[1]]])
         mats.append(P @ upper @ Pinv)
     return GeneratorSystem(tuple(mats))
+
+
+# Reference paths and oracles that no command reaches, for cross-checks.
+
+def numeric_certificate(system, k):
+    """The numeric spannability certificate of M_k, for the exact d = 2 path
+    to be checked against: the certified circle minimum at d = 2."""
+    return _numeric_certificate(system, mk_basis(system, k), seed=42)
+
+
+def algebra_random_verdict(system, seed=42):
+    """The irreducibility verdict of the d >= 3 cascade at any d, the algebra
+    test and then the seeded orbit search, for the exact d = 2 path to be
+    checked against."""
+    alg = algebra_dimension(system)
+    if alg.certified:
+        return _full_verdict(system, alg.levels)
+    return _verdict_randomized(system, seed)
+
+
+def potential_value(A, spec):
+    """The potential of a single matrix: |A|^s, or phi^s (squared for `sv_s_squared`) of a 2x2 A."""
+    A = np.asarray(A, dtype=float)
+    if spec.kind != "norm_s" and A.shape != (2, 2):
+        raise InputError(f"{spec.kind} is defined for 2x2 matrices only")
+    sv = np.linalg.svd(A, compute_uv=False)
+    l1 = math.log(sv[0])
+    if spec.kind == "norm_s":
+        return math.exp(spec.s * l1)
+    l2 = math.log(sv[-1])
+    val = _log_phi(np.array([l1]), np.array([l2]), spec.s)[0]
+    return math.exp(2.0 * val if spec.kind == "sv_s_squared" else val)
+
+
+def alpha_hat(system, targets, s):
+    """Tail-minimum proxy of the inverse lower pressure of the target sequence (d = 2)."""
+    targets.validate(system.ell)
+    return _TargetData(system, targets).alpha(s)
+
+
+def rational(mk):
+    """The echelon basis of M_k over Q as d x d Fraction matrices, same span;
+    None for an inexact system."""
+    if mk.rows is None:
+        return None
+    d = mk.d
+    return tuple([[Fraction(n, den) for n in nums[i:i + d]] for i in range(0, d * d, d)]
+                 for _, nums, den in mk.rows)

@@ -10,16 +10,15 @@ import numpy as np
 from cocyclespan import E1, E2, E3, E4, E5, GeneratorSystem
 from cocyclespan.gibbs import kappa_floor, psi_mixing_stat
 from cocyclespan.hypotheses import check_hypotheses
-from cocyclespan.linalg import singular_values, wedge_power
+from cocyclespan.linalg import wedge_power
 from cocyclespan.quasimult import connector_constant, empirical_qm
 from cocyclespan.spannability import diagnose_failure, minimal_spannable_k, spannable_at
 from cocyclespan.thermo import (PotentialSpec, QMInput, affinity_dimension,
-                                all_ones_targets, conformal_qm_input,
-                                potential_value, pressure_bracket, r0_interval,
-                                s0_interval)
+                                all_ones_targets, conformal_qm_input, pressure_brackets,
+                                r0_interval, s0_interval)
 from cocyclespan.wordspace import product
 
-from _helpers import random_2x2_system
+from _helpers import numeric_certificate, potential_value, random_2x2_system
 
 DIAG_PAIR = GeneratorSystem((np.diag([2.0, 3.0]), np.diag([1.0, 4.0])))
 
@@ -74,8 +73,8 @@ def test_criterion_3_spannability_exactness():
     agree = 0
     for i in range(100):
         sys = random_reducible_system(rng) if i % 3 == 0 else random_2x2_system(rng)
-        a = spannable_at(sys, 1, method="exact")
-        b = spannable_at(sys, 1, method="numeric")
+        a = spannable_at(sys, 1)
+        b = numeric_certificate(sys, 1)
         agree += a.status == b.status
     ok = ok and agree == 100
     _line(3, ok, f"E2 margin {cert.margin}; path agreement {agree}/100")
@@ -100,14 +99,14 @@ def test_criterion_5_pressure_correctness():
     # P(0) = log ell and P2(0) = -log ell
     for sys in (E3(), E4()):
         qm = conformal_qm_input(sys)
-        br = pressure_bracket(sys, PotentialSpec("norm_s", 0.0), 8, qm)
+        br = pressure_brackets(sys, "norm_s", 8, [0.0], [qm])[0]
         ok = ok and abs(br.upper - math.log(2)) <= 1e-12
-        sq = pressure_bracket(sys, PotentialSpec("sv_s_squared", 0.0), 8, qm)
+        sq = pressure_brackets(sys, "sv_s_squared", 8, [0.0], [qm])[0]
         ok = ok and abs(sq.lower + math.log(2)) <= 1e-12
     # conformal oracle on E4 at n = 8
     widths = []
     for s in (0.25, 0.5, 0.75):
-        br = pressure_bracket(E4(), PotentialSpec("sv_s", s), 8, conformal_qm_input(E4()))
+        br = pressure_brackets(E4(), "sv_s", 8, [s], [conformal_qm_input(E4())])[0]
         target = math.log(2) + s * math.log(0.4)
         ok = ok and br.lower - 1e-9 <= target <= br.upper + 1e-9
         ok = ok and br.width <= 1e-2
@@ -115,12 +114,11 @@ def test_criterion_5_pressure_correctness():
     # lower <= upper wherever a constant exists; Fekete monotonicity
     const = connector_constant(E3(), 1)
     for s in (0.3, 1.0, 1.7):
-        br = pressure_bracket(E3(), PotentialSpec("sv_s", s), 8,
-                              QMInput(k=1, C=const.value(s, "sv_s")))
+        br = pressure_brackets(E3(), "sv_s", 8, [s], [QMInput(k=1, C=const.value(s, "sv_s"))])[0]
         ok = ok and br.lower <= br.upper
-    for spec in (PotentialSpec("norm_s", 1.0), PotentialSpec("sv_s", 0.5)):
-        ok = ok and pressure_bracket(E3(), spec, 8).upper <= \
-            pressure_bracket(E3(), spec, 4).upper + 1e-12
+    for kind, s in (("norm_s", 1.0), ("sv_s", 0.5)):
+        ok = ok and pressure_brackets(E3(), kind, 8, [s], [None])[0].upper <= \
+            pressure_brackets(E3(), kind, 4, [s], [None])[0].upper + 1e-12
     _line(5, ok, f"P(0)=log 2, P2(0)=-log 2, E4 oracle widths {max(widths):.2e}")
 
 
@@ -208,7 +206,7 @@ def test_criterion_9_numerical_hygiene():
         A = rng.standard_normal((2, 2))
         if abs(np.linalg.det(A)) < 1e-6:
             continue
-        s1, s2 = singular_values(A)
+        s1, s2 = np.linalg.svd(A, compute_uv=False)
         ok = ok and abs(s1 * s2 - abs(np.linalg.det(A))) <= 1e-12 * max(1.0, s1 * s2)
         potential_value(A, PotentialSpec("sv_s", 1.0))
         potential_value(A, PotentialSpec("sv_s", 2.0))

@@ -11,14 +11,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cocyclespan import GeneratorSystem
 from cocyclespan.errors import InputError
 from cocyclespan.hypotheses import irreducibility_verdict, power_system
 from cocyclespan.linalg import SubspaceBasis, canonical_sign, span_basis
-from cocyclespan.rational2 import integer_matrices, pair_quadratic
+from cocyclespan.rational2 import (_RationalSpan, _orthonormal_float, _times, integer_matrices,
+                                   pair_quadratic)
 from cocyclespan.spannability import NOT_SPANNABLE, mk_bases, spannable_at
 
+from _helpers import rational
 from test_spannability import d3_block_triangular, d3_rotated_triangular
 
 
@@ -131,7 +134,7 @@ class TestIntegerSweep:
         for mk, (rows, basis, _) in zip(levels, fraction_levels(system, k_max)):
             assert [p for p, *_ in mk.rows] == [p for p, _ in rows]
             assert mk.dim == len(rows)
-            assert mk.rational == tuple([row[i:i + system.dim] for i in
+            assert rational(mk) == tuple([row[i:i + system.dim] for i in
                                          range(0, system.dim ** 2, system.dim)] for _, row in rows)
             assert mk.basis.tobytes() == basis.tobytes()
             for pivot, nums, den in mk.rows:  # the one integer form of each row
@@ -152,7 +155,7 @@ class TestIntegerSweep:
         exact = SYSTEMS["d2-ell2-3dec"]
         flagged = GeneratorSystem(exact.generators, exact=False)
         for a, b in zip(mk_bases(exact, 4), mk_bases(flagged, 4)):
-            assert b.rows is None and b.rational is None
+            assert b.rows is None and rational(b) is None
             assert a.basis.tobytes() == b.basis.tobytes()
 
     def test_integer_generators(self):
@@ -162,6 +165,71 @@ class TestIntegerSweep:
         for M, A in zip(mats, stack):
             assert all(Fraction(n, scale) == Fraction(float(x)) for n, x in zip(M, A.ravel()))
         assert integer_matrices(np.array([[[2.0, 3.0], [-1.0, 7.0]]])) == ([[2, 3, -1, 7]], 1)
+
+
+@st.composite
+def _integer_vectors(draw):
+    """Vectors of one length n <= 9: drawn ones, integer combinations of the
+    earlier ones (dependent, so never new to the span) and zero vectors."""
+    n = draw(st.integers(1, 9))
+    entries = st.integers(-30, 30)
+    vecs = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["drawn", "combination", "zero"] if vecs else ["drawn"]))
+        if kind == "drawn":
+            vecs.append(draw(st.lists(entries, min_size=n, max_size=n)))
+        elif kind == "zero":
+            vecs.append([0] * n)
+        else:
+            coeffs = draw(st.lists(st.integers(-5, 5), min_size=len(vecs), max_size=len(vecs)))
+            vecs.append([sum(c * v[i] for c, v in zip(coeffs, vecs)) for i in range(n)])
+    return vecs
+
+
+class TestIntegerRoutines:
+    """The integer routines of `rational2` against the same steps in Fractions."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(_integer_vectors())
+    def test_span_ranks_membership_and_row_form(self, vecs):
+        rat, oracle = _RationalSpan(), FractionSpan()
+        for v in vecs:
+            assert rat.add(v) == oracle.add(v)
+            assert rat.rank == len(oracle.rows)
+        for (pivot, nums, den), (q_pivot, row) in zip(rat.rows, oracle.rows):
+            assert pivot == q_pivot and [Fraction(x, den) for x in nums] == row
+            assert den > 0 and nums[pivot] == den and math.gcd(*nums) == 1
+        for v in vecs:  # every added vector now lies in the span
+            assert not rat.add(v)
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(_integer_vectors())
+    def test_orthonormal_columns_span_the_fraction_rows(self, vecs):
+        rat = _RationalSpan()
+        for v in vecs:
+            rat.add(v)
+        if not rat.rank:
+            return
+        rows = [nums for _, nums, _ in rat.rows]
+        Q = _orthonormal_float(rows)
+        assert Q.shape == (len(vecs[0]), rat.rank)
+        assert np.abs(Q.T @ Q - np.eye(rat.rank)).max() <= 1e-12
+        projector = Q @ Q.T
+        for row in rows:
+            x = np.array([n / max(map(abs, row)) for n in row])
+            assert np.linalg.norm(x - projector @ x) <= 1e-12 * np.linalg.norm(x)
+        assert Q.tobytes() == fraction_orthonormal([[Fraction(n) for n in row]
+                                                    for row in rows]).tobytes()
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.integers(2, 4).flatmap(lambda d: st.tuples(
+        st.just(d), *[st.lists(st.integers(-2**70, 2**70), min_size=d * d, max_size=d * d)] * 2)))
+    def test_times_is_the_fraction_product(self, case):
+        d, A, B = case
+        FA = [[Fraction(A[i * d + j]) for j in range(d)] for i in range(d)]
+        FB = [[Fraction(B[i * d + j]) for j in range(d)] for i in range(d)]
+        assert _times(A, B, d) == [sum(FA[i][c] * FB[c][j] for c in range(d))
+                                   for i in range(d) for j in range(d)]
 
 
 def fraction_surd_vector(q) -> np.ndarray:
@@ -206,8 +274,8 @@ class TestIntegerRoots:
             mk = next(iter(mk_bases(system, 1)))
             cert = spannable_at(system, 1)
             assert cert.status == NOT_SPANNABLE and cert.method == "d2_exact"
-            pairs = [pair_quadratic(A, B) for i, A in enumerate(mk.rational)
-                     for B in mk.rational[i + 1:]]
+            pairs = [pair_quadratic(A, B) for i, A in enumerate(rational(mk))
+                     for B in rational(mk)[i + 1:]]
             first = next(q for q in pairs if any(q))
             assert cert.witness.tobytes() == fraction_surd_vector(first).tobytes()
             dens.update(den for *_, den in mk.rows)

@@ -4,7 +4,6 @@ import pytest
 from cocyclespan import E1, E3, E5, kernels
 from cocyclespan.errors import InputError
 from cocyclespan.gibbs import kappa_floor, psi_mixing_stat
-from cocyclespan.linalg import singular_values
 
 from _helpers import D3, random_2x2_system
 
@@ -12,8 +11,8 @@ from _helpers import D3, random_2x2_system
 def test_one_step_mass_ratio_bounds():
     sys = E3()
     s = 1.0
-    lo = min(singular_values(A)[-1] for A in sys.generators) ** s
-    hi = sum(singular_values(A)[0] ** s for A in sys.generators)
+    lo = min(np.linalg.svd(A, compute_uv=False)[-1] for A in sys.generators) ** s
+    hi = sum(np.linalg.svd(A, compute_uv=False)[0] ** s for A in sys.generators)
     from cocyclespan.wordspace import enumerate_words, product
     for I in enumerate_words(2, 4):
         nI = product(sys, I).norm()

@@ -18,7 +18,7 @@ from cocyclespan.hypotheses import (IRREDUCIBLE, REDUCIBLE, WITNESS_TOL, Hypothe
 from cocyclespan.linalg import invariance_residual, span_basis, subspace_distance
 from cocyclespan.wordspace import enumerate_words, product
 
-from _helpers import D3, random_2x2_system, random_reducible_system
+from _helpers import D3, algebra_random_verdict, random_2x2_system, random_reducible_system
 
 DIAG_PAIR = GeneratorSystem((np.diag([2.0, 3.0]), np.diag([1.0, 4.0])))
 
@@ -167,7 +167,7 @@ class TestVerdicts:
             assert invariance_residual(sys.generators, v.witness) <= 1e-8
 
     def test_algebra_certificate_not_contradicted(self):
-        v = irreducibility_verdict(E2(), method="algebra_random")
+        v = algebra_random_verdict(E2())
         assert v.status == IRREDUCIBLE and v.method == "algebra_dimension"
 
     def test_exact_vs_randomized_agreement_200(self):
@@ -178,8 +178,8 @@ class TestVerdicts:
                 sys = random_reducible_system(rng)
             else:
                 sys = random_2x2_system(rng)
-            exact = irreducibility_verdict(sys, method="d2")
-            rand = irreducibility_verdict(sys, method="algebra_random", seed=9)
+            exact = irreducibility_verdict(sys)
+            rand = algebra_random_verdict(sys, seed=9)
             if {exact.status, rand.status} == {IRREDUCIBLE, REDUCIBLE}:
                 contradictions += 1
         assert contradictions == 0
@@ -326,8 +326,6 @@ def test_exact_d2_power_cocycles_against_fraction_products(data):
 @pytest.mark.parametrize("call,message", [
     (lambda: power_system(E2(), 0), "power exponent must be >= 1"),
     (lambda: orbit_span(E2(), [0.0, 0.0]), "orbit span needs a nonzero vector"),
-    (lambda: irreducibility_verdict(E2(), method="exact"), "unknown method 'exact'"),
-    (lambda: irreducibility_verdict(D3, method="d2"), "d2 method needs a 2x2 system"),
     (lambda: check_hypotheses(E2(), "theorem_4_3"), "unknown hypothesis mode 'theorem_4_3'"),
 ])
 def test_messages(call, message):

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cocyclespan.cli as cli
-from _helpers import random_2x2_system
+from _helpers import potential_value, random_2x2_system
 from cocyclespan import E1, E2, E3, E5, GeneratorSystem
 from cocyclespan.gibbs import kappa_floor
 from cocyclespan.quasimult import connector_constant, empirical_qm, gamma_minimax
 from cocyclespan.spannability import spannable_at
-from cocyclespan.thermo import PotentialSpec, potential_value
+from cocyclespan.thermo import PotentialSpec
 from cocyclespan.wordspace import enumerate_words, product
 
 # Frozen 2000x2000 (u, w) grid oracle values, computed independently before the
