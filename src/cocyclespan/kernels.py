@@ -61,16 +61,24 @@ with no transposition. A level grown t levels from R rows this way holds word
 `_rank_order` reads it out in rank order once per level or chunk.
 
 Levels are built by one sweep from the identity. `products_level_numpy` keeps
-only the last level; `level_singvals` yields log sigma_1 of every level
-m = 0..n of one sweep, one level at a time, for callers that read several
-levels. `word_singvals` streams its level in prefix blocks of at most
-`_STREAM` words, each grown from one chunk of a head level, so it holds
-8 bytes per word of output, a `LogDets` table of (head rows) x (tail letter
-classes) entries, and three block-sized product buffers that every chunk
-reuses.
+only the last level. `_sweep` streams: it builds the levels up to a head level
+Lambda(n - b) whole, b the most levels with ell^b <= `_STREAM`, then grows each
+chunk of head rows b levels into three product buffers that every chunk
+reuses, and writes each level it reads at the chunk's rank offset. Every word
+is grown once. `word_singvals` reads Lambda(n) alone, so it holds 8 bytes per
+word of output and a `LogDets` table of (head rows) x (tail letter classes)
+entries; `level_singvals` reads every level m = 0..n, 8 bytes per word of
+each, where whole (2, 2, ell^m) unit stacks took 96 bytes per word of the
+deepest level. `_STREAM` also sizes the log Z blocks of `thermo`. At 2^15
+words a d = 2 chunk buffer takes 1 MB, half of a core's 2 MB L2: on a 2-core
+x86-64 host, `word_singvals` at ell = 2, n = 20 took a median 52 ms with a
+12.3 MB traced peak, against 58 ms and 16.3 MB at 2^16 and 56 ms and 10.5 MB
+at 2^14; at ell = 3, n = 13 the peaks were 15.2, 19.5 and 14.4 MB, and the
+times (67 to 78 ms) were within the host's noise.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -80,7 +88,7 @@ BNB_MAX_EVALS = 2_000_000  # evaluation cap of `lipschitz_bnb`
 _BNB_CELLS = 64           # coarse grid cells per axis
 _BNB_BATCH = 4096         # open cells split per round; f sees at most 2^m times as many
 _DRIFT_BITS = 60          # a unit's largest entry stays within about 2^+-60 between rescales
-_STREAM = 1 << 16         # most words `word_singvals` extends at once
+_STREAM = 1 << 15         # most words a streamed level extends at once, and log Z block size
 _GRID_ROWS = 32           # most grid rows `minimax_grid2` folds at once
 _PAIRS = 1 << 16          # most word pairs (or pair-angle values) formed at once
 
@@ -134,22 +142,26 @@ def _extend_level(gens: np.ndarray, units: np.ndarray, out=None, term=None) -> n
     return new.reshape(d, d, -1)
 
 
-def _grow(gens: np.ndarray, units: np.ndarray, exps: np.ndarray, levels: int, cadence: int,
+def _grow(gens: np.ndarray, units: np.ndarray, exps: np.ndarray, reads: list, cadence: int,
           bufs: list | None = None):
-    """Canonical (units, exps) grown `levels` levels generator-major from canonical
+    """Canonical (units, exps) grown len(reads) levels generator-major from canonical
     ones, rescaled every `cadence` levels and normalised at the last.
 
-    With `bufs`, three flat arrays of d * d * W, d * d * W / ell and d * d * W
-    entries, W the words of the last level: the last level goes into the first,
-    the one before it into the second, and so on alternating; the third holds
-    the products of `_extend_level`.
+    reads[t - 1] is None or an (out, order) pair: level t is then normalised too,
+    and its log sigma_1 gathered by `order` into `out`. With `bufs`, three flat
+    arrays of d * d * W, d * d * W / ell and d * d * W entries, W the words of the
+    last level: the last level goes into the first, the one before it into the
+    second, and so on alternating; the third holds the products of `_extend_level`.
     """
+    levels = len(reads)
     bufs = bufs or [None] * 3
-    for i in range(1, levels + 1):
+    for i, read in enumerate(reads, 1):
         units = _extend_level(gens, units, bufs[(levels - i) % 2], bufs[2])
-        if i % cadence == 0 or i == levels:
+        if read is not None or i % cadence == 0 or i == levels:
             exps = exps[None].repeat(units.shape[-1] // len(exps), axis=0).ravel()
             _normalise(units, exps)
+        if read is not None:
+            np.take(_log_sigma1(units, exps), read[1], out=read[0], mode="clip")
     return units, exps
 
 
@@ -161,17 +173,57 @@ def _rank_order(ell: int, t: int, rows: int) -> np.ndarray:
     return grown.transpose((t,) + tuple(range(t - 1, -1, -1))).ravel()
 
 
-def _level(gens: np.ndarray, n: int, cadence: int):
-    """Canonical (units, exps) of Lambda(n) in rank order, units as a (d, d, ell^n) stack."""
-    units, exps = _grow(gens, *_identity(gens.shape[1]), n, cadence)
-    order = _rank_order(gens.shape[0], n, 1)
+def _level(gens: np.ndarray, reads: list, cadence: int):
+    """Canonical (units, exps) of Lambda(n), n = len(reads), in rank order, units as a
+    (d, d, ell^n) stack, grown from the identity; levels 1..n are read as by `_grow`."""
+    units, exps = _grow(gens, *_identity(gens.shape[1]), reads, cadence)
+    order = _rank_order(gens.shape[0], len(reads), 1)
     return units[..., order], exps[order]
+
+
+def _tail_depth(ell: int, n: int) -> int:
+    """Levels b <= n that a streamed Lambda(n) grows per chunk: the most with ell^b <= `_STREAM`."""
+    b = 0
+    while b < n and ell ** (b + 1) <= _STREAM:
+        b += 1
+    return b
+
+
+def _sweep(gens: np.ndarray, outs: list, cadence: int) -> None:
+    """log sigma_1 of Lambda(m) in rank order into outs[m], m = 0..n = len(outs) - 1,
+    from one sweep; a level whose outs[m] is None is not read.
+
+    The levels up to the head level Lambda(n - b), b = `_tail_depth(ell, n)`, are
+    built whole. Each chunk of head rows r0..r1-1 then grows b levels: the words
+    grown t levels from it share their prefixes with it, so they are ranks
+    r0 ell^t .. r1 ell^t - 1 of Lambda(n - b + t). A chunk holds at most `_STREAM`
+    words, in three flat buffers that every chunk reuses.
+    """
+    ell, d = gens.shape[:2]
+    n = len(outs) - 1
+    b = _tail_depth(ell, n)
+    order = functools.cache(functools.partial(_rank_order, ell))  # full chunks share theirs
+
+    def reads(m, r0, r1, levels):
+        """Where levels m + 1..m + levels grown from rows r0..r1-1 of Lambda(m) are read."""
+        return [None if out is None else (out[r0 * ell**t:r1 * ell**t], order(t, r1 - r0))
+                for t, out in enumerate(outs[m + 1:m + levels + 1], 1)]
+
+    if outs[0] is not None:
+        outs[0][:] = _log_sigma1(*_identity(d))
+    units, exps = _level(gens, reads(0, 0, 1, n - b), cadence)
+    rows = min(_STREAM // ell**b, len(exps))
+    size = d * d * rows * ell**b
+    bufs = [np.empty(size), np.empty(size // ell), np.empty(size)]
+    for r0 in range(0, len(exps), rows):
+        r1 = min(r0 + rows, len(exps))
+        _grow(gens, units[..., r0:r1], exps[r0:r1], reads(n - b, r0, r1, b), cadence, bufs)
 
 
 def products_level_numpy(gens: np.ndarray, n: int):
     """Scaled products for all of Lambda(n), lexicographic: (units, integer-valued exps)."""
     gens = np.ascontiguousarray(gens, dtype=float)
-    units, exps = _level(gens, n, _cadence(gens) if n > 1 else 1)  # one level: no rescale
+    units, exps = _level(gens, [None] * n, _cadence(gens) if n > 1 else 1)  # one level: no rescale
     return np.ascontiguousarray(units.transpose(2, 0, 1)), exps
 
 
@@ -251,7 +303,8 @@ class LogDets:
         while at < hi:
             q, t = divmod(at, span)
             end = min(hi, (q + 1) * span)
-            np.take(self.rows[q], self.tail_class[t:t + end - at], out=out[at - lo:end - lo])
+            np.take(self.rows[q], self.tail_class[t:t + end - at], out=out[at - lo:end - lo],
+                    mode="clip")
             at = end
         return np.subtract(out, logs1[lo:hi], out=out)
 
@@ -260,52 +313,32 @@ def word_singvals(gens: np.ndarray, n: int):
     """(log sigma_1 per word of Lambda(n) in lexicographic rank order, `LogDets`).
 
     The `LogDets` table is None for d > 2 (only the norm is needed there). The
-    level is streamed: the head level Lambda(n - b), with ell^b at most
-    `_STREAM`, is built whole, and each chunk of head rows is grown b levels
-    and written at its rank offset, since the words grown from head row r have
-    ranks r * ell^b .. (r + 1) * ell^b - 1.
+    level is streamed by `_sweep`, which reads no level but Lambda(n).
     """
     gens = np.ascontiguousarray(gens, dtype=float)
     ell, d = gens.shape[:2]
-    b = 0
-    while b < n and ell ** (b + 1) <= _STREAM:
-        b += 1
-    span, cadence = ell ** b, _cadence(gens)
-    head_units, head_exps = _level(gens, n - b, cadence)
-    logs1 = np.empty(len(head_exps) * span)
+    logs1 = np.empty(ell**n)
+    _sweep(gens, [None] * n + [logs1], _cadence(gens))
     log_dets = None
     if d == 2:
+        b = _tail_depth(ell, n)
         head_classes, head_class = _count_classes(ell, n - b)
         classes, tail_class = _count_classes(ell, b)
         log_dets = LogDets(_log_det(gens, head_classes[:, None, :] + classes)[head_class],
                            tail_class)
-    rows = min(_STREAM // span, len(head_exps))
-    order = _rank_order(ell, b, rows)
-    bufs = [np.empty(d * d * rows * span), np.empty(d * d * rows * span // ell),
-            np.empty(d * d * rows * span)]
-    for r0 in range(0, len(head_exps), rows):
-        r1 = min(r0 + rows, len(head_exps))
-        units, exps = _grow(gens, head_units[..., r0:r1], head_exps[r0:r1], b, cadence, bufs)
-        if r1 - r0 < rows:
-            order = _rank_order(ell, b, r1 - r0)
-        np.take(_log_sigma1(units, exps), order, out=logs1[r0 * span:r1 * span])
     return logs1, log_dets
 
 
 def level_singvals(gens: np.ndarray, n: int):
     """Yield log sigma_1 of Lambda(m) in rank order for m = 0..n, from one sweep.
 
-    Each level is a new array, which the caller may overwrite.
+    Each level is a new array, which the caller may overwrite. One `_sweep`
+    fills every level before the first is yielded.
     """
     gens = np.ascontiguousarray(gens, dtype=float)
-    ell, d = gens.shape[:2]
-    units, exps = _identity(d)
-    order = np.zeros(1, dtype=np.int64)
-    for m in range(n + 1):
-        if m:
-            units, exps = _grow(gens, units, exps, 1, 1)
-            order = (order[:, None] + np.arange(ell) * ell ** (m - 1)).ravel()
-        yield _log_sigma1(units, exps)[order]
+    outs = [np.empty(len(gens) ** m) for m in range(n + 1)]
+    _sweep(gens, outs, _cadence(gens))
+    yield from outs
 
 
 def pairwise_sum(leaf, lo: int, hi: int, block: int) -> float:

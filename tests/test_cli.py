@@ -329,17 +329,19 @@ class TestRunCommand:
         assert len(calls) == 7
 
     def test_mixing_sweeps_once(self, monkeypatch):
-        calls = []
+        words = []
         extend = kernels._extend_level
         monkeypatch.setattr(kernels, "_extend_level",
-                            lambda *args: calls.append(1) or extend(*args))
+                            lambda gens, units, *bufs: words.append(units.shape[-1] * len(gens))
+                            or extend(gens, units, *bufs))
         cfg = cfg_from(dict(E3_CONFIG, command="mixing",
                             options={"s": 1.0, "L": 6, "gap": 6, "connector_k": 1}))
         report, code = cli.run_command(cfg)
         assert code == cli.EXIT_OK and report["result"]["kappa_certificate"]["certified"]
-        # psi and kappa read one sweep of 2L + gap = 18 levels;
-        # gamma and the connector determinant each build Lambda(1)
-        assert len(calls) == 18 + 2
+        # psi and kappa read one sweep of 2L + gap = 18 levels, in chunks: every
+        # word of Lambda(1..18) is grown once; gamma and the connector
+        # determinant each build Lambda(1)
+        assert sum(words) == sum(2**m for m in range(1, 19)) + 2 * 2
 
     def test_wedge_diagnosis_report(self):
         # a WedgeEigenStructure diagnosis; its complex eigenvalues serialise as re/im pairs

@@ -118,7 +118,7 @@ def _whole_level(gens, n):
 
 
 class TestStreamedLevel:
-    """`word_singvals` streams Lambda(n) in prefix blocks with the whole level's bits."""
+    """`word_singvals` and `level_singvals` stream in prefix blocks with the whole levels' bits."""
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -140,6 +140,9 @@ class TestStreamedLevel:
                     assert logs1.tobytes() == ref1.tobytes()
                     assert ((log_dets is None and ref2 is None)
                             or log_dets.log_sigma2(logs1).tobytes() == ref2.tobytes())
+                # the level sweep streams Lambda(n - b + 1..7) in the same chunks
+                assert ([level.tobytes() for level in level_singvals(gens, 7)]
+                        == [ref1.tobytes() for ref1, _ in refs])
                 monkeypatch.undo()
 
     @pytest.mark.parametrize("cadence", [1, 2, 5])
