@@ -159,7 +159,7 @@ class TestStreamedLevel:
                 assert l1.tobytes() == r1.tobytes()
             monkeypatch.undo()
 
-    @pytest.mark.parametrize("block,n", [(128, 14), (kernels._STREAM, 20)])
+    @pytest.mark.parametrize("block,n", [(128, 14), (1 << 16, 20), (kernels._STREAM, 20)])
     def test_extend_level_never_sees_more_than_a_block(self, monkeypatch, block, n):
         monkeypatch.setattr(kernels, "_STREAM", block)
         rows = []
