@@ -11,8 +11,7 @@ from .linalg import SubspaceBasis, span_basis, wedge_power
 from .wordspace import ScaledProduct, enumerate_words, parse_word, product, word_str
 from .hypotheses import (HypothesisReport, IrreducibilityVerdict,
                          algebra_dimension, check_hypotheses,
-                         irreducibility_verdict, orbit_span, power_system,
-                         wedge_system)
+                         irreducibility_verdict, power_system, wedge_system)
 from .spannability import (FailureDiagnosis, MkBasis, SpannabilityCertificate,
                            diagnose_failure, minimal_spannable_k, mk_bases,
                            mk_basis, spannable_at)

@@ -326,12 +326,11 @@ def export_attractor(system: GeneratorSystem, depth: int, out_path, *,
 
 
 def _run_check_hypotheses(cfg: RunConfig):
-    rep = check_hypotheses(cfg.system, _values(cfg).mode, seed=cfg.seed, budget=cfg.budget)
+    rep = check_hypotheses(cfg.system, _values(cfg).mode, budget=cfg.budget)
     code = {"Pass": EXIT_OK, "Fail": EXIT_HYPOTHESIS_FAILED,
             "Inconclusive": EXIT_INCONCLUSIVE}[rep.overall]
     effort = [{"label": c.label, "seconds": c.seconds,
                "algebra_levels": c.verdict.algebra_levels if c.verdict else 0,
-               "orbit_tries": c.verdict.orbit_tries if c.verdict else 0,
                "implied_by": c.implied_by, "witness_from": c.witness_from} for c in rep.checks]
     return _jsonable(rep), code, list(rep.warnings), {"checks": effort}
 
@@ -345,7 +344,7 @@ def _run_spannability(cfg: RunConfig):
             warnings.append(f"inconclusive at k in {list(search.inconclusive_ks)}")
             code = EXIT_INCONCLUSIVE
         else:
-            diag = diagnose_failure(cfg.system, search, seed=cfg.seed, budget=cfg.budget)
+            diag = diagnose_failure(cfg.system, search, budget=cfg.budget)
             result["diagnosis"] = _jsonable(diag)
     # an Inconclusive certificate's notes say how it was computed and why it is
     # Inconclusive, a fired evaluation cap included

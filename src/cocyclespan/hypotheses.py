@@ -6,16 +6,37 @@ The decision cascade for a verdict:
   det(u | A_i u) share a real projective root; decided in Python ints, on the
   generators times one power of two (tolerance-based float twin, on float
   quadratics, for systems flagged inexact).
-* any d: if the unital algebra generated by the tuple has dimension d^2 there
-  is no invariant subspace even over C (Burnside), hence none over R.
-* any d: randomized falsification; orbit spans seeded at real eigenvectors of
-  short products. Finding a low-dimensional invariant orbit span certifies
-  reducibility; not finding one leaves the verdict Inconclusive for d >= 3.
+* n >= 3: one closure spans the unital algebra A of the n x n tuple. If
+  dim A = n^2 there is no invariant subspace even over C (Burnside). Else
+  A's structure decides, from the closure's basis:
+  - the radical of A is the kernel of its trace form tr(xy) (characteristic
+    0; Friedl & Rónyai, STOC 1985), a nilpotent ideal: when it is not 0,
+    rad A · R^n is a proper invariant subspace (method `radical`);
+  - else A is semisimple, and R^n is irreducible iff the commutant C, the null
+    space of the stacked kron(A_i, I) - kron(I, A_i^T), is a division algebra
+    (Schur, Wedderburn-Artin; Lam, GTM 131), iff the trace form of its
+    traceless part is negative definite: a nonzero traceless element of R, C
+    or H squares to a negative multiple of I, and an idempotent e != 0, I of C
+    gives X = e - (tr e / n) I with tr X^2 = tr e (1 - tr e / n) > 0;
+  - else the form's top direction X has a reducible minimal polynomial (an
+    irreducible one makes X = 0 or tr X^2 < 0), so for an eigenvalue λ of X,
+    p(X) = X - λ I (λ real) or X^2 - 2 Re(λ) X + |λ|^2 I is nonzero, singular
+    and commutes with every A_i: its kernel is a proper invariant subspace
+    (`commutant_kernel`);
+  - a division C is R, C or H, c = dim C = 1, 2 or 4, with A = End_C(R^n), so
+    dim A · c = n^2, and c = 1 makes A full: c in {2, 4} with that count is
+    IrreducibleCertified (`division_commutant`). Any other case means rounding
+    went wrong: Inconclusive (`commutant`). Notes give dim A and dim rad A or c.
+
+Every witness passes one gate (`_gated_witness`): its span is proper, with an
+invariance residual at most WITNESS_TOL; else the verdict is Inconclusive and
+a note names the failed check. No verdict is random or takes a seed.
 
 theorem_1_1 asks this of every power cocycle A^t, t | d, and every wedge
 cocycle wedge^m A, 1 <= m < d. Its d >= 3 algebras are nested, so a closure
 whose answer is already known is skipped. "Full" means that the algebra of an
-n-dimensional cocycle is all of M_n. Rules (a)-(c) hold over any field:
+n-dimensional cocycle is all of M_n, which at d >= 3 a verdict says exactly
+when its method is `algebra_dimension`. Rules (a)-(c) hold over any field:
 
 (a) s | t: a length-t product is a product of length-s products, so
     Alg(A^t) ⊆ Alg(A^s). t = d is decided first; if full, every power is.
@@ -23,7 +44,7 @@ n-dimensional cocycle is all of M_n. Rules (a)-(c) hold over any field:
     (t = 2 at d = 4) decided.
 (b) wedge^{d-1} A_i = det(A_i) P A_i^{-T} P^{-1} for one signed permutation P;
     A_i^{-1} lies in Alg(A) (Cayley-Hamilton) and transposing keeps an
-    algebra's dimension, so wedge m = d - 1 takes t = 1's answer.
+    algebra's dimension, so wedge m = d - 1 is full exactly when t = 1 is.
 (c) a witness W of dimension p for A gives every wedge^m A, 1 < m < d, the
     invariant subspace wedge^m W (m <= p) or W ∧ wedge^{m-p} R^d (m > p), so
     none of these is full. A subspace invariant under every A_i is invariant
@@ -36,19 +57,15 @@ n-dimensional cocycle is all of M_n. Rules (a)-(c) hold over any field:
 An implied full algebra gives what its closure would: IrreducibleCertified by
 `algebra_dimension`, residual n^2. Every other check whose algebra is not
 full, power t = d's included, is decided after t = 1: when t = 1 has a
-witness W, rules (a) and (c) build that check's witness from W, and it is
-reported (method `t1_witness`) if its invariance residual on the check's own
-cocycle is at most WITNESS_TOL; otherwise, and when t = 1 has no witness, the
-seeded orbit search runs as on the cocycle alone. Closures per theorem_1_1
-op, against 3 at d = 3 and 5 at d = 4 without the rules: 1 at d = 3
-irreducible (t = 3), 2 at d = 3 reducible (t = 3, t = 1), 2 at d = 4
-irreducible (t = 4, m = 2) and 2 at d = 4 reducible (t = 4, t = 1). Orbit
-searches per reducible op fall from 3 at d = 3 and 5 at d = 4 to 1, t = 1's.
+witness W, rules (a) and (c) build that check's witness from W (method
+`t1_witness`), if it passes the gate on the check's own cocycle; otherwise
+the check is decided as its cocycle alone, reusing its closure if it ran one.
 `SubCheck.implied_by` names the check whose closure decided an implied one,
-and `SubCheck.witness_from` the check whose witness a built one came from.
+`SubCheck.witness_from` the check whose witness a built one came from.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -56,11 +73,11 @@ import numpy as np
 
 from .errors import InputError
 from .kernels import dense_products
-from .linalg import (SubspaceBasis, invariance_residual, span_basis, stack_images,
+from .linalg import (RANK_TOL, SubspaceBasis, _rank, invariance_residual, span_basis,
                      wedge_index_sets, wedge_power)
 from .rational2 import _times, common_root_line, integer_matrices
 from .systems import GeneratorSystem, _DerivedSystem
-from .wordspace import DEFAULT_BUDGET, check_sweep, product
+from .wordspace import DEFAULT_BUDGET, check_sweep
 
 IRREDUCIBLE = "IrreducibleCertified"
 REDUCIBLE = "ReducibleWitness"
@@ -76,10 +93,8 @@ class IrreducibilityVerdict:
     witness: SubspaceBasis | None = None
     residual: float = 0.0
     notes: tuple[str, ...] = ()
-    # effort, left out of reports: image levels of the algebra test and words
-    # drawn by the random-orbit search
+    # effort, left out of reports: image levels of the algebra closure
     algebra_levels: int = field(default=0, repr=False, compare=False)
-    orbit_tries: int = field(default=0, repr=False, compare=False)
 
     @property
     def reducible(self) -> bool:
@@ -123,37 +138,24 @@ def wedge_system(system: GeneratorSystem, m: int) -> GeneratorSystem:
     return _DerivedSystem(tuple(wedge_power(A, m) for A in system.generators), exact=False)
 
 
-def _span_closure(G: np.ndarray, start: np.ndarray, images=stack_images) -> tuple[SubspaceBasis, int]:
-    """(span, levels): the smallest subspace containing `start` that every
-    generator of the stack G maps into itself, `start` a vector or a d x d
-    matrix (raveled in the span). Each level adds every generator's image of
-    each basis element, `images(G, elements)` in generator-major order, and
-    the loop stops when the span is full or stops growing: a span that one
-    level leaves unchanged is invariant.
-    """
-    n = start.size
-    basis = span_basis([start.ravel()], ambient=n)
+def _algebra_closure(system: GeneratorSystem) -> tuple[SubspaceBasis, int]:
+    """(basis, levels): the unital algebra the generators span, its n x n
+    matrices raveled. Each level adds every generator's product with each
+    basis matrix, one stacked product `G[:, None] @ B` (rule (e)), and the
+    loop stops when the span is full or stops growing: a span that one level
+    leaves unchanged is closed under the generators, hence an algebra. The
+    level-j span is that of all words of length <= j with the identity."""
+    G, n = system.stacked(), system.dim
+    basis = span_basis([np.eye(n).ravel()], ambient=n * n)
     levels = 0
-    while basis.dim < n:
+    while basis.dim < n * n:
         levels += 1
-        imgs = images(G, basis.basis.T.reshape(-1, *start.shape)).reshape(-1, n)
-        new = span_basis(np.concatenate([basis.basis.T, imgs]), ambient=n)
+        imgs = (G[:, None] @ basis.basis.T.reshape(-1, n, n)).reshape(-1, n * n)
+        new = span_basis(np.concatenate([basis.basis.T, imgs]), ambient=n * n)
         if new.dim == basis.dim:
             break
         basis = new
     return basis, levels
-
-
-def orbit_span(system: GeneratorSystem, v) -> SubspaceBasis:
-    """Smallest subspace containing v invariant under every generator.
-
-    The dimension grows by at least one per level until it stabilizes, so
-    words of length <= d-1 suffice.
-    """
-    v = np.asarray(v, dtype=float).ravel()
-    if np.linalg.norm(v) == 0:
-        raise InputError("orbit span needs a nonzero vector")
-    return _span_closure(system.stacked(), v)[0]
 
 
 @dataclass(frozen=True)
@@ -164,25 +166,24 @@ class AlgebraDimension:
 
 
 def algebra_dimension(system: GeneratorSystem) -> AlgebraDimension:
-    """Dimension of the span of {A_I} with the identity, by incremental rank growth.
-
-    The level-j span equals span of all words of length <= j plus the identity
-    (at most d^2 growing levels). Only the rank is read, so a level's images
-    are one stacked product of every generator with every basis matrix.
-    """
-    d = system.dim
-    basis, levels = _span_closure(system.stacked(), np.eye(d), lambda G, B: G[:, None] @ B)
-    return AlgebraDimension(dim=basis.dim, certified=basis.dim == d * d, levels=levels)
+    """Dimension of the unital algebra the generators span (`_algebra_closure`)."""
+    basis, levels = _algebra_closure(system)
+    return AlgebraDimension(dim=basis.dim, certified=basis.dim == system.dim ** 2, levels=levels)
 
 
-def _witness_from_line(system: GeneratorSystem, u: np.ndarray, method: str) -> IrreducibilityVerdict:
-    W = span_basis([u], ambient=system.dim)
-    res = invariance_residual(system.stacked(), W)
+def _gated_witness(system: GeneratorSystem, vectors, method: str, what: str,
+                   notes: tuple[str, ...] = ()) -> IrreducibilityVerdict:
+    """The span W of the candidate `vectors` as the ReducibleWitness of
+    `system` when W is proper and its invariance residual is at most
+    WITNESS_TOL; else Inconclusive, a last note naming the failed check (a
+    trivial or full span fails it with residual inf)."""
+    n = system.dim
+    W = span_basis(vectors, ambient=n)
+    res = invariance_residual(system.stacked(), W) if 0 < W.dim < n else math.inf
     if res > WITNESS_TOL:
-        return IrreducibilityVerdict(
-            status=INCONCLUSIVE, method=method, residual=res,
-            notes=(f"candidate line failed invariance check ({res:.2e})",))
-    return IrreducibilityVerdict(status=REDUCIBLE, method=method, witness=W, residual=res)
+        return IrreducibilityVerdict(status=INCONCLUSIVE, method=method, residual=res, notes=notes + (
+            f"candidate {what} failed invariance check ({res:.2e})",))
+    return IrreducibilityVerdict(status=REDUCIBLE, method=method, witness=W, residual=res, notes=notes)
 
 
 def _verdict_d2(system: GeneratorSystem) -> IrreducibilityVerdict:
@@ -198,51 +199,58 @@ def _verdict_d2(system: GeneratorSystem) -> IrreducibilityVerdict:
     u, method = common_root_line(quads, system.exact, scales)
     if u is None:
         return IrreducibilityVerdict(status=IRREDUCIBLE, method=method)
-    return _witness_from_line(system, u, method)
+    return _gated_witness(system, [u], method, "line")
 
 
-def _real_eigenvectors(M: np.ndarray) -> list[np.ndarray]:
-    vals, vecs = np.linalg.eig(M)
-    out = []
-    for i, lam in enumerate(vals):
-        if abs(lam.imag) <= 1e-10 * max(1.0, abs(lam)):
-            v = vecs[:, i].real
-            nrm = np.linalg.norm(v)
-            if nrm > 1e-12:
-                out.append(v / nrm)
-    return out
+def _trace_form(mats: np.ndarray, n: int) -> np.ndarray:
+    """[tr(X_i X_j)] for the raveled n x n matrices X_i, the rows of `mats`."""
+    return mats @ mats.reshape(-1, n, n).transpose(0, 2, 1).reshape(-1, n * n).T
 
 
-def _verdict_randomized(system: GeneratorSystem, seed: int) -> IrreducibilityVerdict:
-    rng = np.random.default_rng(seed)
-    d = system.dim
-    for tries in range(1, 65):
-        length = int(rng.integers(1, d + 1))
-        word = tuple(int(s) for s in rng.integers(1, system.ell + 1, size=length))
-        seeds = _real_eigenvectors(product(system, word).unit)
-        if not seeds:
-            v = rng.standard_normal(d)
-            seeds = [v / np.linalg.norm(v)]
-        for v in seeds:
-            W = orbit_span(system, v)
-            if 0 < W.dim < d:
-                res = invariance_residual(system.stacked(), W)
-                if res <= WITNESS_TOL:
-                    return IrreducibilityVerdict(status=REDUCIBLE, method="random_orbit",
-                                                 witness=W, residual=res, orbit_tries=tries)
-    return IrreducibilityVerdict(status=INCONCLUSIVE, method="random_orbit",
-                                 notes=("no invariant subspace found",), orbit_tries=tries)
+def _structure_verdict(system: GeneratorSystem, alg: SubspaceBasis, levels: int) -> IrreducibilityVerdict:
+    """The verdict of the algebra A whose closure gave `alg` in `levels`
+    levels: full, else from its trace-form radical and its commutant C."""
+    n, k = system.dim, alg.dim
+    if k == n * n:
+        return _full_verdict(system, levels)
+    _, s, Vt = np.linalg.svd(_trace_form(alg.basis.T, n))
+    r = int(_rank(s))
+    if r < k:  # rad A · R^n: the columns of a basis of rad A
+        rad = (Vt[r:] @ alg.basis.T).reshape(-1, n, n)
+        v = _gated_witness(system, rad.transpose(0, 2, 1).reshape(-1, n), "radical",
+                           "radical image", (f"dim A = {k}, dim rad A = {k - r}",))
+        return replace(v, algebra_levels=levels)
+    G = system.stacked()
+    G = G / np.linalg.norm(G, axis=(1, 2), keepdims=True)
+    eye = np.eye(n)
+    _, s, Vt = np.linalg.svd(np.concatenate([np.kron(A, eye) - np.kron(eye, A.T) for A in G]),
+                             full_matrices=False)
+    C = Vt[_rank(s):]  # vec(X) for X A_i = A_i X, row-major
+    note = f"dim A = {k}, dim C = {len(C)}"
+    # C's rows are orthonormal, so those orthogonal to the trace functional's
+    # coefficients, C @ vec(I), combine them into an orthonormal basis of C_0
+    traceless = np.linalg.svd((C @ eye.ravel())[None])[2][1:] @ C
+    w, V = np.linalg.eigh(_trace_form(traceless, n))
+    if w.size and w[-1] > -RANK_TOL * np.abs(w).max():  # C is not a division algebra
+        X = (V[:, -1] @ traceless).reshape(n, n)
+        lam = np.linalg.eigvals(X)[0]
+        P = X - lam.real * eye if lam.imag == 0 else X @ X - 2 * lam.real * X + abs(lam) ** 2 * eye
+        _, s, Vt = np.linalg.svd(P)
+        v = _gated_witness(system, Vt[_rank(s):], "commutant_kernel", "commutant kernel", (note,))
+    elif len(C) in (2, 4) and k * len(C) == n * n:
+        v = IrreducibilityVerdict(status=IRREDUCIBLE, method="division_commutant", notes=(note,))
+    else:
+        v = IrreducibilityVerdict(status=INCONCLUSIVE, method="commutant", notes=(
+            f"{note}: neither a commutant kernel nor a division commutant with dim A · dim C = n^2",))
+    return replace(v, algebra_levels=levels)
 
 
-def irreducibility_verdict(system: GeneratorSystem, *, seed: int = 42) -> IrreducibilityVerdict:
+def irreducibility_verdict(system: GeneratorSystem) -> IrreducibilityVerdict:
     """The verdict of the cascade in the module docstring: the exact path at
-    d = 2, else the algebra test and then the seeded orbit search."""
+    d = 2, else the algebra closure and its structure."""
     if system.dim == 2:
         return _verdict_d2(system)
-    alg = algebra_dimension(system)
-    if alg.certified:
-        return _full_verdict(system, alg.levels)
-    return replace(_verdict_randomized(system, seed), algebra_levels=alg.levels)
+    return _structure_verdict(system, *_algebra_closure(system))
 
 
 def _full_verdict(system: GeneratorSystem, levels: int) -> IrreducibilityVerdict:
@@ -254,33 +262,24 @@ def _full_verdict(system: GeneratorSystem, levels: int) -> IrreducibilityVerdict
 
 def _t1_witness(label: str, sub: GeneratorSystem, W: SubspaceBasis) -> IrreducibilityVerdict | None:
     """The ReducibleWitness that power t=1's witness W gives the cocycle
-    `label`, built by rule (a) or (c) of the module docstring, or None when
-    its invariance residual on that cocycle's stack is above WITNESS_TOL.
-
-    A power keeps W. Wedge m takes the columns of the m-th compound of an
-    orthonormal Q = [W | W-perp] whose index sets lie in the first p = dim W
-    indices (wedge^m W, m <= p) or contain them (W ^ wedge^{m-p} R^d, m > p):
-    a compound of an orthogonal matrix is orthogonal (Cauchy-Binet), so they
-    are orthonormal as they stand.
-    """
+    `label` by rule (a) or (c), or None when it fails the gate there. A power
+    keeps W. Wedge m takes the columns of the m-th compound of an orthonormal
+    Q = [W | W-perp] whose index sets lie in the first p = dim W indices
+    (wedge^m W, m <= p) or contain them (W ^ wedge^{m-p} R^d, m > p)."""
     d, p = W.ambient, W.dim
     if label.startswith("power"):
-        note = f"rule (a): W, the dim-{p} witness of power t=1"
+        vectors, note = W.basis.T, f"rule (a): W, the dim-{p} witness of power t=1"
     else:
         m = int(label.rpartition("=")[2])
         Q = np.linalg.svd(W.basis)[0]
         Q[:, :p] = W.basis
-        sets = wedge_index_sets(d, m)
-        cols = [i for i, S in enumerate(sets) if (S[-1] < p if m <= p else S[:p] == tuple(range(p)))]
-        basis = wedge_power(Q, m)[:, cols]
-        W = SubspaceBasis(ambient=len(sets), dim=len(cols), basis=basis)
+        cols = [i for i, S in enumerate(wedge_index_sets(d, m))
+                if (S[-1] < p if m <= p else S[:p] == tuple(range(p)))]
+        vectors = wedge_power(Q, m)[:, cols].T
         span = f"wedge^{m} W" if m <= p else f"W ^ wedge^{m - p} R^{d}"
         note = f"rule (c): {span}, W the dim-{p} witness of power t=1"
-    res = invariance_residual(sub.stacked(), W)
-    if res > WITNESS_TOL:
-        return None
-    return IrreducibilityVerdict(status=REDUCIBLE, method="t1_witness", witness=W,
-                                 residual=res, notes=(note,))
+    v = _gated_witness(sub, vectors, "t1_witness", "built witness", (note,))
+    return v if v.reducible else None
 
 
 @dataclass(frozen=True)
@@ -295,8 +294,7 @@ class SubCheck:
     # the check whose algebra closure decided this one's algebra test, when
     # this one ran none (then its verdict's algebra_levels is 0); left out of reports
     implied_by: str | None = field(default=None, repr=False, compare=False)
-    # the check whose witness this one's was built from (then its verdict's
-    # orbit_tries is 0); left out of reports
+    # the check whose witness this one's was built from; left out of reports
     witness_from: str | None = field(default=None, repr=False, compare=False)
 
 
@@ -314,22 +312,26 @@ def _divisors(d: int) -> list[int]:
     return [t for t in range(1, d + 1) if d % t == 0]
 
 
+def _fullness(v: IrreducibilityVerdict) -> str:
+    """What a d >= 3 verdict says of its algebra: "full", else "reducible"
+    (a witness) or "proper"."""
+    return "full" if v.method == "algebra_dimension" else "reducible" if v.reducible else "proper"
+
+
 def _theorem_rules(d: int) -> dict[str, list[tuple[str, tuple[str, ...], bool]]]:
     """Rules (a)-(c) of the module docstring for theorem_1_1, as
-    label -> [(source, statuses, full)]: once the check `source` is decided
-    with a status in `statuses`, whether the label's algebra is full is
-    `full`. At d >= 3 a verdict is IrreducibleCertified exactly when its
-    cocycle's algebra is full; d = 2 verdicts come from the exact path, and
-    there are no rules."""
+    label -> [(source, kinds, full)]: once the check `source` is decided and
+    its `_fullness` is one of `kinds`, whether the label's algebra is full is
+    `full`. d = 2 verdicts come from the exact path, and there are no rules."""
     if d == 2:
         return {}
     divisors = _divisors(d)
-    full, not_full = (IRREDUCIBLE,), (REDUCIBLE, INCONCLUSIVE)
+    full, not_full = ("full",), ("reducible", "proper")
     rules = {f"power t={t}": [(f"power t={s}", full, True) for s in divisors if s > t and s % t == 0]
              + [(f"power t={s}", not_full, False) for s in divisors if s < t and t % s == 0]
              for t in divisors}
     rules[f"wedge m={d - 1}"] = [("power t=1", full, True), ("power t=1", not_full, False)]
-    rules.update({f"wedge m={m}": [("power t=1", (REDUCIBLE,), False)] for m in range(2, d - 1)})
+    rules.update({f"wedge m={m}": [("power t=1", ("reducible",), False)] for m in range(2, d - 1)})
     return rules
 
 
@@ -338,20 +340,19 @@ def _closure_label(check: SubCheck) -> str | None:
     return check.implied_by or (check.label if check.verdict.algebra_levels else None)
 
 
-def _verdict_checks(cocycles: list[tuple[str, GeneratorSystem]], seed: int,
-                    rules: dict) -> dict[str, SubCheck]:
+def _verdict_checks(cocycles: list[tuple[str, GeneratorSystem]], rules: dict) -> dict[str, SubCheck]:
     """label -> irreducibility check of each (label, cocycle), decided in the
     order given; a cocycle listed twice is decided once. A label whose
     `rules` (see `_theorem_rules`) already fix its algebra skips the closure.
 
     With rules (theorem_1_1 at d >= 3), a label other than power t=1 whose
     algebra is not full is decided last: by a witness built from power t=1's
-    (`_t1_witness`) when t = 1 has one, else, or when that witness fails its
-    residual, by the seeded orbit search.
+    (`_t1_witness`) when t = 1 has one and it passes the gate, else from the
+    structure of its algebra, whose closure runs then if it has not.
     """
     checks: dict[str, SubCheck] = {}
     first: dict[int, SubCheck] = {}
-    waiting = []  # (label, cocycle, algebra levels, implied_by, seconds so far)
+    waiting = []  # (label, cocycle, closure basis or None, levels, implied_by, seconds so far)
 
     def record(label, sub, v, by, seconds, witness_from=None):
         checks[label] = SubCheck(label=label, verdict=v, passed=not v.reducible, implied_by=by,
@@ -362,40 +363,43 @@ def _verdict_checks(cocycles: list[tuple[str, GeneratorSystem]], seed: int,
         start = time.perf_counter()
         if id(sub) in first:
             src = first[id(sub)]
-            record(label, sub, replace(src.verdict, algebra_levels=0, orbit_tries=0),
-                   _closure_label(src), time.perf_counter() - start)
-            continue
-        if not rules:
-            record(label, sub, irreducibility_verdict(sub, seed=seed), None,
+            record(label, sub, replace(src.verdict, algebra_levels=0), _closure_label(src),
                    time.perf_counter() - start)
             continue
-        hint = next(((checks[s], full) for s, statuses, full in rules.get(label, ())
-                     if s in checks and checks[s].verdict.status in statuses), None)
+        if not rules:
+            record(label, sub, irreducibility_verdict(sub), None, time.perf_counter() - start)
+            continue
+        hint = next(((checks[s], full) for s, kinds, full in rules.get(label, ())
+                     if s in checks and _fullness(checks[s].verdict) in kinds), None)
         if hint is None:
-            alg = algebra_dimension(sub)
-            full, levels, by = alg.certified, alg.levels, None
+            alg, levels = _algebra_closure(sub)
+            full, by = alg.dim == sub.dim ** 2, None
         else:
-            full, levels, by = hint[1], 0, _closure_label(hint[0])
+            alg, levels, full, by = None, 0, hint[1], _closure_label(hint[0])
         if full:
             v = _full_verdict(sub, levels)
         elif label == "power t=1":
-            v = replace(_verdict_randomized(sub, seed), algebra_levels=levels)
+            v = _structure_verdict(sub, alg, levels)
         else:
-            waiting.append((label, sub, levels, by, time.perf_counter() - start))
+            waiting.append((label, sub, alg, levels, by, time.perf_counter() - start))
             continue
         record(label, sub, v, by, time.perf_counter() - start)
 
     t1 = checks["power t=1"].verdict if waiting else None
-    for label, sub, levels, by, spent in waiting:
+    for label, sub, alg, levels, by, spent in waiting:
         start = time.perf_counter()
         v = _t1_witness(label, sub, t1.witness) if t1.reducible else None
-        source = "power t=1" if v else None
-        v = replace(v or _verdict_randomized(sub, seed), algebra_levels=levels)
+        if v is not None:
+            v, source = replace(v, algebra_levels=levels), "power t=1"
+        elif alg is not None:
+            v, source = _structure_verdict(sub, alg, levels), None
+        else:  # its algebra was implied: decided as its cocycle alone
+            v, source, by = irreducibility_verdict(sub), None, None
         record(label, sub, v, by, spent + time.perf_counter() - start, source)
     return checks
 
 
-def check_hypotheses(system: GeneratorSystem, mode: str, *, seed: int = 42,
+def check_hypotheses(system: GeneratorSystem, mode: str, *,
                      budget: int = DEFAULT_BUDGET) -> HypothesisReport:
     """Hypothesis checkers for the spannability theorem and the dimension corollaries.
 
@@ -416,7 +420,7 @@ def check_hypotheses(system: GeneratorSystem, mode: str, *, seed: int = 42,
         powers = {t: power_system(system, t, budget=budget) for t in divisors}
         cocycles = [(f"power t={t}", powers[t]) for t in [d, 1] + divisors[1:-1]]
         cocycles += [(f"wedge m={m}", wedge_system(system, m)) for m in range(1, d)]
-        decided = _verdict_checks(cocycles, seed, _theorem_rules(d))
+        decided = _verdict_checks(cocycles, _theorem_rules(d))
         checks = [decided[f"power t={t}"] for t in divisors]
         checks += [decided[f"wedge m={m}"] for m in range(1, d)]
     elif mode == "corollary_4_3":
@@ -427,7 +431,7 @@ def check_hypotheses(system: GeneratorSystem, mode: str, *, seed: int = 42,
                             "Lebesgue-a.e. translation vectors, matrix hypotheses only")
         checks = list(_verdict_checks([("irreducible cocycle", system),
                                        ("irreducible square", power_system(system, 2, budget=budget))],
-                                      seed, {}).values())
+                                      {}).values())
         start = time.perf_counter()
         norms = system.norms()
         checks.append(SubCheck(label="norms < 1/2", passed=all(nv < 0.5 for nv in norms),

@@ -12,9 +12,9 @@ generator reported. A whole-matrix product does not keep them: `G @ W` runs a
 matrix-matrix kernel whose sums differ in the last bits from those of
 `G @ W[:, j]`, one matrix-vector product per column (most seeded cases of
 `tests/test_cascade_bits.py` show it), and it moved reported residuals of
-d = 3 and 4 systems. The images of an orbit span's basis and of an invariance
-residual's, whose bases are reported, are therefore formed one column at a
-time, each column over the whole stack of generators (`stack_images`).
+d = 3 and 4 systems. The images of a witness's basis in its invariance
+residual are therefore formed one column at a time, each column over the
+whole stack of generators (`stack_images`).
 
 The algebra test is not: its operands are d x d matrices, each image is a
 matrix-matrix product whichever way it is stacked, and only its rank is read,
@@ -152,9 +152,7 @@ def stack_images(mats: np.ndarray, operands) -> np.ndarray:
 
 
 def invariance_residual(mats, W: SubspaceBasis) -> float:
-    """max over the matrices of dist(A W, W); 0 for the trivial subspace."""
-    if W.dim == 0 or W.dim == W.ambient:
-        return 0.0
+    """max over the matrices of dist(A W, W), for a proper subspace W."""
     mapped = stack_images(np.asarray(mats, dtype=float), W.basis.T)
     U, s, _ = np.linalg.svd(mapped.transpose(0, 2, 1), full_matrices=False)
     ranks = _rank(s)

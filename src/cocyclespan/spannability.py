@@ -392,7 +392,7 @@ def _plucker(W: SubspaceBasis) -> np.ndarray:
     return out / nrm if nrm > 0 else out
 
 
-def diagnose_failure(system: GeneratorSystem, search: SpannabilitySearch, *, seed: int = 42,
+def diagnose_failure(system: GeneratorSystem, search: SpannabilitySearch, *,
                      budget: int = DEFAULT_BUDGET) -> FailureDiagnosis:
     """Classify a persistent spannability failure along the two proof cases.
 
@@ -431,7 +431,7 @@ def diagnose_failure(system: GeneratorSystem, search: SpannabilitySearch, *, see
             for V in chain[:t]:
                 vecs.extend(V.basis[:, j] for j in range(V.dim))
             W = span_basis(vecs, ambient=system.dim)
-            cross = irreducibility_verdict(power_system(system, t, budget=budget), seed=seed)
+            cross = irreducibility_verdict(power_system(system, t, budget=budget))
             return FailureDiagnosis(
                 witness=witness, dims=tuple(dims), chain=tuple(chain),
                 case="PeriodicSubspaces", period=t, span_w=W, cross_check=cross,

@@ -5,7 +5,7 @@ import numpy as np
 
 from cocyclespan import GeneratorSystem
 from cocyclespan.errors import InputError
-from cocyclespan.hypotheses import _full_verdict, _verdict_randomized, algebra_dimension
+from cocyclespan.hypotheses import _algebra_closure, _structure_verdict
 from cocyclespan.spannability import _numeric_certificate, mk_basis
 from cocyclespan.thermo import _TargetData, _log_phi
 
@@ -55,14 +55,11 @@ def numeric_certificate(system, k):
     return _numeric_certificate(system, mk_basis(system, k), seed=42)
 
 
-def algebra_random_verdict(system, seed=42):
+def algebra_structure_verdict(system):
     """The irreducibility verdict of the d >= 3 cascade at any d, the algebra
-    test and then the seeded orbit search, for the exact d = 2 path to be
-    checked against."""
-    alg = algebra_dimension(system)
-    if alg.certified:
-        return _full_verdict(system, alg.levels)
-    return _verdict_randomized(system, seed)
+    closure and then its radical and commutant, for the exact d = 2 path to
+    be checked against."""
+    return _structure_verdict(system, *_algebra_closure(system))
 
 
 def potential_value(A, spec):

@@ -191,20 +191,16 @@ class TestRunCommand:
         # m = 1 is the cocycle of t = 1, and t = 1's witness rules out a full m = 2
         assert decided == {"power t=4", "power t=1"}
         for e in effort:
-            assert set(e) == {"label", "seconds", "algebra_levels", "orbit_tries", "implied_by",
-                              "witness_from"}
+            assert set(e) == {"label", "seconds", "algebra_levels", "implied_by", "witness_from"}
             assert e["seconds"] >= 0
             if e["implied_by"] is None:
                 assert e["algebra_levels"] >= 1
             else:
                 assert e["algebra_levels"] == 0 and e["implied_by"] in decided
-            # reducible everywhere: t = 1's orbit search finds a witness, every
-            # other non-full check's is built from it, and m = 1 is t = 1's cocycle
-            if e["label"] == "power t=1":
-                assert 1 <= e["orbit_tries"] <= 64 and e["witness_from"] is None
-            else:
-                assert e["orbit_tries"] == 0
-                assert e["witness_from"] == (None if e["label"] == "wedge m=1" else "power t=1")
+            # reducible everywhere: t = 1's radical gives a witness, every other
+            # non-full check's is built from it, and m = 1 is t = 1's cocycle
+            built = e["label"] not in ("power t=1", "wedge m=1")
+            assert e["witness_from"] == ("power t=1" if built else None)
 
     @pytest.mark.parametrize("name,decided", [
         ("d3-irreducible-theorem", {"power t=3"}),
@@ -225,10 +221,10 @@ class TestRunCommand:
     def test_check_hypotheses_meta_d2_effort(self):
         report, _ = cli.run_command(cfg_from(dict(E1_CONFIG, options={"mode": "corollary_4_3"})))
         effort = report["meta"]["checks"]
-        # d = 2 is decided exactly, without the algebra test or the orbit search
+        # d = 2 is decided exactly, without the algebra closure
         assert [e["label"] for e in effort] == ["irreducible cocycle", "irreducible square",
                                                 "norms < 1/2"]
-        assert all(e["algebra_levels"] == 0 and e["orbit_tries"] == 0 and e["implied_by"] is None
+        assert all(e["algebra_levels"] == 0 and e["implied_by"] is None
                    and e["witness_from"] is None for e in effort)
 
     def test_e1_spannability_reports_diagnosis(self):

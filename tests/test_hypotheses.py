@@ -13,12 +13,11 @@ from cocyclespan.errors import InputError
 from cocyclespan.fixtures import ROT90
 from cocyclespan.hypotheses import (IRREDUCIBLE, REDUCIBLE, WITNESS_TOL, HypothesisReport,
                                     SubCheck, algebra_dimension, check_hypotheses,
-                                    irreducibility_verdict, orbit_span,
-                                    power_system, wedge_system)
+                                    irreducibility_verdict, power_system, wedge_system)
 from cocyclespan.linalg import invariance_residual, span_basis, subspace_distance
 from cocyclespan.wordspace import enumerate_words, product
 
-from _helpers import D3, algebra_random_verdict, random_2x2_system, random_reducible_system
+from _helpers import D3, algebra_structure_verdict, random_2x2_system, random_reducible_system
 
 DIAG_PAIR = GeneratorSystem((np.diag([2.0, 3.0]), np.diag([1.0, 4.0])))
 
@@ -111,23 +110,6 @@ class TestPowerAndWedge:
             assert np.abs(A - B).max() <= 1e-10 * max(1.0, np.abs(B).max())
 
 
-class TestOrbitSpan:
-    def test_invariant_line(self):
-        b = orbit_span(GeneratorSystem((np.diag([2.0, 3.0]),)), np.array([1.0, 0.0]))
-        assert b.dim == 1
-
-    def test_rotation_fills_plane(self):
-        assert orbit_span(E2(), np.array([1.0, 0.0])).dim == 2
-        assert orbit_span(E1(), np.array([1.0, 1.0])).dim == 2
-
-    def test_result_is_invariant(self):
-        rng = np.random.default_rng(3)
-        sys = random_reducible_system(rng)
-        v = np.array([1.0, 0.3])
-        W = orbit_span(sys, v)
-        assert invariance_residual(sys.generators, W) <= 1e-8
-
-
 class TestAlgebraDimension:
     def test_identity_alone(self):
         out = algebra_dimension(GeneratorSystem((np.eye(2),)))
@@ -167,22 +149,16 @@ class TestVerdicts:
             assert invariance_residual(sys.generators, v.witness) <= 1e-8
 
     def test_algebra_certificate_not_contradicted(self):
-        v = algebra_random_verdict(E2())
+        v = algebra_structure_verdict(E2())
         assert v.status == IRREDUCIBLE and v.method == "algebra_dimension"
 
     def test_exact_vs_randomized_agreement_200(self):
+        # the structure verdict decides d = 2 as well: status for status it is
+        # the exact path's, on reducible and generic pairs alike
         rng = np.random.default_rng(404)
-        contradictions = 0
         for i in range(200):
-            if i % 2:
-                sys = random_reducible_system(rng)
-            else:
-                sys = random_2x2_system(rng)
-            exact = irreducibility_verdict(sys)
-            rand = algebra_random_verdict(sys, seed=9)
-            if {exact.status, rand.status} == {IRREDUCIBLE, REDUCIBLE}:
-                contradictions += 1
-        assert contradictions == 0
+            sys = random_reducible_system(rng) if i % 2 else random_2x2_system(rng)
+            assert algebra_structure_verdict(sys).status == irreducibility_verdict(sys).status
 
 
 class TestCheckHypotheses:
@@ -227,6 +203,70 @@ class TestCheckHypotheses:
         sys = GeneratorSystem((0.3 * ROT90,))
         rep = check_hypotheses(sys, "theorem_1_1")
         assert rep.overall == "Fail"  # square is a negative scalar: reducible
+
+
+def _realified(M):
+    """A complex matrix written over R, on (Re z, Im z)."""
+    M = np.asarray(M, dtype=complex)
+    return np.block([[M.real, -M.imag], [M.imag, M.real]])
+
+
+# irreducible over C, so over R as well, while its algebra is M_2(C), of dimension 8
+REALIFIED_PAIR = GeneratorSystem((_realified(np.diag([1.0, 2.0])),
+                                  _realified([[1.0, 1.0 + 1.0j], [1.0, 0.0]])))
+
+
+class TestAlgebraStructure:
+    """A non-full algebra is decided by its trace-form radical and its commutant."""
+
+    def test_realified_complex_pair_has_a_division_commutant(self):
+        rep = check_hypotheses(REALIFIED_PAIR, "theorem_1_1")
+        checks = {c.label: c.verdict for c in rep.checks}
+        t1 = checks["power t=1"]
+        assert (t1.status, t1.method, t1.notes) == (IRREDUCIBLE, "division_commutant",
+                                                    ("dim A = 8, dim C = 2",))
+        m2 = checks["wedge m=2"]
+        assert m2.reducible and m2.residual <= WITNESS_TOL
+        m3 = checks["wedge m=3"]
+        assert m3.status == IRREDUCIBLE and m3.method != "algebra_dimension"
+        assert not algebra_dimension(wedge_system(REALIFIED_PAIR, 3)).certified
+        assert (rep.overall, rep.failed_at) == ("Fail", "wedge m=2")
+
+    # three algebras of dimension 4 with commutants of dimension 4, so that
+    # dim A * dim C = 16 each time: only the quaternions' is a division algebra
+    LEFT_I = np.array([[0.0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    LEFT_J = np.array([[0.0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
+    UNIMODULAR = np.array([[1.0, 2, 0, 1], [0, 1, 1, 0], [0, 0, 1, 3], [0, 0, 0, 1]])
+    ROTATIONS = np.block([[np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros((2, 2))],
+                          [np.zeros((2, 2)), np.array([[1.0, -2.0], [1.0, 1.0]])]])
+
+    @pytest.mark.parametrize("gens,status", [
+        # H acting on itself by left multiplication: irreducible, C = H
+        ((LEFT_I + np.eye(4), LEFT_J + 2 * np.eye(4)), IRREDUCIBLE),
+        # M_2(R) on two copies of R^2: C = M_2(R), split by an idempotent
+        ((np.kron([[1.0, 1.0], [0.0, 1.0]], np.eye(2)), np.kron([[0.0, 1.0], [1.0, 1.0]], np.eye(2))),
+         REDUCIBLE),
+        # one matrix with two pairs of complex eigenvalues: A = C = R[M], C x C;
+        # it has no real eigenvector, yet an invariant plane
+        ((UNIMODULAR @ ROTATIONS @ np.linalg.inv(UNIMODULAR),), REDUCIBLE),
+    ])
+    def test_the_commutants_trace_form_tells_a_division_algebra(self, gens, status):
+        v = irreducibility_verdict(GeneratorSystem(gens))
+        assert v.status == status and v.notes == ("dim A = 4, dim C = 4",)
+        if status == REDUCIBLE:
+            assert v.method == "commutant_kernel" and v.witness.dim == 2 and v.residual <= WITNESS_TOL
+        else:
+            assert v.method == "division_commutant"
+
+    def test_a_pair_near_the_identity_names_both_dimensions(self):
+        # within 1e-12 of I the closure's rank cut sees span(I) alone, while the
+        # commutant, cut relative to the generators' differences, is R I: the
+        # two disagree, and the verdict says so
+        rng = np.random.default_rng(1)
+        system = GeneratorSystem(tuple(np.eye(3) + 1e-12 * rng.standard_normal((3, 3)) for _ in range(2)))
+        v = irreducibility_verdict(system)
+        assert (v.status, v.method, v.witness) == ("Inconclusive", "commutant", None)
+        assert v.notes[0].startswith("dim A = 1, dim C = 1: ")
 
 
 # Both generators map the line u = (1/3, 1) to itself. A1 contracts it by about
@@ -325,7 +365,6 @@ def test_exact_d2_power_cocycles_against_fraction_products(data):
 
 @pytest.mark.parametrize("call,message", [
     (lambda: power_system(E2(), 0), "power exponent must be >= 1"),
-    (lambda: orbit_span(E2(), [0.0, 0.0]), "orbit span needs a nonzero vector"),
     (lambda: check_hypotheses(E2(), "theorem_4_3"), "unknown hypothesis mode 'theorem_4_3'"),
 ])
 def test_messages(call, message):
@@ -427,7 +466,7 @@ class TestTheoremCascade:
     (a) s | t gives Alg(A^t) ⊆ Alg(A^s), (b) dim Alg(∧^{d-1} A) = dim Alg(A),
     (c) a witness W for A gives every ∧^m A, 1 < m < d, an invariant subspace;
     and it builds the witness of a cocycle that (a) or (c) makes reducible
-    from t = 1's instead of searching for one."""
+    from t = 1's instead of deciding its own."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(drawn=_d34_systems())
@@ -447,13 +486,15 @@ class TestTheoremCascade:
         assert t1.label == "power t=1" and t1.witness_from is None
         for check, other in zip(rep.checks, alone.checks):
             v = check.verdict
+            # the structure decides every cocycle, save where a witness fails its gate
+            assert v.status != "Inconclusive" or "failed invariance check" in v.notes[-1]
             if check.witness_from is None:
                 # a check without a derived witness is what its cocycle alone gives
                 assert v.method != "t1_witness"
                 assert _json_text(check) == _json_text(other)
                 continue
             assert (check.witness_from, v.method, v.status) == ("power t=1", "t1_witness", REDUCIBLE)
-            assert v.orbit_tries == 0 and t1.verdict.reducible
+            assert t1.verdict.reducible
             expected = _rule_subspace(check.label, t1.verdict.witness)
             assert 0 < v.witness.dim == expected.dim < v.witness.ambient
             assert np.abs(v.witness.projector() - expected.projector()).max() <= 1e-12
@@ -488,7 +529,7 @@ class TestTheoremCascade:
         assert subspace_distance(W, span_basis(P[:, :2].T)) <= 1e-9
         cube = power_system(system, 3)
         assert invariance_residual(cube.stacked(), W) > 1e-3
-        # t = 3 runs today's seeded search; wedge m = 2 keeps its derived witness
+        # t = 3 is decided as its cocycle alone; wedge m = 2 keeps its derived witness
         assert checks["power t=3"].witness_from is None
         assert _json_text(checks["power t=3"]) == _json_text(
             SubCheck(label="power t=3", verdict=irreducibility_verdict(cube),
