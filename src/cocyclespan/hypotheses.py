@@ -11,7 +11,8 @@ The decision cascade for a verdict:
   A's structure decides, from the closure's basis:
   - the radical of A is the kernel of its trace form tr(xy) (characteristic
     0; Friedl & Rónyai, STOC 1985), a nilpotent ideal: when it is not 0,
-    rad A · R^n is a proper invariant subspace (method `radical`);
+    rad A · R^n is a proper invariant subspace (method `radical`); if that
+    image fails the gate below, only a commutant kernel may replace it;
   - else A is semisimple, and R^n is irreducible iff the commutant C, the null
     space of the stacked kron(A_i, I) - kron(I, A_i^T), is a division algebra
     (Schur, Wedderburn-Artin; Lam, GTM 131), iff the trace form of its
@@ -215,11 +216,13 @@ def _structure_verdict(system: GeneratorSystem, alg: SubspaceBasis, levels: int)
         return _full_verdict(system, levels)
     _, s, Vt = np.linalg.svd(_trace_form(alg.basis.T, n))
     r = int(_rank(s))
+    failed = None  # a radical image that failed the gate; a commutant kernel may pass it
     if r < k:  # rad A · R^n: the columns of a basis of rad A
         rad = (Vt[r:] @ alg.basis.T).reshape(-1, n, n)
-        v = _gated_witness(system, rad.transpose(0, 2, 1).reshape(-1, n), "radical",
-                           "radical image", (f"dim A = {k}, dim rad A = {k - r}",))
-        return replace(v, algebra_levels=levels)
+        failed = _gated_witness(system, rad.transpose(0, 2, 1).reshape(-1, n), "radical",
+                                "radical image", (f"dim A = {k}, dim rad A = {k - r}",))
+        if failed.reducible:
+            return replace(failed, algebra_levels=levels)
     G = system.stacked()
     G = G / np.linalg.norm(G, axis=(1, 2), keepdims=True)
     eye = np.eye(n)
@@ -237,12 +240,12 @@ def _structure_verdict(system: GeneratorSystem, alg: SubspaceBasis, levels: int)
         P = X - lam.real * eye if lam.imag == 0 else X @ X - 2 * lam.real * X + abs(lam) ** 2 * eye
         _, s, Vt = np.linalg.svd(P)
         v = _gated_witness(system, Vt[_rank(s):], "commutant_kernel", "commutant kernel", (note,))
-    elif len(C) in (2, 4) and k * len(C) == n * n:
+    elif failed is None and len(C) in (2, 4) and k * len(C) == n * n:
         v = IrreducibilityVerdict(status=IRREDUCIBLE, method="division_commutant", notes=(note,))
     else:
         v = IrreducibilityVerdict(status=INCONCLUSIVE, method="commutant", notes=(
             f"{note}: neither a commutant kernel nor a division commutant with dim A · dim C = n^2",))
-    return replace(v, algebra_levels=levels)
+    return replace(v if v.reducible or failed is None else failed, algebra_levels=levels)
 
 
 def irreducibility_verdict(system: GeneratorSystem) -> IrreducibilityVerdict:

@@ -14,7 +14,7 @@ matrix-matrix kernel whose sums differ in the last bits from those of
 `tests/test_cascade_bits.py` show it), and it moved reported residuals of
 d = 3 and 4 systems. The images of a witness's basis in its invariance
 residual are therefore formed one column at a time, each column over the
-whole stack of generators (`stack_images`).
+whole stack of generators (`invariance_residual`).
 
 The algebra test is not: its operands are d x d matrices, each image is a
 matrix-matrix product whichever way it is stacked, and only its rank is read,
@@ -144,16 +144,10 @@ def subspace_distance(U: SubspaceBasis, V: SubspaceBasis) -> float:
     return float(np.linalg.norm(U.projector() - V.projector(), 2))
 
 
-def stack_images(mats: np.ndarray, operands) -> np.ndarray:
-    """A @ X for every matrix A of an (ell, n, n) stack and every operand X (a
-    vector or a matrix), as an (ell, len(operands), ...) array: one stacked
-    product per operand."""
-    return np.stack([mats @ X for X in operands], axis=1)
-
-
 def invariance_residual(mats, W: SubspaceBasis) -> float:
     """max over the matrices of dist(A W, W), for a proper subspace W."""
-    mapped = stack_images(np.asarray(mats, dtype=float), W.basis.T)
+    mats = np.asarray(mats, dtype=float)
+    mapped = np.stack([mats @ w for w in W.basis.T], axis=1)  # one stacked product per column
     U, s, _ = np.linalg.svd(mapped.transpose(0, 2, 1), full_matrices=False)
     ranks = _rank(s)
     target = W.projector()

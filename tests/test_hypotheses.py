@@ -17,7 +17,7 @@ from cocyclespan.hypotheses import (IRREDUCIBLE, REDUCIBLE, WITNESS_TOL, Hypothe
 from cocyclespan.linalg import invariance_residual, span_basis, subspace_distance
 from cocyclespan.wordspace import enumerate_words, product
 
-from _helpers import D3, algebra_structure_verdict, random_2x2_system, random_reducible_system
+from _helpers import algebra_structure_verdict, random_2x2_system, random_reducible_system
 
 DIAG_PAIR = GeneratorSystem((np.diag([2.0, 3.0]), np.diag([1.0, 4.0])))
 
@@ -257,6 +257,20 @@ class TestAlgebraStructure:
             assert v.method == "commutant_kernel" and v.witness.dim == 2 and v.residual <= WITNESS_TOL
         else:
             assert v.method == "division_commutant"
+
+    def test_a_radical_image_past_the_gate_leaves_the_commutant_kernel(self):
+        # the seventh power of one block-triangular 7x7 matrix, whose eigenvalues
+        # spread over 0.29..1.92: one matrix spans an algebra of dimension <= 7
+        # (Cayley-Hamilton), but the float closure reads more, so its radical image
+        # fails the gate; a commutant kernel commutes with M^7 whatever A is
+        M = np.array([[-3, 2, -2, 4, -2, -4, 2], [1, 1, 4, 2, 2, 3, 3], [0, -1, -2, -4, 0, -2, 4],
+                      [1, 3, -3, -4, 0, 3, 1], [0, 0, 0, 0, 2, 2, -4], [0, 0, 0, 0, -1, -2, 1],
+                      [0, 0, 0, 0, 0, 3, 1]]) / 4.0
+        power = power_system(GeneratorSystem((M,)), 7)
+        assert algebra_dimension(power).dim > 7
+        v = irreducibility_verdict(power)
+        assert (v.status, v.method) == (REDUCIBLE, "commutant_kernel") and v.residual <= WITNESS_TOL
+        assert v.notes == (f"dim A = {algebra_dimension(power).dim}, dim C = 7",)
 
     def test_a_pair_near_the_identity_names_both_dimensions(self):
         # within 1e-12 of I the closure's rank cut sees span(I) alone, while the
