@@ -9,15 +9,19 @@ blocks).
 
 One certified minimizer, `lipschitz_bnb`: a batched Lipschitz branch and bound
 over an angle box. It certifies the spannability circle and sphere and the
-pair-quadratic margin. The gamma torus keeps its dense grid (`minimax_grid2`),
-folded in blocks of at most `_GRID_ROWS` rows, so it holds two such blocks,
-not three G x G arrays. The blocks are small so that both stay in a core's L2
-cache while every K folds into them: at G = 2000 two 32-row blocks take
-0.5 MB each, where two 250-row blocks took 4 MB each and the grid took 1.9 to
-2.8 times as long (E3 at k = 1, 3, 6 and 7, on a 2-core x86-64 host with 2 MB
-of L2 per core). Every block is a matrix-matrix product of at least two rows,
-and the block size moved no bit of (min, iw, iu) on E2, E3 and 20 random
-systems at k = 1..3.
+pair-quadratic margin. The gamma torus keeps its dense grid (`minimax_grid2`)
+over one period, [0, pi)^2: |w^T A_K u| has period pi in each angle, so G
+angles per axis at the step pi / G hold every value that a full-period grid of
+2G angles per axis holds, at a quarter of its points. The grid is folded in
+blocks of at most `_GRID_ROWS` rows, so it holds two such blocks, not three
+G x G arrays. The blocks are small so that both stay in a core's L2 cache
+while every K folds into them: the block size was chosen on the full-period
+grid of 2000 angles per axis, where two 32-row blocks took 0.5 MB each (0.25 MB
+at the 1000 angles folded now), two 250-row blocks took 4 MB each, and the
+grid took 1.9 to 2.8 times as long with the latter (E3 at k = 1, 3, 6 and 7,
+on a 2-core x86-64 host with 2 MB of L2 per core). Every block is a
+matrix-matrix product of at least two rows, and the block size moved no bit
+of (min, iw, iu) on E2, E3 and 20 random systems at k = 1..3.
 
 `pair_quadratics` forms the float pair quadratics det(A_i u | A_j u) of the
 d = 2 margin a block of rows at a time, at most about `_PAIRS` pairs each, so
@@ -271,10 +275,15 @@ def _count_classes(ell: int, n: int):
     return classes, index
 
 
+def _letter_log_dets(gens: np.ndarray) -> np.ndarray:
+    """log |det A_j| of each generator: the letter terms that `_log_det` folds."""
+    return np.log(np.abs(np.linalg.det(gens)))
+
+
 def _log_det(gens: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """log |det A_I| from letter counts (..., ell): sum over j of counts[..., j] * log |det A_j|."""
     acc = np.zeros(counts.shape[:-1])
-    for j, ld in enumerate(np.log(np.abs(np.linalg.det(gens)))):
+    for j, ld in enumerate(_letter_log_dets(gens)):
         acc += counts[..., j] * ld
     return acc
 
@@ -359,17 +368,19 @@ def pairwise_sum(leaf, lo: int, hi: int, block: int) -> float:
 
 
 def minimax_grid2(kmats: np.ndarray, G: int):
-    """Raw grid minimum over (w, u) angle pairs of max_K |w^T A_K u|.
+    """Raw grid minimum of max_K |w^T A_K u| over G x G (w, u) angle pairs in [0, pi)^2.
 
-    The w rows fold in near-equal blocks of at most `_GRID_ROWS`, never of one
-    row unless G = 1: a one-row matmul may take a matrix-vector path with
-    other bits. Each block's two G-column arrays are sized to stay in cache
+    The angles are pi j / G, j = 0..G-1. |w^T A_K u| has period pi in each
+    angle (w -> -w and u -> -u flip its sign only), so this one period holds
+    every value of the torus. The w rows fold in near-equal blocks of at most
+    `_GRID_ROWS`, never of one row unless G = 1: a one-row matmul may take a
+    matrix-vector path with other bits. Each block's two G-column arrays are sized to stay in cache
     across the fold over K (see the module docstring). The first minimum of
     the first block holding the least block minimum is the row-major argmin
     of the whole grid.
     """
     kmats = np.ascontiguousarray(kmats, dtype=float)
-    th = 2.0 * np.pi * np.arange(G) / G
+    th = np.pi * np.arange(G) / G
     U = np.stack([np.cos(th), np.sin(th)])
     nb = -(-G // _GRID_ROWS)
     edges = [G * i // nb for i in range(nb + 1)]  # blocks of floor or ceil of G / nb rows

@@ -7,7 +7,10 @@ u = v_{A_I,2} and w = v_{A_J,1},
 
 so gamma = min over unit (u, w) of max over |K| = k of |w^T A_K u| is a true
 uniform lower bound for every connector ratio. For d = 2 the (u, w) torus is
-swept by a product grid with a Lipschitz certificate. For d >= 3 there is no
+swept by a product grid with a Lipschitz certificate. |w^T A_K u| has period
+pi in each angle, so the grid folds one period, [0, pi)^2, at the step
+2 pi / `GRID_ANGLES` of a full circle, and its certificate covers the torus.
+For d >= 3 there is no
 certificate yet, so gamma abstains: it is the trivial lower bound 0, reported
 uncertified, and no lower pressure constant is built from it.
 
@@ -29,7 +32,7 @@ from .kernels import dense_products, minimax_grid2, sigma1_2x2, word_singvals
 from .systems import GeneratorSystem
 from .wordspace import DEFAULT_BUDGET, Word, check_sweep, word_unrank
 
-GRID_ANGLES = 2000  # angles per circle for the d = 2 certificate grid
+GRID_ANGLES = 2000  # angles per circle of the d = 2 certificate grid; it folds half of them
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ def gamma_minimax(system: GeneratorSystem, k: int, *,
     if system.dim != 2:
         return GammaResult(value=0.0, certified=False, k=k)
     kmats = dense_products(system.stacked(), k)
-    raw, iw, iu = minimax_grid2(kmats, GRID_ANGLES)
+    raw, iw, iu = minimax_grid2(kmats, GRID_ANGLES // 2)  # one period: the same step h
     lip = float(sum(sigma1_2x2(kmats.transpose(1, 2, 0))))  # per-variable Lipschitz constant
     h = 2.0 * np.pi / GRID_ANGLES
     value = max(0.0, raw - lip * h)

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InputError
 from .hypotheses import HypothesisReport, check_hypotheses
 from . import kernels
-from .kernels import _log_det, pairwise_sum, word_singvals
+from .kernels import _letter_log_dets, _log_det, pairwise_sum, word_singvals
 from .quasimult import connector_constant
 from .systems import GeneratorSystem
 from .wordspace import DEFAULT_BUDGET, Word, check_budget, check_sweep, product, validate_word
@@ -123,7 +123,8 @@ class _LevelData:
     rebuilt from the table when a potential reads it. `log_z` is memoised per
     potential: the two searches of a root share their end points s = 0 and
     S_MAX. `passes` counts the potentials reduced over Lambda(n), `sweeps`
-    the block passes over Lambda(n) they took.
+    the block passes over Lambda(n) they took, and `closed_forms` the
+    potentials whose log Z_n took no pass at all (`_closed_form`).
     """
 
     def __init__(self, system: GeneratorSystem, n: int, *, budget: int = DEFAULT_BUDGET):
@@ -132,11 +133,13 @@ class _LevelData:
         check_sweep(system.ell, n, budget)
         self.n = n
         self.logs1, self.log_dets = word_singvals(system.stacked(), n)
+        self._letter_log_dets = (None if self.log_dets is None
+                                 else _letter_log_dets(system.stacked()))
         size = min(len(self.logs1), kernels._STREAM)
         self._w, self._logs2 = np.empty(size), np.empty(size)
         self._max_logs1 = np.max(self.logs1)
         self._log_z: dict[PotentialSpec, float] = {}
-        self.sweeps = 0
+        self.passes = self.sweeps = self.closed_forms = 0
 
     @staticmethod
     def _reads_sigma2(spec: PotentialSpec) -> bool:
@@ -159,6 +162,8 @@ class _LevelData:
         log sigma_1 (up to the sign of a zero at s = 0, which no later step
         can see: w - m and m + log sum are unchanged by it). So m is the
         potential of the level's max log sigma_1, with no pass of its own.
+        Only phi^s at 1 <= s < 2 reaches the pass that reads log sigma_2:
+        s >= 2 has a closed form (`_closed_form`).
         """
         if not self._reads_sigma2(spec):
             return float(log_potential(np.array([self._max_logs1]), None, spec)[0])
@@ -167,16 +172,41 @@ class _LevelData:
         return float(np.max([np.max(self._potential(spec, lo, min(lo + block, size)))
                              for lo in range(0, size, block)]))
 
-    def log_z(self, spec: PotentialSpec) -> float:
-        """log Z_n = m + log sum exp(w - m), m = max w, in one or two passes of block buffers.
+    def _closed_form(self, spec: PotentialSpec) -> float | None:
+        """log Z_n with no pass over Lambda(n) where the potential allows one, else None.
 
-        m is exact in any order: for phi^s at s >= 1 it takes a pass of its
-        own; for a potential of log sigma_1 alone it is read from the level's
-        max of log sigma_1 (`_max_potential`). The sum pass adds in
+        At s = 0 every word weighs exp(+-0) = 1, so Z_n = ell^n, an integer
+        below 2^53: log(ell^n) has the bits of the summed value. For phi^s of
+        2x2 products at s >= 2, phi^s(A) = |det A|^(s/2) is multiplicative, so
+        log Z_n = n log sum_j |det A_j|^c, c = s/2 (`sv_s`) or s
+        (`sv_s_squared`), taken with a max shift from the letters'
+        log |det A_j| that `kernels._log_det` folds. That is not the summed
+        value's bits: both are within a few ulps of the exact value.
+        """
+        if spec.s == 0.0:
+            return math.log(float(len(self.logs1)))
+        if spec.kind == "norm_s" or spec.s < 2.0 or self._letter_log_dets is None:
+            return None
+        a = self._letter_log_dets * (spec.s / 2.0 if spec.kind == "sv_s" else spec.s)
+        m = float(np.max(a))
+        return self.n * (m + math.log(float(np.sum(np.exp(a - m)))))
+
+    def log_z(self, spec: PotentialSpec) -> float:
+        """log Z_n, from `_closed_form` where there is one, else m + log sum exp(w - m),
+        m = max w, in one or two passes of block buffers.
+
+        m is exact in any order: for phi^s at 1 <= s < 2 it takes a pass of
+        its own; for a potential of log sigma_1 alone it is read from the
+        level's max of log sigma_1 (`_max_potential`). The sum pass adds in
         `pairwise_sum`'s leaves, so log Z_n has the bits of one np.sum over
         the whole level.
         """
-        if spec not in self._log_z:
+        if spec in self._log_z:
+            return self._log_z[spec]
+        value = self._closed_form(spec)
+        if value is not None:
+            self.closed_forms += 1
+        else:
             m = self._max_potential(spec)
 
             def leaf(lo: int, hi: int):
@@ -184,14 +214,11 @@ class _LevelData:
                 w -= m
                 return np.sum(np.exp(w, out=w))
 
+            self.passes += 1
             self.sweeps += 1
-            total = pairwise_sum(leaf, 0, len(self.logs1), len(self._w))
-            self._log_z[spec] = m + math.log(float(total))
-        return self._log_z[spec]
-
-    @property
-    def passes(self) -> int:
-        return len(self._log_z)
+            value = m + math.log(float(pairwise_sum(leaf, 0, len(self.logs1), len(self._w))))
+        self._log_z[spec] = value
+        return value
 
 
 def _bracket(spec: PotentialSpec, n: int, log_zn: float, qm: QMInput | None) -> PressureBracket:
@@ -441,11 +468,13 @@ def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, upper
         qm = qm_input(s, "sv_s")
         return -math.inf if qm is None else lower(data, s, qm)
 
+    def effort() -> dict:
+        return {"passes": data.passes, "sweeps": data.sweeps, "closed_form": data.closed_forms}
+
     def search(g):
-        passes, sweeps = data.passes, data.sweeps
+        before = effort()
         a, b, tag, counts = _root_bracket(g, 0.0, S_MAX)
-        return a, b, tag, {"passes": data.passes - passes, "sweeps": data.sweeps - sweeps,
-                           **counts}
+        return a, b, tag, {key: now - before[key] for key, now in effort().items()} | counts
 
     _, s_hi, b_hi, up_counts = search(lambda s: upper(data, s))
     s_lo, _, b_lo, lo_counts = search(g_lo)

@@ -164,14 +164,17 @@ class TestRunCommand:
         counts = json.loads(json.dumps(report["meta"]["root_search"]))
         assert set(counts) == {"upper", "lower"}
         for end in counts.values():
-            assert set(end) == {"passes", "sweeps", "steps", "bisection_fallbacks"}
+            assert set(end) == {"passes", "sweeps", "closed_form", "steps", "bisection_fallbacks"}
             assert end["steps"] > 0
-        assert counts["upper"]["passes"] == counts["upper"]["steps"] + 2
-        # every step samples s < 1, where phi^s reads log sigma_1 alone: one sweep
-        # each; the upper end adds the max pass of phi^4, which reads log sigma_2
+            # every step samples 0 < s < 1, where phi^s reads log sigma_1 alone:
+            # one pass of one sweep each
+            assert end["passes"] == end["steps"]
+            assert end["sweeps"] == end["passes"]
         assert report["result"]["interval"][1] < 1
-        assert counts["upper"]["sweeps"] == counts["upper"]["passes"] + 1
-        assert counts["lower"]["sweeps"] == counts["lower"]["passes"]
+        # s = 0 and S_MAX take closed forms, in the upper search, which runs
+        # first; the lower search reads both from the memo
+        assert counts["upper"]["closed_form"] == 2
+        assert counts["lower"]["closed_form"] == 0
         assert "root_search" not in cli.report_canonical_json(report)
 
     def test_check_hypotheses_meta_reports_effort(self):

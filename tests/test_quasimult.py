@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 
@@ -11,13 +12,15 @@ import cocyclespan.cli as cli
 from _helpers import potential_value, random_2x2_system
 from cocyclespan import E1, E2, E3, E5, GeneratorSystem
 from cocyclespan.gibbs import kappa_floor
-from cocyclespan.quasimult import connector_constant, empirical_qm, gamma_minimax
+from cocyclespan.quasimult import (GRID_ANGLES, connector_constant, empirical_qm,
+                                   gamma_minimax)
 from cocyclespan.spannability import spannable_at
 from cocyclespan.thermo import PotentialSpec
 from cocyclespan.wordspace import enumerate_words, product
 
 # Frozen 2000x2000 (u, w) grid oracle values, computed independently before the
-# build (dense evaluation of max_K |w^T A_K u| over the product of circles).
+# build (dense evaluation of max_K |w^T A_K u| over the product of circles); the
+# one-period grid of today, 1000 x 1000 at the same step, meets them to 1e-12.
 E2_K1_RAW_GRID = 0.39719328210497645
 E2_K1_CERTIFIED = 0.38776850414420705
 E3_K1_RAW_GRID = 0.08894899391930379
@@ -53,6 +56,30 @@ class TestGammaMinimax:
         for sys in (E2(), E3()):
             assert spannable_at(sys, 1).spannable
             assert gamma_minimax(sys, 1).value > 0.0
+
+
+class TestGammaOracle:
+    """The certified gamma is a lower bound of f(w, u) = max_K |w^T A_K u| at every
+    point, with f evaluated from plain products of the generators."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), ell=st.integers(1, 3), k=st.integers(1, 3))
+    def test_certified_gamma_below_sampled_minimax(self, seed, ell, k):
+        rng = np.random.default_rng(seed)
+        system = random_2x2_system(rng, ell)
+        g = gamma_minimax(system, k)
+        assert g.certified and 0.0 <= g.value <= g.raw_grid_min
+        kmats = np.array([functools.reduce(np.matmul, (system.generators[j] for j in word))
+                          for word in itertools.product(range(ell), repeat=k)])
+        # 10^4 points: half over the whole torus, half within a grid step of the
+        # reported argmin, where f comes closest to the certified value
+        h = 2.0 * np.pi / GRID_ANGLES
+        at = np.array([math.atan2(v[1], v[0]) for v in g.argmin])
+        th = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, (5000, 2)),
+                             at + rng.uniform(-h, h, (5000, 2))])
+        w, u = (np.stack([np.cos(t), np.sin(t)], axis=1) for t in th.T)
+        f = np.abs(np.einsum("ni,kij,nj->kn", w, kmats, u)).max(axis=0)
+        assert g.value <= f.min()
 
 
 class TestEmpiricalQM:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -408,7 +409,11 @@ def _out_of_place_log_potential(logs1, logs2, kind, s):
 
 
 class TestLogZInPlace:
-    """`_LevelData.log_z` reduces in block buffers; the bits of one whole-level sum must not move."""
+    """`_LevelData.log_z` reduces in block buffers; the bits of one whole-level sum must not move.
+
+    phi^s at s >= 2 is |det|^(s/2) and takes a closed form instead: it is held
+    to a 50-digit value of the same sum, which the whole-level sum meets too.
+    """
 
     S_VALUES = (0.0, 0.4, 1.0, 1.3, 1.9, 2.0, 2.7)  # both sides of 1 and 2
 
@@ -426,7 +431,22 @@ class TestLogZInPlace:
         for kind in KINDS:
             for s in self.S_VALUES:
                 got = data.log_z(PotentialSpec(kind, s))
-                assert got.hex() == _whole_level_log_z(data, kind, s).hex(), (kind, s)
+                if kind != "norm_s" and s >= 2.0:
+                    ref = _mp_det_power_log_z(system, 9, kind, s)
+                    for value in (got, _whole_level_log_z(data, kind, s)):
+                        assert abs(value - ref) <= 1e-15 * abs(ref), (kind, s)
+                else:
+                    assert got.hex() == _whole_level_log_z(data, kind, s).hex(), (kind, s)
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_det_power_closed_form_against_mpmath(self, n):
+        from cocyclespan.thermo import _LevelData
+        data = _LevelData(E3(), n)
+        for kind in ("sv_s", "sv_s_squared"):
+            for s in (2.0, 2.7, S_MAX):
+                ref = _mp_det_power_log_z(E3(), n, kind, s)
+                assert abs(data.log_z(PotentialSpec(kind, s)) - ref) <= 1e-15 * abs(ref), (kind, s)
+        assert data.passes == data.sweeps == 0 and data.closed_forms == 6
 
     @pytest.mark.parametrize("block", [128, 1000, 4099])
     def test_blocks_match_one_whole_level_sum(self, monkeypatch, block):
@@ -440,8 +460,10 @@ class TestLogZInPlace:
         assert len(data._w) == block < len(data.logs1)
         for kind in KINDS:
             for s in self.S_VALUES:
-                ref = _whole_level_log_z(whole, kind, s)
-                assert data.log_z(PotentialSpec(kind, s)) == ref, (kind, s)
+                spec = PotentialSpec(kind, s)
+                closed = kind != "norm_s" and s >= 2.0  # no blocks: the unblocked level's value
+                ref = whole.log_z(spec) if closed else _whole_level_log_z(whole, kind, s)
+                assert data.log_z(spec) == ref, (kind, s)
 
     def test_cached_logs_are_never_written(self):
         from cocyclespan.thermo import KINDS, _LevelData
@@ -455,10 +477,11 @@ class TestLogZInPlace:
             assert a.tobytes() == b.tobytes()
 
     def test_potential_pass_memoised_per_spec(self, monkeypatch):
-        # the upper and lower root searches share s = 0 and s = 4; each distinct
-        # potential costs one reduction, and Lambda(12) is one block, so a
-        # reduction evaluates the potential over the level once for the sum, and
-        # once more for the max only when it reads log sigma_2 (phi^s at s >= 1)
+        # the upper and lower root searches share s = 0 and s = 4, which take
+        # closed forms; each other distinct potential costs one reduction, and
+        # Lambda(12) is one block, so a reduction evaluates the potential over
+        # the level once for the sum, and once more for the max only when it
+        # reads log sigma_2 (phi^s at 1 <= s < 2)
         from cocyclespan import thermo
         folds, blocks = [], []
         fold, potential = thermo.pairwise_sum, thermo._LevelData._potential
@@ -466,19 +489,36 @@ class TestLogZInPlace:
         monkeypatch.setattr(thermo._LevelData, "_potential",
                             lambda self, spec, lo, hi: blocks.append(spec)
                             or potential(self, spec, lo, hi))
-        for run, count in ((lambda: affinity_dimension(E3(), 12, 1), 14),
-                           (lambda: r0_interval(E3(), 0.3, 12, 1), 28)):
+        for run, count, closed in ((lambda: affinity_dimension(E3(), 12, 1), 12, 2),
+                                   (lambda: r0_interval(E3(), 0.3, 12, 1), 24, 4)):
             folds.clear()
             blocks.clear()
             rep = run()
             passes = list(dict.fromkeys(blocks))
             assert len(folds) == len(passes) == count
+            assert all(0.0 < spec.s < 2.0 for spec in passes)
             sweeps = [1 + (spec.kind != "norm_s" and spec.s >= 1.0) for spec in passes]
-            assert 1 in sweeps and 2 in sweeps
             assert blocks == [spec for spec, k in zip(passes, sweeps) for _ in range(k)]
             ends = rep.root_search.values()
             assert sum(end["passes"] for end in ends) == count
             assert sum(end["sweeps"] for end in ends) == len(blocks)
+            assert rep.root_search["upper"]["closed_form"] == closed
+            assert rep.root_search["lower"]["closed_form"] == 0
+        # phi^s at 1 <= s < 2 alone adds the max pass; s = 0 and s >= 2 take none
+        folds.clear()
+        blocks.clear()
+        pressure_brackets(E3(), "sv_s", 12, [0.0, 1.5, 2.5, 1.5], [None] * 4)
+        assert folds == [1] and blocks == [PotentialSpec("sv_s", 1.5)] * 2
+
+
+def _mp_det_power_log_z(system, n, kind, s):
+    """log Z_n of phi^s at s >= 2 to 50 digits: phi^s(A) = |det A|^(s/2) for 2x2 A,
+    and det is multiplicative, so Z_n = (sum_j |det A_j|^c)^n, c = s/2 or s (squared)."""
+    with mpmath.workdps(50):
+        c = mpmath.mpf(s) / (2 if kind == "sv_s" else 1)
+        dets = [mpmath.mpf(float(A[0, 0])) * float(A[1, 1])
+                - mpmath.mpf(float(A[0, 1])) * float(A[1, 0]) for A in system.generators]
+        return n * mpmath.log(mpmath.fsum(abs(d) ** c for d in dets))
 
 
 def _whole_level_log_z(data, kind, s):
