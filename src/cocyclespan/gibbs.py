@@ -122,21 +122,33 @@ def mixing_levels(system: GeneratorSystem, s: float, L: int, gap: int, connector
 
 
 def _psi_sup(lev: list, ell: int, L: int, gap: int, absolute: bool = True):
+    """(sup over |I|, |J| <= L of |ratio - 1|, or of -ratio, and the first pair reaching it).
+
+    The pairs of one level N = |I| + gap + |J| are taken together, so each
+    prefix mass (the log masses of the length-p prefixes under the level-N
+    proxy) is folded once and dropped with its level. The sup is then read in
+    (|I|, |J|) order, a later pair winning only with a larger value, as a
+    pair-by-pair loop reads it.
+    """
+    best = {}
+    for N in range(gap + 2, 2 * L + gap + 1):
+        big, z = lev[N]
+        lengths = range(max(1, N - gap - L), min(L, N - gap - 1) + 1)  # |I| and |J| alike
+        mass = {p: _lse(big.reshape(ell**p, -1), axis=1) for p in lengths}
+        for li in lengths:
+            lj = N - gap - li
+            num = _lse(big.reshape(ell**li, ell**gap, ell**lj), axis=1)  # (NI, NJ)
+            ratio = np.exp(num + z - mass[li][:, None] - mass[lj][None, :])
+            vals = np.abs(ratio - 1.0) if absolute else -ratio
+            idx = int(np.argmax(vals))
+            best[li, lj] = float(vals.flat[idx]), idx
     sup = -math.inf
     worst = None
     for li in range(1, L + 1):
         for lj in range(1, L + 1):
-            N = li + gap + lj
-            big, z = lev[N]
-            cube = big.reshape(ell**li, ell**gap, ell**lj)
-            num = _lse(cube, axis=1)                       # (NI, NJ)
-            mu_i = _lse(big.reshape(ell**li, -1), axis=1)  # prefix-I masses
-            mu_j = _lse(big.reshape(ell**lj, -1), axis=1)  # prefix-J masses
-            ratio = np.exp(num + z - mu_i[:, None] - mu_j[None, :])
-            vals = np.abs(ratio - 1.0) if absolute else -ratio
-            idx = int(np.argmax(vals))
-            if float(vals.flat[idx]) > sup:
-                sup = float(vals.flat[idx])
+            val, idx = best[li, lj]
+            if val > sup:
+                sup = val
                 bi, bj = divmod(idx, ell**lj)
                 worst = (word_unrank(bi, ell, li), word_unrank(bj, ell, lj))
     return sup, worst

@@ -37,9 +37,10 @@ ratios of the QM table and of the kappa floor included
 every L = `_cadence(gens)` levels: L = max(1, floor(60 / c)), where
 c = max(log2 max_j |A_j|_inf, -log2(min_j sigma_min(A_j) / d)) (at least 1)
 bounds how far one level moves the exponent of a unit's largest |entry|, so
-entries stay within about 2^+-60 between rescales. Every read first
-normalises canonically (`_normalise`): it scales the unit by 2^-k, k the least
-integer with largest |entry| <= 2^k, which puts that entry in (0.5, 1]. A max
+entries stay within about 2^+-60 between rescales. Every read is of the
+canonical form (`_normalise`, or a d = 2 readout with its bits): the unit
+scaled by 2^-k, k the least integer with largest |entry| <= 2^k, which puts
+that entry in (0.5, 1]. A max
 is exact in any order, and scaling by a power of two commutes exactly with the
 product (no entry of a unit is subnormal), so a read unit and exponent, and
 every log singular value, depend on the word alone: not on the cadence, the
@@ -65,20 +66,31 @@ with no transposition. A level grown t levels from R rows this way holds word
 `_rank_order` reads it out in rank order once per level or chunk.
 
 Levels are built by one sweep from the identity. `products_level_numpy` keeps
-only the last level. `_sweep` streams: it builds the levels up to a head level
-Lambda(n - b) whole, b the most levels with ell^b <= `_STREAM`, then grows each
-chunk of head rows b levels into three product buffers that every chunk
-reuses, and writes each level it reads at the chunk's rank offset. Every word
-is grown once. `word_singvals` reads Lambda(n) alone, so it holds 8 bytes per
-word of output and a `LogDets` table of (head rows) x (tail letter classes)
-entries; `level_singvals` reads every level m = 0..n, 8 bytes per word of
-each, where whole (2, 2, ell^m) unit stacks took 96 bytes per word of the
-deepest level. `_STREAM` also sizes the log Z blocks of `thermo`. At 2^15
-words a d = 2 chunk buffer takes 1 MB, half of a core's 2 MB L2: on a 2-core
-x86-64 host, `word_singvals` at ell = 2, n = 20 took a median 52 ms with a
-12.3 MB traced peak, against 58 ms and 16.3 MB at 2^16 and 56 ms and 10.5 MB
-at 2^14; at ell = 3, n = 13 the peaks were 15.2, 19.5 and 14.4 MB, and the
-times (67 to 78 ms) were within the host's noise.
+only the last level. `_sweep` streams: a chunk holds ell^t words, t the most
+levels with ell^t <= `_STREAM`, as ell^(t - b) rows of a head level
+Lambda(n - b) grown b levels (`_chunk_depth`). `_sweep` builds the levels up to
+the head level whole, then grows each chunk of head rows into three product
+buffers that every chunk reuses, and writes each level it reads at the
+chunk's rank offset. Every word is grown once. b leaves each chunk at least
+`_CHUNK_ROWS` = 64 rows where the head level stays within `_STREAM` words, so
+the small first levels of a chunk are few: at ell = 2, n = 20 a sweep takes
+299 calls of `_extend_level`, and 413 at ell = 3, n = 13, where one-row chunks
+of t levels took 485 and 733. A d = 2 level that is read but neither kept nor
+due for a rescale is read unscaled (`_read_log_sigma1`), with the bits of a
+normalised read. `word_singvals` reads Lambda(n) alone, so it holds 8 bytes
+per word of output and a `LogDets` table of (head rows) x (tail letter
+classes) entries, split at t levels (`_tail_depth`), which keeps the head rows
+few; `level_singvals` reads every level m = 0..n, 8 bytes per word of each,
+where whole (2, 2, ell^m) unit stacks took 96 bytes per word of the deepest
+level. `_STREAM` also sizes the log Z blocks of `thermo`. At 2^15 words a
+d = 2 chunk buffer takes 1 MB, half of a core's 2 MB L2: on a 2-core x86-64
+host, `word_singvals` at ell = 2, n = 20 took a median 52 ms with a 12.3 MB
+traced peak, against 58 ms and 16.3 MB at 2^16 and 56 ms and 10.5 MB at 2^14;
+at ell = 3, n = 13 the peaks were 15.2, 19.5 and 14.4 MB, and the times (67 to
+78 ms) were within the host's noise. A chunk of ell^t words, not of up to
+`_STREAM` (at ell = 3, 19683 words, not 32562), keeps the traced peak over the
+level of `word_singvals` at ell = 3, n = 13 near the one-row chunks' (2.5 MB
+against 2.3 MB; 4.0 MB with the larger chunks).
 """
 from __future__ import annotations
 
@@ -93,6 +105,7 @@ _BNB_CELLS = 64           # coarse grid cells per axis
 _BNB_BATCH = 4096         # open cells split per round; f sees at most 2^m times as many
 _DRIFT_BITS = 60          # a unit's largest entry stays within about 2^+-60 between rescales
 _STREAM = 1 << 15         # most words a streamed level extends at once, and log Z block size
+_CHUNK_ROWS = 64          # fewest head rows a streamed chunk grows, where the head level allows
 _GRID_ROWS = 32           # most grid rows `minimax_grid2` folds at once
 _PAIRS = 1 << 16          # most word pairs (or pair-angle values) formed at once
 
@@ -109,9 +122,9 @@ def _identity(d: int):
     return np.eye(d)[:, :, None].copy(), np.zeros(1)
 
 
-def _normalise(units: np.ndarray, exps: np.ndarray) -> None:
-    """Canonical form in place: each unit of a (d, d, R) stack times 2^-k, exps + k,
-    with k the least integer such that the unit's largest |entry| is <= 2^k."""
+def _top_exponents(units: np.ndarray):
+    """(k, scratch): per unit of a (d, d, R) stack the least integer k such that its
+    largest |entry| is <= 2^k, and a free array of R floats."""
     flat = units.reshape(units.shape[0] ** 2, -1)
     top, scale = np.abs(flat[0]), np.empty(flat.shape[1])
     for entries in flat[1:]:
@@ -119,8 +132,34 @@ def _normalise(units: np.ndarray, exps: np.ndarray) -> None:
     k = np.empty(len(top), dtype=np.int32)
     np.frexp(top, out=(scale, k))
     k -= scale == 0.5
+    return k, scale
+
+
+def _normalise(units: np.ndarray, exps: np.ndarray) -> None:
+    """Canonical form in place: each unit of a (d, d, R) stack times 2^-k, exps + k,
+    with k from `_top_exponents`."""
+    k, scale = _top_exponents(units)
     exps += k
     units *= np.ldexp(1.0, np.negative(k, out=k), out=scale)
+
+
+def _read_log_sigma1(units: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """`_normalise` then `_log_sigma1` of a (2, 2, R) stack, with the same bits, but
+    the stack and `exps` left as they are.
+
+    sigma_1 of the unscaled unit is scaled by 2^-k instead of its four entries:
+    every step of `sigma1_2x2` (sums, products, a square root of a sum of
+    squares, halving) commutes exactly with a power of two while no entry is
+    subnormal. `exps` holds one exponent per unit or, for a level grown
+    generator-major from fewer rows, one per row, repeated.
+    """
+    s1 = sigma1_2x2(units)
+    k, scale = _top_exponents(units)
+    read = (k.reshape(-1, len(exps)) + exps).ravel()
+    s1 *= np.ldexp(1.0, np.negative(k, out=k), out=scale)
+    read *= _LN2
+    read += np.log(s1, out=s1)
+    return read
 
 
 def _extend_level(gens: np.ndarray, units: np.ndarray, out=None, term=None) -> np.ndarray:
@@ -147,25 +186,33 @@ def _extend_level(gens: np.ndarray, units: np.ndarray, out=None, term=None) -> n
 
 
 def _grow(gens: np.ndarray, units: np.ndarray, exps: np.ndarray, reads: list, cadence: int,
-          bufs: list | None = None):
+          bufs: list | None = None, keep: bool = True):
     """Canonical (units, exps) grown len(reads) levels generator-major from canonical
     ones, rescaled every `cadence` levels and normalised at the last.
 
-    reads[t - 1] is None or an (out, order) pair: level t is then normalised too,
-    and its log sigma_1 gathered by `order` into `out`. With `bufs`, three flat
-    arrays of d * d * W, d * d * W / ell and d * d * W entries, W the words of the
-    last level: the last level goes into the first, the one before it into the
-    second, and so on alternating; the third holds the products of `_extend_level`.
+    reads[t - 1] is None or an (out, order) pair: the log sigma_1 of level t is
+    then gathered by `order` into `out`. A d = 2 level is read unscaled
+    (`_read_log_sigma1`) unless it is rescaled anyway; a d > 2 level is
+    normalised first. With `keep` False the caller discards the last level, so
+    it is not rescaled and the pair returned is not canonical. With `bufs`,
+    three flat arrays of d * d * W, d * d * W / ell and d * d * W entries, W the
+    words of the last level: the last level goes into the first, the one before
+    it into the second, and so on alternating; the third holds the products of
+    `_extend_level`.
     """
     levels = len(reads)
     bufs = bufs or [None] * 3
+    d = gens.shape[1]
     for i, read in enumerate(reads, 1):
         units = _extend_level(gens, units, bufs[(levels - i) % 2], bufs[2])
-        if read is not None or i % cadence == 0 or i == levels:
+        rescale = keep if i == levels else i % cadence == 0
+        if rescale or (read is not None and d != 2):
             exps = exps[None].repeat(units.shape[-1] // len(exps), axis=0).ravel()
             _normalise(units, exps)
-        if read is not None:
-            np.take(_log_sigma1(units, exps), read[1], out=read[0], mode="clip")
+            if read is not None:
+                np.take(_log_sigma1(units, exps), read[1], out=read[0], mode="clip")
+        elif read is not None:
+            np.take(_read_log_sigma1(units, exps), read[1], out=read[0], mode="clip")
     return units, exps
 
 
@@ -185,28 +232,47 @@ def _level(gens: np.ndarray, reads: list, cadence: int):
     return units[..., order], exps[order]
 
 
-def _tail_depth(ell: int, n: int) -> int:
-    """Levels b <= n that a streamed Lambda(n) grows per chunk: the most with ell^b <= `_STREAM`."""
+def _depth_within(ell: int, n: int, words: int) -> int:
+    """The most levels b <= n with ell^b <= words."""
     b = 0
-    while b < n and ell ** (b + 1) <= _STREAM:
+    while b < n and ell ** (b + 1) <= words:
         b += 1
     return b
+
+
+def _tail_depth(ell: int, n: int) -> int:
+    """Tail levels b <= n of the `LogDets` split of Lambda(n): the most with ell^b <= `_STREAM`,
+    which gives the table the fewest head rows. The sweep's split is `_chunk_depth`."""
+    return _depth_within(ell, n, _STREAM)
+
+
+def _chunk_depth(ell: int, n: int) -> int:
+    """Levels b <= n that each chunk of a streamed Lambda(n) grows.
+
+    A chunk holds ell^t words, t = `_tail_depth(ell, n)`: ell^(t - b) head rows
+    grown b levels. b is the most levels that leave at least `_CHUNK_ROWS` rows,
+    unless the head level Lambda(n - b) would then hold more than `_STREAM`
+    words: b then grows until it does not, up to t, where a chunk is one row.
+    """
+    tail = _tail_depth(ell, n)
+    return min(tail, max(_depth_within(ell, n, ell**tail // _CHUNK_ROWS), n - tail))
 
 
 def _sweep(gens: np.ndarray, outs: list, cadence: int) -> None:
     """log sigma_1 of Lambda(m) in rank order into outs[m], m = 0..n = len(outs) - 1,
     from one sweep; a level whose outs[m] is None is not read.
 
-    The levels up to the head level Lambda(n - b), b = `_tail_depth(ell, n)`, are
+    The levels up to the head level Lambda(n - b), b = `_chunk_depth(ell, n)`, are
     built whole. Each chunk of head rows r0..r1-1 then grows b levels: the words
     grown t levels from it share their prefixes with it, so they are ranks
-    r0 ell^t .. r1 ell^t - 1 of Lambda(n - b + t). A chunk holds at most `_STREAM`
-    words, in three flat buffers that every chunk reuses.
+    r0 ell^t .. r1 ell^t - 1 of Lambda(n - b + t). Every chunk holds the same
+    ell^t <= `_STREAM` words, t = `_tail_depth(ell, n)`, in three flat buffers
+    that every chunk reuses, and its last level is read unscaled and discarded.
     """
     ell, d = gens.shape[:2]
     n = len(outs) - 1
-    b = _tail_depth(ell, n)
-    order = functools.cache(functools.partial(_rank_order, ell))  # full chunks share theirs
+    b = _chunk_depth(ell, n)
+    order = functools.cache(functools.partial(_rank_order, ell))  # every chunk shares them
 
     def reads(m, r0, r1, levels):
         """Where levels m + 1..m + levels grown from rows r0..r1-1 of Lambda(m) are read."""
@@ -216,12 +282,13 @@ def _sweep(gens: np.ndarray, outs: list, cadence: int) -> None:
     if outs[0] is not None:
         outs[0][:] = _log_sigma1(*_identity(d))
     units, exps = _level(gens, reads(0, 0, 1, n - b), cadence)
-    rows = min(_STREAM // ell**b, len(exps))
+    rows = ell ** (_tail_depth(ell, n) - b)  # a divisor of the ell^(n - b) head rows
     size = d * d * rows * ell**b
     bufs = [np.empty(size), np.empty(size // ell), np.empty(size)]
     for r0 in range(0, len(exps), rows):
-        r1 = min(r0 + rows, len(exps))
-        _grow(gens, units[..., r0:r1], exps[r0:r1], reads(n - b, r0, r1, b), cadence, bufs)
+        r1 = r0 + rows
+        _grow(gens, units[..., r0:r1], exps[r0:r1], reads(n - b, r0, r1, b), cadence, bufs,
+              keep=False)
 
 
 def products_level_numpy(gens: np.ndarray, n: int):

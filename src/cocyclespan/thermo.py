@@ -419,6 +419,23 @@ def _root_bracket(g, lo: float, hi: float, tol: float = ROOT_TOL):
     return a, b, None, {"steps": len(widths), "bisection_fallbacks": fallbacks}
 
 
+def _seed_bracket(g, points) -> tuple[float, float]:
+    """The narrowest (a, b) of adjacent `points` with g(a) > 0 >= g(b), else (0, S_MAX).
+
+    `points` are where g is already known at no cost: 0, S_MAX and the other
+    end's search steps. Without g(0) > 0 >= g(S_MAX) among them (a curve
+    without a QM constant is -inf at 0), [0, S_MAX] is kept, so
+    `_root_bracket` reports the same boundary tag as an unseeded search.
+    """
+    xs = sorted(set(points))
+    vals = [g(x) for x in xs]
+    pairs = [(b - a, a, b) for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]) if fa > 0 >= fb]
+    if not (vals[0] > 0 >= vals[-1] and pairs):
+        return 0.0, S_MAX
+    _, a, b = min(pairs)
+    return a, b
+
+
 def qm_source(system: GeneratorSystem, k_qm: int, *, budget: int = DEFAULT_BUDGET):
     """(qm_input(s, kind), description) of the lower pressure ends.
 
@@ -456,13 +473,21 @@ def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, upper
     """Bracket a root between the upper and lower pressure ends, clamped at 2.
 
     `upper(data, s)` and `lower(data, s, qm)` are decreasing in s; the lower
-    end needs a positive QM input and is -inf (root 0) without one. The
-    interval is outward: the left end of the lower curve's bracket and the
-    right end of the upper curve's. `late_warnings()` runs after both searches.
+    end needs a positive QM input and is -inf (root 0) without one. The upper
+    search runs on [0, S_MAX]; the lower one starts from `_seed_bracket` over
+    the points the upper search sampled, where g_lo costs no pass over
+    Lambda(n): every log Z it reads there is memoised. The interval is
+    outward: the left end of the lower curve's bracket and the right end of
+    the upper curve's. `late_warnings()` runs after both searches.
     """
     hyp = check_hypotheses(system, "corollary_4_3", budget=budget)
     data = _LevelData(system, n, budget=budget)
     qm_input, qm_desc = qm_source(system, k_qm, budget=budget)
+    sampled: list[float] = []  # the points of the upper search, whose log Z is memoised
+
+    def g_up(s: float) -> float:
+        sampled.append(s)
+        return upper(data, s)
 
     def g_lo(s: float) -> float:
         qm = qm_input(s, "sv_s")
@@ -471,13 +496,15 @@ def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, upper
     def effort() -> dict:
         return {"passes": data.passes, "sweeps": data.sweeps, "closed_form": data.closed_forms}
 
-    def search(g):
+    def search(g, lo, hi):
         before = effort()
-        a, b, tag, counts = _root_bracket(g, 0.0, S_MAX)
+        a, b, tag, counts = _root_bracket(g, lo, hi)
         return a, b, tag, {key: now - before[key] for key, now in effort().items()} | counts
 
-    _, s_hi, b_hi, up_counts = search(lambda s: upper(data, s))
-    s_lo, _, b_lo, lo_counts = search(g_lo)
+    _, s_hi, b_hi, up_counts = search(g_up, 0.0, S_MAX)
+    start = _seed_bracket(g_lo, sampled)
+    s_lo, _, b_lo, lo_counts = search(g_lo, *start)
+    lo_counts |= {"start": list(start), "seed_points": len(set(sampled))}
     warnings = list(warnings) + late_warnings()
     if qm_desc["mode"] != "conformal" and qm_desc["gamma"] <= 0:
         warnings.append("no positive QM constant: lower root defaulted to 0")

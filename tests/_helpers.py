@@ -5,9 +5,11 @@ import numpy as np
 
 from cocyclespan import GeneratorSystem
 from cocyclespan.errors import InputError
+from cocyclespan.gibbs import _lse
 from cocyclespan.hypotheses import _algebra_closure, _structure_verdict
 from cocyclespan.spannability import _numeric_certificate, mk_basis
 from cocyclespan.thermo import _TargetData, _log_phi
+from cocyclespan.wordspace import word_unrank
 
 # a 3x3 system, for the checks that reject d != 2 before any work
 D3 = GeneratorSystem((np.diag([1.0, 2.0, 3.0]),))
@@ -90,3 +92,26 @@ def rational(mk):
     d = mk.d
     return tuple([[Fraction(n, den) for n in nums[i:i + d]] for i in range(0, d * d, d)]
                  for _, nums, den in mk.rows)
+
+
+def psi_sup(lev, ell, L, gap, absolute=True):
+    """The psi-mixing sup and its worst pair, each prefix mass folded afresh for
+    every pair that reads it, for `gibbs._psi_sup` to be checked against."""
+    sup = -math.inf
+    worst = None
+    for li in range(1, L + 1):
+        for lj in range(1, L + 1):
+            N = li + gap + lj
+            big, z = lev[N]
+            cube = big.reshape(ell**li, ell**gap, ell**lj)
+            num = _lse(cube, axis=1)                       # (NI, NJ)
+            mu_i = _lse(big.reshape(ell**li, -1), axis=1)  # prefix-I masses
+            mu_j = _lse(big.reshape(ell**lj, -1), axis=1)  # prefix-J masses
+            ratio = np.exp(num + z - mu_i[:, None] - mu_j[None, :])
+            vals = np.abs(ratio - 1.0) if absolute else -ratio
+            idx = int(np.argmax(vals))
+            if float(vals.flat[idx]) > sup:
+                sup = float(vals.flat[idx])
+                bi, bj = divmod(idx, ell**lj)
+                worst = (word_unrank(bi, ell, li), word_unrank(bj, ell, lj))
+    return sup, worst

@@ -163,8 +163,15 @@ class TestRunCommand:
         assert code == cli.EXIT_OK
         counts = json.loads(json.dumps(report["meta"]["root_search"]))
         assert set(counts) == {"upper", "lower"}
+        keys = {"passes", "sweeps", "closed_form", "steps", "bisection_fallbacks"}
+        assert set(counts["upper"]) == keys
+        # the lower search also names the bracket it started from and how many
+        # memoised points (s = 0, S_MAX and the upper search's steps) it was chosen from
+        assert set(counts["lower"]) == keys | {"start", "seed_points"}
+        lo, hi = counts["lower"]["start"]
+        assert 0.0 <= lo < hi <= 4.0
+        assert counts["lower"]["seed_points"] == counts["upper"]["steps"] + 2
         for end in counts.values():
-            assert set(end) == {"passes", "sweeps", "closed_form", "steps", "bisection_fallbacks"}
             assert end["steps"] > 0
             # every step samples 0 < s < 1, where phi^s reads log sigma_1 alone:
             # one pass of one sweep each

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocyclespan import E1, E3, E5, kernels
 from cocyclespan.errors import InputError
-from cocyclespan.gibbs import kappa_floor, psi_mixing_stat
+from cocyclespan.gibbs import kappa_floor, mixing_levels, psi_mixing_stat
 
-from _helpers import D3, random_2x2_system
+from _helpers import D3, psi_sup, random_2x2_system
 
 
 def test_one_step_mass_ratio_bounds():
@@ -75,6 +77,29 @@ class TestPsiMixing:
                             lambda *args: calls.append(1) or extend(*args))
         psi_mixing_stat(E3(), 1.0, 3, 4)
         assert len(calls) == 2 * 3 + 4
+
+    @staticmethod
+    def _assert_matches_oracle(system, s, L, gap, k):
+        # each prefix mass is folded once; the statistic keeps the bits of
+        # folding it afresh for every pair that reads it
+        lev = mixing_levels(system, s, L, gap, k)
+        rep = psi_mixing_stat(system, s, L, gap, connector_k=k, levels=lev)
+        psi, worst = psi_sup(lev, system.ell, L, gap, absolute=True)
+        neg_floor, _ = psi_sup(lev, system.ell, L, k, absolute=False)
+        assert rep.psi_hat.hex() == psi.hex()
+        assert rep.worst_pair == worst
+        assert rep.kappa_floor.hex() == (-neg_floor).hex()
+
+    @pytest.mark.parametrize("s,L,gap,k", [(1.0, 3, 4, 1), (0.7, 2, 2, 2), (1.6, 4, 1, 3)])
+    def test_prefix_masses_match_the_oracle_on_e3(self, s, L, gap, k):
+        self._assert_matches_oracle(E3(), s, L, gap, k)
+
+    @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.floats(0.0, 2.0),
+           st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+    def test_prefix_masses_match_the_oracle(self, seed, ell, s, L, gap, k):
+        system = random_2x2_system(np.random.default_rng(seed), ell)
+        self._assert_matches_oracle(system, s, L, gap, k)
 
     def test_kappa_floor_positive(self):
         rep = psi_mixing_stat(E3(), 1.0, 2, 3)

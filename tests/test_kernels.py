@@ -7,9 +7,10 @@ import pytest
 
 from cocyclespan import E2, E3, GeneratorSystem
 from cocyclespan import kernels
-from cocyclespan.kernels import (_LN2, _count_classes, _extend_level, _log_det, _normalise,
-                                 level_singvals, lipschitz_bnb, minimax_grid2, pair_quadratics,
-                                 products_level_numpy, sigma1_2x2, word_singvals)
+from cocyclespan.kernels import (_LN2, _count_classes, _extend_level, _log_det, _log_sigma1,
+                                 _normalise, _read_log_sigma1, level_singvals, lipschitz_bnb,
+                                 minimax_grid2, pair_quadratics, products_level_numpy,
+                                 sigma1_2x2, word_singvals)
 from cocyclespan.spannability import TAU_SPAN, _angles_to_unit, _stack_f
 from cocyclespan.thermo import pressure_brackets
 from cocyclespan.wordspace import enumerate_words, product, word_unrank
@@ -143,27 +144,59 @@ class TestStreamedLevel:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("ell", [1, 2, 3])
     def test_stream_equals_whole_level(self, monkeypatch, ell, d):
-        # block 7: ell = 3 streams chunks of 2 head rows of 3 words each, and
-        # its head levels have odd size, so the last chunk is ragged; n below
-        # the block depth (ell = 2: 2, ell = 1: every n) streams from Lambda(0).
-        # The reference rescales at the derived cadence; cadence 1 rescales
-        # every level, and neither moves a bit of the readout
+        # n runs below, at and above one block's depth t (ell^t <= block):
+        # block 7 gives t = 2 at ell = 2 and t = 1 at ell = 3; block 128 gives
+        # t = 7 and 4; 2^16 holds every level whole; ell = 1 is one word per
+        # level at any n. A chunk holds ell^t words, ell^(t - b) head rows that
+        # grow b levels: with `_CHUNK_ROWS` 2 or 4 at block 128 a chunk grows
+        # several rows (ell = 3, n = 9: b = 5, head 81 rows, chunks of 3 rows),
+        # at 64 (as shipped) one row each. The rows divide the head level, so
+        # no chunk is ragged. The reference rescales at the derived cadence;
+        # cadence 1 rescales every level, and neither moves a bit of the readout
         gens = np.random.default_rng(10 * ell + d).standard_normal((ell, d, d))
-        refs = [_whole_level(gens, n) for n in range(8)]
-        for block in (7, 128, 1 << 16):
+        refs = [_whole_level(gens, n) for n in range(10)]
+        for block, chunk_rows in ((7, 64), (128, 2), (128, 4), (128, 64), (1 << 16, 64)):
             for cadence in (None, 1):
                 monkeypatch.setattr(kernels, "_STREAM", block)
+                monkeypatch.setattr(kernels, "_CHUNK_ROWS", chunk_rows)
                 if cadence is not None:
                     monkeypatch.setattr(kernels, "_cadence", lambda gens: cadence)
                 for n, (ref1, ref2) in enumerate(refs):
+                    b, t = kernels._chunk_depth(ell, n), kernels._tail_depth(ell, n)
+                    # the head fits a block unless one-row chunks (b = t) leave it larger
+                    assert ell**t <= block and (n - b <= t or b == t)
+                    assert ell ** (n - b) % ell ** (t - b) == 0
                     logs1, log_dets = word_singvals(gens, n)
                     assert logs1.tobytes() == ref1.tobytes()
                     assert ((log_dets is None and ref2 is None)
                             or log_dets.log_sigma2(logs1).tobytes() == ref2.tobytes())
-                # the level sweep streams Lambda(n - b + 1..7) in the same chunks
-                assert ([level.tobytes() for level in level_singvals(gens, 7)]
+                # the level sweep streams Lambda(n - b + 1..9) in the same chunks
+                assert ([level.tobytes() for level in level_singvals(gens, 9)]
                         == [ref1.tobytes() for ref1, _ in refs])
                 monkeypatch.undo()
+
+    def test_unscaled_readout_has_the_normalised_bits(self):
+        # `_read_log_sigma1` scales sigma_1 by 2^-k instead of the four entries;
+        # entries near 2^+-60 (the drift between rescales), exact zeros, and a
+        # top entry at a power of two, with one exponent per unit or per row
+        rng = np.random.default_rng(60)
+        R = 4096
+        units = rng.standard_normal((2, 2, R)) * np.ldexp(1.0, rng.integers(-62, 63, R))
+        units[rng.random((2, 2, R)) < 0.2] = 0.0
+        units[:, :, 0] = [[0.0, 0.0], [0.0, np.ldexp(1.0, -61)]]
+        units[:, :, 1] = [[np.ldexp(1.0, 60), 0.0], [0.0, -np.ldexp(1.0, 59)]]
+        units[:, :, 2] = [[0.0, np.ldexp(-3.0, 58)], [np.ldexp(1.0, -60), 0.0]]
+        units[:, :, 3] = 0.0
+        units[1, 0, 3] = 0.5
+        units[:, :, 4:][:, :, np.all(units[:, :, 4:] == 0.0, axis=(0, 1))] = 1.0
+        for rows in (R, R // 4, 1):
+            exps = rng.integers(-2000, 2000, rows).astype(float)
+            held = units.copy(), exps.copy()
+            got = _read_log_sigma1(units, exps)
+            assert units.tobytes() == held[0].tobytes() and exps.tobytes() == held[1].tobytes()
+            ref_units, ref_exps = units.copy(), np.tile(exps, R // rows)
+            _normalise(ref_units, ref_exps)
+            assert got.tobytes() == _log_sigma1(ref_units, ref_exps).tobytes()
 
     @pytest.mark.parametrize("cadence", [1, 2, 5])
     def test_cadence_leaves_products_unchanged(self, monkeypatch, cadence):

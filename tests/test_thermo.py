@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cocyclespan import E2, E3, E4, E5, GeneratorSystem
 from cocyclespan.errors import InputError
-from cocyclespan.thermo import (S_MAX, PotentialSpec, QMInput, TargetSequence,
+from cocyclespan.thermo import (ROOT_TOL, S_MAX, PotentialSpec, QMInput, TargetSequence,
                                 _monotone_warnings, _root_bracket, affinity_dimension,
                                 all_ones_targets, beta_hat, conformal_qm_input,
                                 log_potential, pressure_brackets, r0_interval, s0_interval)
@@ -393,6 +393,100 @@ class TestRootBracket:
 
         assert rep.interval[1] >= bisect(upper)[1]
         assert rep.interval[0] <= bisect(lower)[0]
+
+
+# both generators fix the line e1, so gamma = 0 and the lower curve is -inf
+NO_CONSTANT = GeneratorSystem((np.array([[0.4, 0.1], [0.0, 0.2]]),
+                               np.array([[0.3, -0.1], [0.0, 0.25]])))
+
+
+def _dimension_ops(system, n):
+    """The three root commands on one system at level n, with one potential per
+    step (`affinity`, `s0`) or two (`r0`)."""
+    return [(lambda: affinity_dimension(system, n, 1), 1),
+            (lambda: s0_interval(system, all_ones_targets(6), n, 1), 1),
+            (lambda: r0_interval(system, 0.3, n, 1), 2)]
+
+
+class TestSeededLowerSearch:
+    """The lower search starts from the tightest sign change of g_lo among the
+    upper search's points, where every log Z is memoised."""
+
+    @staticmethod
+    def _check(monkeypatch, run, per_step):
+        from cocyclespan import thermo
+        calls = []
+
+        def spy(g, lo, hi, tol=ROOT_TOL):
+            seen = []
+            out = _root_bracket(lambda s: seen.append(s) or g(s), lo, hi, tol)
+            calls.append((g, lo, hi, seen, out))
+            return out
+
+        monkeypatch.setattr(thermo, "_root_bracket", spy)
+        rep = run()
+        monkeypatch.undo()
+        (_, _, _, up_seen, (_, s_hi, _, _)), (g_lo, lo, hi, lo_seen, lo_out) = calls
+        a, b, tag, _ = lo_out
+        counts = rep.root_search["lower"]
+        assert counts["start"] == [lo, hi]
+        assert counts["seed_points"] == len(set(up_seen))
+        assert rep.interval[0] == min(a, s_hi)
+        # the unseeded search, as the lower search ran before it was seeded
+        ref_seen = []
+        ra, rb, ref_tag, _ = _root_bracket(lambda s: ref_seen.append(s) or g_lo(s), 0.0, S_MAX)
+        assert tag == ref_tag
+        if tag is None:
+            assert g_lo(a) > 0 >= g_lo(b) and b - a <= ROOT_TOL
+            assert abs(a - ra) <= ROOT_TOL
+        else:
+            assert (a, b) == (ra, rb)
+        # a pass per potential at each point whose log Z the upper search left unset
+        fresh = set(lo_seen) - set(up_seen)
+        assert counts["passes"] == per_step * len(fresh)
+        return counts, len(fresh), len(set(ref_seen) - set(up_seen))
+
+    @pytest.mark.parametrize("system", [E3(), E4()], ids=["e3", "e4"])
+    def test_shipped_systems(self, monkeypatch, system):
+        for run, per_step in _dimension_ops(system, 10):
+            counts, fresh, ref_fresh = self._check(monkeypatch, run, per_step)
+            assert fresh <= ref_fresh
+            if system.is_conformal():
+                # the lower curve is the upper one: its bracket is the upper search's last
+                assert counts["steps"] == counts["passes"] == 0
+
+    def test_random_systems(self, monkeypatch):
+        # contracting pairs and triples, whose roots lie inside [0, S_MAX], and
+        # expanding ones, whose upper search ends at a boundary tag. Regula
+        # falsi from a narrower bracket is not always shorter: seed 29 (ell = 3,
+        # n = 3, r0) samples 7 fresh points where [0, S_MAX] samples 6, and 3 of
+        # the first 400 seeds take 1 or 2 more; over these 30 the seeded
+        # searches sample fewer points in all
+        fresh = ref_fresh = 0
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            ell = int(rng.integers(2, 4))
+            system = random_2x2_system(rng, ell)
+            if rng.integers(3):
+                system = GeneratorSystem(tuple(
+                    float(rng.uniform(0.2, 0.7)) * A / np.linalg.norm(A, 2)
+                    for A in system.generators))
+            n = int(rng.integers(3, 11 if ell == 2 else 9))
+            _, got, ref = self._check(monkeypatch, *_dimension_ops(system, n)[int(rng.integers(3))])
+            assert got <= ref + 2
+            fresh, ref_fresh = fresh + got, ref_fresh + ref
+        assert fresh < ref_fresh
+
+    def test_no_constant_keeps_the_full_range(self, monkeypatch):
+        # g_lo is -inf at every point: no sign change, so [0, S_MAX], which
+        # ends at once at the lower boundary, with no pass over the level
+        for run, per_step in _dimension_ops(NO_CONSTANT, 8):
+            counts, _, _ = self._check(monkeypatch, run, per_step)
+            assert counts["start"] == [0.0, S_MAX]
+            assert counts["passes"] == counts["steps"] == 0
+            rep = run()
+            assert rep.interval[0] == 0.0
+            assert "no positive QM constant: lower root defaulted to 0" in rep.warnings
 
 
 def _out_of_place_log_potential(logs1, logs2, kind, s):
