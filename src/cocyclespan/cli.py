@@ -3,9 +3,9 @@
 Matrix entries arrive as decimal strings so binary-exactness detection is
 well-defined: a system is flagged exact when every entry round-trips through
 float without loss, which switches the 2x2 decision paths to rational
-arithmetic. Reports reproduce bit-for-bit under a fixed seed; wall time, the
-root searches' step counts and the hypothesis checks' time and effort live in
-the `meta` section, excluded from that guarantee.
+arithmetic. A report is a function of its config, bit for bit; wall time,
+the root searches' step counts and the hypothesis checks' time and effort live
+in the `meta` section, excluded from that guarantee.
 
 Exit codes: 0 success, 1 hypothesis failed, 2 inconclusive, 3 input error (a
 usage error, an option key no command reads, a bad value, or an `options.qm`
@@ -57,15 +57,15 @@ class Opt(NamedTuple):
     low: int | None = None
 
 
-# Every option of every command, declared once; `seed` and `budget` belong to
-# every command. A key no command declares is an input error, one that another
+# Every option of every command, declared once; `budget` belongs to every
+# command. A key no command declares is an input error, one that another
 # command declares is not (`--command` switches a config to another command).
 # `low` is declared where every command reading the name enforces that bound
 # (mixing takes any s for d >= 3). k_qm is read only for a non-conformal system
 # and by `pressure` only with qm "auto", but a connector length below 1 is never
 # valid, so it is bounded for every system. connector_k keeps the wording of
 # `gibbs.mixing_levels`.
-COMMON = {"seed": Opt(int, 42, flag=True, low=0), "budget": Opt(int, DEFAULT_BUDGET, flag=True)}
+COMMON = {"budget": Opt(int, DEFAULT_BUDGET, flag=True)}
 OPTIONS = {
     "check-hypotheses": {"mode": Opt(("theorem_1_1", "corollary_4_3"), "theorem_1_1", flag=True)},
     "spannability": {"k_max": Opt(int, 8, flag=True, low=1)},
@@ -108,7 +108,6 @@ class RunConfig:
     options: dict
     generator_strings: list[list[str]]
     translation_strings: list[list[str]] | None
-    seed: int = COMMON["seed"].default
     budget: int = COMMON["budget"].default
     csv_dir: str | None = None
 
@@ -336,8 +335,7 @@ def _run_check_hypotheses(cfg: RunConfig):
 
 
 def _run_spannability(cfg: RunConfig):
-    search = minimal_spannable_k(cfg.system, _values(cfg).k_max, seed=cfg.seed,
-                                 budget=cfg.budget)
+    search = minimal_spannable_k(cfg.system, _values(cfg).k_max, budget=cfg.budget)
     result, warnings, code = _jsonable(search), [], EXIT_OK
     if search.not_found:
         if search.inconclusive_ks:
@@ -458,8 +456,8 @@ def run_command(cfg: RunConfig) -> tuple[dict, int]:
     start = time.perf_counter()
     result, code, warnings, meta = _RUNNERS[cfg.command](cfg)
     report = {"artifact": {"name": "cocyclespan", "version": __version__},
-              "command": cfg.command, "config": cfg.echo(), "seed": cfg.seed,
-              "budget": cfg.budget, "result": result, "warnings": warnings, "exit_code": code,
+              "command": cfg.command, "config": cfg.echo(), "budget": cfg.budget,
+              "result": result, "warnings": warnings, "exit_code": code,
               "meta": {"wall_time_s": time.perf_counter() - start, **meta}}
     return report, code
 
@@ -535,10 +533,10 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise InputError(f"cannot read --config: {exc}") from exc
         cfg = parse_config(text)
-        for name in flags:  # seed and budget go to cfg, the others into options
+        for name in flags:  # budget goes to cfg, the others into options
             val = getattr(args, name)
             if val is not None and name in COMMON:
-                setattr(cfg, name, _check({name: val}, COMMON, "options")[name])
+                setattr(cfg, name, val)
             elif val is not None:
                 cfg.options[name] = val
         cfg.command = args.command or cfg.command

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .kernels import dense_products, minimax_grid2, sigma1_2x2, word_singvals
+from .kernels import dense_products, level_singvals, minimax_grid2, sigma1_2x2
 from .systems import GeneratorSystem
 from .wordspace import DEFAULT_BUDGET, Word, check_sweep, word_unrank
 
@@ -125,19 +125,18 @@ def empirical_qm(system: GeneratorSystem, k: int, n_max: int, *,
     Per word length n <= n_max; the min over lengths <= n follows by taking the
     table minimum. Witnesses record the worst pair and its first best
     connector. Each ratio reads the engine's log norms of Lambda(n) and
-    Lambda(2n + k).
+    Lambda(2n + k), all from one sweep to depth 2 n_max + k.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
     ell = system.ell
     gamma = gamma_minimax(system, k, budget=budget)
     check_sweep(ell, 2 * n_max + k, budget)
-    gens = system.stacked()
+    levels = list(level_singvals(system.stacked(), 2 * n_max + k))
     empirical: dict[int, float] = {}
     witnesses: dict[int, tuple[Word, Word, Word]] = {}
     for n in range(1, n_max + 1):
-        logs = word_singvals(gens, n)[0]
-        top = word_singvals(gens, 2 * n + k)[0]
+        logs, top = levels[n], levels[2 * n + k]
         best, i, j = connector_minimum(top, logs, logs, lambda cube: np.max(cube, axis=1))
         m = int(np.argmax(top.reshape(len(logs), -1, len(logs))[i, :, j]))
         empirical[n] = math.exp(best)

@@ -9,8 +9,10 @@ A d = 2 margin (`full_algebra` levels included) bounds min over unit u of
 the max over word pairs |det(A_I u | A_J u)| (`_exact_margin`), from float
 pair quadratics. Exact decisions run in the Python ints of `rational2`, the
 M_k sweep and the common root on an exact system's rational basis included.
-Numeric margins bound sigma_d(stack of B_j u)^2, and a saturated d >= 3 level
-reports an uncertified sample of it.
+Numeric margins bound sigma_d(stack of B_j u)^2 from below. At a saturated
+d >= 3 level that bound is closed-form: sigma_min of the stacked vec(B_j),
+squared (`_certify`). The d >= 4 multistart descends from one fixed start
+set, so every certificate is a function of the system alone.
 """
 from __future__ import annotations
 
@@ -154,7 +156,7 @@ def _bnb_notes(what: str, lip: float, eps: float, evals: int, capped: bool) -> l
     return notes
 
 
-def _numeric_certificate(system: GeneratorSystem, mk: MkBasis, *, seed: int) -> SpannabilityCertificate:
+def _numeric_certificate(system: GeneratorSystem, mk: MkBasis) -> SpannabilityCertificate:
     d = system.dim
     B = mk.stack
     if d <= 3:
@@ -169,10 +171,8 @@ def _numeric_certificate(system: GeneratorSystem, mk: MkBasis, *, seed: int) -> 
                            lip, eps, evals, capped)
         f_star, u_star = _project_descend(B, _angles_to_unit(x))
     else:
-        rng = np.random.default_rng(seed)
         f_star, u_star = np.inf, None
-        for _ in range(64):
-            u = rng.standard_normal(d)
+        for u in np.random.default_rng(42).standard_normal((64, d)):  # one fixed start set
             u /= np.linalg.norm(u)
             f, u = _project_descend(B, u)
             if f < f_star:
@@ -296,15 +296,21 @@ def _exact_margin(system: GeneratorSystem, mk: MkBasis) -> tuple[float, bool, tu
     return max(cert, 0.0), cert > 0.0 and not capped, tuple(notes)
 
 
-def _certify(system: GeneratorSystem, mk: MkBasis, seed: int = 42) -> SpannabilityCertificate:
-    """The certificate for one level M_k, as `spannable_at` describes it."""
+def _certify(system: GeneratorSystem, mk: MkBasis) -> SpannabilityCertificate:
+    """The certificate for one level M_k, as `spannable_at` describes it.
+
+    At a saturated d >= 3 level, with x = vec(w u^T) a unit vector for unit
+    u and w, sum_j (w^T B_j u)^2 = |S x|^2 >= sigma_min(S)^2, S the stacked
+    vec(B_j): a floor of sigma_d(stack of B_j u)^2 at every u.
+    """
     d = system.dim
     if mk.dim == d * d:
         if d == 2:
             margin, certified, notes = _exact_margin(system, mk)
         else:
-            margin, certified, notes = _coarse_sample_margin(mk), False, (
-                "margin: min over a fixed sample of 256 directions, not certified",)
+            sigma = np.linalg.svd(mk.stack.reshape(mk.dim, -1), compute_uv=False)[-1]
+            margin, certified, notes = float(sigma) ** 2, True, (
+                "margin: sigma_min(stacked vec B_j)^2, a closed-form floor at every u",)
         return SpannabilityCertificate(
             k=mk.k, status=SPANNABLE, margin=margin, exact=False, method="full_algebra",
             margin_certified=certified, notes=("M_k saturates the matrix space",) + notes)
@@ -312,7 +318,7 @@ def _certify(system: GeneratorSystem, mk: MkBasis, seed: int = 42) -> Spannabili
         return _exact_certificate(system, mk)
     if mk.dim < d:
         return _deficit_certificate(mk, exact=False)
-    return _numeric_certificate(system, mk, seed=seed)
+    return _numeric_certificate(system, mk)
 
 
 def spannable_at(system: GeneratorSystem, k: int, *,
@@ -320,19 +326,11 @@ def spannable_at(system: GeneratorSystem, k: int, *,
     """Certificate for k-uniform spannability.
 
     A saturated M_k (dim d^2) is immediately spannable, with the d = 2
-    word-pair margin of the module docstring; otherwise the d = 2 polynomial
-    path decides exactly, the certified sphere minimization handles d = 3
-    and a multistart search d >= 4.
+    word-pair margin of the module docstring or the closed-form d >= 3 floor;
+    otherwise the d = 2 polynomial path decides exactly, the certified sphere
+    minimization handles d = 3 and a multistart search d >= 4.
     """
     return _certify(system, mk_basis(system, k, budget=budget))
-
-
-def _coarse_sample_margin(mk: MkBasis) -> float:
-    """sigma_d(stack of B_j u)^2, min over a fixed sample of 256 unit u (d >= 3)."""
-    rng = np.random.default_rng(0)  # fixed sample, not run-seed dependent
-    us = rng.standard_normal((256, mk.d))
-    us /= np.linalg.norm(us, axis=1, keepdims=True)
-    return float(np.min(_stack_f(mk.stack, us)))
 
 
 @dataclass(frozen=True)
@@ -351,14 +349,14 @@ class SpannabilitySearch:
         return tuple(c.k for c in self.certificates if c.status == INCONCLUSIVE)
 
 
-def minimal_spannable_k(system: GeneratorSystem, k_max: int, *, seed: int = 42,
+def minimal_spannable_k(system: GeneratorSystem, k_max: int, *,
                         budget: int = DEFAULT_BUDGET) -> SpannabilitySearch:
     """Least spannable k <= k_max over one `mk_bases` sweep; monotone, so the first success wins."""
     if k_max < 1:
         raise InputError("k_max must be >= 1")
     certs, levels = [], []
     for mk in mk_bases(system, k_max, budget=budget):
-        cert = _certify(system, mk, seed)
+        cert = _certify(system, mk)
         certs.append(cert)
         levels.append(mk)
         if cert.spannable:

@@ -7,7 +7,10 @@ from cocyclespan import GeneratorSystem
 from cocyclespan.errors import InputError
 from cocyclespan.gibbs import _lse
 from cocyclespan.hypotheses import _algebra_closure, _structure_verdict
-from cocyclespan.spannability import _numeric_certificate, mk_basis
+from cocyclespan.linalg import canonical_sign
+from cocyclespan.spannability import (INCONCLUSIVE, NOT_SPANNABLE, TAU_SPAN,
+                                      SpannabilityCertificate, _numeric_certificate,
+                                      _project_descend, mk_basis)
 from cocyclespan.thermo import _TargetData, _log_phi
 from cocyclespan.wordspace import word_unrank
 
@@ -54,7 +57,35 @@ def random_reducible_system(rng, ell=2):
 def numeric_certificate(system, k):
     """The numeric spannability certificate of M_k, for the exact d = 2 path
     to be checked against: the certified circle minimum at d = 2."""
-    return _numeric_certificate(system, mk_basis(system, k), seed=42)
+    return _numeric_certificate(system, mk_basis(system, k))
+
+
+def seeded_multistart_certificate(system, mk, seed=42):
+    """The d >= 4 certificate of M_k as the seeded multistart built it: 64
+    starts drawn one at a time from rng(seed), for the fixed start set of
+    `_numeric_certificate` to be checked against."""
+    d = system.dim
+    B = mk.stack
+    rng = np.random.default_rng(seed)
+    f_star, u_star = np.inf, None
+    for _ in range(64):
+        u = rng.standard_normal(d)
+        u /= np.linalg.norm(u)
+        f, u = _project_descend(B, u)
+        if f < f_star:
+            f_star, u_star = f, u
+    cert = -np.inf
+    notes = ["d >= 4: multistart search only, no certificate"]
+    if f_star <= TAU_SPAN:
+        u_star = canonical_sign(u_star)
+        return SpannabilityCertificate(
+            k=mk.k, status=NOT_SPANNABLE, margin=0.0, exact=False,
+            method="numeric_minimizer", witness=u_star, witness_residual=float(f_star),
+            notes=tuple(notes))
+    return SpannabilityCertificate(
+        k=mk.k, status=INCONCLUSIVE, margin=max(float(cert), 0.0), exact=False,
+        method="numeric", notes=tuple(notes) + (
+            f"minimum {f_star:.3e} above tau but no certificate (floor {cert:.3e})",))
 
 
 def algebra_structure_verdict(system):

@@ -9,6 +9,11 @@ statement (`if`, `for`, `def`, ...) when its header did, and a `try` when the
 first statement of its body did. Only the tests run in this process count:
 a command run as a subprocess is not traced.
 
+Each module is read and parsed before the traced run, and its text is read
+again after it: a module whose file changed meanwhile fails the audit, named,
+since its line numbers no longer match the lines that ran. So does a run that
+returns with another tracer, or none, in place of the audit's.
+
 Exit 0 when every statement that did not run is on `ALLOWLIST`; else exit 1,
 listing each one, and the same for an allowlist entry that matches no
 statement left unrun, or more than one, and for a test run that did not pass.
@@ -42,9 +47,10 @@ ALLOWLIST = {
 }
 
 
-def statements(path: Path) -> list[tuple[tuple[str, str, str], int, set[int]]]:
-    """(key, first line, lines whose event shows that it ran) of each statement."""
-    tree = ast.parse(path.read_text())
+def statements(name: str, text: str) -> list[tuple[tuple[str, str, str], int, set[int]]]:
+    """(key, first line, lines whose event shows that it ran) of each statement
+    of the module file `name` whose source is `text`."""
+    tree = ast.parse(text)
     out = []
 
     def visit(body, scope: str):
@@ -67,7 +73,7 @@ def statements(path: Path) -> list[tuple[tuple[str, str, str], int, set[int]]]:
                 lines = set(range(node.lineno, node.end_lineno + 1))
             if children:
                 text = next(line for line in text.splitlines() if not line.startswith("@"))
-            out.append(((path.name, scope, text), node.lineno, lines))
+            out.append(((name, scope, text), node.lineno, lines))
             inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                                     ast.ClassDef)) else scope
             for field in ("body", "orelse", "handlers", "finalbody"):
@@ -77,8 +83,9 @@ def statements(path: Path) -> list[tuple[tuple[str, str, str], int, set[int]]]:
     return out
 
 
-def run_traced(args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """pytest.main(args) under a line tracer on the package; (exit code, lines run per file)."""
+def run_traced(args: list[str]) -> tuple[int, dict[str, set[int]], bool]:
+    """pytest.main(args) under a line tracer on the package; (exit code, lines run
+    per file, whether the tracer was still installed when the run returned)."""
     import pytest
 
     prefix = str(PACKAGE) + "/"
@@ -100,19 +107,22 @@ def run_traced(args: list[str]) -> tuple[int, dict[str, set[int]]]:
     sys.settrace(tracer)
     try:
         code = pytest.main(args)
+        intact = sys.gettrace() is tracer
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return int(code), ran
+    return int(code), ran, intact
 
 
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
-    code, ran = run_traced(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+    sources = {path: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    parsed = {path: statements(path.name, text) for path, text in sources.items()}
+    code, ran, intact = run_traced(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     total, missed = 0, []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path, stmts in parsed.items():
         lines_run = ran.get(str(path), set())
-        for key, line, lines in statements(path):
+        for key, line, lines in stmts:
             total += 1
             if not lines & lines_run:
                 missed.append((key, line))
@@ -129,6 +139,10 @@ def main() -> int:
                  for key in ALLOWLIST if not allowed[key]]
     if code != 0:
         failures.append(f"the traced test run exited {code}")
+    failures += [f"{path.name} changed during the traced run" for path, text in sources.items()
+                 if not path.is_file() or path.read_text() != text]
+    if not intact:
+        failures.append("the audit's tracer was replaced during the traced run")
     print(*failures, sep="\n")
     print(f"{total} statements, {len(missed)} not run, {sum(allowed.values())} of them allowlisted")
     return 1 if failures else 0

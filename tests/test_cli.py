@@ -585,7 +585,7 @@ E3_SYSTEM = E3_CONFIG["system"]
 class TestOptionTable:
     def test_flags_are_the_option_flags(self):
         flags = {name for name, opt in cli._KNOWN.items() if opt.flag}
-        assert flags == {"seed", "budget", "k_max", "k", "k_qm", "n", "n_max", "s", "L",
+        assert flags == {"budget", "k_max", "k", "k_qm", "n", "n_max", "s", "L",
                          "gap", "depth", "beta", "mode"}
 
     def test_one_type_per_name(self):
@@ -612,7 +612,7 @@ class TestOptionTable:
         bounded = {name for name, opt in cli._KNOWN.items() if opt.low is not None}
         bounded |= {f"{outer}.{name}" for outer, table in cli.NESTED.items()
                     for name, opt in table.items() if opt.low is not None}
-        assert bounded == {field for _, _, field in self.BELOW_BOUND} | {"seed"}
+        assert bounded == {field for _, _, field in self.BELOW_BOUND}
 
     @pytest.mark.parametrize("command,options,field", BELOW_BOUND)
     def test_lower_bounds_name_the_field(self, tmp_path, monkeypatch, command, options, field):
@@ -640,9 +640,12 @@ class TestOptionTable:
         assert code == cli.EXIT_INPUT_ERROR
         assert "options.k_qm must be >= 1, got -5" in err
 
-    def test_seed_flag_is_bounded(self, tmp_path):
-        code, err = run_main(tmp_path, E1_CONFIG, "--seed", "-1")
-        assert code == cli.EXIT_INPUT_ERROR and "options.seed must be >= 0, got -1" in err
+    def test_seed_is_not_an_option(self, tmp_path):
+        # no report depends on a seed: the flag is a usage error, the key unknown
+        code, err = run_main(tmp_path, E1_CONFIG, "--seed", "7")
+        assert code == cli.EXIT_INPUT_ERROR and "unrecognized arguments: --seed" in err
+        code, err = run_main(tmp_path, dict(E1_CONFIG, options={"seed": 42}))
+        assert code == cli.EXIT_INPUT_ERROR and "options.seed is not a known option" in err
 
     def test_another_commands_key_stays_legal(self, tmp_path):
         config = str(Path(__file__).resolve().parent.parent / "configs" / "e3.json")
@@ -677,10 +680,11 @@ class TestDocumentedExits:
     @pytest.mark.parametrize("command,options,message", [
         ("mixing", {"connector_k": -3}, "connector_k >= 1"),
         ("s0", {"targets": {"all_ones": 3, "tail_start": 5}}, "tail_start outside the target list"),
-        ("check-hypotheses", {"seed": -1}, "seed must be >= 0"),
+        ("check-hypotheses", {"seed": 42}, "options.seed is not a known option"),
         # checked before the sweep: the psi statistic would overflow at this s
         ("mixing", {"s": 1.92901336644459e+171, "L": 2, "gap": 2}, "s must lie in [0, 2]"),
         ("export-attractor", {"csv_name": ""}, "cannot write the attractor CSV"),
+        ("pressure", {"qm": {"k": 1}}, "options.qm must be 'auto', null, or {'k':, 'C':}"),
     ])
     def test_bad_input_exit_3(self, tmp_path, command, options, message):
         system = E4_CONFIG["system"] if command == "export-attractor" else E3_SYSTEM
@@ -728,9 +732,12 @@ class TestDocumentedExits:
         code, err = run_main(tmp_path, e3, "--budget", "100")
         assert code == cli.EXIT_RESOURCE, err
         out = tmp_path / "report.json"
-        code, err = run_main(tmp_path, e3, "--seed", "7", "--out", str(out))
+        code, err = run_main(tmp_path, e3, "--budget", "2000", "--out", str(out))
         assert code == cli.EXIT_OK, err
-        assert json.loads(out.read_text())["seed"] == 7
+        report = json.loads(out.read_text())
+        assert report["budget"] == 2000 and "seed" not in report
+        code, err = run_main(tmp_path, e3, "--seed", "7")
+        assert code == cli.EXIT_INPUT_ERROR, err
 
     def test_closed_pipe_keeps_exit_code(self, tmp_path):
         # the reader closed its end: writing the report raises BrokenPipeError

@@ -73,7 +73,7 @@ class TestPowerAndWedge:
         for A, B in zip(via_two, direct):
             assert np.abs(A - B).max() <= 1e-10 * max(1.0, np.abs(B).max())
 
-    @settings(max_examples=60, deadline=None)
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
     @given(mats=_dyadic_systems(), t=st.integers(1, 3))
     def test_power_products_exact(self, mats, t):
         try:

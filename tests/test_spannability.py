@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +10,15 @@ from cocyclespan.fixtures import ROT90
 from cocyclespan import kernels
 from cocyclespan.kernels import dense_products, pair_abs_max, pair_quadratics
 from cocyclespan.rational2 import pair_quadratic
-from cocyclespan.spannability import (INCONCLUSIVE, NOT_SPANNABLE, TAU_SPAN, diagnose_failure,
-                                      minimal_spannable_k, mk_bases, mk_basis, spannable_at)
+from cocyclespan.cli import _jsonable
+from cocyclespan.spannability import (INCONCLUSIVE, NOT_SPANNABLE, TAU_SPAN, _stack_f,
+                                      diagnose_failure, minimal_spannable_k, mk_bases, mk_basis,
+                                      spannable_at)
 
-from _helpers import D3, numeric_certificate, random_2x2_system, random_reducible_system, rational
+from _helpers import (D3, numeric_certificate, random_2x2_system, random_reducible_system,
+                      rational, seeded_multistart_certificate)
 
+SATURATED_NOTE = "margin: sigma_min(stacked vec B_j)^2, a closed-form floor at every u"
 # a quarter turn in the (e1, e2) plane and a stretch along e3: M_k u never spans R^3
 ROT3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
 DIAG_PAIR = GeneratorSystem((np.diag([2.0, 3.0]), np.diag([1.0, 4.0])))
@@ -169,8 +174,22 @@ class TestSpannableAt:
     def test_saturated_d3_level_samples(self):
         system = GeneratorSystem(tuple(np.random.default_rng(3).standard_normal((3, 3, 3))))
         cert = spannable_at(system, 2)
-        assert cert.method == "full_algebra" and cert.spannable and not cert.margin_certified
-        assert cert.margin > 0.0 and "not certified" in cert.notes[-1]
+        assert cert.method == "full_algebra" and cert.spannable and cert.margin_certified
+        assert cert.margin > 0.0
+        assert cert.notes == ("M_k saturates the matrix space", SATURATED_NOTE)
+
+    @pytest.mark.parametrize("d,ell,k", [(3, 3, 2), (3, 2, 4), (4, 3, 3), (4, 2, 5)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_saturated_margin_is_below_sampled_f(self, d, ell, k, seed):
+        # sum_j (w^T B_j u)^2 >= sigma_min(stacked vec B_j)^2 at every unit u and w
+        system = GeneratorSystem(tuple(
+            np.random.default_rng([d, ell, seed]).standard_normal((ell, d, d))))
+        mk = mk_basis(system, k)
+        cert = spannable_at(system, k)
+        assert mk.dim == d * d and cert.method == "full_algebra" and cert.margin_certified
+        us = np.random.default_rng(seed).standard_normal((10_000, d))
+        us /= np.linalg.norm(us, axis=1, keepdims=True)
+        assert 0.0 < cert.margin <= _stack_f(mk.stack, us).min()
 
     def test_indefinite_pairs_margin_from_minimizer(self):
         cert = spannable_at(INDEFINITE_PAIRS, 1)
@@ -274,6 +293,30 @@ class TestDeficitAndMultistart:
         assert cert.status == NOT_SPANNABLE and cert.method == "numeric_minimizer"
         assert cert.witness_residual <= TAU_SPAN
         assert cert.notes == ("d >= 4: multistart search only, no certificate",)
+
+    @pytest.mark.parametrize("d", [4, 5])
+    @pytest.mark.parametrize("kind", ["diagonal", "block_triangular", "generic"])
+    def test_fixed_starts_keep_the_seeded_bits(self, d, kind):
+        # the 64 fixed starts are the draws the default seed 42 made one at a time
+        rng = np.random.default_rng([d, len(kind)])
+        if kind == "diagonal":  # M_1 is the diagonal matrices: NotSpannable
+            mats, k_max = [np.diag(rng.uniform(0.5, 2.0, d)) for _ in range(d)], 1
+        elif kind == "block_triangular":  # span(e1, e2) is invariant: NotSpannable
+            mats, k_max = [2.0 * np.eye(d) + rng.standard_normal((d, d)) for _ in range(3)], 2
+            for M in mats:
+                M[2:, :2] = 0.0
+        else:  # 2d - 1 images of u span R^d off a set of codimension d: Inconclusive
+            mats, k_max = list(rng.standard_normal((2 * d - 1, d, d))), 1
+        system = GeneratorSystem(tuple(mats))
+        search = minimal_spannable_k(system, k_max)
+        numeric = [(c, mk) for c, mk in zip(search.certificates, search.levels)
+                   if c.method in ("numeric_minimizer", "numeric")]
+        assert numeric
+        for cert, mk in numeric:
+            oracle = seeded_multistart_certificate(system, mk)
+            assert json.dumps(_jsonable(cert)) == json.dumps(_jsonable(oracle))
+        assert {c.status for c, _ in numeric} == (
+            {INCONCLUSIVE} if kind == "generic" else {NOT_SPANNABLE})
 
 
 class TestMinimalK:
