@@ -65,6 +65,14 @@ with no transposition. A level grown t levels from R rows this way holds word
 (r, j_1, ..., j_t) at r + R * (j_1 + ell j_2 + ... + ell^(t-1) j_t);
 `_rank_order` reads it out in rank order once per level or chunk.
 
+The + 0.0 makes an all-(-0.0) sum +0.0. It runs on every level that is kept:
+in `products_level_numpy` and `dense_products`, on the levels up to a sweep's
+head level, and on every d > 2 level, whose SVD reads are not shown to be
+blind to a zero's sign. A sweep's d = 2 chunk levels, discarded once read,
+leave it out: their only reads are `sigma1_2x2`, which squares every sum it
+forms, and `_top_exponents`, which takes |entry|, and a zero's sign reaches
+no nonzero entry of a later level.
+
 Levels are built by one sweep from the identity. `products_level_numpy` keeps
 only the last level. `_sweep` streams: a chunk holds ell^t words, t the most
 levels with ell^t <= `_STREAM`, as ell^(t - b) rows of a head level
@@ -82,15 +90,30 @@ per word of output and a `LogDets` table of (head rows) x (tail letter
 classes) entries, split at t levels (`_tail_depth`), which keeps the head rows
 few; `level_singvals` reads every level m = 0..n, 8 bytes per word of each,
 where whole (2, 2, ell^m) unit stacks took 96 bytes per word of the deepest
-level. `_STREAM` also sizes the log Z blocks of `thermo`. At 2^15 words a
-d = 2 chunk buffer takes 1 MB, half of a core's 2 MB L2: on a 2-core x86-64
-host, `word_singvals` at ell = 2, n = 20 took a median 52 ms with a 12.3 MB
-traced peak, against 58 ms and 16.3 MB at 2^16 and 56 ms and 10.5 MB at 2^14;
-at ell = 3, n = 13 the peaks were 15.2, 19.5 and 14.4 MB, and the times (67 to
-78 ms) were within the host's noise. A chunk of ell^t words, not of up to
-`_STREAM` (at ell = 3, 19683 words, not 32562), keeps the traced peak over the
-level of `word_singvals` at ell = 3, n = 13 near the one-row chunks' (2.5 MB
-against 2.3 MB; 4.0 MB with the larger chunks).
+level. `thermo` sizes its log Z blocks apart from `_STREAM` (`thermo._BLOCK`,
+2^16 words). At 2^15 words a d = 2 chunk buffer takes 1 MB, half of a core's
+2 MB L2: on a 2-core x86-64 host, `word_singvals` at ell = 2, n = 20 took a
+median 52 ms with a 12.3 MB traced peak, against 58 ms and 16.3 MB at 2^16
+and 56 ms and 10.5 MB at 2^14; at ell = 3, n = 13 the peaks were 15.2, 19.5
+and 14.4 MB, and the times (67 to 78 ms) were within the host's noise. A
+chunk of ell^t words, not of up to `_STREAM` (at ell = 3, 19683 words, not
+32562), keeps the traced peak over the level of `word_singvals` at ell = 3,
+n = 13 near the one-row chunks' (2.5 MB against 2.3 MB; 4.0 MB with the
+larger chunks).
+
+`_sweep` runs under a ufunc buffer of `_SWEEP_BUFFER` = 512 elements, set by
+np.setbufsize and restored on exit. numpy 2.4.6 takes the broadcast product of
+`_extend_level`, a (d, 1, ell, 1) view of the generators times a (d, 1, R)
+row of units, through its buffered iterator, and its inner loops run slowly
+while R is below half of the buffer. On a 2-core x86-64 host, one such
+product at ell = d = 2 took 7.7 and 5.4 ns per word of output at R = 1024
+and 2048 under numpy's default 8192-element buffer, and 1.7 to 1.9 ns from
+R = 4096 on; under 512 elements it took 2.8 and 2.0 ns at R = 1024 and 2048,
+and under 65536 elements the slow range reached R = 16384. So the cost is in
+the buffered iteration, not in the data. Under the default buffer the chunk
+levels grown from R = 64..2048 rows (ell = 2, n = 20) and R = 81..2187 rows
+(ell = 3, n = 13) fall in the slow range. An elementwise ufunc or a gather
+gives the same bits at any buffer size, so no bit depends on it.
 """
 from __future__ import annotations
 
@@ -104,7 +127,8 @@ BNB_MAX_EVALS = 2_000_000  # evaluation cap of `lipschitz_bnb`
 _BNB_CELLS = 64           # coarse grid cells per axis
 _BNB_BATCH = 4096         # open cells split per round; f sees at most 2^m times as many
 _DRIFT_BITS = 60          # a unit's largest entry stays within about 2^+-60 between rescales
-_STREAM = 1 << 15         # most words a streamed level extends at once, and log Z block size
+_STREAM = 1 << 15         # most words a streamed level extends at once
+_SWEEP_BUFFER = 512       # numpy's ufunc buffer size, in elements, inside `_sweep`
 _CHUNK_ROWS = 64          # fewest head rows a streamed chunk grows, where the head level allows
 _GRID_ROWS = 32           # most grid rows `minimax_grid2` folds at once
 _PAIRS = 1 << 16          # most word pairs (or pair-angle values) formed at once
@@ -154,23 +178,26 @@ def _read_log_sigma1(units: np.ndarray, exps: np.ndarray) -> np.ndarray:
     generator-major from fewer rows, one per row, repeated.
     """
     s1 = sigma1_2x2(units)
-    k, scale = _top_exponents(units)
+    k, _ = _top_exponents(units)
     read = (k.reshape(-1, len(exps)) + exps).ravel()
-    s1 *= np.ldexp(1.0, np.negative(k, out=k), out=scale)
+    np.ldexp(s1, np.negative(k, out=k), out=s1)
     read *= _LN2
     read += np.log(s1, out=s1)
     return read
 
 
-def _extend_level(gens: np.ndarray, units: np.ndarray, out=None, term=None) -> np.ndarray:
+def _extend_level(gens: np.ndarray, units: np.ndarray, out=None, term=None,
+                  signed: bool = True) -> np.ndarray:
     """A_j A_I for every unit I of a (d, d, R) stack and generator j, unscaled.
 
     Generator-major (d, d, ell * R): column j * R + r holds A_j times unit r, by
     the closed form of the module docstring,
     new[a, c, j, r] = 0.0 + sum over b = 0..d-1 of gens[j, a, b] * units[b, c, r],
-    computed as (sum over b) + 0.0, which has the same bits. The result and
-    the products go into flat arrays `out` and `term` of at least d * d * ell * R
-    entries when given.
+    computed as (sum over b) + 0.0, which has the same bits. With `signed`
+    False the + 0.0 is left out, so a zero entry may be -0.0; every other bit
+    is the same, since a zero's sign reaches no nonzero sum or product. The
+    result and the products go into flat arrays `out` and `term` of at least
+    d * d * ell * R entries when given.
     """
     ell, d, _ = gens.shape
     shape = (d, d, ell, units.shape[-1])
@@ -181,7 +208,8 @@ def _extend_level(gens: np.ndarray, units: np.ndarray, out=None, term=None) -> n
     np.multiply(g[0], units[0, :, None, :], out=new)
     for b in range(1, d):
         new += np.multiply(g[b], units[b, :, None, :], out=term)
-    new += 0.0  # an all -0.0 sum becomes +0.0, as from a sum started at +0.0
+    if signed:
+        new += 0.0  # an all -0.0 sum becomes +0.0, as from a sum started at +0.0
     return new.reshape(d, d, -1)
 
 
@@ -194,7 +222,9 @@ def _grow(gens: np.ndarray, units: np.ndarray, exps: np.ndarray, reads: list, ca
     then gathered by `order` into `out`. A d = 2 level is read unscaled
     (`_read_log_sigma1`) unless it is rescaled anyway; a d > 2 level is
     normalised first. With `keep` False the caller discards the last level, so
-    it is not rescaled and the pair returned is not canonical. With `bufs`,
+    it is not rescaled and the pair returned is not canonical; at d = 2 no
+    level then takes the zero-sign add of `_extend_level` (see the module
+    docstring). With `bufs`,
     three flat arrays of d * d * W, d * d * W / ell and d * d * W entries, W the
     words of the last level: the last level goes into the first, the one before
     it into the second, and so on alternating; the third holds the products of
@@ -203,8 +233,9 @@ def _grow(gens: np.ndarray, units: np.ndarray, exps: np.ndarray, reads: list, ca
     levels = len(reads)
     bufs = bufs or [None] * 3
     d = gens.shape[1]
+    signed = keep or d != 2
     for i, read in enumerate(reads, 1):
-        units = _extend_level(gens, units, bufs[(levels - i) % 2], bufs[2])
+        units = _extend_level(gens, units, bufs[(levels - i) % 2], bufs[2], signed)
         rescale = keep if i == levels else i % cadence == 0
         if rescale or (read is not None and d != 2):
             exps = exps[None].repeat(units.shape[-1] // len(exps), axis=0).ravel()
@@ -281,14 +312,18 @@ def _sweep(gens: np.ndarray, outs: list, cadence: int) -> None:
 
     if outs[0] is not None:
         outs[0][:] = _log_sigma1(*_identity(d))
-    units, exps = _level(gens, reads(0, 0, 1, n - b), cadence)
-    rows = ell ** (_tail_depth(ell, n) - b)  # a divisor of the ell^(n - b) head rows
-    size = d * d * rows * ell**b
-    bufs = [np.empty(size), np.empty(size // ell), np.empty(size)]
-    for r0 in range(0, len(exps), rows):
-        r1 = r0 + rows
-        _grow(gens, units[..., r0:r1], exps[r0:r1], reads(n - b, r0, r1, b), cadence, bufs,
-              keep=False)
+    old = np.setbufsize(_SWEEP_BUFFER)  # see the module docstring; no bit depends on it
+    try:
+        units, exps = _level(gens, reads(0, 0, 1, n - b), cadence)
+        rows = ell ** (_tail_depth(ell, n) - b)  # a divisor of the ell^(n - b) head rows
+        size = d * d * rows * ell**b
+        bufs = [np.empty(size), np.empty(size // ell), np.empty(size)]
+        for r0 in range(0, len(exps), rows):
+            r1 = r0 + rows
+            _grow(gens, units[..., r0:r1], exps[r0:r1], reads(n - b, r0, r1, b), cadence, bufs,
+                  keep=False)
+    finally:
+        np.setbufsize(old)
 
 
 def products_level_numpy(gens: np.ndarray, n: int):
@@ -420,7 +455,8 @@ def level_singvals(gens: np.ndarray, n: int):
 def pairwise_sum(leaf, lo: int, hi: int, block: int) -> float:
     """np.sum's bits over the values of ranks lo..hi-1, never more than `block` at once.
 
-    `leaf(a, b)` returns np.sum of the values of ranks a..b-1. Above 128
+    `leaf(a, b)` returns np.sum of the values of ranks a..b-1, or an array of
+    such sums over several value sequences, which fold elementwise. Above 128
     values numpy's pairwise sum splits n values at n2 = n // 2 rounded down to
     a multiple of 8; this recursion takes the same splits down to leaves of at
     most `block` values (`block` >= 128), so it adds the same partial sums in

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import InputError
 from .hypotheses import HypothesisReport, check_hypotheses
-from . import kernels
 from .kernels import _letter_log_dets, _log_det, pairwise_sum, word_singvals
 from .quasimult import connector_constant
 from .systems import GeneratorSystem
@@ -32,6 +31,7 @@ from .wordspace import DEFAULT_BUDGET, Word, check_budget, check_sweep, product,
 
 S_MAX = 4.0          # root searches live on [0, S_MAX]
 ROOT_TOL = 1e-6
+_BLOCK = 1 << 16     # most words of Lambda(n) a log Z pass holds at once
 
 KINDS = ("norm_s", "sv_s", "sv_s_squared")
 
@@ -122,9 +122,14 @@ class _LevelData:
     Lambda(n) costs 8 bytes per word: log sigma_2 of a block of ranks is
     rebuilt from the table when a potential reads it. `log_z` is memoised per
     potential: the two searches of a root share their end points s = 0 and
-    S_MAX. `passes` counts the potentials reduced over Lambda(n), `sweeps`
-    the block passes over Lambda(n) they took, and `closed_forms` the
-    potentials whose log Z_n took no pass at all (`_closed_form`).
+    S_MAX. `log_z_pair` reduces `sv_s` and `sv_s_squared` at one s in one sum
+    pass. Three counters say what the values cost:
+    - `passes`: the potentials whose log Z_n summed over Lambda(n), two for
+      each pair that `log_z_pair` summed;
+    - `sweeps`: the block passes over Lambda(n) they took, a sum pass per
+      reduction plus a max pass for phi^s at 1 <= s < 2;
+    - `closed_forms`: the potentials whose log Z_n took no pass at all
+      (`_closed_form`).
     """
 
     def __init__(self, system: GeneratorSystem, n: int, *, budget: int = DEFAULT_BUDGET):
@@ -135,7 +140,7 @@ class _LevelData:
         self.logs1, self.log_dets = word_singvals(system.stacked(), n)
         self._letter_log_dets = (None if self.log_dets is None
                                  else _letter_log_dets(system.stacked()))
-        size = min(len(self.logs1), kernels._STREAM)
+        size = min(len(self.logs1), _BLOCK)
         self._w, self._logs2 = np.empty(size), np.empty(size)
         self._max_logs1 = np.max(self.logs1)
         self._log_z: dict[PotentialSpec, float] = {}
@@ -201,24 +206,45 @@ class _LevelData:
         `pairwise_sum`'s leaves, so log Z_n has the bits of one np.sum over
         the whole level.
         """
-        if spec in self._log_z:
-            return self._log_z[spec]
-        value = self._closed_form(spec)
-        if value is not None:
-            self.closed_forms += 1
+        if spec not in self._log_z:
+            self._reduce((spec,))
+        return self._log_z[spec]
+
+    def log_z_pair(self, s: float) -> tuple[float, float]:
+        """(log Z_n of `sv_s`, log Z_n of `sv_s_squared`) at s, each with the bits of
+        `log_z`, from the passes of `sv_s` alone where they are not closed forms.
+
+        The squared potential is fl(2 w), w the `sv_s` potential: doubling is
+        exact, so its max is exactly 2 m and its shifted potential
+        fl(2 w - 2 m) is exactly u + u, u = w - m. One leaf sums exp(u) and
+        exp(u + u), and `pairwise_sum` folds both sums in one tree.
+        """
+        specs = (PotentialSpec("sv_s", s), PotentialSpec("sv_s_squared", s))
+        if not all(spec in self._log_z for spec in specs):
+            self._reduce(specs)
+        return self._log_z[specs[0]], self._log_z[specs[1]]
+
+    def _reduce(self, specs: tuple) -> None:
+        """Memoise log Z_n of `specs`: one potential, or the pair of `log_z_pair`."""
+        values = [self._closed_form(spec) for spec in specs]
+        if None not in values:
+            self.closed_forms += len(specs)
         else:
-            m = self._max_potential(spec)
+            m = self._max_potential(specs[0])
 
             def leaf(lo: int, hi: int):
-                w = self._potential(spec, lo, hi)
-                w -= m
-                return np.sum(np.exp(w, out=w))
+                u = self._potential(specs[0], lo, hi)
+                u -= m
+                if len(specs) == 1:
+                    return np.sum(np.exp(u, out=u))
+                v = np.add(u, u, out=self._logs2[:hi - lo])  # the block's logs2 is spent
+                return np.array([np.sum(np.exp(u, out=u)), np.sum(np.exp(v, out=v))])
 
-            self.passes += 1
+            self.passes += len(specs)
             self.sweeps += 1
-            value = m + math.log(float(pairwise_sum(leaf, 0, len(self.logs1), len(self._w))))
-        self._log_z[spec] = value
-        return value
+            sums = np.atleast_1d(pairwise_sum(leaf, 0, len(self.logs1), len(self._w)))
+            values = [top + math.log(float(total)) for top, total in zip((m, 2.0 * m), sums)]
+        self._log_z.update(zip(specs, values))
 
 
 def _bracket(spec: PotentialSpec, n: int, log_zn: float, qm: QMInput | None) -> PressureBracket:
@@ -559,14 +585,14 @@ def r0_interval(system: GeneratorSystem, beta: float, n: int, k_qm: int, *,
 
     def upper(data: _LevelData, r: float) -> float:
         # max of h: upper P, lower P2 (the always-valid subadditive end)
-        up_p = data.log_z(PotentialSpec("sv_s", r)) / n
-        p2_lo = -data.log_z(PotentialSpec("sv_s_squared", r)) / n
+        lz, lq = data.log_z_pair(r)
+        up_p = lz / n
+        p2_lo = -lq / n
         return (1.0 - beta) * up_p - beta * p2_lo
 
     def lower(data: _LevelData, r: float, qm: QMInput) -> float:
-        lz = data.log_z(PotentialSpec("sv_s", r))
+        lz, lq = data.log_z_pair(r)
         lo_p = (lz + math.log(qm.C)) / (n + qm.k)
-        lq = data.log_z(PotentialSpec("sv_s_squared", r))
         p2_up = -(lq + 2.0 * math.log(qm.C)) / (n + qm.k)
         return (1.0 - beta) * lo_p - beta * p2_up
 

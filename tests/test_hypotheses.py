@@ -15,6 +15,7 @@ from cocyclespan.hypotheses import (IRREDUCIBLE, REDUCIBLE, WITNESS_TOL, Hypothe
                                     SubCheck, algebra_dimension, check_hypotheses,
                                     irreducibility_verdict, power_system, wedge_system)
 from cocyclespan.linalg import invariance_residual, span_basis, subspace_distance
+from cocyclespan.rational2 import _RationalSpan, _times, integer_matrices
 from cocyclespan.wordspace import enumerate_words, product
 
 from _helpers import algebra_structure_verdict, random_2x2_system, random_reducible_system
@@ -159,6 +160,48 @@ class TestVerdicts:
         for i in range(200):
             sys = random_reducible_system(rng) if i % 2 else random_2x2_system(rng)
             assert algebra_structure_verdict(sys).status == irreducibility_verdict(sys).status
+
+
+def _exact_algebra_dimension(system: GeneratorSystem) -> int:
+    """dim over Q of the unital algebra the generators' float entries span, in integers:
+    each level multiplies the words the last one added by every generator, until none
+    is new."""
+    d = system.dim
+    gens, _ = integer_matrices(system.stacked())
+    span, eye = _RationalSpan(), [int(i % (d + 1) == 0) for i in range(d * d)]
+    new = [eye] if span.add(eye) else []
+    while new:
+        new = [P for P in (_times(G, X, d) for G in gens for X in new) if span.add(P)]
+    return span.rank
+
+
+def _near_reducible_triple(eps: float) -> GeneratorSystem:
+    """At eps = 0 both generators keep span(e1, e2); eps = A[2, 0] breaks the plane."""
+    return GeneratorSystem((np.array([[1.0, 2.0, 0.5], [0.3, -1.0, 1.0], [eps, 0.0, 2.0]]),
+                            np.array([[0.5, 1.0, -1.0], [1.0, 0.2, 0.3], [0.0, 0.0, -1.5]])))
+
+
+class TestRankTolerance:
+    """`linalg.RANK_TOL` against exact algebra dimensions over Q.
+
+    At eps = 1e-7 the closure's smallest singular value that is not noise sits
+    between RANK_TOL = 1e-9 and 1e-6, so a rank cutoff of 1e-6 reads the full
+    algebra as 8-dimensional with a radical, and the verdict goes Inconclusive.
+    """
+
+    def test_a_small_entry_still_makes_the_algebra_full(self):
+        system = _near_reducible_triple(1e-7)
+        assert _exact_algebra_dimension(system) == 9
+        v = irreducibility_verdict(system)
+        assert (v.status, v.method) == (IRREDUCIBLE, "algebra_dimension")
+        assert algebra_dimension(system).dim == 9
+
+    def test_without_it_the_plane_is_the_witness(self):
+        system = _near_reducible_triple(0.0)
+        assert _exact_algebra_dimension(system) == 7  # block triangular: 4 + 2 + 1
+        v = irreducibility_verdict(system)
+        assert v.status == REDUCIBLE
+        assert subspace_distance(v.witness, span_basis(np.eye(3)[:2], ambient=3)) <= 1e-12
 
 
 class TestCheckHypotheses:

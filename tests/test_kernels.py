@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -197,6 +198,53 @@ class TestStreamedLevel:
             ref_units, ref_exps = units.copy(), np.tile(exps, R // rows)
             _normalise(ref_units, ref_exps)
             assert got.tobytes() == _log_sigma1(ref_units, ref_exps).tobytes()
+
+    @pytest.mark.parametrize("gens", [
+        np.array([[[-0.0, 1.0], [1.0, -0.0]], [[0.5, -0.25], [-0.0, -1.5]]]),
+        np.array([[[0.75, -0.5], [-0.0, -1.25]], [[-1.5, 0.25], [-0.0, 0.5]]]),
+        np.random.default_rng(31).standard_normal((2, 3, 3))],
+        ids=["signed-zeros", "triangular", "d3"])
+    def test_sweep_bits_do_not_depend_on_the_buffer_or_the_zero_sign_add(self, monkeypatch,
+                                                                          gens):
+        # `_sweep` runs under a ufunc buffer of its own, and a chunk's d = 2
+        # levels leave out the zero-sign add of `_extend_level`, so their zeros
+        # may read -0.0 (the triangular pair keeps an exact zero in every
+        # product); neither may move a bit of log sigma_1 against whole levels,
+        # which take the add. At block 128 the deeper levels grow in chunks
+        n = 11
+        cadence = kernels._cadence(gens)
+        whole = [_log_sigma1(*kernels._level(gens, [None] * m, cadence)).tobytes()
+                 for m in range(n + 1)]
+        unsigned = []
+
+        def spy(gens, units, out=None, term=None, signed=True):
+            new = _extend_level(gens, units, out, term, signed)
+            if not signed:
+                unsigned.append(bool(np.any((new == 0.0) & np.signbit(new))))
+            return new
+
+        monkeypatch.setattr(kernels, "_extend_level", spy)
+        sizes = (512, 8192, 65536)
+        for block, size, outer in itertools.product((128, kernels._STREAM), sizes, sizes):
+            monkeypatch.setattr(kernels, "_STREAM", block)
+            monkeypatch.setattr(kernels, "_SWEEP_BUFFER", size)
+            with np.errstate():
+                np.setbufsize(outer)
+                levels = [level.tobytes() for level in level_singvals(gens, n)]
+                deepest = word_singvals(gens, n)[0].tobytes()
+                assert np.getbufsize() == outer  # the sweep's own buffer is scoped
+            assert levels == whole and deepest == whole[n], (block, size, outer)
+        # the d = 2 chunks did skip the add and left a -0.0 behind; d = 3 never skips it
+        assert any(unsigned) if gens.shape[1] == 2 else not unsigned
+
+    def test_whole_levels_keep_the_zero_sign_add(self):
+        # every term of entry (0, 0) of A times the identity is -0.0: the sum is
+        # -0.0 without the add, and products_level_numpy returns +0.0
+        gens = np.array([[[-0.0, -1.0], [1.0, -0.0]]])
+        assert np.signbit(_extend_level(gens, np.eye(2)[:, :, None], signed=False)[0, 0, 0])
+        units, _ = products_level_numpy(gens, 1)
+        assert units[0, 0, 0] == 0.0 and not np.signbit(units[0, 0, 0])
+        assert not np.signbit(kernels.dense_products(gens, 1)[0, 0, 0])
 
     @pytest.mark.parametrize("cadence", [1, 2, 5])
     def test_cadence_leaves_products_unchanged(self, monkeypatch, cadence):

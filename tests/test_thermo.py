@@ -545,11 +545,11 @@ class TestLogZInPlace:
     @pytest.mark.parametrize("block", [128, 1000, 4099])
     def test_blocks_match_one_whole_level_sum(self, monkeypatch, block):
         # 3^9 words in blocks that leave ragged leaves and a ragged last max block
-        from cocyclespan import kernels
+        from cocyclespan import thermo
         from cocyclespan.thermo import KINDS, _LevelData
         system = GeneratorSystem(tuple(np.random.default_rng(9).standard_normal((3, 2, 2))))
         whole = _LevelData(system, 9)
-        monkeypatch.setattr(kernels, "_STREAM", block)
+        monkeypatch.setattr(thermo, "_BLOCK", block)
         data = _LevelData(system, 9)
         assert len(data._w) == block < len(data.logs1)
         for kind in KINDS:
@@ -572,10 +572,12 @@ class TestLogZInPlace:
 
     def test_potential_pass_memoised_per_spec(self, monkeypatch):
         # the upper and lower root searches share s = 0 and s = 4, which take
-        # closed forms; each other distinct potential costs one reduction, and
+        # closed forms; each other distinct s costs one reduction, and
         # Lambda(12) is one block, so a reduction evaluates the potential over
         # the level once for the sum, and once more for the max only when it
-        # reads log sigma_2 (phi^s at 1 <= s < 2)
+        # reads log sigma_2 (phi^s at 1 <= s < 2). r0 reduces sv_s and
+        # sv_s_squared at one s in one fold (`log_z_pair`), which evaluates
+        # sv_s alone and counts two potentials summed
         from cocyclespan import thermo
         folds, blocks = [], []
         fold, potential = thermo.pairwise_sum, thermo._LevelData._potential
@@ -583,18 +585,18 @@ class TestLogZInPlace:
         monkeypatch.setattr(thermo._LevelData, "_potential",
                             lambda self, spec, lo, hi: blocks.append(spec)
                             or potential(self, spec, lo, hi))
-        for run, count, closed in ((lambda: affinity_dimension(E3(), 12, 1), 12, 2),
-                                   (lambda: r0_interval(E3(), 0.3, 12, 1), 24, 4)):
+        for run, count, kinds, closed in ((lambda: affinity_dimension(E3(), 12, 1), 12, 1, 2),
+                                          (lambda: r0_interval(E3(), 0.3, 12, 1), 12, 2, 4)):
             folds.clear()
             blocks.clear()
             rep = run()
             passes = list(dict.fromkeys(blocks))
             assert len(folds) == len(passes) == count
-            assert all(0.0 < spec.s < 2.0 for spec in passes)
-            sweeps = [1 + (spec.kind != "norm_s" and spec.s >= 1.0) for spec in passes]
+            assert all(spec.kind == "sv_s" and 0.0 < spec.s < 2.0 for spec in passes)
+            sweeps = [1 + (spec.s >= 1.0) for spec in passes]
             assert blocks == [spec for spec, k in zip(passes, sweeps) for _ in range(k)]
             ends = rep.root_search.values()
-            assert sum(end["passes"] for end in ends) == count
+            assert sum(end["passes"] for end in ends) == kinds * count
             assert sum(end["sweeps"] for end in ends) == len(blocks)
             assert rep.root_search["upper"]["closed_form"] == closed
             assert rep.root_search["lower"]["closed_form"] == 0
@@ -603,6 +605,35 @@ class TestLogZInPlace:
         blocks.clear()
         pressure_brackets(E3(), "sv_s", 12, [0.0, 1.5, 2.5, 1.5], [None] * 4)
         assert folds == [1] and blocks == [PotentialSpec("sv_s", 1.5)] * 2
+
+    @pytest.mark.parametrize("seed", [None] + list(range(20)))
+    def test_fused_pair_has_the_bits_of_single_passes(self, monkeypatch, seed):
+        # `log_z_pair` sums exp(u) and exp(u + u) in one pass, u = w - m, where
+        # one potential at a time sums exp(w - m) and exp(fl(2 w) - 2 m); with
+        # blocks of 128 words every level below takes several leaves, and
+        # s = 1.0 .. 1.999 take the max pass that reads log sigma_2
+        from cocyclespan import thermo
+        from cocyclespan.thermo import _LevelData
+        if seed is None:
+            system, n = E3(), 10
+        else:
+            rng = np.random.default_rng([30, seed])
+            ell = int(rng.integers(2, 4))
+            system, n = random_2x2_system(rng, ell), (9 if ell == 2 else 6)
+        monkeypatch.setattr(thermo, "_BLOCK", 128)
+        fused, single = _LevelData(system, n), _LevelData(system, n)
+        assert len(fused._w) == 128 < len(fused.logs1)
+        for s in (0.3, 0.999, 1.0, 1.5, 1.999):
+            got = fused.log_z_pair(s)
+            ref = [single.log_z(PotentialSpec(kind, s)) for kind in ("sv_s", "sv_s_squared")]
+            assert [x.hex() for x in got] == [x.hex() for x in ref], s
+            assert fused.log_z_pair(s) == got  # memoised: no further pass
+        assert fused.passes == single.passes == 10 and fused.sweeps == 8
+        assert single.sweeps == 16
+        for s in (0.3, 1.5):  # the pair's values serve single reads too
+            assert fused.log_z(PotentialSpec("sv_s_squared", s)) == single.log_z(
+                PotentialSpec("sv_s_squared", s))
+        assert fused.passes == 10
 
 
 def _mp_det_power_log_z(system, n, kind, s):
@@ -627,7 +658,8 @@ def _whole_level_log_z(data, kind, s):
 def test_pairwise_recursion_has_the_bits_of_np_sum(size):
     # pins numpy's pairwise split (n // 2 rounded down to a multiple of 8);
     # a numpy whose split differs fails here, not silently in log Z
-    from cocyclespan.kernels import _STREAM, pairwise_sum
+    from cocyclespan.kernels import pairwise_sum
+    from cocyclespan.thermo import _BLOCK
     values = np.exp(5.0 * np.random.default_rng(size).standard_normal(size))
     leaves = []
 
@@ -635,9 +667,9 @@ def test_pairwise_recursion_has_the_bits_of_np_sum(size):
         leaves.append(hi - lo)
         return np.sum(values[lo:hi])
 
-    assert pairwise_sum(leaf, 0, size, _STREAM).tobytes() == np.sum(values).tobytes()
-    assert sum(leaves) == size and max(leaves) <= _STREAM
-    assert len(leaves) == 1 if size <= _STREAM else len(leaves) > 1
+    assert pairwise_sum(leaf, 0, size, _BLOCK).tobytes() == np.sum(values).tobytes()
+    assert sum(leaves) == size and max(leaves) <= _BLOCK
+    assert len(leaves) == 1 if size <= _BLOCK else len(leaves) > 1
 
 
 def test_streamed_level_memory():
