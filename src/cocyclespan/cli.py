@@ -441,7 +441,7 @@ def _run_export(cfg: RunConfig):
         count = export_attractor(cfg.system, o.depth, out_path, budget=cfg.budget)
     except OSError as exc:
         raise InputError(f"cannot write the attractor CSV: {exc}") from exc
-    return {"points": count, "path": str(out_path), "depth": o.depth}, EXIT_OK, [], {}
+    return {"points": count, "path": o.csv_name, "depth": o.depth}, EXIT_OK, [], {}
 
 
 # each runner returns (result, exit code, warnings, extra `meta` entries)

@@ -74,7 +74,7 @@ import numpy as np
 
 from .errors import InputError
 from .kernels import dense_products
-from .linalg import (RANK_TOL, SubspaceBasis, _rank, invariance_residual, span_basis,
+from .linalg import (RANK_TOL, SubspaceBasis, invariance_residual, null_space, span_basis,
                      wedge_index_sets, wedge_power)
 from .rational2 import _times, common_root_line, integer_matrices
 from .systems import GeneratorSystem, _DerivedSystem
@@ -214,32 +214,29 @@ def _structure_verdict(system: GeneratorSystem, alg: SubspaceBasis, levels: int)
     n, k = system.dim, alg.dim
     if k == n * n:
         return _full_verdict(system, levels)
-    _, s, Vt = np.linalg.svd(_trace_form(alg.basis.T, n))
-    r = int(_rank(s))
+    radical = null_space(_trace_form(alg.basis.T, n))
     failed = None  # a radical image that failed the gate; a commutant kernel may pass it
-    if r < k:  # rad A · R^n: the columns of a basis of rad A
-        rad = (Vt[r:] @ alg.basis.T).reshape(-1, n, n)
+    if len(radical):  # rad A · R^n: the columns of a basis of rad A
+        rad = (radical @ alg.basis.T).reshape(-1, n, n)
         failed = _gated_witness(system, rad.transpose(0, 2, 1).reshape(-1, n), "radical",
-                                "radical image", (f"dim A = {k}, dim rad A = {k - r}",))
+                                "radical image", (f"dim A = {k}, dim rad A = {len(radical)}",))
         if failed.reducible:
             return replace(failed, algebra_levels=levels)
     G = system.stacked()
     G = G / np.linalg.norm(G, axis=(1, 2), keepdims=True)
     eye = np.eye(n)
-    _, s, Vt = np.linalg.svd(np.concatenate([np.kron(A, eye) - np.kron(eye, A.T) for A in G]),
-                             full_matrices=False)
-    C = Vt[_rank(s):]  # vec(X) for X A_i = A_i X, row-major
+    # vec(X), row-major, for X A_i = A_i X
+    C = null_space(np.concatenate([np.kron(A, eye) - np.kron(eye, A.T) for A in G]))
     note = f"dim A = {k}, dim C = {len(C)}"
     # C's rows are orthonormal, so those orthogonal to the trace functional's
     # coefficients, C @ vec(I), combine them into an orthonormal basis of C_0
-    traceless = np.linalg.svd((C @ eye.ravel())[None])[2][1:] @ C
+    traceless = null_space((C @ eye.ravel())[None]) @ C
     w, V = np.linalg.eigh(_trace_form(traceless, n))
     if w.size and w[-1] > -RANK_TOL * np.abs(w).max():  # C is not a division algebra
         X = (V[:, -1] @ traceless).reshape(n, n)
         lam = np.linalg.eigvals(X)[0]
         P = X - lam.real * eye if lam.imag == 0 else X @ X - 2 * lam.real * X + abs(lam) ** 2 * eye
-        _, s, Vt = np.linalg.svd(P)
-        v = _gated_witness(system, Vt[_rank(s):], "commutant_kernel", "commutant kernel", (note,))
+        v = _gated_witness(system, null_space(P), "commutant_kernel", "commutant kernel", (note,))
     elif failed is None and len(C) in (2, 4) and k * len(C) == n * n:
         v = IrreducibilityVerdict(status=IRREDUCIBLE, method="division_commutant", notes=(note,))
     else:

@@ -15,11 +15,8 @@ angles per axis at the step pi / G hold every value that a full-period grid of
 2G angles per axis holds, at a quarter of its points. The grid is folded in
 blocks of at most `_GRID_ROWS` rows, so it holds two such blocks, not three
 G x G arrays. The blocks are small so that both stay in a core's L2 cache
-while every K folds into them: the block size was chosen on the full-period
-grid of 2000 angles per axis, where two 32-row blocks took 0.5 MB each (0.25 MB
-at the 1000 angles folded now), two 250-row blocks took 4 MB each, and the
-grid took 1.9 to 2.8 times as long with the latter (E3 at k = 1, 3, 6 and 7,
-on a 2-core x86-64 host with 2 MB of L2 per core). Every block is a
+while every K folds into them: two 0.25 MB blocks at the 1000 angles folded
+(larger blocks took longer; BENCH_log_z_grid.json). Every block is a
 matrix-matrix product of at least two rows, and the block size moved no bit
 of (min, iw, iu) on E2, E3 and 20 random systems at k = 1..3.
 
@@ -38,16 +35,22 @@ every L = `_cadence(gens)` levels: L = max(1, floor(60 / c)), where
 c = max(log2 max_j |A_j|_inf, -log2(min_j sigma_min(A_j) / d)) (at least 1)
 bounds how far one level moves the exponent of a unit's largest |entry|, so
 entries stay within about 2^+-60 between rescales. Every read is of the
-canonical form (`_normalise`, or a d = 2 readout with its bits): the unit
+canonical form (`_normalise`, or the d = 2 readout with its bits): the unit
 scaled by 2^-k, k the least integer with largest |entry| <= 2^k, which puts
-that entry in (0.5, 1]. A max
-is exact in any order, and scaling by a power of two commutes exactly with the
-product (no entry of a unit is subnormal), so a read unit and exponent, and
-every log singular value, depend on the word alone: not on the cadence, the
-chunk size or when a rescale happened. `dense_products` is exact; log scales
-are exponent * ln 2.
+that entry in (0.5, 1]. A max is exact in any order, and scaling by a power
+of two commutes exactly with the product (no entry of a unit is subnormal),
+so a read unit and exponent, and every log singular value, depend on the word
+alone: not on the cadence, the chunk size or when a rescale happened. Log
+scales are exponent * ln 2.
 
-For d = 2 a readout takes log sigma_1 from the unit and
+One dense entry, `dense_products`: it builds Lambda(n) whole (`_level`) and
+scales each canonical unit back by its exponent, so its products carry the
+engine's bits; they are exact where no sum rounds.
+
+One readout, `_log_sigma1`. At d = 2 it takes sigma_1 in closed form
+(`sigma1_2x2`) from any stack, canonical or unscaled, and scales it by the
+2^-k of the canonical form, so a level read unscaled has the bits of a
+normalised read; at d > 2 it takes the SVD of a canonical stack. For d = 2,
 log sigma_2 = log |det A_I| - log sigma_1, where log |det A_I| =
 sum over letters j of (count of j in I) * log |det A_j|, folded in letter order
 (`_log_det`): a function of the word's letter counts, so no cancelling
@@ -66,15 +69,15 @@ with no transposition. A level grown t levels from R rows this way holds word
 `_rank_order` reads it out in rank order once per level or chunk.
 
 The + 0.0 makes an all-(-0.0) sum +0.0. It runs on every level that is kept:
-in `products_level_numpy` and `dense_products`, on the levels up to a sweep's
-head level, and on every d > 2 level, whose SVD reads are not shown to be
-blind to a zero's sign. A sweep's d = 2 chunk levels, discarded once read,
-leave it out: their only reads are `sigma1_2x2`, which squares every sum it
-forms, and `_top_exponents`, which takes |entry|, and a zero's sign reaches
-no nonzero entry of a later level.
+in `dense_products`, on the levels up to a sweep's head level, and on every
+d > 2 level, whose SVD reads are not shown to be blind to a zero's sign. A
+sweep's d = 2 chunk levels, discarded once read, leave it out: their only
+reads are `sigma1_2x2`, which squares every sum it forms, and
+`_top_exponents`, which takes |entry|, and a zero's sign reaches no nonzero
+entry of a later level.
 
-Levels are built by one sweep from the identity. `products_level_numpy` keeps
-only the last level. `_sweep` streams: a chunk holds ell^t words, t the most
+Levels are built by one sweep from the identity. `dense_products` keeps only
+the last level. `_sweep` streams: a chunk holds ell^t words, t the most
 levels with ell^t <= `_STREAM`, as ell^(t - b) rows of a head level
 Lambda(n - b) grown b levels (`_chunk_depth`). `_sweep` builds the levels up to
 the head level whole, then grows each chunk of head rows into three product
@@ -82,16 +85,17 @@ buffers that every chunk reuses, and writes each level it reads at the
 chunk's rank offset. Every word is grown once. b leaves each chunk at least
 `_CHUNK_ROWS` = 64 rows where the head level stays within `_STREAM` words, so
 the small first levels of a chunk are few: at ell = 2, n = 20 a sweep takes
-299 calls of `_extend_level`, and 413 at ell = 3, n = 13, where one-row chunks
-of t levels took 485 and 733. A d = 2 level that is read but neither kept nor
-due for a rescale is read unscaled (`_read_log_sigma1`), with the bits of a
-normalised read. `word_singvals` reads Lambda(n) alone, so it holds 8 bytes
-per word of output and a `LogDets` table of (head rows) x (tail letter
-classes) entries, split at t levels (`_tail_depth`), which keeps the head rows
-few; `level_singvals` reads every level m = 0..n, 8 bytes per word of each,
-where whole (2, 2, ell^m) unit stacks took 96 bytes per word of the deepest
-level. `thermo` sizes its log Z blocks apart from `_STREAM` (`thermo._BLOCK`,
-2^16 words). At 2^15 words a d = 2 chunk buffer takes 1 MB, half of a core's
+299 calls of `_extend_level`, and 413 at ell = 3, n = 13 (one-row chunks took
+more; BENCH_deep_passes.json). A d = 2 level that is read but neither kept
+nor due for a rescale is read unscaled. `word_singvals` reads Lambda(n) alone,
+so it holds 8 bytes per word of output and a `LogDets` table of
+(head rows) x (tail letter classes) entries, split at t levels
+(`_tail_depth`), which keeps the head rows few; `level_singvals` reads every
+level m = 0..n, 8 bytes per word of each, not whole unit stacks
+(BENCH_level_sweep.json).
+
+`thermo` sizes its log Z blocks apart from `_STREAM` (`thermo._BLOCK`, 2^16
+words). At 2^15 words a d = 2 chunk buffer takes 1 MB, half of a core's
 2 MB L2: on a 2-core x86-64 host, `word_singvals` at ell = 2, n = 20 took a
 median 52 ms with a 12.3 MB traced peak, against 58 ms and 16.3 MB at 2^16
 and 56 ms and 10.5 MB at 2^14; at ell = 3, n = 13 the peaks were 15.2, 19.5
@@ -167,25 +171,6 @@ def _normalise(units: np.ndarray, exps: np.ndarray) -> None:
     units *= np.ldexp(1.0, np.negative(k, out=k), out=scale)
 
 
-def _read_log_sigma1(units: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """`_normalise` then `_log_sigma1` of a (2, 2, R) stack, with the same bits, but
-    the stack and `exps` left as they are.
-
-    sigma_1 of the unscaled unit is scaled by 2^-k instead of its four entries:
-    every step of `sigma1_2x2` (sums, products, a square root of a sum of
-    squares, halving) commutes exactly with a power of two while no entry is
-    subnormal. `exps` holds one exponent per unit or, for a level grown
-    generator-major from fewer rows, one per row, repeated.
-    """
-    s1 = sigma1_2x2(units)
-    k, _ = _top_exponents(units)
-    read = (k.reshape(-1, len(exps)) + exps).ravel()
-    np.ldexp(s1, np.negative(k, out=k), out=s1)
-    read *= _LN2
-    read += np.log(s1, out=s1)
-    return read
-
-
 def _extend_level(gens: np.ndarray, units: np.ndarray, out=None, term=None,
                   signed: bool = True) -> np.ndarray:
     """A_j A_I for every unit I of a (d, d, R) stack and generator j, unscaled.
@@ -218,17 +203,16 @@ def _grow(gens: np.ndarray, units: np.ndarray, exps: np.ndarray, reads: list, ca
     """Canonical (units, exps) grown len(reads) levels generator-major from canonical
     ones, rescaled every `cadence` levels and normalised at the last.
 
-    reads[t - 1] is None or an (out, order) pair: the log sigma_1 of level t is
-    then gathered by `order` into `out`. A d = 2 level is read unscaled
-    (`_read_log_sigma1`) unless it is rescaled anyway; a d > 2 level is
-    normalised first. With `keep` False the caller discards the last level, so
-    it is not rescaled and the pair returned is not canonical; at d = 2 no
-    level then takes the zero-sign add of `_extend_level` (see the module
-    docstring). With `bufs`,
-    three flat arrays of d * d * W, d * d * W / ell and d * d * W entries, W the
-    words of the last level: the last level goes into the first, the one before
-    it into the second, and so on alternating; the third holds the products of
-    `_extend_level`.
+    reads[t - 1] is None or an (out, order) pair: the log sigma_1 of level t
+    (`_log_sigma1`) is then gathered by `order` into `out`. A d = 2 level is
+    read unscaled unless it is rescaled anyway; a d > 2 level is normalised
+    first. With `keep` False the caller discards the last level, so it is not
+    rescaled and the pair returned is not canonical; at d = 2 no level then
+    takes the zero-sign add of `_extend_level` (see the module docstring). With
+    `bufs`, three flat arrays of d * d * W, d * d * W / ell and d * d * W
+    entries, W the words of the last level: the last level goes into the first,
+    the one before it into the second, and so on alternating; the third holds
+    the products of `_extend_level`.
     """
     levels = len(reads)
     bufs = bufs or [None] * 3
@@ -240,10 +224,8 @@ def _grow(gens: np.ndarray, units: np.ndarray, exps: np.ndarray, reads: list, ca
         if rescale or (read is not None and d != 2):
             exps = exps[None].repeat(units.shape[-1] // len(exps), axis=0).ravel()
             _normalise(units, exps)
-            if read is not None:
-                np.take(_log_sigma1(units, exps), read[1], out=read[0], mode="clip")
-        elif read is not None:
-            np.take(_read_log_sigma1(units, exps), read[1], out=read[0], mode="clip")
+        if read is not None:
+            np.take(_log_sigma1(units, exps), read[1], out=read[0], mode="clip")
     return units, exps
 
 
@@ -326,16 +308,11 @@ def _sweep(gens: np.ndarray, outs: list, cadence: int) -> None:
         np.setbufsize(old)
 
 
-def products_level_numpy(gens: np.ndarray, n: int):
-    """Scaled products for all of Lambda(n), lexicographic: (units, integer-valued exps)."""
+def dense_products(gens: np.ndarray, n: int) -> np.ndarray:
+    """Exact unscaled products for all of Lambda(n), lexicographic: an (ell^n, d, d) stack."""
     gens = np.ascontiguousarray(gens, dtype=float)
     units, exps = _level(gens, [None] * n, _cadence(gens) if n > 1 else 1)  # one level: no rescale
-    return np.ascontiguousarray(units.transpose(2, 0, 1)), exps
-
-
-def dense_products(gens: np.ndarray, n: int) -> np.ndarray:
-    """Exact unscaled products for all of Lambda(n), lexicographic."""
-    units, exps = products_level_numpy(gens, n)
+    units = np.ascontiguousarray(units.transpose(2, 0, 1))
     return np.ldexp(units, exps.astype(np.int64)[:, None, None])
 
 
@@ -357,12 +334,26 @@ def sigma1_2x2(units: np.ndarray) -> np.ndarray:
 
 
 def _log_sigma1(units: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """Per-word log sigma_1 of a canonical (d, d, R) stack and its exponents."""
-    if units.shape[0] == 2:
-        s1 = sigma1_2x2(units)
-    else:
+    """Per-word log sigma_1 of a (d, d, R) stack and its exponents: of a canonical
+    stack, or at d = 2 of any stack, which is left as it is.
+
+    At d = 2 sigma_1 of the unit is scaled by 2^-k, k from `_top_exponents`
+    (0 on a canonical stack), which has the bits of `_normalise` before the
+    read: every step of `sigma1_2x2` (sums, products, a square root of a sum
+    of squares, halving) commutes exactly with a power of two while no entry
+    is subnormal. `exps` holds one exponent per unit or, for a d = 2 level
+    grown generator-major from fewer rows, one per row, repeated.
+    """
+    if units.shape[0] != 2:
         s1 = np.linalg.svd(units.transpose(2, 0, 1), compute_uv=False)[:, 0]
-    return exps * _LN2 + np.log(s1)
+        return exps * _LN2 + np.log(s1)
+    s1 = sigma1_2x2(units)
+    k, _ = _top_exponents(units)
+    read = (k.reshape(-1, len(exps)) + exps).ravel()
+    np.ldexp(s1, np.negative(k, out=k), out=s1)
+    read *= _LN2
+    read += np.log(s1, out=s1)
+    return read
 
 
 def _count_classes(ell: int, n: int):

@@ -117,6 +117,14 @@ def _rank(s: np.ndarray) -> np.ndarray:
     return np.where(top[..., 0] > 0, np.sum(s >= RANK_TOL * top, axis=-1), 0)
 
 
+def null_space(M: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the numerical null space of M: the right singular
+    vectors past its rank (`_rank`). A tall M takes the reduced SVD, whose Vt is
+    already all of V, so no (rows x rows) U is formed; others take the full one."""
+    _, s, Vt = np.linalg.svd(M, full_matrices=M.shape[0] <= M.shape[1])
+    return Vt[_rank(s):]
+
+
 def span_basis(vectors, ambient: int | None = None) -> SubspaceBasis:
     """Orthonormal basis of the span of the vectors, given as a sequence or as the
     rows of an array (each raveled); rank cut by `_rank`."""

@@ -69,7 +69,8 @@ def gamma_minimax(system: GeneratorSystem, k: int, *,
 
 @dataclass(frozen=True)
 class ConnectorConstant:
-    """C(s) of Z_{n+k+m} >= C(s) Z_n Z_m; `min_det` = min over |K| = k of |det A_K| (d = 2)."""
+    """C(s) of Z_{n+k+m} >= C(s) Z_n Z_m; `min_det` = min over |K| = k of |det A_K|
+    (d = 2), which is (min_j |det A_j|)^k since det is multiplicative."""
 
     k: int
     gamma: GammaResult
@@ -94,7 +95,8 @@ def connector_constant(system: GeneratorSystem, k: int, *,
     gamma = gamma_minimax(system, k, budget=budget)
     min_det = None
     if system.dim == 2:
-        min_det = float(np.min(np.abs(np.linalg.det(dense_products(system.stacked(), k)))))
+        # a numpy power gives inf past the float range, where a Python float power raises
+        min_det = float(np.min(np.abs(np.linalg.det(system.stacked()))) ** k)
     return ConnectorConstant(k=k, gamma=gamma, min_det=min_det)
 
 

@@ -345,9 +345,9 @@ class TestRunCommand:
         report, code = cli.run_command(cfg)
         assert code == cli.EXIT_OK and report["result"]["kappa_certificate"]["certified"]
         # psi and kappa read one sweep of 2L + gap = 18 levels, in chunks: every
-        # word of Lambda(1..18) is grown once; gamma and the connector
-        # determinant each build Lambda(1)
-        assert sum(words) == sum(2**m for m in range(1, 19)) + 2 * 2
+        # word of Lambda(1..18) is grown once; gamma builds Lambda(1), and the
+        # connector determinant reads the generators
+        assert sum(words) == sum(2**m for m in range(1, 19)) + 2
 
     def test_wedge_diagnosis_report(self):
         # a WedgeEigenStructure diagnosis; its complex eigenvalues serialise as re/im pairs
@@ -427,7 +427,7 @@ class TestExportAttractor:
         cfg.csv_dir = str(tmp_path)
         report, code = cli.run_command(cfg)
         assert code == cli.EXIT_OK
-        rows = Path(report["result"]["path"]).read_text().strip().splitlines()
+        rows = (tmp_path / report["result"]["path"]).read_text().strip().splitlines()
         assert rows[0] == "x,y,word"
         xs = sorted(float(r.split(",")[0]) for r in rows[1:])
         assert np.allclose(xs, [0.0, 0.24, 0.6, 0.84])
@@ -436,7 +436,7 @@ class TestExportAttractor:
         cfg = cfg_from(dict(E4_CONFIG, options={"depth": 0}))
         cfg.csv_dir = str(tmp_path)
         report, _ = cli.run_command(cfg)
-        rows = Path(report["result"]["path"]).read_text().strip().splitlines()
+        rows = (tmp_path / report["result"]["path"]).read_text().strip().splitlines()
         assert len(rows) == 2
         assert rows[1].startswith("0.0,0.0,")
 
@@ -445,9 +445,22 @@ class TestExportAttractor:
             cfg = cfg_from(dict(E4_CONFIG, options={"depth": depth}))
             cfg.csv_dir = str(tmp_path)
             report, _ = cli.run_command(cfg)
-            rows = Path(report["result"]["path"]).read_text().strip().splitlines()[1:]
+            rows = (tmp_path / report["result"]["path"]).read_text().strip().splitlines()[1:]
             xs = [float(r.split(",")[0]) for r in rows]
             assert min(xs) >= -1e-12 and max(xs) <= 1.0 + 1e-12
+
+    def test_report_names_the_csv_relative_to_the_csv_dir(self, tmp_path):
+        # the canonical report is a function of the config: two --csv-dir
+        # values write the same file under each and give the same bytes
+        texts = []
+        for sub in ("a", "b"):
+            cfg = cfg_from(dict(E4_CONFIG, options={"depth": 2, "csv_name": "points/e4.csv"}))
+            cfg.csv_dir = str(tmp_path / sub)
+            report, _ = cli.run_command(cfg)
+            assert report["result"]["path"] == "points/e4.csv"
+            assert (tmp_path / sub / "points" / "e4.csv").read_text().startswith("x,y,word")
+            texts.append(cli.report_canonical_json(report))
+        assert texts[0] == texts[1]
 
     def test_missing_translations(self, tmp_path):
         cfg = cfg_from(dict(E2_CONFIG, command="export-attractor", options={"depth": 2}))

@@ -86,8 +86,6 @@ def canonical_report(name: str) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         cfg.csv_dir = tmp
         report, _ = cli.run_command(cfg)
-    if cfg.command == "export-attractor":
-        report["result"].pop("path")
     return cli.report_canonical_json(report) + "\n"
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -324,6 +325,54 @@ class TestAlgebraStructure:
         v = irreducibility_verdict(system)
         assert (v.status, v.method, v.witness) == ("Inconclusive", "commutant", None)
         assert v.notes[0].startswith("dim A = 1, dim C = 1: ")
+
+
+    # (status, method, notes, residual.hex(), sha256 of the witness basis's bytes,
+    # first 16 digits) of each structure verdict above, as first decided: the
+    # radical, commutant and p(X) null spaces share one routine, and no bit moved
+    PINNED = {
+        "quaternions": ("IrreducibleCertified", "division_commutant", "dim A = 4, dim C = 4",
+                        "0x0.0p+0", None),
+        "split": ("ReducibleWitness", "commutant_kernel", "dim A = 4, dim C = 4",
+                  "0x1.d2a407ae333dep-48", "5c0d614f673f804b"),
+        "complex-pairs": ("ReducibleWitness", "commutant_kernel", "dim A = 4, dim C = 4",
+                          "0x1.3f5c19b895243p-45", "c7d02e685d987f58"),
+        "radical-power": ("ReducibleWitness", "commutant_kernel", "dim A = 15, dim C = 7",
+                          "0x1.473b9798549cdp-51", "5bc6cd5919d83bc9"),
+        "near-identity": ("Inconclusive", "commutant", "dim A = 1, dim C = 1: neither a "
+                          "commutant kernel nor a division commutant with dim A · dim C = n^2",
+                          "0x0.0p+0", None),
+        "realified t=1": ("IrreducibleCertified", "division_commutant", "dim A = 8, dim C = 2",
+                          "0x0.0p+0", None),
+        "realified m=2": ("ReducibleWitness", "commutant_kernel", "dim A = 18, dim C = 3",
+                          "0x1.a5b1ae4abc9abp-50", "7c377fe69ca4e415"),
+    }
+
+    def test_verdicts_and_witnesses_keep_their_bytes(self):
+        M = np.array([[-3, 2, -2, 4, -2, -4, 2], [1, 1, 4, 2, 2, 3, 3], [0, -1, -2, -4, 0, -2, 4],
+                      [1, 3, -3, -4, 0, 3, 1], [0, 0, 0, 0, 2, 2, -4], [0, 0, 0, 0, -1, -2, 1],
+                      [0, 0, 0, 0, 0, 3, 1]]) / 4.0
+        near = np.random.default_rng(1)
+        systems = {
+            "quaternions": GeneratorSystem((self.LEFT_I + np.eye(4), self.LEFT_J + 2 * np.eye(4))),
+            "split": GeneratorSystem((np.kron([[1.0, 1.0], [0.0, 1.0]], np.eye(2)),
+                                      np.kron([[0.0, 1.0], [1.0, 1.0]], np.eye(2)))),
+            "complex-pairs": GeneratorSystem(
+                (self.UNIMODULAR @ self.ROTATIONS @ np.linalg.inv(self.UNIMODULAR),)),
+            "radical-power": power_system(GeneratorSystem((M,)), 7),
+            "near-identity": GeneratorSystem(tuple(
+                np.eye(3) + 1e-12 * near.standard_normal((3, 3)) for _ in range(2))),
+        }
+        verdicts = {name: irreducibility_verdict(sys) for name, sys in systems.items()}
+        rep = check_hypotheses(REALIFIED_PAIR, "theorem_1_1")
+        checks = {c.label: c.verdict for c in rep.checks}
+        verdicts["realified t=1"] = checks["power t=1"]
+        verdicts["realified m=2"] = checks["wedge m=2"]
+        for name, v in verdicts.items():
+            basis = (None if v.witness is None
+                     else hashlib.sha256(v.witness.basis.tobytes()).hexdigest()[:16])
+            got = (v.status, v.method, *v.notes, v.residual.hex(), basis)
+            assert got == self.PINNED[name], name
 
 
 # Both generators map the line u = (1/3, 1) to itself. A1 contracts it by about

@@ -1,25 +1,35 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocyclespan import E2, E3, GeneratorSystem
 from cocyclespan import kernels
 from cocyclespan.kernels import (_LN2, _count_classes, _extend_level, _log_det, _log_sigma1,
-                                 _normalise, _read_log_sigma1, level_singvals, lipschitz_bnb,
-                                 minimax_grid2, pair_quadratics, products_level_numpy,
-                                 sigma1_2x2, word_singvals)
+                                 _normalise, dense_products, level_singvals, lipschitz_bnb,
+                                 minimax_grid2, pair_quadratics, sigma1_2x2, word_singvals)
 from cocyclespan.spannability import TAU_SPAN, _angles_to_unit, _stack_f
 from cocyclespan.thermo import pressure_brackets
 from cocyclespan.wordspace import enumerate_words, product, word_unrank
 
 
+def _canonical_level(gens, n):
+    """Canonical (units as an (ell^n, d, d) stack, exps) of Lambda(n), as `dense_products`
+    builds them before it scales them back."""
+    gens = np.ascontiguousarray(gens, dtype=float)
+    units, exps = kernels._level(gens, [None] * n, kernels._cadence(gens) if n > 1 else 1)
+    return np.ascontiguousarray(units.transpose(2, 0, 1)), exps
+
+
 class TestScaledProducts:
     def test_level_products_match_direct(self):
-        units, exps = products_level_numpy(E3().stacked(), 5)
+        units, exps = _canonical_level(E3().stacked(), 5)
         assert np.array_equal(exps, np.round(exps))
         for rank, word in enumerate(enumerate_words(2, 5)):
             direct = np.eye(2)
@@ -29,6 +39,24 @@ class TestScaledProducts:
             assert np.abs(direct - reconstructed).max() <= 1e-12 * max(
                 1.0, np.abs(direct).max())
             assert np.array_equal(reconstructed, product(E3(), word).matrix)
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(ell=st.integers(1, 3), d=st.integers(2, 3), n=st.integers(0, 4),
+           nums=st.lists(st.integers(-8, 8), min_size=27, max_size=27))
+    def test_dense_products_equal_fraction_products(self, ell, d, n, nums):
+        # dyadic entries (numerators over 8): every float product and sum of a
+        # word of at most 4 letters is exact, so the engine must match bit for bit
+        exact = [[[Fraction(nums[(j * d * d + a * d + b) % 27], 8) for b in range(d)]
+                  for a in range(d)] for j in range(ell)]
+        got = dense_products(np.array(exact, dtype=float), n)
+        assert got.shape == (ell**n, d, d)
+        for rank, word in enumerate(enumerate_words(ell, n)):
+            P = [[Fraction(int(a == b)) for b in range(d)] for a in range(d)]
+            for s in word:
+                A = exact[s - 1]
+                P = [[sum(A[a][t] * P[t][b] for t in range(d)) for b in range(d)]
+                     for a in range(d)]
+            assert got[rank].tolist() == P
 
     @pytest.mark.parametrize("ell,d", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_level_sweep_matches_one_level_calls(self, ell, d):
@@ -108,7 +136,7 @@ class TestBitwiseOracles:
         G = 150
         for seed in range(20):
             rng = np.random.default_rng([k, seed])
-            K = kernels.dense_products(rng.standard_normal((int(rng.integers(1, 4)), 2, 2)), k)
+            K = dense_products(rng.standard_normal((int(rng.integers(1, 4)), 2, 2)), k)
             half = np.pi * np.arange(G) / G
             assert half.tobytes() == (2.0 * np.pi * np.arange(2 * G) / (2 * G))[:G].tobytes()
             one = minimax_grid2(K, G)[0]
@@ -131,7 +159,7 @@ def _full_fold(K, G, period=np.pi):
 
 def _whole_level(gens, n):
     """(log sigma_1, log sigma_2 or None) of Lambda(n) read from the whole level's products."""
-    units, exps = products_level_numpy(gens, n)
+    units, exps = _canonical_level(gens, n)
     if gens.shape[1] == 2:
         logs1 = exps * _LN2 + np.log(sigma1_2x2(units.transpose(1, 2, 0)))
         classes, index = _count_classes(len(gens), n)
@@ -177,7 +205,7 @@ class TestStreamedLevel:
                 monkeypatch.undo()
 
     def test_unscaled_readout_has_the_normalised_bits(self):
-        # `_read_log_sigma1` scales sigma_1 by 2^-k instead of the four entries;
+        # `_log_sigma1` scales sigma_1 by 2^-k instead of the four entries;
         # entries near 2^+-60 (the drift between rescales), exact zeros, and a
         # top entry at a power of two, with one exponent per unit or per row
         rng = np.random.default_rng(60)
@@ -193,11 +221,12 @@ class TestStreamedLevel:
         for rows in (R, R // 4, 1):
             exps = rng.integers(-2000, 2000, rows).astype(float)
             held = units.copy(), exps.copy()
-            got = _read_log_sigma1(units, exps)
+            got = _log_sigma1(units, exps)
             assert units.tobytes() == held[0].tobytes() and exps.tobytes() == held[1].tobytes()
             ref_units, ref_exps = units.copy(), np.tile(exps, R // rows)
             _normalise(ref_units, ref_exps)
-            assert got.tobytes() == _log_sigma1(ref_units, ref_exps).tobytes()
+            assert got.tobytes() == (ref_exps * _LN2 + np.log(sigma1_2x2(ref_units))).tobytes()
+            assert _log_sigma1(ref_units, ref_exps).tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("gens", [
         np.array([[[-0.0, 1.0], [1.0, -0.0]], [[0.5, -0.25], [-0.0, -1.5]]]),
@@ -239,20 +268,20 @@ class TestStreamedLevel:
 
     def test_whole_levels_keep_the_zero_sign_add(self):
         # every term of entry (0, 0) of A times the identity is -0.0: the sum is
-        # -0.0 without the add, and products_level_numpy returns +0.0
+        # -0.0 without the add, and a whole level holds +0.0
         gens = np.array([[[-0.0, -1.0], [1.0, -0.0]]])
         assert np.signbit(_extend_level(gens, np.eye(2)[:, :, None], signed=False)[0, 0, 0])
-        units, _ = products_level_numpy(gens, 1)
+        units, _ = _canonical_level(gens, 1)
         assert units[0, 0, 0] == 0.0 and not np.signbit(units[0, 0, 0])
-        assert not np.signbit(kernels.dense_products(gens, 1)[0, 0, 0])
+        assert not np.signbit(dense_products(gens, 1)[0, 0, 0])
 
     @pytest.mark.parametrize("cadence", [1, 2, 5])
     def test_cadence_leaves_products_unchanged(self, monkeypatch, cadence):
         for gens in (E3().stacked(), np.random.default_rng(7).standard_normal((3, 3, 3))):
-            ref = products_level_numpy(gens, 7)
+            ref = _canonical_level(gens, 7)
             levels = list(level_singvals(gens, 7))
             monkeypatch.setattr(kernels, "_cadence", lambda gens: cadence)
-            units, exps = products_level_numpy(gens, 7)
+            units, exps = _canonical_level(gens, 7)
             assert units.tobytes() == ref[0].tobytes() and exps.tobytes() == ref[1].tobytes()
             top = np.abs(units).max(axis=(1, 2))
             assert np.all((top > 0.5) & (top <= 1.0))
@@ -344,12 +373,12 @@ class TestExtremeScale:
     def test_scaled_generators_shift_exponents(self, k):
         n = 9
         for gens in (E3().stacked(), np.random.default_rng(11).standard_normal((2, 3, 3))):
-            units, exps = products_level_numpy(gens, n)
+            units, exps = _canonical_level(gens, n)
             logs1, _ = word_singvals(gens, n)
             scaled = np.ldexp(gens, k)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                su, se = products_level_numpy(scaled, n)
+                su, se = _canonical_level(scaled, n)
                 sl1, log_dets = word_singvals(scaled, n)
                 sl2 = None if log_dets is None else log_dets.log_sigma2(sl1)
             assert su.tobytes() == units.tobytes()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cocyclespan.errors import InputError
-from cocyclespan.linalg import (SubspaceBasis, operator_norm, span_basis,
+from cocyclespan.linalg import (SubspaceBasis, null_space, operator_norm, span_basis,
                                 subspace_distance, wedge_power)
 
 
@@ -87,6 +87,27 @@ class TestSpanBasis:
     def test_orthonormality_enforced(self):
         with pytest.raises(InputError):
             SubspaceBasis(ambient=2, dim=2, basis=np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+class TestNullSpace:
+    # tall, square and wide matrices of each rank, the zero matrix included:
+    # the rows are orthonormal, M maps each to about 0, and they fill the
+    # complement of the row space, cols - rank of them
+    @pytest.mark.parametrize("rows,cols", [(12, 4), (5, 5), (2, 6), (1, 3), (9, 9)])
+    def test_orthonormal_rows_in_the_kernel_of_the_right_count(self, rows, cols):
+        rng = np.random.default_rng(10 * rows + cols)
+        for rank in range(min(rows, cols) + 1):
+            M = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+            N = null_space(M)
+            assert N.shape == (cols - rank, cols)
+            assert np.abs(N @ N.T - np.eye(cols - rank)).max(initial=0.0) <= 1e-12
+            assert np.abs(M @ N.T).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(M).max())
+            assert np.linalg.matrix_rank(np.concatenate([M, N])) == cols
+
+    def test_rank_cut_is_relative(self):
+        # a row 1e-12 times the other counts as dependent, as in `span_basis`
+        assert null_space(np.array([[1.0, 0.0], [0.0, 1e-12]])).shape == (1, 2)
+        assert null_space(np.array([[1.0, 0.0], [0.0, 1e-6]])).shape == (0, 2)
 
 
 @pytest.mark.parametrize("call,message", [

@@ -2,6 +2,9 @@ import functools
 import itertools
 import json
 import math
+from fractions import Fraction
+
+import mpmath
 
 import numpy as np
 import pytest
@@ -197,6 +200,65 @@ class TestConnectorMinimum:
             assert abs(kappa_floor(system, s, k, n).raw_min - ksum) <= 1e-12 * ksum
 
 
+# a dyadic 2x2 matrix as four numerators over 8, invertible
+DYADIC_2X2 = st.lists(st.integers(-8, 8), min_size=4, max_size=4).filter(
+    lambda e: e[0] * e[3] != e[1] * e[2])
+
+
+def _integer_level(nums, n):
+    """Every product of n of the integer 2x2 matrices `nums` (as (a, b, c, d))."""
+    level = [(1, 0, 0, 1)]
+    for _ in range(n):
+        level = [(a * p + b * r, a * q + b * t, c * p + d * r, c * q + d * t)
+                 for p, q, r, t in level for a, b, c, d in nums]
+    return level
+
+
+def _log_partitions(nums, n, specs):
+    """log Z_n = log of the sum of phi over every product of n of the matrices
+    nums / 8, in mpmath at the caller's precision, for each (kind, s) of `specs`:
+    from exact integer products N, since phi(N / 8^n) = 8^(-n s) phi(N)."""
+    words = []
+    for a, b, c, d in _integer_level(nums, n):
+        fro2, det = mpmath.mpf(a * a + b * b + c * c + d * d), mpmath.mpf(abs(a * d - b * c))
+        s1 = mpmath.sqrt((fro2 + mpmath.sqrt(fro2 * fro2 - 4 * det * det)) / 2)
+        words.append((mpmath.log(s1), mpmath.log(det)))
+    out = {}
+    for kind, s in specs:
+        # log phi^s = x log sigma_1 + y log |det|
+        if kind == "norm_s" or s <= 1.0:
+            x, y = s, 0
+        else:
+            x, y = (2 - s, s - 1) if s <= 2.0 else (0, s / 2)
+        out[kind, s] = (mpmath.log(mpmath.fsum(mpmath.exp(x * l1 + y * ld) for l1, ld in words))
+                        - n * s * mpmath.log(8))
+    return out
+
+
+class TestConnectorOracle:
+    """Z_{n+k+m} >= C(s) Z_n Z_m for the constant every pressure lower end and kappa
+    floor reads (`ConnectorConstant.value`), with the partition sums taken over
+    exact integer products, sigma_1 at 50 digits; and `min_det` against the
+    exact min over |K| = k of |det A_K|. Gamma, and with it C(s), is 0 at
+    ell = 1; 15 of the 40 draws have a positive C."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(nums=st.lists(DYADIC_2X2, min_size=1, max_size=3), k=st.integers(1, 2),
+           n=st.integers(1, 3), m=st.integers(1, 3))
+    def test_partition_sums_clear_the_connector_constant(self, nums, k, n, m):
+        system = GeneratorSystem(tuple(np.array(e, dtype=float).reshape(2, 2) / 8 for e in nums))
+        const = connector_constant(system, k)
+        exact = min(Fraction(abs(a * d - b * c), 64**k) for a, b, c, d in _integer_level(nums, k))
+        assert abs(Fraction(const.min_det) - exact) <= Fraction(1, 10**15) * exact
+        specs = [(kind, s) for kind in ("norm_s", "sv_s") for s in (0.5, 1.0, 1.5, 1.9, 2.5)
+                 if const.value(s, kind) > 0.0]
+        with mpmath.workdps(50):
+            log_z = {length: _log_partitions(nums, length, specs) for length in {n, m, n + k + m}}
+            for spec in specs:
+                c = mpmath.mpf(const.value(*reversed(spec)))
+                assert log_z[n + k + m][spec] >= mpmath.log(c) + log_z[n][spec] + log_z[m][spec]
+
+
 def _run(system, command, options):
     gens = [[repr(float(x)) for x in A.ravel()] for A in system.generators]
     cfg = cli.parse_config(json.dumps({"system": {"dimension": system.dim, "generators": gens},
@@ -226,6 +288,13 @@ class TestConnectorConstant:
                 res = _run(system, "mixing", {"s": s, "L": 1, "gap": 1})
                 assert res["kappa_certificate"]["c_of_s"]["value"].hex() == \
                     const.value(s, "sv_s").hex()
+
+    def test_min_det_past_the_float_range_is_inf(self):
+        # (min_j |det A_j|)^k = (1e12)^26 overflows: it reads inf, as the det of
+        # the 26-letter product did, and raises nothing
+        system = GeneratorSystem((np.array([[1e7, 1.0], [0.0, 1e5]]),))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert connector_constant(system, 26).min_det == math.inf
 
     def test_no_constant_without_gamma(self):
         const = connector_constant(E1(), 1)
