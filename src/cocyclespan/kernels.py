@@ -3,8 +3,8 @@
 Outputs are bit-reproducible: arrays are indexed by lexicographic word rank,
 every per-word value is a function of its word alone, whatever block or
 chunk it is computed in, and every sum has the bits of one np.sum over the
-fully assembled array: `pairwise_sum` folds it block by block in numpy's own
-pairwise order (a minimum or maximum, exact in any order, may run in any
+fully assembled array: `pairwise_sum` folds the scalar sums of its blocks in
+numpy's own pairwise order (a minimum or maximum, exact in any order, may run in any
 blocks).
 
 One certified minimizer, `lipschitz_bnb`: a batched Lipschitz branch and bound
@@ -47,10 +47,11 @@ One dense entry, `dense_products`: it builds Lambda(n) whole (`_level`) and
 scales each canonical unit back by its exponent, so its products carry the
 engine's bits; they are exact where no sum rounds.
 
-One readout, `_log_sigma1`. At d = 2 it takes sigma_1 in closed form
-(`sigma1_2x2`) from any stack, canonical or unscaled, and scales it by the
-2^-k of the canonical form, so a level read unscaled has the bits of a
-normalised read; at d > 2 it takes the SVD of a canonical stack. For d = 2,
+One readout, `_log_sigma1`, for every level and for the target words of
+`thermo`, which `wordspace.product` builds one at a time. At d = 2 it takes
+sigma_1 in closed form (`sigma1_2x2`) from any stack, canonical or unscaled,
+and scales it by the 2^-k of the canonical form, so a level read unscaled has
+the bits of a normalised read; at d > 2 it takes the SVD of a canonical stack. For d = 2,
 log sigma_2 = log |det A_I| - log sigma_1, where log |det A_I| =
 sum over letters j of (count of j in I) * log |det A_j|, folded in letter order
 (`_log_det`): a function of the word's letter counts, so no cancelling
@@ -446,12 +447,11 @@ def level_singvals(gens: np.ndarray, n: int):
 def pairwise_sum(leaf, lo: int, hi: int, block: int) -> float:
     """np.sum's bits over the values of ranks lo..hi-1, never more than `block` at once.
 
-    `leaf(a, b)` returns np.sum of the values of ranks a..b-1, or an array of
-    such sums over several value sequences, which fold elementwise. Above 128
-    values numpy's pairwise sum splits n values at n2 = n // 2 rounded down to
-    a multiple of 8; this recursion takes the same splits down to leaves of at
-    most `block` values (`block` >= 128), so it adds the same partial sums in
-    the same order.
+    `leaf(a, b)` returns np.sum of the values of ranks a..b-1, a scalar. Above
+    128 values numpy's pairwise sum splits n values at n2 = n // 2 rounded down
+    to a multiple of 8; this recursion takes the same splits down to leaves of
+    at most `block` values (`block` >= 128), so it adds the same partial sums
+    in the same order.
     """
     n = hi - lo
     if n <= block:

@@ -49,18 +49,26 @@ def gamma_minimax(system: GeneratorSystem, k: int, *,
     """min over unit (u, w) of max over |K| = k of |w^T A_K u|, with certificate.
 
     d = 2 gets the certified grid bound; d >= 3 abstains with the trivial
-    lower bound 0, uncertified.
+    lower bound 0, uncertified. The grid runs on the products of the
+    generators divided by 2^e, e the exponent of their largest |entry|: an
+    exact division, so `sigma1_2x2` never squares an entry that under- or
+    overflows. f scales by 2^(k e), and so do the raw minimum and the value;
+    a value past the float range is 0.0.
     """
     if k < 1:
         raise InputError("connector length k must be >= 1")
     check_sweep(system.ell, k, budget)
     if system.dim != 2:
         return GammaResult(value=0.0, certified=False, k=k)
-    kmats = dense_products(system.stacked(), k)
+    gens = system.stacked()
+    e = math.frexp(float(np.max(np.abs(gens))))[1]
+    kmats = dense_products(np.ldexp(gens, -e), k)
     raw, iw, iu = minimax_grid2(kmats, GRID_ANGLES // 2)  # one period: the same step h
     lip = float(sum(sigma1_2x2(kmats.transpose(1, 2, 0))))  # per-variable Lipschitz constant
     h = 2.0 * np.pi / GRID_ANGLES
-    value = max(0.0, raw - lip * h)
+    with np.errstate(over="ignore"):  # past the float range: inf
+        raw, value = np.ldexp([raw, max(0.0, raw - lip * h)], k * e).tolist()
+    value = value if math.isfinite(value) else 0.0
     tw, tu = 2.0 * np.pi * iw / GRID_ANGLES, 2.0 * np.pi * iu / GRID_ANGLES
     arg = (np.array([math.cos(tw), math.sin(tw)]),
            np.array([math.cos(tu), math.sin(tu)]))

@@ -4,11 +4,14 @@ Upper pressure bounds come from subadditivity: P <= (1/n) log Z_n. Lower
 bounds iterate the connector supermultiplicativity Z_{n+k+m} >= C Z_n Z_m
 (each pair (I, J) contributes the distinct word IKJ), which telescopes to
 P >= (log Z_n + log C)/(n + k) whenever a positive constant C is available.
-Root searches therefore return intervals, not point estimates: uncertainty
-is structural. One bracketing solver (`_root_bracket`, regula falsi with the
-Illinois step and a bisection fallback) finds the root of each end function
-to 1e-6, and the interval takes the outer end of each bracket, so it contains
-both roots as computed in floats.
+One function (`_ends`) forms both ends. Each root solver states its equation
+once, as h(s, q_1, ...) increasing in every growth rate q_i, and its upper
+and lower curves are h at the upper and at the lower ends. Root searches
+therefore return intervals, not point estimates: uncertainty is structural.
+One bracketing solver (`_root_bracket`, regula falsi with the Illinois step
+and a bisection fallback) finds the root of each curve to 1e-6, and the
+interval takes the outer end of each bracket, so it contains both roots as
+computed in floats.
 
 `qm_source` supplies C: the connector constant `quasimult.ConnectorConstant`
 at k = k_qm, or for conformal systems (all generators scalar multiples of
@@ -24,7 +27,7 @@ import numpy as np
 
 from .errors import InputError
 from .hypotheses import HypothesisReport, check_hypotheses
-from .kernels import _letter_log_dets, _log_det, pairwise_sum, word_singvals
+from .kernels import _letter_log_dets, _log_det, _log_sigma1, pairwise_sum, word_singvals
 from .quasimult import connector_constant
 from .systems import GeneratorSystem
 from .wordspace import DEFAULT_BUDGET, Word, check_budget, check_sweep, product, validate_word
@@ -93,6 +96,14 @@ def conformal_qm_input(system: GeneratorSystem) -> QMInput | None:
 
 @dataclass(frozen=True)
 class PressureBracket:
+    """Pressure bracket at level n; `qm` is the phi-level input as given.
+
+    `negated` is True for `sv_s_squared`, the square pressure
+    P2 = -lim (1/n) log sum (phi^s)^2: its constant is qm.C squared, and the
+    raw ends are negated and swapped, so `lower` is always valid (plain
+    submultiplicativity) and `upper` needs the constant.
+    """
+
     spec: PotentialSpec
     n: int
     lower: float
@@ -100,10 +111,6 @@ class PressureBracket:
     lower_valid: bool
     log_zn: float
     qm: QMInput | None = None
-    # True for `sv_s_squared`, the square pressure P2 = -lim (1/n) log sum (phi^s)^2:
-    # `qm.C` is then the squared phi-level constant, and the raw ends are negated
-    # and swapped, so `lower` is always valid (plain submultiplicativity) and
-    # `upper` needs the constant
     negated: bool = False
 
     def __post_init__(self):
@@ -122,12 +129,10 @@ class _LevelData:
     Lambda(n) costs 8 bytes per word: log sigma_2 of a block of ranks is
     rebuilt from the table when a potential reads it. `log_z` is memoised per
     potential: the two searches of a root share their end points s = 0 and
-    S_MAX. `log_z_pair` reduces `sv_s` and `sv_s_squared` at one s in one sum
-    pass. Three counters say what the values cost:
-    - `passes`: the potentials whose log Z_n summed over Lambda(n), two for
-      each pair that `log_z_pair` summed;
+    S_MAX. Three counters, each per potential, say what the values cost:
+    - `passes`: the potentials whose log Z_n summed over Lambda(n);
     - `sweeps`: the block passes over Lambda(n) they took, a sum pass per
-      reduction plus a max pass for phi^s at 1 <= s < 2;
+      potential plus a max pass for phi^s at 1 <= s < 2;
     - `closed_forms`: the potentials whose log Z_n took no pass at all
       (`_closed_form`).
     """
@@ -206,56 +211,44 @@ class _LevelData:
         `pairwise_sum`'s leaves, so log Z_n has the bits of one np.sum over
         the whole level.
         """
-        if spec not in self._log_z:
-            self._reduce((spec,))
-        return self._log_z[spec]
-
-    def log_z_pair(self, s: float) -> tuple[float, float]:
-        """(log Z_n of `sv_s`, log Z_n of `sv_s_squared`) at s, each with the bits of
-        `log_z`, from the passes of `sv_s` alone where they are not closed forms.
-
-        The squared potential is fl(2 w), w the `sv_s` potential: doubling is
-        exact, so its max is exactly 2 m and its shifted potential
-        fl(2 w - 2 m) is exactly u + u, u = w - m. One leaf sums exp(u) and
-        exp(u + u), and `pairwise_sum` folds both sums in one tree.
-        """
-        specs = (PotentialSpec("sv_s", s), PotentialSpec("sv_s_squared", s))
-        if not all(spec in self._log_z for spec in specs):
-            self._reduce(specs)
-        return self._log_z[specs[0]], self._log_z[specs[1]]
-
-    def _reduce(self, specs: tuple) -> None:
-        """Memoise log Z_n of `specs`: one potential, or the pair of `log_z_pair`."""
-        values = [self._closed_form(spec) for spec in specs]
-        if None not in values:
-            self.closed_forms += len(specs)
-        else:
-            m = self._max_potential(specs[0])
+        if spec in self._log_z:
+            return self._log_z[spec]
+        value = self._closed_form(spec)
+        if value is None:
+            m = self._max_potential(spec)
 
             def leaf(lo: int, hi: int):
-                u = self._potential(specs[0], lo, hi)
+                u = self._potential(spec, lo, hi)
                 u -= m
-                if len(specs) == 1:
-                    return np.sum(np.exp(u, out=u))
-                v = np.add(u, u, out=self._logs2[:hi - lo])  # the block's logs2 is spent
-                return np.array([np.sum(np.exp(u, out=u)), np.sum(np.exp(v, out=v))])
+                return np.sum(np.exp(u, out=u))
 
-            self.passes += len(specs)
+            self.passes += 1
             self.sweeps += 1
-            sums = np.atleast_1d(pairwise_sum(leaf, 0, len(self.logs1), len(self._w)))
-            values = [top + math.log(float(total)) for top, total in zip((m, 2.0 * m), sums)]
-        self._log_z.update(zip(specs, values))
+            value = m + math.log(float(pairwise_sum(leaf, 0, len(self.logs1), len(self._w))))
+        else:
+            self.closed_forms += 1
+        self._log_z[spec] = value
+        return value
+
+
+def _ends(spec: PotentialSpec, n: int, log_zn: float,
+          qm: QMInput | None) -> tuple[float, float]:
+    """(lower, upper) ends of the growth rate of log Z_n: ((log Z_n + c log C)/(n + k),
+    log Z_n / n), the lower one -inf without a constant.
+
+    c = 2 for `sv_s_squared`, whose constant is the square of the phi-level
+    `qm.C`: 2 log C stays finite where C**2 would underflow.
+    """
+    c = 2 if spec.kind == "sv_s_squared" else 1
+    lower = -math.inf if qm is None else (log_zn + c * math.log(qm.C)) / (n + qm.k)
+    return lower, log_zn / n
 
 
 def _bracket(spec: PotentialSpec, n: int, log_zn: float, qm: QMInput | None) -> PressureBracket:
     """Bracket from log Z_n; for `sv_s_squared` the square-pressure bracket of
-    `PressureBracket.negated`, where `qm.C` is the phi-level constant."""
-    square = spec.kind == "sv_s_squared"
-    if square and qm is not None:
-        qm = QMInput(k=qm.k, C=qm.C**2)
-    upper = log_zn / n
-    lower = -math.inf if qm is None else (log_zn + math.log(qm.C)) / (n + qm.k)
-    if square:
+    `PressureBracket.negated`."""
+    lower, upper = _ends(spec, n, log_zn, qm)
+    if spec.kind == "sv_s_squared":
         return PressureBracket(spec=spec, n=n, lower=-upper, upper=-lower, lower_valid=True,
                                log_zn=log_zn, qm=qm, negated=True)
     return PressureBracket(spec=spec, n=n, lower=lower, upper=upper,
@@ -311,23 +304,26 @@ def all_ones_targets(count: int, tail_start: int = 1, *,
 class _TargetData:
     """log sigma_1 and log sigma_2 of each target word's product.
 
-    log sigma_2 = log |det A_J| - log sigma_1, with log |det A_J| from the
-    word's letter counts (`kernels._log_det`), as for a level: it stays finite
-    where sigma_2 of the product's unit underflows.
+    log sigma_1 is the engine's one readout (`kernels._log_sigma1`), so a
+    target word has the bits of the same word in Lambda(n). log sigma_2 =
+    log |det A_J| - log sigma_1, with log |det A_J| from the word's letter
+    counts (`kernels._log_det`), as for a level: it stays finite where sigma_2
+    of the product's unit underflows.
     """
 
     def __init__(self, system: GeneratorSystem, targets: TargetSequence):
         self.lengths = np.array([len(w) for w in targets.words], dtype=float)
-        l1 = []
+        prods = []
         prev, sp = (), None
         for w in targets.words:
             if w[:len(prev)] != prev:  # not an extension of the last target
                 prev, sp = (), None
             sp = product(system, w[len(prev):], sp)
             prev = w
-            l1.append(sp.logscale + math.log(np.linalg.svd(sp.unit, compute_uv=False)[0]))
+            prods.append(sp)
         counts = np.array([np.bincount(w, minlength=system.ell + 1)[1:] for w in targets.words])
-        self.logs1 = np.array(l1)
+        self.logs1 = _log_sigma1(np.stack([sp.unit for sp in prods], axis=2),
+                                 np.array([float(sp.exponent) for sp in prods]))
         self.logs2 = _log_det(system.stacked(), counts) - self.logs1
         self.tail = targets.tail_start - 1
 
@@ -493,31 +489,39 @@ def _monotone_warnings(samples: list[tuple[float, float]], label: str,
     return []
 
 
-def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, upper, lower, *,
+def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, kinds: tuple, h, *,
                     budget: int, details: dict, warnings=(),
-                    late_warnings=lambda: []) -> DimensionReport:
-    """Bracket a root between the upper and lower pressure ends, clamped at 2.
+                    late_warnings=lambda sampled: []) -> DimensionReport:
+    """Bracket the root of h(s, q_1, ...) = 0, clamped at 2, where q_i is the growth
+    rate of the potential kinds[i] at s and h increases in every q_i.
 
-    `upper(data, s)` and `lower(data, s, qm)` are decreasing in s; the lower
-    end needs a positive QM input and is -inf (root 0) without one. The upper
-    search runs on [0, S_MAX]; the lower one starts from `_seed_bracket` over
-    the points the upper search sampled, where g_lo costs no pass over
-    Lambda(n): every log Z it reads there is memoised. The interval is
-    outward: the left end of the lower curve's bracket and the right end of
-    the upper curve's. `late_warnings()` runs after both searches.
+    h at every upper end (`_ends`) is the upper curve, h at every lower end the
+    lower curve; both decrease in s. The lower curve needs a positive QM input
+    and is -inf (root 0) without one. The upper search runs on [0, S_MAX]; the
+    lower one starts from `_seed_bracket` over the points the upper search
+    sampled, where it costs no pass over Lambda(n): every log Z it reads there
+    is memoised. The interval is outward: the left end of the lower curve's
+    bracket and the right end of the upper curve's. `late_warnings(sampled)`
+    runs after both searches, on the upper ends of the upper search's points.
     """
     hyp = check_hypotheses(system, "corollary_4_3", budget=budget)
     data = _LevelData(system, n, budget=budget)
     qm_input, qm_desc = qm_source(system, k_qm, budget=budget)
-    sampled: list[float] = []  # the points of the upper search, whose log Z is memoised
+    sampled: dict[float, tuple] = {}  # the upper search's points and their upper ends
+
+    def ends(s: float, qm: QMInput | None) -> tuple[tuple, tuple]:
+        """(lower ends, upper ends) of the potentials `kinds` at s."""
+        specs = [PotentialSpec(kind, s) for kind in kinds]
+        lowers, uppers = zip(*(_ends(spec, n, data.log_z(spec), qm) for spec in specs))
+        return lowers, uppers
 
     def g_up(s: float) -> float:
-        sampled.append(s)
-        return upper(data, s)
+        sampled[s] = ends(s, None)[1]
+        return h(s, *sampled[s])
 
     def g_lo(s: float) -> float:
         qm = qm_input(s, "sv_s")
-        return -math.inf if qm is None else lower(data, s, qm)
+        return -math.inf if qm is None else h(s, *ends(s, qm)[0])
 
     def effort() -> dict:
         return {"passes": data.passes, "sweeps": data.sweeps, "closed_form": data.closed_forms}
@@ -530,8 +534,8 @@ def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, upper
     _, s_hi, b_hi, up_counts = search(g_up, 0.0, S_MAX)
     start = _seed_bracket(g_lo, sampled)
     s_lo, _, b_lo, lo_counts = search(g_lo, *start)
-    lo_counts |= {"start": list(start), "seed_points": len(set(sampled))}
-    warnings = list(warnings) + late_warnings()
+    lo_counts |= {"start": list(start), "seed_points": len(sampled)}
+    warnings = list(warnings) + late_warnings(sampled)
     if qm_desc["mode"] != "conformal" and qm_desc["gamma"] <= 0:
         warnings.append("no positive QM constant: lower root defaulted to 0")
     interval = (min(s_lo, s_hi), s_hi)
@@ -545,58 +549,35 @@ def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, upper
 
 def s0_interval(system: GeneratorSystem, targets: TargetSequence, n: int, k_qm: int,
                 *, budget: int = DEFAULT_BUDGET) -> DimensionReport:
-    """Interval for s0 = inf{s > 0 : P(s) <= alpha(s)}, clamped at 2."""
+    """Interval for s0 = inf{s > 0 : P(s) <= alpha(s)}: the root of P - alpha, clamped at 2."""
     if system.dim != 2:
         raise InputError("shrinking-target dimension needs d = 2")
     warnings = targets.validate(system.ell)
     tdata = _TargetData(system, targets)
-    p_samples: list[tuple[float, float]] = []
-    a_samples: list[tuple[float, float]] = []
 
-    def upper(data: _LevelData, s: float) -> float:
-        up = data.log_z(PotentialSpec("sv_s", s)) / n
-        al = tdata.alpha(s)
-        p_samples.append((s, up))
-        a_samples.append((s, al))
-        return up - al
-
-    def lower(data: _LevelData, s: float, qm: QMInput) -> float:
-        lz = data.log_z(PotentialSpec("sv_s", s))
-        return (lz + math.log(qm.C)) / (n + qm.k) - tdata.alpha(s)
-
-    def monotone_warnings() -> list[str]:
-        return (_monotone_warnings(p_samples, "upper pressure", decreasing=True)
-                + _monotone_warnings(a_samples, "alpha proxy", decreasing=False))
+    def monotone_warnings(sampled: dict) -> list[str]:
+        return (_monotone_warnings([(s, p) for s, (p,) in sampled.items()], "upper pressure",
+                                   decreasing=True)
+                + _monotone_warnings([(s, tdata.alpha(s)) for s in sampled], "alpha proxy",
+                                     decreasing=False))
 
     return _dimension_root(
-        "shrinking_target", system, n, k_qm, upper, lower, budget=budget,
-        warnings=warnings, late_warnings=monotone_warnings,
+        "shrinking_target", system, n, k_qm, ("sv_s",), lambda s, p: p - tdata.alpha(s),
+        budget=budget, warnings=warnings, late_warnings=monotone_warnings,
         details={"tail_start": targets.tail_start,
                  "proxy": "tail minimum of -(1/|J_k|) log phi^s(A_{J_k})"})
 
 
 def r0_interval(system: GeneratorSystem, beta: float, n: int, k_qm: int, *,
                 budget: int = DEFAULT_BUDGET) -> DimensionReport:
-    """Interval for the root of (1 - beta) P(r) = beta P2(r), clamped at 2."""
+    """Interval for the root of (1 - beta) P(r) = beta P2(r), clamped at 2: of
+    (1 - beta) p + beta q, q = -P2 the growth rate of the squared potential."""
     if system.dim != 2:
         raise InputError("recurrence dimension needs d = 2")
     if not 0.0 <= beta < 1.0:
         raise InputError("beta must lie in [0, 1)")
-
-    def upper(data: _LevelData, r: float) -> float:
-        # max of h: upper P, lower P2 (the always-valid subadditive end)
-        lz, lq = data.log_z_pair(r)
-        up_p = lz / n
-        p2_lo = -lq / n
-        return (1.0 - beta) * up_p - beta * p2_lo
-
-    def lower(data: _LevelData, r: float, qm: QMInput) -> float:
-        lz, lq = data.log_z_pair(r)
-        lo_p = (lz + math.log(qm.C)) / (n + qm.k)
-        p2_up = -(lq + 2.0 * math.log(qm.C)) / (n + qm.k)
-        return (1.0 - beta) * lo_p - beta * p2_up
-
-    return _dimension_root("recurrence", system, n, k_qm, upper, lower, budget=budget,
+    return _dimension_root("recurrence", system, n, k_qm, ("sv_s", "sv_s_squared"),
+                           lambda r, p, q: (1.0 - beta) * p + beta * q, budget=budget,
                            details={"beta": beta})
 
 
@@ -605,12 +586,5 @@ def affinity_dimension(system: GeneratorSystem, n: int, k_qm: int, *,
     """Interval for the root of P(s) = 0 (candidate attractor dimension)."""
     if system.dim != 2:
         raise InputError("affinity dimension needs d = 2")
-
-    def upper(data: _LevelData, s: float) -> float:
-        return data.log_z(PotentialSpec("sv_s", s)) / n
-
-    def lower(data: _LevelData, s: float, qm: QMInput) -> float:
-        return (data.log_z(PotentialSpec("sv_s", s)) + math.log(qm.C)) / (n + qm.k)
-
-    return _dimension_root("affinity", system, n, k_qm, upper, lower, budget=budget,
-                           details={})
+    return _dimension_root("affinity", system, n, k_qm, ("sv_s",), lambda s, p: p,
+                           budget=budget, details={})

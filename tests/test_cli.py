@@ -157,6 +157,19 @@ class TestRunCommand:
         lo, hi = report["result"]["interval"]
         assert 0 < lo < hi < 1
 
+    def test_square_pressure_takes_a_tiny_phi_level_constant(self, tmp_path):
+        # C = 1e-200 is valid, though C**2 underflows: the square bracket keeps
+        # the constant as given and its ends finite
+        options = {"potential": "sv_s_squared", "n": 6, "qm": {"k": 1, "C": 1e-200}}
+        config = dict(PRESSURE_CONFIG, options=options)
+        code, err = run_main(tmp_path, config)
+        assert code == cli.EXIT_OK, err
+        report, code = cli.run_command(cfg_from(config))
+        for br in report["result"]["brackets"]:
+            assert br["negated"] and br["qm"]["C"] == 1e-200
+            assert math.isfinite(br["lower"]) and math.isfinite(br["upper"])
+            assert br["lower"] <= br["upper"]
+
     def test_affinity_dim_meta_reports_root_search_counts(self):
         cfg = cfg_from(dict(E3_CONFIG, command="affinity-dim", options={"n": 8, "k_qm": 1}))
         report, code = cli.run_command(cfg)

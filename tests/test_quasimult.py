@@ -50,6 +50,22 @@ class TestGammaMinimax:
         assert abs(g.raw_grid_min - E3_K1_RAW_GRID) <= 1e-12
         assert abs(g.value - E3_K1_CERTIFIED) <= 1e-12
 
+    @pytest.mark.parametrize("j,k", [(-270, 3), (-200, 4), (200, 3), (250, 4)])
+    def test_scaled_generators_scale_gamma_exactly(self, j, k):
+        # the grid divides the generators by a power of two, exactly, so 2^j E3
+        # has E3's raw minimum and value times 2^(j k), bit for bit, where the
+        # squared entries of its products would under- or overflow
+        base = gamma_minimax(E3(), k)
+        g = gamma_minimax(GeneratorSystem(tuple(np.ldexp(A, j) for A in E3().generators)), k)
+        assert g.raw_grid_min == math.ldexp(base.raw_grid_min, j * k)
+        assert g.value == math.ldexp(base.value, j * k)
+        assert 0.0 < g.value < g.raw_grid_min
+
+    def test_gamma_past_the_float_range_is_zero(self):
+        # 2^300 E3 at k = 4: f reaches past the float range, so gamma is 0
+        g = gamma_minimax(GeneratorSystem(tuple(np.ldexp(A, 300) for A in E3().generators)), 4)
+        assert g.value == 0.0 and g.raw_grid_min == math.inf
+
     def test_d3_abstains(self):
         gens = 0.5 * np.random.default_rng(5).standard_normal((2, 3, 3))
         g = gamma_minimax(GeneratorSystem(list(gens)), 2)

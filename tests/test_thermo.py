@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import os
 import subprocess
@@ -16,7 +18,9 @@ from cocyclespan.thermo import (ROOT_TOL, S_MAX, PotentialSpec, QMInput, TargetS
                                 _monotone_warnings, _root_bracket, affinity_dimension,
                                 all_ones_targets, beta_hat, conformal_qm_input,
                                 log_potential, pressure_brackets, r0_interval, s0_interval)
-from cocyclespan.kernels import _log_det
+from cocyclespan.kernels import _log_det, word_singvals
+from cocyclespan.thermo import _TargetData
+from cocyclespan.wordspace import word_unrank
 
 from _helpers import D3, alpha_hat, potential_value, random_2x2_system
 
@@ -488,6 +492,20 @@ class TestSeededLowerSearch:
             assert rep.interval[0] == 0.0
             assert "no positive QM constant: lower root defaulted to 0" in rep.warnings
 
+    def test_r0_at_beta_zero_without_a_constant(self, monkeypatch):
+        # h at the lower ends would read 1 * (-inf) + 0 * (-inf) = nan: the lower
+        # curve stays -inf, so the lower root is 0 with its warning, and no nan
+        def run():
+            return r0_interval(NO_CONSTANT, 0.0, 8, 1)
+
+        counts, _, _ = self._check(monkeypatch, run, 2)
+        assert counts["start"] == [0.0, S_MAX]
+        assert counts["passes"] == counts["steps"] == 0
+        rep = run()
+        assert rep.interval[0] == 0.0
+        assert not any(math.isnan(x) for x in rep.interval + rep.dimension)
+        assert "no positive QM constant: lower root defaulted to 0" in rep.warnings
+
 
 def _out_of_place_log_potential(logs1, logs2, kind, s):
     """The log potential as plain array expressions, each step a new array."""
@@ -572,12 +590,12 @@ class TestLogZInPlace:
 
     def test_potential_pass_memoised_per_spec(self, monkeypatch):
         # the upper and lower root searches share s = 0 and s = 4, which take
-        # closed forms; each other distinct s costs one reduction, and
-        # Lambda(12) is one block, so a reduction evaluates the potential over
-        # the level once for the sum, and once more for the max only when it
-        # reads log sigma_2 (phi^s at 1 <= s < 2). r0 reduces sv_s and
-        # sv_s_squared at one s in one fold (`log_z_pair`), which evaluates
-        # sv_s alone and counts two potentials summed
+        # closed forms; each other distinct s costs one reduction per potential,
+        # and Lambda(12) is one block, so a reduction evaluates the potential
+        # over the level once for the sum, and once more for the max only when
+        # it reads log sigma_2 (phi^s at 1 <= s < 2). r0 reduces sv_s and
+        # sv_s_squared at each s; E3's r0 root lies below r = 1, so none of its
+        # potentials takes a max pass
         from cocyclespan import thermo
         folds, blocks = [], []
         fold, potential = thermo.pairwise_sum, thermo._LevelData._potential
@@ -585,55 +603,30 @@ class TestLogZInPlace:
         monkeypatch.setattr(thermo._LevelData, "_potential",
                             lambda self, spec, lo, hi: blocks.append(spec)
                             or potential(self, spec, lo, hi))
-        for run, count, kinds, closed in ((lambda: affinity_dimension(E3(), 12, 1), 12, 1, 2),
-                                          (lambda: r0_interval(E3(), 0.3, 12, 1), 12, 2, 4)):
+        for run, count, kinds, closed in (
+                (lambda: affinity_dimension(E3(), 12, 1), 12, ("sv_s",), 2),
+                (lambda: r0_interval(E3(), 0.3, 12, 1), 24, ("sv_s", "sv_s_squared"), 4)):
             folds.clear()
             blocks.clear()
             rep = run()
             passes = list(dict.fromkeys(blocks))
             assert len(folds) == len(passes) == count
-            assert all(spec.kind == "sv_s" and 0.0 < spec.s < 2.0 for spec in passes)
+            assert all(spec.kind in kinds and 0.0 < spec.s < 2.0 for spec in passes)
+            assert {spec.kind for spec in passes} == set(kinds)
             sweeps = [1 + (spec.s >= 1.0) for spec in passes]
             assert blocks == [spec for spec, k in zip(passes, sweeps) for _ in range(k)]
             ends = rep.root_search.values()
-            assert sum(end["passes"] for end in ends) == kinds * count
+            assert sum(end["passes"] for end in ends) == count
             assert sum(end["sweeps"] for end in ends) == len(blocks)
             assert rep.root_search["upper"]["closed_form"] == closed
             assert rep.root_search["lower"]["closed_form"] == 0
+            if len(kinds) == 2:
+                assert all(end["passes"] == end["sweeps"] for end in ends)
         # phi^s at 1 <= s < 2 alone adds the max pass; s = 0 and s >= 2 take none
         folds.clear()
         blocks.clear()
         pressure_brackets(E3(), "sv_s", 12, [0.0, 1.5, 2.5, 1.5], [None] * 4)
         assert folds == [1] and blocks == [PotentialSpec("sv_s", 1.5)] * 2
-
-    @pytest.mark.parametrize("seed", [None] + list(range(20)))
-    def test_fused_pair_has_the_bits_of_single_passes(self, monkeypatch, seed):
-        # `log_z_pair` sums exp(u) and exp(u + u) in one pass, u = w - m, where
-        # one potential at a time sums exp(w - m) and exp(fl(2 w) - 2 m); with
-        # blocks of 128 words every level below takes several leaves, and
-        # s = 1.0 .. 1.999 take the max pass that reads log sigma_2
-        from cocyclespan import thermo
-        from cocyclespan.thermo import _LevelData
-        if seed is None:
-            system, n = E3(), 10
-        else:
-            rng = np.random.default_rng([30, seed])
-            ell = int(rng.integers(2, 4))
-            system, n = random_2x2_system(rng, ell), (9 if ell == 2 else 6)
-        monkeypatch.setattr(thermo, "_BLOCK", 128)
-        fused, single = _LevelData(system, n), _LevelData(system, n)
-        assert len(fused._w) == 128 < len(fused.logs1)
-        for s in (0.3, 0.999, 1.0, 1.5, 1.999):
-            got = fused.log_z_pair(s)
-            ref = [single.log_z(PotentialSpec(kind, s)) for kind in ("sv_s", "sv_s_squared")]
-            assert [x.hex() for x in got] == [x.hex() for x in ref], s
-            assert fused.log_z_pair(s) == got  # memoised: no further pass
-        assert fused.passes == single.passes == 10 and fused.sweeps == 8
-        assert single.sweeps == 16
-        for s in (0.3, 1.5):  # the pair's values serve single reads too
-            assert fused.log_z(PotentialSpec("sv_s_squared", s)) == single.log_z(
-                PotentialSpec("sv_s_squared", s))
-        assert fused.passes == 10
 
 
 def _mp_det_power_log_z(system, n, kind, s):
@@ -685,6 +678,141 @@ def test_streamed_level_memory():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert int(out.stdout) < 24 * 1024  # ru_maxrss is in KiB on Linux
+
+
+class TestTargetReadout:
+    """A target word's log sigma_1 is the engine's readout: the bits of the same word
+    in Lambda(n), for words read afresh and for targets that continue the last."""
+
+    @staticmethod
+    def _check(system, n, rng):
+        ell = system.ell
+        logs1 = [word_singvals(system.stacked(), m)[0] for m in range(1, n + 1)]
+        ranks = rng.choice(ell**n, min(ell**n, 40), replace=False)
+        chain = tuple(int(x) for x in rng.integers(1, ell + 1, n))  # each continues the last
+        words = [word_unrank(r, ell, n) for r in ranks] + [chain[:m] for m in range(1, n + 1)]
+        expect = [logs1[len(w) - 1][_rank(w, ell)] for w in words]
+        got = _TargetData(system, TargetSequence(words=tuple(words))).logs1
+        assert got.tobytes() == np.array(expect).tobytes()
+
+    def test_e3(self):
+        self._check(E3(), 10, np.random.default_rng(3))
+
+    @settings(derandomize=True, max_examples=20, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), ell=st.integers(2, 3), scale=st.integers(-40, 40))
+    def test_random_systems(self, seed, ell, scale):
+        rng = np.random.default_rng(seed)
+        system = GeneratorSystem(tuple(np.ldexp(A, scale) for A in
+                                       random_2x2_system(rng, ell).generators))
+        self._check(system, 8 if ell == 2 else 6, rng)
+
+
+def _rank(word, ell):
+    """Lexicographic rank of a word among the words of its length."""
+    rank = 0
+    for s in word:
+        rank = rank * ell + s - 1
+    return rank
+
+
+def _mp_log_singvals(nums, den, words):
+    """(log sigma_1, log |det|) at the working precision of the product of each word of
+    the integer 2x2 matrices nums / den (flat, row-major), from exact integer products."""
+    out = []
+    for word in words:
+        a, b, c, d = 1, 0, 0, 1
+        for j in word:  # later letters multiply on the left
+            p, q, r, t = nums[j - 1]
+            a, b, c, d = p * a + q * c, p * b + q * d, r * a + t * c, r * b + t * d
+        fro2, det = a * a + b * b + c * c + d * d, abs(a * d - b * c)
+        s1 = mpmath.sqrt((fro2 + mpmath.sqrt(fro2 * fro2 - 4 * det * det)) / 2)
+        scale = len(word) * mpmath.log(den)
+        out.append((mpmath.log(s1) - scale, mpmath.log(det) - 2 * scale))
+    return out
+
+
+def _mp_log_phi(l1, ld, kind, s):
+    """log phi^s (doubled for `sv_s_squared`) from log sigma_1 and log |det|."""
+    if s <= 1.0:
+        v = s * l1
+    elif s <= 2.0:
+        v = (2 - s) * l1 + (s - 1) * ld
+    else:
+        v = s / 2 * ld
+    return 2 * v if kind == "sv_s_squared" else v
+
+
+class TestRootIntervalOracle:
+    """Each reported end of s0, r0 and affinity-dim has its curve's sign at 50 digits:
+    the upper curve h(s, log Z_n / n, ...) is <= 0 at the upper end and the lower
+    curve h(s, (log Z_n + c log C(s)) / (n + k), ...) is >= 0 at the lower end
+    (both to 1e-12), with log Z_n over exact integer products of the generators
+    and C(s) from the report's constant. An upper end at a boundary tag (an
+    upper search of no steps) and a lower end of 0 are exempt."""
+
+    TARGETS = ((1,), (1, 2), (1, 2, 1), (1, 2, 1, 2), (1, 2, 1, 2, 1))
+
+    def _check(self, system, n, command):
+        from cocyclespan.quasimult import ConnectorConstant, GammaResult
+        from cocyclespan.rational2 import integer_matrices
+        nums, den = integer_matrices(system.stacked())
+        ell = system.ell
+        if command == "affinity":
+            rep, kinds = affinity_dimension(system, n, 1), ("sv_s",)
+        elif command == "s0":
+            rep, kinds = s0_interval(system, TargetSequence(self.TARGETS), n, 1), ("sv_s",)
+        else:
+            rep, kinds = r0_interval(system, 0.3, n, 1), ("sv_s", "sv_s_squared")
+        qm = rep.details["qm"]
+        if qm["mode"] == "conformal":
+            k, const = 0, lambda s: 1.0
+        else:
+            gamma = GammaResult(value=qm["gamma"], certified=True, k=qm["k"])
+            k = qm["k"]
+            const = functools.partial(ConnectorConstant(k, gamma, qm["min_det"]).value,
+                                      kind="sv_s")
+        with mpmath.workdps(50):
+            level = _mp_log_singvals(nums, den, itertools.product(range(1, ell + 1), repeat=n))
+            targets = _mp_log_singvals(nums, den, self.TARGETS)
+
+            def h(s, q):
+                if command == "s0":
+                    return q[0] - min(-_mp_log_phi(l1, ld, "sv_s", s) / len(w)
+                                      for w, (l1, ld) in zip(self.TARGETS, targets))
+                return q[0] if command == "affinity" else (1 - 0.3) * q[0] + 0.3 * q[1]
+
+            def log_z(kind, s):
+                return mpmath.log(mpmath.fsum(mpmath.exp(_mp_log_phi(l1, ld, kind, s))
+                                              for l1, ld in level))
+
+            lo, hi = rep.interval
+            checked = 0
+            if rep.root_search["upper"]["steps"] > 0:  # no boundary tag
+                assert h(hi, [log_z(kind, hi) / n for kind in kinds]) <= 1e-12
+                checked += 1
+            if lo > 0.0:
+                c = mpmath.log(const(lo))
+                q = [(log_z(kind, lo) + (2 if kind == "sv_s_squared" else 1) * c) / (n + k)
+                     for kind in kinds]
+                assert h(lo, q) >= -1e-12
+                checked += 1
+        return checked
+
+    @pytest.mark.parametrize("system", [E3(), E4()], ids=["e3", "e4"])
+    @pytest.mark.parametrize("command", ["affinity", "s0", "r0"])
+    def test_shipped_systems(self, system, command):
+        assert self._check(system, 8, command) == 2
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(nums=st.lists(st.lists(st.integers(-8, 8), min_size=4, max_size=4).filter(
+               lambda e: e[0] * e[3] != e[1] * e[2]), min_size=2, max_size=3),
+           n=st.integers(2, 8))
+    def test_dyadic_systems(self, nums, n):
+        # |det A_j| <= 1/2, so every upper curve changes sign inside (0, S_MAX)
+        system = GeneratorSystem(tuple(np.array(e, dtype=float).reshape(2, 2) / 16
+                                       for e in nums))
+        for command in ("affinity", "s0", "r0"):
+            assert self._check(system, min(n, 6) if len(nums) == 3 else n, command) >= 1
 
 
 @pytest.mark.parametrize("call,message", [
