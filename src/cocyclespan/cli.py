@@ -395,8 +395,6 @@ def _run_r0(cfg: RunConfig):
         beta = beta_hat(beta=o.beta)
     else:
         beta = beta_hat(psi_table=_psi_table(o.psi_table), tail_start=o.tail_start)
-    if beta.value >= 1:
-        raise InputError("recurrence dimension needs beta < 1")
     rep = r0_interval(cfg.system, beta.value, o.n, o.k_qm, budget=cfg.budget)
     out = _jsonable(rep)
     out["beta"] = _jsonable(beta)

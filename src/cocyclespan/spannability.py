@@ -9,16 +9,17 @@ A d = 2 margin (`full_algebra` levels included) bounds min over unit u of
 the max over word pairs |det(A_I u | A_J u)| (`_exact_margin`), from float
 pair quadratics. Exact decisions run in the Python ints of `rational2`, the
 M_k sweep and the common root on an exact system's rational basis included.
-Numeric margins bound sigma_d(stack of B_j u)^2 from below. At a saturated
-d >= 3 level that bound is closed-form: sigma_min of the stacked vec(B_j),
-squared (`_certify`). The d >= 4 multistart descends from one fixed start
-set, so every certificate is a function of the system alone.
+Numeric margins bound f(u) = min over unit w of |P(w u^T)|_F^2 from below, P
+the orthogonal projection onto M_k: sigma_d(stack of Q_j u)^2 for any
+orthonormal basis Q_j of M_k, so the margin is a property of M_k, not of
+the basis picked. A saturated d >= 3 level has f = 1 at every unit u
+(`_certify`). The d >= 4 multistart descends from one fixed start set, so
+every certificate is a function of the system alone.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .wordspace import DEFAULT_BUDGET, check_budget
 
 from .hypotheses import IrreducibilityVerdict, irreducibility_verdict, power_system
 
-TAU_SPAN = 1e-8          # threshold on the squared smallest stack singular value
+TAU_SPAN = 1e-8          # threshold on f(u) = sigma_d(stack of Q_j u)^2, Q_j orthonormal
 EXACT_PRODUCT_CAP = 4096  # pair quadratics use raw products up to this many words
 # Minimizer slack eps = Lipschitz constant * resolution. The sphere keeps the
 # slack of the uniform 1e-3 grid it replaced; one angle is cheap enough to
@@ -59,11 +60,6 @@ class MkBasis:
     @property
     def d(self) -> int:
         return self.basis.shape[1]
-
-    @cached_property
-    def stack(self) -> np.ndarray:
-        """The basis matrices, each scaled to operator norm 1."""
-        return self.basis / np.linalg.norm(self.basis, 2, axis=(1, 2))[:, None, None]
 
 
 def mk_bases(system: GeneratorSystem, k_max: int, *,
@@ -133,7 +129,11 @@ class SpannabilityCertificate:
 
 
 def _stack_f(B: np.ndarray, u: np.ndarray):
-    """sigma_d(stack of B_j u)^2, for one unit u or for each row of an (N, d) array."""
+    """sigma_d(stack of B_j u)^2, for one unit u or for each row of an (N, d) array.
+
+    Over an orthonormal basis B_j of M_k this is f(u) = min over unit w of
+    sum_j (w^T B_j u)^2 = |P(w u^T)|_F^2, the same for every such basis.
+    """
     img = np.einsum("rab,...b->...ra", B, u)
     return np.linalg.eigvalsh(np.swapaxes(img, -1, -2) @ img)[..., 0]
 
@@ -158,40 +158,37 @@ def _bnb_notes(what: str, lip: float, eps: float, evals: int, capped: bool) -> l
 
 def _numeric_certificate(system: GeneratorSystem, mk: MkBasis) -> SpannabilityCertificate:
     d = system.dim
-    B = mk.stack
+    B = mk.basis
     if d <= 3:
-        # the projective circle is theta in [0, pi]; the projective sphere is
-        # theta, phi in [0, pi], where |du| <= |dtheta| + |dphi|
-        lip = 2.0 * B.shape[0]
+        # For fixed unit w, |P(w u^T)|_F^2 has gradient 2 P(w u^T)^T w in u, of
+        # norm <= 2 |P(w u^T)|_F <= 2 |u|; a minimum over w keeps the bound. The
+        # projective circle is theta in [0, pi]; the projective sphere is theta,
+        # phi in [0, pi], where |du| <= |dtheta| + |dphi|: L = 2 in the angles.
+        lip = 2.0
         eps = lip * RESOLUTION[d - 1]
         cert, x, evals, capped = lipschitz_bnb(
             lambda X: _stack_f(B, _angles_to_unit(X)), lip, np.zeros(d - 1),
             np.full(d - 1, np.pi), TAU_SPAN, eps)
         notes = _bnb_notes("sphere minimum" if d == 3 else "circle minimum",
                            lip, eps, evals, capped)
-        f_star, u_star = _project_descend(B, _angles_to_unit(x))
+        # a capped search may still hold a floor above tau, but not one within
+        # eps of the minimum it was asked for, so it certifies nothing
+        if cert > TAU_SPAN and not capped:
+            return SpannabilityCertificate(
+                k=mk.k, status=SPANNABLE, margin=float(cert), exact=False,
+                method="bnb_certified", margin_certified=True, notes=tuple(notes))
+        starts = [_angles_to_unit(x)]
     else:
-        f_star, u_star = np.inf, None
-        for u in np.random.default_rng(42).standard_normal((64, d)):  # one fixed start set
-            u /= np.linalg.norm(u)
-            f, u = _project_descend(B, u)
-            if f < f_star:
-                f_star, u_star = f, u
-        cert, capped = -np.inf, False
+        rng = np.random.default_rng(42)  # one fixed start set
+        starts = [u / np.linalg.norm(u) for u in rng.standard_normal((64, d))]
+        cert = -np.inf
         notes = ["d >= 4: multistart search only, no certificate"]
-
-    # a capped search may still hold a floor above tau, but not one within eps
-    # of the minimum it was asked for, so it certifies nothing
-    if cert > TAU_SPAN and not capped:
-        return SpannabilityCertificate(
-            k=mk.k, status=SPANNABLE, margin=float(cert), exact=False,
-            method="bnb_certified", margin_certified=True, notes=tuple(notes))
+    f_star, u_star = min((_project_descend(B, u) for u in starts), key=lambda fu: fu[0])
     if f_star <= TAU_SPAN:
-        u_star = canonical_sign(u_star)
         return SpannabilityCertificate(
             k=mk.k, status=NOT_SPANNABLE, margin=0.0, exact=False,
-            method="numeric_minimizer", witness=u_star, witness_residual=float(f_star),
-            notes=tuple(notes))
+            method="numeric_minimizer", witness=canonical_sign(u_star),
+            witness_residual=float(f_star), notes=tuple(notes))
     return SpannabilityCertificate(
         k=mk.k, status=INCONCLUSIVE, margin=max(float(cert), 0.0), exact=False,
         method="numeric", notes=tuple(notes) + (
@@ -230,13 +227,11 @@ def _deficit_certificate(mk: MkBasis, exact: bool) -> SpannabilityCertificate:
     return SpannabilityCertificate(
         k=mk.k, status=NOT_SPANNABLE, margin=0.0, exact=exact,
         method="d2_exact" if exact else "rank_deficit",
-        witness=w, witness_residual=float(_stack_f(mk.stack, w)),
+        witness=w, witness_residual=float(_stack_f(mk.basis, w)),
         notes=(f"dim M_k = {mk.dim} < d",))
 
 
 def _exact_certificate(system: GeneratorSystem, mk: MkBasis) -> SpannabilityCertificate:
-    if mk.dim < system.dim:
-        return _deficit_certificate(mk, exact=True)
     exact, scales = mk.rows is not None, None
     if exact:  # an exact system's root is decided in integers
         # the pair quadratic of rows nums_i / den_i and nums_j / den_j, times den_i den_j
@@ -251,7 +246,7 @@ def _exact_certificate(system: GeneratorSystem, mk: MkBasis) -> SpannabilityCert
     if u is not None:
         return SpannabilityCertificate(
             k=mk.k, status=NOT_SPANNABLE, margin=0.0, exact=exact, method=method,
-            witness=u, witness_residual=float(_stack_f(mk.stack, u)))
+            witness=u, witness_residual=float(_stack_f(mk.basis, u)))
     margin, certified, notes = _exact_margin(system, mk)
     return SpannabilityCertificate(
         k=mk.k, status=SPANNABLE, margin=margin, exact=exact, method=method,
@@ -299,25 +294,23 @@ def _exact_margin(system: GeneratorSystem, mk: MkBasis) -> tuple[float, bool, tu
 def _certify(system: GeneratorSystem, mk: MkBasis) -> SpannabilityCertificate:
     """The certificate for one level M_k, as `spannable_at` describes it.
 
-    At a saturated d >= 3 level, with x = vec(w u^T) a unit vector for unit
-    u and w, sum_j (w^T B_j u)^2 = |S x|^2 >= sigma_min(S)^2, S the stacked
-    vec(B_j): a floor of sigma_d(stack of B_j u)^2 at every u.
+    At a saturated d >= 3 level the basis Q_j is orthonormal in all d x d
+    matrices, so sum_j Q_j u u^T Q_j^T = |u|^2 I and f = 1 at every unit u.
     """
     d = system.dim
     if mk.dim == d * d:
         if d == 2:
             margin, certified, notes = _exact_margin(system, mk)
         else:
-            sigma = np.linalg.svd(mk.stack.reshape(mk.dim, -1), compute_uv=False)[-1]
-            margin, certified, notes = float(sigma) ** 2, True, (
-                "margin: sigma_min(stacked vec B_j)^2, a closed-form floor at every u",)
+            margin, certified, notes = 1.0, True, (
+                "margin: 1, as sum_j Q_j u u^T Q_j^T = |u|^2 I over an orthonormal basis Q_j",)
         return SpannabilityCertificate(
             k=mk.k, status=SPANNABLE, margin=margin, exact=False, method="full_algebra",
             margin_certified=certified, notes=("M_k saturates the matrix space",) + notes)
+    if mk.dim < d:
+        return _deficit_certificate(mk, exact=d == 2)
     if d == 2:
         return _exact_certificate(system, mk)
-    if mk.dim < d:
-        return _deficit_certificate(mk, exact=False)
     return _numeric_certificate(system, mk)
 
 
@@ -326,7 +319,7 @@ def spannable_at(system: GeneratorSystem, k: int, *,
     """Certificate for k-uniform spannability.
 
     A saturated M_k (dim d^2) is immediately spannable, with the d = 2
-    word-pair margin of the module docstring or the closed-form d >= 3 floor;
+    word-pair margin of the module docstring or the d >= 3 margin 1;
     otherwise the d = 2 polynomial path decides exactly, the certified sphere
     minimization handles d = 3 and a multistart search d >= 4.
     """

@@ -343,12 +343,14 @@ class BetaEstimate:
 
 def beta_hat(psi_table=None, beta: float | None = None,
              tail_start: int | None = None) -> BetaEstimate:
-    """Tail-minimum proxy for liminf psi(n)/n, or a passthrough explicit beta."""
+    """Tail-minimum proxy for liminf psi(n)/n, or a passthrough explicit beta;
+    either must lie below 1, as the recurrence dimension needs."""
     if beta is not None:
         if beta < 0:
             raise InputError("beta must be nonnegative")
-        warn = () if beta < 1 else ("recurrence dimension needs beta < 1",)
-        return BetaEstimate(value=float(beta), explicit=True, warnings=warn)
+        if beta >= 1:
+            raise InputError("recurrence dimension needs beta < 1")
+        return BetaEstimate(value=float(beta), explicit=True)
     if not psi_table:
         raise InputError("provide either a psi table or an explicit beta")
     pairs = sorted((int(n), float(v)) for n, v in psi_table)
@@ -359,15 +361,14 @@ def beta_hat(psi_table=None, beta: float | None = None,
     tail = [(n, v) for n, v in pairs if n >= tail_start]
     if not tail:
         raise InputError("tail_start leaves an empty tail")
-    ratios = [v / n for n, v in tail]
-    value = min(ratios)
+    value = min(v / n for n, v in tail)
+    if value >= 1:
+        raise InputError("recurrence dimension needs beta < 1")
     warnings = []
     n_hi = pairs[-1][0]
     quart = [v / n for n, v in pairs if n >= n_hi - (n_hi - pairs[0][0]) / 4]
     if len(quart) >= 2 and max(quart) - min(quart) > 0.01:
         warnings.append("liminf proxy unstable: last-quartile spread above 0.01")
-    if value >= 1:
-        warnings.append("recurrence dimension needs beta < 1")
     return BetaEstimate(value=float(value), explicit=False, tail_start=tail_start,
                         warnings=tuple(warnings))
 

@@ -65,7 +65,7 @@ def seeded_multistart_certificate(system, mk, seed=42):
     starts drawn one at a time from rng(seed), for the fixed start set of
     `_numeric_certificate` to be checked against."""
     d = system.dim
-    B = mk.stack
+    B = mk.basis
     rng = np.random.default_rng(seed)
     f_star, u_star = np.inf, None
     for _ in range(64):

@@ -35,7 +35,7 @@ E3_CONFIG = {
 }
 R0_CONFIG = dict(E3_CONFIG, command="r0",
                  options={"psi_table": [[2, 1.0], [4, 2.0]], "n": 6, "k_qm": 1})
-# five 3x3 generators spannable at k = 1; the sphere minimizer needs about 7e5 evaluations
+# five 3x3 generators spannable at k = 1; the sphere minimizer needs about 4e5 evaluations
 D3_SPANNABLE_CONFIG = {
     "system": {"dimension": 3, "generators": [
         ["1.21875", "0.78125", "0.28125", "-0.8125", "1.3125", "0.40625", "-0.4375",

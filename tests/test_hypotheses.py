@@ -469,6 +469,32 @@ def test_exact_d2_power_cocycles_against_fraction_products(data):
     assert (v.status != IRREDUCIBLE) == _fraction_invariant_line(exact)
 
 
+@pytest.mark.parametrize("d,t", [(3, 1), (3, 3), (4, 1), (4, 2), (4, 4)])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_d3_d4_power_cocycles_are_exact_integer_products(d, t, ell):
+    """Five draws of ell dyadic k/16 generators at d = 3 and 4: every length-t
+    product is exact in floats, so the power cocycle's stack is the exact
+    integer products (`rational2._times`, lexicographic words) over scale^t,
+    bit for bit."""
+    rng = np.random.default_rng([d, t, ell])
+    for _ in range(5):
+        while True:
+            try:
+                system = GeneratorSystem(tuple(rng.integers(-32, 33, (ell, d, d)) / 16.0))
+                break
+            except InputError:
+                continue
+        gens, scale = integer_matrices(system.stacked())
+        exact = []
+        for word in enumerate_words(ell, t):
+            P = gens[word[0] - 1]
+            for s in word[1:]:  # as in `_fraction_power`: A_s times the prefix's product
+                P = _times(gens[s - 1], P, d)
+            exact.append([x / scale**t for x in P])
+        assert power_system(system, t).stacked().tobytes() == \
+            np.array(exact).reshape(-1, d, d).tobytes()
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda: power_system(E2(), 0), "power exponent must be >= 1"),
     (lambda: check_hypotheses(E2(), "theorem_4_3"), "unknown hypothesis mode 'theorem_4_3'"),

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,18 +8,18 @@ import pytest
 from cocyclespan import E1, E2, E3, GeneratorSystem
 from cocyclespan.errors import ContractViolation, InputError
 from cocyclespan.fixtures import ROT90
-from cocyclespan import kernels
+from cocyclespan import kernels, spannability
 from cocyclespan.kernels import dense_products, pair_abs_max, pair_quadratics
 from cocyclespan.rational2 import pair_quadratic
 from cocyclespan.cli import _jsonable
-from cocyclespan.spannability import (INCONCLUSIVE, NOT_SPANNABLE, TAU_SPAN, _stack_f,
-                                      diagnose_failure, minimal_spannable_k, mk_bases, mk_basis,
-                                      spannable_at)
+from cocyclespan.spannability import (INCONCLUSIVE, NOT_SPANNABLE, TAU_SPAN, _certify,
+                                      _numeric_certificate, _stack_f, diagnose_failure,
+                                      minimal_spannable_k, mk_bases, mk_basis, spannable_at)
 
 from _helpers import (D3, numeric_certificate, random_2x2_system, random_reducible_system,
                       rational, seeded_multistart_certificate)
 
-SATURATED_NOTE = "margin: sigma_min(stacked vec B_j)^2, a closed-form floor at every u"
+SATURATED_NOTE = "margin: 1, as sum_j Q_j u u^T Q_j^T = |u|^2 I over an orthonormal basis Q_j"
 # a quarter turn in the (e1, e2) plane and a stretch along e3: M_k u never spans R^3
 ROT3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
 DIAG_PAIR = GeneratorSystem((np.diag([2.0, 3.0]), np.diag([1.0, 4.0])))
@@ -171,25 +172,31 @@ class TestSpannableAt:
         cert = spannable_at(GeneratorSystem((A, ROT90), exact=False), 1)
         assert (cert.status, cert.method, cert.exact) == ("Spannable", "d2_float", False)
 
-    def test_saturated_d3_level_samples(self):
+    def test_saturated_d3_level_samples(self, monkeypatch):
         system = GeneratorSystem(tuple(np.random.default_rng(3).standard_normal((3, 3, 3))))
-        cert = spannable_at(system, 2)
+        mk = mk_basis(system, 2)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a saturated level needs no SVD")
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        cert = _certify(system, mk)
         assert cert.method == "full_algebra" and cert.spannable and cert.margin_certified
-        assert cert.margin > 0.0
+        assert cert.margin == 1.0
         assert cert.notes == ("M_k saturates the matrix space", SATURATED_NOTE)
 
     @pytest.mark.parametrize("d,ell,k", [(3, 3, 2), (3, 2, 4), (4, 3, 3), (4, 2, 5)])
     @pytest.mark.parametrize("seed", range(3))
     def test_saturated_margin_is_below_sampled_f(self, d, ell, k, seed):
-        # sum_j (w^T B_j u)^2 >= sigma_min(stacked vec B_j)^2 at every unit u and w
+        # over an orthonormal basis Q_j of all matrices, sum_j Q_j u u^T Q_j^T = I
         system = GeneratorSystem(tuple(
             np.random.default_rng([d, ell, seed]).standard_normal((ell, d, d))))
         mk = mk_basis(system, k)
         cert = spannable_at(system, k)
         assert mk.dim == d * d and cert.method == "full_algebra" and cert.margin_certified
+        assert cert.margin == 1.0
         us = np.random.default_rng(seed).standard_normal((10_000, d))
         us /= np.linalg.norm(us, axis=1, keepdims=True)
-        assert 0.0 < cert.margin <= _stack_f(mk.stack, us).min()
+        assert np.abs(_stack_f(mk.basis, us) - 1.0).max() <= 1e-12
 
     def test_indefinite_pairs_margin_from_minimizer(self):
         cert = spannable_at(INDEFINITE_PAIRS, 1)
@@ -265,7 +272,7 @@ class TestSphereCertificate:
             cert = spannable_at(d3_five_generators(rng), 1)
             assert cert.spannable and cert.margin_certified and cert.margin > TAU_SPAN
             (note,) = cert.notes
-            assert note.startswith("sphere minimum") and "L = 10, eps = 0.01," in note
+            assert note.startswith("sphere minimum") and "L = 2, eps = 0.002," in note
             assert "evaluations" in note
 
     def test_cap_makes_inconclusive(self, monkeypatch):
@@ -273,6 +280,94 @@ class TestSphereCertificate:
         cert = spannable_at(d3_five_generators(np.random.default_rng(2025)), 1)
         assert cert.status == INCONCLUSIVE and not cert.margin_certified
         assert any("cap of 5000 evaluations" in n and "after 4096" in n for n in cert.notes)
+
+
+def partial_levels():
+    """Derandomized d = 3 and d = 4 levels with d <= dim M_k < d^2."""
+    rng = np.random.default_rng(33)
+    levels = [mk_basis(d3_five_generators(rng), 1) for _ in range(2)]
+    levels += [mk_basis(d3_block_triangular(rng)[0], k) for k in (1, 2)]
+    levels += [mk_basis(GeneratorSystem(tuple(rng.standard_normal((ell, 4, 4)))), 1)
+               for ell in (4, 7, 11, 15)]
+    assert all(mk.d <= mk.dim < mk.d**2 for mk in levels)
+    return levels
+
+
+def unit_rows_of(u):
+    return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+def unit_rows(rng, n, d):
+    return unit_rows_of(rng.standard_normal((n, d)))
+
+
+class TestMarginOfMk:
+    """The numeric margin reads f(u) = min over unit w of |P(w u^T)|_F^2, P the
+    projection onto M_k, through the orthonormal basis of M_k."""
+
+    def _read_basis(self, monkeypatch, mk):
+        # the matrices the certificate's f is formed from: the first `_stack_f` call's
+        class Read(Exception):
+            pass
+
+        def record(B, u):
+            raise Read(B)
+        monkeypatch.setattr(spannability, "_stack_f", record)
+        with pytest.raises(Read) as read:
+            _numeric_certificate(GeneratorSystem((np.eye(mk.d),)), mk)
+        monkeypatch.undo()
+        return read.value.args[0]
+
+    def test_f_is_the_same_for_every_orthonormal_basis(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        for mk in partial_levels():
+            R, _ = np.linalg.qr(rng.standard_normal((mk.dim, mk.dim)))
+            turned = replace(mk, basis=np.einsum("ij,jab->iab", R, mk.basis))
+            us = unit_rows(rng, 1000, mk.d)
+            f = _stack_f(self._read_basis(monkeypatch, mk), us)
+            f_turned = _stack_f(self._read_basis(monkeypatch, turned), us)
+            assert np.abs(f - f_turned).max() <= 1e-12
+
+    def test_f_is_2_lipschitz(self):
+        rng = np.random.default_rng(35)
+        for mk in partial_levels():
+            us = unit_rows(rng, 10_000 // 8, mk.d)
+            vs = us + 10.0 ** rng.uniform(-6, -1, (len(us), 1)) * unit_rows(rng, len(us), mk.d)
+            vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+            gap = np.abs(_stack_f(mk.basis, us) - _stack_f(mk.basis, vs))
+            assert (gap <= 2.0 * np.linalg.norm(us - vs, axis=1) + 1e-15).all()
+
+    def test_sphere_margin_brackets_the_sampled_minimum(self):
+        # a certified margin is a floor of min f, within eps = 2 * 1e-3 of it;
+        # 5000 samples spread over the sphere, then five rounds of 1000 close in
+        # on the best so far, from within 0.05 of it down to within 8e-5
+        rng = np.random.default_rng(36)
+        certified = 0
+        for _ in range(12):
+            system = d3_five_generators(rng)
+            cert = spannable_at(system, 1)
+            if cert.method != "bnb_certified":
+                continue
+            certified += 1
+            B = mk_basis(system, 1).basis
+            us = unit_rows(rng, 5000, 3)
+            f = _stack_f(B, us)
+            best, f_min = us[np.argmin(f)], f.min()
+            for r in range(5):
+                us = unit_rows_of(best + 0.05 * 0.2**r * rng.uniform(0, 1, (1000, 1))
+                                  * unit_rows(rng, 1000, 3))
+                f = _stack_f(B, us)
+                if f.min() < f_min:
+                    best, f_min = us[np.argmin(f)], f.min()
+            assert f_min - 0.002 <= cert.margin <= f_min
+        assert certified >= 10
+
+    def test_certified_level_runs_no_descent(self, monkeypatch):
+        def no_descent(B, u):
+            raise AssertionError("a certified level needs no descent")
+        monkeypatch.setattr(spannability, "_project_descend", no_descent)
+        cert = spannable_at(d3_five_generators(np.random.default_rng(2025)), 1)
+        assert cert.method == "bnb_certified" and cert.margin_certified
 
 
 class TestDeficitAndMultistart:

@@ -218,9 +218,12 @@ class TestAlphaBeta:
 
     def test_beta_explicit(self):
         assert beta_hat(beta=0.3).value == 0.3
-        est = beta_hat(psi_table=[(n, n) for n in range(1, 50)], tail_start=10)
-        assert est.value == 1.0
-        assert any("beta < 1" in w for w in est.warnings)
+        # an explicit or estimated beta >= 1 is an input error
+        for kwargs in ({"beta": 1.0}, {"beta": 1.5},
+                       {"psi_table": [(n, n) for n in range(1, 50)], "tail_start": 10}):
+            with pytest.raises(InputError) as err:
+                beta_hat(**kwargs)
+            assert str(err.value) == "recurrence dimension needs beta < 1"
 
     def test_beta_unstable_last_quartile(self):
         # n >= 17.5 is the last quartile of 10..20: ratios 0.5, 8/19 and 0.5
