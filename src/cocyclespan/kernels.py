@@ -8,23 +8,17 @@ numpy's own pairwise order (a minimum or maximum, exact in any order, may run in
 blocks).
 
 One certified minimizer, `lipschitz_bnb`: a batched Lipschitz branch and bound
-over an angle box. It certifies the spannability circle and sphere and the
-pair-quadratic margin. The gamma torus keeps its dense grid (`minimax_grid2`)
-over one period, [0, pi)^2: |w^T A_K u| has period pi in each angle, so G
-angles per axis at the step pi / G hold every value that a full-period grid of
-2G angles per axis holds, at a quarter of its points. The grid is folded in
+over an angle box. It certifies the spannability circle and sphere. The gamma
+torus keeps its dense grid (`minimax_grid2`) over one period, [0, pi)^2:
+|w^T A_K u| has period pi in each angle, so G angles per axis at the step
+pi / G hold every value that a full-period grid of 2G angles per axis holds,
+at a quarter of its points. The grid is folded in
 blocks of at most `_GRID_ROWS` rows, so it holds two such blocks, not three
 G x G arrays. The blocks are small so that both stay in a core's L2 cache
 while every K folds into them: two 0.25 MB blocks at the 1000 angles folded
 (larger blocks took longer; BENCH_log_z_grid.json). Every block is a
 matrix-matrix product of at least two rows, and the block size moved no bit
 of (min, iw, iu) on E2, E3 and 20 random systems at k = 1..3.
-
-`pair_quadratics` forms the float pair quadratics det(A_i u | A_j u) of the
-d = 2 margin a block of rows at a time, at most about `_PAIRS` pairs each, so
-memory stays linear in the word count (all C(4096, 2) index pairs at once
-take 134 MB); `pair_abs_max` folds given blocks at a batch of angles, so a
-caller that already holds the only block does not form it again.
 
 The only word-product engine: A_I = 2^exponent * unit, with an integer
 exponent. Every word product the library reads comes from it, the connector
@@ -136,7 +130,6 @@ _STREAM = 1 << 15         # most words a streamed level extends at once
 _SWEEP_BUFFER = 512       # numpy's ufunc buffer size, in elements, inside `_sweep`
 _CHUNK_ROWS = 64          # fewest head rows a streamed chunk grows, where the head level allows
 _GRID_ROWS = 32           # most grid rows `minimax_grid2` folds at once
-_PAIRS = 1 << 16          # most word pairs (or pair-angle values) formed at once
 
 
 def _cadence(gens: np.ndarray) -> int:
@@ -492,45 +485,6 @@ def minimax_grid2(kmats: np.ndarray, G: int):
     j = int(np.argmin(mins))
     iw, iu = divmod(where[j], G)
     return float(mins[j]), iw, iu
-
-
-def pair_quadratics(mats: np.ndarray):
-    """(q20, q11, q02) of det(A_i u | A_j u) = q20 x^2 + q11 x y + q02 y^2, u = (x, y),
-    for every pair i < j of an (N, 2, 2) stack: one (3, P) array per block of rows i.
-
-    Pairs come in the row-major order of np.triu_indices(N, 1), at most about
-    `_PAIRS` of them per block (at least one row). The coefficients are the
-    formula of `rational2.pair_quadratic` evaluated in floats, left to right.
-    """
-    a, b, c, d = (mats[:, r, s] for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    n = len(mats)
-    rows = max(1, _PAIRS // n)
-    for i0 in range(0, n - 1, rows):
-        i = np.arange(i0, min(i0 + rows, n - 1))
-        ai, bi, ci, di = (x[i, None] for x in (a, b, c, d))
-        aj, bj, cj, dj = (x[i0 + 1:] for x in (a, b, c, d))
-        q = np.stack([ai * cj - ci * aj, ai * dj + bi * cj - ci * bj - di * aj,
-                      bi * dj - di * bj])
-        yield q[:, np.arange(i0 + 1, n) > i[:, None]]
-
-
-def pair_abs_max(blocks, th: np.ndarray) -> np.ndarray:
-    """max over pairs of |q20 x^2 + q11 x y + q02 y^2| at (x, y) = (cos th, sin th),
-    per angle, over the (3, P) blocks of `pair_quadratics`.
-
-    Each block is evaluated at as many angles at once as keep the
-    pair-by-angle array within about `_PAIRS` values.
-    """
-    x, y = np.cos(th), np.sin(th)
-    acc = np.zeros(len(th))
-    for q20, q11, q02 in blocks:
-        step = max(1, _PAIRS // len(q20))
-        q20, q11, q02 = q20[:, None], q11[:, None], q02[:, None]
-        for s in range(0, len(th), step):
-            xs, ys, out = x[s:s + step], y[s:s + step], acc[s:s + step]
-            np.maximum(out, np.abs(q20 * xs * xs + q11 * xs * ys + q02 * ys * ys).max(axis=0),
-                       out=out)
-    return acc
 
 
 def lipschitz_bnb(f, lip: float, lo, hi, tau: float, eps: float):

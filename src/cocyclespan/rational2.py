@@ -19,8 +19,7 @@ For exact systems the quadratics have integer coefficients, each the true
 move no root, so the decision is exact for the stored matrices, and the
 scale is divided back out, correctly rounded, where a root becomes floats.
 Inputs flagged as inexact decimal data get a float twin with relative
-tolerance, on float quadratics. Other pair quadratics are floats
-(`kernels.pair_quadratics`).
+tolerance, on float quadratics: `pair_quadratic` of float matrices.
 """
 from __future__ import annotations
 

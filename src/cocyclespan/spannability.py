@@ -5,16 +5,17 @@ R^d for every nonzero u. Testing goes through M_k = span{A_I : |I| = k}: the
 image space V_{u,k} equals M_k u, which collapses ell^k images into at most
 d^2 basis elements and turns "for all u" into a minimax over one sphere.
 
-A d = 2 margin (`full_algebra` levels included) bounds min over unit u of
-the max over word pairs |det(A_I u | A_J u)| (`_exact_margin`), from float
-pair quadratics. Exact decisions run in the Python ints of `rational2`, the
-M_k sweep and the common root on an exact system's rational basis included.
-Numeric margins bound f(u) = min over unit w of |P(w u^T)|_F^2 from below, P
-the orthogonal projection onto M_k: sigma_d(stack of Q_j u)^2 for any
-orthonormal basis Q_j of M_k, so the margin is a property of M_k, not of
-the basis picked. A saturated d >= 3 level has f = 1 at every unit u
-(`_certify`). The d >= 4 multistart descends from one fixed start set, so
-every certificate is a function of the system alone.
+Every margin, at every d and k, bounds f(u) = min over unit w of
+|P(w u^T)|_F^2 from below, P the orthogonal projection onto M_k:
+sigma_d(stack of Q_j u)^2 for any orthonormal basis Q_j of M_k, so the
+margin is a property of M_k, not of the basis picked. A saturated level has
+f = 1 at every unit u (`_certify`); at d = 2 a level of dimension 3 takes f
+in closed form (`_d2_margin`), and the circle and the d = 3 sphere take the
+one Lipschitz branch and bound (`_bnb_floor`). A d = 2 status is decided by
+a common root of the basis pair quadratics. Exact decisions run in the
+Python ints of `rational2`, the M_k sweep and that common root on an exact
+system's rational basis included. The d >= 4 multistart descends from one fixed
+start set, so every certificate is a function of the system alone.
 """
 from __future__ import annotations
 
@@ -25,8 +26,8 @@ import numpy as np
 
 from . import kernels
 from .errors import ContractViolation, InputError
-from .kernels import dense_products, lipschitz_bnb, pair_abs_max, pair_quadratics
-from .linalg import (SubspaceBasis, canonical_sign, span_basis, subspace_distance,
+from .kernels import lipschitz_bnb
+from .linalg import (SubspaceBasis, canonical_sign, null_space, span_basis, subspace_distance,
                      wedge_index_sets, wedge_power)
 from .rational2 import (_RationalSpan, _orthonormal_float, _times, common_root_line,
                         integer_matrices, pair_quadratic)
@@ -35,12 +36,11 @@ from .wordspace import DEFAULT_BUDGET, check_budget
 
 from .hypotheses import IrreducibilityVerdict, irreducibility_verdict, power_system
 
-TAU_SPAN = 1e-8          # threshold on f(u) = sigma_d(stack of Q_j u)^2, Q_j orthonormal
-EXACT_PRODUCT_CAP = 4096  # pair quadratics use raw products up to this many words
-# Minimizer slack eps = Lipschitz constant * resolution. The sphere keeps the
-# slack of the uniform 1e-3 grid it replaced; one angle is cheap enough to
-# search ten times finer, which keeps circle margins above the old grid's.
+TAU_SPAN = 1e-8  # threshold on f(u) = sigma_d(stack of Q_j u)^2, Q_j orthonormal
+# Minimizer slack eps = Lipschitz constant * resolution; one angle is cheap
+# enough to search ten times finer than two
 RESOLUTION = {1: 1e-4, 2: 1e-3}  # by number of angles
+SATURATED_NOTE = "margin: 1, as sum_j Q_j u u^T Q_j^T = |u|^2 I over an orthonormal basis Q_j"
 
 SPANNABLE = "Spannable"
 NOT_SPANNABLE = "NotSpannable"
@@ -147,35 +147,37 @@ def _angles_to_unit(x: np.ndarray) -> np.ndarray:
     return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
 
 
-def _bnb_notes(what: str, lip: float, eps: float, evals: int, capped: bool) -> list[str]:
-    notes = [f"{what}: Lipschitz branch and bound, L = {lip:.6g}, eps = {eps:.6g}, "
-             f"{evals} evaluations"]
+def _bnb_floor(mk: MkBasis):
+    """(floor, best angles, notes, capped): the certified floor of min f over the
+    projective circle (d = 2) or sphere (d = 3), by `lipschitz_bnb`."""
+    d = mk.d
+    # For fixed unit w, |P(w u^T)|_F^2 has gradient 2 P(w u^T)^T w in u, of
+    # norm <= 2 |P(w u^T)|_F <= 2 |u|; a minimum over w keeps the bound. The
+    # projective circle is theta in [0, pi]; the projective sphere is theta,
+    # phi in [0, pi], where |du| <= |dtheta| + |dphi|: L = 2 in the angles.
+    lip = 2.0
+    eps = lip * RESOLUTION[d - 1]
+    floor, x, evals, capped = lipschitz_bnb(
+        lambda X: _stack_f(mk.basis, _angles_to_unit(X)), lip, np.zeros(d - 1),
+        np.full(d - 1, np.pi), TAU_SPAN, eps)
+    notes = [f"{'sphere' if d == 3 else 'circle'} minimum: Lipschitz branch and bound, "
+             f"L = {lip:.6g}, eps = {eps:.6g}, {evals} evaluations"]
     if capped:
         notes.append(f"branch and bound stopped at its cap of {kernels.BNB_MAX_EVALS} "
                      f"evaluations (kernels.BNB_MAX_EVALS) after {evals}")
-    return notes
+    return float(floor), x, notes, capped
 
 
 def _numeric_certificate(system: GeneratorSystem, mk: MkBasis) -> SpannabilityCertificate:
     d = system.dim
     B = mk.basis
     if d <= 3:
-        # For fixed unit w, |P(w u^T)|_F^2 has gradient 2 P(w u^T)^T w in u, of
-        # norm <= 2 |P(w u^T)|_F <= 2 |u|; a minimum over w keeps the bound. The
-        # projective circle is theta in [0, pi]; the projective sphere is theta,
-        # phi in [0, pi], where |du| <= |dtheta| + |dphi|: L = 2 in the angles.
-        lip = 2.0
-        eps = lip * RESOLUTION[d - 1]
-        cert, x, evals, capped = lipschitz_bnb(
-            lambda X: _stack_f(B, _angles_to_unit(X)), lip, np.zeros(d - 1),
-            np.full(d - 1, np.pi), TAU_SPAN, eps)
-        notes = _bnb_notes("sphere minimum" if d == 3 else "circle minimum",
-                           lip, eps, evals, capped)
+        cert, x, notes, capped = _bnb_floor(mk)
         # a capped search may still hold a floor above tau, but not one within
         # eps of the minimum it was asked for, so it certifies nothing
         if cert > TAU_SPAN and not capped:
             return SpannabilityCertificate(
-                k=mk.k, status=SPANNABLE, margin=float(cert), exact=False,
+                k=mk.k, status=SPANNABLE, margin=cert, exact=False,
                 method="bnb_certified", margin_certified=True, notes=tuple(notes))
         starts = [_angles_to_unit(x)]
     else:
@@ -231,86 +233,60 @@ def _deficit_certificate(mk: MkBasis, exact: bool) -> SpannabilityCertificate:
         notes=(f"dim M_k = {mk.dim} < d",))
 
 
-def _exact_certificate(system: GeneratorSystem, mk: MkBasis) -> SpannabilityCertificate:
-    exact, scales = mk.rows is not None, None
-    if exact:  # an exact system's root is decided in integers
-        # the pair quadratic of rows nums_i / den_i and nums_j / den_j, times den_i den_j
-        mats = [((nums[0], nums[1]), (nums[2], nums[3])) for _, nums, _ in mk.rows]
-        dens = [den for *_, den in mk.rows]
-        pairs = [(i, j) for i in range(len(mats)) for j in range(i + 1, len(mats))]
-        quads = [pair_quadratic(mats[i], mats[j]) for i, j in pairs]
-        scales = [dens[i] * dens[j] for i, j in pairs]
-    else:
-        quads = [q for block in pair_quadratics(mk.basis) for q in block.T.tolist()]
+def _exact_certificate(mk: MkBasis) -> SpannabilityCertificate:
+    """A d = 2 level of dimension 2 or 3: Spannable unless the pair quadratics
+    det(B_i u | B_j u) of its basis share a root line u."""
+    exact = mk.rows is not None
+    # an exact system's root is decided in integers: the pair quadratic of rows
+    # nums_i / den_i and nums_j / den_j, times den_i den_j
+    mats = ([((nums[0], nums[1]), (nums[2], nums[3])) for _, nums, _ in mk.rows] if exact
+            else mk.basis.tolist())
+    pairs = [(i, j) for i in range(len(mats)) for j in range(i + 1, len(mats))]
+    quads = [pair_quadratic(mats[i], mats[j]) for i, j in pairs]
+    scales = [mk.rows[i][2] * mk.rows[j][2] for i, j in pairs] if exact else None
     u, method = common_root_line(quads, exact, scales)
     if u is not None:
         return SpannabilityCertificate(
             k=mk.k, status=NOT_SPANNABLE, margin=0.0, exact=exact, method=method,
             witness=u, witness_residual=float(_stack_f(mk.basis, u)))
-    margin, certified, notes = _exact_margin(system, mk)
+    margin, certified, notes = _d2_margin(mk)
     return SpannabilityCertificate(
         k=mk.k, status=SPANNABLE, margin=margin, exact=exact, method=method,
         margin_certified=certified, notes=notes)
 
 
-def _exact_margin(system: GeneratorSystem, mk: MkBasis) -> tuple[float, bool, tuple[str, ...]]:
-    """Lower bound for min over unit u of the max over word pairs |det(A_I u | A_J u)|.
+def _d2_margin(mk: MkBasis) -> tuple[float, bool, tuple[str, ...]]:
+    """Lower bound for min f of a Spannable d = 2 level of dimension 2 or 3.
 
-    A pair quadratic's eigenvalues m +- r, m = (q20 + q02)/2 and
-    r = |((q20 - q02)/2, q11/2)|, share a sign iff |m| > r; then |m| - r is its
-    min |q| on the circle, and the best such pair bounds the minimax. When
-    every pair is indefinite the Lipschitz branch and bound on the max over
-    pairs takes over, with L = 2 max(|m| + r).
-
-    Above `EXACT_PRODUCT_CAP` words the pairs are those of the orthonormal
-    basis of M_k, and the margin certifies positivity only: it bounds another
-    minimax, on another scale than the word pairs', so it must not be compared
-    across k (the conformal pair gives 1.11e-05 at k = 12 and 0.5 at k = 13).
+    At dimension 3, M_k is the orthogonal complement of one unit matrix N, and
+    |P(w u^T)|_F^2 = 1 - (w^T N u)^2 for unit w and u, so f(u) = 1 - |N u|^2
+    and min f = 1 - sigma_1(N)^2 = sigma_2(N)^2, as |N|_F = 1: no search. At
+    dimension 2 the circle branch and bound bounds it.
     """
-    if system.ell**mk.k <= EXACT_PRODUCT_CAP:
-        mats = dense_products(system.stacked(), mk.k)
-        notes = []
-    else:
-        mats = mk.basis
-        notes = ["margin quadratics use the reduced basis (word count above cap)"]
-    best, lip, blocks = 0.0, 0.0, 0
-    for block in pair_quadratics(mats):
-        q20, q11, q02 = block
-        m, r = np.abs(q20 + q02) / 2, np.hypot((q20 - q02) / 2, q11 / 2)
-        best = max(best, float((m - r).max()))
-        lip = max(lip, 2.0 * float((m + r).max()))
-        blocks += 1
-    if best > 0.0:
-        return best, True, tuple(notes)
-    eps = lip * RESOLUTION[1]
-    # a single block is kept for every round; more are formed again, one at a time
-    held = [block] if blocks == 1 else None
-    cert, _x, evals, capped = lipschitz_bnb(
-        lambda X: pair_abs_max(held or pair_quadratics(mats), X[:, 0]), lip, [0.0], [np.pi], 0.0, eps)
-    notes += _bnb_notes("margin over pair quadratics", lip, eps, evals, capped)
-    return max(cert, 0.0), cert > 0.0 and not capped, tuple(notes)
+    if mk.dim == 3:
+        (N,) = null_space(mk.basis.reshape(3, 4))
+        margin = float(np.linalg.svd(N.reshape(2, 2), compute_uv=False)[1] ** 2)
+        return margin, True, ("margin: sigma_2(N)^2, M_k the orthogonal complement of "
+                              "the unit matrix N",)
+    floor, _, notes, capped = _bnb_floor(mk)
+    return max(floor, 0.0), floor > TAU_SPAN and not capped, tuple(notes)
 
 
 def _certify(system: GeneratorSystem, mk: MkBasis) -> SpannabilityCertificate:
     """The certificate for one level M_k, as `spannable_at` describes it.
 
-    At a saturated d >= 3 level the basis Q_j is orthonormal in all d x d
-    matrices, so sum_j Q_j u u^T Q_j^T = |u|^2 I and f = 1 at every unit u.
+    At a saturated level the basis Q_j is orthonormal in all d x d matrices,
+    so sum_j Q_j u u^T Q_j^T = |u|^2 I and f = 1 at every unit u.
     """
     d = system.dim
     if mk.dim == d * d:
-        if d == 2:
-            margin, certified, notes = _exact_margin(system, mk)
-        else:
-            margin, certified, notes = 1.0, True, (
-                "margin: 1, as sum_j Q_j u u^T Q_j^T = |u|^2 I over an orthonormal basis Q_j",)
         return SpannabilityCertificate(
-            k=mk.k, status=SPANNABLE, margin=margin, exact=False, method="full_algebra",
-            margin_certified=certified, notes=("M_k saturates the matrix space",) + notes)
+            k=mk.k, status=SPANNABLE, margin=1.0, exact=False, method="full_algebra",
+            margin_certified=True, notes=("M_k saturates the matrix space", SATURATED_NOTE))
     if mk.dim < d:
         return _deficit_certificate(mk, exact=d == 2)
     if d == 2:
-        return _exact_certificate(system, mk)
+        return _exact_certificate(mk)
     return _numeric_certificate(system, mk)
 
 
@@ -318,8 +294,7 @@ def spannable_at(system: GeneratorSystem, k: int, *,
                  budget: int = DEFAULT_BUDGET) -> SpannabilityCertificate:
     """Certificate for k-uniform spannability.
 
-    A saturated M_k (dim d^2) is immediately spannable, with the d = 2
-    word-pair margin of the module docstring or the d >= 3 margin 1;
+    A saturated M_k (dim d^2) is immediately spannable, with margin 1;
     otherwise the d = 2 polynomial path decides exactly, the certified sphere
     minimization handles d = 3 and a multistart search d >= 4.
     """

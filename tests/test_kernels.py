@@ -13,7 +13,7 @@ from cocyclespan import E2, E3, GeneratorSystem
 from cocyclespan import kernels
 from cocyclespan.kernels import (_LN2, _count_classes, _extend_level, _log_det, _log_sigma1,
                                  _normalise, dense_products, level_singvals, lipschitz_bnb,
-                                 minimax_grid2, pair_quadratics, sigma1_2x2, word_singvals)
+                                 minimax_grid2, sigma1_2x2, word_singvals)
 from cocyclespan.spannability import TAU_SPAN, _angles_to_unit, _stack_f
 from cocyclespan.thermo import pressure_brackets
 from cocyclespan.wordspace import enumerate_words, product, word_unrank
@@ -462,20 +462,6 @@ class TestLipschitzBnb:
             lip = 2.0 * len(B)
             self._check(lambda X: _stack_f(B, _angles_to_unit(X)), lip, 2, lip * 1e-2,
                         TAU_SPAN, pts)
-
-    def test_pair_quadratic_max_matches_brute_grid(self):
-        rng = np.random.default_rng(23)
-        th = np.linspace(0.0, np.pi, 20_001)[:, None]
-        for _ in range(5):
-            B = rng.standard_normal((4, 2, 2))
-            Q = np.concatenate(list(pair_quadratics(B)), axis=1).T
-            lip = max(2.0 * np.linalg.norm([[a, b / 2], [b / 2, c]], 2) for a, b, c in Q)
-
-            def f(X):
-                x, y = np.cos(X[:, 0]), np.sin(X[:, 0])
-                return np.abs(Q @ np.stack([x * x, x * y, y * y])).max(axis=0)
-
-            self._check(f, lip, 1, lip * 1e-3, 0.0, th)
 
     def test_stops_at_value_below_tau(self):
         # f vanishes at theta = 1: the search returns a point there and a floor <= tau

@@ -1,6 +1,5 @@
 import json
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,17 +8,21 @@ from cocyclespan import E1, E2, E3, GeneratorSystem
 from cocyclespan.errors import ContractViolation, InputError
 from cocyclespan.fixtures import ROT90
 from cocyclespan import kernels, spannability
-from cocyclespan.kernels import dense_products, pair_abs_max, pair_quadratics
-from cocyclespan.rational2 import pair_quadratic
+from cocyclespan.kernels import dense_products
 from cocyclespan.cli import _jsonable
-from cocyclespan.spannability import (INCONCLUSIVE, NOT_SPANNABLE, TAU_SPAN, _certify,
-                                      _numeric_certificate, _stack_f, diagnose_failure,
+from cocyclespan.spannability import (INCONCLUSIVE, NOT_SPANNABLE, SATURATED_NOTE, TAU_SPAN,
+                                      _certify, _numeric_certificate, _stack_f, diagnose_failure,
                                       minimal_spannable_k, mk_bases, mk_basis, spannable_at)
 
 from _helpers import (D3, numeric_certificate, random_2x2_system, random_reducible_system,
                       rational, seeded_multistart_certificate)
 
-SATURATED_NOTE = "margin: 1, as sum_j Q_j u u^T Q_j^T = |u|^2 I over an orthonormal basis Q_j"
+CLOSED_FORM_NOTE = "margin: sigma_2(N)^2, M_k the orthogonal complement of the unit matrix N"
+# E2 and E3 share M_1 = span{diag(4, 1), J}; f is least at u = e2, where the images
+# diag(4, 1) e2 / sqrt(17) and J e2 / sqrt(2) of the orthonormal basis are orthogonal,
+# of squared lengths 1/17 and 1/2: min f = 1/17
+E_MARGIN = 1 / 17
+CIRCLE_EPS = 2e-4  # the circle search's slack, L * RESOLUTION[1]
 # a quarter turn in the (e1, e2) plane and a stretch along e3: M_k u never spans R^3
 ROT3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
 DIAG_PAIR = GeneratorSystem((np.diag([2.0, 3.0]), np.diag([1.0, 4.0])))
@@ -27,6 +30,9 @@ DIAG_PAIR = GeneratorSystem((np.diag([2.0, 3.0]), np.diag([1.0, 4.0])))
 INDEFINITE_PAIRS = GeneratorSystem((np.array([[-1.0, 2.0], [0.0, -2.0]]),
                                     np.array([[1.0, 1.0], [2.0, -2.0]]),
                                     np.array([[-2.0, 2.0], [-2.0, 0.0]])))
+# two scaled rotations: M_k = span{I, J} at every k, where f = 1/2 at every unit u
+CONFORMAL_PAIR = GeneratorSystem((np.array([[0.5, -0.25], [0.25, 0.5]]),
+                                  np.array([[0.375, 0.5], [-0.5, 0.375]])))
 
 
 def rotation_block(scale: float, corner: float) -> np.ndarray:
@@ -102,9 +108,9 @@ class TestMkBasis:
 class TestSpannableAt:
     def test_e2_exact_margin(self):
         cert = spannable_at(E2(), 1)
-        assert cert.spannable and cert.exact
-        # det(Hu | Ru) = 2x^2 + 0.5y^2, positive definite with circle minimum 0.5
-        assert abs(cert.margin - 0.5) <= 1e-12
+        assert cert.spannable and cert.exact and cert.margin_certified
+        # dim M_1 = 2: the circle search's floor, within its eps below min f = 1/17
+        assert E_MARGIN - CIRCLE_EPS <= cert.margin <= E_MARGIN
 
     def test_e1_any_k(self):
         for k in (1, 3, 5):
@@ -119,9 +125,9 @@ class TestSpannableAt:
 
     def test_e3_positive_definite(self):
         cert = spannable_at(E3(), 1)
-        assert cert.spannable
-        # det(A1 u | A2 u) = 0.12 x^2 + 0.03 y^2
-        assert abs(cert.margin - 0.03) <= 1e-12
+        assert cert.spannable and cert.margin_certified
+        # det(A1 u | A2 u) = 0.12 x^2 + 0.03 y^2 is definite; M_1 is E2's
+        assert E_MARGIN - CIRCLE_EPS <= cert.margin <= E_MARGIN
 
     def test_witness_rank_residual(self):
         for sys, k in ((E1(), 4), (DIAG_PAIR, 2)):
@@ -143,22 +149,31 @@ class TestSpannableAt:
             assert exact.status == numeric.status, \
                 f"case {i}: exact {exact.status} vs numeric {numeric.status}"
 
-    def test_saturated_d2_level_certifies_the_word_pairs(self):
-        # M_3 of E2 is the whole matrix space; the margin is still the word-pair minimax
-        cert = spannable_at(E2(), 3)
+    def test_saturated_d2_level_certifies_the_word_pairs(self, monkeypatch):
+        # M_3 of E2 is the whole matrix space: margin 1 at d = 2 as at d >= 3,
+        # with no word products and no SVD
+        system = E2()
+        mk = mk_basis(system, 3)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a saturated level needs no SVD")
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        cert = _certify(system, mk)
         assert cert.method == "full_algebra" and cert.spannable and not cert.exact
-        assert cert.margin_certified and abs(cert.margin - 0.5) <= 1e-12
-        assert cert.notes == ("M_k saturates the matrix space",)
+        assert cert.margin_certified and cert.margin == 1.0
+        assert cert.notes == ("M_k saturates the matrix space", SATURATED_NOTE)
 
     def test_reduced_basis_margin_above_the_word_cap(self):
-        # 2^13 words exceed EXACT_PRODUCT_CAP: the pairs are those of M_13's basis
-        pair = GeneratorSystem((np.array([[0.5, -0.25], [0.25, 0.5]]),
-                                np.array([[0.375, 0.5], [-0.5, 0.375]])))
-        cert = spannable_at(pair, 13)
-        assert (cert.status, cert.method, cert.exact, cert.margin_certified) == (
-            "Spannable", "d2_exact", True, True)
-        assert cert.margin == 0.5
-        assert cert.notes == ("margin quadratics use the reduced basis (word count above cap)",)
+        # one margin across k: M_k = span{I, J} at every k, so 2^12 and 2^13
+        # words give the same f, and min f = 1/2
+        margins = []
+        for k in (12, 13):
+            cert = spannable_at(CONFORMAL_PAIR, k)
+            assert (cert.status, cert.method, cert.exact, cert.margin_certified) == (
+                "Spannable", "d2_exact", True, True)
+            assert 0.5 - CIRCLE_EPS <= cert.margin <= 0.5
+            margins.append(cert.margin)
+        assert abs(margins[0] - margins[1]) <= 1e-12
 
     def test_float_path_certificates_are_not_exact(self):
         # upper triangular, so e1 is a common root line at every k; only the
@@ -199,30 +214,20 @@ class TestSpannableAt:
         assert np.abs(_stack_f(mk.basis, us) - 1.0).max() <= 1e-12
 
     def test_indefinite_pairs_margin_from_minimizer(self):
+        # indefinite word pairs need three independent generators (on a plane
+        # M_k every pair quadratic is a multiple of one), so M_1 has dimension
+        # 3 and its margin is the closed form; E2's plane M_1 takes the circle
         cert = spannable_at(INDEFINITE_PAIRS, 1)
         assert cert.spannable and cert.exact and cert.margin_certified
-        th = np.linspace(0.0, np.pi, 20_001)
-        U = np.stack([np.cos(th), np.sin(th)])
-        mats = INDEFINITE_PAIRS.generators
-        brute = np.max([np.abs(np.linalg.det(np.stack([A @ U, B @ U], axis=1).T))
-                        for i, A in enumerate(mats) for B in mats[i + 1:]], axis=0).min()
-        assert 0.0 < cert.margin <= brute
+        assert cert.notes == (CLOSED_FORM_NOTE,)
+        f_min = sampled_min_f(INDEFINITE_PAIRS, 1)
+        assert f_min - 1e-8 <= cert.margin <= f_min
+        cert = spannable_at(E2(), 1)
         (note,) = cert.notes
-        assert "pair quadratics" in note and "L = " in note and "eps = " in note
+        assert note.startswith("circle minimum") and "L = 2, eps = 0.0002," in note
         assert "evaluations" in note
-
-    def test_minimizer_margin_is_the_same_over_many_blocks(self, monkeypatch):
-        # three generators, every pair quadratic indefinite: the branch and
-        # bound either keeps the single block or forms two each round
-        system = GeneratorSystem((np.array([[0.0, 0.5], [2.0, 1.0]]),
-                                  np.array([[0.5, 0.0], [0.5, 2.0]]),
-                                  np.array([[-1.0, 1.5], [1.0, -2.0]])))
-        one = spannable_at(system, 1)
-        monkeypatch.setattr(kernels, "_PAIRS", 1)
-        assert len(list(pair_quadratics(system.stacked()))) == 2
-        many = spannable_at(system, 1)
-        assert "branch and bound" in one.notes[0]
-        assert (many.margin, many.notes) == (one.margin, one.notes)
+        f_min = sampled_min_f(E2(), 1)
+        assert f_min - CIRCLE_EPS <= cert.margin <= f_min
 
 
 def d3_rotated_triangular(rng):
@@ -526,110 +531,70 @@ def random_d2_system(rng, ell: int, dyadic: bool) -> GeneratorSystem:
             continue
 
 
-def exact_pair_quadratics(mats) -> list:
-    """Fraction `pair_quadratic` of every pair i < j of the products read as exact rationals."""
-    fr = [[[Fraction(float(x)) for x in row] for row in M] for M in mats]
-    return [pair_quadratic(fr[i], fr[j]) for i in range(len(fr)) for j in range(i + 1, len(fr))]
+def random_d2_plane(rng, dyadic: bool) -> GeneratorSystem:
+    """A pair (A, A R), R = [[p, -q], [q, p]] with q != 0, entries as in
+    `random_d2_system`: det(A u | A R u) = det A * q |u|^2 is definite, so M_1 is
+    a plane on which every unit u spans."""
+    top, den = (32, 16.0) if dyadic else (999, 1000.0)
+    (A,) = random_d2_system(rng, 1, dyadic).generators
+    p, q = rng.integers(-top, top + 1) / den, rng.choice([-1, 1]) * rng.integers(1, top + 1) / den
+    return GeneratorSystem((A, A @ np.array([[p, -q], [q, p]])), exact=dyadic)
 
 
-def fraction_best_pair(quads) -> float:
-    """The best single word pair's margin as computed before the pair quadratics
-    became floats: each Fraction pair quadratic rounded, then `eigvalsh`; 0.0
-    when every pair is indefinite."""
-    best = 0.0
-    for q in quads:
-        q20, q11, q02 = (float(x) for x in q)
-        lam = np.linalg.eigvalsh(np.array([[q20, 0.5 * q11], [0.5 * q11, q02]]))
-        if lam[0] * lam[-1] > 0:
-            best = max(best, float(min(abs(lam[0]), abs(lam[-1]))))
-    return best
+def f_oracle(system: GeneratorSystem, k: int, us: np.ndarray) -> np.ndarray:
+    """f(u) = min over unit w of |P(w u^T)|_F^2 at each row u of `us`, with P the
+    projection onto the span of the ell^k word products, read off their SVD
+    rather than the M_k sweep: |P(w u^T)|_F^2 = w^T G(u) w, where column c of
+    E(u) is e_c (x) u, the ravelled e_c u^T, and G(u) = E(u)^T P E(u)."""
+    words = dense_products(system.stacked(), k).reshape(-1, 4)
+    dim = mk_basis(system, k).dim
+    V = np.linalg.svd(words)[2][:dim]
+    E = np.einsum("ac,ub->uabc", np.eye(2), us).reshape(len(us), 4, 2)
+    return np.linalg.eigvalsh(np.swapaxes(E, 1, 2) @ (V.T @ V) @ E)[:, 0]
 
 
-@pytest.fixture(scope="module")
-def circle_sample():
-    """10^4 exact unit vectors ((1 - t^2), 2 t) / (1 + t^2), t = tan(theta / 2) read
-    as a rational, theta = pi i / 10^4: a projective sample of the circle, in
-    Fractions, and its monomials (x^2, x y, y^2) rounded to floats."""
-    exact = []
-    for t in np.tan(np.pi * np.arange(10_000) / 20_000):
-        t = Fraction(float(t))
-        den = 1 + t * t
-        exact.append(((1 - t * t) / den, 2 * t / den))
-    x, y = (np.array([float(u[c]) for u in exact]) for c in (0, 1))
-    return exact, np.stack([x * x, x * y, y * y])
-
-
-def margin_below_oracle(quads, margin: float, sample) -> bool:
-    """margin <= min over the sample of max over the exact pair quadratics of |q(u)|.
-
-    A float screen passes each u whose float pair value, less a bound of
-    1e-13 (|q20| + |q11| + |q02|) on the rounding of the coefficients, u and
-    the sum, is at least the margin; every other u is decided in Fractions over
-    all pairs. The margin may exceed the exact value by a relative 1e-12: the
-    rounding of the library's float pair coefficients is not covered.
-    """
-    exact, monomials = sample
-    Q = np.array([[float(c) for c in q] for q in quads])
-    slack = 1e-13 * np.abs(Q).sum(axis=1)[:, None]
-    target = Fraction(margin) / (1 + Fraction(1, 10**12))
-    for lo in range(0, monomials.shape[1], 1000):
-        screen = (np.abs(Q @ monomials[:, lo:lo + 1000]) - slack).max(axis=0) >= margin
-        for i in lo + np.flatnonzero(~screen):
-            x, y = exact[i]
-            if max(abs(a * x * x + b * x * y + c * y * y) for a, b, c in quads) < target:
-                return False
-    return True
+def sampled_min_f(system: GeneratorSystem, k: int) -> float:
+    """min of `f_oracle` over 2 * 10^4 angles of [0, pi), then over 2001 angles
+    within one step of the best."""
+    step = np.pi / 20_000
+    th = step * np.arange(20_000)
+    for _ in range(2):
+        f = f_oracle(system, k, np.stack([np.cos(th), np.sin(th)], axis=1))
+        best = th[np.argmin(f)]
+        th = best + np.linspace(-step, step, 2001)
+    return float(min(f.min(), f_oracle(system, k, np.stack([np.cos(th), np.sin(th)], axis=1)).min()))
 
 
 class TestMarginOracle:
-    """Every d = 2 margin, `full_algebra` and the branch-and-bound fallback
-    included, against slow references on seeded random systems (ell 2-4,
-    k = 1..4 with at most 64 words)."""
+    """Every Spannable d = 2 margin against f sampled on the circle, on seeded
+    random systems (ell 1..4 and `random_d2_plane` pairs, k = 1..4, dyadic and
+    3-decimal entries): 1 on a saturated level, the closed form sigma_2(N)^2 at
+    dim M_k = 3 and the circle search's floor, within its eps, at dim M_k = 2."""
 
-    def test_margins_against_references(self, circle_sample):
+    def test_margins_against_references(self):
         rng = np.random.default_rng(1801)
+        systems = [random_d2_system(rng, ell, dyadic) for ell in (1, 2, 3, 4)
+                   for dyadic in (True, False) for _ in range(3)]
+        systems += [random_d2_plane(rng, dyadic) for dyadic in (True, False) for _ in range(3)]
+        units = unit_rows(np.random.default_rng(1802), 10_000, 2)
         seen = set()
-        for ell in (2, 3, 4):
-            for dyadic in (True, False):
-                for _ in range(2):
-                    system = random_d2_system(rng, ell, dyadic)
-                    for k in range(1, 5):
-                        if ell**k > 64:
-                            break
-                        cert = spannable_at(system, k)
-                        if not cert.spannable:
-                            continue
-                        quads = exact_pair_quadratics(dense_products(system.stacked(), k))
-                        bnb = any("pair quadratics" in n for n in cert.notes)
-                        seen.add((cert.method, bnb))
-                        assert cert.margin_certified and cert.margin > 0.0
-                        ref = fraction_best_pair(quads)
-                        # (a) the best single pair, where one is definite
-                        assert bnb == (ref == 0.0)
-                        if ref > 0.0:
-                            assert abs(cert.margin - ref) <= 1e-12 * ref, (ell, k)
-                        # (b) below the sampled minimax, every path
-                        assert margin_below_oracle(quads, cert.margin, circle_sample), (ell, k)
-        assert {m for m, _ in seen} == {"d2_exact", "d2_float", "full_algebra"}
-        assert {b for _, b in seen} == {True, False}
-
-    @pytest.mark.parametrize("pairs", [1, 5, 12, 40, 1000])
-    def test_row_blocks_equal_the_full_triangle(self, monkeypatch, pairs):
-        # (c) 13 matrices: no block size here divides the 78 pairs or the 13 rows
-        rng = np.random.default_rng(5)
-        mats = rng.standard_normal((13, 2, 2))
-        i, j = np.triu_indices(13, 1)
-        a, b, c, d = (mats[:, r, s] for r, s in ((0, 0), (0, 1), (1, 0), (1, 1)))
-        full = np.stack([a[i] * c[j] - c[i] * a[j],
-                         a[i] * d[j] + b[i] * c[j] - c[i] * b[j] - d[i] * a[j],
-                         b[i] * d[j] - d[i] * b[j]])
-        th = np.linspace(0.0, np.pi, 777)
-        x, y = np.cos(th), np.sin(th)
-        brute = np.abs(full[0][:, None] * x * x + full[1][:, None] * x * y
-                       + full[2][:, None] * y * y).max(axis=0)
-        monkeypatch.setattr(kernels, "_PAIRS", pairs)
-        blocks = list(pair_quadratics(mats))
-        assert len(blocks) == len(range(0, 12, max(1, pairs // 13)))
-        assert np.concatenate(blocks, axis=1).tobytes() == full.tobytes()
-        assert pair_abs_max(blocks, th).tobytes() == brute.tobytes()
-        assert pair_abs_max(pair_quadratics(mats), th).tobytes() == brute.tobytes()
+        for i, system in enumerate(systems):
+            for k in range(1, 5):
+                cert = spannable_at(system, k)
+                if not cert.spannable:
+                    continue
+                dim = mk_basis(system, k).dim
+                seen.add(dim)
+                assert cert.margin_certified, (i, k)
+                if dim == 4:
+                    assert cert.margin == 1.0
+                    assert np.abs(f_oracle(system, k, units) - 1.0).max() <= 1e-12
+                    continue
+                f_min = sampled_min_f(system, k)
+                if dim == 3:
+                    assert cert.notes == (CLOSED_FORM_NOTE,)
+                    assert f_min - 1e-8 <= cert.margin <= f_min, (i, k)
+                else:
+                    assert cert.notes[0].startswith("circle minimum")
+                    assert f_min - CIRCLE_EPS <= cert.margin <= f_min, (i, k)
+        assert seen == {2, 3, 4}
