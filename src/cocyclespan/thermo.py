@@ -11,7 +11,11 @@ therefore return intervals, not point estimates: uncertainty is structural.
 One bracketing solver (`_root_bracket`, regula falsi with the Illinois step
 and a bisection fallback) finds the root of each curve to 1e-6, and the
 interval takes the outer end of each bracket, so it contains both roots as
-computed in floats.
+computed in floats. Each search first finds its curve's root on a guide, a
+histogram of the level's log sigma_1 (`_LevelData.guide_log_z`), and starts
+from a pair of exact points either side of it: when the guide is right, a
+curve costs one log Z pass per potential at each of the two. Every end is
+still read off exact log Z passes.
 
 `qm_source` supplies C: the connector constant `quasimult.ConnectorConstant`
 at k = k_qm, or for conformal systems (all generators scalar multiples of
@@ -35,6 +39,8 @@ from .wordspace import DEFAULT_BUDGET, Word, check_budget, check_sweep, product,
 S_MAX = 4.0          # root searches live on [0, S_MAX]
 ROOT_TOL = 1e-6
 _BLOCK = 1 << 16     # most words of Lambda(n) a log Z pass holds at once
+_GUIDE_BINS = 4096   # equal bins of log sigma_1 in a level's guide (`_LevelData.guide_log_z`)
+_GUIDE_STEP = 1e-9   # a guided search's exact pair lies this far either side of the guide's root
 
 KINDS = ("norm_s", "sv_s", "sv_s_squared")
 
@@ -135,6 +141,8 @@ class _LevelData:
       potential plus a max pass for phi^s at 1 <= s < 2;
     - `closed_forms`: the potentials whose log Z_n took no pass at all
       (`_closed_form`).
+    The guide of the root searches (`guide_log_z`) is built on first use, in
+    one more sweep.
     """
 
     def __init__(self, system: GeneratorSystem, n: int, *, budget: int = DEFAULT_BUDGET):
@@ -146,9 +154,11 @@ class _LevelData:
         self._letter_log_dets = (None if self.log_dets is None
                                  else _letter_log_dets(system.stacked()))
         size = min(len(self.logs1), _BLOCK)
-        self._w, self._logs2 = np.empty(size), np.empty(size)
+        # at least 2: the guide's build splits the first buffer in two
+        self._w, self._logs2 = np.empty(max(size, 2)), np.empty(size)
         self._max_logs1 = np.max(self.logs1)
         self._log_z: dict[PotentialSpec, float] = {}
+        self._guide = None
         self.passes = self.sweeps = self.closed_forms = 0
 
     @staticmethod
@@ -229,6 +239,56 @@ class _LevelData:
             self.closed_forms += 1
         self._log_z[spec] = value
         return value
+
+    def _build_guide(self):
+        """(count N_b, mean mu_b, half variance v_b / 2) of log sigma_1 in each nonempty
+        one of _GUIDE_BINS equal bins over [min, max], from one sweep in the block buffers.
+
+        A word's place y = (x - min) * scale in the bins splits into its bin
+        floor(y) and its offset y - floor(y) in [0, 1); offsets and their squares
+        sum per bin, so a bin's mean and variance lose no more than its width
+        allows. A block of y and its bins as integers fill the two halves of the
+        buffer a log Z pass uses, so the build touches no memory a pass does
+        not. A flat level (max = min) is one bin of variance 0.
+        """
+        lo = float(np.min(self.logs1))
+        # below _GUIDE_BINS after rounding, so the max falls in the last bin
+        scale = _GUIDE_BINS * (1.0 - 2.0**-40) / ((self._max_logs1 - lo) or 1.0)
+        counts, sums, squares = (np.zeros(_GUIDE_BINS) for _ in range(3))
+        size, block = len(self.logs1), len(self._w) // 2
+        values, places = self._w[:block], self._w[block:2 * block].view(np.intp)
+        self.sweeps += 1
+        for start in range(0, size, block):
+            stop = min(start + block, size)
+            y = np.subtract(self.logs1[start:stop], lo, out=values[:stop - start])
+            y *= scale
+            bins = np.floor(y, out=places[:stop - start], casting="unsafe")
+            y -= bins
+            counts += np.bincount(bins, minlength=_GUIDE_BINS)
+            sums += np.bincount(bins, y, minlength=_GUIDE_BINS)
+            y *= y
+            squares += np.bincount(bins, y, minlength=_GUIDE_BINS)
+        full = counts > 0
+        counts, offsets = counts[full], sums[full] / counts[full]
+        variances = np.maximum(squares[full] / counts - offsets * offsets, 0.0)
+        return counts, lo + (np.flatnonzero(full) + offsets) / scale, 0.5 * variances / scale**2
+
+    def guide_log_z(self, spec: PotentialSpec) -> float:
+        """log Z_n of a potential c * log sigma_1 estimated from the guide:
+        m + log sum_b N_b e^(c mu_b - m) (1 + c^2 v_b / 2), m = max_b c mu_b.
+
+        c = s, or 2s for `sv_s_squared`: the norm potential at any s, phi^s at
+        s <= 1. Each bin's sum of e^(c x) is taken to second order about its
+        mean, so a bin of one value is exact. The value only steers the root
+        searches (`_dimension_root`); no end they report reads it.
+        """
+        if self._guide is None:
+            self._guide = self._build_guide()
+        counts, means, half_variances = self._guide
+        c = spec.s * (2.0 if spec.kind == "sv_s_squared" else 1.0)
+        t = c * means
+        m = float(np.max(t))
+        return m + math.log(float(np.sum(counts * np.exp(t - m) * (1.0 + c * c * half_variances))))
 
 
 def _ends(spec: PotentialSpec, n: int, log_zn: float,
@@ -445,10 +505,11 @@ def _root_bracket(g, lo: float, hi: float, tol: float = ROOT_TOL):
 def _seed_bracket(g, points) -> tuple[float, float]:
     """The narrowest (a, b) of adjacent `points` with g(a) > 0 >= g(b), else (0, S_MAX).
 
-    `points` are where g is already known at no cost: 0, S_MAX and the other
-    end's search steps. Without g(0) > 0 >= g(S_MAX) among them (a curve
-    without a QM constant is -inf at 0), [0, S_MAX] is kept, so
-    `_root_bracket` reports the same boundary tag as an unseeded search.
+    `points` hold 0 and S_MAX, where log Z takes closed forms, the points an
+    earlier search sampled, where it is memoised, and a guide's pair. Without
+    g(0) > 0 >= g(S_MAX) among them (a curve without a QM constant is -inf at
+    0), [0, S_MAX] is kept, so `_root_bracket` reports the same boundary tag
+    as an unseeded search.
     """
     xs = sorted(set(points))
     vals = [g(x) for x in xs]
@@ -498,45 +559,69 @@ def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, kinds
 
     h at every upper end (`_ends`) is the upper curve, h at every lower end the
     lower curve; both decrease in s. The lower curve needs a positive QM input
-    and is -inf (root 0) without one. The upper search runs on [0, S_MAX]; the
-    lower one starts from `_seed_bracket` over the points the upper search
-    sampled, where it costs no pass over Lambda(n): every log Z it reads there
-    is memoised. The interval is outward: the left end of the lower curve's
-    bracket and the right end of the upper curve's. `late_warnings(sampled)`
-    runs after both searches, on the upper ends of the upper search's points.
+    and is -inf (root 0) without one. Each curve is first searched on its
+    guide, the same h on `_LevelData.guide_log_z`, bracketed on [0, 1] to
+    _GUIDE_STEP / 4, whose root s* gives the exact pair s* +- _GUIDE_STEP.
+    Then `_seed_bracket` starts the exact search from the narrowest sign change
+    among s = 0, S_MAX, the pair and, for the lower curve, the upper search's
+    points, and `_root_bracket` closes it. A right guide costs the pair alone:
+    one log Z pass per potential at each of its two points. A wrong one leaves
+    regula falsi from the narrowest exact sign change. A curve with no sign
+    change on [0, S_MAX] (a boundary tag) builds no guide, and one whose guide
+    has no root in [0, 1] (phi^s reads log sigma_2 above s = 1) takes no pair.
+    Every reported end is an end of an exact bracket: g(a) > 0 >= g(b) and
+    b - a <= ROOT_TOL. The interval is outward: the left end of the lower
+    curve's bracket and the right end of the upper curve's.
+    `late_warnings(sampled)` runs after both searches, on the upper ends at
+    the upper search's exact points.
     """
     hyp = check_hypotheses(system, "corollary_4_3", budget=budget)
     data = _LevelData(system, n, budget=budget)
     qm_input, qm_desc = qm_source(system, k_qm, budget=budget)
-    sampled: dict[float, tuple] = {}  # the upper search's points and their upper ends
 
-    def ends(s: float, qm: QMInput | None) -> tuple[tuple, tuple]:
-        """(lower ends, upper ends) of the potentials `kinds` at s."""
+    def ends(s: float, qm: QMInput | None, log_z) -> tuple[tuple, tuple]:
+        """(lower ends, upper ends) of the potentials `kinds` at s, from `log_z`."""
         specs = [PotentialSpec(kind, s) for kind in kinds]
-        lowers, uppers = zip(*(_ends(spec, n, data.log_z(spec), qm) for spec in specs))
+        lowers, uppers = zip(*(_ends(spec, n, log_z(spec), qm) for spec in specs))
         return lowers, uppers
 
-    def g_up(s: float) -> float:
-        sampled[s] = ends(s, None)[1]
-        return h(s, *sampled[s])
+    def upper(s: float, log_z) -> float:
+        return h(s, *ends(s, None, log_z)[1])
 
-    def g_lo(s: float) -> float:
+    def lower(s: float, log_z) -> float:
         qm = qm_input(s, "sv_s")
-        return -math.inf if qm is None else h(s, *ends(s, qm)[0])
+        return -math.inf if qm is None else h(s, *ends(s, qm, log_z)[0])
 
     def effort() -> dict:
         return {"passes": data.passes, "sweeps": data.sweeps, "closed_form": data.closed_forms}
 
-    def search(g, lo, hi):
+    def search(curve, points):
+        """(a, b, tag, exact points sampled, counts) of the root of `curve`."""
         before = effort()
-        a, b, tag, counts = _root_bracket(g, lo, hi)
-        return a, b, tag, {key: now - before[key] for key, now in effort().items()} | counts
+        sampled = []
 
-    _, s_hi, b_hi, up_counts = search(g_up, 0.0, S_MAX)
-    start = _seed_bracket(g_lo, sampled)
-    s_lo, _, b_lo, lo_counts = search(g_lo, *start)
-    lo_counts |= {"start": list(start), "seed_points": len(sampled)}
-    warnings = list(warnings) + late_warnings(sampled)
+        def g(s: float) -> float:
+            sampled.append(s)
+            return curve(s, data.log_z)
+
+        guide_root, pair = None, []
+        if g(0.0) > 0 >= g(S_MAX):  # closed forms; a boundary tag needs no guide
+            a, b, tag, _ = _root_bracket(lambda s: curve(s, data.guide_log_z), 0.0, 1.0,
+                                         _GUIDE_STEP / 4)
+            if tag is None:
+                guide_root = 0.5 * (a + b)
+                pair = [x for x in (guide_root - _GUIDE_STEP, guide_root + _GUIDE_STEP) if x > 0]
+        seeds = {0.0, S_MAX, *points, *pair}
+        start = _seed_bracket(g, seeds)
+        a, b, tag, counts = _root_bracket(g, *start)
+        spent = {key: now - before[key] for key, now in effort().items()}
+        return a, b, tag, sampled, spent | counts | {
+            "start": list(start), "seed_points": len(seeds), "guide_root": guide_root,
+            "guide_closed": start == tuple(pair)}
+
+    _, s_hi, b_hi, sampled, up_counts = search(upper, ())
+    s_lo, _, b_lo, _, lo_counts = search(lower, sampled)
+    warnings = list(warnings) + late_warnings({s: ends(s, None, data.log_z)[1] for s in sampled})
     if qm_desc["mode"] != "conformal" and qm_desc["gamma"] <= 0:
         warnings.append("no positive QM constant: lower root defaulted to 0")
     interval = (min(s_lo, s_hi), s_hi)

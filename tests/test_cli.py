@@ -176,20 +176,24 @@ class TestRunCommand:
         assert code == cli.EXIT_OK
         counts = json.loads(json.dumps(report["meta"]["root_search"]))
         assert set(counts) == {"upper", "lower"}
-        keys = {"passes", "sweeps", "closed_form", "steps", "bisection_fallbacks"}
-        assert set(counts["upper"]) == keys
-        # the lower search also names the bracket it started from and how many
-        # memoised points (s = 0, S_MAX and the upper search's steps) it was chosen from
-        assert set(counts["lower"]) == keys | {"start", "seed_points"}
-        lo, hi = counts["lower"]["start"]
-        assert 0.0 <= lo < hi <= 4.0
-        assert counts["lower"]["seed_points"] == counts["upper"]["steps"] + 2
+        # each end also names the bracket it started from, how many exact points
+        # (s = 0, S_MAX, its guide's pair and, for the lower end, the upper
+        # search's points) it was chosen from, its guide's root and whether the
+        # pair around that root closed the search
+        keys = {"passes", "sweeps", "closed_form", "steps", "bisection_fallbacks", "start",
+                "seed_points", "guide_root", "guide_closed"}
+        assert set(counts["upper"]) == set(counts["lower"]) == keys
+        assert counts["upper"]["seed_points"] == 4 and counts["lower"]["seed_points"] == 6
         for end in counts.values():
-            assert end["steps"] > 0
-            # every step samples 0 < s < 1, where phi^s reads log sigma_1 alone:
-            # one pass of one sweep each
-            assert end["passes"] == end["steps"]
-            assert end["sweeps"] == end["passes"]
+            lo, hi = end["start"]
+            assert (lo, hi) == (end["guide_root"] - 1e-9, end["guide_root"] + 1e-9)
+            assert end["guide_closed"] and end["steps"] == 0
+            # the guide's pair samples 0 < s < 1, where phi^s reads log sigma_1
+            # alone: one pass of one sweep each, and the upper end builds the guide
+            assert end["passes"] == 2
+        assert counts["upper"]["sweeps"] == 3 and counts["lower"]["sweeps"] == 2
+        assert report["result"]["interval"] == [counts["lower"]["start"][0],
+                                                counts["upper"]["start"][1]]
         assert report["result"]["interval"][1] < 1
         # s = 0 and S_MAX take closed forms, in the upper search, which runs
         # first; the lower search reads both from the memo

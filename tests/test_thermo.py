@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from cocyclespan import E2, E3, E4, E5, GeneratorSystem
 from cocyclespan.errors import InputError
-from cocyclespan.thermo import (ROOT_TOL, S_MAX, PotentialSpec, QMInput, TargetSequence,
-                                _monotone_warnings, _root_bracket, affinity_dimension,
-                                all_ones_targets, beta_hat, conformal_qm_input,
-                                log_potential, pressure_brackets, r0_interval, s0_interval)
+from cocyclespan.thermo import (_GUIDE_STEP, ROOT_TOL, S_MAX, PotentialSpec, QMInput,
+                                TargetSequence, _monotone_warnings, _root_bracket,
+                                affinity_dimension, all_ones_targets, beta_hat,
+                                conformal_qm_input, log_potential, pressure_brackets,
+                                r0_interval, s0_interval)
 from cocyclespan.kernels import _log_det, word_singvals
 from cocyclespan.thermo import _TargetData
 from cocyclespan.wordspace import word_unrank
@@ -415,61 +416,82 @@ def _dimension_ops(system, n):
             (lambda: r0_interval(system, 0.3, n, 1), 2)]
 
 
-class TestSeededLowerSearch:
-    """The lower search starts from the tightest sign change of g_lo among the
-    upper search's points, where every log Z is memoised."""
+def _searches(monkeypatch, run):
+    """(report, [(g, seeds, start, exact points sampled, (a, b, tag, counts))] for the upper
+    and the lower search) of one root command, through spies on the two solvers."""
+    from cocyclespan import thermo
+    seeds, brackets = [], []
+    seed, bracket = thermo._seed_bracket, thermo._root_bracket
 
-    @staticmethod
-    def _check(monkeypatch, run, per_step):
-        from cocyclespan import thermo
-        calls = []
+    def seed_spy(g, points):
+        seeds.append((g, set(points)))
+        return seed(g, points)
 
-        def spy(g, lo, hi, tol=ROOT_TOL):
-            seen = []
-            out = _root_bracket(lambda s: seen.append(s) or g(s), lo, hi, tol)
-            calls.append((g, lo, hi, seen, out))
-            return out
+    def bracket_spy(g, lo, hi, tol=ROOT_TOL):
+        seen = []
+        out = bracket(lambda s: seen.append(s) or g(s), lo, hi, tol)
+        if tol == ROOT_TOL:  # the exact searches, not their guides'
+            brackets.append(((lo, hi), seen, out))
+        return out
 
-        monkeypatch.setattr(thermo, "_root_bracket", spy)
-        rep = run()
-        monkeypatch.undo()
-        (_, _, _, up_seen, (_, s_hi, _, _)), (g_lo, lo, hi, lo_seen, lo_out) = calls
-        a, b, tag, _ = lo_out
-        counts = rep.root_search["lower"]
-        assert counts["start"] == [lo, hi]
-        assert counts["seed_points"] == len(set(up_seen))
-        assert rep.interval[0] == min(a, s_hi)
-        # the unseeded search, as the lower search ran before it was seeded
-        ref_seen = []
-        ra, rb, ref_tag, _ = _root_bracket(lambda s: ref_seen.append(s) or g_lo(s), 0.0, S_MAX)
+    monkeypatch.setattr(thermo, "_seed_bracket", seed_spy)
+    monkeypatch.setattr(thermo, "_root_bracket", bracket_spy)
+    rep = run()
+    monkeypatch.undo()
+    return rep, [(g, points, start, points | set(seen), out)
+                 for (g, points), (start, seen, out) in zip(seeds, brackets, strict=True)]
+
+
+def _check_searches(rep, searches, per_step):
+    """Each exact search against the unguided one from [0, S_MAX] on the same curve:
+    the same tag, a valid bracket within ROOT_TOL of its ends, and a pass or closed
+    form per potential at each point no earlier search sampled. Returns, per end,
+    (the exact points it added beside 0 and S_MAX, the unguided search's steps)."""
+    known, costs = set(), []
+    for name, (g, points, start, sampled, (a, b, tag, _)) in zip(("upper", "lower"), searches):
+        counts = rep.root_search[name]
+        assert counts["start"] == list(start) and counts["seed_points"] == len(points)
+        ra, rb, ref_tag, ref_counts = _root_bracket(g, 0.0, S_MAX)
         assert tag == ref_tag
         if tag is None:
-            assert g_lo(a) > 0 >= g_lo(b) and b - a <= ROOT_TOL
-            assert abs(a - ra) <= ROOT_TOL
+            assert g(a) > 0 >= g(b) and b - a <= ROOT_TOL
+            assert abs(a - ra) <= ROOT_TOL and abs(b - rb) <= ROOT_TOL
         else:
-            assert (a, b) == (ra, rb)
-        # a pass per potential at each point whose log Z the upper search left unset
-        fresh = set(lo_seen) - set(up_seen)
-        assert counts["passes"] == per_step * len(fresh)
-        return counts, len(fresh), len(set(ref_seen) - set(up_seen))
+            assert (a, b) == (ra, rb) and counts["guide_root"] is None
+        fresh = sampled - known
+        assert counts["passes"] + counts["closed_form"] == per_step * len(fresh)
+        if counts["guide_closed"]:
+            s = counts["guide_root"]
+            assert list(start) == [s - _GUIDE_STEP, s + _GUIDE_STEP] and counts["steps"] == 0
+        known |= sampled
+        costs.append((len(fresh - {0.0, S_MAX}), ref_counts["steps"]))
+    assert rep.interval[0] == min(searches[1][4][0], rep.interval[1])
+    return costs
+
+
+class TestSeededLowerSearch:
+    """Each exact search starts from the narrowest sign change among s = 0, S_MAX,
+    its guide's pair and, for the lower curve, the upper search's points."""
 
     @pytest.mark.parametrize("system", [E3(), E4()], ids=["e3", "e4"])
     def test_shipped_systems(self, monkeypatch, system):
+        # both curves close on their guide's pair: two passes per potential, and
+        # none for a conformal lower curve, which is the upper one
         for run, per_step in _dimension_ops(system, 10):
-            counts, fresh, ref_fresh = self._check(monkeypatch, run, per_step)
-            assert fresh <= ref_fresh
-            if system.is_conformal():
-                # the lower curve is the upper one: its bracket is the upper search's last
-                assert counts["steps"] == counts["passes"] == 0
+            rep, searches = _searches(monkeypatch, run)
+            _check_searches(rep, searches, per_step)
+            up, lo = rep.root_search["upper"], rep.root_search["lower"]
+            assert up["guide_closed"] and lo["guide_closed"]
+            assert up["steps"] == lo["steps"] == 0
+            assert up["passes"] == 2 * per_step
+            assert lo["passes"] == (0 if system.is_conformal() else 2 * per_step)
 
     def test_random_systems(self, monkeypatch):
         # contracting pairs and triples, whose roots lie inside [0, S_MAX], and
-        # expanding ones, whose upper search ends at a boundary tag. Regula
-        # falsi from a narrower bracket is not always shorter: seed 29 (ell = 3,
-        # n = 3, r0) samples 7 fresh points where [0, S_MAX] samples 6, and 3 of
-        # the first 400 seeds take 1 or 2 more; over these 30 the seeded
-        # searches sample fewer points in all
-        fresh = ref_fresh = 0
+        # expanding ones, whose upper search ends at a boundary tag: each of the
+        # 34 guides with a root in [0, 1] closes on its pair, and no end samples
+        # more points than the unguided search from [0, S_MAX]
+        closed = 0
         for seed in range(30):
             rng = np.random.default_rng(seed)
             ell = int(rng.integers(2, 4))
@@ -479,35 +501,125 @@ class TestSeededLowerSearch:
                     float(rng.uniform(0.2, 0.7)) * A / np.linalg.norm(A, 2)
                     for A in system.generators))
             n = int(rng.integers(3, 11 if ell == 2 else 9))
-            _, got, ref = self._check(monkeypatch, *_dimension_ops(system, n)[int(rng.integers(3))])
-            assert got <= ref + 2
-            fresh, ref_fresh = fresh + got, ref_fresh + ref
-        assert fresh < ref_fresh
+            run, per_step = _dimension_ops(system, n)[int(rng.integers(3))]
+            rep, searches = _searches(monkeypatch, run)
+            for (got, ref), end in zip(_check_searches(rep, searches, per_step),
+                                       rep.root_search.values()):
+                assert got <= ref
+                assert end["guide_closed"] == (end["guide_root"] is not None)
+                closed += end["guide_closed"]
+        assert closed == 34
 
     def test_no_constant_keeps_the_full_range(self, monkeypatch):
         # g_lo is -inf at every point: no sign change, so [0, S_MAX], which
-        # ends at once at the lower boundary, with no pass over the level
+        # ends at once at the lower boundary, with no guide and no pass
         for run, per_step in _dimension_ops(NO_CONSTANT, 8):
-            counts, _, _ = self._check(monkeypatch, run, per_step)
+            rep, searches = _searches(monkeypatch, run)
+            _check_searches(rep, searches, per_step)
+            counts = rep.root_search["lower"]
             assert counts["start"] == [0.0, S_MAX]
             assert counts["passes"] == counts["steps"] == 0
-            rep = run()
+            assert counts["guide_root"] is None and not counts["guide_closed"]
             assert rep.interval[0] == 0.0
             assert "no positive QM constant: lower root defaulted to 0" in rep.warnings
 
     def test_r0_at_beta_zero_without_a_constant(self, monkeypatch):
         # h at the lower ends would read 1 * (-inf) + 0 * (-inf) = nan: the lower
         # curve stays -inf, so the lower root is 0 with its warning, and no nan
-        def run():
-            return r0_interval(NO_CONSTANT, 0.0, 8, 1)
-
-        counts, _, _ = self._check(monkeypatch, run, 2)
+        rep, searches = _searches(monkeypatch, lambda: r0_interval(NO_CONSTANT, 0.0, 8, 1))
+        _check_searches(rep, searches, 2)
+        counts = rep.root_search["lower"]
         assert counts["start"] == [0.0, S_MAX]
         assert counts["passes"] == counts["steps"] == 0
-        rep = run()
+        assert counts["guide_root"] is None
         assert rep.interval[0] == 0.0
         assert not any(math.isnan(x) for x in rep.interval + rep.dimension)
         assert "no positive QM constant: lower root defaulted to 0" in rep.warnings
+
+
+def _contracting(seed, ell):
+    """A contracting system of ell 2x2 generators with spectral norms in [0.2, 0.7]."""
+    rng = np.random.default_rng(seed)
+    return GeneratorSystem(tuple(float(rng.uniform(0.2, 0.7)) * A / np.linalg.norm(A, 2)
+                                 for A in random_2x2_system(rng, ell).generators))
+
+
+class TestGuide:
+    """`_LevelData.guide_log_z`: per-bin count, mean and variance of log sigma_1."""
+
+    @pytest.mark.parametrize("system,n", [
+        (E3(), 16), (E4(), 16), (_contracting(1, 2), 16), (_contracting(2, 2), 14),
+        (_contracting(3, 3), 10), (_contracting(4, 3), 9)],
+        ids=["e3", "e4", "pair-1", "pair-2", "triple-3", "triple-4"])
+    def test_within_1e_9_of_the_exact_pass(self, system, n):
+        from cocyclespan.thermo import _LevelData
+        data = _LevelData(system, n)
+        specs = [PotentialSpec(kind, float(s)) for kind in ("sv_s", "sv_s_squared")
+                 for s in np.linspace(0.0, 1.0, 11)]
+        guided = [data.guide_log_z(spec) for spec in specs]
+        assert data.sweeps == 1 and data.passes == 0  # the guide is built once
+        for spec, value in zip(specs, guided):
+            assert abs(value - data.log_z(spec)) <= 1e-9, spec
+
+    def test_flat_level(self):
+        # equal conformal norms: every word has one log sigma_1, so the guide is
+        # one bin of variance 0, finite, and exact up to rounding
+        from cocyclespan.thermo import _LevelData
+        data = _LevelData(E4(), 12)
+        assert np.min(data.logs1) == np.max(data.logs1)
+        counts, means, half_variances = data._build_guide()
+        assert counts.tolist() == [2.0**12] and half_variances.tolist() == [0.0]
+        for s in (0.0, 0.3, 1.0):
+            spec = PotentialSpec("sv_s_squared", s)
+            assert math.isfinite(data.guide_log_z(spec))
+            assert abs(data.guide_log_z(spec) - data.log_z(spec)) <= 1e-12
+
+    @pytest.mark.parametrize("block", [128, 1001])
+    def test_blocks_and_a_one_word_level(self, monkeypatch, block):
+        # the build splits the pass buffer into halves of a block of y and one of
+        # bins: ragged blocks give the bins' counts exactly and the rest to
+        # rounding, and a level of one word (a buffer of two) is exact
+        from cocyclespan import thermo
+        system = _contracting(5, 3)
+        whole = thermo._LevelData(system, 8)
+        monkeypatch.setattr(thermo, "_BLOCK", block)
+        data = thermo._LevelData(system, 8)
+        assert whole._build_guide()[0].tolist() == data._build_guide()[0].tolist()
+        for s in (0.2, 0.9):
+            spec = PotentialSpec("sv_s", s)
+            assert abs(data.guide_log_z(spec) - whole.guide_log_z(spec)) <= 1e-12
+        one = thermo._LevelData(GeneratorSystem((np.diag([0.4, 0.2]),)), 3)
+        assert len(one.logs1) == 1 and len(one._w) == 2
+        spec = PotentialSpec("sv_s_squared", 0.7)
+        assert abs(one.guide_log_z(spec) - one.log_z(spec)) <= 1e-15
+
+    def test_a_shifted_guide_falls_back_to_the_exact_sign_change(self, monkeypatch):
+        # a guide off by 0.05 in every growth rate puts its pair beside the root:
+        # the search runs regula falsi from the narrowest exact sign change, to
+        # the unguided tag and a valid bracket (`_check_searches`)
+        from cocyclespan import thermo
+        guide = thermo._LevelData.guide_log_z
+        for run, per_step in _dimension_ops(E3(), 10):
+            monkeypatch.setattr(thermo._LevelData, "guide_log_z",
+                                lambda self, spec: guide(self, spec) + 0.05 * self.n)
+            rep, searches = _searches(monkeypatch, run)
+            _check_searches(rep, searches, per_step)
+            for end, (_, _, start, _, _) in zip(rep.root_search.values(), searches):
+                s = end["guide_root"]
+                assert s is not None and not end["guide_closed"] and end["steps"] > 0
+                assert s + _GUIDE_STEP in start or s - _GUIDE_STEP in start
+
+    def test_root_above_one_takes_the_unguided_search(self, monkeypatch):
+        # phi^s reads log sigma_2 above s = 1, where the guide does not reach:
+        # both searches run as they would without one, to the same bits
+        system = GeneratorSystem((np.diag([0.7, 0.5]), 0.6 * np.array([[0.0, -1.0], [1.0, 0.0]])))
+        rep, searches = _searches(monkeypatch, lambda: affinity_dimension(system, 10, 1))
+        _check_searches(rep, searches, 1)
+        assert 1.0 < rep.interval[0] < rep.interval[1] < 2.0
+        for end in rep.root_search.values():
+            assert end["guide_root"] is None and not end["guide_closed"] and end["steps"] > 0
+        (g_up, _, start, _, out), _ = searches
+        assert start == (0.0, S_MAX) and out == _root_bracket(g_up, 0.0, S_MAX)
 
 
 def _out_of_place_log_potential(logs1, logs2, kind, s):
@@ -593,12 +705,13 @@ class TestLogZInPlace:
 
     def test_potential_pass_memoised_per_spec(self, monkeypatch):
         # the upper and lower root searches share s = 0 and s = 4, which take
-        # closed forms; each other distinct s costs one reduction per potential,
-        # and Lambda(12) is one block, so a reduction evaluates the potential
-        # over the level once for the sum, and once more for the max only when
-        # it reads log sigma_2 (phi^s at 1 <= s < 2). r0 reduces sv_s and
-        # sv_s_squared at each s; E3's r0 root lies below r = 1, so none of its
-        # potentials takes a max pass
+        # closed forms; each curve's guide pair then costs one reduction per
+        # potential at each of its two points, and Lambda(12) is one block, so a
+        # reduction evaluates the potential over the level once for the sum, and
+        # once more for the max only when it reads log sigma_2 (phi^s at
+        # 1 <= s < 2). r0 reduces sv_s and sv_s_squared at each s; E3's roots lie
+        # below s = 1, so no potential takes a max pass. The guide's build adds
+        # one sweep, in the upper search, which builds it
         from cocyclespan import thermo
         folds, blocks = [], []
         fold, potential = thermo.pairwise_sum, thermo._LevelData._potential
@@ -607,24 +720,20 @@ class TestLogZInPlace:
                             lambda self, spec, lo, hi: blocks.append(spec)
                             or potential(self, spec, lo, hi))
         for run, count, kinds, closed in (
-                (lambda: affinity_dimension(E3(), 12, 1), 12, ("sv_s",), 2),
-                (lambda: r0_interval(E3(), 0.3, 12, 1), 24, ("sv_s", "sv_s_squared"), 4)):
+                (lambda: affinity_dimension(E3(), 12, 1), 4, ("sv_s",), 2),
+                (lambda: r0_interval(E3(), 0.3, 12, 1), 8, ("sv_s", "sv_s_squared"), 4)):
             folds.clear()
             blocks.clear()
             rep = run()
             passes = list(dict.fromkeys(blocks))
-            assert len(folds) == len(passes) == count
-            assert all(spec.kind in kinds and 0.0 < spec.s < 2.0 for spec in passes)
+            assert len(folds) == len(passes) == len(blocks) == count
+            assert all(spec.kind in kinds and 0.0 < spec.s < 1.0 for spec in passes)
             assert {spec.kind for spec in passes} == set(kinds)
-            sweeps = [1 + (spec.s >= 1.0) for spec in passes]
-            assert blocks == [spec for spec, k in zip(passes, sweeps) for _ in range(k)]
-            ends = rep.root_search.values()
-            assert sum(end["passes"] for end in ends) == count
-            assert sum(end["sweeps"] for end in ends) == len(blocks)
-            assert rep.root_search["upper"]["closed_form"] == closed
-            assert rep.root_search["lower"]["closed_form"] == 0
-            if len(kinds) == 2:
-                assert all(end["passes"] == end["sweeps"] for end in ends)
+            up, lo = rep.root_search["upper"], rep.root_search["lower"]
+            assert up["passes"] == lo["passes"] == count // 2
+            assert up["sweeps"] == up["passes"] + 1 and lo["sweeps"] == lo["passes"]
+            assert up["closed_form"] == closed and lo["closed_form"] == 0
+            assert up["steps"] == lo["steps"] == 0
         # phi^s at 1 <= s < 2 alone adds the max pass; s = 0 and s >= 2 take none
         folds.clear()
         blocks.clear()
@@ -750,8 +859,8 @@ class TestRootIntervalOracle:
     the upper curve h(s, log Z_n / n, ...) is <= 0 at the upper end and the lower
     curve h(s, (log Z_n + c log C(s)) / (n + k), ...) is >= 0 at the lower end
     (both to 1e-12), with log Z_n over exact integer products of the generators
-    and C(s) from the report's constant. An upper end at a boundary tag (an
-    upper search of no steps) and a lower end of 0 are exempt."""
+    and C(s) from the report's constant. An upper end at a boundary tag (0 or
+    S_MAX) and a lower end of 0 are exempt."""
 
     TARGETS = ((1,), (1, 2), (1, 2, 1), (1, 2, 1, 2), (1, 2, 1, 2, 1))
 
@@ -790,7 +899,7 @@ class TestRootIntervalOracle:
 
             lo, hi = rep.interval
             checked = 0
-            if rep.root_search["upper"]["steps"] > 0:  # no boundary tag
+            if 0.0 < hi < S_MAX:  # no boundary tag
                 assert h(hi, [log_z(kind, hi) / n for kind in kinds]) <= 1e-12
                 checked += 1
             if lo > 0.0:
