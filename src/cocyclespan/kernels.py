@@ -8,9 +8,12 @@ numpy's own pairwise order (a minimum or maximum, exact in any order, may run in
 blocks).
 
 One certified minimizer, `lipschitz_bnb`: a batched Lipschitz branch and bound
-over an angle box. It certifies the spannability circle and sphere. The gamma
-torus keeps its dense grid (`minimax_grid2`) over one period, [0, pi)^2:
-|w^T A_K u| has period pi in each angle, so G angles per axis at the step
+over an angle box. It certifies the d = 3 spannability sphere only. A d = 2
+margin takes no search: min f = min sigma_2(X)^2 over unit X in M_k^perp,
+read at the eigenvector of the least |eigenvalue| of det on M_k^perp (the
+identity and its proof are in `spannability`). The gamma torus keeps its
+dense grid (`minimax_grid2`) over one period, [0, pi)^2: |w^T A_K u| has
+period pi in each angle, so G angles per axis at the step
 pi / G hold every value that a full-period grid of 2G angles per axis holds,
 at a quarter of its points. The grid is folded in
 blocks of at most `_GRID_ROWS` rows, so it holds two such blocks, not three

@@ -9,13 +9,22 @@ Every margin, at every d and k, bounds f(u) = min over unit w of
 |P(w u^T)|_F^2 from below, P the orthogonal projection onto M_k:
 sigma_d(stack of Q_j u)^2 for any orthonormal basis Q_j of M_k, so the
 margin is a property of M_k, not of the basis picked. A saturated level has
-f = 1 at every unit u (`_certify`); at d = 2 a level of dimension 3 takes f
-in closed form (`_d2_margin`), and the circle and the d = 3 sphere take the
-one Lipschitz branch and bound (`_bnb_floor`). A d = 2 status is decided by
-a common root of the basis pair quadratics. Exact decisions run in the
-Python ints of `rational2`, the M_k sweep and that common root on an exact
-system's rational basis included. The d >= 4 multistart descends from one fixed
-start set, so every certificate is a function of the system alone.
+f = 1 at every unit u (`_certify`); the d = 3 sphere takes the Lipschitz
+branch and bound (`kernels.lipschitz_bnb`). A d = 2 level of dimension 2 or 3
+has min f = min sigma_2(X)^2 over unit X in M_k^perp (`_d2_margin`): for unit
+w and u, |P(w u^T)|_F^2 = 1 - max over unit X in M_k^perp of (w^T X u)^2, the
+max over w and u of (w^T X u)^2 is sigma_1(X)^2, and sigma_1^2 + sigma_2^2 =
+|X|_F^2 = 1. As sigma_1 sigma_2 = |det X|, sigma_2 grows with |det X|, a
+quadratic form H = R J R^T / 2 in the coordinates c of X = c R over an
+orthonormal basis R of M_k^perp (vec(X)^T J vec(X) = 2 det X). If H is not
+definite, some unit X has det X = 0 and min f = 0; else the least |det X| is
+H's least |eigenvalue|, at its eigenvector.
+
+A d = 2 status is decided by a common root of the basis pair quadratics. Exact
+decisions run in the Python ints of `rational2`, the M_k sweep and that common
+root on an exact system's rational basis included. The d >= 4 multistart
+descends from one fixed start set, so every certificate is a function of the
+system alone.
 """
 from __future__ import annotations
 
@@ -37,10 +46,11 @@ from .wordspace import DEFAULT_BUDGET, check_budget
 from .hypotheses import IrreducibilityVerdict, irreducibility_verdict, power_system
 
 TAU_SPAN = 1e-8  # threshold on f(u) = sigma_d(stack of Q_j u)^2, Q_j orthonormal
-# Minimizer slack eps = Lipschitz constant * resolution; one angle is cheap
-# enough to search ten times finer than two
-RESOLUTION = {1: 1e-4, 2: 1e-3}  # by number of angles
+RESOLUTION = 1e-3  # in the sphere's angles: minimizer slack eps = Lipschitz constant * resolution
 SATURATED_NOTE = "margin: 1, as sum_j Q_j u u^T Q_j^T = |u|^2 I over an orthonormal basis Q_j"
+COMPLEMENT_NOTE = "margin: min sigma_2(X)^2 over unit X in M_k^perp, at the least |det X|"
+# vec(X)^T _DET_FORM vec(X) = 2 det X for a 2 x 2 matrix X ravelled by rows
+_DET_FORM = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float)
 
 SPANNABLE = "Spannable"
 NOT_SPANNABLE = "NotSpannable"
@@ -139,40 +149,29 @@ def _stack_f(B: np.ndarray, u: np.ndarray):
 
 
 def _angles_to_unit(x: np.ndarray) -> np.ndarray:
-    """Unit vectors from circle angles theta (m = 1) or sphere angles (theta, phi) (m = 2)."""
-    th = x[..., 0]
-    if x.shape[-1] == 1:
-        return np.stack([np.cos(th), np.sin(th)], axis=-1)
-    ph = x[..., 1]
+    """Unit vectors from sphere angles (theta, phi)."""
+    th, ph = x[..., 0], x[..., 1]
     return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
-
-
-def _bnb_floor(mk: MkBasis):
-    """(floor, best angles, notes, capped): the certified floor of min f over the
-    projective circle (d = 2) or sphere (d = 3), by `lipschitz_bnb`."""
-    d = mk.d
-    # For fixed unit w, |P(w u^T)|_F^2 has gradient 2 P(w u^T)^T w in u, of
-    # norm <= 2 |P(w u^T)|_F <= 2 |u|; a minimum over w keeps the bound. The
-    # projective circle is theta in [0, pi]; the projective sphere is theta,
-    # phi in [0, pi], where |du| <= |dtheta| + |dphi|: L = 2 in the angles.
-    lip = 2.0
-    eps = lip * RESOLUTION[d - 1]
-    floor, x, evals, capped = lipschitz_bnb(
-        lambda X: _stack_f(mk.basis, _angles_to_unit(X)), lip, np.zeros(d - 1),
-        np.full(d - 1, np.pi), TAU_SPAN, eps)
-    notes = [f"{'sphere' if d == 3 else 'circle'} minimum: Lipschitz branch and bound, "
-             f"L = {lip:.6g}, eps = {eps:.6g}, {evals} evaluations"]
-    if capped:
-        notes.append(f"branch and bound stopped at its cap of {kernels.BNB_MAX_EVALS} "
-                     f"evaluations (kernels.BNB_MAX_EVALS) after {evals}")
-    return float(floor), x, notes, capped
 
 
 def _numeric_certificate(system: GeneratorSystem, mk: MkBasis) -> SpannabilityCertificate:
     d = system.dim
     B = mk.basis
-    if d <= 3:
-        cert, x, notes, capped = _bnb_floor(mk)
+    if d == 3:
+        # For fixed unit w, |P(w u^T)|_F^2 has gradient 2 P(w u^T)^T w in u, of
+        # norm <= 2 |P(w u^T)|_F <= 2 |u|; a minimum over w keeps the bound. The
+        # projective sphere is theta, phi in [0, pi], where
+        # |du| <= |dtheta| + |dphi|: L = 2 in the angles.
+        lip = 2.0
+        eps = lip * RESOLUTION
+        cert, x, evals, capped = lipschitz_bnb(
+            lambda X: _stack_f(B, _angles_to_unit(X)), lip, np.zeros(2), np.full(2, np.pi),
+            TAU_SPAN, eps)
+        notes = [f"sphere minimum: Lipschitz branch and bound, L = {lip:.6g}, eps = {eps:.6g}, "
+                 f"{evals} evaluations"]
+        if capped:
+            notes.append(f"branch and bound stopped at its cap of {kernels.BNB_MAX_EVALS} "
+                         f"evaluations (kernels.BNB_MAX_EVALS) after {evals}")
         # a capped search may still hold a floor above tau, but not one within
         # eps of the minimum it was asked for, so it certifies nothing
         if cert > TAU_SPAN and not capped:
@@ -249,27 +248,21 @@ def _exact_certificate(mk: MkBasis) -> SpannabilityCertificate:
         return SpannabilityCertificate(
             k=mk.k, status=NOT_SPANNABLE, margin=0.0, exact=exact, method=method,
             witness=u, witness_residual=float(_stack_f(mk.basis, u)))
-    margin, certified, notes = _d2_margin(mk)
     return SpannabilityCertificate(
-        k=mk.k, status=SPANNABLE, margin=margin, exact=exact, method=method,
-        margin_certified=certified, notes=notes)
+        k=mk.k, status=SPANNABLE, margin=_d2_margin(mk), exact=exact, method=method,
+        margin_certified=True, notes=(COMPLEMENT_NOTE,))
 
 
-def _d2_margin(mk: MkBasis) -> tuple[float, bool, tuple[str, ...]]:
-    """Lower bound for min f of a Spannable d = 2 level of dimension 2 or 3.
-
-    At dimension 3, M_k is the orthogonal complement of one unit matrix N, and
-    |P(w u^T)|_F^2 = 1 - (w^T N u)^2 for unit w and u, so f(u) = 1 - |N u|^2
-    and min f = 1 - sigma_1(N)^2 = sigma_2(N)^2, as |N|_F = 1: no search. At
-    dimension 2 the circle branch and bound bounds it.
-    """
-    if mk.dim == 3:
-        (N,) = null_space(mk.basis.reshape(3, 4))
-        margin = float(np.linalg.svd(N.reshape(2, 2), compute_uv=False)[1] ** 2)
-        return margin, True, ("margin: sigma_2(N)^2, M_k the orthogonal complement of "
-                              "the unit matrix N",)
-    floor, _, notes, capped = _bnb_floor(mk)
-    return max(floor, 0.0), floor > TAU_SPAN and not capped, tuple(notes)
+def _d2_margin(mk: MkBasis) -> float:
+    """min f of a d = 2 level of dimension 2 or 3 (module docstring); at dimension
+    3, X is the unit matrix spanning M_k^perp, up to sign."""
+    R = null_space(mk.basis.reshape(mk.dim, 4))
+    lam, C = np.linalg.eigh(0.5 * R @ _DET_FORM @ R.T)
+    if lam[0] <= 0.0 <= lam[-1]:
+        return 0.0
+    X = C[:, np.argmin(np.abs(lam))] @ R
+    # the SVD, not (1 - sqrt(1 - 4 det^2)) / 2, whose rounded radicand can be < 0
+    return float(np.linalg.svd(X.reshape(2, 2), compute_uv=False)[1] ** 2)
 
 
 def _certify(system: GeneratorSystem, mk: MkBasis) -> SpannabilityCertificate:

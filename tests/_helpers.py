@@ -7,10 +7,10 @@ from cocyclespan import GeneratorSystem
 from cocyclespan.errors import InputError
 from cocyclespan.gibbs import _lse
 from cocyclespan.hypotheses import _algebra_closure, _structure_verdict
+from cocyclespan.kernels import dense_products
 from cocyclespan.linalg import canonical_sign
-from cocyclespan.spannability import (INCONCLUSIVE, NOT_SPANNABLE, TAU_SPAN,
-                                      SpannabilityCertificate, _numeric_certificate,
-                                      _project_descend, mk_basis)
+from cocyclespan.spannability import (INCONCLUSIVE, NOT_SPANNABLE, SPANNABLE, TAU_SPAN,
+                                      SpannabilityCertificate, _project_descend)
 from cocyclespan.thermo import _TargetData, _log_phi
 from cocyclespan.wordspace import word_unrank
 
@@ -54,10 +54,35 @@ def random_reducible_system(rng, ell=2):
 
 # Reference paths and oracles that no command reaches, for cross-checks.
 
-def numeric_certificate(system, k):
-    """The numeric spannability certificate of M_k, for the exact d = 2 path
-    to be checked against: the certified circle minimum at d = 2."""
-    return _numeric_certificate(system, mk_basis(system, k))
+def f_oracle(system, k, us):
+    """f(u) = min over unit w of |P(w u^T)|_F^2 at each row u of `us` (d = 2),
+    with P the projection onto the span of the ell^k word products, read off
+    their SVD rather than the M_k sweep: |P(w u^T)|_F^2 = w^T G(u) w, where
+    column c of E(u) is e_c (x) u, the ravelled e_c u^T, and G(u) = E(u)^T P E(u)."""
+    words = dense_products(system.stacked(), k).reshape(-1, 4)
+    V = np.linalg.svd(words)[2][:np.linalg.matrix_rank(words)]
+    E = np.einsum("ac,ub->uabc", np.eye(2), us).reshape(len(us), 4, 2)
+    return np.linalg.eigvalsh(np.swapaxes(E, 1, 2) @ (V.T @ V) @ E)[:, 0]
+
+
+def sampled_min_f(system, k):
+    """min of `f_oracle` over 2 * 10^4 angles of [0, pi), then twice over 2001
+    angles within one step of the best so far."""
+    step = np.pi / 20_000
+    th = step * np.arange(20_000)
+    for _ in range(2):
+        f = f_oracle(system, k, np.stack([np.cos(th), np.sin(th)], axis=1))
+        best = th[np.argmin(f)]
+        th = best + np.linspace(-step, step, 2001)
+    last = f_oracle(system, k, np.stack([np.cos(th), np.sin(th)], axis=1))
+    return float(min(f.min(), last.min()))
+
+
+def oracle_status(system, k):
+    """The d = 2 spannability status of M_k from the dense circle oracle alone,
+    for the exact path to be checked against: Spannable when the sampled min f
+    is above TAU_SPAN."""
+    return SPANNABLE if sampled_min_f(system, k) > TAU_SPAN else NOT_SPANNABLE
 
 
 def seeded_multistart_certificate(system, mk, seed=42):

@@ -12,13 +12,14 @@ from cocyclespan.gibbs import kappa_floor, psi_mixing_stat
 from cocyclespan.hypotheses import check_hypotheses
 from cocyclespan.linalg import wedge_power
 from cocyclespan.quasimult import connector_constant, empirical_qm
-from cocyclespan.spannability import diagnose_failure, minimal_spannable_k, spannable_at
+from cocyclespan.spannability import (COMPLEMENT_NOTE, diagnose_failure, minimal_spannable_k,
+                                      spannable_at)
 from cocyclespan.thermo import (PotentialSpec, QMInput, affinity_dimension,
                                 all_ones_targets, conformal_qm_input, pressure_brackets,
                                 r0_interval, s0_interval)
 from cocyclespan.wordspace import product
 
-from _helpers import numeric_certificate, potential_value, random_2x2_system
+from _helpers import oracle_status, potential_value, random_2x2_system
 
 DIAG_PAIR = GeneratorSystem((np.diag([2.0, 3.0]), np.diag([1.0, 4.0])))
 
@@ -67,16 +68,15 @@ def test_criterion_2_theorem_embodiment():
 
 def test_criterion_3_spannability_exactness():
     cert = spannable_at(E2(), 1)
-    # min f = 1/17 at u = e2; the circle search's floor lies within eps = 2e-4 below it
-    ok = cert.spannable and cert.exact and 1 / 17 - 2e-4 <= cert.margin <= 1 / 17
+    # min f = 1/17 at u = e2, in closed form over the orthogonal complement of M_1
+    ok = (cert.spannable and cert.exact and abs(cert.margin - 1 / 17) <= 1e-15
+          and cert.notes == (COMPLEMENT_NOTE,))
     rng = np.random.default_rng(31337)
     from _helpers import random_reducible_system
     agree = 0
     for i in range(100):
         sys = random_reducible_system(rng) if i % 3 == 0 else random_2x2_system(rng)
-        a = spannable_at(sys, 1)
-        b = numeric_certificate(sys, 1)
-        agree += a.status == b.status
+        agree += spannable_at(sys, 1).status == oracle_status(sys, 1)
     ok = ok and agree == 100
     _line(3, ok, f"E2 margin {cert.margin}; path agreement {agree}/100")
 

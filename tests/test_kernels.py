@@ -447,11 +447,11 @@ class TestLipschitzBnb:
     def test_circle_matches_brute_grid(self):
         rng = np.random.default_rng(21)
         th = np.linspace(0.0, np.pi, 20_001)[:, None]  # spacing 1.6e-4 <= eps / lip
+        circle = lambda X: np.stack([np.cos(X[:, 0]), np.sin(X[:, 0])], axis=-1)
         for _ in range(5):
             B = _random_b(rng, 3, 2)
             lip = 2.0 * len(B)
-            self._check(lambda X: _stack_f(B, _angles_to_unit(X)), lip, 1, lip * 1e-3,
-                        TAU_SPAN, th)
+            self._check(lambda X: _stack_f(B, circle(X)), lip, 1, lip * 1e-3, TAU_SPAN, th)
 
     def test_sphere_matches_brute_grid(self):
         rng = np.random.default_rng(22)

@@ -8,21 +8,21 @@ from cocyclespan import E1, E2, E3, GeneratorSystem
 from cocyclespan.errors import ContractViolation, InputError
 from cocyclespan.fixtures import ROT90
 from cocyclespan import kernels, spannability
-from cocyclespan.kernels import dense_products
 from cocyclespan.cli import _jsonable
-from cocyclespan.spannability import (INCONCLUSIVE, NOT_SPANNABLE, SATURATED_NOTE, TAU_SPAN,
-                                      _certify, _numeric_certificate, _stack_f, diagnose_failure,
-                                      minimal_spannable_k, mk_bases, mk_basis, spannable_at)
+from cocyclespan.spannability import (INCONCLUSIVE, NOT_SPANNABLE, SATURATED_NOTE, SPANNABLE,
+                                      TAU_SPAN,
+                                      _certify, _d2_margin, _numeric_certificate, _stack_f,
+                                      diagnose_failure, minimal_spannable_k, mk_bases, mk_basis,
+                                      spannable_at)
 
-from _helpers import (D3, numeric_certificate, random_2x2_system, random_reducible_system,
-                      rational, seeded_multistart_certificate)
+from _helpers import (f_oracle, oracle_status, random_2x2_system, random_reducible_system,
+                      rational, sampled_min_f, seeded_multistart_certificate)
 
-CLOSED_FORM_NOTE = "margin: sigma_2(N)^2, M_k the orthogonal complement of the unit matrix N"
+CLOSED_FORM_NOTE = "margin: min sigma_2(X)^2 over unit X in M_k^perp, at the least |det X|"
 # E2 and E3 share M_1 = span{diag(4, 1), J}; f is least at u = e2, where the images
 # diag(4, 1) e2 / sqrt(17) and J e2 / sqrt(2) of the orthonormal basis are orthogonal,
 # of squared lengths 1/17 and 1/2: min f = 1/17
 E_MARGIN = 1 / 17
-CIRCLE_EPS = 2e-4  # the circle search's slack, L * RESOLUTION[1]
 # a quarter turn in the (e1, e2) plane and a stretch along e3: M_k u never spans R^3
 ROT3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
 DIAG_PAIR = GeneratorSystem((np.diag([2.0, 3.0]), np.diag([1.0, 4.0])))
@@ -109,8 +109,9 @@ class TestSpannableAt:
     def test_e2_exact_margin(self):
         cert = spannable_at(E2(), 1)
         assert cert.spannable and cert.exact and cert.margin_certified
-        # dim M_1 = 2: the circle search's floor, within its eps below min f = 1/17
-        assert E_MARGIN - CIRCLE_EPS <= cert.margin <= E_MARGIN
+        # dim M_1 = 2: the closed form over M_1^perp
+        assert abs(cert.margin - E_MARGIN) <= 1e-15
+        assert cert.notes == (CLOSED_FORM_NOTE,)
 
     def test_e1_any_k(self):
         for k in (1, 3, 5):
@@ -127,7 +128,7 @@ class TestSpannableAt:
         cert = spannable_at(E3(), 1)
         assert cert.spannable and cert.margin_certified
         # det(A1 u | A2 u) = 0.12 x^2 + 0.03 y^2 is definite; M_1 is E2's
-        assert E_MARGIN - CIRCLE_EPS <= cert.margin <= E_MARGIN
+        assert abs(cert.margin - E_MARGIN) <= 1e-15
 
     def test_witness_rank_residual(self):
         for sys, k in ((E1(), 4), (DIAG_PAIR, 2)):
@@ -145,9 +146,8 @@ class TestSpannableAt:
         for i in range(100):
             sys = random_reducible_system(rng) if i % 3 == 0 else random_2x2_system(rng)
             exact = spannable_at(sys, 1)
-            numeric = numeric_certificate(sys, 1)
-            assert exact.status == numeric.status, \
-                f"case {i}: exact {exact.status} vs numeric {numeric.status}"
+            numeric = oracle_status(sys, 1)
+            assert exact.status == numeric, f"case {i}: exact {exact.status} vs numeric {numeric}"
 
     def test_saturated_d2_level_certifies_the_word_pairs(self, monkeypatch):
         # M_3 of E2 is the whole matrix space: margin 1 at d = 2 as at d >= 3,
@@ -171,7 +171,7 @@ class TestSpannableAt:
             cert = spannable_at(CONFORMAL_PAIR, k)
             assert (cert.status, cert.method, cert.exact, cert.margin_certified) == (
                 "Spannable", "d2_exact", True, True)
-            assert 0.5 - CIRCLE_EPS <= cert.margin <= 0.5
+            assert abs(cert.margin - 0.5) <= 1e-12
             margins.append(cert.margin)
         assert abs(margins[0] - margins[1]) <= 1e-12
 
@@ -216,18 +216,12 @@ class TestSpannableAt:
     def test_indefinite_pairs_margin_from_minimizer(self):
         # indefinite word pairs need three independent generators (on a plane
         # M_k every pair quadratic is a multiple of one), so M_1 has dimension
-        # 3 and its margin is the closed form; E2's plane M_1 takes the circle
-        cert = spannable_at(INDEFINITE_PAIRS, 1)
-        assert cert.spannable and cert.exact and cert.margin_certified
-        assert cert.notes == (CLOSED_FORM_NOTE,)
-        f_min = sampled_min_f(INDEFINITE_PAIRS, 1)
-        assert f_min - 1e-8 <= cert.margin <= f_min
-        cert = spannable_at(E2(), 1)
-        (note,) = cert.notes
-        assert note.startswith("circle minimum") and "L = 2, eps = 0.0002," in note
-        assert "evaluations" in note
-        f_min = sampled_min_f(E2(), 1)
-        assert f_min - CIRCLE_EPS <= cert.margin <= f_min
+        # 3; E2's M_1 is a plane, and both take the one closed form
+        for system in (INDEFINITE_PAIRS, E2()):
+            cert = spannable_at(system, 1)
+            assert cert.spannable and cert.exact and cert.margin_certified
+            assert cert.notes == (CLOSED_FORM_NOTE,)
+            assert abs(cert.margin - sampled_min_f(system, 1)) <= 1e-12
 
 
 def d3_rotated_triangular(rng):
@@ -541,35 +535,12 @@ def random_d2_plane(rng, dyadic: bool) -> GeneratorSystem:
     return GeneratorSystem((A, A @ np.array([[p, -q], [q, p]])), exact=dyadic)
 
 
-def f_oracle(system: GeneratorSystem, k: int, us: np.ndarray) -> np.ndarray:
-    """f(u) = min over unit w of |P(w u^T)|_F^2 at each row u of `us`, with P the
-    projection onto the span of the ell^k word products, read off their SVD
-    rather than the M_k sweep: |P(w u^T)|_F^2 = w^T G(u) w, where column c of
-    E(u) is e_c (x) u, the ravelled e_c u^T, and G(u) = E(u)^T P E(u)."""
-    words = dense_products(system.stacked(), k).reshape(-1, 4)
-    dim = mk_basis(system, k).dim
-    V = np.linalg.svd(words)[2][:dim]
-    E = np.einsum("ac,ub->uabc", np.eye(2), us).reshape(len(us), 4, 2)
-    return np.linalg.eigvalsh(np.swapaxes(E, 1, 2) @ (V.T @ V) @ E)[:, 0]
-
-
-def sampled_min_f(system: GeneratorSystem, k: int) -> float:
-    """min of `f_oracle` over 2 * 10^4 angles of [0, pi), then over 2001 angles
-    within one step of the best."""
-    step = np.pi / 20_000
-    th = step * np.arange(20_000)
-    for _ in range(2):
-        f = f_oracle(system, k, np.stack([np.cos(th), np.sin(th)], axis=1))
-        best = th[np.argmin(f)]
-        th = best + np.linspace(-step, step, 2001)
-    return float(min(f.min(), f_oracle(system, k, np.stack([np.cos(th), np.sin(th)], axis=1)).min()))
-
-
 class TestMarginOracle:
     """Every Spannable d = 2 margin against f sampled on the circle, on seeded
     random systems (ell 1..4 and `random_d2_plane` pairs, k = 1..4, dyadic and
-    3-decimal entries): 1 on a saturated level, the closed form sigma_2(N)^2 at
-    dim M_k = 3 and the circle search's floor, within its eps, at dim M_k = 2."""
+    3-decimal entries): 1 on a saturated level, else the closed form over
+    M_k^perp, within 1e-12 of the sampled minimum on either side (a margin can
+    sit an ulp above the sample)."""
 
     def test_margins_against_references(self):
         rng = np.random.default_rng(1801)
@@ -590,11 +561,42 @@ class TestMarginOracle:
                     assert cert.margin == 1.0
                     assert np.abs(f_oracle(system, k, units) - 1.0).max() <= 1e-12
                     continue
-                f_min = sampled_min_f(system, k)
-                if dim == 3:
-                    assert cert.notes == (CLOSED_FORM_NOTE,)
-                    assert f_min - 1e-8 <= cert.margin <= f_min, (i, k)
-                else:
-                    assert cert.notes[0].startswith("circle minimum")
-                    assert f_min - CIRCLE_EPS <= cert.margin <= f_min, (i, k)
+                assert cert.notes == (CLOSED_FORM_NOTE,)
+                assert abs(cert.margin - sampled_min_f(system, k)) <= 1e-12, (i, k)
         assert seen == {2, 3, 4}
+
+    def test_closed_form_is_positive_exactly_where_the_root_test_spans(self, monkeypatch):
+        # every level of dimension 2 or 3 of seeded exact systems, NotSpannable
+        # ones included, against the integer common-root decision of `_certify`,
+        # which reaches no branch and bound at d = 2
+        def no_search(*args):
+            raise AssertionError("a d = 2 level takes no branch and bound")
+        monkeypatch.setattr(spannability, "lipschitz_bnb", no_search)
+        rng = np.random.default_rng(3601)
+        systems = [random_d2_system(rng, ell, True) for ell in (1, 2, 3, 4) for _ in range(6)]
+        systems += [random_d2_plane(rng, True) for _ in range(6)]
+        seen = set()
+        for i, system in enumerate(systems):
+            for mk in mk_bases(system, 4):
+                if mk.dim not in (2, 3):
+                    continue
+                cert = _certify(system, mk)
+                assert cert.method == "d2_exact"
+                seen.add((mk.dim, cert.status))
+                margin = _d2_margin(mk)
+                assert (margin > 0) == cert.spannable, (i, mk.k)
+                if cert.spannable:
+                    assert abs(margin - sampled_min_f(system, mk.k)) <= 1e-12, (i, mk.k)
+        assert seen == {(2, SPANNABLE), (2, NOT_SPANNABLE), (3, SPANNABLE)}
+
+    def test_conformal_planes_read_one_half(self):
+        # two scaled rotations span span{I, J}, where f = 1/2 at every unit u and
+        # sigma_1 = sigma_2 on the whole complement
+        rng = np.random.default_rng(3602)
+        for _ in range(2000):
+            turns = [np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+                     for t in rng.uniform(0.0, 2.0 * np.pi, 2)]
+            scales = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+            cert = spannable_at(GeneratorSystem((scales[0] * turns[0], scales[1] * turns[1])), 1)
+            assert cert.spannable and cert.margin_certified
+            assert abs(cert.margin - 0.5) <= 1e-12
