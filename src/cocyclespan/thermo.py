@@ -9,13 +9,12 @@ once, as h(s, q_1, ...) increasing in every growth rate q_i, and its upper
 and lower curves are h at the upper and at the lower ends. Root searches
 therefore return intervals, not point estimates: uncertainty is structural.
 One bracketing solver (`_root_bracket`, regula falsi with the Illinois step
-and a bisection fallback) finds the root of each curve to 1e-6, and the
-interval takes the outer end of each bracket, so it contains both roots as
-computed in floats. Each search first finds its curve's root on a guide, a
-histogram of the level's log sigma_1 (`_LevelData.guide_log_z`), and starts
-from a pair of exact points either side of it: when the guide is right, a
-curve costs one log Z pass per potential at each of the two. Every end is
-still read off exact log Z passes.
+and a bisection fallback) finds every root, and the interval takes the outer
+end of each bracket. A histogram of the level's log sigma_1 bounds log Z_n of
+phi^s at s <= 1 on both sides (`_LevelData.log_z_bounds`), so h at those
+bounds gives curves outside the upper and lower ones, whose roots lie outside
+the exact roots and need no exact pass; a curve whose bound curve has no root
+in [0, 1] is searched exactly, to 1e-6.
 
 `qm_source` supplies C: the connector constant `quasimult.ConnectorConstant`
 at k = k_qm, or for conformal systems (all generators scalar multiples of
@@ -26,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -39,8 +39,8 @@ from .wordspace import DEFAULT_BUDGET, Word, check_budget, check_sweep, product,
 S_MAX = 4.0          # root searches live on [0, S_MAX]
 ROOT_TOL = 1e-6
 _BLOCK = 1 << 16     # most words of Lambda(n) a log Z pass holds at once
-_GUIDE_BINS = 4096   # equal bins of log sigma_1 in a level's guide (`_LevelData.guide_log_z`)
-_GUIDE_STEP = 1e-9   # a guided search's exact pair lies this far either side of the guide's root
+_BINS = 4096         # equal bins of log sigma_1 in a level's histogram (`_LevelData.log_z_bounds`)
+_BOUND_TOL = 2.5e-10  # bracket width of a root search on the bound curves
 
 KINDS = ("norm_s", "sv_s", "sv_s_squared")
 
@@ -141,8 +141,7 @@ class _LevelData:
       potential plus a max pass for phi^s at 1 <= s < 2;
     - `closed_forms`: the potentials whose log Z_n took no pass at all
       (`_closed_form`).
-    The guide of the root searches (`guide_log_z`) is built on first use, in
-    one more sweep.
+    The histogram of `log_z_bounds` is built on first use, in one more sweep.
     """
 
     def __init__(self, system: GeneratorSystem, n: int, *, budget: int = DEFAULT_BUDGET):
@@ -154,11 +153,11 @@ class _LevelData:
         self._letter_log_dets = (None if self.log_dets is None
                                  else _letter_log_dets(system.stacked()))
         size = min(len(self.logs1), _BLOCK)
-        # at least 2: the guide's build splits the first buffer in two
+        # at least 2: the histogram's build splits the first buffer in two
         self._w, self._logs2 = np.empty(max(size, 2)), np.empty(size)
         self._max_logs1 = np.max(self.logs1)
         self._log_z: dict[PotentialSpec, float] = {}
-        self._guide = None
+        self._bounds: dict[PotentialSpec, tuple[float, float]] = {}
         self.passes = self.sweeps = self.closed_forms = 0
 
     @staticmethod
@@ -240,21 +239,18 @@ class _LevelData:
         self._log_z[spec] = value
         return value
 
-    def _build_guide(self):
-        """(count N_b, mean mu_b, half variance v_b / 2) of log sigma_1 in each nonempty
-        one of _GUIDE_BINS equal bins over [min, max], from one sweep in the block buffers.
-
-        A word's place y = (x - min) * scale in the bins splits into its bin
-        floor(y) and its offset y - floor(y) in [0, 1); offsets and their squares
-        sum per bin, so a bin's mean and variance lose no more than its width
-        allows. A block of y and its bins as integers fill the two halves of the
-        buffer a log Z pass uses, so the build touches no memory a pass does
-        not. A flat level (max = min) is one bin of variance 0.
-        """
+    @cached_property
+    def histogram(self):
+        """(log N_b, means mu_b, lower edges a_b, width w) of the nonempty ones of _BINS
+        equal bins of log sigma_1 over [min, max], from one sweep: a word's
+        place y = (x - min) * scale splits into its bin floor(y) and its offset,
+        which sum per bin, in the two halves of the buffer a log Z pass uses. A flat
+        level is one bin. Each edge is widened by 16 ulps of the largest |x|, well
+        past the rounding of y, so that each word's x lies in its bin."""
         lo = float(np.min(self.logs1))
-        # below _GUIDE_BINS after rounding, so the max falls in the last bin
-        scale = _GUIDE_BINS * (1.0 - 2.0**-40) / ((self._max_logs1 - lo) or 1.0)
-        counts, sums, squares = (np.zeros(_GUIDE_BINS) for _ in range(3))
+        # below _BINS after rounding, so the max falls in the last bin
+        scale = _BINS * (1.0 - 2.0**-40) / ((self._max_logs1 - lo) or 1.0)
+        counts, sums = np.zeros(_BINS), np.zeros(_BINS)
         size, block = len(self.logs1), len(self._w) // 2
         values, places = self._w[:block], self._w[block:2 * block].view(np.intp)
         self.sweeps += 1
@@ -264,31 +260,37 @@ class _LevelData:
             y *= scale
             bins = np.floor(y, out=places[:stop - start], casting="unsafe")
             y -= bins
-            counts += np.bincount(bins, minlength=_GUIDE_BINS)
-            sums += np.bincount(bins, y, minlength=_GUIDE_BINS)
-            y *= y
-            squares += np.bincount(bins, y, minlength=_GUIDE_BINS)
-        full = counts > 0
-        counts, offsets = counts[full], sums[full] / counts[full]
-        variances = np.maximum(squares[full] / counts - offsets * offsets, 0.0)
-        return counts, lo + (np.flatnonzero(full) + offsets) / scale, 0.5 * variances / scale**2
+            counts += np.bincount(bins, minlength=_BINS)
+            sums += np.bincount(bins, y, minlength=_BINS)
+        full = np.flatnonzero(counts)
+        ulps = 16.0 * float(np.spacing(max(abs(lo), abs(self._max_logs1))))
+        return (np.log(counts[full]), lo + (full + sums[full] / counts[full]) / scale,
+                lo + full / scale - ulps, 1.0 / scale + 2.0 * ulps)
 
-    def guide_log_z(self, spec: PotentialSpec) -> float:
-        """log Z_n of a potential c * log sigma_1 estimated from the guide:
-        m + log sum_b N_b e^(c mu_b - m) (1 + c^2 v_b / 2), m = max_b c mu_b.
-
-        c = s, or 2s for `sv_s_squared`: the norm potential at any s, phi^s at
-        s <= 1. Each bin's sum of e^(c x) is taken to second order about its
-        mean, so a bin of one value is exact. The value only steers the root
-        searches (`_dimension_root`); no end they report reads it.
-        """
-        if self._guide is None:
-            self._guide = self._build_guide()
-        counts, means, half_variances = self._guide
+    def log_z_bounds(self, spec: PotentialSpec) -> tuple[float, float]:
+        """(lower, upper) bounds of log Z_n for a potential c log sigma_1: c = s for
+        `norm_s` and for `sv_s` at s <= 1, c = 2s for `sv_s_squared` at s <= 1.
+        e^(cx) is convex, so over bin b, with N_b words of x in [a_b, a_b + w] and
+        mean mu_b = a_b + t_b w, Jensen bounds the sum below and the chord above
+        (Madansky): N_b e^(c mu_b) <= sum e^(cx) <= N_b e^(c a_b) (1 + t_b (e^(cw) - 1)).
+        Their log ratio is at most c^2 w^2 / 8 (Hoeffding's lemma), and so is the
+        gap. Each side is widened outward by 2^-40 max(1, |log Z_n|) for the
+        rounding of the means and sums. s = 0 takes its closed form on both sides."""
+        if spec in self._bounds:
+            return self._bounds[spec]
+        assert spec.kind == "norm_s" or spec.s <= 1.0, f"{spec.kind} reads sigma_2 at s = {spec.s}"
+        if spec.s == 0.0:
+            return (self.log_z(spec),) * 2
+        log_counts, means, edges, width = self.histogram
         c = spec.s * (2.0 if spec.kind == "sv_s_squared" else 1.0)
-        t = c * means
-        m = float(np.max(t))
-        return m + math.log(float(np.sum(counts * np.exp(t - m) * (1.0 + c * c * half_variances))))
+        chords = np.log1p((means - edges) * (math.expm1(c * width) / width))
+        bounds = []
+        for u, side in ((log_counts + c * means, -1.0), (log_counts + c * edges + chords, 1.0)):
+            m = float(np.max(u))
+            value = m + math.log(float(np.sum(np.exp(u - m))))
+            bounds.append(value + side * 2.0**-40 * max(1.0, abs(value)))
+        self._bounds[spec] = tuple(bounds)
+        return self._bounds[spec]
 
 
 def _ends(spec: PotentialSpec, n: int, log_zn: float,
@@ -505,11 +507,10 @@ def _root_bracket(g, lo: float, hi: float, tol: float = ROOT_TOL):
 def _seed_bracket(g, points) -> tuple[float, float]:
     """The narrowest (a, b) of adjacent `points` with g(a) > 0 >= g(b), else (0, S_MAX).
 
-    `points` hold 0 and S_MAX, where log Z takes closed forms, the points an
-    earlier search sampled, where it is memoised, and a guide's pair. Without
-    g(0) > 0 >= g(S_MAX) among them (a curve without a QM constant is -inf at
-    0), [0, S_MAX] is kept, so `_root_bracket` reports the same boundary tag
-    as an unseeded search.
+    `points` hold 0 and S_MAX, where log Z takes closed forms, and the points an
+    earlier search sampled, where it is memoised. Without g(0) > 0 >= g(S_MAX)
+    among them (a curve without a QM constant is -inf at 0), [0, S_MAX] is
+    kept, so `_root_bracket` reports the same boundary tag as an unseeded search.
     """
     xs = sorted(set(points))
     vals = [g(x) for x in xs]
@@ -559,21 +560,18 @@ def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, kinds
 
     h at every upper end (`_ends`) is the upper curve, h at every lower end the
     lower curve; both decrease in s. The lower curve needs a positive QM input
-    and is -inf (root 0) without one. Each curve is first searched on its
-    guide, the same h on `_LevelData.guide_log_z`, bracketed on [0, 1] to
-    _GUIDE_STEP / 4, whose root s* gives the exact pair s* +- _GUIDE_STEP.
-    Then `_seed_bracket` starts the exact search from the narrowest sign change
-    among s = 0, S_MAX, the pair and, for the lower curve, the upper search's
-    points, and `_root_bracket` closes it. A right guide costs the pair alone:
-    one log Z pass per potential at each of its two points. A wrong one leaves
-    regula falsi from the narrowest exact sign change. A curve with no sign
-    change on [0, S_MAX] (a boundary tag) builds no guide, and one whose guide
-    has no root in [0, 1] (phi^s reads log sigma_2 above s = 1) takes no pair.
-    Every reported end is an end of an exact bracket: g(a) > 0 >= g(b) and
-    b - a <= ROOT_TOL. The interval is outward: the left end of the lower
-    curve's bracket and the right end of the upper curve's.
-    `late_warnings(sampled)` runs after both searches, on the upper ends at
-    the upper search's exact points.
+    and is -inf (root 0) without one. `_root_bracket` first brackets each
+    curve's bound curve on [0, 1] to _BOUND_TOL: h with each log Z_n at its
+    upper bound (`_LevelData.log_z_bounds`) for the upper curve, at its lower
+    bound for the lower one. Both ends of `_ends` increase in log Z_n, so the
+    upper curve is <= 0 wherever its bound curve is, as at that bracket's right
+    end b, and the upper root is at most b; the lower curve is > 0 wherever its
+    bound curve is, as at that bracket's left end a, and the lower root lies
+    above a. A curve with no sign change on [0, S_MAX] (a boundary tag), or
+    whose bound curve stays positive at s = 1, takes the exact search:
+    `_root_bracket` to ROOT_TOL from `_seed_bracket`. The interval is the left
+    end of the lower curve's bracket and the right end of the upper curve's.
+    `late_warnings` reads the upper ends at the upper search's points.
     """
     hyp = check_hypotheses(system, "corollary_4_3", budget=budget)
     data = _LevelData(system, n, budget=budget)
@@ -585,8 +583,11 @@ def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, kinds
         lowers, uppers = zip(*(_ends(spec, n, log_z(spec), qm) for spec in specs))
         return lowers, uppers
 
+    read = {}  # s -> the upper ends the upper search read there
+
     def upper(s: float, log_z) -> float:
-        return h(s, *ends(s, None, log_z)[1])
+        read[s] = ends(s, None, log_z)[1]
+        return h(s, *read[s])
 
     def lower(s: float, log_z) -> float:
         qm = qm_input(s, "sv_s")
@@ -595,33 +596,30 @@ def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, kinds
     def effort() -> dict:
         return {"passes": data.passes, "sweeps": data.sweeps, "closed_form": data.closed_forms}
 
-    def search(curve, points):
-        """(a, b, tag, exact points sampled, counts) of the root of `curve`."""
+    def search(curve, side: int, points):
+        """(a, b, tag, counts) of the root of `curve`, first on its bound curve, which
+        reads side `side` (0 lower, 1 upper) of `log_z_bounds`."""
         before = effort()
-        sampled = []
+        g = partial(curve, log_z=data.log_z)
+        closed = g(0.0) > 0 >= g(S_MAX)  # closed forms; a boundary tag takes the exact search
+        if closed:
+            bound = partial(curve, log_z=lambda spec: data.log_z_bounds(spec)[side])
+            a, b, tag, counts = _root_bracket(bound, 0.0, 1.0, _BOUND_TOL)
+            closed = tag is None
+        if not closed:
+            read.clear()  # an exact upper search reads its own points, not the bounds
+            a, b, tag, counts = _root_bracket(g, *_seed_bracket(g, {0.0, S_MAX, *points}))
+        meta = {key: now - before[key] for key, now in effort().items()} | counts | {
+            "bounds": closed, "bins": None, "log_z_gap": None}
+        if closed:  # at the reported end: a for the lower curve, b for the upper
+            bounds = [data.log_z_bounds(PotentialSpec(k, (a, b)[side])) for k in kinds]
+            meta |= {"bins": len(data.histogram[0]), "log_z_gap": max(u - v for v, u in bounds)}
+        return a, b, tag, meta
 
-        def g(s: float) -> float:
-            sampled.append(s)
-            return curve(s, data.log_z)
-
-        guide_root, pair = None, []
-        if g(0.0) > 0 >= g(S_MAX):  # closed forms; a boundary tag needs no guide
-            a, b, tag, _ = _root_bracket(lambda s: curve(s, data.guide_log_z), 0.0, 1.0,
-                                         _GUIDE_STEP / 4)
-            if tag is None:
-                guide_root = 0.5 * (a + b)
-                pair = [x for x in (guide_root - _GUIDE_STEP, guide_root + _GUIDE_STEP) if x > 0]
-        seeds = {0.0, S_MAX, *points, *pair}
-        start = _seed_bracket(g, seeds)
-        a, b, tag, counts = _root_bracket(g, *start)
-        spent = {key: now - before[key] for key, now in effort().items()}
-        return a, b, tag, sampled, spent | counts | {
-            "start": list(start), "seed_points": len(seeds), "guide_root": guide_root,
-            "guide_closed": start == tuple(pair)}
-
-    _, s_hi, b_hi, sampled, up_counts = search(upper, ())
-    s_lo, _, b_lo, _, lo_counts = search(lower, sampled)
-    warnings = list(warnings) + late_warnings({s: ends(s, None, data.log_z)[1] for s in sampled})
+    _, s_hi, b_hi, up_counts = search(upper, 1, ())
+    warnings = list(warnings) + late_warnings(read)
+    # a lower search that falls back starts from the upper search's exact points
+    s_lo, _, b_lo, lo_counts = search(lower, 0, () if up_counts["bounds"] else list(read))
     if qm_desc["mode"] != "conformal" and qm_desc["gamma"] <= 0:
         warnings.append("no positive QM constant: lower root defaulted to 0")
     interval = (min(s_lo, s_hi), s_hi)

@@ -176,24 +176,20 @@ class TestRunCommand:
         assert code == cli.EXIT_OK
         counts = json.loads(json.dumps(report["meta"]["root_search"]))
         assert set(counts) == {"upper", "lower"}
-        # each end also names the bracket it started from, how many exact points
-        # (s = 0, S_MAX, its guide's pair and, for the lower end, the upper
-        # search's points) it was chosen from, its guide's root and whether the
-        # pair around that root closed the search
-        keys = {"passes", "sweeps", "closed_form", "steps", "bisection_fallbacks", "start",
-                "seed_points", "guide_root", "guide_closed"}
+        # each end also says whether its curve closed on the histogram's log Z
+        # bounds, the histogram's nonempty bins and the largest upper - lower
+        # log Z over its potentials at the reported end
+        keys = {"passes", "sweeps", "closed_form", "steps", "bisection_fallbacks", "bounds",
+                "bins", "log_z_gap"}
         assert set(counts["upper"]) == set(counts["lower"]) == keys
-        assert counts["upper"]["seed_points"] == 4 and counts["lower"]["seed_points"] == 6
         for end in counts.values():
-            lo, hi = end["start"]
-            assert (lo, hi) == (end["guide_root"] - 1e-9, end["guide_root"] + 1e-9)
-            assert end["guide_closed"] and end["steps"] == 0
-            # the guide's pair samples 0 < s < 1, where phi^s reads log sigma_1
-            # alone: one pass of one sweep each, and the upper end builds the guide
-            assert end["passes"] == 2
-        assert counts["upper"]["sweeps"] == 3 and counts["lower"]["sweeps"] == 2
-        assert report["result"]["interval"] == [counts["lower"]["start"][0],
-                                                counts["upper"]["start"][1]]
+            # E3's roots lie below s = 1, where phi^s reads log sigma_1 alone: both
+            # curves close on their bounds, with no exact log Z pass
+            assert end["bounds"] and end["passes"] == 0 and end["steps"] > 0
+            assert 0 < end["bins"] <= 4096 and 0 <= end["log_z_gap"] < 1e-6
+        assert counts["upper"]["bins"] == counts["lower"]["bins"]
+        # the upper search builds the histogram in one sweep; the lower one reads it
+        assert counts["upper"]["sweeps"] == 1 and counts["lower"]["sweeps"] == 0
         assert report["result"]["interval"][1] < 1
         # s = 0 and S_MAX take closed forms, in the upper search, which runs
         # first; the lower search reads both from the memo

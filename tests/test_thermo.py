@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cocyclespan import E2, E3, E4, E5, GeneratorSystem
 from cocyclespan.errors import InputError
-from cocyclespan.thermo import (_GUIDE_STEP, ROOT_TOL, S_MAX, PotentialSpec, QMInput,
+from cocyclespan.thermo import (_BOUND_TOL, ROOT_TOL, S_MAX, PotentialSpec, QMInput,
                                 TargetSequence, _monotone_warnings, _root_bracket,
                                 affinity_dimension, all_ones_targets, beta_hat,
                                 conformal_qm_input, log_potential, pressure_brackets,
@@ -417,80 +417,121 @@ def _dimension_ops(system, n):
 
 
 def _searches(monkeypatch, run):
-    """(report, [(g, seeds, start, exact points sampled, (a, b, tag, counts))] for the upper
-    and the lower search) of one root command, through spies on the two solvers."""
+    """(report, [(bound search or None, exact search or None)] for the upper and the
+    lower end) of one root command, through spies on the two solvers. A search is
+    (g, seed points or None, start, points sampled, (a, b, tag, counts))."""
     from cocyclespan import thermo
-    seeds, brackets = [], []
+    calls = []
     seed, bracket = thermo._seed_bracket, thermo._root_bracket
 
     def seed_spy(g, points):
-        seeds.append((g, set(points)))
+        calls.append(set(points))
         return seed(g, points)
 
     def bracket_spy(g, lo, hi, tol=ROOT_TOL):
         seen = []
         out = bracket(lambda s: seen.append(s) or g(s), lo, hi, tol)
-        if tol == ROOT_TOL:  # the exact searches, not their guides'
-            brackets.append(((lo, hi), seen, out))
+        points = calls.pop() if tol == ROOT_TOL else None
+        calls.append((g, points, (lo, hi), set(seen), out))
         return out
 
     monkeypatch.setattr(thermo, "_seed_bracket", seed_spy)
     monkeypatch.setattr(thermo, "_root_bracket", bracket_spy)
     rep = run()
     monkeypatch.undo()
-    return rep, [(g, points, start, points | set(seen), out)
-                 for (g, points), (start, seen, out) in zip(seeds, brackets, strict=True)]
+    searches = []
+    for name in ("upper", "lower"):
+        bound = calls.pop(0) if calls and calls[0][1] is None else None
+        searches.append((bound, None if rep.root_search[name]["bounds"] else calls.pop(0)))
+    assert not calls
+    return rep, searches
+
+
+def _exact_curve(g_bound):
+    """The curve of a bound search, read at the exact log Z_n instead of its bounds."""
+    from cocyclespan import thermo
+
+    def g(s):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(thermo._LevelData, "log_z_bounds",
+                      lambda self, spec: (self.log_z(spec),) * 2)
+            return g_bound(s)
+    return g
 
 
 def _check_searches(rep, searches, per_step):
-    """Each exact search against the unguided one from [0, S_MAX] on the same curve:
-    the same tag, a valid bracket within ROOT_TOL of its ends, and a pass or closed
-    form per potential at each point no earlier search sampled. Returns, per end,
-    (the exact points it added beside 0 and S_MAX, the unguided search's steps)."""
+    """Each end against the exact search from [0, S_MAX] on the same curve.
+
+    An end that closed on its bounds: a bracket of its bound curve on [0, 1], no
+    exact pass, the bound curve on the outer side of the exact one at each point
+    it sampled, and the end outside the exact root, within ROOT_TOL of the exact
+    search's bracket. Any other end: the exact search's tag, and a valid bracket
+    within ROOT_TOL of its ends. Each exact point no earlier search sampled costs
+    a pass or a closed form per potential. Returns, per end that took the exact
+    search, (the exact points it added beside 0 and S_MAX, the unseeded steps)."""
     known, costs = set(), []
-    for name, (g, points, start, sampled, (a, b, tag, _)) in zip(("upper", "lower"), searches):
+    for name, (bound, exact) in zip(("upper", "lower"), searches):
         counts = rep.root_search[name]
-        assert counts["start"] == list(start) and counts["seed_points"] == len(points)
-        ra, rb, ref_tag, ref_counts = _root_bracket(g, 0.0, S_MAX)
-        assert tag == ref_tag
-        if tag is None:
-            assert g(a) > 0 >= g(b) and b - a <= ROOT_TOL
-            assert abs(a - ra) <= ROOT_TOL and abs(b - rb) <= ROOT_TOL
+        assert counts["bounds"] == (exact is None)
+        sampled = {0.0, S_MAX}
+        if exact is None:
+            g_bound, _, start, seen, (a, b, tag, _) = bound
+            g = _exact_curve(g_bound)
+            assert start == (0.0, 1.0) and tag is None
+            assert g_bound(a) > 0 >= g_bound(b) and b - a <= _BOUND_TOL
+            ra, rb, ref_tag, _ = _root_bracket(g, 0.0, S_MAX)
+            assert ref_tag is None
+            if name == "upper":
+                assert all(g_bound(s) >= g(s) for s in seen)
+                assert g(b) <= 0 and ra < b <= rb + ROOT_TOL
+            else:
+                assert all(g_bound(s) <= g(s) for s in seen)
+                assert g(a) > 0 and ra - ROOT_TOL <= a < rb
+            assert counts["passes"] == 0 and counts["bins"] > 0 and counts["log_z_gap"] >= 0
         else:
-            assert (a, b) == (ra, rb) and counts["guide_root"] is None
-        fresh = sampled - known
-        assert counts["passes"] + counts["closed_form"] == per_step * len(fresh)
-        if counts["guide_closed"]:
-            s = counts["guide_root"]
-            assert list(start) == [s - _GUIDE_STEP, s + _GUIDE_STEP] and counts["steps"] == 0
+            g, points, start, seen, (a, b, tag, _) = exact
+            assert bound is None or bound[4][2] == "at_upper"  # positive at s = 1
+            assert counts["bins"] is None and counts["log_z_gap"] is None
+            ra, rb, ref_tag, ref_counts = _root_bracket(g, 0.0, S_MAX)
+            assert tag == ref_tag
+            if tag is None:
+                assert g(a) > 0 >= g(b) and b - a <= ROOT_TOL
+                assert abs(a - ra) <= ROOT_TOL and abs(b - rb) <= ROOT_TOL
+            else:
+                assert (a, b) == (ra, rb)
+            sampled |= points | seen
+            costs.append((len(sampled - known - {0.0, S_MAX}), ref_counts["steps"]))
+        assert counts["passes"] + counts["closed_form"] == per_step * len(sampled - known)
         known |= sampled
-        costs.append((len(fresh - {0.0, S_MAX}), ref_counts["steps"]))
-    assert rep.interval[0] == min(searches[1][4][0], rep.interval[1])
+    lower_end = searches[1][1] or searches[1][0]
+    assert rep.interval[0] == min(lower_end[4][0], rep.interval[1])
     return costs
 
 
 class TestSeededLowerSearch:
-    """Each exact search starts from the narrowest sign change among s = 0, S_MAX,
-    its guide's pair and, for the lower curve, the upper search's points."""
+    """A curve closes on its bound curve where that has a root in [0, 1]; any other
+    curve takes the exact search, from the narrowest sign change among s = 0,
+    S_MAX and, for the lower curve, the upper search's exact points."""
 
     @pytest.mark.parametrize("system", [E3(), E4()], ids=["e3", "e4"])
     def test_shipped_systems(self, monkeypatch, system):
-        # both curves close on their guide's pair: two passes per potential, and
-        # none for a conformal lower curve, which is the upper one
+        # both curves close on their bounds with no exact pass: the upper search
+        # takes s = 0 and S_MAX in closed form and builds the histogram in one sweep
         for run, per_step in _dimension_ops(system, 10):
             rep, searches = _searches(monkeypatch, run)
             _check_searches(rep, searches, per_step)
             up, lo = rep.root_search["upper"], rep.root_search["lower"]
-            assert up["guide_closed"] and lo["guide_closed"]
-            assert up["steps"] == lo["steps"] == 0
-            assert up["passes"] == 2 * per_step
-            assert lo["passes"] == (0 if system.is_conformal() else 2 * per_step)
+            assert up["bounds"] and lo["bounds"] and up["bins"] == lo["bins"]
+            assert up["passes"] == lo["passes"] == lo["closed_form"] == lo["sweeps"] == 0
+            assert up["closed_form"] == 2 * per_step and up["sweeps"] == 1
+            if system.is_conformal():  # one log sigma_1 per word: one bin
+                assert up["bins"] == 1 and up["log_z_gap"] <= 1e-11
 
     def test_random_systems(self, monkeypatch):
         # contracting pairs and triples, whose roots lie inside [0, S_MAX], and
-        # expanding ones, whose upper search ends at a boundary tag: each of the
-        # 34 guides with a root in [0, 1] closes on its pair, and no end samples
-        # more points than the unguided search from [0, S_MAX]
+        # expanding ones, whose upper search ends at a boundary tag: 34 curves
+        # close on their bounds, and no exact search samples more points than the
+        # unseeded one from [0, S_MAX]
         closed = 0
         for seed in range(30):
             rng = np.random.default_rng(seed)
@@ -503,23 +544,20 @@ class TestSeededLowerSearch:
             n = int(rng.integers(3, 11 if ell == 2 else 9))
             run, per_step = _dimension_ops(system, n)[int(rng.integers(3))]
             rep, searches = _searches(monkeypatch, run)
-            for (got, ref), end in zip(_check_searches(rep, searches, per_step),
-                                       rep.root_search.values()):
-                assert got <= ref
-                assert end["guide_closed"] == (end["guide_root"] is not None)
-                closed += end["guide_closed"]
+            assert all(got <= ref for got, ref in _check_searches(rep, searches, per_step))
+            closed += sum(end["bounds"] for end in rep.root_search.values())
         assert closed == 34
 
     def test_no_constant_keeps_the_full_range(self, monkeypatch):
-        # g_lo is -inf at every point: no sign change, so [0, S_MAX], which
-        # ends at once at the lower boundary, with no guide and no pass
+        # g_lo is -inf at every point: no sign change, so no bound search and
+        # [0, S_MAX], which ends at once at the lower boundary, with no pass
         for run, per_step in _dimension_ops(NO_CONSTANT, 8):
             rep, searches = _searches(monkeypatch, run)
             _check_searches(rep, searches, per_step)
             counts = rep.root_search["lower"]
-            assert counts["start"] == [0.0, S_MAX]
-            assert counts["passes"] == counts["steps"] == 0
-            assert counts["guide_root"] is None and not counts["guide_closed"]
+            bound, (_, _, start, _, _) = searches[1]
+            assert bound is None and start == (0.0, S_MAX)
+            assert counts["passes"] == counts["steps"] == 0 and not counts["bounds"]
             assert rep.interval[0] == 0.0
             assert "no positive QM constant: lower root defaulted to 0" in rep.warnings
 
@@ -529,12 +567,65 @@ class TestSeededLowerSearch:
         rep, searches = _searches(monkeypatch, lambda: r0_interval(NO_CONSTANT, 0.0, 8, 1))
         _check_searches(rep, searches, 2)
         counts = rep.root_search["lower"]
-        assert counts["start"] == [0.0, S_MAX]
-        assert counts["passes"] == counts["steps"] == 0
-        assert counts["guide_root"] is None
+        bound, (_, _, start, _, _) = searches[1]
+        assert bound is None and start == (0.0, S_MAX)
+        assert counts["passes"] == counts["steps"] == 0 and not counts["bounds"]
         assert rep.interval[0] == 0.0
         assert not any(math.isnan(x) for x in rep.interval + rep.dimension)
         assert "no positive QM constant: lower root defaulted to 0" in rep.warnings
+
+    def test_root_above_one_takes_the_exact_search(self, monkeypatch):
+        # phi^s reads log sigma_2 above s = 1, where the bounds do not reach: both
+        # bound curves are positive at s = 1, and both searches run as they would
+        # without them, to the same bits
+        system = GeneratorSystem((np.diag([0.7, 0.5]), 0.6 * np.array([[0.0, -1.0], [1.0, 0.0]])))
+        rep, searches = _searches(monkeypatch, lambda: affinity_dimension(system, 10, 1))
+        _check_searches(rep, searches, 1)
+        assert 1.0 < rep.interval[0] < rep.interval[1] < 2.0
+        for bound, exact in searches:
+            assert bound[4][2] == "at_upper" and exact[4][3]["steps"] > 0
+        (_, (g_up, _, start, _, out)), _ = searches
+        assert start == (0.0, S_MAX) and out == _root_bracket(g_up, 0.0, S_MAX)
+
+    def test_bounds_positive_at_one_fall_back_to_the_seeded_search(self, monkeypatch):
+        # bounds raised by 2 in every growth rate put both bound curves above 0
+        # at s = 1: each curve takes the exact search, and the lower one starts
+        # from the narrowest sign change among the upper search's exact points
+        from cocyclespan import thermo
+        bounds = thermo._LevelData.log_z_bounds
+        for run, per_step in _dimension_ops(E3(), 10):
+            monkeypatch.setattr(thermo._LevelData, "log_z_bounds",
+                                lambda self, spec: tuple(v + 2 * self.n for v in bounds(self, spec)))
+            rep, searches = _searches(monkeypatch, run)
+            _check_searches(rep, searches, per_step)
+            (_, up), (_, lo) = searches
+            assert not any(end["bounds"] for end in rep.root_search.values())
+            assert up[2] == (0.0, S_MAX) and lo[1] == up[1] | up[3]
+            assert lo[2] != (0.0, S_MAX)
+
+    @pytest.mark.parametrize("shift", [0, 2], ids=["bounds", "exact"])
+    def test_s0_warnings_read_the_upper_ends_the_search_used(self, monkeypatch, shift):
+        # the s0 monotonicity warnings check the upper pressure the upper search
+        # read at each of its points: the upper bound's ends on [0, 1] beside the
+        # exact s = 0 and S_MAX where it closed on its bounds, and only exact ends
+        # where raised bounds send it to the exact search
+        from cocyclespan import thermo
+        from cocyclespan.thermo import _LevelData
+        checked, monotone, bounds = [], thermo._monotone_warnings, _LevelData.log_z_bounds
+        monkeypatch.setattr(thermo, "_monotone_warnings", lambda samples, label, decreasing:
+                            checked.append(dict(samples)) or monotone(samples, label, decreasing))
+        monkeypatch.setattr(_LevelData, "log_z_bounds",
+                            lambda self, spec: tuple(v + shift * self.n for v in bounds(self, spec)))
+        rep, ((bound, exact), _) = _searches(
+            monkeypatch, lambda: s0_interval(E3(), all_ones_targets(6), 10, 1))
+        pressure, alpha = checked
+        assert set(pressure) == set(alpha) and rep.root_search["upper"]["bounds"] == (not shift)
+        data = _LevelData(E3(), 10)
+        for s, p in pressure.items():
+            spec = PotentialSpec("sv_s", s)
+            assert p == (data.log_z(spec) if shift or s > 1 else bounds(data, spec)[1]) / 10
+        points = bound[3] if exact is None else exact[1] | exact[3]
+        assert set(pressure) == points | {0.0, S_MAX}
 
 
 def _contracting(seed, ell):
@@ -544,82 +635,67 @@ def _contracting(seed, ell):
                                  for A in random_2x2_system(rng, ell).generators))
 
 
-class TestGuide:
-    """`_LevelData.guide_log_z`: per-bin count, mean and variance of log sigma_1."""
+def _check_bounds(data):
+    """lower <= exact pass <= upper for c = s and 2s at 21 values of s in [0, 1], equal at
+    s = 0, and a gap of at most c^2 w^2 / 8 plus the two rounding allowances."""
+    width = data.histogram[3]
+    for kind, c in (("sv_s", 1.0), ("sv_s_squared", 2.0)):
+        for s in np.linspace(0.0, 1.0, 21):
+            spec = PotentialSpec(kind, float(s))
+            lower, upper = data.log_z_bounds(spec)
+            exact = data.log_z(spec)
+            assert lower <= exact <= upper, spec
+            if s == 0.0:
+                assert lower == exact == upper
+            allowance = 2.0**-39 * max(1.0, abs(exact))
+            assert upper - lower <= (c * s * width) ** 2 / 8 + allowance, spec
+
+
+class TestLogZBounds:
+    """`_LevelData.log_z_bounds`: Jensen below and the chord above, per bin of log sigma_1."""
 
     @pytest.mark.parametrize("system,n", [
-        (E3(), 16), (E4(), 16), (_contracting(1, 2), 16), (_contracting(2, 2), 14),
-        (_contracting(3, 3), 10), (_contracting(4, 3), 9)],
-        ids=["e3", "e4", "pair-1", "pair-2", "triple-3", "triple-4"])
-    def test_within_1e_9_of_the_exact_pass(self, system, n):
+        (E3(), 12), (E3(), 20), (E4(), 16), (_contracting(1, 2), 16), (_contracting(2, 2), 14),
+        (_contracting(3, 3), 10), (_contracting(4, 3), 9),
+        (GeneratorSystem(tuple(0.5 * np.random.default_rng(3).standard_normal((3, 2, 2)))), 13)],
+        ids=["e3", "e3-n20", "e4", "pair-1", "pair-2", "triple-3", "triple-4", "rng-3"])
+    def test_bound_the_exact_pass(self, system, n):
         from cocyclespan.thermo import _LevelData
         data = _LevelData(system, n)
-        specs = [PotentialSpec(kind, float(s)) for kind in ("sv_s", "sv_s_squared")
-                 for s in np.linspace(0.0, 1.0, 11)]
-        guided = [data.guide_log_z(spec) for spec in specs]
-        assert data.sweeps == 1 and data.passes == 0  # the guide is built once
-        for spec, value in zip(specs, guided):
-            assert abs(value - data.log_z(spec)) <= 1e-9, spec
+        _check_bounds(data)
+        assert 0 < len(data.histogram[0]) <= 4096
 
     def test_flat_level(self):
-        # equal conformal norms: every word has one log sigma_1, so the guide is
-        # one bin of variance 0, finite, and exact up to rounding
+        # equal conformal norms: every word has one log sigma_1, so the histogram
+        # is one bin, and the bounds meet to within their rounding allowance
         from cocyclespan.thermo import _LevelData
         data = _LevelData(E4(), 12)
         assert np.min(data.logs1) == np.max(data.logs1)
-        counts, means, half_variances = data._build_guide()
-        assert counts.tolist() == [2.0**12] and half_variances.tolist() == [0.0]
-        for s in (0.0, 0.3, 1.0):
-            spec = PotentialSpec("sv_s_squared", s)
-            assert math.isfinite(data.guide_log_z(spec))
-            assert abs(data.guide_log_z(spec) - data.log_z(spec)) <= 1e-12
+        log_counts, means, _, _ = data.histogram
+        assert log_counts.tolist() == [12 * math.log(2)] and means.tolist() == [data.logs1[0]]
+        _check_bounds(data)
+        for s in (0.3, 1.0):
+            lower, upper = data.log_z_bounds(PotentialSpec("sv_s_squared", s))
+            assert upper - lower <= 2.0**-38 * max(1.0, abs(upper))
+        with pytest.raises(AssertionError):  # phi^s reads log sigma_2 above s = 1
+            data.log_z_bounds(PotentialSpec("sv_s", 1.5))
 
     @pytest.mark.parametrize("block", [128, 1001])
     def test_blocks_and_a_one_word_level(self, monkeypatch, block):
         # the build splits the pass buffer into halves of a block of y and one of
-        # bins: ragged blocks give the bins' counts exactly and the rest to
-        # rounding, and a level of one word (a buffer of two) is exact
+        # bins: ragged blocks give the bins' counts exactly and the bounds hold;
+        # a level of one word (a buffer of two) holds them too
         from cocyclespan import thermo
         system = _contracting(5, 3)
         whole = thermo._LevelData(system, 8)
         monkeypatch.setattr(thermo, "_BLOCK", block)
         data = thermo._LevelData(system, 8)
-        assert whole._build_guide()[0].tolist() == data._build_guide()[0].tolist()
-        for s in (0.2, 0.9):
-            spec = PotentialSpec("sv_s", s)
-            assert abs(data.guide_log_z(spec) - whole.guide_log_z(spec)) <= 1e-12
+        assert len(data._w) == block
+        assert whole.histogram[0].tolist() == data.histogram[0].tolist()
+        _check_bounds(data)
         one = thermo._LevelData(GeneratorSystem((np.diag([0.4, 0.2]),)), 3)
         assert len(one.logs1) == 1 and len(one._w) == 2
-        spec = PotentialSpec("sv_s_squared", 0.7)
-        assert abs(one.guide_log_z(spec) - one.log_z(spec)) <= 1e-15
-
-    def test_a_shifted_guide_falls_back_to_the_exact_sign_change(self, monkeypatch):
-        # a guide off by 0.05 in every growth rate puts its pair beside the root:
-        # the search runs regula falsi from the narrowest exact sign change, to
-        # the unguided tag and a valid bracket (`_check_searches`)
-        from cocyclespan import thermo
-        guide = thermo._LevelData.guide_log_z
-        for run, per_step in _dimension_ops(E3(), 10):
-            monkeypatch.setattr(thermo._LevelData, "guide_log_z",
-                                lambda self, spec: guide(self, spec) + 0.05 * self.n)
-            rep, searches = _searches(monkeypatch, run)
-            _check_searches(rep, searches, per_step)
-            for end, (_, _, start, _, _) in zip(rep.root_search.values(), searches):
-                s = end["guide_root"]
-                assert s is not None and not end["guide_closed"] and end["steps"] > 0
-                assert s + _GUIDE_STEP in start or s - _GUIDE_STEP in start
-
-    def test_root_above_one_takes_the_unguided_search(self, monkeypatch):
-        # phi^s reads log sigma_2 above s = 1, where the guide does not reach:
-        # both searches run as they would without one, to the same bits
-        system = GeneratorSystem((np.diag([0.7, 0.5]), 0.6 * np.array([[0.0, -1.0], [1.0, 0.0]])))
-        rep, searches = _searches(monkeypatch, lambda: affinity_dimension(system, 10, 1))
-        _check_searches(rep, searches, 1)
-        assert 1.0 < rep.interval[0] < rep.interval[1] < 2.0
-        for end in rep.root_search.values():
-            assert end["guide_root"] is None and not end["guide_closed"] and end["steps"] > 0
-        (g_up, _, start, _, out), _ = searches
-        assert start == (0.0, S_MAX) and out == _root_bracket(g_up, 0.0, S_MAX)
+        _check_bounds(one)
 
 
 def _out_of_place_log_potential(logs1, logs2, kind, s):
@@ -705,13 +781,11 @@ class TestLogZInPlace:
 
     def test_potential_pass_memoised_per_spec(self, monkeypatch):
         # the upper and lower root searches share s = 0 and s = 4, which take
-        # closed forms; each curve's guide pair then costs one reduction per
-        # potential at each of its two points, and Lambda(12) is one block, so a
-        # reduction evaluates the potential over the level once for the sum, and
-        # once more for the max only when it reads log sigma_2 (phi^s at
-        # 1 <= s < 2). r0 reduces sv_s and sv_s_squared at each s; E3's roots lie
-        # below s = 1, so no potential takes a max pass. The guide's build adds
-        # one sweep, in the upper search, which builds it
+        # closed forms in the upper search and are read back from the memo by the
+        # lower one. E3's roots lie below s = 1, where both curves close on the
+        # histogram's bounds: no potential is evaluated over the level and no
+        # pass is summed; the upper search builds the histogram in one sweep.
+        # r0 takes sv_s and sv_s_squared at each s
         from cocyclespan import thermo
         folds, blocks = [], []
         fold, potential = thermo.pairwise_sum, thermo._LevelData._potential
@@ -719,21 +793,17 @@ class TestLogZInPlace:
         monkeypatch.setattr(thermo._LevelData, "_potential",
                             lambda self, spec, lo, hi: blocks.append(spec)
                             or potential(self, spec, lo, hi))
-        for run, count, kinds, closed in (
-                (lambda: affinity_dimension(E3(), 12, 1), 4, ("sv_s",), 2),
-                (lambda: r0_interval(E3(), 0.3, 12, 1), 8, ("sv_s", "sv_s_squared"), 4)):
+        for run, closed in ((lambda: affinity_dimension(E3(), 12, 1), 2),
+                            (lambda: r0_interval(E3(), 0.3, 12, 1), 4)):
             folds.clear()
             blocks.clear()
             rep = run()
-            passes = list(dict.fromkeys(blocks))
-            assert len(folds) == len(passes) == len(blocks) == count
-            assert all(spec.kind in kinds and 0.0 < spec.s < 1.0 for spec in passes)
-            assert {spec.kind for spec in passes} == set(kinds)
+            assert folds == blocks == []
             up, lo = rep.root_search["upper"], rep.root_search["lower"]
-            assert up["passes"] == lo["passes"] == count // 2
-            assert up["sweeps"] == up["passes"] + 1 and lo["sweeps"] == lo["passes"]
+            assert up["bounds"] and lo["bounds"]
+            assert up["passes"] == lo["passes"] == 0
+            assert up["sweeps"] == 1 and lo["sweeps"] == 0
             assert up["closed_form"] == closed and lo["closed_form"] == 0
-            assert up["steps"] == lo["steps"] == 0
         # phi^s at 1 <= s < 2 alone adds the max pass; s = 0 and s >= 2 take none
         folds.clear()
         blocks.clear()
