@@ -11,10 +11,9 @@ therefore return intervals, not point estimates: uncertainty is structural.
 One bracketing solver (`_root_bracket`, regula falsi with the Illinois step
 and a bisection fallback) finds every root, and the interval takes the outer
 end of each bracket. A histogram of the level's log sigma_1 bounds log Z_n of
-phi^s at s <= 1 on both sides (`_LevelData.log_z_bounds`), so h at those
-bounds gives curves outside the upper and lower ones, whose roots lie outside
-the exact roots and need no exact pass; a curve whose bound curve has no root
-in [0, 1] is searched exactly, to 1e-6.
+phi^s at s <= 1 on both sides (`_LevelData.log_z_bounds`); each curve takes
+one search, read at those bounds up to s = 1 and at the exact log Z_n above,
+so its ends lie outside the exact roots (`_dimension_root`).
 
 `qm_source` supplies C: the connector constant `quasimult.ConnectorConstant`
 at k = k_qm, or for conformal systems (all generators scalar multiples of
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -134,8 +133,8 @@ class _LevelData:
 
     Lambda(n) costs 8 bytes per word: log sigma_2 of a block of ranks is
     rebuilt from the table when a potential reads it. `log_z` is memoised per
-    potential: the two searches of a root share their end points s = 0 and
-    S_MAX. Three counters, each per potential, say what the values cost:
+    potential: the two searches of a root share s = 0, and above s = 1 their
+    exact points. Three counters, each per potential, say what the values cost:
     - `passes`: the potentials whose log Z_n summed over Lambda(n);
     - `sweeps`: the block passes over Lambda(n) they took, a sum pass per
       potential plus a max pass for phi^s at 1 <= s < 2;
@@ -504,23 +503,6 @@ def _root_bracket(g, lo: float, hi: float, tol: float = ROOT_TOL):
     return a, b, None, {"steps": len(widths), "bisection_fallbacks": fallbacks}
 
 
-def _seed_bracket(g, points) -> tuple[float, float]:
-    """The narrowest (a, b) of adjacent `points` with g(a) > 0 >= g(b), else (0, S_MAX).
-
-    `points` hold 0 and S_MAX, where log Z takes closed forms, and the points an
-    earlier search sampled, where it is memoised. Without g(0) > 0 >= g(S_MAX)
-    among them (a curve without a QM constant is -inf at 0), [0, S_MAX] is
-    kept, so `_root_bracket` reports the same boundary tag as an unseeded search.
-    """
-    xs = sorted(set(points))
-    vals = [g(x) for x in xs]
-    pairs = [(b - a, a, b) for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]) if fa > 0 >= fb]
-    if not (vals[0] > 0 >= vals[-1] and pairs):
-        return 0.0, S_MAX
-    _, a, b = min(pairs)
-    return a, b
-
-
 def qm_source(system: GeneratorSystem, k_qm: int, *, budget: int = DEFAULT_BUDGET):
     """(qm_input(s, kind), description) of the lower pressure ends.
 
@@ -542,13 +524,13 @@ def qm_source(system: GeneratorSystem, k_qm: int, *, budget: int = DEFAULT_BUDGE
 
 def _monotone_warnings(samples: list[tuple[float, float]], label: str,
                        decreasing: bool) -> list[str]:
-    samples = sorted(samples)
-    vals = [v for _s, v in samples]
-    for a, b in zip(vals, vals[1:]):
-        if decreasing and b > a + 1e-9:
-            return [f"{label} not monotone along the root-search samples"]
-        if not decreasing and b < a - 1e-9:
-            return [f"{label} not monotone along the root-search samples"]
+    """A warning if, in order of s, a value rises (falls) by more than 1e-9 where it
+    should decrease (increase). `s0` passes the points its upper search sampled,
+    which hold S_MAX only where that search ran on [1, S_MAX]."""
+    sign = 1.0 if decreasing else -1.0
+    vals = [sign * v for _s, v in sorted(samples)]
+    if any(b > a + 1e-9 for a, b in zip(vals, vals[1:])):
+        return [f"{label} not monotone along the root-search samples"]
     return []
 
 
@@ -560,18 +542,19 @@ def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, kinds
 
     h at every upper end (`_ends`) is the upper curve, h at every lower end the
     lower curve; both decrease in s. The lower curve needs a positive QM input
-    and is -inf (root 0) without one. `_root_bracket` first brackets each
-    curve's bound curve on [0, 1] to _BOUND_TOL: h with each log Z_n at its
-    upper bound (`_LevelData.log_z_bounds`) for the upper curve, at its lower
-    bound for the lower one. Both ends of `_ends` increase in log Z_n, so the
-    upper curve is <= 0 wherever its bound curve is, as at that bracket's right
-    end b, and the upper root is at most b; the lower curve is > 0 wherever its
-    bound curve is, as at that bracket's left end a, and the lower root lies
-    above a. A curve with no sign change on [0, S_MAX] (a boundary tag), or
-    whose bound curve stays positive at s = 1, takes the exact search:
-    `_root_bracket` to ROOT_TOL from `_seed_bracket`. The interval is the left
-    end of the lower curve's bracket and the right end of the upper curve's.
-    `late_warnings` reads the upper ends at the upper search's points.
+    and is -inf (root 0) without one. Each curve takes one `_root_bracket`, on
+    g: h with each log Z_n read at s <= 1 at its upper bound
+    (`_LevelData.log_z_bounds`) for the upper curve and at its lower bound for
+    the lower one, and at s > 1 (where phi^s reads log sigma_2) exactly. g(1)
+    picks the range: [0, 1] to _BOUND_TOL where g(1) <= 0, else [1, S_MAX] to
+    ROOT_TOL. Both ends of `_ends` increase in log Z_n, so the upper g lies on
+    or above the upper curve, which is <= 0 at the upper bracket's right end b
+    as g is, and the lower g on or below the lower curve, which is > 0 at the
+    lower bracket's left end a: the upper root is at most b and the lower root
+    lies above a. The jump of g at s = 1 only moves an end outward, by no more
+    than the bounds' gap does below 1. g(0) and g(S_MAX) are closed forms of
+    the exact log Z_n, so the boundary tags are the exact curve's. The interval
+    is (a, b). `late_warnings` reads the upper search's points, s = 1 among them.
     """
     hyp = check_hypotheses(system, "corollary_4_3", budget=budget)
     data = _LevelData(system, n, budget=budget)
@@ -596,30 +579,28 @@ def _dimension_root(kind: str, system: GeneratorSystem, n: int, k_qm: int, kinds
     def effort() -> dict:
         return {"passes": data.passes, "sweeps": data.sweeps, "closed_form": data.closed_forms}
 
-    def search(curve, side: int, points):
-        """(a, b, tag, counts) of the root of `curve`, first on its bound curve, which
-        reads side `side` (0 lower, 1 upper) of `log_z_bounds`."""
+    def search(curve, side: int):
+        """(a, b, tag, counts) of the root of `curve`, read at s <= 1 on side `side`
+        (0 lower, 1 upper) of `log_z_bounds` and above 1 at the exact log Z_n."""
         before = effort()
-        g = partial(curve, log_z=data.log_z)
-        closed = g(0.0) > 0 >= g(S_MAX)  # closed forms; a boundary tag takes the exact search
-        if closed:
-            bound = partial(curve, log_z=lambda spec: data.log_z_bounds(spec)[side])
-            a, b, tag, counts = _root_bracket(bound, 0.0, 1.0, _BOUND_TOL)
-            closed = tag is None
-        if not closed:
-            read.clear()  # an exact upper search reads its own points, not the bounds
-            a, b, tag, counts = _root_bracket(g, *_seed_bracket(g, {0.0, S_MAX, *points}))
+
+        def g(s: float) -> float:
+            return curve(s, data.log_z if s > 1.0 else lambda spec: data.log_z_bounds(spec)[side])
+
+        a, b, tag, counts = (_root_bracket(g, 0.0, 1.0, _BOUND_TOL) if g(1.0) <= 0
+                             else _root_bracket(g, 1.0, S_MAX))
+        end = (a, b)[side]
+        closed = tag is None and end <= 1.0  # the reported end read the bounds
         meta = {key: now - before[key] for key, now in effort().items()} | counts | {
             "bounds": closed, "bins": None, "log_z_gap": None}
-        if closed:  # at the reported end: a for the lower curve, b for the upper
-            bounds = [data.log_z_bounds(PotentialSpec(k, (a, b)[side])) for k in kinds]
+        if closed:
+            bounds = [data.log_z_bounds(PotentialSpec(k, end)) for k in kinds]
             meta |= {"bins": len(data.histogram[0]), "log_z_gap": max(u - v for v, u in bounds)}
         return a, b, tag, meta
 
-    _, s_hi, b_hi, up_counts = search(upper, 1, ())
+    _, s_hi, b_hi, up_counts = search(upper, 1)
     warnings = list(warnings) + late_warnings(read)
-    # a lower search that falls back starts from the upper search's exact points
-    s_lo, _, b_lo, lo_counts = search(lower, 0, () if up_counts["bounds"] else list(read))
+    s_lo, _, b_lo, lo_counts = search(lower, 0)
     if qm_desc["mode"] != "conformal" and qm_desc["gamma"] <= 0:
         warnings.append("no positive QM constant: lower root defaulted to 0")
     interval = (min(s_lo, s_hi), s_hi)

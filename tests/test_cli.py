@@ -191,9 +191,9 @@ class TestRunCommand:
         # the upper search builds the histogram in one sweep; the lower one reads it
         assert counts["upper"]["sweeps"] == 1 and counts["lower"]["sweeps"] == 0
         assert report["result"]["interval"][1] < 1
-        # s = 0 and S_MAX take closed forms, in the upper search, which runs
-        # first; the lower search reads both from the memo
-        assert counts["upper"]["closed_form"] == 2
+        # s = 0 takes a closed form in the upper search, which runs first; the
+        # lower search reads it from the memo, and neither reads S_MAX
+        assert counts["upper"]["closed_form"] == 1
         assert counts["lower"]["closed_form"] == 0
         assert "root_search" not in cli.report_canonical_json(report)
 

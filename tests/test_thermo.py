@@ -417,122 +417,104 @@ def _dimension_ops(system, n):
 
 
 def _searches(monkeypatch, run):
-    """(report, [(bound search or None, exact search or None)] for the upper and the
-    lower end) of one root command, through spies on the two solvers. A search is
-    (g, seed points or None, start, points sampled, (a, b, tag, counts))."""
+    """(report, [upper search, lower search]) of one root command, through a spy on
+    `_root_bracket`, which each curve calls once. A search is
+    (g, (lo, hi, tol), points sampled, (a, b, tag, counts))."""
     from cocyclespan import thermo
-    calls = []
-    seed, bracket = thermo._seed_bracket, thermo._root_bracket
+    calls, bracket = [], thermo._root_bracket
 
-    def seed_spy(g, points):
-        calls.append(set(points))
-        return seed(g, points)
-
-    def bracket_spy(g, lo, hi, tol=ROOT_TOL):
+    def spy(g, lo, hi, tol=ROOT_TOL):
         seen = []
         out = bracket(lambda s: seen.append(s) or g(s), lo, hi, tol)
-        points = calls.pop() if tol == ROOT_TOL else None
-        calls.append((g, points, (lo, hi), set(seen), out))
+        calls.append((g, (lo, hi, tol), set(seen), out))
         return out
 
-    monkeypatch.setattr(thermo, "_seed_bracket", seed_spy)
-    monkeypatch.setattr(thermo, "_root_bracket", bracket_spy)
+    monkeypatch.setattr(thermo, "_root_bracket", spy)
     rep = run()
     monkeypatch.undo()
-    searches = []
-    for name in ("upper", "lower"):
-        bound = calls.pop(0) if calls and calls[0][1] is None else None
-        searches.append((bound, None if rep.root_search[name]["bounds"] else calls.pop(0)))
-    assert not calls
-    return rep, searches
+    assert len(calls) == 2
+    return rep, calls
 
 
-def _exact_curve(g_bound):
-    """The curve of a bound search, read at the exact log Z_n instead of its bounds."""
+def _exact_curve(g):
+    """A search's curve, read at the exact log Z_n at every s."""
     from cocyclespan import thermo
 
-    def g(s):
+    def exact(s):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(thermo._LevelData, "log_z_bounds",
                       lambda self, spec: (self.log_z(spec),) * 2)
-            return g_bound(s)
-    return g
+            return g(s)
+    return exact
 
 
 def _check_searches(rep, searches, per_step):
-    """Each end against the exact search from [0, S_MAX] on the same curve.
+    """Each end against the exact curve's search from [0, S_MAX].
 
-    An end that closed on its bounds: a bracket of its bound curve on [0, 1], no
-    exact pass, the bound curve on the outer side of the exact one at each point
-    it sampled, and the end outside the exact root, within ROOT_TOL of the exact
-    search's bracket. Any other end: the exact search's tag, and a valid bracket
-    within ROOT_TOL of its ends. Each exact point no earlier search sampled costs
-    a pass or a closed form per potential. Returns, per end that took the exact
-    search, (the exact points it added beside 0 and S_MAX, the unseeded steps)."""
-    known, costs = set(), []
-    for name, (bound, exact) in zip(("upper", "lower"), searches):
-        counts = rep.root_search[name]
-        assert counts["bounds"] == (exact is None)
-        sampled = {0.0, S_MAX}
-        if exact is None:
-            g_bound, _, start, seen, (a, b, tag, _) = bound
-            g = _exact_curve(g_bound)
-            assert start == (0.0, 1.0) and tag is None
-            assert g_bound(a) > 0 >= g_bound(b) and b - a <= _BOUND_TOL
-            ra, rb, ref_tag, _ = _root_bracket(g, 0.0, S_MAX)
-            assert ref_tag is None
+    A curve's one search runs on [0, 1] to _BOUND_TOL where its g is <= 0 at
+    s = 1, else on [1, S_MAX] to ROOT_TOL, and ends with the exact search's tag.
+    Without a tag, g lies on the outer side of the exact curve at every point
+    it sampled, and the end lies outside the exact root, within ROOT_TOL of the
+    exact search's bracket. g reads the exact log Z_n at s = 0 and s > 1: each
+    such point costs a pass or a closed form per potential in the first search
+    that reads it. Returns the exact passes of both searches."""
+    known, passes = set(), 0
+    for name, (g, start, seen, (a, b, tag, _)) in zip(("upper", "lower"), searches):
+        counts, exact = rep.root_search[name], _exact_curve(g)
+        assert start == ((0.0, 1.0, _BOUND_TOL) if g(1.0) <= 0 else (1.0, S_MAX, ROOT_TOL))
+        ra, rb, ref_tag, _ = _root_bracket(exact, 0.0, S_MAX)
+        assert tag == ref_tag
+        if tag is None:
+            assert g(a) > 0 >= g(b) and b - a <= start[2]
             if name == "upper":
-                assert all(g_bound(s) >= g(s) for s in seen)
-                assert g(b) <= 0 and ra < b <= rb + ROOT_TOL
+                assert all(g(s) >= exact(s) for s in seen)
+                assert exact(b) <= 0 and ra < b <= rb + ROOT_TOL
             else:
-                assert all(g_bound(s) <= g(s) for s in seen)
-                assert g(a) > 0 and ra - ROOT_TOL <= a < rb
-            assert counts["passes"] == 0 and counts["bins"] > 0 and counts["log_z_gap"] >= 0
+                assert all(g(s) <= exact(s) for s in seen)
+                assert exact(a) > 0 and ra - ROOT_TOL <= a < rb
         else:
-            g, points, start, seen, (a, b, tag, _) = exact
-            assert bound is None or bound[4][2] == "at_upper"  # positive at s = 1
+            assert (a, b) == (ra, rb)
+        assert counts["bounds"] == (tag is None and (a, b)[name == "upper"] <= 1.0)
+        if counts["bounds"]:
+            assert counts["bins"] > 0 and counts["log_z_gap"] >= 0
+        else:
             assert counts["bins"] is None and counts["log_z_gap"] is None
-            ra, rb, ref_tag, ref_counts = _root_bracket(g, 0.0, S_MAX)
-            assert tag == ref_tag
-            if tag is None:
-                assert g(a) > 0 >= g(b) and b - a <= ROOT_TOL
-                assert abs(a - ra) <= ROOT_TOL and abs(b - rb) <= ROOT_TOL
-            else:
-                assert (a, b) == (ra, rb)
-            sampled |= points | seen
-            costs.append((len(sampled - known - {0.0, S_MAX}), ref_counts["steps"]))
-        assert counts["passes"] + counts["closed_form"] == per_step * len(sampled - known)
-        known |= sampled
-    lower_end = searches[1][1] or searches[1][0]
-    assert rep.interval[0] == min(lower_end[4][0], rep.interval[1])
-    return costs
+        # a lower curve without a constant is -inf and reads no log Z_n
+        reads = {s for s in seen | {1.0} if s == 0.0 or s > 1.0} if math.isfinite(g(0.0)) else set()
+        assert counts["passes"] + counts["closed_form"] == per_step * len(reads - known)
+        known |= reads
+        passes += counts["passes"]
+    (*_, (_, s_hi, _, _)), (*_, (s_lo, _, _, _)) = searches
+    assert rep.interval == (min(s_lo, s_hi), s_hi)
+    return passes
 
 
 class TestSeededLowerSearch:
-    """A curve closes on its bound curve where that has a root in [0, 1]; any other
-    curve takes the exact search, from the narrowest sign change among s = 0,
-    S_MAX and, for the lower curve, the upper search's exact points."""
+    """Each curve takes one search, on the level's certified log Z_n bounds up to
+    s = 1 and on the exact log Z_n above; nothing seeds it. Its ends lie outside
+    the exact curve's roots, within ROOT_TOL of the exact search from [0, S_MAX]."""
 
     @pytest.mark.parametrize("system", [E3(), E4()], ids=["e3", "e4"])
     def test_shipped_systems(self, monkeypatch, system):
-        # both curves close on their bounds with no exact pass: the upper search
-        # takes s = 0 and S_MAX in closed form and builds the histogram in one sweep
+        # both curves search [0, 1] on their bounds with no exact pass: the upper
+        # search takes s = 0 in closed form and builds the histogram in one sweep
         for run, per_step in _dimension_ops(system, 10):
             rep, searches = _searches(monkeypatch, run)
-            _check_searches(rep, searches, per_step)
+            assert _check_searches(rep, searches, per_step) == 0
+            assert [start for _, start, _, _ in searches] == [(0.0, 1.0, _BOUND_TOL)] * 2
             up, lo = rep.root_search["upper"], rep.root_search["lower"]
             assert up["bounds"] and lo["bounds"] and up["bins"] == lo["bins"]
-            assert up["passes"] == lo["passes"] == lo["closed_form"] == lo["sweeps"] == 0
-            assert up["closed_form"] == 2 * per_step and up["sweeps"] == 1
+            assert lo["closed_form"] == lo["sweeps"] == 0
+            assert up["closed_form"] == per_step and up["sweeps"] == 1
             if system.is_conformal():  # one log sigma_1 per word: one bin
                 assert up["bins"] == 1 and up["log_z_gap"] <= 1e-11
 
     def test_random_systems(self, monkeypatch):
         # contracting pairs and triples, whose roots lie inside [0, S_MAX], and
-        # expanding ones, whose upper search ends at a boundary tag: 34 curves
-        # close on their bounds, and no exact search samples more points than the
-        # unseeded one from [0, S_MAX]
-        closed = 0
+        # expanding ones, whose upper search ends at a boundary tag, under all
+        # three commands: 258 exact passes, against 296 when a curve whose bound
+        # curve stayed positive at s = 1 searched the exact curve from [0, S_MAX]
+        passes = 0
         for seed in range(30):
             rng = np.random.default_rng(seed)
             ell = int(rng.integers(2, 4))
@@ -542,22 +524,21 @@ class TestSeededLowerSearch:
                     float(rng.uniform(0.2, 0.7)) * A / np.linalg.norm(A, 2)
                     for A in system.generators))
             n = int(rng.integers(3, 11 if ell == 2 else 9))
-            run, per_step = _dimension_ops(system, n)[int(rng.integers(3))]
-            rep, searches = _searches(monkeypatch, run)
-            assert all(got <= ref for got, ref in _check_searches(rep, searches, per_step))
-            closed += sum(end["bounds"] for end in rep.root_search.values())
-        assert closed == 34
+            for run, per_step in _dimension_ops(system, n):
+                rep, searches = _searches(monkeypatch, run)
+                passes += _check_searches(rep, searches, per_step)
+        assert passes == 258
 
-    def test_no_constant_keeps_the_full_range(self, monkeypatch):
-        # g_lo is -inf at every point: no sign change, so no bound search and
-        # [0, S_MAX], which ends at once at the lower boundary, with no pass
+    def test_no_constant_ends_at_the_lower_boundary(self, monkeypatch):
+        # g_lo is -inf at every point, s = 1 too: the lower search takes [0, 1] and
+        # ends at once at the lower boundary, with no log Z_n and no histogram
         for run, per_step in _dimension_ops(NO_CONSTANT, 8):
             rep, searches = _searches(monkeypatch, run)
             _check_searches(rep, searches, per_step)
             counts = rep.root_search["lower"]
-            bound, (_, _, start, _, _) = searches[1]
-            assert bound is None and start == (0.0, S_MAX)
-            assert counts["passes"] == counts["steps"] == 0 and not counts["bounds"]
+            assert searches[1][1] == (0.0, 1.0, _BOUND_TOL) and searches[1][3][2] == "at_lower"
+            assert counts["passes"] == counts["steps"] == counts["sweeps"] == 0
+            assert counts["closed_form"] == 0 and not counts["bounds"]
             assert rep.interval[0] == 0.0
             assert "no positive QM constant: lower root defaulted to 0" in rep.warnings
 
@@ -567,8 +548,7 @@ class TestSeededLowerSearch:
         rep, searches = _searches(monkeypatch, lambda: r0_interval(NO_CONSTANT, 0.0, 8, 1))
         _check_searches(rep, searches, 2)
         counts = rep.root_search["lower"]
-        bound, (_, _, start, _, _) = searches[1]
-        assert bound is None and start == (0.0, S_MAX)
+        assert searches[1][3][2] == "at_lower"
         assert counts["passes"] == counts["steps"] == 0 and not counts["bounds"]
         assert rep.interval[0] == 0.0
         assert not any(math.isnan(x) for x in rep.interval + rep.dimension)
@@ -576,56 +556,62 @@ class TestSeededLowerSearch:
 
     def test_root_above_one_takes_the_exact_search(self, monkeypatch):
         # phi^s reads log sigma_2 above s = 1, where the bounds do not reach: both
-        # bound curves are positive at s = 1, and both searches run as they would
-        # without them, to the same bits
+        # curves are positive at s = 1 on their bounds, and each searches
+        # [1, S_MAX] on the exact log Z_n; the lower g(1) read at the lower bounds
+        # is at most the exact lower curve there, so its end stays outward
         system = GeneratorSystem((np.diag([0.7, 0.5]), 0.6 * np.array([[0.0, -1.0], [1.0, 0.0]])))
         rep, searches = _searches(monkeypatch, lambda: affinity_dimension(system, 10, 1))
-        _check_searches(rep, searches, 1)
+        assert _check_searches(rep, searches, 1) > 0
         assert 1.0 < rep.interval[0] < rep.interval[1] < 2.0
-        for bound, exact in searches:
-            assert bound[4][2] == "at_upper" and exact[4][3]["steps"] > 0
-        (_, (g_up, _, start, _, out)), _ = searches
-        assert start == (0.0, S_MAX) and out == _root_bracket(g_up, 0.0, S_MAX)
+        for (_, start, _, (_, _, _, counts)), end in zip(searches, rep.root_search.values()):
+            assert start == (1.0, S_MAX, ROOT_TOL) and counts["steps"] > 0
+            assert not end["bounds"] and end["passes"] > 0
 
-    def test_bounds_positive_at_one_fall_back_to_the_seeded_search(self, monkeypatch):
-        # bounds raised by 2 in every growth rate put both bound curves above 0
-        # at s = 1: each curve takes the exact search, and the lower one starts
-        # from the narrowest sign change among the upper search's exact points
+    def test_raised_upper_bounds_search_above_one(self, monkeypatch):
+        # upper bounds raised by 2n stay upper bounds and put the upper g above 0
+        # at s = 1, though E3's upper roots lie below 1: each upper search runs on
+        # [1, S_MAX], where the exact curve is <= 0 at once, and ends just past 1,
+        # outside the root by more than ROOT_TOL; the lower search is unchanged
         from cocyclespan import thermo
         bounds = thermo._LevelData.log_z_bounds
-        for run, per_step in _dimension_ops(E3(), 10):
+        for run, _ in _dimension_ops(E3(), 10):
+            plain = run()
             monkeypatch.setattr(thermo._LevelData, "log_z_bounds",
-                                lambda self, spec: tuple(v + 2 * self.n for v in bounds(self, spec)))
-            rep, searches = _searches(monkeypatch, run)
-            _check_searches(rep, searches, per_step)
-            (_, up), (_, lo) = searches
-            assert not any(end["bounds"] for end in rep.root_search.values())
-            assert up[2] == (0.0, S_MAX) and lo[1] == up[1] | up[3]
-            assert lo[2] != (0.0, S_MAX)
+                                lambda self, spec: (bounds(self, spec)[0],
+                                                    bounds(self, spec)[1] + 2 * self.n))
+            rep, ((g, start, _, (a, b, tag, _)), _) = _searches(monkeypatch, run)
+            exact = _exact_curve(g)
+            assert start == (1.0, S_MAX, ROOT_TOL) and tag is None
+            assert (a, b) == (1.0, rep.interval[1]) and 1.0 < b <= 1.0 + ROOT_TOL
+            _, rb, _, _ = _root_bracket(exact, 0.0, S_MAX)
+            assert exact(b) <= 0 and rb + ROOT_TOL < b
+            assert not rep.root_search["upper"]["bounds"] and rep.root_search["lower"]["bounds"]
+            assert rep.interval[0] == plain.interval[0]
 
     @pytest.mark.parametrize("shift", [0, 2], ids=["bounds", "exact"])
     def test_s0_warnings_read_the_upper_ends_the_search_used(self, monkeypatch, shift):
         # the s0 monotonicity warnings check the upper pressure the upper search
-        # read at each of its points: the upper bound's ends on [0, 1] beside the
-        # exact s = 0 and S_MAX where it closed on its bounds, and only exact ends
-        # where raised bounds send it to the exact search
+        # read at each point it sampled, s = 1 among them: the upper bound's ends
+        # at s <= 1 and the exact ends above. Where the search stays on [0, 1]
+        # (no shift), S_MAX is not among them; where raised upper bounds send it
+        # to [1, S_MAX], s = 0 is not
         from cocyclespan import thermo
         from cocyclespan.thermo import _LevelData
         checked, monotone, bounds = [], thermo._monotone_warnings, _LevelData.log_z_bounds
         monkeypatch.setattr(thermo, "_monotone_warnings", lambda samples, label, decreasing:
                             checked.append(dict(samples)) or monotone(samples, label, decreasing))
-        monkeypatch.setattr(_LevelData, "log_z_bounds",
-                            lambda self, spec: tuple(v + shift * self.n for v in bounds(self, spec)))
-        rep, ((bound, exact), _) = _searches(
+        monkeypatch.setattr(_LevelData, "log_z_bounds", lambda self, spec: (
+            bounds(self, spec)[0], bounds(self, spec)[1] + shift * self.n))
+        rep, ((_, start, seen, _), _) = _searches(
             monkeypatch, lambda: s0_interval(E3(), all_ones_targets(6), 10, 1))
         pressure, alpha = checked
-        assert set(pressure) == set(alpha) and rep.root_search["upper"]["bounds"] == (not shift)
+        assert set(pressure) == set(alpha) == seen | {1.0}
+        assert start[0] == (1.0 if shift else 0.0) and rep.root_search["upper"]["bounds"] == (not shift)
+        assert (S_MAX in pressure) == bool(shift) and (0.0 in pressure) == (not shift)
         data = _LevelData(E3(), 10)
         for s, p in pressure.items():
             spec = PotentialSpec("sv_s", s)
-            assert p == (data.log_z(spec) if shift or s > 1 else bounds(data, spec)[1]) / 10
-        points = bound[3] if exact is None else exact[1] | exact[3]
-        assert set(pressure) == points | {0.0, S_MAX}
+            assert p == (data.log_z(spec) if s > 1 else bounds(data, spec)[1] + shift * 10) / 10
 
 
 def _contracting(seed, ell):
@@ -780,12 +766,12 @@ class TestLogZInPlace:
             assert a.tobytes() == b.tobytes()
 
     def test_potential_pass_memoised_per_spec(self, monkeypatch):
-        # the upper and lower root searches share s = 0 and s = 4, which take
-        # closed forms in the upper search and are read back from the memo by the
-        # lower one. E3's roots lie below s = 1, where both curves close on the
-        # histogram's bounds: no potential is evaluated over the level and no
-        # pass is summed; the upper search builds the histogram in one sweep.
-        # r0 takes sv_s and sv_s_squared at each s
+        # the upper and lower root searches share s = 0, which takes a closed
+        # form in the upper search and is read back from the memo by the lower
+        # one. E3's roots lie below s = 1, so both curves search [0, 1] on the
+        # histogram's bounds and neither reads S_MAX: no potential is evaluated
+        # over the level and no pass is summed; the upper search builds the
+        # histogram in one sweep. r0 takes sv_s and sv_s_squared at each s
         from cocyclespan import thermo
         folds, blocks = [], []
         fold, potential = thermo.pairwise_sum, thermo._LevelData._potential
@@ -793,8 +779,8 @@ class TestLogZInPlace:
         monkeypatch.setattr(thermo._LevelData, "_potential",
                             lambda self, spec, lo, hi: blocks.append(spec)
                             or potential(self, spec, lo, hi))
-        for run, closed in ((lambda: affinity_dimension(E3(), 12, 1), 2),
-                            (lambda: r0_interval(E3(), 0.3, 12, 1), 4)):
+        for run, closed in ((lambda: affinity_dimension(E3(), 12, 1), 1),
+                            (lambda: r0_interval(E3(), 0.3, 12, 1), 2)):
             folds.clear()
             blocks.clear()
             rep = run()
@@ -978,12 +964,12 @@ class TestRootIntervalOracle:
                      for kind in kinds]
                 assert h(lo, q) >= -1e-12
                 checked += 1
-        return checked
+        return checked, rep.interval
 
     @pytest.mark.parametrize("system", [E3(), E4()], ids=["e3", "e4"])
     @pytest.mark.parametrize("command", ["affinity", "s0", "r0"])
     def test_shipped_systems(self, system, command):
-        assert self._check(system, 8, command) == 2
+        assert self._check(system, 8, command)[0] == 2
 
     @settings(derandomize=True, max_examples=30, deadline=None, database=None)
     @given(nums=st.lists(st.lists(st.integers(-8, 8), min_size=4, max_size=4).filter(
@@ -994,7 +980,20 @@ class TestRootIntervalOracle:
         system = GeneratorSystem(tuple(np.array(e, dtype=float).reshape(2, 2) / 16
                                        for e in nums))
         for command in ("affinity", "s0", "r0"):
-            assert self._check(system, min(n, 6) if len(nums) == 3 else n, command) >= 1
+            assert self._check(system, min(n, 6) if len(nums) == 3 else n, command)[0] >= 1
+
+    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("command", ["affinity", "s0", "r0"])
+    def test_roots_about_one(self, command, n):
+        # diag(3/4, 1/2) and 5/8 R90: both affinity ends lie above s = 1, where g
+        # reads the exact log Z_n, both s0 ends below, on the bounds, and the r0
+        # interval straddles 1: its lower end comes from the bounds and its
+        # upper end from the exact log Z_n
+        system = GeneratorSystem((np.diag([0.75, 0.5]),
+                                  0.625 * np.array([[0.0, -1.0], [1.0, 0.0]])))
+        checked, interval = self._check(system, n, command)
+        above_one = {"affinity": (True, True), "s0": (False, False), "r0": (False, True)}
+        assert checked == 2 and tuple(end > 1.0 for end in interval) == above_one[command]
 
 
 @pytest.mark.parametrize("call,message", [
